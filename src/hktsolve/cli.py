@@ -15,6 +15,7 @@ all of its declared checks pass.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -48,7 +49,6 @@ from .hkt_symbolic import (
     ReductionContext,
     standard_hkt_form,
 )
-from .kernels import backend
 from .lie_frame import (
     build_complex_frame,
     check_foliation,
@@ -204,6 +204,14 @@ def cmd_verify_algebra(args):
 # solve
 
 
+def _converted(label, convert, *args):
+    """convert(*args), with a malformed config value raised as ConfigError."""
+    try:
+        return convert(*args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError("%s: %s" % (label, exc)) from exc
+
+
 def _build_forcing(spec, grid):
     if "file" in spec:
         arr, lengths = gridio.read_field(spec["file"])
@@ -213,13 +221,13 @@ def _build_forcing(spec, grid):
             raise ConfigError("forcing field lengths do not match the grid")
         return arr
     kind = spec.get("type", "zero")
-    amp = float(spec.get("amplitude", 1.0))
+    amp = _converted("forcing amplitude", float, spec.get("amplitude", 1.0))
     if kind == "zero":
         return grid.zeros()
     if kind == "sine":
         return sine_product_field(grid, amp)
     if kind == "bump":
-        width = float(spec.get("width", 1.0))
+        width = _converted("forcing width", float, spec.get("width", 1.0))
         if width <= 0:
             raise ConfigError("bump width must be positive")
         acc = np.zeros(grid.dims)
@@ -237,24 +245,27 @@ def _load_run_config(path, overrides):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    for section in ("grid", "forcing", "continuity"):
+        if not isinstance(cfg.get(section, {}), dict):
+            raise ConfigError("config section %r must be a JSON object" % section)
     for key, val in overrides.items():
         if val is None:
             continue
         section, sub = key
         cfg.setdefault(section, {})[sub] = val
     gspec = cfg.get("grid", {})
-    grid = TorusGrid(gspec.get("dims", [64, 64]), gspec.get("lengths"))
+    grid = _converted("grid", TorusGrid, gspec.get("dims", [64, 64]),
+                      gspec.get("lengths"))
     F = _build_forcing(cfg.get("forcing", {"type": "zero"}), grid)
-    q = gridio.load_qspec(cfg.get("q", {"matrix": np.zeros((grid.ndim, grid.ndim)).tolist()}),
-                          grid)
+    q = _converted("q", gridio.load_qspec,
+                   cfg.get("q", {"matrix": np.zeros((grid.ndim, grid.ndim)).tolist()}),
+                   grid)
     cspec = cfg.get("continuity", {})
-    ccfg = ContinuityConfig(
-        t_step_init=float(cspec.get("t_step_init", 1.0)),
-        t_step_min=float(cspec.get("t_step_min", 1e-6)),
-        t_step_max=float(cspec.get("t_step_max", 1.0)),
-        newton_tol=float(cspec.get("newton_tol", 1e-10)),
-        max_newton=int(cspec.get("max_newton", 30)),
-    ).validate()
+    ccfg = ContinuityConfig(**{
+        name: _converted("continuity.%s" % name, type(default),
+                         cspec.get(name, default))
+        for name, default in dataclasses.asdict(ContinuityConfig()).items()
+    }).validate()
     return cfg, grid, F, q, ccfg
 
 
@@ -265,8 +276,8 @@ def cmd_solve(args):
     dens = density(grid, state.phi, q)
     slack = 10.0 * ccfg.newton_tol
     bound_ok = check_b_bound(state, F, slack)
-    _say("converged: b=%.12g residual=%.3e macro_steps=%d backend=%s"
-         % (state.b, state.residual_norm, len(trace.rows), backend()))
+    _say("converged: b=%.12g residual=%.3e macro_steps=%d"
+         % (state.b, state.residual_norm, len(trace.rows)))
     _say("density range: [%.6g, %.6g]" % (float(dens.min()), float(dens.max())))
     _say("b bound (max e^{-tF} + %.1e): %s" % (slack, "ok" if bound_ok else "VIOLATED"))
 

@@ -34,7 +34,6 @@ from .errors import (
     ShapeMismatch,
     StepUnderflow,
 )
-from .kernels import gradient_nd
 
 
 @dataclass
@@ -300,9 +299,3 @@ def basicness_check(grid, F, q, state, tol, strict=False):
     if strict and not passed:
         raise NonBasicResidue(report["message"])
     return report
-
-
-def transverse_gradient_quadratic(grid, phi, q):
-    """Value field of the quadratic term alone (diagnostic)."""
-    return quad_value(np.asarray(q, dtype=float),
-                      gradient_nd(np.asarray(phi, dtype=float), grid.spacings))

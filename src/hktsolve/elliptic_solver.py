@@ -65,9 +65,6 @@ class TorusGrid:
         return np.meshgrid(*[self.coords(ax) for ax in range(self.ndim)],
                            indexing="ij")
 
-    def mean(self, f):
-        return float(np.mean(f))
-
     def zeros(self):
         return np.zeros(self.dims)
 
@@ -147,20 +144,12 @@ def density(grid, phi, q):
     return 1.0 + laplacian_nd(phi, grid.spacings) + quad_value(q, g)
 
 
-def linearized_apply(grid, phi, t, F, q, eta, c):
-    """Directional derivative of the residual at (phi, b) along (eta, c)."""
-    eta = _check_field(grid, eta, "eta")
-    F = _check_field(grid, F, "F")
-    w = quad_dir_weights(q, gradient_nd(phi, grid.spacings))
-    ge = gradient_nd(eta, grid.spacings)
-    out = laplacian_nd(eta, grid.spacings) - c * np.exp(t * F)
-    for ax in range(grid.ndim):
-        out += w[ax] * ge[ax]
-    return out
-
-
 def bordered_operator(grid, phi, t, F, q):
-    """The Newton matrix as a LinearOperator on (eta nodes, c)."""
+    """The Newton matrix as a LinearOperator on (eta nodes, c).
+
+    The field block is the directional derivative of the residual at
+    phi along (eta, c); the last row is the border mean(eta).
+    """
     n = grid.size
     eF = np.exp(t * F)
     w = quad_dir_weights(q, gradient_nd(phi, grid.spacings))
@@ -200,13 +189,8 @@ def shifted_inverse_preconditioner(grid, shift=PRECOND_SHIFT):
 
 
 def _gmres(op, rhs, precond, rtol, maxiter=200, restart=50):
-    try:
-        return spla.gmres(op, rhs, M=precond, rtol=rtol, atol=0.0,
-                          maxiter=maxiter, restart=restart)
-    except TypeError:
-        # older scipy spells the relative tolerance "tol"
-        return spla.gmres(op, rhs, M=precond, tol=rtol, atol=0.0,
-                          maxiter=maxiter, restart=restart)
+    return spla.gmres(op, rhs, M=precond, rtol=rtol, atol=0.0,
+                      maxiter=maxiter, restart=restart)
 
 
 def _solve_bordered(grid, op, rhs, rtol):

@@ -129,23 +129,14 @@ class QQi:
     def conjugate(self):
         return QQi(self.re, -self.im)
 
-    def abs2(self):
-        """Exact squared modulus, as a Fraction."""
-        return self.re * self.re + self.im * self.im
-
     def to_complex(self):
         return complex(self.re, self.im)
 
     __complex__ = to_complex
 
-    @property
-    def is_real(self):
-        return self.im == 0
-
 
 ZERO = QQi(0)
 ONE = QQi(1)
-IUNIT = QQi(0, 1)
 
 
 def as_qqi(x):
@@ -159,31 +150,11 @@ def as_qqi(x):
     return NotImplemented
 
 
-def qqi(re, im=0):
-    return QQi(Fraction(re), Fraction(im))
-
-
 # ---------------------------------------------------------------------------
 # small exact linear algebra, enough to invert a frame matrix
 
 def mat_identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = [[ZERO] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for k in range(m):
-            c = as_qqi(ai[k])
-            if not c:
-                continue
-            bk = b[k]
-            row = out[i]
-            for j in range(p):
-                row[j] = row[j] + c * bk[j]
-    return out
 
 
 def mat_vec(a, v):

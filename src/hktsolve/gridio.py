@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .elliptic_solver import TorusGrid, validate_q
+from .elliptic_solver import validate_q
 from .errors import ConfigError, ShapeMismatch
 
 
@@ -121,7 +121,3 @@ def load_qspec(spec, grid):
     else:
         raise ConfigError("quadratic form spec needs a 'matrix' or 'file' key")
     return validate_q(q, grid)
-
-
-def grid_from_header(dims, lengths):
-    return TorusGrid(dims, lengths)

@@ -470,25 +470,14 @@ def conj_form(form, ctx):
     return out
 
 
-def form_max_abs(form):
-    worst = 0.0
-    for poly in form.terms.values():
-        for c in poly.values():
-            worst = max(worst, abs(c.to_complex()))
-    return worst
-
-
-def reality_check(form, ctx, exact=True, tol=1e-12):
+def reality_check(form, ctx):
     """Does J map the form to its conjugate?
 
     This is the reality condition for (2,0)-forms in the quaternionic
-    sense.  With ``exact`` the comparison is literal; otherwise the
-    largest deviating coefficient must stay below ``tol``.
+    sense; the comparison is literal.
     """
     diff = form_add(jmap_form(form), form_scale(conj_form(form, ctx), QQi(-1)))
-    if exact:
-        return diff.is_zero()
-    return form_max_abs(diff) <= tol
+    return diff.is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -1,144 +1,23 @@
 """Grid stencil kernels.
 
-Second-order central differences with periodic wrap, for 2- and 4-axis
-grids.  The hot loops are compiled with numba when it is importable;
-set ``HKTSOLVE_DISABLE_NUMBA=1`` to force the pure numpy path.
+Second-order central differences with periodic wrap, along every axis
+of the field.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("HKTSOLVE_DISABLE_NUMBA", "") != "1"
-
-
-def backend():
-    return "numba" if USE_NUMBA else "numpy"
-
-
-def _laplacian_np(f, spacings):
+def laplacian_nd(f, spacings):
+    """Periodic central-difference Laplacian of a 2- or 4-axis field."""
     out = np.zeros_like(f)
     for ax, h in enumerate(spacings):
         out += (np.roll(f, -1, ax) - 2.0 * f + np.roll(f, 1, ax)) / (h * h)
     return out
 
 
-def _gradient_np(f, spacings):
+def gradient_nd(f, spacings):
+    """Periodic central-difference gradient, stacked along a leading axis."""
     g = np.empty((f.ndim,) + f.shape)
     for ax, h in enumerate(spacings):
         g[ax] = (np.roll(f, -1, ax) - np.roll(f, 1, ax)) / (2.0 * h)
-    return g
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _lap2(f, h0, h1, out):
-        n0, n1 = f.shape
-        w0 = 1.0 / (h0 * h0)
-        w1 = 1.0 / (h1 * h1)
-        for i in range(n0):
-            im = i - 1 if i > 0 else n0 - 1
-            ip = i + 1 if i < n0 - 1 else 0
-            for j in range(n1):
-                jm = j - 1 if j > 0 else n1 - 1
-                jp = j + 1 if j < n1 - 1 else 0
-                out[i, j] = (f[ip, j] - 2.0 * f[i, j] + f[im, j]) * w0 \
-                    + (f[i, jp] - 2.0 * f[i, j] + f[i, jm]) * w1
-
-    @njit(cache=True)
-    def _grad2(f, h0, h1, g):
-        n0, n1 = f.shape
-        d0 = 0.5 / h0
-        d1 = 0.5 / h1
-        for i in range(n0):
-            im = i - 1 if i > 0 else n0 - 1
-            ip = i + 1 if i < n0 - 1 else 0
-            for j in range(n1):
-                jm = j - 1 if j > 0 else n1 - 1
-                jp = j + 1 if j < n1 - 1 else 0
-                g[0, i, j] = (f[ip, j] - f[im, j]) * d0
-                g[1, i, j] = (f[i, jp] - f[i, jm]) * d1
-
-    @njit(cache=True)
-    def _lap4(f, h0, h1, h2, h3, out):
-        n0, n1, n2, n3 = f.shape
-        w0 = 1.0 / (h0 * h0)
-        w1 = 1.0 / (h1 * h1)
-        w2 = 1.0 / (h2 * h2)
-        w3 = 1.0 / (h3 * h3)
-        for i in range(n0):
-            im = i - 1 if i > 0 else n0 - 1
-            ip = i + 1 if i < n0 - 1 else 0
-            for j in range(n1):
-                jm = j - 1 if j > 0 else n1 - 1
-                jp = j + 1 if j < n1 - 1 else 0
-                for k in range(n2):
-                    km = k - 1 if k > 0 else n2 - 1
-                    kp = k + 1 if k < n2 - 1 else 0
-                    for l in range(n3):
-                        lm = l - 1 if l > 0 else n3 - 1
-                        lp = l + 1 if l < n3 - 1 else 0
-                        c = f[i, j, k, l]
-                        out[i, j, k, l] = \
-                            (f[ip, j, k, l] - 2.0 * c + f[im, j, k, l]) * w0 \
-                            + (f[i, jp, k, l] - 2.0 * c + f[i, jm, k, l]) * w1 \
-                            + (f[i, j, kp, l] - 2.0 * c + f[i, j, km, l]) * w2 \
-                            + (f[i, j, k, lp] - 2.0 * c + f[i, j, k, lm]) * w3
-
-    @njit(cache=True)
-    def _grad4(f, h0, h1, h2, h3, g):
-        n0, n1, n2, n3 = f.shape
-        d0 = 0.5 / h0
-        d1 = 0.5 / h1
-        d2 = 0.5 / h2
-        d3 = 0.5 / h3
-        for i in range(n0):
-            im = i - 1 if i > 0 else n0 - 1
-            ip = i + 1 if i < n0 - 1 else 0
-            for j in range(n1):
-                jm = j - 1 if j > 0 else n1 - 1
-                jp = j + 1 if j < n1 - 1 else 0
-                for k in range(n2):
-                    km = k - 1 if k > 0 else n2 - 1
-                    kp = k + 1 if k < n2 - 1 else 0
-                    for l in range(n3):
-                        lm = l - 1 if l > 0 else n3 - 1
-                        lp = l + 1 if l < n3 - 1 else 0
-                        g[0, i, j, k, l] = (f[ip, j, k, l] - f[im, j, k, l]) * d0
-                        g[1, i, j, k, l] = (f[i, jp, k, l] - f[i, jm, k, l]) * d1
-                        g[2, i, j, k, l] = (f[i, j, kp, l] - f[i, j, km, l]) * d2
-                        g[3, i, j, k, l] = (f[i, j, k, lp] - f[i, j, k, lm]) * d3
-
-
-def laplacian_nd(f, spacings):
-    """Periodic central-difference Laplacian of a 2- or 4-axis field."""
-    if not USE_NUMBA or f.ndim not in (2, 4):
-        return _laplacian_np(f, spacings)
-    f = np.ascontiguousarray(f, dtype=np.float64)
-    out = np.empty_like(f)
-    if f.ndim == 2:
-        _lap2(f, spacings[0], spacings[1], out)
-    else:
-        _lap4(f, spacings[0], spacings[1], spacings[2], spacings[3], out)
-    return out
-
-
-def gradient_nd(f, spacings):
-    """Periodic central-difference gradient, stacked along a leading axis."""
-    if not USE_NUMBA or f.ndim not in (2, 4):
-        return _gradient_np(f, spacings)
-    f = np.ascontiguousarray(f, dtype=np.float64)
-    g = np.empty((f.ndim,) + f.shape)
-    if f.ndim == 2:
-        _grad2(f, spacings[0], spacings[1], g)
-    else:
-        _grad4(f, spacings[0], spacings[1], spacings[2], spacings[3], g)
     return g

@@ -276,9 +276,6 @@ class BracketTable:
         """Coefficient of frame element k in [Z_r, Z_s]."""
         return self.bracket(r, s).get(k, ZERO)
 
-    def is_barred(self, k):
-        return k > self.half
-
     def bar(self, k):
         """Index of the conjugate of frame element k."""
         return k - self.half if k > self.half else k + self.half

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hktsolve import algebras
+from hktsolve.elliptic_solver import bordered_operator
 from hktsolve.hkt_symbolic import reduce_ratio
 from hktsolve.lie_frame import build_complex_frame
 
@@ -13,6 +14,12 @@ ALGEBRA_BUILDS = {
     "semidirect12": {"c": 1, "w1": 3, "w2": -2},
     "nilpotent8": {},
 }
+
+
+def bordered_field_block(grid, phi, t, F, q, eta, c):
+    """Field block of the Newton operator applied to (eta, c)."""
+    x = np.concatenate([np.ravel(eta), [c]])
+    return bordered_operator(grid, phi, t, F, q).matvec(x)[:-1].reshape(grid.dims)
 
 
 @pytest.fixture(scope="session")

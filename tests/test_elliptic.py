@@ -1,9 +1,6 @@
 """Grid, kernel, and Newton solver tests against small dense oracles."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -17,7 +14,6 @@ from hktsolve.elliptic_solver import (
     bordered_operator,
     check_b_bound,
     density,
-    linearized_apply,
     newton_step,
     residual,
     shifted_inverse_preconditioner,
@@ -33,6 +29,7 @@ from hktsolve.errors import (
     ShapeMismatch,
 )
 import oracles
+from conftest import bordered_field_block
 
 
 def bump(grid, amplitude=1.0, width=1.0):
@@ -51,7 +48,6 @@ def test_grid_defaults_and_spacings():
     assert g.spacings[0] == pytest.approx(2.0 * math.pi / 8)
     assert g.ndim == 2 and g.size == 128
     assert g.coords(1)[1] == pytest.approx(g.spacings[1])
-    assert g.mean(np.ones(g.dims)) == 1.0
 
 
 def test_grid_validation():
@@ -111,25 +107,6 @@ def test_kernels_match_dense_oracle_4d():
                            gmat @ f.ravel(), atol=1e-12)
 
 
-def test_fast_path_agrees_with_numpy_path():
-    rng = np.random.default_rng(9)
-    for dims, lengths in (((16, 16), (2.0, 5.0)), ((4, 4, 4, 4), None)):
-        g = TorusGrid(dims, lengths=lengths)
-        f = rng.standard_normal(g.dims)
-        assert np.allclose(kernels.laplacian_nd(f, g.spacings),
-                           kernels._laplacian_np(f, g.spacings), atol=1e-11)
-        assert np.allclose(kernels.gradient_nd(f, g.spacings),
-                           kernels._gradient_np(f, g.spacings), atol=1e-11)
-
-
-def test_backend_env_override():
-    code = "import hktsolve.kernels as k; print(k.backend())"
-    env = dict(os.environ, HKTSOLVE_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
 # ------------------------------------------------- residual and linearization
 
 
@@ -174,12 +151,12 @@ def test_linearized_apply_examples():
     F = rng.standard_normal(g.dims)
     q = -np.eye(2)
     # eta = 0: only the -c e^{tF} column survives
-    out = linearized_apply(g, rng.standard_normal(g.dims), 0.5, F, q,
-                           g.zeros(), 1.0)
+    out = bordered_field_block(g, rng.standard_normal(g.dims), 0.5, F, q,
+                               g.zeros(), 1.0)
     assert np.allclose(out, -np.exp(0.5 * F), atol=1e-13)
     # phi = 0: gradient weights vanish, leaving laplacian(eta) - c e^{tF}
     eta = rng.standard_normal(g.dims)
-    out = linearized_apply(g, g.zeros(), 0.5, F, q, eta, 2.0)
+    out = bordered_field_block(g, g.zeros(), 0.5, F, q, eta, 2.0)
     want = kernels.laplacian_nd(eta, g.spacings) - 2.0 * np.exp(0.5 * F)
     assert np.allclose(out, want, atol=1e-12)
 
@@ -201,7 +178,7 @@ def test_linearized_apply_matches_finite_differences():
         eta = rng.standard_normal(g.dims)
         c = float(rng.standard_normal())
         fd = oracles.fd_directional_residual(res_fn, phi, 1.0, eta, c, 1e-6)
-        lin = linearized_apply(g, phi, t, F, q, eta, c)
+        lin = bordered_field_block(g, phi, t, F, q, eta, c)
         denom = max(1.0, float(np.max(np.abs(fd))))
         assert np.max(np.abs(fd - lin)) / denom < 1e-6
 
@@ -430,3 +407,18 @@ def test_dense_fallback_rescues_small_grids(monkeypatch):
     monkeypatch.setattr(es, "_gmres", fake_gmres)
     st = solve_at_t(g, bump(g), -np.eye(2), 1.0, tol=1e-10)
     assert st.converged
+
+
+def test_gmres_propagates_operator_errors():
+    # an error inside the operator must surface as itself, not as a retry
+    g = TorusGrid((8, 8))
+
+    def broken(x):
+        raise TypeError("bug inside matvec")
+
+    op = es.spla.LinearOperator((g.size + 1, g.size + 1), matvec=broken,
+                                dtype=float)
+    with pytest.raises(TypeError, match="bug inside matvec") as info:
+        es._gmres(op, np.ones(g.size + 1), shifted_inverse_preconditioner(g),
+                  1e-8)
+    assert info.value.__context__ is None

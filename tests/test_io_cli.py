@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hktsolve import cli, gridio
 from hktsolve.elliptic_solver import TorusGrid
@@ -264,6 +266,61 @@ def test_cli_solve_config_errors(tmp_path, capsys):
     }))
     assert cli.main(["solve", "--config", str(mism)]) == 1
     assert "ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    {"grid": {"dims": "abc"}},
+    {"continuity": {"newton_tol": "small"}},
+    {"q": {"matrix": [[-1, 0], [0]]}},
+])
+def test_cli_solve_malformed_values(tmp_path, capsys, extra):
+    bad = _write_config(tmp_path / "bad.json", **extra)
+    assert cli.main(["solve", "--config", str(bad)]) == 1
+    assert "error: ConfigError:" in capsys.readouterr().err
+
+
+# JSON values of every kind; grid sizes stay small so a valid parse is cheap
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 9),
+                     st.floats(), st.text(max_size=4))
+_dims = st.one_of(
+    _scalars,
+    st.lists(st.one_of(st.integers(-2, 9),
+                       st.sampled_from([4.5, "8", "x", None, [], True,
+                                        float("nan"), float("inf")])),
+             max_size=5))
+_numbers = st.lists(st.one_of(st.floats(), st.integers(-5, 5),
+                              st.text(max_size=2), st.none()), max_size=5)
+_matrix = st.one_of(_scalars, _numbers, st.lists(_numbers, max_size=5))
+
+
+def _optional(**fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+_configs = _optional(
+    grid=st.one_of(_scalars, _optional(dims=_dims, lengths=st.one_of(_scalars, _numbers))),
+    forcing=st.one_of(_scalars, _optional(
+        type=st.one_of(st.sampled_from(["zero", "sine", "bump"]), _scalars),
+        amplitude=_scalars, width=_scalars)),
+    q=st.one_of(_optional(matrix=_matrix), st.lists(_numbers, max_size=5)),
+    continuity=st.one_of(_scalars, _optional(
+        t_step_init=_scalars, t_step_min=_scalars, t_step_max=_scalars,
+        newton_tol=_scalars, max_newton=_scalars)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=_configs)
+def test_run_config_parses_or_raises_config_errors(tmp_path_factory, cfg):
+    path = tmp_path_factory.mktemp("cfg") / "run.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        _cfg, grid, F, q, ccfg = cli._load_run_config(str(path), {})
+    except (ConfigError, ShapeMismatch):
+        return
+    assert F.shape == grid.dims
+    assert q.shape[-1] == grid.ndim
 
 
 def test_cli_solve_newton_tol_override(tmp_path, capsys):

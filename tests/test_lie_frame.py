@@ -1,7 +1,6 @@
 import dataclasses
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import oracles
