@@ -12,6 +12,7 @@ from .continuity_driver import (
     sine_product_field,
 )
 from .elliptic_solver import (
+    Problem,
     SolverState,
     TorusGrid,
     check_b_bound,
@@ -27,6 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ContinuityConfig",
     "PathTrace",
+    "Problem",
     "ReducedOperator",
     "SolverState",
     "TorusGrid",

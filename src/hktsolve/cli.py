@@ -32,7 +32,13 @@ from .continuity_driver import (
     run_continuity,
     sine_product_field,
 )
-from .elliptic_solver import TorusGrid, check_b_bound, density, solve_at_t
+from .elliptic_solver import (
+    Problem,
+    TorusGrid,
+    check_b_bound,
+    density,
+    solve_at_t,
+)
 from .errors import ConfigError, HktError
 from .exact import QQi
 from .hkt_symbolic import (
@@ -260,22 +266,24 @@ def _load_run_config(path, overrides):
     q = _converted("q", gridio.load_qspec,
                    cfg.get("q", {"matrix": np.zeros((grid.ndim, grid.ndim)).tolist()}),
                    grid)
+    problem = Problem(grid, F, q)
     cspec = cfg.get("continuity", {})
     ccfg = ContinuityConfig(**{
         name: _converted("continuity.%s" % name, type(default),
                          cspec.get(name, default))
         for name, default in dataclasses.asdict(ContinuityConfig()).items()
     }).validate()
-    return cfg, grid, F, q, ccfg
+    return cfg, problem, ccfg
 
 
 def cmd_solve(args):
     overrides = {("continuity", "newton_tol"): args.newton_tol}
-    cfg, grid, F, q, ccfg = _load_run_config(args.config, overrides)
-    state, trace = run_continuity(grid, F, q, ccfg)
-    dens = density(grid, state.phi, q)
+    cfg, problem, ccfg = _load_run_config(args.config, overrides)
+    grid = problem.grid
+    state, trace = run_continuity(problem, ccfg)
+    dens = density(grid, state.phi, problem.q)
     slack = 10.0 * ccfg.newton_tol
-    bound_ok = check_b_bound(state, F, slack)
+    bound_ok = check_b_bound(state, problem.F, slack)
     _say("converged: b=%.12g residual=%.3e macro_steps=%d"
          % (state.b, state.residual_norm, len(trace.rows)))
     _say("density range: [%.6g, %.6g]" % (float(dens.min()), float(dens.max())))
@@ -304,7 +312,7 @@ def cmd_solve(args):
         "grid": {"dims": list(grid.dims), "lengths": list(grid.lengths)},
     }
 
-    report = basicness_check(grid, F, q, state, ccfg.newton_tol)
+    report = basicness_check(problem, state, ccfg.newton_tol)
     if report.get("applicable"):
         _say("basicness: variation %.3e along axes %s"
              % (report["variation"], report["invariant_axes"]))
@@ -315,7 +323,7 @@ def cmd_solve(args):
 
     if args.verify_unique:
         seed = 0.01 * sine_product_field(grid, 1.0)
-        other = solve_at_t(grid, F, q, 1.0, phi0=seed, b0=1.5,
+        other = solve_at_t(problem, 1.0, phi0=seed, b0=1.5,
                            tol=ccfg.newton_tol, max_iters=ccfg.max_newton)
         dphi = float(np.max(np.abs(other.phi - state.phi)))
         db = abs(other.b - state.b)
@@ -342,7 +350,7 @@ def cmd_manufactured(args):
     phi_star = sine_product_field(grid, args.amplitude)
     F = manufactured_problem(grid, phi_star, q, b_star=args.b_star)
     ccfg = ContinuityConfig(newton_tol=args.newton_tol)
-    state, trace = run_continuity(grid, F, q, ccfg)
+    state, trace = run_continuity(Problem(grid, F, q), ccfg)
     err_phi = float(np.max(np.abs(state.phi - phi_star)))
     err_b = abs(state.b - args.b_star)
     budget = 50.0 * args.newton_tol

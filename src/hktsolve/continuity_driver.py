@@ -11,17 +11,18 @@ forcing), the grid convergence study, and the basicness report.
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .elliptic_solver import (
+    Problem,
     TorusGrid,
     density,
     quad_value,
     solve_at_t,
-    validate_q,
 )
 from .errors import (
     BPositivityLost,
@@ -50,8 +51,8 @@ class ContinuityConfig:
                 "need 0 < t_step_min <= t_step_init <= t_step_max <= 1, got "
                 "min=%g init=%g max=%g"
                 % (self.t_step_min, self.t_step_init, self.t_step_max))
-        if self.newton_tol <= 0:
-            raise ConfigError("newton_tol must be positive")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ConfigError("newton_tol must be positive and finite")
         if self.max_newton < 1:
             raise ConfigError("max_newton must be at least 1")
         return self
@@ -96,14 +97,13 @@ _SOLVER_FAILURES = (DampingExhausted, MaxItersExceeded, LinearSolveFailure,
                     BPositivityLost)
 
 
-def run_continuity(grid, F, q, cfg=None):
+def run_continuity(problem, cfg=None):
     """March t from 0 to 1; returns (final SolverState, PathTrace)."""
     cfg = (cfg or ContinuityConfig()).validate()
-    q = validate_q(q, grid)
     trace = PathTrace()
 
     started = time.perf_counter()
-    state = solve_at_t(grid, F, q, 0.0, tol=cfg.newton_tol,
+    state = solve_at_t(problem, 0.0, tol=cfg.newton_tol,
                        max_iters=cfg.max_newton)
     trace.append(TraceRow(t=0.0, b=state.b, newton_iters=state.newton_iters,
                           residual_norm=state.residual_norm,
@@ -116,7 +116,7 @@ def run_continuity(grid, F, q, cfg=None):
         t_try = min(t + dt, 1.0)
         started = time.perf_counter()
         try:
-            nxt = solve_at_t(grid, F, q, t_try, phi0=state.phi, b0=state.b,
+            nxt = solve_at_t(problem, t_try, phi0=state.phi, b0=state.b,
                              tol=cfg.newton_tol, max_iters=cfg.max_newton)
         except _SOLVER_FAILURES:
             dt *= 0.5
@@ -219,7 +219,7 @@ def convergence_study(sizes, amplitude=0.1, qdiag=0.0, lengths=None,
         q = np.eye(2) * float(qdiag)
         phi_star, F = analytic_manufactured(grid, amplitude, q)
         cfg = ContinuityConfig(newton_tol=newton_tol)
-        state, _ = run_continuity(grid, F, q, cfg)
+        state, _ = run_continuity(Problem(grid, F, q), cfg)
         err = float(np.max(np.abs(state.phi - (phi_star - np.mean(phi_star)))))
         rows.append({"size": size, "error": err, "b": state.b})
     for i in range(1, len(rows)):
@@ -247,7 +247,7 @@ def _lift(reduced, dims, varying):
     return np.broadcast_to(reduced.reshape(shape), dims).copy()
 
 
-def basicness_check(grid, F, q, state, tol, strict=False):
+def basicness_check(problem, state, tol, strict=False):
     """Report whether the solution is constant along the axes F ignores.
 
     Models the descent of the solution to the leaf space: forcing and
@@ -256,7 +256,7 @@ def basicness_check(grid, F, q, state, tol, strict=False):
     solution.  Returns a report dict; with ``strict`` a failed check
     raises NonBasicResidue.
     """
-    q = np.asarray(q, dtype=float)
+    grid, F, q = problem.grid, problem.F, problem.q
     axes = set(_invariant_axes(F, grid.dims))
     if q.ndim > 2:
         axes &= set(_invariant_axes(q, grid.dims))
@@ -280,9 +280,8 @@ def basicness_check(grid, F, q, state, tol, strict=False):
         idx = [0] * grid.ndim
         for ax in varying:
             idx[ax] = slice(None)
-        F_red = np.ascontiguousarray(F[tuple(idx)])
-        q_red = q[np.ix_(varying, varying)]
-        red = solve_at_t(rgrid, F_red, q_red, state.t, b0=state.b, tol=tol)
+        reduced = Problem(rgrid, F[tuple(idx)], q[np.ix_(varying, varying)])
+        red = solve_at_t(reduced, state.t, b0=state.b, tol=tol)
         lifted = _lift(red.phi, grid.dims, varying)
         reduced_match = float(np.max(np.abs(lifted - state.phi)))
 

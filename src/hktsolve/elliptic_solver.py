@@ -82,8 +82,10 @@ class SolverState:
 
 
 def validate_q(q, grid=None):
-    """Quadratic form data: symmetric and negative semi-definite per node."""
+    """Quadratic form data: finite, symmetric part negative semi-definite."""
     q = np.asarray(q, dtype=float)
+    if not np.all(np.isfinite(q)):
+        raise ConfigError("quadratic form has non-finite entries")
     if q.ndim == 2:
         if q.shape[0] != q.shape[1]:
             raise ConfigError("quadratic form matrix must be square")
@@ -114,6 +116,36 @@ def _check_field(grid, f, name):
     return f
 
 
+class Problem:
+    """The fixed data of one reduced equation: the grid, F and Q.
+
+    F and Q are checked here, once; every numeric call takes the problem
+    instead of the (grid, F, q) triple.  F is held as a read-only copy,
+    so exp(t F), kept for the last t asked for, cannot go stale.  The
+    FFT preconditioner is built here too.
+    """
+
+    def __init__(self, grid, F, q):
+        F = _check_field(grid, F, "F")
+        if not np.all(np.isfinite(F)):
+            raise ConfigError("forcing F has non-finite values")
+        self.grid = grid
+        self.F = F.copy()
+        self.F.flags.writeable = False
+        self.q = validate_q(q, grid)
+        self.precond = shifted_inverse_preconditioner(grid)
+        self._exp_key = None
+        self._exp_tF = None
+
+    def exp_tF(self, t):
+        """exp(t F) as a read-only array, recomputed only when t changes."""
+        if t != self._exp_key:
+            self._exp_tF = np.exp(t * self.F)
+            self._exp_tF.flags.writeable = False
+            self._exp_key = t
+        return self._exp_tF
+
+
 def quad_value(q, g):
     """<Q v, v> per node for a stacked gradient v."""
     if q.ndim == 2:
@@ -128,13 +160,13 @@ def quad_dir_weights(q, g):
     return np.einsum("...ij,i...->j...", q + np.swapaxes(q, -1, -2), g)
 
 
-def residual(grid, phi, b, t, F, q):
+def residual(problem, phi, b, t):
     """Pointwise defect of the equation at (phi, b) and path time t."""
+    grid = problem.grid
     phi = _check_field(grid, phi, "phi")
-    F = _check_field(grid, F, "F")
     g = gradient_nd(phi, grid.spacings)
-    return laplacian_nd(phi, grid.spacings) + quad_value(q, g) + 1.0 \
-        - b * np.exp(t * F)
+    return laplacian_nd(phi, grid.spacings) + quad_value(problem.q, g) + 1.0 \
+        - b * problem.exp_tF(t)
 
 
 def density(grid, phi, q):
@@ -144,15 +176,16 @@ def density(grid, phi, q):
     return 1.0 + laplacian_nd(phi, grid.spacings) + quad_value(q, g)
 
 
-def bordered_operator(grid, phi, t, F, q):
+def bordered_operator(problem, phi, t):
     """The Newton matrix as a LinearOperator on (eta nodes, c).
 
     The field block is the directional derivative of the residual at
     phi along (eta, c); the last row is the border mean(eta).
     """
+    grid = problem.grid
     n = grid.size
-    eF = np.exp(t * F)
-    w = quad_dir_weights(q, gradient_nd(phi, grid.spacings))
+    eF = problem.exp_tF(t)
+    w = quad_dir_weights(problem.q, gradient_nd(phi, grid.spacings))
     spacings = grid.spacings
     dims = grid.dims
 
@@ -168,8 +201,8 @@ def bordered_operator(grid, phi, t, F, q):
     return spla.LinearOperator((n + 1, n + 1), matvec=matvec, dtype=float)
 
 
-def shifted_inverse_preconditioner(grid, shift=PRECOND_SHIFT):
-    """Apply (shift - laplacian)^{-1} on the field block via FFT."""
+def shifted_inverse_preconditioner(grid):
+    """Apply (PRECOND_SHIFT - laplacian)^{-1} on the field block via FFT."""
     lam = np.zeros(grid.dims)
     for ax, (nax, h) in enumerate(zip(grid.dims, grid.spacings)):
         k = np.arange(nax)
@@ -177,7 +210,7 @@ def shifted_inverse_preconditioner(grid, shift=PRECOND_SHIFT):
         shape = [1] * grid.ndim
         shape[ax] = nax
         lam = lam + mu.reshape(shape)
-    denom = shift - lam
+    denom = PRECOND_SHIFT - lam
     n = grid.size
 
     def apply(x):
@@ -188,14 +221,14 @@ def shifted_inverse_preconditioner(grid, shift=PRECOND_SHIFT):
     return spla.LinearOperator((n + 1, n + 1), matvec=apply, dtype=float)
 
 
-def _gmres(op, rhs, precond, rtol, maxiter=200, restart=50):
+def _gmres(op, rhs, precond, rtol):
     return spla.gmres(op, rhs, M=precond, rtol=rtol, atol=0.0,
-                      maxiter=maxiter, restart=restart)
+                      maxiter=200, restart=50)
 
 
-def _solve_bordered(grid, op, rhs, rtol):
-    precond = shifted_inverse_preconditioner(grid)
-    x, info = _gmres(op, rhs, precond, rtol)
+def _solve_bordered(problem, op, rhs, rtol):
+    grid = problem.grid
+    x, info = _gmres(op, rhs, problem.precond, rtol)
     rhs_norm = float(np.linalg.norm(rhs))
     ok = info == 0
     if ok and rhs_norm > 0:
@@ -219,16 +252,15 @@ def _solve_bordered(grid, op, rhs, rtol):
         raise LinearSolveFailure("dense fallback failed: %s" % exc)
 
 
-def newton_step(grid, state, F, q, gmres_rtol=None, max_halvings=20):
+def newton_step(problem, state, max_halvings=20):
     """One damped Newton update of (phi, b); returns the new state."""
+    grid = problem.grid
     n = grid.size
-    res = residual(grid, state.phi, state.b, state.t, F, q)
+    res = residual(problem, state.phi, state.b, state.t)
     res_norm = float(np.max(np.abs(res)))
-    if gmres_rtol is None:
-        gmres_rtol = min(1e-2, res_norm)
-    op = bordered_operator(grid, state.phi, state.t, F, q)
+    op = bordered_operator(problem, state.phi, state.t)
     rhs = np.concatenate([(-res).ravel(), [0.0]])
-    x = _solve_bordered(grid, op, rhs, gmres_rtol)
+    x = _solve_bordered(problem, op, rhs, min(1e-2, res_norm))
     eta = x[:n].reshape(grid.dims)
     c = float(x[n])
 
@@ -237,7 +269,7 @@ def newton_step(grid, state, F, q, gmres_rtol=None, max_halvings=20):
         phi_new = state.phi + scale * eta
         phi_new = phi_new - np.mean(phi_new)
         b_new = state.b + scale * c
-        new_res = residual(grid, phi_new, b_new, state.t, F, q)
+        new_res = residual(problem, phi_new, b_new, state.t)
         new_norm = float(np.max(np.abs(new_res)))
         if new_norm <= (1.0 - 1e-4) * res_norm:
             if b_new <= 0.0:
@@ -253,17 +285,16 @@ def newton_step(grid, state, F, q, gmres_rtol=None, max_halvings=20):
         % (max_halvings, res_norm))
 
 
-def solve_at_t(grid, F, q, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
+def solve_at_t(problem, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
     """Newton-iterate to a converged SolverState at path time t."""
-    if tol <= 0:
-        raise ConfigError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError("tolerance must be positive and finite")
     if b0 <= 0:
         raise BPositivityLost("initial b must be positive, got %g" % b0)
-    F = _check_field(grid, F, "F")
-    q = np.asarray(q, dtype=float)
+    grid = problem.grid
     phi = grid.zeros() if phi0 is None else _check_field(grid, phi0, "phi0").copy()
     phi = phi - np.mean(phi)
-    res = residual(grid, phi, b0, t, F, q)
+    res = residual(problem, phi, b0, t)
     res_norm = float(np.max(np.abs(res)))
     state = SolverState(phi=phi, b=float(b0), t=float(t),
                         residual_norm=res_norm, newton_iters=0,
@@ -273,7 +304,7 @@ def solve_at_t(grid, F, q, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
         state.message = "converged without iterating"
         return state
     for _ in range(max_iters):
-        state = newton_step(grid, state, F, q)
+        state = newton_step(problem, state)
         if state.residual_norm <= tol:
             state.converged = True
             state.message = "converged in %d iterations" % state.newton_iters

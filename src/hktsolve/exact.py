@@ -157,18 +157,6 @@ def mat_identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        s = ZERO
-        for c, x in zip(row, v):
-            cq = as_qqi(c)
-            if cq:
-                s = s + cq * x
-        out.append(s)
-    return out
-
-
 def mat_solve(a, rhs):
     """Solve ``a @ x = rhs`` exactly by Gaussian elimination.
 

@@ -10,10 +10,10 @@ per node with leading coordinates.
 import csv
 import io
 import json
+import os
 
 import numpy as np
 
-from .elliptic_solver import validate_q
 from .errors import ConfigError, ShapeMismatch
 
 
@@ -38,8 +38,15 @@ def write_field(path, arr, lengths):
 
 def read_field(path):
     """Returns (array, lengths); channel axis kept last when present."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    if not isinstance(path, (str, os.PathLike)):
+        # an integer would be opened as a file descriptor
+        raise ConfigError("field file path must be a string, got %r" % (path,))
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError("cannot read field file %s: %s"
+                          % (path, exc.strerror or exc)) from exc
     cut = raw.find(b"\n")
     if cut < 0:
         raise ConfigError("field file %s has no header line" % path)
@@ -99,8 +106,9 @@ def load_qspec(spec, grid):
     """Quadratic form from a JSON value or a field file path.
 
     Accepts {"matrix": [[...]]} (or a bare nested list) for a constant
-    form, or {"file": path} pointing at a packed symmetric field.  The
-    negative semi-definiteness invariant is enforced here.
+    form, or {"file": path} pointing at a packed symmetric field.  Only
+    the shape is checked here; the Problem built from the form checks
+    that it is finite and negative semi-definite.
     """
     if isinstance(spec, str):
         spec = {"file": spec}
@@ -120,4 +128,4 @@ def load_qspec(spec, grid):
             raise ShapeMismatch("quadratic form field does not match the grid")
     else:
         raise ConfigError("quadratic form spec needs a 'matrix' or 'file' key")
-    return validate_q(q, grid)
+    return q

@@ -34,7 +34,7 @@ from .errors import (
     NotUnitary,
     PairingNotInvolutive,
 )
-from .exact import ONE, QQi, ZERO, as_qqi, mat_inv, mat_vec
+from .exact import ONE, QQi, ZERO, as_qqi, mat_inv
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +195,7 @@ def linear_map_from_images(dim, images):
 
 
 def map_apply(m, v):
-    """Apply a real matrix (Fraction rows) to a QQi coefficient vector."""
+    """Apply a matrix (Fraction or QQi rows) to a QQi coefficient vector."""
     out = []
     for row in m:
         s = ZERO
@@ -424,7 +424,7 @@ def build_complex_frame(spec):
     for r in range(1, dim + 1):
         for s in range(r + 1, dim + 1):
             w = sc.bracket(colvec(r), colvec(s))
-            coords = mat_vec(minv, w)
+            coords = map_apply(minv, w)
             comps = {c + 1: x for c, x in enumerate(coords) if x}
             if comps:
                 entries[(r, s)] = comps

@@ -16,10 +16,10 @@ ALGEBRA_BUILDS = {
 }
 
 
-def bordered_field_block(grid, phi, t, F, q, eta, c):
+def bordered_field_block(problem, phi, t, eta, c):
     """Field block of the Newton operator applied to (eta, c)."""
     x = np.concatenate([np.ravel(eta), [c]])
-    return bordered_operator(grid, phi, t, F, q).matvec(x)[:-1].reshape(grid.dims)
+    return bordered_operator(problem, phi, t).matvec(x)[:-1].reshape(problem.grid.dims)
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from hktsolve.continuity_driver import (
     sine_product_field,
 )
 from hktsolve.elliptic_solver import (
+    Problem,
     TorusGrid,
     check_b_bound,
     residual,
@@ -90,7 +91,7 @@ def test_poisson_limit_constants(criterion):
     ]
     worst_b = worst_res = 0.0
     for F in fields:
-        st = solve_at_t(g, F, np.zeros((2, 2)), 1.0, tol=1e-10)
+        st = solve_at_t(Problem(g, F, np.zeros((2, 2))), 1.0, tol=1e-10)
         want = g.size / float(np.sum(np.exp(F)))
         worst_b = max(worst_b, abs(st.b - want))
         worst_res = max(worst_res, st.residual_norm)
@@ -108,7 +109,7 @@ def test_manufactured_recovery(criterion):
     phi_star = sine_product_field(g, 0.1)
     F = manufactured_problem(g, phi_star, q)
     cfg = ContinuityConfig(newton_tol=1e-8)
-    state, _ = run_continuity(g, F, q, cfg)
+    state, _ = run_continuity(Problem(g, F, q), cfg)
     err_phi = float(np.max(np.abs(state.phi - phi_star)))
     err_b = abs(state.b - 1.0)
     elapsed = time.perf_counter() - started
@@ -131,10 +132,9 @@ def test_second_order_convergence(criterion):
 
 def test_solution_uniqueness(criterion):
     g = TorusGrid((64, 64))
-    q = -np.eye(2)
-    F = bump(g)
-    a = solve_at_t(g, F, q, 1.0, tol=1e-10)
-    b = solve_at_t(g, F, q, 1.0, phi0=sine_product_field(g, 0.05), b0=1.5,
+    problem = Problem(g, bump(g), -np.eye(2))
+    a = solve_at_t(problem, 1.0, tol=1e-10)
+    b = solve_at_t(problem, 1.0, phi0=sine_product_field(g, 0.05), b0=1.5,
                    tol=1e-10)
     dphi = float(np.max(np.abs(a.phi - b.phi)))
     db = abs(a.b - b.b)
@@ -147,7 +147,7 @@ def test_constant_bound_along_path(criterion):
     g = TorusGrid((64, 64))
     F = bump(g)
     cfg = ContinuityConfig(t_step_init=0.25)
-    _, trace = run_continuity(g, F, -np.eye(2), cfg)
+    _, trace = run_continuity(Problem(g, F, -np.eye(2)), cfg)
     ok = all(check_b_bound(row, F, 1e-7) for row in trace.rows)
     criterion(8, "the constant stays below max exp(-tF) at every trace row",
               ok and len(trace.rows) >= 4, "%d rows checked" % len(trace.rows))
@@ -160,8 +160,9 @@ def test_basic_solution_descends(criterion, operators):
     F = 0.5 * np.sin(xs[0]) + 0.25 * np.cos(xs[1])
     q = operators["su3"].real_quadratic_matrix()
     cfg = ContinuityConfig(newton_tol=1e-8)
-    state, _ = run_continuity(g, F, q, cfg)
-    report = basicness_check(g, F, q, state, cfg.newton_tol)
+    problem = Problem(g, F, q)
+    state, _ = run_continuity(problem, cfg)
+    report = basicness_check(problem, state, cfg.newton_tol)
     elapsed = time.perf_counter() - started
     ok = (report["applicable"] and report["invariant_axes"] == [2, 3]
           and report["variation"] <= 1e-6
@@ -187,11 +188,13 @@ def test_jacobian_consistency(criterion, rng):
         eta = rng.standard_normal(g.dims)
         c = float(rng.standard_normal())
 
+        problem = Problem(g, F, q)
+
         def res_fn(p, bb):
-            return residual(g, p, bb, t, F, q)
+            return residual(problem, p, bb, t)
 
         fd = oracles.fd_directional_residual(res_fn, phi, b, eta, c, 1e-6)
-        lin = bordered_field_block(g, phi, t, F, q, eta, c)
+        lin = bordered_field_block(problem, phi, t, eta, c)
         worst = max(worst, float(np.max(np.abs(fd - lin)))
                     / max(1.0, float(np.max(np.abs(fd)))))
     criterion(10, "Newton operator agrees with central finite differences "

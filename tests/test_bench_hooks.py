@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 import os
 
 import scipy.sparse.linalg
@@ -28,3 +29,39 @@ def test_traced_names_resolve():
 
 def test_gmres_is_reached_through_spla():
     assert es.spla is scipy.sparse.linalg
+
+
+def test_tracer_sees_the_solver_layers(tmp_path, capsys):
+    # the benchmark's per-layer metrics rest on these span shapes
+    from hktsolve import cli
+
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "grid": {"dims": [16, 16]},
+        "forcing": {"type": "bump", "amplitude": 1.0, "width": 1.0},
+        "q": {"matrix": [[-1.0, 0.0], [0.0, -1.0]]},
+        "continuity": {"newton_tol": 1e-10},
+    }))
+    tracer = _tracing().Tracer().install()
+    try:
+        tracer.task = 0
+        code = cli.main(["solve", "--config", str(config),
+                         "--out-dir", str(tmp_path / "out")])
+    finally:
+        tracer.task = None
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+
+    spans = tracer.spans
+    steps = [i for i, rec in enumerate(spans)
+             if rec[0] == "elliptic_solver.newton_step"]
+    assert steps
+    for i in steps:
+        # the line-search count takes the first residual as the starting point
+        first = next(rec for rec in spans if rec[3] == i)
+        assert first[0] == "elliptic_solver.residual"
+    metrics = tracer.task_metrics()[0]
+    assert metrics["elliptic_solver.precond.calls"] > 0
+    assert metrics["elliptic_solver.matvec.calls"] > 0
+    assert metrics["continuity_driver.attempts"] == 2

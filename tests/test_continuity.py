@@ -17,7 +17,7 @@ from hktsolve.continuity_driver import (
     run_continuity,
     sine_product_field,
 )
-from hktsolve.elliptic_solver import SolverState, TorusGrid
+from hktsolve.elliptic_solver import Problem, SolverState, TorusGrid
 from hktsolve.errors import (
     ConfigError,
     NonBasicResidue,
@@ -50,6 +50,8 @@ def test_config_defaults_validate():
     {"newton_tol": 0.0},
     {"newton_tol": -1e-10},
     {"max_newton": 0},
+    {"newton_tol": float("nan")},  # NaN <= 0 is false: a sign test passes it
+    {"newton_tol": float("inf")},
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ConfigError):
@@ -95,7 +97,7 @@ def test_trace_csv_and_json_round_trip():
 
 def test_trivial_problem_takes_one_macro_step():
     g = TorusGrid((16, 16))
-    state, trace = run_continuity(g, g.zeros(), np.zeros((2, 2)))
+    state, trace = run_continuity(Problem(g, g.zeros(), np.zeros((2, 2))))
     assert [r.t for r in trace.rows] == [0.0, 1.0]
     assert all(r.b == 1.0 for r in trace.rows)
     assert all(r.newton_iters == 0 for r in trace.rows)
@@ -107,7 +109,7 @@ def test_poisson_path_tracks_mean_compatibility():
     g = TorusGrid((16, 16))
     F = bump(g)
     cfg = ContinuityConfig(t_step_init=0.25, newton_tol=1e-12)
-    state, trace = run_continuity(g, F, np.zeros((2, 2)), cfg)
+    state, trace = run_continuity(Problem(g, F, np.zeros((2, 2))), cfg)
     assert trace.rows[-1].t == 1.0
     assert len(trace.rows) >= 4
     for row in trace.rows:
@@ -120,14 +122,14 @@ def test_poisson_path_tracks_mean_compatibility():
 def test_step_doubles_after_two_easy_solves():
     g = TorusGrid((8, 8))
     cfg = ContinuityConfig(t_step_init=0.125)
-    _, trace = run_continuity(g, g.zeros(), np.zeros((2, 2)), cfg)
+    _, trace = run_continuity(Problem(g, g.zeros(), np.zeros((2, 2))), cfg)
     assert [r.t for r in trace.rows] == [0.0, 0.125, 0.25, 0.5, 0.75, 1.0]
 
 
 def test_step_cap_blocks_doubling():
     g = TorusGrid((8, 8))
     cfg = ContinuityConfig(t_step_init=0.125, t_step_max=0.125)
-    _, trace = run_continuity(g, g.zeros(), np.zeros((2, 2)), cfg)
+    _, trace = run_continuity(Problem(g, g.zeros(), np.zeros((2, 2))), cfg)
     assert [r.t for r in trace.rows] == [0.125 * k for k in range(9)]
 
 
@@ -136,17 +138,17 @@ def test_step_halves_on_failure_then_recovers(monkeypatch):
     attempts = []
     committed = [0.0]
 
-    def gated_solve(grid, F, q, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
+    def gated_solve(problem, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
         attempts.append(t)
         if t - committed[-1] > 0.26:
             raise cd.MaxItersExceeded("too big a jump")
         committed.append(t)
-        return SolverState(phi=grid.zeros(), b=1.0, t=t, residual_norm=0.0,
+        return SolverState(phi=problem.grid.zeros(), b=1.0, t=t, residual_norm=0.0,
                            newton_iters=1, converged=True)
 
     monkeypatch.setattr(cd, "solve_at_t", gated_solve)
     g = TorusGrid((8, 8))
-    _, trace = run_continuity(g, g.zeros(), np.zeros((2, 2)))
+    _, trace = run_continuity(Problem(g, g.zeros(), np.zeros((2, 2))))
     assert attempts == [0.0, 1.0, 0.5, 0.25, 0.5, 1.0, 0.75, 1.0]
     assert [r.t for r in trace.rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -156,13 +158,14 @@ def test_step_underflow_on_hopeless_problem():
     F = bump(g, amplitude=2.0)
     cfg = ContinuityConfig(newton_tol=1e-14, max_newton=1, t_step_min=1e-3)
     with pytest.raises(StepUnderflow):
-        run_continuity(g, F, -np.eye(2), cfg)
+        run_continuity(Problem(g, F, -np.eye(2)), cfg)
 
 
 def test_driver_validates_q():
+    # the driver takes a Problem, and a Problem only exists with a valid Q
     g = TorusGrid((8, 8))
     with pytest.raises(ConfigError):
-        run_continuity(g, g.zeros(), np.eye(2))
+        Problem(g, g.zeros(), np.eye(2))
 
 
 # -------------------------------------------------- manufactured problems
@@ -198,7 +201,7 @@ def test_manufactured_recovery_on_discrete_jets():
     phi_star = sine_product_field(g, 0.1)
     F = manufactured_problem(g, phi_star, q)
     cfg = ContinuityConfig(newton_tol=1e-10)
-    state, _ = run_continuity(g, F, q, cfg)
+    state, _ = run_continuity(Problem(g, F, q), cfg)
     assert np.max(np.abs(state.phi - phi_star)) <= 50 * cfg.newton_tol
     assert abs(state.b - 1.0) <= 50 * cfg.newton_tol
 
@@ -231,8 +234,8 @@ def test_trace_is_deterministic_up_to_timing():
     g = TorusGrid((16, 16))
     F = bump(g)
     cfg = ContinuityConfig(t_step_init=0.5)
-    _, tr1 = run_continuity(g, F, -np.eye(2), cfg)
-    _, tr2 = run_continuity(g, F, -np.eye(2), cfg)
+    _, tr1 = run_continuity(Problem(g, F, -np.eye(2)), cfg)
+    _, tr2 = run_continuity(Problem(g, F, -np.eye(2)), cfg)
     key = lambda tr: [(r.t, r.b, r.newton_iters, r.residual_norm)
                       for r in tr.rows]
     assert key(tr1) == key(tr2)
@@ -248,10 +251,10 @@ def test_basicness_on_foliated_forcing():
     g = TorusGrid((8, 8, 8, 8))
     xs = g.meshes()
     F = 0.5 * np.sin(xs[0]) + 0.25 * np.cos(xs[1])  # constant in axes 2, 3
-    q = -np.eye(4)
     cfg = ContinuityConfig(newton_tol=1e-10)
-    state, _ = run_continuity(g, F, q, cfg)
-    report = basicness_check(g, F, q, state, cfg.newton_tol)
+    problem = Problem(g, F, -np.eye(4))
+    state, _ = run_continuity(problem, cfg)
+    report = basicness_check(problem, state, cfg.newton_tol)
     assert report["applicable"]
     assert report["invariant_axes"] == [2, 3]
     assert report["variation"] <= 100 * cfg.newton_tol
@@ -262,8 +265,9 @@ def test_basicness_on_foliated_forcing():
 
 def test_basicness_constant_forcing_has_no_reduced_solve():
     g = TorusGrid((4, 4, 4, 4))
-    state, _ = run_continuity(g, g.zeros(), -np.eye(4))
-    report = basicness_check(g, g.zeros(), -np.eye(4), state, 1e-10)
+    problem = Problem(g, g.zeros(), -np.eye(4))
+    state, _ = run_continuity(problem)
+    report = basicness_check(problem, state, 1e-10)
     assert report["invariant_axes"] == [0, 1, 2, 3]
     assert report["reduced_match"] is None
     assert report["passed"]
@@ -272,7 +276,7 @@ def test_basicness_constant_forcing_has_no_reduced_solve():
 def test_basicness_not_applicable_when_forcing_varies_everywhere():
     g = TorusGrid((4, 4, 4, 4))
     F = sum(0.1 * np.sin(m) for m in g.meshes())
-    report = basicness_check(g, F, -np.eye(4), SolverState(
+    report = basicness_check(Problem(g, F, -np.eye(4)), SolverState(
         phi=g.zeros(), b=1.0, t=1.0, residual_norm=0.0, newton_iters=0), 1e-10)
     assert not report["applicable"]
     assert report["invariant_axes"] == []
@@ -284,10 +288,11 @@ def test_basicness_strict_mode_raises():
     F = 0.1 * np.sin(xs[0]) + 0.1 * np.sin(xs[1])
     bad = SolverState(phi=np.sin(xs[3]), b=1.0, t=1.0, residual_norm=0.0,
                       newton_iters=0)
-    report = basicness_check(g, F, -np.eye(4), bad, 1e-10)
+    problem = Problem(g, F, -np.eye(4))
+    report = basicness_check(problem, bad, 1e-10)
     assert not report["passed"]
     with pytest.raises(NonBasicResidue):
-        basicness_check(g, F, -np.eye(4), bad, 1e-10, strict=True)
+        basicness_check(problem, bad, 1e-10, strict=True)
 
 
 def test_basicness_intersects_per_node_q_axes():
@@ -298,5 +303,5 @@ def test_basicness_intersects_per_node_q_axes():
     q[..., 2, 2] = -1.0 - 0.1 * np.sin(xs[2]) ** 2  # q varies along axis 2
     state = SolverState(phi=g.zeros(), b=1.0, t=1.0, residual_norm=0.0,
                         newton_iters=0)
-    report = basicness_check(g, F, q, state, 1e-10)
+    report = basicness_check(Problem(g, F, q), state, 1e-10)
     assert report["invariant_axes"] == [3]

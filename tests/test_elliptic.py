@@ -9,6 +9,7 @@ import hktsolve.elliptic_solver as es
 from hktsolve import kernels
 from hktsolve.continuity_driver import manufactured_problem, sine_product_field
 from hktsolve.elliptic_solver import (
+    Problem,
     SolverState,
     TorusGrid,
     bordered_operator,
@@ -112,16 +113,16 @@ def test_kernels_match_dense_oracle_4d():
 
 def test_residual_trivial_zero():
     g = TorusGrid((8, 8))
-    r = residual(g, g.zeros(), 1.0, 0.7, g.zeros(), -np.eye(2))
+    r = residual(Problem(g, g.zeros(), -np.eye(2)), g.zeros(), 1.0, 0.7)
     assert np.max(np.abs(r)) == 0.0
 
 
 def test_residual_shape_mismatch():
     g = TorusGrid((8, 8))
     with pytest.raises(ShapeMismatch):
-        residual(g, np.zeros((8, 4)), 1.0, 0.0, g.zeros(), -np.eye(2))
+        residual(Problem(g, g.zeros(), -np.eye(2)), np.zeros((8, 4)), 1.0, 0.0)
     with pytest.raises(ShapeMismatch):
-        residual(g, g.zeros(), 1.0, 0.0, np.zeros((4, 8)), -np.eye(2))
+        Problem(g, np.zeros((4, 8)), -np.eye(2))
 
 
 def test_pernode_q_matches_constant_q():
@@ -131,8 +132,8 @@ def test_pernode_q_matches_constant_q():
     qc = np.array([[-2.0, 0.5], [0.5, -1.0]])
     qn = np.broadcast_to(qc, g.dims + (2, 2)).copy()
     F = rng.standard_normal(g.dims)
-    rc = residual(g, phi, 1.3, 0.4, F, qc)
-    rn = residual(g, phi, 1.3, 0.4, F, qn)
+    rc = residual(Problem(g, F, qc), phi, 1.3, 0.4)
+    rn = residual(Problem(g, F, qn), phi, 1.3, 0.4)
     assert np.allclose(rc, rn, atol=1e-13)
 
 
@@ -141,7 +142,7 @@ def test_density_monitor():
     assert np.allclose(density(g, g.zeros(), -np.eye(2)), 1.0)
     phi = sine_product_field(g, 0.05)
     d = density(g, phi, -np.eye(2))
-    r = residual(g, phi, 0.0, 0.0, g.zeros(), -np.eye(2))
+    r = residual(Problem(g, g.zeros(), -np.eye(2)), phi, 0.0, 0.0)
     assert np.allclose(d, r, atol=1e-13)
 
 
@@ -149,14 +150,14 @@ def test_linearized_apply_examples():
     g = TorusGrid((8, 8))
     rng = np.random.default_rng(12)
     F = rng.standard_normal(g.dims)
-    q = -np.eye(2)
+    problem = Problem(g, F, -np.eye(2))
     # eta = 0: only the -c e^{tF} column survives
-    out = bordered_field_block(g, rng.standard_normal(g.dims), 0.5, F, q,
+    out = bordered_field_block(problem, rng.standard_normal(g.dims), 0.5,
                                g.zeros(), 1.0)
     assert np.allclose(out, -np.exp(0.5 * F), atol=1e-13)
     # phi = 0: gradient weights vanish, leaving laplacian(eta) - c e^{tF}
     eta = rng.standard_normal(g.dims)
-    out = bordered_field_block(g, g.zeros(), 0.5, F, q, eta, 2.0)
+    out = bordered_field_block(problem, g.zeros(), 0.5, eta, 2.0)
     want = kernels.laplacian_nd(eta, g.spacings) - 2.0 * np.exp(0.5 * F)
     assert np.allclose(out, want, atol=1e-12)
 
@@ -167,18 +168,18 @@ def test_linearized_apply_matches_finite_differences():
     F = rng.standard_normal(g.dims)
     q = np.broadcast_to(-np.eye(2), g.dims + (2, 2)).copy()
     q[..., 0, 1] = q[..., 1, 0] = 0.2 * np.sin(g.meshes()[0])
-    validate_q(q, g)
+    problem = Problem(g, F, q)
     phi = 0.3 * rng.standard_normal(g.dims)
     t = 0.8
 
     def res_fn(p, b):
-        return residual(g, p, b, t, F, q)
+        return residual(problem, p, b, t)
 
     for trial in range(3):
         eta = rng.standard_normal(g.dims)
         c = float(rng.standard_normal())
         fd = oracles.fd_directional_residual(res_fn, phi, 1.0, eta, c, 1e-6)
-        lin = bordered_field_block(g, phi, t, F, q, eta, c)
+        lin = bordered_field_block(problem, phi, t, eta, c)
         denom = max(1.0, float(np.max(np.abs(fd))))
         assert np.max(np.abs(fd - lin)) / denom < 1e-6
 
@@ -205,6 +206,52 @@ def test_validate_q_rejects_positive_directions():
         validate_q(bad, g)
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_validate_q_rejects_nonfinite_entries(value):
+    # eigvalsh of [[nan, 0], [0, -1]] is finite, so the eigenvalue test
+    # alone lets NaN through
+    g = TorusGrid((8, 8))
+    with pytest.raises(ConfigError):
+        validate_q(np.array([[value, 0.0], [0.0, -1.0]]), g)
+    per_node = np.broadcast_to(-np.eye(2), g.dims + (2, 2)).copy()
+    per_node[2, 5, 1, 1] = value
+    with pytest.raises(ConfigError):
+        validate_q(per_node, g)
+
+
+# ------------------------------------------------------------ problem
+
+
+def test_problem_checks_f_and_q_once():
+    g = TorusGrid((8, 8))
+    F = np.zeros(g.dims)
+    F[1, 2] = np.nan
+    with pytest.raises(ConfigError):
+        Problem(g, F, -np.eye(2))
+    F[1, 2] = np.inf
+    with pytest.raises(ConfigError):
+        Problem(g, F, -np.eye(2))
+    with pytest.raises(ConfigError):
+        Problem(g, g.zeros(), np.eye(2))
+    with pytest.raises(ShapeMismatch):
+        Problem(g, g.zeros(), -np.eye(4))
+
+
+def test_problem_holds_f_and_memoizes_exp_tf():
+    g = TorusGrid((8, 8))
+    F = np.random.default_rng(16).standard_normal(g.dims)
+    problem = Problem(g, F, -np.eye(2))
+    F[0, 0] = 99.0  # the problem holds its own copy
+    assert problem.F[0, 0] != 99.0
+    first = problem.exp_tF(0.5)
+    assert problem.exp_tF(0.5) is first
+    assert np.array_equal(first, np.exp(0.5 * problem.F))
+    assert not first.flags.writeable and not problem.F.flags.writeable
+    later = problem.exp_tF(0.75)
+    assert later is not first
+    assert np.array_equal(later, np.exp(0.75 * problem.F))
+
+
 # ------------------------------------------------------------ newton
 
 
@@ -215,7 +262,7 @@ def test_newton_step_linear_problem_one_step():
     q = np.zeros((2, 2))
     state = SolverState(phi=g.zeros(), b=2.0, t=1.0, residual_norm=1.0,
                         newton_iters=0, res_history=[1.0])
-    new = newton_step(g, state, g.zeros(), q)
+    new = newton_step(Problem(g, g.zeros(), q), state)
     assert new.newton_iters == 1
     assert abs(new.b - 1.0) < 1e-10
     assert np.max(np.abs(new.phi)) < 1e-10
@@ -226,7 +273,7 @@ def test_newton_step_at_exact_solution_is_stationary():
     g = TorusGrid((8, 8))
     state = SolverState(phi=g.zeros(), b=1.0, t=0.0, residual_norm=0.0,
                         newton_iters=0, res_history=[0.0])
-    new = newton_step(g, state, g.zeros(), np.zeros((2, 2)))
+    new = newton_step(Problem(g, g.zeros(), np.zeros((2, 2))), state)
     assert new.residual_norm == 0.0
     assert np.max(np.abs(new.phi - state.phi)) == 0.0
     assert new.b == state.b
@@ -234,7 +281,7 @@ def test_newton_step_at_exact_solution_is_stationary():
 
 def test_solve_at_t_zero_time_needs_no_iteration():
     g = TorusGrid((16, 16))
-    st = solve_at_t(g, bump(g), -np.eye(2), 0.0)
+    st = solve_at_t(Problem(g, bump(g), -np.eye(2)), 0.0)
     assert st.converged and st.newton_iters == 0
     assert st.message == "converged without iterating"
 
@@ -247,7 +294,7 @@ def test_poisson_limit_matches_fft_oracle(field):
     else:
         xs, ys = g.meshes()
         F = 0.4 * np.sin(xs) + 0.3 * np.cos(2.0 * ys)
-    st = solve_at_t(g, F, np.zeros((2, 2)), 1.0, tol=1e-12)
+    st = solve_at_t(Problem(g, F, np.zeros((2, 2))), 1.0, tol=1e-12)
     phi_o, b_o = oracles.fft_poisson_oracle(g, F)
     assert abs(st.b - b_o) < 1e-12
     assert np.max(np.abs(st.phi - phi_o)) < 1e-9
@@ -258,7 +305,7 @@ def test_newton_history_is_quadratic():
     g = TorusGrid((32, 32))
     q = -np.eye(2)
     F = manufactured_problem(g, sine_product_field(g, 0.3), q)
-    st = solve_at_t(g, F, q, 1.0, tol=1e-12)
+    st = solve_at_t(Problem(g, F, q), 1.0, tol=1e-12)
     rs = st.res_history
     assert all(rs[k + 1] < rs[k] for k in range(len(rs) - 1))
     for k in range(1, len(rs) - 1):
@@ -269,10 +316,9 @@ def test_newton_history_is_quadratic():
 
 def test_same_solution_from_two_starts():
     g = TorusGrid((32, 32))
-    q = -np.eye(2)
-    F = bump(g)
-    a = solve_at_t(g, F, q, 1.0, tol=1e-10)
-    b = solve_at_t(g, F, q, 1.0, phi0=sine_product_field(g, 0.05),
+    problem = Problem(g, bump(g), -np.eye(2))
+    a = solve_at_t(problem, 1.0, tol=1e-10)
+    b = solve_at_t(problem, 1.0, phi0=sine_product_field(g, 0.05),
                    b0=1.5, tol=1e-10)
     assert np.max(np.abs(a.phi - b.phi)) <= 100 * 1e-10
     assert abs(a.b - b.b) <= 100 * 1e-10
@@ -283,7 +329,7 @@ def test_converged_state_satisfies_integral_identity():
     g = TorusGrid((32, 32))
     q = -np.eye(2)
     F = bump(g)
-    st = solve_at_t(g, F, q, 1.0, tol=1e-10)
+    st = solve_at_t(Problem(g, F, q), 1.0, tol=1e-10)
     grads = kernels.gradient_nd(st.phi, g.spacings)
     quad = es.quad_value(np.asarray(q, dtype=float), grads)
     gap = abs(np.mean(quad + 1.0 - st.b * np.exp(st.t * F)))
@@ -293,7 +339,7 @@ def test_converged_state_satisfies_integral_identity():
 def test_b_bound_holds_and_detects_violations():
     g = TorusGrid((16, 16))
     F = bump(g)
-    st = solve_at_t(g, F, -np.eye(2), 1.0, tol=1e-10)
+    st = solve_at_t(Problem(g, F, -np.eye(2)), 1.0, tol=1e-10)
     assert check_b_bound(st, F, 1e-7)
     fake = SolverState(phi=st.phi, b=2.0 * float(np.max(np.exp(-F))),
                        t=1.0, residual_norm=0.0, newton_iters=0)
@@ -305,7 +351,7 @@ def test_bordered_system_has_full_rank():
     rng = np.random.default_rng(14)
     phi = 0.1 * rng.standard_normal(g.dims)
     F = rng.standard_normal(g.dims)
-    op = bordered_operator(g, phi, 0.7, F, -np.eye(2))
+    op = bordered_operator(Problem(g, F, -np.eye(2)), phi, 0.7)
     m = g.size + 1
     dense = np.empty((m, m))
     e = np.zeros(m)
@@ -338,29 +384,32 @@ def test_max_iters_exceeded():
     q = -np.eye(2)
     F = manufactured_problem(g, sine_product_field(g, 0.3), q)
     with pytest.raises(MaxItersExceeded):
-        solve_at_t(g, F, q, 1.0, tol=1e-30, max_iters=2)
+        solve_at_t(Problem(g, F, q), 1.0, tol=1e-30, max_iters=2)
 
 
 def test_initial_b_must_be_positive():
     g = TorusGrid((8, 8))
+    problem = Problem(g, g.zeros(), -np.eye(2))
     with pytest.raises(BPositivityLost):
-        solve_at_t(g, g.zeros(), -np.eye(2), 1.0, b0=0.0)
+        solve_at_t(problem, 1.0, b0=0.0)
     with pytest.raises(BPositivityLost):
-        solve_at_t(g, g.zeros(), -np.eye(2), 1.0, b0=-1.0)
+        solve_at_t(problem, 1.0, b0=-1.0)
 
 
 def test_nonpositive_tolerance_rejected():
     g = TorusGrid((8, 8))
-    with pytest.raises(ConfigError):
-        solve_at_t(g, g.zeros(), -np.eye(2), 1.0, tol=0.0)
+    problem = Problem(g, g.zeros(), -np.eye(2))
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            solve_at_t(problem, 1.0, tol=tol)
 
 
 def test_accepted_step_crossing_zero_b(monkeypatch):
     # force a descent direction whose full step lands at b < 0
     g = TorusGrid((8, 8))
 
-    def fake_solve(grid, op, rhs, rtol):
-        x = np.zeros(grid.size + 1)
+    def fake_solve(problem, op, rhs, rtol):
+        x = np.zeros(problem.grid.size + 1)
         x[-1] = -3.5
         return x
 
@@ -368,14 +417,14 @@ def test_accepted_step_crossing_zero_b(monkeypatch):
     state = SolverState(phi=g.zeros(), b=3.0, t=1.0, residual_norm=2.0,
                         newton_iters=0, res_history=[2.0])
     with pytest.raises(BPositivityLost):
-        newton_step(g, state, g.zeros(), np.zeros((2, 2)))
+        newton_step(Problem(g, g.zeros(), np.zeros((2, 2))), state)
 
 
 def test_damping_exhausted_on_ascent_direction(monkeypatch):
     g = TorusGrid((8, 8))
 
-    def fake_solve(grid, op, rhs, rtol):
-        x = np.zeros(grid.size + 1)
+    def fake_solve(problem, op, rhs, rtol):
+        x = np.zeros(problem.grid.size + 1)
         x[-1] = 1.0  # pushes b away from the solution
         return x
 
@@ -383,29 +432,30 @@ def test_damping_exhausted_on_ascent_direction(monkeypatch):
     state = SolverState(phi=g.zeros(), b=2.0, t=1.0, residual_norm=1.0,
                         newton_iters=0, res_history=[1.0])
     with pytest.raises(DampingExhausted):
-        newton_step(g, state, g.zeros(), np.zeros((2, 2)), max_halvings=5)
+        newton_step(Problem(g, g.zeros(), np.zeros((2, 2))), state,
+                    max_halvings=5)
 
 
 def test_linear_solve_failure_without_dense_fallback(monkeypatch):
     # stagnating GMRES on a grid too large for the dense path
     g = TorusGrid((128, 128))
 
-    def fake_gmres(op, rhs, precond, rtol, maxiter=200, restart=50):
+    def fake_gmres(op, rhs, precond, rtol):
         return np.zeros_like(rhs), 1
 
     monkeypatch.setattr(es, "_gmres", fake_gmres)
     with pytest.raises(LinearSolveFailure):
-        solve_at_t(g, bump(g), -np.eye(2), 1.0)
+        solve_at_t(Problem(g, bump(g), -np.eye(2)), 1.0)
 
 
 def test_dense_fallback_rescues_small_grids(monkeypatch):
     g = TorusGrid((8, 8))
 
-    def fake_gmres(op, rhs, precond, rtol, maxiter=200, restart=50):
+    def fake_gmres(op, rhs, precond, rtol):
         return np.zeros_like(rhs), 1
 
     monkeypatch.setattr(es, "_gmres", fake_gmres)
-    st = solve_at_t(g, bump(g), -np.eye(2), 1.0, tol=1e-10)
+    st = solve_at_t(Problem(g, bump(g), -np.eye(2)), 1.0, tol=1e-10)
     assert st.converged
 
 

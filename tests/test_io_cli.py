@@ -1,6 +1,7 @@
 """Field file format round trips and end-to-end command line runs."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hktsolve import cli, gridio
-from hktsolve.elliptic_solver import TorusGrid
+from hktsolve.elliptic_solver import Problem, TorusGrid
 from hktsolve.errors import ConfigError, ShapeMismatch
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -108,8 +109,10 @@ def test_load_qspec_variants(tmp_path):
     assert q.shape == g.dims + (2, 2)
     assert q[3, 3, 0, 1] == 0.2
 
+    # load_qspec checks shapes; the Problem checks definiteness
+    q = gridio.load_qspec({"matrix": [[1.0, 0.0], [0.0, 1.0]]}, g)
     with pytest.raises(ConfigError):
-        gridio.load_qspec({"matrix": [[1.0, 0.0], [0.0, 1.0]]}, g)
+        Problem(g, g.zeros(), q)
     with pytest.raises(ShapeMismatch):
         gridio.load_qspec({"matrix": [[-1.0]]}, g)
     with pytest.raises(ConfigError):
@@ -272,9 +275,37 @@ def test_cli_solve_config_errors(tmp_path, capsys):
     {"grid": {"dims": "abc"}},
     {"continuity": {"newton_tol": "small"}},
     {"q": {"matrix": [[-1, 0], [0]]}},
+    {"q": {"matrix": [[float("nan"), 0.0], [0.0, -1.0]]}},
+    {"continuity": {"newton_tol": float("nan")}},
 ])
 def test_cli_solve_malformed_values(tmp_path, capsys, extra):
     bad = _write_config(tmp_path / "bad.json", **extra)
+    assert cli.main(["solve", "--config", str(bad)]) == 1
+    assert "error: ConfigError:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["forcing", "q"])
+@pytest.mark.parametrize("value", ["missing", [1], 3.5])
+def test_cli_solve_bad_file_values(tmp_path, capsys, section, value):
+    # never an integer here: open(0) would read and close this process's stdin
+    if value == "missing":
+        value = str(tmp_path / "nosuch.field")
+    bad = _write_config(tmp_path / "bad.json", **{section: {"file": value}})
+    assert cli.main(["solve", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "error: ConfigError:" in err
+    if isinstance(value, str):
+        assert value in err
+
+
+def test_cli_solve_rejects_nonfinite_forcing_file(tmp_path, capsys):
+    g = TorusGrid((16, 16))
+    F = g.zeros()
+    F[3, 7] = np.nan
+    fpath = tmp_path / "F.field"
+    gridio.write_field(fpath, F, g.lengths)
+    bad = _write_config(tmp_path / "bad.json", dims=(16, 16),
+                        forcing={"file": str(fpath)})
     assert cli.main(["solve", "--config", str(bad)]) == 1
     assert "error: ConfigError:" in capsys.readouterr().err
 
@@ -316,11 +347,13 @@ def test_run_config_parses_or_raises_config_errors(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("cfg") / "run.json"
     path.write_text(json.dumps(cfg))
     try:
-        _cfg, grid, F, q, ccfg = cli._load_run_config(str(path), {})
+        _cfg, problem, ccfg = cli._load_run_config(str(path), {})
     except (ConfigError, ShapeMismatch):
         return
-    assert F.shape == grid.dims
-    assert q.shape[-1] == grid.ndim
+    assert problem.F.shape == problem.grid.dims
+    assert problem.q.shape[-1] == problem.grid.ndim
+    assert np.all(np.isfinite(problem.q))
+    assert math.isfinite(ccfg.newton_tol) and ccfg.newton_tol > 0
 
 
 def test_cli_solve_newton_tol_override(tmp_path, capsys):
