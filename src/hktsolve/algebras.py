@@ -13,6 +13,7 @@ reduction machinery:
   foliation, whose quadratic term vanishes identically.
 """
 
+import inspect
 from fractions import Fraction
 from importlib import resources
 
@@ -156,10 +157,9 @@ def semidirect12(c=1, w1=1, w2=2):
 def nilpotent8(v1=(1, 0, 0, 0), v2=(0, 1, 0, 0), v3=(0, 0, 1, 0)):
     vs = []
     for v in (v1, v2, v3):
-        v = tuple(F(x) for x in v)
-        if len(v) != 4:
+        if not isinstance(v, (tuple, list)) or len(v) != 4:
             raise ConfigError("central vectors need four components")
-        vs.append(v)
+        vs.append(tuple(F(x) for x in v))
     v1, v2, v3 = vs
 
     def central(v, sign=1):
@@ -202,4 +202,9 @@ def get_algebra(name, **params):
     except KeyError:
         raise ConfigError(
             "unknown algebra %r (have: %s)" % (name, ", ".join(sorted(REGISTRY))))
+    known = inspect.signature(builder).parameters
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ConfigError("algebra %r has no parameter %s (has: %s)"
+                          % (name, ", ".join(unknown), ", ".join(known) or "none"))
     return builder(**params)

@@ -52,7 +52,6 @@ from .hkt_symbolic import (
     quadratic_forms_closed,
     reality_check,
     reduce_ratio,
-    ReductionContext,
     standard_hkt_form,
 )
 from .lie_frame import (
@@ -72,6 +71,14 @@ def _say(line):
 
 def _ok(label):
     _say("ok: %s" % label)
+
+
+def _converted(label, convert, *args):
+    """convert(*args), with a malformed input value raised as ConfigError."""
+    try:
+        return convert(*args)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError("%s: %s" % (label, exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +123,9 @@ def verify_su3(perturb=False, emit_forms=None):
         raise ConfigError("shipped bracket file disagrees with the builtin table")
     _ok("shipped structure-constant file matches the builtin table")
 
-    ctx = ReductionContext(frame.table, frame.split)
     golden = _su3_golden_gens()
     for k in range(1, 5):
-        if del_generator(k, ctx) != golden[k]:
+        if del_generator(k, frame) != golden[k]:
             raise ConfigError("coframe derivative %d differs from golden" % k)
     _ok("holomorphic coframe derivatives match the golden table")
 
@@ -147,14 +153,17 @@ def verify_su3(perturb=False, emit_forms=None):
         raise ConfigError("real quadratic matrix is not -4 I")
     _ok("real quadratic form is -4 times the identity")
 
-    perturbed = form_add(standard_hkt_form(4), del_holo(del_j_basic(ctx), ctx))
-    if not reality_check(perturbed, ctx):
+    perturbed = form_add(standard_hkt_form(4), del_holo(del_j_basic(frame), frame))
+    if not reality_check(perturbed, frame):
         raise ConfigError("perturbed form fails the J-reality check")
     _ok("perturbed top form is J-real")
 
     if emit_forms:
-        with open(emit_forms, "w") as fh:
-            fh.write(canonical_str(perturbed, sep="\n") + "\n")
+        try:
+            with open(emit_forms, "w") as fh:
+                fh.write(canonical_str(perturbed, sep="\n") + "\n")
+        except OSError as exc:
+            raise ConfigError("cannot write %s: %s" % (emit_forms, exc)) from exc
         _say("wrote canonical form to %s" % emit_forms)
     return op
 
@@ -174,15 +183,19 @@ def _parse_params(pairs):
     for item in pairs or []:
         if "=" not in item:
             raise ConfigError("parameter %r is not key=value" % item)
-        key, val = item.split("=", 1)
-        out[key.strip()] = Fraction(val.strip())
+        key, val = (part.strip() for part in item.split("=", 1))
+        out[key] = _converted("parameter %s" % key, Fraction, val)
     return out
 
 
 def cmd_verify_algebra(args):
     if args.file:
-        with open(args.file) as fh:
-            sc = load_structure_constants(fh.read())
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("cannot read %s: %s" % (args.file, exc)) from exc
+        sc = load_structure_constants(text)
         check_jacobi(sc, strict=True)
         _ok("file %s: dim %d table satisfies the Jacobi identity"
             % (args.file, sc.dim))
@@ -208,14 +221,6 @@ def cmd_verify_algebra(args):
 
 # ---------------------------------------------------------------------------
 # solve
-
-
-def _converted(label, convert, *args):
-    """convert(*args), with a malformed config value raised as ConfigError."""
-    try:
-        return convert(*args)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError("%s: %s" % (label, exc)) from exc
 
 
 def _build_forcing(spec, grid):
@@ -364,7 +369,7 @@ def cmd_manufactured(args):
 
 
 def cmd_study(args):
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = [_converted("sizes", int, s) for s in args.sizes.split(",")]
     if len(sizes) < 2:
         raise ConfigError("need at least two grid sizes")
     rows = convergence_study(sizes, amplitude=args.amplitude, qdiag=args.qdiag,

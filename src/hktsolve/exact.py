@@ -153,20 +153,15 @@ def as_qqi(x):
 # ---------------------------------------------------------------------------
 # small exact linear algebra, enough to invert a frame matrix
 
-def mat_identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+def mat_inv(a):
+    """Invert ``a`` exactly by Gauss-Jordan elimination.
 
-
-def mat_solve(a, rhs):
-    """Solve ``a @ x = rhs`` exactly by Gaussian elimination.
-
-    ``a`` is an n x n nested list over QQi (or coercible), ``rhs`` an
-    n x m nested list.  Raises LinearSolveFailure when singular.
+    ``a`` is an n x n nested list over QQi (or coercible).  Raises
+    LinearSolveFailure when singular.
     """
     n = len(a)
-    m = len(rhs[0])
-    aug = [[as_qqi(a[i][j]) for j in range(n)] + [as_qqi(rhs[i][j]) for j in range(m)]
-           for i in range(n)]
+    aug = [[as_qqi(x) for x in row] + [ONE if i == j else ZERO for j in range(n)]
+           for i, row in enumerate(a)]
     for col in range(n):
         pivot = None
         for r in range(col, n):
@@ -186,7 +181,3 @@ def mat_solve(a, rhs):
             if f:
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
-
-
-def mat_inv(a):
-    return mat_solve(a, mat_identity(len(a)))

@@ -15,7 +15,8 @@ Jet symbols:
 
 Derivatives along annihilated directions are rewritten through the
 bracket before a symbol is ever created, so polynomials only mention
-transverse jets.
+transverse jets.  The annihilated directions are the ``split`` of the
+``lie_frame.ComplexFrame`` every derivative here takes.
 """
 
 import math
@@ -32,23 +33,6 @@ from .errors import (
 )
 from .exact import ONE, QQi, ZERO, as_qqi
 from .lie_frame import check_foliation
-
-
-class ReductionContext:
-    """A bracket table plus a choice of annihilated frame indices."""
-
-    def __init__(self, table, split):
-        self.table = table
-        self.half = table.half
-        self.split = tuple(sorted(split))
-        self.active = tuple(k for k in range(1, self.half + 1) if k not in self.split)
-
-    def is_active(self, i):
-        k = i - self.half if i > self.half else i
-        return k not in self.split
-
-    def toggle(self, i):
-        return i - self.half if i > self.half else i + self.half
 
 
 # ---------------------------------------------------------------------------
@@ -116,37 +100,37 @@ def jet_symbols(poly):
     return out
 
 
-def _bracket_jet(i, j, ctx):
+def _bracket_jet(i, j, frame):
     """[Z_i, Z_j] applied to the potential, annihilated components dropped."""
     out = {}
-    for k, c in ctx.table.bracket(i, j).items():
-        if ctx.is_active(k):
+    for k, c in frame.table.bracket(i, j).items():
+        if frame.is_active(k):
             out = p_add(out, p_sym(("g", k), c))
     return out
 
 
-def _deriv_sym(i, sym, ctx):
+def _deriv_sym(i, sym, frame):
     """Z_i applied to one jet symbol, returned as a polynomial."""
     if sym[0] != "g":
         raise OrderOverflow(
             "third derivative of the potential requested via %r" % (sym,))
     j = sym[1]
-    if not ctx.is_active(j):
+    if not frame.is_active(j):
         return {}
-    if not ctx.is_active(i):
+    if not frame.is_active(i):
         # the first derivative of a basic function along the foliation
         # vanishes, only the bracket term survives
-        return _bracket_jet(i, j, ctx)
+        return _bracket_jet(i, j, frame)
     if i <= j:
         return p_sym(("h", i, j))
-    return p_add(p_sym(("h", j, i)), _bracket_jet(i, j, ctx))
+    return p_add(p_sym(("h", j, i)), _bracket_jet(i, j, frame))
 
 
-def p_deriv(i, poly, ctx):
+def p_deriv(i, poly, frame):
     out = {}
     for mono, coef in poly.items():
         for pos in range(len(mono)):
-            d = _deriv_sym(i, mono[pos], ctx)
+            d = _deriv_sym(i, mono[pos], frame)
             if not d:
                 continue
             rest = mono[:pos] + mono[pos + 1:]
@@ -154,23 +138,23 @@ def p_deriv(i, poly, ctx):
     return out
 
 
-def _conj_sym(sym, ctx):
-    tog = ctx.toggle
+def _conj_sym(sym, frame):
+    tog = frame.table.bar
     if sym[0] == "g":
         return p_sym(("g", tog(sym[1])))
     _, i, j = sym
     ci, cj = tog(i), tog(j)
     if ci <= cj:
         return p_sym(("h", ci, cj))
-    return p_add(p_sym(("h", cj, ci)), _bracket_jet(ci, cj, ctx))
+    return p_add(p_sym(("h", cj, ci)), _bracket_jet(ci, cj, frame))
 
 
-def p_conj(poly, ctx):
+def p_conj(poly, frame):
     out = {}
     for mono, coef in poly.items():
         term = p_const(coef.conjugate())
         for sym in mono:
-            term = p_mul(term, _conj_sym(sym, ctx))
+            term = p_mul(term, _conj_sym(sym, frame))
         out = p_add(out, term)
     return out
 
@@ -230,15 +214,35 @@ class Form:
         return not self.terms
 
 
+def _signed_sort(indices):
+    """Sort the factors of a wedge monomial.
+
+    Returns the sign of the sorting permutation and the sorted key, or
+    None when an index repeats and the monomial vanishes.
+    """
+    if len(set(indices)) != len(indices):
+        return None
+    inversions = sum(1 for x in range(len(indices)) for y in range(x + 1, len(indices))
+                     if indices[x] > indices[y])
+    return (-1 if inversions % 2 else 1), tuple(sorted(indices))
+
+
+def _accumulate(terms, key, poly, sign=1):
+    """Add sign * poly into terms[key], dropping the key when it cancels."""
+    if sign < 0:
+        poly = p_scale(poly, QQi(-1))
+    s = p_add(terms.get(key, {}), poly)
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
 def form_add(a, b):
     out = Form(a.half)
     out.terms = dict(a.terms)
     for key, poly in b.terms.items():
-        s = p_add(out.terms.get(key, {}), poly)
-        if s:
-            out.terms[key] = s
-        else:
-            out.terms.pop(key, None)
+        _accumulate(out.terms, key, poly)
     return out
 
 
@@ -251,41 +255,15 @@ def form_scale(a, c):
     return out
 
 
-def _merge_signed(t1, t2):
-    """Merge two sorted disjoint index tuples; return (sign, merged)."""
-    merged = []
-    i = j = inv = 0
-    while i < len(t1) and j < len(t2):
-        if t1[i] < t2[j]:
-            merged.append(t1[i])
-            i += 1
-        else:
-            merged.append(t2[j])
-            j += 1
-            inv += len(t1) - i
-    merged.extend(t1[i:])
-    merged.extend(t2[j:])
-    return (-1 if inv % 2 else 1), tuple(merged)
-
-
 def wedge(a, b):
     if a.half != b.half:
         raise ConfigError("wedge of forms over different frames")
     out = Form(a.half)
     for k1, p1 in a.terms.items():
-        s1 = set(k1)
         for k2, p2 in b.terms.items():
-            if s1 & set(k2):
-                continue
-            sign, key = _merge_signed(k1, k2)
-            term = p_mul(p1, p2)
-            if sign < 0:
-                term = p_scale(term, QQi(-1))
-            s = p_add(out.terms.get(key, {}), term)
-            if s:
-                out.terms[key] = s
-            else:
-                out.terms.pop(key, None)
+            placed = _signed_sort(k1 + k2)
+            if placed is not None:
+                _accumulate(out.terms, placed[1], p_mul(p1, p2), placed[0])
     return out
 
 
@@ -293,19 +271,15 @@ def gen_str(i, half):
     return "Z%d'" % (i - half) if i > half else "Z%d" % i
 
 
-def canonical_str(obj, half=None, sep="; "):
-    """Deterministic plain text rendering of a form or a polynomial."""
-    if isinstance(obj, Form):
-        if not obj.terms:
-            return "0"
-        lines = []
-        for key in sorted(obj.terms):
-            gens = "^".join(gen_str(i, obj.half) for i in key)
-            lines.append("[%s] %s" % (gens, poly_str(obj.terms[key], obj.half)))
-        return sep.join(lines)
-    if half is None:
-        raise ConfigError("half is required to render a bare polynomial")
-    return poly_str(obj, half)
+def canonical_str(form, sep="; "):
+    """Deterministic plain text rendering of a form."""
+    if not form.terms:
+        return "0"
+    lines = []
+    for key in sorted(form.terms):
+        gens = "^".join(gen_str(i, form.half) for i in key)
+        lines.append("[%s] %s" % (gens, poly_str(form.terms[key], form.half)))
+    return sep.join(lines)
 
 
 def standard_hkt_form(half):
@@ -313,10 +287,10 @@ def standard_hkt_form(half):
     return Form(half, {(2 * k - 1, 2 * k): p_const(1) for k in range(1, half // 2 + 1)})
 
 
-def del_generator(t, ctx):
+def del_generator(t, frame):
     """The holomorphic exterior derivative of one coframe generator."""
-    half = ctx.half
-    table = ctx.table
+    half = frame.half
+    table = frame.table
     terms = {}
     if t <= half:
         for r in range(1, half + 1):
@@ -333,65 +307,40 @@ def del_generator(t, ctx):
     return Form(half, terms)
 
 
-def del_holo(form, ctx):
+def del_holo(form, frame):
     """Holomorphic exterior derivative of a form with jet coefficients."""
-    half = ctx.half
-    out = Form(half)
+    out = Form(frame.half)
     for key, poly in form.terms.items():
         # the coefficient varies: differentiate along every unbarred direction
-        for r in range(1, half + 1):
-            if r in key:
-                continue
-            dp = p_deriv(r, poly, ctx)
-            if not dp:
-                continue
-            below = sum(1 for k in key if k < r)
-            if below % 2:
-                dp = p_scale(dp, QQi(-1))
-            merged = tuple(sorted(key + (r,)))
-            s = p_add(out.terms.get(merged, {}), dp)
-            if s:
-                out.terms[merged] = s
-            else:
-                out.terms.pop(merged, None)
+        for r in range(1, frame.half + 1):
+            placed = _signed_sort((r,) + key)
+            if placed is not None:
+                _accumulate(out.terms, placed[1], p_deriv(r, poly, frame), placed[0])
         # the generators are not closed: Leibniz over the wedge factors
         for pos, t in enumerate(key):
-            dgen = del_generator(t, ctx)
-            if dgen.is_zero():
-                continue
             rest = key[:pos] + key[pos + 1:]
-            restset = set(rest)
-            for gkey, gpoly in dgen.terms.items():
-                if restset & set(gkey):
-                    continue
-                sign, merged = _merge_signed(gkey, rest)
-                if pos % 2:
-                    sign = -sign
-                term = p_mul(poly, gpoly)
-                if sign < 0:
-                    term = p_scale(term, QQi(-1))
-                s = p_add(out.terms.get(merged, {}), term)
-                if s:
-                    out.terms[merged] = s
-                else:
-                    out.terms.pop(merged, None)
+            for gkey, gpoly in del_generator(t, frame).terms.items():
+                placed = _signed_sort(gkey + rest)
+                if placed is not None:
+                    sign = -placed[0] if pos % 2 else placed[0]
+                    _accumulate(out.terms, placed[1], p_mul(poly, gpoly), sign)
     return out
 
 
-def del_j_basic(ctx):
+def del_j_basic(frame):
     """The J-twisted derivative of the basic potential.
 
     For a basic function only the transverse pair (a, b) survives and the
     operator takes the pinned first-order form
     ``(Z_a' phi) Z^b - (Z_b' phi) Z^a``.
     """
-    if len(ctx.active) != 2:
+    if len(frame.active) != 2:
         raise BadAnnihilatedSet(
-            "need exactly one transverse J-pair, got %r" % (ctx.active,))
-    a, b = ctx.active
+            "need exactly one transverse J-pair, got %r" % (frame.active,))
+    a, b = frame.active
     if b != a + 1 or a % 2 != 1:
-        raise BadAnnihilatedSet("transverse indices %r are not a J-pair" % (ctx.active,))
-    half = ctx.half
+        raise BadAnnihilatedSet("transverse indices %r are not a J-pair" % (frame.active,))
+    half = frame.half
     return Form(half, {
         (b,): p_sym(("g", a + half)),
         (a,): p_sym(("g", b + half), QQi(-1)),
@@ -435,48 +384,26 @@ def jmap_form(form):
             s, j = _jmap_index(i, form.half)
             sign *= s
             imgs.append(j)
-        # sort the image indices, tracking parity
-        perm = sorted(range(len(imgs)), key=lambda p: imgs[p])
-        inv = sum(1 for x in range(len(perm)) for y in range(x + 1, len(perm))
-                  if perm[x] > perm[y])
-        if inv % 2:
-            sign = -sign
-        newkey = tuple(sorted(imgs))
-        term = p_scale(poly, QQi(sign))
-        s = p_add(out.terms.get(newkey, {}), term)
-        if s:
-            out.terms[newkey] = s
-        else:
-            out.terms.pop(newkey, None)
+        perm_sign, newkey = _signed_sort(imgs)
+        _accumulate(out.terms, newkey, poly, sign * perm_sign)
     return out
 
 
-def conj_form(form, ctx):
+def conj_form(form, frame):
     out = Form(form.half)
     for key, poly in form.terms.items():
-        imgs = [ctx.toggle(i) for i in key]
-        perm = sorted(range(len(imgs)), key=lambda p: imgs[p])
-        inv = sum(1 for x in range(len(perm)) for y in range(x + 1, len(perm))
-                  if perm[x] > perm[y])
-        term = p_conj(poly, ctx)
-        if inv % 2:
-            term = p_scale(term, QQi(-1))
-        newkey = tuple(sorted(imgs))
-        s = p_add(out.terms.get(newkey, {}), term)
-        if s:
-            out.terms[newkey] = s
-        else:
-            out.terms.pop(newkey, None)
+        sign, newkey = _signed_sort([frame.table.bar(i) for i in key])
+        _accumulate(out.terms, newkey, p_conj(poly, frame), sign)
     return out
 
 
-def reality_check(form, ctx):
+def reality_check(form, frame):
     """Does J map the form to its conjugate?
 
     This is the reality condition for (2,0)-forms in the quaternionic
     sense; the comparison is literal.
     """
-    diff = form_add(jmap_form(form), form_scale(conj_form(form, ctx), QQi(-1)))
+    diff = form_add(jmap_form(form), form_scale(conj_form(form, frame), QQi(-1)))
     return diff.is_zero()
 
 
@@ -604,32 +531,31 @@ def quadratic_forms_closed(table, split):
     return p_forms, q_forms
 
 
-def _require_basic(form, ctx):
+def _require_basic(form, frame):
     for poly in form.terms.values():
         for sym in jet_symbols(poly):
             for i in sym[1:]:
-                if not ctx.is_active(i):
+                if not frame.is_active(i):
                     raise NonBasicResidue(
                         "jet %r along an annihilated direction survived" % (sym,))
 
 
-def reduce_ratio(frame, split=None, check=True):
+def reduce_ratio(frame):
     """Expand the perturbed top power and normalize by the unperturbed one.
 
     Returns the ReducedOperator carrying the full ratio polynomial, the
     extracted gradient forms, and the verified normal form data.  Raises
     NotPerfectSquareDecomposition when the expansion does not collapse to
-    the advertised shape.
+    the advertised shape, and BadAnnihilatedSet when the frame's split
+    is not a foliation.
     """
-    ctx = ReductionContext(frame.table, frame.split if split is None else split)
-    if check and not check_foliation(frame, ctx.split, strict=True):
-        raise BadAnnihilatedSet("foliation check failed")
-    half = ctx.half
+    check_foliation(frame, strict=True)
+    half = frame.half
     n = half // 2
 
-    alpha = del_j_basic(ctx)
-    dd = del_holo(alpha, ctx)
-    _require_basic(dd, ctx)
+    alpha = del_j_basic(frame)
+    dd = del_holo(alpha, frame)
+    _require_basic(dd, frame)
 
     s = form_add(standard_hkt_form(half), dd)
     power = s
@@ -638,7 +564,7 @@ def reduce_ratio(frame, split=None, check=True):
     top = power.terms.get(tuple(range(1, half + 1)), {})
     ratio = p_scale(top, QQi(1) / math.factorial(n))
 
-    a, b = ctx.active
+    a, b = frame.active
     # classify the monomials of the ratio
     lap = {}
     quad = {}
@@ -660,7 +586,7 @@ def reduce_ratio(frame, split=None, check=True):
             "second order part is not the transverse trace: %r" % (lap,))
 
     p_forms, q_forms = {}, {}
-    for k in ctx.split:
+    for k in frame.split:
         p_forms[k] = p_scale(form_component(dd, k, a), QQi(-1))
         q_forms[k] = p_scale(form_component(dd, k, b), QQi(-1))
         for poly in (p_forms[k], q_forms[k]):
@@ -670,7 +596,7 @@ def reduce_ratio(frame, split=None, check=True):
                         "gradient form at index %d is not linear" % k)
 
     candidate = {}
-    for k in ctx.split:
+    for k in frame.split:
         if k % 2 == 0:
             continue
         k2 = k + 1
@@ -681,14 +607,14 @@ def reduce_ratio(frame, split=None, check=True):
             "quadratic part does not match the paired gradient forms")
 
     # conjugation relations that turn the pairing into minus a square sum
-    for k in ctx.split:
+    for k in frame.split:
         if k % 2 == 0:
             continue
         k2 = k + 1
-        if q_forms[k] != p_scale(p_conj(p_forms[k2], ctx), QQi(-1)):
+        if q_forms[k] != p_scale(p_conj(p_forms[k2], frame), QQi(-1)):
             raise NotPerfectSquareDecomposition(
                 "conjugation relation fails at index %d" % k)
-        if q_forms[k2] != p_conj(p_forms[k], ctx):
+        if q_forms[k2] != p_conj(p_forms[k], frame):
             raise NotPerfectSquareDecomposition(
                 "conjugation relation fails at index %d" % k2)
 
@@ -697,7 +623,7 @@ def reduce_ratio(frame, split=None, check=True):
         half=half,
         n=n,
         active_pair=(a, b),
-        split=ctx.split,
+        split=frame.split,
         ratio_poly=ratio,
         p_forms=p_forms,
         q_forms=q_forms,

@@ -138,7 +138,7 @@ def load_structure_constants(text):
             try:
                 k = int(parts[0])
                 c = Fraction(parts[1])
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise ConfigError("line %d: bad component %r" % (lineno, chunk))
             if k in comps:
                 raise ConfigError("line %d: index %d repeated" % (lineno, k))
@@ -295,7 +295,12 @@ class BracketTable:
 
 
 class ComplexFrame:
-    """A validated frame together with its complex bracket table."""
+    """A validated frame, its complex bracket table, and its split.
+
+    The split (the annihilated frame indices of ``spec.split``) is the
+    foliation every symbolic derivative is taken along; ``active`` holds
+    the transverse unbarred indices.
+    """
 
     def __init__(self, spec, vectors, table, flips):
         self.spec = spec
@@ -306,6 +311,7 @@ class ComplexFrame:
         self.half = len(vectors)
         self.n = self.dim // 4
         self.split = tuple(sorted(spec.split))
+        self.active = tuple(k for k in range(1, self.half + 1) if k not in self.split)
 
     def vec(self, k):
         """Coefficient vector of frame element k (bars as half + r)."""
@@ -315,9 +321,9 @@ class ComplexFrame:
             return conj_vec(self.vectors[k - self.half - 1])
         raise IndexOutOfRange("frame index %d outside 1..%d" % (k, 2 * self.half))
 
-    def active(self, split=None):
-        split = self.split if split is None else tuple(sorted(split))
-        return tuple(k for k in range(1, self.half + 1) if k not in split)
+    def is_active(self, i):
+        """Is frame index i (bars as half + r) transverse to the foliation?"""
+        return (i - self.half if i > self.half else i) not in self.split
 
     def pair_of(self, k):
         return k + 1 if k % 2 == 1 else k - 1
@@ -503,26 +509,14 @@ def nijenhuis_pair_identities(table, pair):
     )
 
 
-def check_pair_identities(table, pair, strict=False):
-    vals = nijenhuis_pair_identities(table, pair)
-    if any(vals):
-        if strict:
-            raise NijenhuisViolation(
-                "bracket identities fail on pair %r: %s"
-                % (pair, ", ".join(str(v) for v in vals)))
-        return False
-    return True
-
-
-def check_foliation(frame, split=None, strict=False):
-    """Is ``split`` an admissible annihilated set?
+def check_foliation(frame, strict=False):
+    """Is the frame's split an admissible annihilated set?
 
     Two conditions: the split must be a union of J-pairs, and brackets of
     split elements (holomorphic and mixed) may have no components in the
     directions outside the split.
     """
-    split = frame.split if split is None else tuple(sorted(split))
-    half = frame.half
+    split = frame.split
 
     def fail(msg):
         if strict:
@@ -530,20 +524,16 @@ def check_foliation(frame, split=None, strict=False):
         return False
 
     for k in split:
-        if not (1 <= k <= half):
-            return fail("split index %d outside 1..%d" % (k, half))
         if frame.pair_of(k) not in split:
             return fail("split is not a union of J-pairs (index %d unpaired)" % k)
 
-    active = set(frame.active(split))
-    active_ext = active | {k + half for k in active}
-    mixed = list(split) + [k + half for k in split]
+    mixed = split + tuple(frame.table.bar(k) for k in split)
     for r in split:
         for s in mixed:
             if r == s:
                 continue
             for k in frame.table.bracket(r, s):
-                if k in active_ext:
+                if frame.is_active(k):
                     return fail(
                         "[Z_%d, Z_%d] leaks onto transverse index %d" % (r, s, k))
     return True

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 
+import numpy as np
 import scipy.sparse.linalg
 
 import hktsolve.elliptic_solver as es
@@ -12,16 +13,16 @@ import hktsolve.elliptic_solver as es
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _tracing():
-    path = os.path.join(REPO, "hktbench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("hktbench_tracing", path)
+def _bench_module(name):
+    path = os.path.join(REPO, "hktbench", name + ".py")
+    spec = importlib.util.spec_from_file_location("hktbench_" + name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_resolve():
-    tracing = _tracing()
+    tracing = _bench_module("tracing")
     for short, attr, _span in tracing.FUNCTIONS + tracing.OPERATORS:
         module = importlib.import_module("hktsolve." + short)
         assert callable(getattr(module, attr, None)), "hktsolve.%s.%s" % (short, attr)
@@ -42,7 +43,7 @@ def test_tracer_sees_the_solver_layers(tmp_path, capsys):
         "q": {"matrix": [[-1.0, 0.0], [0.0, -1.0]]},
         "continuity": {"newton_tol": 1e-10},
     }))
-    tracer = _tracing().Tracer().install()
+    tracer = _bench_module("tracing").Tracer().install()
     try:
         tracer.task = 0
         code = cli.main(["solve", "--config", str(config),
@@ -65,3 +66,11 @@ def test_tracer_sees_the_solver_layers(tmp_path, capsys):
     assert metrics["elliptic_solver.precond.calls"] > 0
     assert metrics["elliptic_solver.matvec.calls"] > 0
     assert metrics["continuity_driver.attempts"] == 2
+
+
+def test_benchmark_certifies_su3_q(monkeypatch):
+    # the su3 workload's one library call: check_*, build_complex_frame and
+    # reduce_ratio must keep handing the solver exactly -4 I
+    monkeypatch.syspath_prepend(os.path.join(REPO, "hktbench"))
+    q = _bench_module("workloads").su3_quadratic_form()
+    assert np.array_equal(q, -4.0 * np.eye(4))

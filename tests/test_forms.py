@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -8,7 +9,6 @@ from hktsolve.errors import BadAnnihilatedSet, ConfigError, OrderOverflow
 from hktsolve.exact import QQi
 from hktsolve.hkt_symbolic import (
     Form,
-    ReductionContext,
     canonical_str,
     conj_form,
     del_generator,
@@ -32,9 +32,8 @@ from hktsolve.lie_frame import build_complex_frame
 
 
 @pytest.fixture(scope="module")
-def su3_ctx():
-    frame = build_complex_frame(algebras.su3())
-    return ReductionContext(frame.table, frame.split)
+def su3_frame():
+    return build_complex_frame(algebras.su3())
 
 
 def random_const_form(rng, half, degree, terms=4):
@@ -82,7 +81,7 @@ def test_wedge_associative(rng):
         assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
 
 
-def test_del_holo_leibniz(su3_ctx, rng):
+def test_del_holo_leibniz(su3_frame, rng):
     # coefficients linear in transverse first derivatives
     def rand_one_form():
         terms = {}
@@ -93,23 +92,22 @@ def test_del_holo_leibniz(su3_ctx, rng):
 
     for _ in range(5):
         a, b = rand_one_form(), rand_one_form()
-        lhs = del_holo(wedge(a, b), su3_ctx)
-        rhs = form_add(wedge(del_holo(a, su3_ctx), b),
-                       form_scale(wedge(a, del_holo(b, su3_ctx)), QQi(-1)))
+        lhs = del_holo(wedge(a, b), su3_frame)
+        rhs = form_add(wedge(del_holo(a, su3_frame), b),
+                       form_scale(wedge(a, del_holo(b, su3_frame)), QQi(-1)))
         assert lhs == rhs
 
 
-def test_del_squared_vanishes_on_coframe(su3_ctx):
+def test_del_squared_vanishes_on_coframe(su3_frame):
     for k in range(1, 5):
-        dd = del_holo(del_generator(k, su3_ctx), su3_ctx)
+        dd = del_holo(del_generator(k, su3_frame), su3_frame)
         assert dd.is_zero(), k
 
 
 def test_del_squared_vanishes_dim12():
     frame = build_complex_frame(algebras.get_algebra("semidirect12"))
-    ctx = ReductionContext(frame.table, frame.split)
     for k in range(1, 7):
-        assert del_holo(del_generator(k, ctx), ctx).is_zero(), k
+        assert del_holo(del_generator(k, frame), frame).is_zero(), k
 
 
 def test_jmap_involution(rng):
@@ -119,51 +117,51 @@ def test_jmap_involution(rng):
         assert jmap_form(jmap_form(f)) == form_scale(f, sign)
 
 
-def test_conj_involution_with_jets(su3_ctx, rng):
+def test_conj_involution_with_jets(su3_frame, rng):
     # include canonical mixed second derivatives, whose conjugation
     # picks up bracket corrections that must cancel on the round trip
     base = p_sym(("g", 7))
-    poly = p_add(p_deriv(3, base, su3_ctx), p_deriv(4, base, su3_ctx))
+    poly = p_add(p_deriv(3, base, su3_frame), p_deriv(4, base, su3_frame))
     poly = p_add(poly, p_sym(("g", 4), QQi(2, 5)))
-    assert p_conj(p_conj(poly, su3_ctx), su3_ctx) == poly
+    assert p_conj(p_conj(poly, su3_frame), su3_frame) == poly
     f = Form(4, {(1, 3): poly, (2,): p_sym(("g", 3), QQi(0, 1))})
-    assert conj_form(conj_form(f, su3_ctx), su3_ctx) == f
+    assert conj_form(conj_form(f, su3_frame), su3_frame) == f
 
 
-def test_reality_examples(su3_ctx):
+def test_reality_examples(su3_frame):
     omega = standard_hkt_form(4)
-    assert reality_check(omega, su3_ctx)
+    assert reality_check(omega, su3_frame)
     bad = Form(4, {(1, 2): {(): QQi(0, 1)}})
-    assert not reality_check(bad, su3_ctx)
+    assert not reality_check(bad, su3_frame)
     mixed = Form(4, {(1, 2): {(): QQi(1)}, (3, 4): {(): QQi(-1)}})
-    assert reality_check(mixed, su3_ctx)
+    assert reality_check(mixed, su3_frame)
 
 
-def test_reality_of_perturbed_form(su3_ctx):
-    dd = del_holo(del_j_basic(su3_ctx), su3_ctx)
-    assert reality_check(form_add(standard_hkt_form(4), dd), su3_ctx)
+def test_reality_of_perturbed_form(su3_frame):
+    dd = del_holo(del_j_basic(su3_frame), su3_frame)
+    assert reality_check(form_add(standard_hkt_form(4), dd), su3_frame)
 
 
-def test_derivative_rules(su3_ctx):
+def test_derivative_rules(su3_frame):
     # product rule with a repeated factor
     g3 = p_sym(("g", 3))
-    got = p_deriv(3, p_mul(g3, g3), su3_ctx)
+    got = p_deriv(3, p_mul(g3, g3), su3_frame)
     assert got == {(("g", 3), ("h", 3, 3)): QQi(2)}
     # derivative along an annihilated direction becomes a bracket term:
     # [Z_1, Z_3] = -(1+3i) Z_3
-    got = p_deriv(1, g3, su3_ctx)
+    got = p_deriv(1, g3, su3_frame)
     assert got == {(("g", 3),): QQi(-1, -3)}
     # third derivatives are outside the jet model
     with pytest.raises(OrderOverflow):
-        p_deriv(3, p_sym(("h", 3, 7)), su3_ctx)
+        p_deriv(3, p_sym(("h", 3, 7)), su3_frame)
 
 
-def test_del_j_basic_requires_transverse_j_pair(su3_ctx):
-    table = su3_ctx.table
-    with pytest.raises(BadAnnihilatedSet):
-        del_j_basic(ReductionContext(table, (1, 3)))
-    with pytest.raises(BadAnnihilatedSet):
-        del_j_basic(ReductionContext(table, ()))
+def test_del_j_basic_requires_transverse_j_pair():
+    spec = algebras.su3()
+    for split in ((1, 3), ()):
+        frame = build_complex_frame(dataclasses.replace(spec, split=split))
+        with pytest.raises(BadAnnihilatedSet):
+            del_j_basic(frame)
 
 
 def test_form_key_validation():
@@ -175,8 +173,8 @@ def test_form_key_validation():
         Form(4, {(1, 9): {(): QQi(1)}})
 
 
-def test_canonical_rendering(su3_ctx):
-    dd = del_holo(del_j_basic(su3_ctx), su3_ctx)
+def test_canonical_rendering(su3_frame):
+    dd = del_holo(del_j_basic(su3_frame), su3_frame)
     text = canonical_str(form_add(standard_hkt_form(4), dd), sep="\n")
     assert text == "\n".join([
         "[Z1^Z2] (1)",
@@ -190,7 +188,7 @@ def test_canonical_rendering(su3_ctx):
     assert canonical_str(Form(4)) == "0"
 
 
-def test_p_eval_and_symbols(su3_ctx):
+def test_p_eval_and_symbols(su3_frame):
     poly = p_add(p_sym(("g", 3), QQi(2)), p_mul(p_sym(("g", 4)), p_sym(("g", 8))))
     vals = {("g", 3): 1 + 2j, ("g", 4): 3j, ("g", 8): -3j}
     assert p_eval(poly, vals) == 2 * (1 + 2j) + (3j) * (-3j)

@@ -175,6 +175,27 @@ def test_cli_verify_algebra_errors(capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-algebra", "--file", "{tmp}/zero.txt"],
+    ["verify-algebra", "--file", "{tmp}/missing.txt"],
+    ["verify-algebra", "--file", "{tmp}/latin1.txt"],
+    ["verify-algebra", "--name", "semidirect8", "--param", "c=abc"],
+    ["verify-algebra", "--name", "semidirect8", "--param", "c=1/0"],
+    ["verify-algebra", "--name", "su3", "--param", "x=1"],
+    ["verify-algebra", "--name", "nilpotent8", "--param", "v1=1"],
+    ["verify-su3", "--emit-forms", "{tmp}/nosuch/x.txt"],
+    ["study", "--sizes", "32,abc"],
+], ids=["file-div-zero", "file-missing", "file-not-utf8", "param-junk",
+        "param-div-zero", "param-unknown", "param-not-vector", "emit-unwritable",
+        "study-sizes-junk"])
+def test_cli_symbolic_bad_inputs(tmp_path, capsys, argv):
+    (tmp_path / "zero.txt").write_text("dim 4\n1 2 : 3 1/0\n")
+    (tmp_path / "latin1.txt").write_bytes(b"dim 4\n# caf\xe9\n1 2 : 3 1\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert cli.main(argv) == 1
+    assert "error: ConfigError:" in capsys.readouterr().err
+
+
 def _write_config(path, dims=(32, 32), **extra):
     cfg = {
         "grid": {"dims": list(dims)},
@@ -324,19 +345,34 @@ _numbers = st.lists(st.one_of(st.floats(), st.integers(-5, 5),
 _matrix = st.one_of(_scalars, _numbers, st.lists(_numbers, max_size=5))
 
 
+def _mostly(valid, other):
+    """valid five times in six, other once: most examples get past a check."""
+    return st.sampled_from((valid,) * 5 + (other,)).flatmap(lambda strategy: strategy)
+
+
 def _optional(**fields):
     return st.fixed_dictionaries({}, optional=fields)
 
 
+_valid_dims = st.one_of(st.lists(st.integers(4, 9), min_size=2, max_size=2),
+                        st.lists(st.integers(4, 6), min_size=4, max_size=4))
+_diagonal = _mostly(st.floats(-4, 0), st.sampled_from([float("nan"), float("inf"), 1.0]))
+_diagonal_matrix = st.tuples(_diagonal, _diagonal).map(
+    lambda d: [[d[0], 0.0], [0.0, d[1]]])
+_tolerance = _mostly(st.floats(1e-12, 1e-2), _scalars)
+
 _configs = _optional(
-    grid=st.one_of(_scalars, _optional(dims=_dims, lengths=st.one_of(_scalars, _numbers))),
-    forcing=st.one_of(_scalars, _optional(
-        type=st.one_of(st.sampled_from(["zero", "sine", "bump"]), _scalars),
-        amplitude=_scalars, width=_scalars)),
-    q=st.one_of(_optional(matrix=_matrix), st.lists(_numbers, max_size=5)),
-    continuity=st.one_of(_scalars, _optional(
+    grid=_mostly(_optional(dims=_mostly(_valid_dims, _dims),
+                           lengths=st.one_of(_scalars, _numbers)), _scalars),
+    forcing=_mostly(_optional(
+        type=_mostly(st.sampled_from(["zero", "sine", "bump"]), _scalars),
+        amplitude=_mostly(st.floats(-3, 3), _scalars),
+        width=_mostly(st.floats(0.1, 3), _scalars)), _scalars),
+    q=_mostly(st.fixed_dictionaries({"matrix": _mostly(_diagonal_matrix, _matrix)}),
+              st.one_of(_optional(matrix=_matrix), st.lists(_numbers, max_size=5))),
+    continuity=_mostly(_optional(
         t_step_init=_scalars, t_step_min=_scalars, t_step_max=_scalars,
-        newton_tol=_scalars, max_newton=_scalars)),
+        newton_tol=_tolerance, max_newton=_scalars), _scalars),
 )
 
 

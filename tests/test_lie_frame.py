@@ -1,7 +1,10 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hktsolve import algebras
@@ -10,6 +13,7 @@ from hktsolve.errors import (
     ConfigError,
     DimensionMismatch,
     DimensionNotMultipleOf4,
+    HktError,
     IndexOutOfRange,
     JacobiViolation,
     LinearlyDependent,
@@ -23,7 +27,6 @@ from hktsolve.lie_frame import (
     check_foliation,
     check_hypercomplex,
     check_jacobi,
-    check_pair_identities,
     load_structure_constants,
     nijenhuis_pair_identities,
     relabel_spec,
@@ -48,6 +51,50 @@ def test_parse_comments_and_errors():
         load_structure_constants("dim 4\n1 9 : 3 1\n")
     with pytest.raises(IndexOutOfRange):
         load_structure_constants("dim 4\n1 2 : 9 1\n")
+
+
+# valid "dim N" and "i j : k c, ..." lines with a few bad coefficients,
+# then up to two mutations: a line listed twice, or a token replaced by a
+# zero denominator, NaN, a repeated or out-of-range index, or junk
+_BAD_TOKENS = ["1/0", "nan", "inf", "1", "2", "-1", "0", "99", "1.5", "x", "", ":", ","]
+_coefficient = st.sampled_from(["1", "-2", "3", "1/2", "-3/4", "0"] * 4
+                               + ["1/0", "nan", "inf", "1/", "x"])
+
+
+@st.composite
+def _bracket_text(draw):
+    dim = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(1, dim + 1), 2))),
+                          unique=True, max_size=5))
+    lines = [["dim", str(dim)]]
+    for i, j in pairs:
+        if draw(st.booleans()):
+            i, j = j, i
+        tokens = [str(i), str(j), ":"]
+        ks = draw(st.lists(st.integers(1, dim), unique=True, max_size=3))
+        for n, k in enumerate(ks):
+            tokens += [","] * (n > 0) + [str(k), draw(_coefficient)]
+        lines.append(tokens)
+    for _ in range(draw(st.integers(0, 2))):
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        if len(line) > 2 and draw(st.booleans()):
+            lines.append(list(line))  # the same bracket listed twice
+        else:
+            line[draw(st.integers(0, len(line) - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=_bracket_text())
+def test_structure_constants_parse_or_raise_hkt_errors(text):
+    try:
+        sc = load_structure_constants(text)
+    except HktError:
+        return
+    assert sc.dim >= 1
+    for (i, j), comps in sc.table.items():
+        assert 1 <= i < j <= sc.dim
+        assert comps and all(1 <= k <= sc.dim and c != 0 for k, c in comps.items())
 
 
 def test_jacobi_all_registry():
@@ -187,20 +234,22 @@ def test_pair_identities_are_order_sensitive():
     relabeled = build_complex_frame(relabel_spec(algebras.su3(), (3, 4, 1, 2)))
     assert nijenhuis_pair_identities(relabeled.table, (1, 2)) == (
         QQi(0), QQi(0), QQi(0), QQi(0))
-    assert check_pair_identities(relabeled.table, (1, 2), strict=True)
 
 
 def test_foliation_checks():
-    frame = build_complex_frame(algebras.su3())
-    assert check_foliation(frame)
+    spec = algebras.su3()
+    assert check_foliation(build_complex_frame(spec))
     # not a union of J-pairs
-    assert not check_foliation(frame, split=(1, 3))
+    unpaired = build_complex_frame(dataclasses.replace(spec, split=(1, 3)))
+    assert not check_foliation(unpaired)
     with pytest.raises(BadAnnihilatedSet):
-        check_foliation(frame, split=(1, 3), strict=True)
+        check_foliation(unpaired, strict=True)
     # J-pair but brackets leak onto the transverse pair
-    assert not check_foliation(frame, split=(3, 4))
+    leaking = build_complex_frame(dataclasses.replace(spec, split=(3, 4)))
+    assert not check_foliation(leaking)
     big = build_complex_frame(algebras.get_algebra("semidirect12"))
-    assert check_foliation(big, split=(1, 2, 5, 6))
+    assert big.split == (1, 2, 5, 6)
+    assert check_foliation(big)
 
 
 def test_relabel_validation():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from hktsolve import algebras
 from hktsolve.errors import BadAnnihilatedSet, NotPerfectSquareDecomposition
 from hktsolve.exact import QQi
 from hktsolve.hkt_symbolic import (
-    ReductionContext,
     del_holo,
     del_j_basic,
     p_eval,
@@ -118,8 +119,7 @@ def test_ratio_matches_normal_form(operators, rng):
 def test_top_power_against_bitmask_oracle(frames, operators, rng):
     for name, frame in frames.items():
         op = operators[name]
-        ctx = ReductionContext(frame.table, frame.split)
-        dd = del_holo(del_j_basic(ctx), ctx)
+        dd = del_holo(del_j_basic(frame), frame)
         for _ in range(5):
             jets = random_jets(op, rng, realistic=False)
             evaluated = {key: p_eval(poly, jets)
@@ -149,16 +149,12 @@ def test_pairing_identity_for_free_jets(operators, rng):
 
 
 def test_split_override_and_errors():
-    frame = build_complex_frame(algebras.su3())
-    same = reduce_ratio(frame, split=(1, 2))
-    assert same.ratio_poly == reduce_ratio(frame).ratio_poly
-    with pytest.raises(BadAnnihilatedSet):
-        reduce_ratio(frame, split=(1, 3))
-    with pytest.raises(BadAnnihilatedSet):
-        reduce_ratio(frame, split=(3, 4))
-    # skipping the foliation check exposes the leaked brackets instead
-    with pytest.raises(NotPerfectSquareDecomposition):
-        reduce_ratio(frame, split=(3, 4), check=False)
+    spec = algebras.su3()
+    same = reduce_ratio(build_complex_frame(dataclasses.replace(spec, split=(2, 1))))
+    assert same.ratio_poly == reduce_ratio(build_complex_frame(spec)).ratio_poly
+    for split in ((1, 3), (3, 4)):
+        with pytest.raises(BadAnnihilatedSet):
+            reduce_ratio(build_complex_frame(dataclasses.replace(spec, split=split)))
 
 
 def test_tampered_table_breaks_conjugation_relations():
