@@ -56,11 +56,11 @@ from .hkt_symbolic import (
 )
 from .lie_frame import (
     build_complex_frame,
-    check_foliation,
     check_hypercomplex,
     check_jacobi,
     load_structure_constants,
     nijenhuis_pair_identities,
+    parse_rational,
     relabel_spec,
 )
 
@@ -135,10 +135,8 @@ def verify_su3(perturb=False, emit_forms=None):
         raise ConfigError("pair identities violated: %r" % (vals,))
     _ok("leading-pair bracket identities hold after relabeling (exact)")
 
-    check_foliation(frame, strict=True)
+    op = reduce_ratio(frame)  # checks the foliation first
     _ok("annihilated pair spans a bracket-closed J-stable distribution")
-
-    op = reduce_ratio(frame)
     if op.ratio_poly != _su3_golden_ratio():
         raise ConfigError("reduced ratio differs from the golden polynomial")
     _ok("top-power ratio equals the golden reduced polynomial")
@@ -184,7 +182,7 @@ def _parse_params(pairs):
         if "=" not in item:
             raise ConfigError("parameter %r is not key=value" % item)
         key, val = (part.strip() for part in item.split("=", 1))
-        out[key] = _converted("parameter %s" % key, Fraction, val)
+        out[key] = parse_rational(val)
     return out
 
 
@@ -206,9 +204,8 @@ def cmd_verify_algebra(args):
     frame = build_complex_frame(spec)
     check_hypercomplex(frame, strict=True)
     _ok("hypercomplex pair integrable")
-    check_foliation(frame, strict=True)
+    op = reduce_ratio(frame)  # checks the foliation first
     _ok("annihilated set %s is foliating" % (frame.split,))
-    op = reduce_ratio(frame)
     _ok("reduction has the advertised normal form")
     _say(op.describe())
     eig = np.linalg.eigvalsh(op.real_quadratic_matrix())
@@ -242,11 +239,8 @@ def _build_forcing(spec, grid):
         if width <= 0:
             raise ConfigError("bump width must be positive")
         acc = np.zeros(grid.dims)
-        for ax in range(grid.ndim):
-            x = grid.coords(ax)
-            shape = [1] * grid.ndim
-            shape[ax] = grid.dims[ax]
-            acc = acc + (np.cos(2.0 * np.pi * x / grid.lengths[ax]) - 1.0).reshape(shape)
+        for x, length in zip(grid.axis_coords(), grid.lengths):
+            acc = acc + (np.cos(2.0 * np.pi * x / length) - 1.0)
         return amp * np.exp(acc / width)
     raise ConfigError("unknown forcing type %r" % kind)
 

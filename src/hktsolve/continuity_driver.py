@@ -162,11 +162,8 @@ def manufactured_problem(grid, phi_star, q, b_star=1.0):
 def sine_product_field(grid, amplitude):
     """amplitude * product over axes of sin(2 pi x_i / L_i), zero mean."""
     out = np.full(grid.dims, float(amplitude))
-    for ax in range(grid.ndim):
-        x = grid.coords(ax)
-        shape = [1] * grid.ndim
-        shape[ax] = grid.dims[ax]
-        out = out * np.sin(2.0 * np.pi * x / grid.lengths[ax]).reshape(shape)
+    for x, length in zip(grid.axis_coords(), grid.lengths):
+        out = out * np.sin(2.0 * np.pi * x / length)
     return out
 
 
@@ -180,13 +177,9 @@ def analytic_manufactured(grid, amplitude, q, b_star=1.0):
     """
     q = np.asarray(q, dtype=float)
     waves = [2.0 * np.pi / L for L in grid.lengths]
-    sins, coss = [], []
-    for ax in range(grid.ndim):
-        x = grid.coords(ax)
-        shape = [1] * grid.ndim
-        shape[ax] = grid.dims[ax]
-        sins.append(np.sin(waves[ax] * x).reshape(shape))
-        coss.append(np.cos(waves[ax] * x).reshape(shape))
+    xs = grid.axis_coords()
+    sins = [np.sin(w * x) for w, x in zip(waves, xs)]
+    coss = [np.cos(w * x) for w, x in zip(waves, xs)]
     phi = np.full(grid.dims, float(amplitude))
     for s in sins:
         phi = phi * s
@@ -228,23 +221,19 @@ def convergence_study(sizes, amplitude=0.1, qdiag=0.0, lengths=None,
 
 
 def _invariant_axes(arr, dims):
-    """Axes of the grid along which the array does not vary."""
-    arr = np.asarray(arr)
-    if arr.ndim < len(dims) or arr.shape[:len(dims)] != tuple(dims):
-        return []
+    """Axes of the grid along which the array does not vary.
+
+    An array without the grid's axes in front, such as a constant Q,
+    is invariant along every axis.
+    """
+    if arr.shape[:len(dims)] != tuple(dims):
+        return list(range(len(dims)))
     scale = 1.0 + float(np.max(np.abs(arr)))
     out = []
     for ax in range(len(dims)):
         if float(np.max(np.ptp(arr, axis=ax))) <= 1e-14 * scale:
             out.append(ax)
     return out
-
-
-def _lift(reduced, dims, varying):
-    shape = [1] * len(dims)
-    for pos, ax in enumerate(varying):
-        shape[ax] = reduced.shape[pos]
-    return np.broadcast_to(reduced.reshape(shape), dims).copy()
 
 
 def basicness_check(problem, state, tol, strict=False):
@@ -257,10 +246,8 @@ def basicness_check(problem, state, tol, strict=False):
     raises NonBasicResidue.
     """
     grid, F, q = problem.grid, problem.F, problem.q
-    axes = set(_invariant_axes(F, grid.dims))
-    if q.ndim > 2:
-        axes &= set(_invariant_axes(q, grid.dims))
-    axes = sorted(axes)
+    axes = sorted(set(_invariant_axes(F, grid.dims))
+                  & set(_invariant_axes(q, grid.dims)))
     if not axes:
         return {"applicable": False, "invariant_axes": [],
                 "message": "forcing varies along every axis; nothing to check"}
@@ -271,18 +258,17 @@ def basicness_check(problem, state, tol, strict=False):
         variation = max(variation, float(np.max(np.ptp(state.phi, axis=ax))))
 
     reduced_match = None
-    coupled = q.ndim == 2 and any(q[i, j] != 0.0
-                                  for i in axes for j in range(grid.ndim)
-                                  if j != i)
-    if len(varying) == 2 and q.ndim == 2 and not coupled:
+    coupled = any(np.any(q[..., i, j] != 0.0)
+                  for i in axes for j in range(grid.ndim) if j != i)
+    if len(varying) == 2 and not coupled:
         rgrid = TorusGrid(tuple(grid.dims[ax] for ax in varying),
                           tuple(grid.lengths[ax] for ax in varying))
-        idx = [0] * grid.ndim
-        for ax in varying:
-            idx[ax] = slice(None)
-        reduced = Problem(rgrid, F[tuple(idx)], q[np.ix_(varying, varying)])
+        idx = tuple(slice(None) if ax in varying else 0
+                    for ax in range(grid.ndim))
+        rq = np.broadcast_to(q, grid.dims + q.shape[-2:])[idx]
+        reduced = Problem(rgrid, F[idx], rq[..., varying, :][..., varying])
         red = solve_at_t(reduced, state.t, b0=state.b, tol=tol)
-        lifted = _lift(red.phi, grid.dims, varying)
+        lifted = np.expand_dims(red.phi, tuple(axes))
         reduced_match = float(np.max(np.abs(lifted - state.phi)))
 
     passed = variation <= 100.0 * tol and \

@@ -65,6 +65,10 @@ class TorusGrid:
         return np.meshgrid(*[self.coords(ax) for ax in range(self.ndim)],
                            indexing="ij")
 
+    def axis_coords(self):
+        """Each axis's coordinates as an open mesh that broadcasts over the grid."""
+        return np.ix_(*[self.coords(ax) for ax in range(self.ndim)])
+
     def zeros(self):
         return np.zeros(self.dims)
 
@@ -81,27 +85,24 @@ class SolverState:
     res_history: list = field(default_factory=list)
 
 
-def validate_q(q, grid=None):
-    """Quadratic form data: finite, symmetric part negative semi-definite."""
+def validate_q(q, grid):
+    """Quadratic form data: finite, symmetric part negative semi-definite.
+
+    Q has one layout, read by broadcasting: a square (d, d) block last,
+    with no axes in front for a constant form or the grid's dims in
+    front for a per-node form.
+    """
     q = np.asarray(q, dtype=float)
+    block = q.shape[-2:]
+    if len(block) < 2 or block[0] != block[1]:
+        raise ConfigError("quadratic form must end in a square (d, d) block, "
+                          "got shape %r" % (q.shape,))
     if not np.all(np.isfinite(q)):
         raise ConfigError("quadratic form has non-finite entries")
-    if q.ndim == 2:
-        if q.shape[0] != q.shape[1]:
-            raise ConfigError("quadratic form matrix must be square")
-        if grid is not None and q.shape[0] != grid.ndim:
-            raise ShapeMismatch("quadratic form is %dx%d on a %d-axis grid"
-                                % (q.shape[0], q.shape[1], grid.ndim))
-        top = float(np.max(np.linalg.eigvalsh(0.5 * (q + q.T))))
-    else:
-        d = q.shape[-1]
-        if q.shape[-2] != d:
-            raise ConfigError("per-node quadratic form must end in (d, d)")
-        if grid is not None and (q.shape[:-2] != grid.dims or d != grid.ndim):
-            raise ShapeMismatch("per-node quadratic form shape %r does not "
-                                "match the grid" % (q.shape,))
-        sym = 0.5 * (q + np.swapaxes(q, -1, -2))
-        top = float(np.max(np.linalg.eigvalsh(sym)))
+    if q.shape[:-2] not in ((), grid.dims) or q.shape[-1] != grid.ndim:
+        raise ShapeMismatch("quadratic form shape %r does not match the %r grid"
+                            % (q.shape, grid.dims))
+    top = float(np.max(np.linalg.eigvalsh(0.5 * (q + np.swapaxes(q, -1, -2)))))
     if top > Q_EIGENVALUE_TOL:
         raise ConfigError(
             "quadratic form is not negative semi-definite "
@@ -148,15 +149,11 @@ class Problem:
 
 def quad_value(q, g):
     """<Q v, v> per node for a stacked gradient v."""
-    if q.ndim == 2:
-        return np.einsum("ij,i...,j...->...", q, g, g)
     return np.einsum("...ij,i...,j...->...", q, g, g)
 
 
 def quad_dir_weights(q, g):
     """Weights w with d/ds <Q grad(phi+s eta)...> = sum_j w_j (grad eta)_j."""
-    if q.ndim == 2:
-        return np.einsum("ij,i...->j...", q + q.T, g)
     return np.einsum("...ij,i...->j...", q + np.swapaxes(q, -1, -2), g)
 
 
@@ -203,14 +200,9 @@ def bordered_operator(problem, phi, t):
 
 def shifted_inverse_preconditioner(grid):
     """Apply (PRECOND_SHIFT - laplacian)^{-1} on the field block via FFT."""
-    lam = np.zeros(grid.dims)
-    for ax, (nax, h) in enumerate(zip(grid.dims, grid.spacings)):
-        k = np.arange(nax)
-        mu = -4.0 * np.sin(np.pi * k / nax) ** 2 / (h * h)
-        shape = [1] * grid.ndim
-        shape[ax] = nax
-        lam = lam + mu.reshape(shape)
-    denom = PRECOND_SHIFT - lam
+    mus = [-4.0 * np.sin(np.pi * np.arange(m) / m) ** 2 / (h * h)
+           for m, h in zip(grid.dims, grid.spacings)]
+    denom = PRECOND_SHIFT - sum(np.ix_(*mus))
     n = grid.size
 
     def apply(x):

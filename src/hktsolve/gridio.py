@@ -10,6 +10,7 @@ per node with leading coordinates.
 import csv
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -52,13 +53,24 @@ def read_field(path):
         raise ConfigError("field file %s has no header line" % path)
     try:
         header = json.loads(raw[:cut].decode("utf-8"))
-        dims = tuple(int(d) for d in header["dims"])
+        dims = header["dims"]
         lengths = tuple(float(x) for x in header["lengths"])
-        channels = int(header.get("channels", 0))
+        channels = header.get("channels", 0)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError("bad field header in %s: %s" % (path, exc))
-    shape = dims + (channels,) if channels else dims
-    want = int(np.prod(shape)) * 8
+    # type() is int refuses true (a bool) and 4.0 alike
+    if not (isinstance(dims, list) and dims
+            and all(type(d) is int and d > 0 for d in dims)):
+        raise ConfigError("field header dims must be a non-empty list of "
+                          "positive integers, got %r" % (dims,))
+    if len(lengths) != len(dims):
+        raise ConfigError("field header has %d lengths for %d dims"
+                          % (len(lengths), len(dims)))
+    if not (type(channels) is int and channels >= 0):
+        raise ConfigError("field header channels must be a non-negative "
+                          "integer, got %r" % (channels,))
+    shape = tuple(dims) + ((channels,) if channels else ())
+    want = math.prod(shape) * 8
     payload = raw[cut + 1:]
     if len(payload) != want:
         raise ShapeMismatch("field payload is %d bytes, header promises %d"
@@ -82,23 +94,19 @@ def field_to_csv(arr, grid):
 def pack_symmetric(q):
     """Per-node symmetric (d, d) matrices to upper-triangle channels."""
     q = np.asarray(q, dtype=float)
-    d = q.shape[-1]
-    cols = [q[..., i, j] for i in range(d) for j in range(i, d)]
-    return np.stack(cols, axis=-1)
+    rows, cols = np.triu_indices(q.shape[-1])
+    return q[..., rows, cols]
 
 
 def unpack_symmetric(channels, d):
     channels = np.asarray(channels, dtype=float)
-    if channels.shape[-1] != d * (d + 1) // 2:
-        raise ShapeMismatch("expected %d channels for d=%d, got %d"
-                            % (d * (d + 1) // 2, d, channels.shape[-1]))
-    out = np.zeros(channels.shape[:-1] + (d, d))
-    pos = 0
-    for i in range(d):
-        for j in range(i, d):
-            out[..., i, j] = channels[..., pos]
-            out[..., j, i] = channels[..., pos]
-            pos += 1
+    rows, cols = np.triu_indices(d)
+    if channels.shape[-1:] != rows.shape:
+        raise ShapeMismatch("expected %d channels for d=%d, got shape %r"
+                            % (rows.size, d, channels.shape))
+    out = np.empty(channels.shape[:-1] + (d, d))
+    out[..., rows, cols] = channels
+    out[..., cols, rows] = channels
     return out
 
 
@@ -107,8 +115,8 @@ def load_qspec(spec, grid):
 
     Accepts {"matrix": [[...]]} (or a bare nested list) for a constant
     form, or {"file": path} pointing at a packed symmetric field.  Only
-    the shape is checked here; the Problem built from the form checks
-    that it is finite and negative semi-definite.
+    parsing happens here; the Problem built from the form checks its
+    shape, that it is finite and that it is negative semi-definite.
     """
     if isinstance(spec, str):
         spec = {"file": spec}
@@ -117,15 +125,8 @@ def load_qspec(spec, grid):
     if not isinstance(spec, dict):
         raise ConfigError("quadratic form spec must be a matrix, dict, or path")
     if "matrix" in spec:
-        q = np.asarray(spec["matrix"], dtype=float)
-        if q.shape != (grid.ndim, grid.ndim):
-            raise ShapeMismatch("constant quadratic form must be %dx%d"
-                                % (grid.ndim, grid.ndim))
-    elif "file" in spec:
+        return np.asarray(spec["matrix"], dtype=float)
+    if "file" in spec:
         arr, _lengths = read_field(spec["file"])
-        q = unpack_symmetric(arr, grid.ndim)
-        if q.shape[:-2] != grid.dims:
-            raise ShapeMismatch("quadratic form field does not match the grid")
-    else:
-        raise ConfigError("quadratic form spec needs a 'matrix' or 'file' key")
-    return q
+        return unpack_symmetric(arr, grid.ndim)
+    raise ConfigError("quadratic form spec needs a 'matrix' or 'file' key")

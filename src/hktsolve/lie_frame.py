@@ -98,6 +98,22 @@ class StructureConstants:
         return self.dim == other.dim and self.table == other.table
 
 
+def parse_rational(text):
+    """An exact rational from text such as ``-3``, ``1/2``, ``0.5`` or ``1e2``.
+
+    Fraction expands a decimal exponent exactly, so ``1e999999999`` would
+    run for hours; an exponent beyond +-100 is refused instead.
+    """
+    _mantissa, marker, exponent = text.lower().partition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if marker and digits.isdecimal() and (len(digits) > 3 or int(digits) > 100):
+        raise ConfigError("exponent of %r is beyond +-100" % text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError("%r is not a rational number" % text) from exc
+
+
 def load_structure_constants(text):
     """Parse the plain text bracket format.
 
@@ -137,9 +153,10 @@ def load_structure_constants(text):
                 raise ConfigError("line %d: bad component %r" % (lineno, chunk))
             try:
                 k = int(parts[0])
-                c = Fraction(parts[1])
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError("line %d: bad component %r" % (lineno, chunk))
+                c = parse_rational(parts[1])
+            except (ValueError, ConfigError) as exc:
+                raise ConfigError("line %d: bad component %r (%s)"
+                                  % (lineno, chunk, exc))
             if k in comps:
                 raise ConfigError("line %d: index %d repeated" % (lineno, k))
             comps[k] = c
@@ -332,9 +349,9 @@ class ComplexFrame:
 def build_complex_frame(spec):
     """Validate a FrameSpec and produce the ComplexFrame.
 
-    Checks run in a fixed order: dimension, linear independence, the
-    (1,0) condition for I, J pairing (with sign normalization), and
-    unitarity for the given metric.
+    Checks run in a fixed order: dimensions and the split's range,
+    linear independence, the (1,0) condition for I, J pairing (with
+    sign normalization), and unitarity for the given metric.
     """
     sc = spec.sc
     dim = sc.dim
@@ -351,6 +368,12 @@ def build_complex_frame(spec):
         vectors.append([as_qqi(x) for x in v])
     if len(spec.metric_diag) != dim:
         raise DimensionMismatch("metric diagonal must have %d entries" % dim)
+    split = tuple(sorted(spec.split))
+    for k in split:
+        if not (1 <= k <= half):
+            raise BadAnnihilatedSet("split index %d outside 1..%d" % (k, half))
+    if len(set(split)) != len(split):
+        raise BadAnnihilatedSet("split contains repeated indices")
 
     imap, jmap = spec.imap, spec.jmap
     if not _is_minus_identity(_map_compose(imap, imap)):
@@ -435,14 +458,6 @@ def build_complex_frame(spec):
             if comps:
                 entries[(r, s)] = comps
     table = BracketTable(half, entries)
-
-    split = tuple(sorted(spec.split))
-    for k in split:
-        if not (1 <= k <= half):
-            raise BadAnnihilatedSet("split index %d outside 1..%d" % (k, half))
-    if len(set(split)) != len(split):
-        raise BadAnnihilatedSet("split contains repeated indices")
-
     return ComplexFrame(spec, vectors, table, flips)
 
 

@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import scipy.sparse.linalg
@@ -74,3 +76,10 @@ def test_benchmark_certifies_su3_q(monkeypatch):
     monkeypatch.syspath_prepend(os.path.join(REPO, "hktbench"))
     q = _bench_module("workloads").su3_quadratic_form()
     assert np.array_equal(q, -4.0 * np.eye(4))
+
+
+def test_benchmark_smoke():
+    # the benchmark's own self-check at reduced sizes, a few seconds
+    done = subprocess.run([sys.executable, os.path.join("hktbench", "smoke.py")],
+                          cwd=REPO, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -295,6 +295,26 @@ def test_basicness_strict_mode_raises():
         basicness_check(problem, bad, 1e-10, strict=True)
 
 
+def test_basicness_reduces_a_per_node_q():
+    # F and Q both vary along axes 0 and 1 only, so the solution must be
+    # the lift of the solve on the reduced 8x8 grid with Q's 2x2 block
+    g = TorusGrid((8, 8, 4, 4))
+    xs = g.meshes()
+    F = 0.3 * np.sin(xs[0]) + 0.2 * np.cos(xs[1])
+    q = np.broadcast_to(-np.eye(4), g.dims + (4, 4)).copy()
+    q[..., 0, 0] = -1.0 - 0.2 * np.sin(xs[0]) ** 2
+    q[..., 1, 1] = -1.0 - 0.1 * np.cos(xs[1]) ** 2
+    q[..., 0, 1] = q[..., 1, 0] = 0.05 * np.sin(xs[0] + xs[1])
+    cfg = ContinuityConfig(newton_tol=1e-10)
+    problem = Problem(g, F, q)
+    state, _ = run_continuity(problem, cfg)
+    report = basicness_check(problem, state, cfg.newton_tol)
+    assert report["invariant_axes"] == [2, 3]
+    assert report["reduced_match"] is not None
+    assert report["reduced_match"] <= 100 * cfg.newton_tol
+    assert report["passed"]
+
+
 def test_basicness_intersects_per_node_q_axes():
     g = TorusGrid((4, 4, 4, 4))
     xs = g.meshes()

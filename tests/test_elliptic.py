@@ -51,6 +51,13 @@ def test_grid_defaults_and_spacings():
     assert g.coords(1)[1] == pytest.approx(g.spacings[1])
 
 
+def test_axis_coords_broadcast_to_the_meshes():
+    g = TorusGrid((4, 6, 5, 7), lengths=(1.0, 2.0, 3.0, 4.0))
+    full = np.broadcast_arrays(*g.axis_coords())
+    for got, mesh in zip(full, g.meshes()):
+        assert np.array_equal(got, mesh)
+
+
 def test_grid_validation():
     with pytest.raises(ConfigError):
         TorusGrid((8, 8, 8))
@@ -235,6 +242,13 @@ def test_problem_checks_f_and_q_once():
         Problem(g, g.zeros(), np.eye(2))
     with pytest.raises(ShapeMismatch):
         Problem(g, g.zeros(), -np.eye(4))
+
+
+@pytest.mark.parametrize("q", [-1.0, [-1.0, -1.0]], ids=["0-d", "1-d"])
+def test_problem_rejects_q_without_a_square_block(q):
+    g = TorusGrid((8, 8))
+    with pytest.raises(ConfigError):
+        Problem(g, g.zeros(), q)
 
 
 def test_problem_holds_f_and_memoizes_exp_tf():

@@ -3,15 +3,16 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hktsolve import cli, gridio
 from hktsolve.elliptic_solver import Problem, TorusGrid
-from hktsolve.errors import ConfigError, ShapeMismatch
+from hktsolve.errors import ConfigError, HktError, ShapeMismatch
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -109,20 +110,22 @@ def test_load_qspec_variants(tmp_path):
     assert q.shape == g.dims + (2, 2)
     assert q[3, 3, 0, 1] == 0.2
 
-    # load_qspec checks shapes; the Problem checks definiteness
+    # load_qspec only parses; the Problem checks shape and definiteness
     q = gridio.load_qspec({"matrix": [[1.0, 0.0], [0.0, 1.0]]}, g)
     with pytest.raises(ConfigError):
         Problem(g, g.zeros(), q)
+    q = gridio.load_qspec({"matrix": [[-1.0]]}, g)
     with pytest.raises(ShapeMismatch):
-        gridio.load_qspec({"matrix": [[-1.0]]}, g)
+        Problem(g, g.zeros(), q)
     with pytest.raises(ConfigError):
         gridio.load_qspec({"neither": 1}, g)
     with pytest.raises(ConfigError):
         gridio.load_qspec(5, g)
 
     small = TorusGrid((4, 4))
+    q = gridio.load_qspec(str(path), small)
     with pytest.raises(ShapeMismatch):
-        gridio.load_qspec(str(path), small)
+        Problem(small, small.zeros(), q)
 
 
 # ----------------------------------------------------------------- cli
@@ -193,6 +196,20 @@ def test_cli_symbolic_bad_inputs(tmp_path, capsys, argv):
     (tmp_path / "latin1.txt").write_bytes(b"dim 4\n# caf\xe9\n1 2 : 3 1\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert cli.main(argv) == 1
+    assert "error: ConfigError:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-algebra", "--name", "semidirect8", "--param", "c=1e999999999"],
+    ["verify-algebra", "--file", "{tmp}/huge.txt"],
+], ids=["param", "file"])
+def test_cli_refuses_huge_decimal_exponents(tmp_path, capsys, argv):
+    # Fraction would expand the exponent exactly and run for hours
+    (tmp_path / "huge.txt").write_text("dim 4\n1 2 : 1 1e999999999\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    started = time.perf_counter()
+    assert cli.main(argv) == 1
+    assert time.perf_counter() - started < 1.0
     assert "error: ConfigError:" in capsys.readouterr().err
 
 
@@ -390,6 +407,75 @@ def test_run_config_parses_or_raises_config_errors(tmp_path_factory, cfg):
     assert problem.q.shape[-1] == problem.grid.ndim
     assert np.all(np.isfinite(problem.q))
     assert math.isfinite(ccfg.newton_tol) and ccfg.newton_tol > 0
+
+
+_header_value = st.one_of(_scalars, st.sampled_from([4.7, 4.0, -4, 0, 2 ** 32]),
+                          st.lists(st.integers(-2, 5), max_size=3))
+_header_dims = st.one_of(
+    _header_value,
+    st.lists(st.one_of(st.integers(-4, 5),
+                       st.sampled_from([0, 4.7, 4.0, True, "4", None, 2 ** 32])),
+             max_size=4))
+
+
+@st.composite
+def _headers(draw):
+    """A well-formed header with up to two of its fields junked or dropped."""
+    dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    header = {"dims": dims, "lengths": [2.0] * len(dims),
+              "channels": draw(st.sampled_from([0, 1, 3]))}
+    junk = {"dims": _header_dims, "lengths": _header_value,
+            "channels": _header_value}
+    for key in draw(st.lists(st.sampled_from(sorted(junk)), max_size=2,
+                             unique=True)):
+        if draw(st.booleans()):
+            del header[key]
+        else:
+            header[key] = draw(junk[key])
+    return header
+
+
+def _promised_bytes(header):
+    """The payload a small well-formed header asks for, else 0."""
+    dims, channels = header.get("dims"), header.get("channels", 0)
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims) \
+            or type(channels) is not int:
+        return 0
+    count = math.prod(dims) * max(channels, 1)
+    return 8 * count if 0 <= count <= 10 ** 4 else 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(header=_headers(), payload=_mostly(st.none(), st.integers(0, 300)))
+@example(header={"dims": [-4, -4], "lengths": [1.0, 1.0], "channels": 0},
+         payload=128)
+@example(header={"dims": [4294967296, 4294967296], "lengths": [1.0, 1.0],
+                 "channels": 0}, payload=0)
+@example(header={"dims": [], "lengths": [], "channels": 0}, payload=8)
+@example(header={"dims": [4.7, 4], "lengths": [1.0, 1.0], "channels": 0},
+         payload=128)
+@example(header={"dims": [4, 4], "lengths": [1.0, 1.0], "channels": True},
+         payload=128)
+def test_read_field_keeps_its_header_promise(tmp_path_factory, header, payload):
+    # payload None writes exactly what a well-formed header promises
+    path = tmp_path_factory.mktemp("field") / "f.field"
+    size = _promised_bytes(header) if payload is None else payload
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(size))
+    try:
+        arr, lengths = gridio.read_field(str(path))
+    except (ConfigError, ShapeMismatch):
+        pass
+    else:
+        dims, channels = header["dims"], header.get("channels", 0)
+        assert dims and all(type(d) is int and d > 0 for d in dims)
+        assert type(channels) is int and channels >= 0
+        assert arr.shape == tuple(dims) + ((channels,) if channels else ())
+        assert len(lengths) == len(dims)
+    try:
+        gridio.load_qspec({"file": str(path)}, TorusGrid((4, 4)))
+    except HktError:
+        pass
 
 
 def test_cli_solve_newton_tol_override(tmp_path, capsys):

@@ -29,6 +29,7 @@ from hktsolve.lie_frame import (
     check_jacobi,
     load_structure_constants,
     nijenhuis_pair_identities,
+    parse_rational,
     relabel_spec,
 )
 
@@ -40,6 +41,20 @@ def test_parse_roundtrip():
     # orientation is normalized: both query directions work
     assert sc.bracket_basis(5, 6) == {1: Fraction(1), 2: Fraction(1)}
     assert sc.bracket_basis(6, 5) == {1: Fraction(-1), 2: Fraction(-1)}
+
+
+@pytest.mark.parametrize("text,value", [
+    ("1/2", Fraction(1, 2)), ("0.5", Fraction(1, 2)), ("1e2", Fraction(100)),
+    ("-3", Fraction(-3)), ("2.5E-100", Fraction(25, 10 ** 101)),
+])
+def test_parse_rational_forms(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e101", "1e-999999999", "1e" + "9" * 5000, "abc", "1/0"])
+def test_parse_rational_refusals(text):
+    with pytest.raises(ConfigError):
+        parse_rational(text)
 
 
 def test_parse_comments_and_errors():
@@ -250,6 +265,22 @@ def test_foliation_checks():
     big = build_complex_frame(algebras.get_algebra("semidirect12"))
     assert big.split == (1, 2, 5, 6)
     assert check_foliation(big)
+
+
+@pytest.mark.parametrize("split", [(1, 99), (1, 1)], ids=["range", "repeat"])
+def test_bad_split_fails_before_any_bracket(monkeypatch, split):
+    spec = dataclasses.replace(algebras.get_algebra("semidirect12"), split=split)
+    calls = []
+    bracket = StructureConstants.bracket
+
+    def counted(self, u, v):
+        calls.append(1)
+        return bracket(self, u, v)
+
+    monkeypatch.setattr(StructureConstants, "bracket", counted)
+    with pytest.raises(BadAnnihilatedSet):
+        build_complex_frame(spec)
+    assert calls == []
 
 
 def test_relabel_validation():
