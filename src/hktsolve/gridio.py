@@ -114,9 +114,10 @@ def load_qspec(spec, grid):
     """Quadratic form from a JSON value or a field file path.
 
     Accepts {"matrix": [[...]]} (or a bare nested list) for a constant
-    form, or {"file": path} pointing at a packed symmetric field.  Only
-    parsing happens here; the Problem built from the form checks its
-    shape, that it is finite and that it is negative semi-definite.
+    form, or {"file": path} pointing at a packed symmetric field whose
+    axis lengths must be the grid's.  Otherwise only parsing happens
+    here; the Problem built from the form checks its shape, that it is
+    finite and that it is negative semi-definite.
     """
     if isinstance(spec, str):
         spec = {"file": spec}
@@ -127,6 +128,8 @@ def load_qspec(spec, grid):
     if "matrix" in spec:
         return np.asarray(spec["matrix"], dtype=float)
     if "file" in spec:
-        arr, _lengths = read_field(spec["file"])
+        arr, lengths = read_field(spec["file"])
+        if tuple(lengths) != grid.lengths:
+            raise ConfigError("quadratic form field lengths do not match the grid")
         return unpack_symmetric(arr, grid.ndim)
     raise ConfigError("quadratic form spec needs a 'matrix' or 'file' key")

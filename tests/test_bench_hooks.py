@@ -83,3 +83,25 @@ def test_benchmark_smoke():
     done = subprocess.run([sys.executable, os.path.join("hktbench", "smoke.py")],
                           cwd=REPO, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_solve_leaves_scipy_fft_unloaded(tmp_path):
+    # importing scipy.fft costs about 0.07 s, a quarter of the benchmark's setup_s
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "grid": {"dims": [8, 8]},
+        "forcing": {"type": "bump", "amplitude": 1.0, "width": 1.0},
+        "q": {"matrix": [[-1.0, 0.0], [0.0, -1.0]]},
+    }))
+    script = (
+        "import sys, hktsolve.cli\n"
+        "code = hktsolve.cli.main(['solve', '--config', sys.argv[1],"
+        " '--out-dir', sys.argv[2]])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.fft' not in sys.modules, 'scipy.fft was imported'\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    done = subprocess.run([sys.executable, "-c", script, str(config),
+                           str(tmp_path / "out")],
+                          cwd=REPO, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr

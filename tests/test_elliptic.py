@@ -1,6 +1,7 @@
 """Grid, kernel, and Newton solver tests against small dense oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -388,6 +389,26 @@ def test_preconditioner_inverts_shifted_laplacian():
     back = shifted_inverse_preconditioner(g).matvec(x)
     assert np.allclose(back[:-1], eta.ravel(), atol=1e-10)
     assert back[-1] == 4.2
+
+
+@pytest.mark.parametrize("dims, lengths", [
+    ((6, 7), (2.0, 7.0)),          # odd last axis: no Nyquist column
+    ((8, 8), None),
+    ((4, 5, 4, 5), (1.0, 2.0, 3.0, 5.0)),
+])
+def test_preconditioner_matches_dense_solve(dims, lengths):
+    # the dense oracle shares no FFT code with the half-spectrum path
+    g = TorusGrid(dims, lengths=lengths)
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal(g.size + 1)
+    shifted = es.PRECOND_SHIFT * np.eye(g.size) - oracles.dense_laplacian(g)
+    expected = np.linalg.solve(shifted, x[:-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = shifted_inverse_preconditioner(g).matvec(x)
+    assert back.shape == x.shape
+    assert np.max(np.abs(back[:-1] - expected)) < 1e-10
+    assert back[-1] == x[-1]
 
 
 # --------------------------------------------------------- failure paths

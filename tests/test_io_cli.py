@@ -348,6 +348,20 @@ def test_cli_solve_rejects_nonfinite_forcing_file(tmp_path, capsys):
     assert "error: ConfigError:" in capsys.readouterr().err
 
 
+def test_cli_solve_rejects_q_file_for_another_torus(tmp_path, capsys):
+    # a valid per-node Q, but written for a unit torus, not the default 2 pi
+    g = TorusGrid((16, 16), lengths=(1.0, 1.0))
+    packed = np.broadcast_to(np.array([-1.0, 0.0, -1.0]), g.dims + (3,))
+    qpath = tmp_path / "q.field"
+    gridio.write_field(qpath, packed, g.lengths)
+    bad = _write_config(tmp_path / "bad.json", dims=(16, 16),
+                        q={"file": str(qpath)})
+    assert cli.main(["solve", "--config", str(bad),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "error: ConfigError:" in err and "lengths" in err
+
+
 # JSON values of every kind; grid sizes stay small so a valid parse is cheap
 _scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 9),
                      st.floats(), st.text(max_size=4))
