@@ -19,7 +19,7 @@ from importlib import resources
 
 from .errors import ConfigError
 from .exact import QQi
-from .lie_frame import FrameSpec, StructureConstants, linear_map_from_images
+from .lie_frame import FrameSpec, StructureConstants
 
 F = Fraction
 
@@ -49,13 +49,14 @@ def _jmap_block_b(o):
 
 
 def _maps(dim, jblocks):
+    """I and J as sparse columns {j: {i: c}} from the block actions."""
     imap = {}
     jmap = {}
     for o in range(0, dim, 4):
         imap.update(_imap_block(o))
     for o, kind in jblocks:
         jmap.update(_jmap_block_a(o) if kind == "a" else _jmap_block_b(o))
-    return (linear_map_from_images(dim, imap), linear_map_from_images(dim, jmap))
+    return tuple({j: {i: F(s)} for j, (i, s) in images.items()} for images in (imap, jmap))
 
 
 SU3_BRACKETS = {

@@ -1,7 +1,10 @@
 """Exact Gaussian-rational arithmetic.
 
-Everything on the symbolic side of the package is computed over Q(i) so
-that golden values can be compared for literal equality.  Floats are
+The complexified side of the symbolic half (the frame vectors, the
+inverse of the frame matrix, the complex bracket table and the
+reduction) is computed over Q(i) so that golden values can be compared
+for literal equality; the real algebra stays over the rationals
+(``Fraction``) in ``lie_frame``.  Floats are
 embedded exactly (``Fraction`` keeps the binary value), which makes round
 trips through this module lossless.
 """

@@ -1,10 +1,16 @@
 """Real Lie algebras, quaternionic frames, and their complex bracket tables.
 
 The real algebra is given by structure constants on a basis X_1..X_N.  A
-pair of anticommuting complex structures I, J (given as exact matrices)
-turns R^N into a quaternionic vector space; a frame is a choice of N/2
-complex vectors of type (1,0) for I that J pairs up two by two.  All
-arithmetic is exact over Q(i).
+pair of anticommuting complex structures I, J turns R^N into a
+quaternionic vector space; a frame is a choice of N/2 complex vectors of
+type (1,0) for I that J pairs up two by two.
+
+Vectors are sparse, ``{index: coefficient}`` with no zero entries, and a
+linear map is the dict of its sparse columns, ``{j: image of X_j}``.  The
+real side (structure constants, I, J, the Jacobi and Nijenhuis checks)
+is exact over the rationals (``Fraction``); Gaussian rationals (``QQi``)
+enter only with the complexified frame: its vectors, the inverse of the
+frame matrix and the complex bracket table.
 
 Index conventions used throughout the package:
 
@@ -35,6 +41,34 @@ from .errors import (
     PairingNotInvolutive,
 )
 from .exact import ONE, QQi, ZERO, as_qqi, mat_inv
+
+
+# ---------------------------------------------------------------------------
+# sparse vectors and maps
+
+
+def _accumulate(out, vec, scale=1):
+    """Add ``scale * vec`` into ``out`` in place, dropping cancelled entries."""
+    for k, c in vec.items():
+        x = out.get(k, 0) + scale * c
+        if x:
+            out[k] = x
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _apply(m, v):
+    """Image of the sparse vector v under the map with sparse columns m."""
+    out = {}
+    for j, c in v.items():
+        _accumulate(out, m.get(j, {}), c)
+    return out
+
+
+def _sparse(v):
+    """Sparse form of a dense coefficient sequence, 1-based."""
+    return {i: x for i, x in enumerate(v, 1) if x}
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +115,11 @@ class StructureConstants:
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
 
     def bracket(self, u, v):
-        """Bracket of two coefficient vectors (QQi lists of length dim)."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise DimensionMismatch("vectors must have length %d" % self.dim)
-        out = [ZERO] * self.dim
-        for (i, j), comps in self.table.items():
-            coef = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
-            if coef:
-                for k, c in comps.items():
-                    out[k - 1] = out[k - 1] + coef * c
+        """Bracket of two sparse vectors ``{index: coefficient}``."""
+        out = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                _accumulate(out, self.bracket_basis(i, j), a * b)
         return out
 
     def __eq__(self, other):
@@ -170,98 +200,49 @@ def load_structure_constants(text):
 
 
 def check_jacobi(sc, strict=True):
-    """Verify the Jacobi identity exactly over all basis triples."""
-    n = sc.dim
+    """Verify the Jacobi identity exactly over all basis triples.
 
-    def ad_basis(comps, k):
-        out = [ZERO] * n
-        for m, c in comps.items():
-            for p, d in sc.bracket_basis(m, k).items():
-                out[p - 1] = out[p - 1] + QQi(c * d)
-        return out
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                acc = ad_basis(sc.bracket_basis(i, j), k)
-                for p, x in enumerate(ad_basis(sc.bracket_basis(j, k), i)):
-                    acc[p] = acc[p] + x
-                for p, x in enumerate(ad_basis(sc.bracket_basis(k, i), j)):
-                    acc[p] = acc[p] + x
-                if any(acc):
-                    if strict:
-                        raise JacobiViolation(
-                            "jacobi identity fails on (X_%d, X_%d, X_%d)" % (i, j, k))
-                    return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# linear maps on the real algebra
-
-
-def linear_map_from_images(dim, images):
-    """Build an exact matrix from ``{j: (i, sign)}`` basis images.
-
-    The entry ``j: (i, s)`` means the map sends X_j to s * X_i.
+    A triple can fail only when one of its pairs is a listed bracket and
+    its third index occurs in some listed bracket, so only those triples
+    are walked; they are walked in sorted order, which makes the first
+    failure the one a walk over every triple would meet.
     """
-    m = [[Fraction(0)] * dim for _ in range(dim)]
-    for j, (i, s) in images.items():
-        m[i - 1][j - 1] = Fraction(s)
-    return m
-
-
-def map_apply(m, v):
-    """Apply a matrix (Fraction or QQi rows) to a QQi coefficient vector."""
-    out = []
-    for row in m:
-        s = ZERO
-        for c, x in zip(row, v):
-            if c:
-                s = s + x * c
-        out.append(s)
-    return out
-
-
-def _map_compose(a, b):
-    n = len(a)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            c = a[i][k]
-            if c:
-                for j in range(n):
-                    if b[k][j]:
-                        out[i][j] += c * b[k][j]
-    return out
-
-
-def _is_minus_identity(m):
-    n = len(m)
-    for i in range(n):
-        for j in range(n):
-            want = Fraction(-1) if i == j else Fraction(0)
-            if m[i][j] != want:
-                return False
+    support = {i for key in sc.table for i in key}
+    triples = sorted({tuple(sorted((x, y, z)))
+                      for x, y in sc.table for z in support if z not in (x, y)})
+    for i, j, k in triples:
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            _accumulate(acc, sc.bracket(sc.bracket_basis(a, b), {c: 1}))
+        if acc:
+            if strict:
+                raise JacobiViolation(
+                    "jacobi identity fails on (X_%d, X_%d, X_%d)" % (i, j, k))
+            return False
     return True
-
-
-def conj_vec(v):
-    return [x.conjugate() for x in v]
 
 
 # ---------------------------------------------------------------------------
 # frames
 
 
+def conj_vec(v):
+    return [x.conjugate() for x in v]
+
+
 @dataclass
 class FrameSpec:
-    """Everything needed to build a complex frame on a real algebra."""
+    """Everything needed to build a complex frame on a real algebra.
+
+    ``imap`` and ``jmap`` give I and J by their sparse columns
+    ``{j: {i: c}}``: the map sends X_j to the sum of c * X_i, with
+    Fraction c; a column left out is zero.
+    """
 
     name: str
     sc: StructureConstants
-    imap: list
-    jmap: list
+    imap: dict
+    jmap: dict
     vectors: list          # 2n coefficient vectors over QQi, length N each
     metric_diag: list      # N positive Fractions
     split: tuple           # annihilated frame indices, subset of 1..2n
@@ -346,6 +327,12 @@ class ComplexFrame:
         return k + 1 if k % 2 == 1 else k - 1
 
 
+def _frame_inverse(vectors):
+    """Inverse of the matrix whose columns are the frame and its conjugates."""
+    cols = vectors + [conj_vec(v) for v in vectors]
+    return mat_inv([list(row) for row in zip(*cols)])
+
+
 def build_complex_frame(spec):
     """Validate a FrameSpec and produce the ComplexFrame.
 
@@ -375,55 +362,48 @@ def build_complex_frame(spec):
     if len(set(split)) != len(split):
         raise BadAnnihilatedSet("split contains repeated indices")
 
+    # I^2 = J^2 = -1 and IJ + JI = 0, checked on each basis vector
     imap, jmap = spec.imap, spec.jmap
-    if not _is_minus_identity(_map_compose(imap, imap)):
-        raise ConfigError("I squared is not minus the identity")
-    if not _is_minus_identity(_map_compose(jmap, jmap)):
-        raise ConfigError("J squared is not minus the identity")
-    ij = _map_compose(imap, jmap)
-    ji = _map_compose(jmap, imap)
-    if any(ij[i][j] + ji[i][j] != 0 for i in range(dim) for j in range(dim)):
+    basis = range(1, dim + 1)
+    for name, m in (("I", imap), ("J", jmap)):
+        if any(_apply(m, m.get(j, {})) != {j: -1} for j in basis):
+            raise ConfigError("%s squared is not minus the identity" % name)
+    if any(_accumulate(_apply(imap, jmap.get(j, {})), _apply(jmap, imap.get(j, {})))
+           for j in basis):
         raise ConfigError("I and J do not anticommute")
 
     # linear independence of the frame and its conjugates
-    cols = vectors + [conj_vec(v) for v in vectors]
-    m = [[cols[c][i] for c in range(dim)] for i in range(dim)]
     try:
-        minv = mat_inv(m)
+        minv = _frame_inverse(vectors)
     except LinearSolveFailure:
         raise LinearlyDependent("frame vectors do not span the complexification")
 
     # type (1,0) for I
-    for a, v in enumerate(vectors, 1):
-        iv = map_apply(imap, v)
-        if any(iv[i] != QQi(0, 1) * v[i] for i in range(dim)):
+    for a, v in enumerate(map(_sparse, vectors), 1):
+        if _apply(imap, v) != {i: QQi(0, 1) * x for i, x in v.items()}:
             raise ConfigError("frame vector %d is not of type (1,0) for I" % a)
 
     # J pairing, normalized to J Z_{2k-1} = -conj(Z_{2k})
     flips = []
     for k in range(half // 2):
         v1, v2 = vectors[2 * k], vectors[2 * k + 1]
-        w = map_apply(jmap, v1)
-        cv2 = conj_vec(v2)
-        if all(w[i] == -cv2[i] for i in range(dim)):
+        w = _apply(jmap, _sparse(v1))
+        cv2 = _sparse(conj_vec(v2))
+        if w == {i: -x for i, x in cv2.items()}:
             pass
-        elif all(w[i] == cv2[i] for i in range(dim)):
+        elif w == cv2:
             vectors[2 * k + 1] = [-x for x in v2]
             flips.append(2 * k + 2)
         else:
             raise PairingNotInvolutive(
                 "J does not pair frame vectors %d and %d" % (2 * k + 1, 2 * k + 2))
-        w2 = map_apply(jmap, vectors[2 * k + 1])
-        cv1 = conj_vec(v1)
-        if any(w2[i] != cv1[i] for i in range(dim)):
+        if _apply(jmap, _sparse(vectors[2 * k + 1])) != _sparse(conj_vec(v1)):
             raise PairingNotInvolutive(
                 "J pairing on vectors %d, %d is not involutive" % (2 * k + 1, 2 * k + 2))
 
     if flips:
         # the frame matrix changed, recompute its inverse
-        cols = vectors + [conj_vec(v) for v in vectors]
-        m = [[cols[c][i] for c in range(dim)] for i in range(dim)]
-        minv = mat_inv(m)
+        minv = _frame_inverse(vectors)
 
     # unitarity: hermitian Gram matrix is the identity, and the frame is
     # isotropic for the bilinear extension of the metric
@@ -443,20 +423,16 @@ def build_complex_frame(spec):
                 raise NotUnitary(
                     "frame vectors Z_%d and Z_%d are not isotropic" % (a + 1, b + 1))
 
-    # complex bracket table over the full index range
-    def colvec(k):
-        if k <= half:
-            return vectors[k - 1]
-        return conj_vec(vectors[k - half - 1])
-
+    # complex bracket table over the full index range; the columns of
+    # minv carry each X_j to its frame coordinates
+    cols = [_sparse(v) for v in vectors + [conj_vec(v) for v in vectors]]
+    coords = {j: _sparse(col) for j, col in enumerate(zip(*minv), 1)}
     entries = {}
-    for r in range(1, dim + 1):
-        for s in range(r + 1, dim + 1):
-            w = sc.bracket(colvec(r), colvec(s))
-            coords = map_apply(minv, w)
-            comps = {c + 1: x for c, x in enumerate(coords) if x}
+    for r in range(dim):
+        for s in range(r + 1, dim):
+            comps = _apply(coords, sc.bracket(cols[r], cols[s]))
             if comps:
-                entries[(r, s)] = comps
+                entries[(r + 1, s + 1)] = comps
     table = BracketTable(half, entries)
     return ComplexFrame(spec, vectors, table, flips)
 
@@ -466,19 +442,12 @@ def build_complex_frame(spec):
 
 
 def nijenhuis_defect(sc, m, i, j):
-    """N_M(X_i, X_j) for the real map m, as an exact coefficient vector."""
-    dim = sc.dim
-    ei = [ONE if p == i - 1 else ZERO for p in range(dim)]
-    ej = [ONE if p == j - 1 else ZERO for p in range(dim)]
-    mi, mj = map_apply(m, ei), map_apply(m, ej)
+    """N_M(X_i, X_j) for the real map m, as an exact sparse vector."""
+    mi, mj = m.get(i, {}), m.get(j, {})
     out = sc.bracket(mi, mj)
-    for p, x in enumerate(map_apply(m, sc.bracket(mi, ej))):
-        out[p] = out[p] - x
-    for p, x in enumerate(map_apply(m, sc.bracket(ei, mj))):
-        out[p] = out[p] - x
-    for p, x in enumerate(sc.bracket(ei, ej)):
-        out[p] = out[p] - x
-    return out
+    _accumulate(out, _apply(m, sc.bracket(mi, {j: 1})), -1)
+    _accumulate(out, _apply(m, sc.bracket({i: 1}, mj)), -1)
+    return _accumulate(out, sc.bracket_basis(i, j), -1)
 
 
 def check_hypercomplex(frame_or_spec, strict=False):
@@ -493,7 +462,7 @@ def check_hypercomplex(frame_or_spec, strict=False):
     for name, m in (("I", spec.imap), ("J", spec.jmap)):
         for i in range(1, sc.dim + 1):
             for j in range(i + 1, sc.dim + 1):
-                if any(nijenhuis_defect(sc, m, i, j)):
+                if nijenhuis_defect(sc, m, i, j):
                     if strict:
                         raise NijenhuisViolation(
                             "N_%s(X_%d, X_%d) does not vanish" % (name, i, j))

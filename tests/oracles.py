@@ -13,7 +13,26 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# float bracket oracle
+# float bracket oracles, on a dense tensor read straight from sc.table
+
+
+def structure_tensor(sc):
+    """Float array C with [X_i, X_j] = sum_k C[k, i, j] X_k, 0-based."""
+    c = np.zeros((sc.dim,) * 3)
+    for (i, j), comps in sc.table.items():
+        for k, x in comps.items():
+            c[k - 1, i - 1, j - 1] += float(x)
+            c[k - 1, j - 1, i - 1] -= float(x)
+    return c
+
+
+def jacobi_oracle(sc):
+    """Largest |[[X_i, X_j], X_k] + cyclic| component over all triples."""
+    c = structure_tensor(sc)
+    # nested[p, i, j, k] = [[X_i, X_j], X_k]_p
+    nested = np.einsum("mij,pmk->pijk", c, c)
+    total = nested + nested.transpose(0, 2, 3, 1) + nested.transpose(0, 3, 1, 2)
+    return float(np.max(np.abs(total), initial=0.0))
 
 
 def frame_columns(frame):
@@ -34,61 +53,36 @@ def complex_bracket_oracle(frame):
     Indices are 1-based and extended (bars above half).  Uses numpy
     inversion of the float frame matrix, no exact arithmetic.
     """
-    spec = frame.spec
-    dim = frame.dim
+    c = structure_tensor(frame.spec.sc)
     cols = frame_columns(frame)
     inv = np.linalg.inv(cols)
 
-    def bracket_real(u, w):
-        out = np.zeros(dim, dtype=complex)
-        for i in range(dim):
-            if u[i] == 0:
-                continue
-            for j in range(dim):
-                if w[j] == 0:
-                    continue
-                for k, c in spec.sc.bracket_basis(i + 1, j + 1).items():
-                    out[k - 1] += u[i] * w[j] * float(c)
-        return out
-
     def coeffs(r, s):
-        return inv @ bracket_real(cols[:, r - 1], cols[:, s - 1])
+        return inv @ np.einsum("kij,i,j->k", c, cols[:, r - 1], cols[:, s - 1])
 
     return coeffs
 
 
-def map_matrix_float(m):
-    return np.array([[float(x) for x in row] for row in m])
+def map_matrix_float(m, dim):
+    """Dense float matrix of a map given by sparse columns {j: {i: c}}."""
+    out = np.zeros((dim, dim))
+    for j, col in m.items():
+        for i, x in col.items():
+            out[i - 1, j - 1] = float(x)
+    return out
 
 
 def nijenhuis_oracle(spec, which="J"):
     """Largest |N(X_i, X_j)| component over all real basis pairs, float."""
-    m = map_matrix_float(spec.jmap if which == "J" else spec.imap)
     dim = spec.sc.dim
-
-    def bracket_vec(u, w):
-        out = np.zeros(dim)
-        for i in range(dim):
-            if u[i] == 0:
-                continue
-            for j in range(dim):
-                if w[j] == 0:
-                    continue
-                for k, c in spec.sc.bracket_basis(i + 1, j + 1).items():
-                    out[k - 1] += u[i] * w[j] * float(c)
-        return out
-
-    worst = 0.0
-    eye = np.eye(dim)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            ei, ej = eye[i], eye[j]
-            defect = bracket_vec(m @ ei, m @ ej) \
-                - m @ bracket_vec(m @ ei, ej) \
-                - m @ bracket_vec(ei, m @ ej) \
-                - bracket_vec(ei, ej)
-            worst = max(worst, float(np.max(np.abs(defect))))
-    return worst
+    m = map_matrix_float(spec.jmap if which == "J" else spec.imap, dim)
+    c = structure_tensor(spec.sc)
+    # column i of m is M X_i; the leading axis of each array is the component
+    both = np.einsum("kab,ai,bj->kij", c, m, m)           # [M X_i, M X_j]
+    mixed = np.einsum("kaj,ai->kij", c, m) + np.einsum("kib,bj->kij", c, m)
+    # N = [M X_i, M X_j] - M([M X_i, X_j] + [X_i, M X_j]) - [X_i, X_j]
+    defect = both - np.einsum("pk,kij->pij", m, mixed) - c
+    return float(np.max(np.abs(defect)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 import hktsolve.elliptic_solver as es
+from hktsolve.lie_frame import build_complex_frame, check_hypercomplex, check_jacobi
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -68,6 +69,24 @@ def test_tracer_sees_the_solver_layers(tmp_path, capsys):
     assert metrics["elliptic_solver.precond.calls"] > 0
     assert metrics["elliptic_solver.matvec.calls"] > 0
     assert metrics["continuity_driver.attempts"] == 2
+
+
+def test_real_checks_do_no_qqi_arithmetic(frames):
+    # exact.qqi_ops counts the complexified frame's work only: the Jacobi
+    # and Nijenhuis checks run on Fractions
+    tracer = _bench_module("tracing").Tracer().install()
+    try:
+        for frame in frames.values():
+            tracer.task = 0
+            check_jacobi(frame.spec.sc, strict=True)
+            check_hypercomplex(frame, strict=True)
+            tracer.task = 1
+            build_complex_frame(frame.spec)
+    finally:
+        tracer.task = None
+        tracer.uninstall()
+    assert tracer.qqi_ops[0] == 0
+    assert tracer.qqi_ops[1] > 0
 
 
 def test_benchmark_certifies_su3_q(monkeypatch):

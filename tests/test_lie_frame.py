@@ -123,8 +123,65 @@ def test_jacobi_violation():
     sc = load_structure_constants(algebras.su3_bracket_text())
     sc.table[(5, 6)] = {1: Fraction(1), 2: Fraction(2)}
     assert not check_jacobi(sc, strict=False)
-    with pytest.raises(JacobiViolation):
+    with pytest.raises(JacobiViolation, match=r"\(X_3, X_5, X_6\)"):
         check_jacobi(sc, strict=True)
+
+
+@pytest.mark.parametrize("text,ok", [
+    ("dim 2000\n1 2 : 3 1\n", True),
+    # [[X_1000, X_2000], X_1999] = [X_1500, X_1999] = X_7, the only failing triple
+    ("dim 2000\n1000 2000 : 1500 1\n1500 1999 : 7 1\n", False),
+])
+def test_jacobi_cost_follows_the_table_not_dim(monkeypatch, text, ok):
+    sc = load_structure_constants(text)
+    # at most len(table) * 2 len(table) triples are walked (a listed pair and
+    # an index of another), each costing 3 * (1 + 1) calls on one-term brackets
+    bound = 12 * len(sc.table) ** 2
+    calls = []
+    basis = StructureConstants.bracket_basis
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        if len(calls) > bound:
+            raise AssertionError("more than %d bracket_basis calls" % bound)
+        return basis(self, i, j)
+
+    monkeypatch.setattr(StructureConstants, "bracket_basis", counted)
+    assert check_jacobi(sc, strict=False) == ok
+    if not ok:
+        with pytest.raises(JacobiViolation, match=r"\(X_1000, X_1999, X_2000\)"):
+            check_jacobi(sc, strict=True)
+
+
+def _single_entry_perturbations(spec):
+    """Add 1 to one structure constant c^k_ij, or to one entry of I or J."""
+    dim = spec.sc.dim
+    for key in sorted(spec.sc.table):
+        for k in range(1, dim + 1):
+            table = {pair: dict(comps) for pair, comps in spec.sc.table.items()}
+            table[key][k] = table[key].get(k, 0) + 1
+            yield dataclasses.replace(spec, sc=StructureConstants(dim, table))
+    for which in ("imap", "jmap"):
+        for j in range(1, dim + 1):
+            for i in range(1, dim + 1):
+                m = {col: dict(entries) for col, entries in getattr(spec, which).items()}
+                column = m.setdefault(j, {})
+                column[i] = column.get(i, 0) + 1
+                yield dataclasses.replace(spec, **{which: m})
+
+
+@pytest.mark.parametrize("name", ["su3", "semidirect8"])
+def test_real_verdicts_match_float_oracles(name):
+    seen = set()
+    for spec in _single_entry_perturbations(algebras.get_algebra(name)):
+        jacobi = oracles.jacobi_oracle(spec.sc) <= 1e-9
+        integrable = max(oracles.nijenhuis_oracle(spec, "I"),
+                         oracles.nijenhuis_oracle(spec, "J")) <= 1e-9
+        assert check_jacobi(spec.sc, strict=False) == jacobi
+        assert check_hypercomplex(spec, strict=False) == integrable
+        seen.update({("jacobi", jacobi), ("nijenhuis", integrable)})
+    assert seen == {(check, verdict) for check in ("jacobi", "nijenhuis")
+                    for verdict in (True, False)}
 
 
 def test_su3_frame_builds_without_flips():
@@ -203,8 +260,7 @@ def test_dimension_and_vector_validation():
     small = StructureConstants(6, {})
     with pytest.raises(DimensionNotMultipleOf4):
         build_complex_frame(dataclasses.replace(
-            spec, sc=small, imap=[[Fraction(0)] * 6] * 6,
-            jmap=[[Fraction(0)] * 6] * 6))
+            spec, sc=small, imap={}, jmap={}))
     with pytest.raises(DimensionMismatch):
         build_complex_frame(dataclasses.replace(spec, vectors=spec.vectors[:3]))
     with pytest.raises(LinearlyDependent):
