@@ -11,7 +11,8 @@ Subcommands:
 * ``study``           grid convergence study
 
 Every command is deterministic given its inputs and exits 0 only when
-all of its declared checks pass.
+all of its declared checks pass.  The numeric half, and with it
+scipy.sparse.linalg, is imported only by the commands that solve.
 """
 
 import argparse
@@ -24,21 +25,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebras, gridio
-from .continuity_driver import (
-    ContinuityConfig,
-    basicness_check,
-    convergence_study,
-    manufactured_problem,
-    run_continuity,
-    sine_product_field,
-)
-from .elliptic_solver import (
-    Problem,
-    TorusGrid,
-    check_b_bound,
-    density,
-    solve_at_t,
-)
 from .errors import ConfigError, HktError
 from .exact import QQi
 from .hkt_symbolic import (
@@ -221,6 +207,8 @@ def cmd_verify_algebra(args):
 
 
 def _build_forcing(spec, grid):
+    from .continuity_driver import sine_product_field
+
     if "file" in spec:
         arr, lengths = gridio.read_field(spec["file"])
         if tuple(arr.shape) != grid.dims:
@@ -246,6 +234,9 @@ def _build_forcing(spec, grid):
 
 
 def _load_run_config(path, overrides):
+    from .continuity_driver import ContinuityConfig
+    from .elliptic_solver import Problem, TorusGrid
+
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -276,6 +267,9 @@ def _load_run_config(path, overrides):
 
 
 def cmd_solve(args):
+    from .continuity_driver import basicness_check, run_continuity, sine_product_field
+    from .elliptic_solver import check_b_bound, density, solve_at_t
+
     overrides = {("continuity", "newton_tol"): args.newton_tol}
     cfg, problem, ccfg = _load_run_config(args.config, overrides)
     grid = problem.grid
@@ -343,6 +337,14 @@ def cmd_solve(args):
 
 
 def cmd_manufactured(args):
+    from .continuity_driver import (
+        ContinuityConfig,
+        manufactured_problem,
+        run_continuity,
+        sine_product_field,
+    )
+    from .elliptic_solver import Problem, TorusGrid
+
     dims = [args.grid] * (4 if args.four_axes else 2)
     grid = TorusGrid(dims)
     q = np.eye(grid.ndim) * args.qdiag
@@ -363,6 +365,8 @@ def cmd_manufactured(args):
 
 
 def cmd_study(args):
+    from .continuity_driver import convergence_study
+
     sizes = [_converted("sizes", int, s) for s in args.sizes.split(",")]
     if len(sizes) < 2:
         raise ConfigError("need at least two grid sizes")

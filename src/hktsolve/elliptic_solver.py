@@ -7,11 +7,29 @@ Unknowns are a zero-mean field phi and a constant b > 0 with
 Each Newton correction (eta, c) solves the linearization augmented with
 the constraint mean(eta) = 0, a square bordered system: the kernel of
 the plain linearization is spanned by constants and the border removes
-it.  The system is nonsymmetric, so it goes to GMRES with an inverse
-shifted-Laplacian preconditioner applied by a real-input FFT over the
-half spectrum; small systems fall back to a dense direct solve when the
-iteration stagnates.  The FFTs are numpy's: importing scipy.fft would
-add about 0.07 s, a quarter of the set-up time, to every run.
+it.  The system is nonsymmetric, so it goes to restarted GMRES, capped
+at 4 restarts of 50, preconditioned by the exact inverse of a bordered
+model of the Newton matrix,
+
+    [[u^-1 (laplacian - sigma)(u .), -exp(tF)], [mean(.), 0]],
+
+rebuilt at every Newton step.  For a constant Q = -aI with a > 0 the
+Hopf-Cole substitution u = exp(-a phi) turns the linearized field block
+into u^-1 laplacian(u .) minus the potential laplacian(u)/u; the model
+keeps u and replaces the potential by its mean sigma, positive for
+every nonconstant phi.  That gauge branch is taken while a * ptp(phi)
+stays within GAUGE_MAX_SPAN; otherwise, and for every other Q, the
+model is the shifted Laplacian: u = 1 and sigma = PRECOND_SHIFT.  One
+apply is one real-input FFT pair over the half spectrum plus a Schur
+complement on the border.  Small systems fall back to a dense direct
+solve when the iteration stagnates.  The FFTs are numpy's: importing
+scipy.fft would add about 0.07 s, a quarter of the set-up time, to
+every run.
+
+The linear solve's relative tolerance is the forcing term
+min(1e-2, max(|res|, tol / (2 |res|))) of Eisenstat and Walker: the
+residual norm far from the solution, but never tighter than the last
+step needs to bring the residual to the Newton tolerance tol.
 """
 
 import math
@@ -32,6 +50,10 @@ from .kernels import gradient_nd, laplacian_nd
 
 DENSE_FALLBACK_MAX_NODES = 4096
 PRECOND_SHIFT = 1.0
+# The gauge scales a field by u and back by 1/u, which differ by up to
+# exp(span): an apply loses about exp(span) * eps relatively, and 8
+# keeps that under 1e-12, below any tolerance GMRES is asked for.
+GAUGE_MAX_SPAN = 8.0
 Q_EIGENVALUE_TOL = 1e-12
 
 
@@ -124,8 +146,10 @@ class Problem:
 
     F and Q are checked here, once; every numeric call takes the problem
     instead of the (grid, F, q) triple.  F is held as a read-only copy,
-    so exp(t F), kept for the last t asked for, cannot go stale.  The
-    FFT preconditioner is built here too.
+    so exp(t F), kept for the last t asked for, cannot go stale.  Two
+    things the preconditioner needs are recorded once: the symbol of the
+    discrete Laplacian over the real-input FFT's half spectrum, and
+    ``gauge = a`` when Q is the constant -aI with a > 0 (else None).
     """
 
     def __init__(self, grid, F, q):
@@ -136,7 +160,15 @@ class Problem:
         self.F = F.copy()
         self.F.flags.writeable = False
         self.q = validate_q(q, grid)
-        self.precond = shifted_inverse_preconditioner(grid)
+        a = -float(self.q[0, 0]) if self.q.ndim == 2 else 0.0
+        scalar = np.array_equal(self.q, -a * np.eye(grid.ndim))
+        self.gauge = a if a > 0 and scalar else None
+        # the last axis keeps its m // 2 + 1 non-negative frequencies
+        dims = grid.dims
+        half = dims[:-1] + (dims[-1] // 2 + 1,)
+        mus = [-4.0 * np.sin(np.pi * np.arange(k) / m) ** 2 / (h * h)
+               for k, m, h in zip(half, dims, grid.spacings)]
+        self.laplacian_symbol = sum(np.ix_(*mus))
         self._exp_key = None
         self._exp_tF = None
 
@@ -200,39 +232,63 @@ def bordered_operator(problem, phi, t):
     return spla.LinearOperator((n + 1, n + 1), matvec=matvec, dtype=float)
 
 
-def shifted_inverse_preconditioner(grid):
-    """Apply (PRECOND_SHIFT - laplacian)^{-1} on the field block via FFT.
+def shifted_inverse_preconditioner(problem, phi, t):
+    """The exact inverse of the bordered model of the Newton matrix at phi.
 
-    The field is real, so it is transformed by a real-input FFT over the
-    half spectrum: the last axis keeps its m // 2 + 1 non-negative
-    frequencies, whose conjugates are the others.  The reciprocal symbol
-    is built once over that half; the border entry passes through.
+    The model is [[A, -exp(tF)], [mean(.), 0]] with A = u^-1
+    (laplacian - sigma)(u .), whose inverse is one FFT pair on the half
+    spectrum between the scalings by u.  For a residual (r, s) the
+    answer is (w + c g, c), with w = A^-1 r, g = A^-1 exp(tF) built once
+    here, and c = (s - mean w) / mean g from the border.  sigma > 0, so
+    A is invertible and g < 0: mean g is never zero.
     """
-    dims = grid.dims
-    half = dims[:-1] + (dims[-1] // 2 + 1,)
-    mus = [-4.0 * np.sin(np.pi * np.arange(k) / m) ** 2 / (h * h)
-           for k, m, h in zip(half, dims, grid.spacings)]
-    inv_symbol = 1.0 / (PRECOND_SHIFT - sum(np.ix_(*mus)))
+    grid = problem.grid
+    dims, n = grid.dims, grid.size
     axes = tuple(range(grid.ndim))
-    n = grid.size
+    a = problem.gauge
+    span = 0.0 if a is None else a * float(np.ptp(phi))
+    if 0.0 < span <= GAUGE_MAX_SPAN:
+        u = np.exp(-a * (phi - 0.5 * (np.max(phi) + np.min(phi))))
+        u_inv = 1.0 / u
+        # mean(laplacian(u) / u) > 0 by convexity of exp, as mean(laplacian
+        # phi) = 0.  The zero mode of the inverse is 1 / sigma, and the
+        # border cancels it: floored at 1e-6 of the lowest other mode, that
+        # cancellation costs at most 1e6 eps.
+        lowest = min(4.0 * math.sin(math.pi / m) ** 2 / (h * h)
+                     for m, h in zip(dims, grid.spacings))
+        sigma = max(float(np.mean(laplacian_nd(u, grid.spacings) * u_inv)),
+                    1e-6 * lowest)
+    else:
+        u = u_inv = 1.0
+        sigma = PRECOND_SHIFT
+    inv_symbol = 1.0 / (problem.laplacian_symbol - sigma)
+
+    def field_solve(r):
+        r_hat = np.fft.rfftn(u * r)
+        r_hat *= inv_symbol
+        return u_inv * np.fft.irfftn(r_hat, s=dims, axes=axes)
+
+    g = field_solve(problem.exp_tF(t))
+    g_mean = float(np.mean(g))
 
     def apply(x):
-        eta_hat = np.fft.rfftn(x[:n].reshape(dims))
-        eta_hat *= inv_symbol
-        sol = np.fft.irfftn(eta_hat, s=dims, axes=axes)
-        return np.concatenate([sol.ravel(), x[n:]])
+        w = field_solve(x[:n].reshape(dims))
+        c = (x[n] - np.mean(w)) / g_mean
+        w += c * g
+        return np.concatenate([w.ravel(), [c]])
 
     return spla.LinearOperator((n + 1, n + 1), matvec=apply, dtype=float)
 
 
 def _gmres(op, rhs, precond, rtol):
+    # at most 4 restarts of 50: a stagnating solve costs about 200 matvecs
     return spla.gmres(op, rhs, M=precond, rtol=rtol, atol=0.0,
-                      maxiter=200, restart=50)
+                      maxiter=4, restart=50)
 
 
-def _solve_bordered(problem, op, rhs, rtol):
+def _solve_bordered(problem, op, precond, rhs, rtol):
     grid = problem.grid
-    x, info = _gmres(op, rhs, problem.precond, rtol)
+    x, info = _gmres(op, rhs, precond, rtol)
     rhs_norm = float(np.linalg.norm(rhs))
     ok = info == 0
     if ok and rhs_norm > 0:
@@ -256,15 +312,21 @@ def _solve_bordered(problem, op, rhs, rtol):
         raise LinearSolveFailure("dense fallback failed: %s" % exc)
 
 
-def newton_step(problem, state, max_halvings=20):
-    """One damped Newton update of (phi, b); returns the new state."""
+def newton_step(problem, state, tol=1e-10, max_halvings=20):
+    """One damped Newton update of (phi, b); returns the new state.
+
+    tol is the residual the solve aims at: the linear solve is not asked
+    for more than the step needs to reach it.
+    """
     grid = problem.grid
     n = grid.size
     res = residual(problem, state.phi, state.b, state.t)
     res_norm = float(np.max(np.abs(res)))
     op = bordered_operator(problem, state.phi, state.t)
+    precond = shifted_inverse_preconditioner(problem, state.phi, state.t)
     rhs = np.concatenate([(-res).ravel(), [0.0]])
-    x = _solve_bordered(problem, op, rhs, min(1e-2, res_norm))
+    rtol = min(1e-2, max(res_norm, 0.5 * tol / res_norm)) if res_norm > 0 else 0.0
+    x = _solve_bordered(problem, op, precond, rhs, rtol)
     eta = x[:n].reshape(grid.dims)
     c = float(x[n])
 
@@ -308,7 +370,7 @@ def solve_at_t(problem, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
         state.message = "converged without iterating"
         return state
     for _ in range(max_iters):
-        state = newton_step(problem, state)
+        state = newton_step(problem, state, tol)
         if state.residual_norm <= tol:
             state.converged = True
             state.message = "converged in %d iterations" % state.newton_iters

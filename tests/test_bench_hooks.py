@@ -124,3 +124,18 @@ def test_solve_leaves_scipy_fft_unloaded(tmp_path):
                           cwd=REPO, env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_verify_leaves_the_numeric_half_unloaded():
+    # scipy.sparse.linalg is most of the import time of hktsolve.cli, and
+    # verify-* never solves
+    script = (
+        "import sys, hktsolve.cli\n"
+        "code = hktsolve.cli.main(['verify-su3'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.sparse.linalg' not in sys.modules, "
+        "'scipy.sparse.linalg was imported'\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    done = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr

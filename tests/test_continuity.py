@@ -153,6 +153,19 @@ def test_step_halves_on_failure_then_recovers(monkeypatch):
     assert [r.t for r in trace.rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
+@pytest.mark.parametrize("shift", [(36, 11), (35, 3)])
+def test_hard_sine_reaches_t1_without_rejection(shift):
+    # 44^2, sine amplitude 6, Q = -60 I: a last Newton step whose linear
+    # solve is asked for more than the Newton tolerance needs stagnates,
+    # and the continuity driver throws the whole attempt away
+    g = TorusGrid((44, 44))
+    F = np.roll(sine_product_field(g, 6.0), shift, axis=(0, 1))
+    state, trace = run_continuity(Problem(g, F, -60.0 * np.eye(2)),
+                                  ContinuityConfig(newton_tol=1e-10))
+    assert [row.t for row in trace.rows] == [0.0, 1.0]
+    assert abs(state.b - 0.00370654070996) <= 1e-8
+
+
 def test_step_underflow_on_hopeless_problem():
     g = TorusGrid((16, 16))
     F = bump(g, amplitude=2.0)

@@ -380,15 +380,14 @@ def test_bordered_system_has_full_rank():
     assert np.max(np.abs((dense @ const)[:-1])) < 1e-10
 
 
-def test_preconditioner_inverts_shifted_laplacian():
-    g = TorusGrid((16, 16), lengths=(2.0, 7.0))
-    rng = np.random.default_rng(15)
-    eta = rng.standard_normal(g.dims)
-    shifted = es.PRECOND_SHIFT * eta - kernels.laplacian_nd(eta, g.spacings)
-    x = np.concatenate([shifted.ravel(), [4.2]])
-    back = shifted_inverse_preconditioner(g).matvec(x)
-    assert np.allclose(back[:-1], eta.ravel(), atol=1e-10)
-    assert back[-1] == 4.2
+def _bordered_model(g, F, t, u, sigma):
+    """Dense [[u^-1 (lap - sigma)(u .), -exp(tF)], [mean, 0]]."""
+    n = g.size
+    lap = oracles.dense_laplacian(g)
+    block = (lap - sigma * np.eye(n)) * u[None, :] / u[:, None]
+    border = np.full((1, n), 1.0 / n)
+    return np.block([[block, -np.exp(t * F).reshape(n, 1)],
+                     [border, np.zeros((1, 1))]])
 
 
 @pytest.mark.parametrize("dims, lengths", [
@@ -396,19 +395,56 @@ def test_preconditioner_inverts_shifted_laplacian():
     ((8, 8), None),
     ((4, 5, 4, 5), (1.0, 2.0, 3.0, 5.0)),
 ])
-def test_preconditioner_matches_dense_solve(dims, lengths):
+@pytest.mark.parametrize("form, span", [
+    ("scalar", 3.0),        # gauge branch
+    ("scalar", 12.0),       # span beyond GAUGE_MAX_SPAN: shifted branch
+    ("pernode", 3.0),       # a per-node Q has no gauge
+    ("anisotropic", 3.0),   # nor has a Q that is not a multiple of I
+])
+def test_preconditioner_inverts_bordered_model(dims, lengths, form, span):
     # the dense oracle shares no FFT code with the half-spectrum path
     g = TorusGrid(dims, lengths=lengths)
     rng = np.random.default_rng(16)
+    d = g.ndim
+    a = 2.0
+    if form == "scalar":
+        q = -a * np.eye(d)
+    elif form == "pernode":
+        q = np.broadcast_to(-a * np.eye(d), g.dims + (d, d))
+    else:
+        q = -np.diag(np.arange(1.0, d + 1.0))
+    F = rng.standard_normal(g.dims)
+    phi = rng.standard_normal(g.dims)
+    phi *= span / (a * np.ptp(phi))
+    problem = Problem(g, F, q)
+    gauged = form == "scalar" and span <= es.GAUGE_MAX_SPAN
+    assert problem.gauge == (a if form == "scalar" else None)
+    if gauged:
+        u = np.exp(-a * (phi - 0.5 * (phi.max() + phi.min()))).ravel()
+        sigma = float(np.mean(oracles.dense_laplacian(g) @ u / u))
+    else:
+        u, sigma = np.ones(g.size), es.PRECOND_SHIFT
     x = rng.standard_normal(g.size + 1)
-    shifted = es.PRECOND_SHIFT * np.eye(g.size) - oracles.dense_laplacian(g)
-    expected = np.linalg.solve(shifted, x[:-1])
+    expected = np.linalg.solve(_bordered_model(g, F, 0.7, u, sigma), x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        back = shifted_inverse_preconditioner(g).matvec(x)
+        back = shifted_inverse_preconditioner(problem, phi, 0.7).matvec(x)
     assert back.shape == x.shape
-    assert np.max(np.abs(back[:-1] - expected)) < 1e-10
-    assert back[-1] == x[-1]
+    assert np.max(np.abs(back - expected)) < 1e-10
+
+
+def test_preconditioner_is_stable_for_nearly_constant_phi():
+    # sigma -> 0 with the span; the floor on sigma keeps the border's
+    # cancellation of the 1/sigma zero mode within round-off, so the apply
+    # stays near the limit model, the plain bordered Laplacian
+    g = TorusGrid((8, 8))
+    rng = np.random.default_rng(17)
+    F = rng.standard_normal(g.dims)
+    phi = 1e-10 * rng.standard_normal(g.dims)
+    x = rng.standard_normal(g.size + 1)
+    limit = np.linalg.solve(_bordered_model(g, F, 0.7, np.ones(g.size), 0.0), x)
+    back = shifted_inverse_preconditioner(Problem(g, F, -np.eye(2)), phi, 0.7).matvec(x)
+    assert np.max(np.abs(back - limit)) < 1e-5 * np.max(np.abs(limit))
 
 
 # --------------------------------------------------------- failure paths
@@ -443,7 +479,7 @@ def test_accepted_step_crossing_zero_b(monkeypatch):
     # force a descent direction whose full step lands at b < 0
     g = TorusGrid((8, 8))
 
-    def fake_solve(problem, op, rhs, rtol):
+    def fake_solve(problem, op, precond, rhs, rtol):
         x = np.zeros(problem.grid.size + 1)
         x[-1] = -3.5
         return x
@@ -458,7 +494,7 @@ def test_accepted_step_crossing_zero_b(monkeypatch):
 def test_damping_exhausted_on_ascent_direction(monkeypatch):
     g = TorusGrid((8, 8))
 
-    def fake_solve(problem, op, rhs, rtol):
+    def fake_solve(problem, op, precond, rhs, rtol):
         x = np.zeros(problem.grid.size + 1)
         x[-1] = 1.0  # pushes b away from the solution
         return x
@@ -503,7 +539,26 @@ def test_gmres_propagates_operator_errors():
 
     op = es.spla.LinearOperator((g.size + 1, g.size + 1), matvec=broken,
                                 dtype=float)
+    precond = shifted_inverse_preconditioner(
+        Problem(g, g.zeros(), -np.eye(2)), g.zeros(), 0.0)
     with pytest.raises(TypeError, match="bug inside matvec") as info:
-        es._gmres(op, np.ones(g.size + 1), shifted_inverse_preconditioner(g),
-                  1e-8)
+        es._gmres(op, np.ones(g.size + 1), precond, 1e-8)
     assert info.value.__context__ is None
+
+
+def test_gmres_work_is_capped_on_complete_stagnation():
+    # a cyclic shift with rhs e_1: every Krylov space of dimension below n
+    # misses the solution, so restarted GMRES makes no progress at all
+    n = es.DENSE_FALLBACK_MAX_NODES + 2
+    calls = [0]
+
+    def shift(x):
+        calls[0] += 1
+        return np.roll(x, 1)
+
+    op = es.spla.LinearOperator((n, n), matvec=shift, dtype=float)
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    _, info = es._gmres(op, rhs, None, 1e-8)
+    assert info != 0
+    assert calls[0] <= 4 * 51 + 1
