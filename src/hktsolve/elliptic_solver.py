@@ -46,7 +46,7 @@ from .errors import (
     MaxItersExceeded,
     ShapeMismatch,
 )
-from .kernels import gradient_nd, laplacian_nd
+from .kernels import gradient_nd, laplacian_nd, neighbours
 
 DENSE_FALLBACK_MAX_NODES = 4096
 PRECOND_SHIFT = 1.0
@@ -193,41 +193,61 @@ def quad_dir_weights(q, g):
 
 def residual(problem, phi, b, t):
     """Pointwise defect of the equation at (phi, b) and path time t."""
-    grid = problem.grid
-    phi = _check_field(grid, phi, "phi")
-    g = gradient_nd(phi, grid.spacings)
-    return laplacian_nd(phi, grid.spacings) + quad_value(problem.q, g) + 1.0 \
-        - b * problem.exp_tF(t)
+    return density(problem.grid, phi, problem.q) - b * problem.exp_tF(t)
 
 
 def density(grid, phi, q):
     """The positivity monitor 1 + laplacian(phi) + <Q grad phi, grad phi>."""
     phi = _check_field(grid, phi, "phi")
-    g = gradient_nd(phi, grid.spacings)
-    return 1.0 + laplacian_nd(phi, grid.spacings) + quad_value(q, g)
+    out = laplacian_nd(phi, grid.spacings)
+    out += quad_value(q, gradient_nd(phi, grid.spacings))
+    out += 1.0
+    return out
 
 
 def bordered_operator(problem, phi, t):
     """The Newton matrix as a LinearOperator on (eta nodes, c).
 
     The field block is the directional derivative of the residual at
-    phi along (eta, c); the last row is the border mean(eta).
+    phi along (eta, c); the last row is the border mean(eta).  With the
+    weights w = (Q + Q^T) grad phi, fixed for the whole Newton step, and
+    S+- the periodic shifts along axis ax, it is applied in one pass as
+
+        centre eta - c exp(tF)
+          + sum_ax [ h_ax^-2 (S+eta + S-eta) + w_ax / (2 h_ax) (S+eta - S-eta) ]
+
+    with centre = -2 sum_ax h_ax^-2.  w is divided by 2 h_ax in place,
+    once per Newton step, so the operator holds the d arrays it already
+    had and no more (separate up and down coefficients h^-2 +- w/(2h)
+    would hold 2d).  An apply writes its output and reuses one scratch
+    buffer for every axis: it builds neither a Laplacian nor a gradient
+    stack of eta.
     """
     grid = problem.grid
-    n = grid.size
+    n, dims = grid.size, grid.dims
     eF = problem.exp_tF(t)
     w = quad_dir_weights(problem.q, gradient_nd(phi, grid.spacings))
-    spacings = grid.spacings
-    dims = grid.dims
+    for ax, h in enumerate(grid.spacings):
+        w[ax] /= 2.0 * h
+    inv_h2 = [1.0 / (h * h) for h in grid.spacings]
+    centre = -2.0 * sum(inv_h2)
 
     def matvec(x):
         eta = x[:n].reshape(dims)
-        c = x[n]
-        ge = gradient_nd(eta, spacings)
-        top = laplacian_nd(eta, spacings) - c * eF
-        for ax in range(grid.ndim):
-            top += w[ax] * ge[ax]
-        return np.concatenate([top.ravel(), [eta.mean()]])
+        out = np.empty(n + 1)
+        top = out[:n].reshape(dims)
+        np.multiply(eF, -x[n], out=top)
+        buf = np.multiply(eta, centre, out=np.empty(dims))
+        top += buf
+        for ax, k in enumerate(inv_h2):
+            neighbours(eta, ax, 1, buf)
+            buf *= k
+            top += buf
+            neighbours(eta, ax, -1, buf)
+            buf *= w[ax]
+            top += buf
+        out[n] = eta.mean()
+        return out
 
     return spla.LinearOperator((n + 1, n + 1), matvec=matvec, dtype=float)
 

@@ -1,17 +1,50 @@
 """Grid stencil kernels.
 
 Second-order central differences with periodic wrap, along every axis
-of the field.
+of the field.  With S+- f[i] = f[i +- 1] the periodic shifts along one
+axis, every stencil here is built from the pair S+f + S-f or S+f - S-f,
+which ``neighbours`` writes into a buffer the caller owns.  The kernels
+work in place: the gradient writes straight into its result, and the
+Laplacian into its result and one scratch buffer reused for every
+axis, with no other temporaries.
 """
+
+import math
 
 import numpy as np
 
 
+def neighbours(f, axis, sign, out):
+    """Write S+f + sign * S-f along ``axis`` into ``out``; sign is +1 or -1.
+
+    ``out`` must be C-contiguous.  In C order S+ along an axis is a flat
+    shift by that axis's stride, so each half is one long contiguous
+    copy or add; only the wrapped planes, index m-1 for S+ and index 0
+    for S-, are then written again from the right neighbours.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("neighbours writes into a C-contiguous buffer only")
+    m = f.shape[axis]
+    s = math.prod(f.shape[axis + 1:])
+    f_flat, o_flat = f.reshape(-1), out.reshape(-1)
+    f3, o3 = f.reshape(-1, m, s), out.reshape(-1, m, s)
+    combine = np.add if sign > 0 else np.subtract
+    o_flat[:-s] = f_flat[s:]
+    o3[:, -1] = f3[:, 0]
+    combine(o_flat[s:], f_flat[:-s], out=o_flat[s:])
+    combine(f3[:, 1], f3[:, -1], out=o3[:, 0])
+    return out
+
+
 def laplacian_nd(f, spacings):
     """Periodic central-difference Laplacian of a 2- or 4-axis field."""
-    out = np.zeros_like(f)
+    out = np.multiply(f, -2.0 * sum(1.0 / (h * h) for h in spacings),
+                      out=np.empty(f.shape))
+    s = np.empty(f.shape)
     for ax, h in enumerate(spacings):
-        out += (np.roll(f, -1, ax) - 2.0 * f + np.roll(f, 1, ax)) / (h * h)
+        neighbours(f, ax, 1, s)
+        s *= 1.0 / (h * h)
+        out += s
     return out
 
 
@@ -19,5 +52,6 @@ def gradient_nd(f, spacings):
     """Periodic central-difference gradient, stacked along a leading axis."""
     g = np.empty((f.ndim,) + f.shape)
     for ax, h in enumerate(spacings):
-        g[ax] = (np.roll(f, -1, ax) - np.roll(f, 1, ax)) / (2.0 * h)
+        neighbours(f, ax, -1, g[ax])
+        g[ax] /= 2.0 * h
     return g

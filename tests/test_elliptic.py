@@ -1,6 +1,7 @@
 """Grid, kernel, and Newton solver tests against small dense oracles."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -114,6 +115,27 @@ def test_kernels_match_dense_oracle_4d():
         gmat = oracles.dense_gradient(g, ax)
         assert np.allclose(kernels.gradient_nd(f, g.spacings)[ax].ravel(),
                            gmat @ f.ravel(), atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(6, 7), (4, 5, 6, 7)])
+@pytest.mark.parametrize("layout", ["C", "transposed"])
+def test_kernels_match_roll_reference(dims, layout):
+    # the np.roll stencils the in-place kernels replaced; the gradient does
+    # the same arithmetic, the Laplacian sums its terms in another order
+    rng = np.random.default_rng(9)
+    spacings = tuple(0.3 + 0.1 * ax for ax in range(len(dims)))
+    f = rng.standard_normal(dims)
+    if layout == "transposed":
+        f = np.ascontiguousarray(f.T).T
+    lap = sum((np.roll(f, -1, ax) - 2.0 * f + np.roll(f, 1, ax)) / (h * h)
+              for ax, h in enumerate(spacings))
+    got = kernels.laplacian_nd(f, spacings)
+    assert np.max(np.abs(got - lap)) <= 1e-13 * np.max(np.abs(f)) / min(spacings) ** 2
+    grads = kernels.gradient_nd(f, spacings)
+    for ax, h in enumerate(spacings):
+        assert np.array_equal(grads[ax], (np.roll(f, -1, ax) - np.roll(f, 1, ax)) / (2.0 * h))
+    with pytest.raises(ValueError):
+        kernels.neighbours(f, 0, 1, np.empty(dims[::-1]).T)
 
 
 # ------------------------------------------------- residual and linearization
@@ -378,6 +400,82 @@ def test_bordered_system_has_full_rank():
     # unbordered block alone is singular: constants are in its kernel
     const = np.concatenate([np.ones(g.size), [0.0]])
     assert np.max(np.abs((dense @ const)[:-1])) < 1e-10
+
+
+def _quadratic_form(g, form):
+    """Q of each kind the solver takes, in the layout the Problem reads."""
+    d = g.ndim
+    if form == "scalar":
+        return -2.0 * np.eye(d)
+    if form == "anisotropic":
+        return -np.diag(np.arange(1.0, d + 1.0))
+    # per node, with off-diagonal entries: -(I + 0.4 sin(x0) (E01 + E10))
+    q = np.broadcast_to(-np.eye(d), g.dims + (d, d)).copy()
+    q[..., 0, 1] = q[..., 1, 0] = -0.4 * np.sin(2.0 * np.pi * g.meshes()[0] / g.lengths[0])
+    return q
+
+
+@pytest.mark.parametrize("dims, lengths", [
+    ((6, 7), (2.0, 7.0)),
+    ((8, 8), None),
+    ((4, 5, 4, 5), (1.0, 2.0, 3.0, 5.0)),
+])
+@pytest.mark.parametrize("form", ["scalar", "anisotropic", "pernode"])
+def test_bordered_operator_matches_dense_jacobian(dims, lengths, form):
+    # [[L + sum_j diag(w_j) G_j, -exp(tF)], [mean, 0]] from the dense
+    # stencil matrices, with w = (Q + Q^T) grad phi from the dense gradient
+    g = TorusGrid(dims, lengths=lengths)
+    rng = np.random.default_rng(18)
+    n, d, t = g.size, g.ndim, 0.6
+    q = _quadratic_form(g, form)
+    F = rng.standard_normal(g.dims)
+    phi = rng.standard_normal(g.dims)
+    grads = [oracles.dense_gradient(g, ax) for ax in range(d)]
+    grad_phi = np.stack([gm @ phi.ravel() for gm in grads], axis=-1)
+    sym = np.broadcast_to(q + np.swapaxes(q, -1, -2), g.dims + (d, d)).reshape(n, d, d)
+    w = np.einsum("nij,ni->nj", sym, grad_phi)
+    block = oracles.dense_laplacian(g) + sum(w[:, j, None] * grads[j] for j in range(d))
+    dense = np.block([[block, -np.exp(t * F).reshape(n, 1)],
+                      [np.full((1, n), 1.0 / n), np.zeros((1, 1))]])
+    op = bordered_operator(Problem(g, F, q), phi, t)
+    e = np.zeros(n + 1)
+    worst = 0.0
+    for col in range(n + 1):
+        e[col] = 1.0
+        worst = max(worst, float(np.max(np.abs(op.matvec(e) - dense[:, col]))))
+        e[col] = 0.0
+    assert worst <= 1e-12 * float(np.max(np.abs(dense)))
+
+
+@pytest.mark.parametrize("dims", [(128, 128), (8, 8, 8, 8)])
+def test_bordered_operator_memory(dims):
+    # The operator keeps only the d weight arrays w / (2h) beyond phi, and
+    # an apply allocates its n + 1 output and one scratch buffer.  Holding
+    # separate up and down coefficients 1/h^2 +- w/(2h) would keep 2d.
+    g = TorusGrid(dims)
+    rng = np.random.default_rng(19)
+    problem = Problem(g, rng.standard_normal(g.dims), -np.eye(g.ndim))
+    phi = rng.standard_normal(g.dims)
+    x = rng.standard_normal(g.size + 1)
+    bordered_operator(problem, phi, 0.5).matvec(x)   # first-call caches
+    grid_bytes = g.size * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op = bordered_operator(problem, phi, 0.5)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        y = op.matvec(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the operator objects and closure are a few hundred bytes
+    assert held <= g.ndim * grid_bytes + grid_bytes // 4
+    # one scratch buffer, plus numpy's strided-copy buffers (14 kB on 8^4)
+    assert peak <= y.nbytes + 2 * grid_bytes
+    print("held %.2f, apply peak %.2f grid arrays beyond the output"
+          % (held / grid_bytes, (peak - y.nbytes) / grid_bytes))
 
 
 def _bordered_model(g, F, t, u, sigma):
