@@ -545,6 +545,123 @@ def test_preconditioner_is_stable_for_nearly_constant_phi():
     assert np.max(np.abs(back - limit)) < 1e-5 * np.max(np.abs(limit))
 
 
+def _gauge_case(dims, span, lengths=None, seed=21):
+    """Q = -2I, a random F and a smooth phi at gauge span a ptp(phi)."""
+    g = TorusGrid(dims, lengths=lengths)
+    rng = np.random.default_rng(seed)
+    problem = Problem(g, rng.standard_normal(g.dims), -2.0 * np.eye(g.ndim))
+    phi = sum(np.sin(2.0 * np.pi * x / length + rng.uniform(0.0, 2.0 * np.pi))
+              for x, length in zip(g.axis_coords(), g.lengths))
+    phi *= span / (2.0 * np.ptp(phi))
+    return problem, phi, rng
+
+
+@pytest.mark.parametrize("dims", [(8, 8), (4, 5, 4, 5)])
+@pytest.mark.parametrize("span", [3.0, 12.0])     # gauge and shifted branch
+def test_preconditioner_answers_are_fresh_and_unaliased(dims, span):
+    # gmres subtracts from what psolve returns (w -= h v), so every answer
+    # must be an array nothing else holds, and a repeated input must get
+    # the answer a freshly built preconditioner gives, bit for bit
+    problem, phi, rng = _gauge_case(dims, span)
+    n = problem.grid.size
+    b, v = rng.standard_normal(n + 1), rng.standard_normal(n + 1)
+    precond = shifted_inverse_preconditioner(problem, phi, 0.7)
+    kept = []
+    for x in (b, b.copy(), v, b, v):
+        fresh = shifted_inverse_preconditioner(problem, phi, 0.7).matvec(x)
+        answer = precond.matvec(x)
+        assert answer.tobytes() == fresh.tobytes()
+        step = rng.standard_normal(n + 1)
+        answer -= step
+        fresh -= step
+        kept.append((answer, fresh))
+    for answer, fresh in kept:
+        assert answer.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(128, 128), (8, 8, 8, 8)])
+def test_preconditioner_memory(dims):
+    # Gauge branch: building holds g, u, u^-1, the real symbol and the
+    # complex half spectrum the FFT pair runs in.  A steady apply writes
+    # into its n + 1 output and allocates only c g for the border.
+    problem, phi, rng = _gauge_case(dims, 3.0, seed=22)
+    g = problem.grid
+    x = rng.standard_normal(g.size + 1)
+    shifted_inverse_preconditioner(problem, phi, 0.5).matvec(x)  # first-call caches
+    grid_bytes = g.size * 8
+    half = problem.laplacian_symbol.size / g.size
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        precond = shifted_inverse_preconditioner(problem, phi, 0.5)
+        held = tracemalloc.get_traced_memory()[0] - before
+        precond.matvec(x)
+        precond.matvec(x)       # answered from the first apply, memo dropped
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        y = precond.matvec(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 3 grid arrays and 3 half-spectrum ones (the complex spectrum counts
+    # twice), plus the closure and numpy's small objects (2 kB)
+    assert held <= (3.0 + 3.0 * half + 0.1) * grid_bytes
+    # c g, plus pocketfft's line buffers for the strided axes (10 kB on 8^4)
+    assert peak <= y.nbytes + 1.5 * grid_bytes
+    print("held %.2f, apply peak %.2f grid arrays beyond the output"
+          % (held / grid_bytes, (peak - y.nbytes) / grid_bytes))
+
+
+@pytest.mark.parametrize("dims, span, lengths", [
+    ((8, 8), 3.0, None),                             # gauge branch
+    ((16, 16), 12.0, None),                          # shifted branch
+    ((4, 5, 4, 5), 3.0, (1.0, 2.0, 3.0, 5.0)),
+])
+@pytest.mark.parametrize("rtol", [1e-2, 1e-6, 1e-10])
+def test_converged_gmres_meets_true_residual(dims, span, lengths, rtol):
+    # _solve_bordered returns a converged x unchecked: scipy's info == 0
+    # must mean the true residual, with this operator, is within rtol
+    problem, phi, rng = _gauge_case(dims, span, lengths)
+    n = problem.grid.size
+    op = bordered_operator(problem, phi, 0.7)
+    precond = shifted_inverse_preconditioner(problem, phi, 0.7)
+    rhs = np.concatenate([rng.standard_normal(n), [0.0]])
+    x, info = es._gmres(op, rhs, precond, rtol)
+    assert info == 0
+    assert np.linalg.norm(op.matvec(x) - rhs) <= rtol * np.linalg.norm(rhs)
+
+
+def test_solve_bordered_adds_no_apply_after_converged_gmres(monkeypatch):
+    problem, phi, rng = _gauge_case((16, 16), 3.0)
+    n = problem.grid.size
+    op = bordered_operator(problem, phi, 0.7)
+    inside, outside, infos = [False], [0], []
+
+    def counted(x):
+        outside[0] += not inside[0]
+        return op.matvec(x)
+
+    gmres = es._gmres
+
+    def flagged(*args):
+        inside[0] = True
+        try:
+            x, info = gmres(*args)
+        finally:
+            inside[0] = False
+        infos.append(info)
+        return x, info
+
+    monkeypatch.setattr(es, "_gmres", flagged)
+    counted_op = es.spla.LinearOperator(op.shape, matvec=counted, dtype=float)
+    precond = shifted_inverse_preconditioner(problem, phi, 0.7)
+    rhs = np.concatenate([rng.standard_normal(n), [0.0]])
+    x = es._solve_bordered(problem, counted_op, precond, rhs, 1e-6)
+    assert infos == [0]
+    assert outside[0] == 0
+    assert np.linalg.norm(op.matvec(x) - rhs) <= 1e-6 * np.linalg.norm(rhs)
+
+
 # --------------------------------------------------------- failure paths
 
 
