@@ -33,9 +33,13 @@ out=): importing scipy.fft would add about 0.07 s, a quarter of the
 set-up time, to every run.
 
 The linear solve's relative tolerance is the forcing term
-min(1e-2, max(|res|, tol / (2 |res|))) of Eisenstat and Walker: the
-residual norm far from the solution, but never tighter than the last
-step needs to bring the residual to the Newton tolerance tol.
+max(min(1e-2, |res|), tol / (2 |res|)), at most 1/2, of Eisenstat and
+Walker: the residual norm, capped at 1e-2 far from the solution, but
+never tighter than the last step needs to bring the residual to the
+Newton tolerance tol.  The 1e-2 cap does not tighten that floor: a step
+that starts within 50 tol has a residual near the round-off floor, and
+GMRES could not always cut such a residual a hundredfold (a 256^2 sine
+case with Q = -60 I stalled at 1.4e-10 with tol 1e-10).
 """
 
 import math
@@ -188,13 +192,58 @@ class Problem:
 
 
 def quad_value(q, g):
-    """<Q v, v> per node for a stacked gradient v."""
-    return np.einsum("...ij,i...,j...->...", q, g, g)
+    """<Q v, v> per node for a stacked gradient v.
+
+    The sum of s_ij v_i v_j over i <= j, with s_ii = q_ii and s_ij = q_ij
+    + q_ji, leaving out pairs whose coefficient is zero at every node.
+    s_ij is a scalar for a constant Q and a grid array for a per-node Q;
+    both broadcast alike.  The first term is written, the rest are added
+    through one buffer.
+    """
+    d = q.shape[-1]
+    out = buf = None
+    for i in range(d):
+        for j in range(i, d):
+            s = q[..., i, i] if i == j else q[..., i, j] + q[..., j, i]
+            if not np.any(s):
+                continue
+            if out is None:
+                out = np.multiply(g[i], g[j])
+                out *= s
+                continue
+            if buf is None:
+                buf = np.empty_like(out)
+            np.multiply(g[i], g[j], out=buf)
+            buf *= s
+            out += buf
+    return np.zeros(g.shape[1:]) if out is None else out
 
 
 def quad_dir_weights(q, g):
-    """Weights w with d/ds <Q grad(phi+s eta)...> = sum_j w_j (grad eta)_j."""
-    return np.einsum("...ij,i...->j...", q + np.swapaxes(q, -1, -2), g)
+    """Weights w with d/ds <Q grad(phi+s eta)...> = sum_j w_j (grad eta)_j.
+
+    w_j = sum_i (q_ij + q_ji) v_i, over the i whose coefficient is not
+    zero at every node; the first term is written into w_j, the rest are
+    added through one buffer.
+    """
+    d = q.shape[-1]
+    w = np.zeros(g.shape)
+    buf = None
+    for j in range(d):
+        written = False
+        for i in range(d):
+            s = q[..., i, j] + q[..., j, i]
+            if not np.any(s):
+                continue
+            if not written:
+                np.multiply(g[i], s, out=w[j])
+                written = True
+                continue
+            if buf is None:
+                buf = np.empty(g.shape[1:])
+            np.multiply(g[i], s, out=buf)
+            w[j] += buf
+    return w
 
 
 def residual(problem, phi, b, t):
@@ -381,7 +430,9 @@ def newton_step(problem, state, tol=1e-10, max_halvings=20):
     op = bordered_operator(problem, state.phi, state.t)
     precond = shifted_inverse_preconditioner(problem, state.phi, state.t)
     rhs = np.concatenate([(-res).ravel(), [0.0]])
-    rtol = min(1e-2, max(res_norm, 0.5 * tol / res_norm)) if res_norm > 0 else 0.0
+    del res   # a grid array less while GMRES holds its Krylov basis
+    rtol = min(0.5, max(min(1e-2, res_norm), 0.5 * tol / res_norm)) \
+        if res_norm > 0 else 0.0
     x = _solve_bordered(problem, op, precond, rhs, rtol)
     eta = x[:n].reshape(grid.dims)
     c = float(x[n])
@@ -414,8 +465,11 @@ def solve_at_t(problem, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
     if b0 <= 0:
         raise BPositivityLost("initial b must be positive, got %g" % b0)
     grid = problem.grid
-    phi = grid.zeros() if phi0 is None else _check_field(grid, phi0, "phi0").copy()
+    # the subtraction makes phi a new array, so phi0 is never written;
+    # dropping phi0 frees a start the caller does not keep
+    phi = grid.zeros() if phi0 is None else _check_field(grid, phi0, "phi0")
     phi = phi - np.mean(phi)
+    del phi0
     res = residual(problem, phi, b0, t)
     res_norm = float(np.max(np.abs(res)))
     state = SolverState(phi=phi, b=float(b0), t=float(t),

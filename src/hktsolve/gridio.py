@@ -3,12 +3,9 @@
 A field file is one JSON header line (dims, lengths, channels) followed
 by the raw little-endian float64 payload in C order.  Scalar fields have
 no channel axis; packed symmetric matrix fields carry d*(d+1)/2
-channels, upper triangle in row-major order.  CSV export writes one row
-per node with leading coordinates.
+channels, upper triangle in row-major order.
 """
 
-import csv
-import io
 import json
 import math
 import os
@@ -77,18 +74,6 @@ def read_field(path):
                             % (len(payload), want))
     arr = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     return arr, lengths
-
-
-def field_to_csv(arr, grid):
-    arr = np.asarray(arr, dtype=float)
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["x%d" % ax for ax in range(grid.ndim)] + ["value"])
-    coords = [grid.coords(ax) for ax in range(grid.ndim)]
-    for idx in np.ndindex(*grid.dims):
-        w.writerow(["%.17g" % coords[ax][idx[ax]] for ax in range(grid.ndim)]
-                   + ["%.17g" % arr[idx]])
-    return out.getvalue()
 
 
 def pack_symmetric(q):

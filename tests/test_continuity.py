@@ -17,7 +17,13 @@ from hktsolve.continuity_driver import (
     run_continuity,
     sine_product_field,
 )
-from hktsolve.elliptic_solver import Problem, SolverState, TorusGrid
+from hktsolve.elliptic_solver import (
+    Problem,
+    SolverState,
+    TorusGrid,
+    check_b_bound,
+    density,
+)
 from hktsolve.errors import (
     ConfigError,
     NonBasicResidue,
@@ -338,3 +344,213 @@ def test_basicness_intersects_per_node_q_axes():
                         newton_iters=0)
     report = basicness_check(Problem(g, F, q), state, 1e-10)
     assert report["invariant_axes"] == [3]
+
+
+# ------------------------------------------------------ grid sequencing
+
+
+def _waves(rng, shape, count=5):
+    """Random cosines with every |k_ax| below half the axis: band-limited."""
+    return [(tuple(int(rng.integers(-((m - 1) // 2), (m - 1) // 2 + 1))
+                   for m in shape),
+             float(rng.standard_normal()), float(rng.uniform(0.0, 2.0 * np.pi)))
+            for _ in range(count)]
+
+
+def _trig_poly(shape, lengths, waves, nyquist):
+    """Evaluate the polynomial at the nodes of a grid of ``shape``.
+
+    A wave is a * cos(sum_ax k_ax x_ax 2 pi / L_ax + phase).  A Nyquist
+    term (axes, a) is a * prod over axes of cos(pi m_ax x_ax / L_ax), m_ax
+    the coarse length: a product of cosines, the one form a Nyquist mode
+    of the coarse grid stands for.
+    """
+    xs = [np.arange(n).reshape([-1 if ax == k else 1 for k in range(len(shape))])
+          * (L / n) for ax, (n, L) in enumerate(zip(shape, lengths))]
+    out = np.zeros(shape)
+    for ks, a, phase in waves:
+        out = out + a * np.cos(sum(2.0 * np.pi * k * x / L
+                                   for k, x, L in zip(ks, xs, lengths)) + phase)
+    for (axes, m), a in nyquist:
+        term = np.full(shape, a)
+        for ax, mm in zip(axes, m):
+            term = term * np.cos(np.pi * mm * xs[ax] / lengths[ax])
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("coarse, fine", [
+    ((6, 8), (12, 16)),                # two even axes, Nyquist corner
+    ((5, 8), (5, 16)),                 # odd axis kept, last axis grows
+    ((8, 7), (16, 7)),                 # odd last axis kept
+    ((6, 4, 6, 5), (12, 8, 12, 5)),    # four axes
+    ((4, 6, 5, 8), (8, 6, 10, 16)),    # an even axis kept, an odd one grown
+])
+def test_interpolation_reproduces_band_limited_polynomials(coarse, fine):
+    # evaluated analytically on both grids: no FFT and no solver code
+    rng = np.random.default_rng(31)
+    lengths = tuple(float(x) for x in rng.uniform(1.0, 7.0, len(coarse)))
+    grown = [ax for ax, (m, n) in enumerate(zip(coarse, fine))
+             if n != m and m % 2 == 0]
+    nyquist = [(((ax,), (coarse[ax],)), 0.7) for ax in grown]
+    if len(grown) >= 2:
+        nyquist.append(((tuple(grown[:2]), tuple(coarse[ax] for ax in grown[:2])),
+                        -0.4))
+    waves = _waves(rng, coarse)
+    got = cd.interpolate(_trig_poly(coarse, lengths, waves, nyquist), fine)
+    want = _trig_poly(fine, lengths, waves, nyquist)
+    assert got.shape == fine
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _sequenced_cases():
+    g2 = TorusGrid((64, 64))
+    godd = TorusGrid((64, 45))
+    g4 = TorusGrid((16, 16, 8, 8))
+    xs = g4.meshes()
+    q4 = np.broadcast_to(-np.eye(4), g4.dims + (4, 4)).copy()
+    q4[..., 0, 0] = -1.0 - 0.5 * np.sin(xs[0]) ** 2
+    q4[..., 0, 1] = q4[..., 1, 0] = 0.2 * np.sin(xs[0] + xs[2])
+    return {
+        "constant-q": Problem(g2, bump(g2, 2.0), -4.0 * np.eye(2)),
+        "odd-axis": Problem(godd, np.roll(sine_product_field(godd, 2.0), 3, axis=1),
+                            np.array([[-3.0, 1.0], [1.0, -2.0]])),
+        "pernode-q": Problem(g4, 0.5 * np.sin(xs[0]) + 0.3 * np.cos(xs[1] - xs[3]), q4),
+    }
+
+
+SEQUENCED = _sequenced_cases()
+
+
+def _run(problem, cfg, floor, monkeypatch):
+    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", floor)
+    return run_continuity(problem, cfg)
+
+
+def _coarse_solves(monkeypatch):
+    """Record the dims of every solve_at_t that run_continuity makes."""
+    seen = []
+    solve = cd.solve_at_t
+
+    def recorded(problem, t, **kw):
+        seen.append(problem.grid.dims)
+        return solve(problem, t, **kw)
+
+    monkeypatch.setattr(cd, "solve_at_t", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCED))
+def test_sequenced_and_plain_starts_reach_the_same_solution(name, monkeypatch):
+    problem = SEQUENCED[name]
+    cfg = ContinuityConfig(newton_tol=1e-10)
+    plain, plain_trace = _run(problem, cfg, 10 ** 9, monkeypatch)
+    seen = _coarse_solves(monkeypatch)
+    seq, seq_trace = _run(problem, cfg, 1024, monkeypatch)
+    # at least one coarse solve ran, and no fallback to the plain start
+    assert len(seen) >= 3 and seen.count(problem.grid.dims) == 2
+    assert [r.t for r in seq_trace.rows] == [r.t for r in plain_trace.rows]
+    assert seq.residual_norm <= cfg.newton_tol
+    assert abs(seq.b - plain.b) <= 100 * cfg.newton_tol
+    assert np.max(np.abs(seq.phi - plain.phi)) <= 100 * cfg.newton_tol
+    assert seq_trace.rows[-1].newton_iters < plain_trace.rows[-1].newton_iters
+
+
+def test_odd_and_short_axes_are_not_halved(monkeypatch):
+    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", 16)
+    assert cd.coarse_dims(TorusGrid((64, 45))) == (32, 45)
+    assert cd.coarse_dims(TorusGrid((8, 6, 7, 9))) == (4, 6, 7, 9)
+    assert cd.coarse_dims(TorusGrid((6, 6, 5, 5))) is None
+    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", 2 ** 16)
+    assert cd.coarse_dims(TorusGrid((128, 128))) is None
+    assert cd.coarse_dims(TorusGrid((256, 256))) == (128, 128)
+
+
+def test_coarse_problem_is_injected():
+    g = TorusGrid((16, 12, 8, 5), lengths=(1.0, 2.0, 3.0, 4.0))
+    rng = np.random.default_rng(37)
+    F = rng.standard_normal(g.dims)
+    q = np.broadcast_to(-np.eye(4), g.dims + (4, 4)).copy()
+    q[..., 1, 1] -= rng.uniform(0.0, 1.0, g.dims)
+    coarse = cd.coarsen(Problem(g, F, q), (8, 6, 4, 5))
+    assert coarse.grid.dims == (8, 6, 4, 5)
+    assert coarse.grid.lengths == g.lengths
+    assert np.array_equal(coarse.F, F[::2, ::2, ::2, :])
+    assert np.array_equal(coarse.q, q[::2, ::2, ::2, :])
+    constant = cd.coarsen(Problem(g, F, -2.0 * np.eye(4)), (8, 6, 4, 5))
+    assert np.array_equal(constant.q, -2.0 * np.eye(4))
+
+
+@pytest.mark.parametrize("where", ["fine", "coarse"])
+def test_failed_sequenced_start_falls_back_to_the_plain_start(where, monkeypatch):
+    problem = SEQUENCED["constant-q"]
+    cfg = ContinuityConfig(newton_tol=1e-10)
+    plain, plain_trace = _run(problem, cfg, 10 ** 9, monkeypatch)
+    solve = cd.solve_at_t
+    failed = []
+
+    def failing(p, t, phi0=None, b0=1.0, **kw):
+        fine = p.grid.dims == problem.grid.dims
+        interpolated = phi0 is not None and np.any(phi0)
+        if t > 0 and ((where == "fine" and fine and interpolated)
+                      or (where == "coarse" and not fine)):
+            failed.append(p.grid.dims)
+            raise cd.MaxItersExceeded("injected")
+        return solve(p, t, phi0=phi0, b0=b0, **kw)
+
+    monkeypatch.setattr(cd, "solve_at_t", failing)
+    state, trace = _run(problem, cfg, 1024, monkeypatch)
+    assert len(failed) == 1
+    assert [r.t for r in trace.rows] == [r.t for r in plain_trace.rows] == [0.0, 1.0]
+    # the fallback is the plain path's own call, so b is the same to the bit
+    assert state.b == plain.b
+    assert np.array_equal(state.phi, plain.phi)
+
+
+def test_sequenced_step_control_keeps_the_plain_schedule(monkeypatch):
+    # the fine solve from the interpolated start takes 2 Newton steps
+    # where the plain start takes 5; counted as easy, they would double
+    # the step a row early.  The coarsest grid's plain start counts instead.
+    g = TorusGrid((64, 64))
+    problem = Problem(g, sine_product_field(g, 2.0), -16.0 * np.eye(2))
+    cfg = ContinuityConfig(newton_tol=1e-6, t_step_init=0.25)
+    _, plain = _run(problem, cfg, 10 ** 9, monkeypatch)
+    _, seq = _run(problem, cfg, 1024, monkeypatch)
+    assert [r.t for r in seq.rows] == [r.t for r in plain.rows]
+    assert seq.rows[1].newton_iters < plain.rows[1].newton_iters
+
+
+def test_sequenced_reruns_are_bit_identical(monkeypatch):
+    problem = SEQUENCED["pernode-q"]
+    cfg = ContinuityConfig(newton_tol=1e-10)
+    s1, tr1 = _run(problem, cfg, 1024, monkeypatch)
+    s2, tr2 = _run(problem, cfg, 1024, monkeypatch)
+    assert s1.phi.tobytes() == s2.phi.tobytes() and s1.b == s2.b
+    strip = lambda tr: [line.rsplit(",", 1)[0] for line in tr.to_csv().splitlines()]
+    assert strip(tr1) == strip(tr2)
+
+
+# -------------------------------------------------------- theorem ladder
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 2.0, 4.0, 6.0])
+@pytest.mark.parametrize("forcing", ["sine", "bump"])
+@pytest.mark.parametrize("a", [1.0, 4.0, 16.0, 60.0])
+def test_theorem_ladder_reaches_t1(a, forcing, amplitude):
+    # the reduced equation has a unique solution for every datum, so a
+    # continuity failure on any rung is a solver defect
+    g = TorusGrid((44, 44))
+    F = sine_product_field(g, amplitude) if forcing == "sine" else bump(g, amplitude)
+    tol = 1e-10
+    problem = Problem(g, F, -a * np.eye(2))
+    state, trace = run_continuity(problem, ContinuityConfig(newton_tol=tol))
+    assert trace.rows[-1].t == 1.0 and state.converged
+    assert state.residual_norm <= tol
+    assert float(np.min(density(g, state.phi, problem.q))) > 0.0
+    for row in trace.rows:
+        e = np.exp(row.t * F)
+        # max principle: min e^{-tF} <= b <= max e^{-tF}; the mean of the
+        # equation with <Q grad, grad> <= 0: b mean(e^{tF}) <= 1
+        assert float(np.min(1.0 / e)) <= row.b
+        assert check_b_bound(row, F, 100 * tol)
+        assert row.b * float(np.mean(e)) <= 1.0 + 100 * tol

@@ -167,6 +167,31 @@ def test_pernode_q_matches_constant_q():
     assert np.allclose(rc, rn, atol=1e-13)
 
 
+@pytest.mark.parametrize("dims", [(6, 5), (4, 3, 5, 4)])
+def test_quadratic_form_matches_double_loop(dims):
+    # an asymmetric per-node Q with no sign: the quadratic form reads
+    # every entry q_ij, not only the symmetric part's upper triangle
+    rng = np.random.default_rng(29)
+    d = len(dims)
+    q = rng.standard_normal(dims + (d, d))
+    g = rng.standard_normal((d,) + dims)
+    value, weights = np.zeros(dims), np.zeros((d,) + dims)
+    for i in range(d):
+        for j in range(d):
+            value += q[..., i, j] * g[i] * g[j]
+            weights[j] += (q[..., i, j] + q[..., j, i]) * g[i]
+    assert np.allclose(es.quad_value(q, g), value, rtol=0, atol=1e-12)
+    assert np.allclose(es.quad_dir_weights(q, g), weights, rtol=0, atol=1e-12)
+    # a constant Q reads the same as its per-node broadcast; a zero Q is zero
+    qc = q[(0,) * d]
+    qn = np.broadcast_to(qc, q.shape)
+    assert np.allclose(es.quad_value(qc, g), es.quad_value(qn, g), rtol=0, atol=1e-12)
+    assert np.allclose(es.quad_dir_weights(qc, g), es.quad_dir_weights(qn, g),
+                       rtol=0, atol=1e-12)
+    assert not np.any(es.quad_value(np.zeros((d, d)), g))
+    assert not np.any(es.quad_dir_weights(np.zeros((d, d)), g))
+
+
 def test_density_monitor():
     g = TorusGrid((16, 16))
     assert np.allclose(density(g, g.zeros(), -np.eye(2)), 1.0)
@@ -314,6 +339,31 @@ def test_newton_step_at_exact_solution_is_stationary():
     assert new.residual_norm == 0.0
     assert np.max(np.abs(new.phi - state.phi)) == 0.0
     assert new.b == state.b
+
+
+@pytest.mark.parametrize("res_norm, want", [
+    (1.0, 1e-2),              # far from the solution: capped at 1e-2
+    (1e-4, 1e-4),             # the residual norm
+    (1e-7, 5e-4),             # no tighter than reaching tol needs
+    (1.5e-10, 1.0 / 3.0),     # within 50 tol: the cap does not tighten it
+])
+def test_forcing_term_asks_only_for_what_the_step_needs(monkeypatch, res_norm, want):
+    # near the round-off floor a 1e-2 reduction may be out of GMRES's
+    # reach, so a step that starts just above tol asks for tol / (2 res)
+    g = TorusGrid((8, 8))
+    problem = Problem(g, g.zeros(), np.zeros((2, 2)))
+    state = SolverState(phi=g.zeros(), b=1.0 + res_norm, t=0.0,
+                        residual_norm=res_norm, newton_iters=0)
+    asked = []
+    gmres = es._gmres
+
+    def recorded(op, rhs, precond, rtol):
+        asked.append(rtol)
+        return gmres(op, rhs, precond, rtol)
+
+    monkeypatch.setattr(es, "_gmres", recorded)
+    newton_step(problem, state, tol=1e-10)
+    assert asked == [pytest.approx(want, rel=1e-5)]
 
 
 def test_solve_at_t_zero_time_needs_no_iteration():

@@ -74,17 +74,6 @@ def test_read_field_error_paths(tmp_path):
         gridio.read_field(truncated)
 
 
-def test_field_to_csv_layout():
-    g = TorusGrid((4, 4), lengths=(4.0, 4.0))
-    arr = np.arange(16.0).reshape(4, 4)
-    lines = gridio.field_to_csv(arr, g).splitlines()
-    assert lines[0] == "x0,x1,value"
-    assert len(lines) == 17
-    assert lines[1] == "0,0,0"
-    assert lines[2] == "0,1,1"
-    assert lines[-1] == "3,3,15"
-
-
 def test_pack_unpack_symmetric_round_trip():
     rng = np.random.default_rng(23)
     raw = rng.standard_normal((4, 4, 4, 4, 4, 4))
