@@ -51,7 +51,6 @@ from .errors import (
     DampingExhausted,
     LinearSolveFailure,
     MaxItersExceeded,
-    NonBasicResidue,
     NonpositiveDensity,
     ShapeMismatch,
     StepUnderflow,
@@ -304,13 +303,13 @@ def sine_product_field(grid, amplitude):
     return out
 
 
-def analytic_manufactured(grid, amplitude, q, b_star=1.0):
+def analytic_manufactured(grid, amplitude, q):
     """(phi_star sampled, F from exact derivatives) for the sine product.
 
-    Unlike manufactured_problem this uses the analytic Laplacian and
-    gradient of the continuum field, so the discrete solution differs
-    from phi_star by the truncation error; that difference is what a
-    convergence study measures.
+    F is the forcing for the constant b = 1.  Unlike manufactured_problem
+    this uses the analytic Laplacian and gradient of the continuum field,
+    so the discrete solution differs from phi_star by the truncation
+    error; that difference is what a convergence study measures.
     """
     q = np.asarray(q, dtype=float)
     waves = [2.0 * np.pi / L for L in grid.lengths]
@@ -333,19 +332,18 @@ def analytic_manufactured(grid, amplitude, q, b_star=1.0):
     if low <= 0.0:
         raise NonpositiveDensity(
             "analytic density reaches %.3e; shrink the amplitude" % low)
-    return phi, np.log(dens / b_star)
+    return phi, np.log(dens)
 
 
-def convergence_study(sizes, amplitude=0.1, qdiag=0.0, lengths=None,
-                      newton_tol=1e-10):
+def convergence_study(sizes, amplitude=0.1, qdiag=0.0, newton_tol=1e-10):
     """Sup-norm errors and observed orders against the analytic field.
 
-    One row per grid size (square 2-axis grids); qdiag fills a constant
-    diagonal quadratic form, 0 for the Poisson-limit study.
+    One row per grid size (square 2-axis grids of side 2 pi); qdiag fills
+    a constant diagonal quadratic form, 0 for the Poisson-limit study.
     """
     rows = []
     for size in sizes:
-        grid = TorusGrid((size, size), lengths)
+        grid = TorusGrid((size, size))
         q = np.eye(2) * float(qdiag)
         phi_star, F = analytic_manufactured(grid, amplitude, q)
         cfg = ContinuityConfig(newton_tol=newton_tol)
@@ -373,14 +371,14 @@ def _invariant_axes(arr, dims):
     return out
 
 
-def basicness_check(problem, state, tol, strict=False):
+def basicness_check(problem, state, tol):
     """Report whether the solution is constant along the axes F ignores.
 
     Models the descent of the solution to the leaf space: forcing and
     quadratic form constant along some axes should produce a solution
     constant along them, and equal to the lift of the reduced-grid
-    solution.  Returns a report dict; with ``strict`` a failed check
-    raises NonBasicResidue.
+    solution.  Returns a report dict and raises nothing on a failed
+    check: the caller reads ``passed`` (the CLI prints the report).
     """
     grid, F, q = problem.grid, problem.F, problem.q
     axes = sorted(set(_invariant_axes(F, grid.dims))
@@ -410,7 +408,7 @@ def basicness_check(problem, state, tol, strict=False):
 
     passed = variation <= 100.0 * tol and \
         (reduced_match is None or reduced_match <= 100.0 * tol)
-    report = {
+    return {
         "applicable": True,
         "invariant_axes": axes,
         "variation": variation,
@@ -418,6 +416,3 @@ def basicness_check(problem, state, tol, strict=False):
         "passed": bool(passed),
         "message": "solution variation %.3e along axes %s" % (variation, axes),
     }
-    if strict and not passed:
-        raise NonBasicResidue(report["message"])
-    return report

@@ -27,10 +27,11 @@ back into that output.  scipy's gmres applies the preconditioner twice
 to the same vector before its first cycle; the second apply is answered
 from a copy of the first.  A converged gmres result is returned
 unchecked, since gmres reports convergence only after computing the
-true residual itself.  Small systems fall back to a dense direct solve
-when the iteration stagnates.  The FFTs are numpy's (2.0 or newer, for
-out=): importing scipy.fft would add about 0.07 s, a quarter of the
-set-up time, to every run.
+true residual itself; one that did not converge raises
+LinearSolveFailure, which the continuity driver answers with a halved
+step.  The FFTs are numpy's (2.0 or newer, for out=): importing
+scipy.fft would add about 0.07 s, a quarter of the set-up time, to
+every run.
 
 The linear solve's relative tolerance is the forcing term
 max(min(1e-2, |res|), tol / (2 |res|)), at most 1/2, of Eisenstat and
@@ -58,7 +59,7 @@ from .errors import (
 )
 from .kernels import gradient_nd, laplacian_nd, neighbours
 
-DENSE_FALLBACK_MAX_NODES = 4096
+MAX_HALVINGS = 20
 PRECOND_SHIFT = 1.0
 # The gauge scales a field by u and back by 1/u, which differ by up to
 # exp(span): an apply loses about exp(span) * eps relatively, and 8
@@ -393,31 +394,18 @@ def _gmres(op, rhs, precond, rtol):
                       maxiter=4, restart=50)
 
 
-def _solve_bordered(problem, op, precond, rhs, rtol):
-    grid = problem.grid
+def _solve_bordered(op, precond, rhs, rtol):
     x, info = _gmres(op, rhs, precond, rtol)
     # scipy's gmres returns info == 0 only once its own true residual
-    # |rhs - op x| is within rtol |rhs|, so a converged x needs no recheck
-    if info == 0:
-        return x
-    if grid.size > DENSE_FALLBACK_MAX_NODES:
+    # |rhs - op x| is within rtol |rhs|, so a converged x needs no recheck;
+    # the bordered system is nonsingular, so any other info is a failure
+    if info != 0:
         raise LinearSolveFailure(
-            "GMRES stagnated (info=%s) and the grid is too large for the "
-            "dense fallback" % info)
-    m = grid.size + 1
-    dense = np.empty((m, m))
-    e = np.zeros(m)
-    for col in range(m):
-        e[col] = 1.0
-        dense[:, col] = op.matvec(e)
-        e[col] = 0.0
-    try:
-        return np.linalg.solve(dense, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveFailure("dense fallback failed: %s" % exc)
+            "GMRES did not converge (info=%s, rtol=%.3e)" % (info, rtol))
+    return x
 
 
-def newton_step(problem, state, tol=1e-10, max_halvings=20):
+def newton_step(problem, state, tol=1e-10):
     """One damped Newton update of (phi, b); returns the new state.
 
     tol is the residual the solve aims at: the linear solve is not asked
@@ -433,12 +421,12 @@ def newton_step(problem, state, tol=1e-10, max_halvings=20):
     del res   # a grid array less while GMRES holds its Krylov basis
     rtol = min(0.5, max(min(1e-2, res_norm), 0.5 * tol / res_norm)) \
         if res_norm > 0 else 0.0
-    x = _solve_bordered(problem, op, precond, rhs, rtol)
+    x = _solve_bordered(op, precond, rhs, rtol)
     eta = x[:n].reshape(grid.dims)
     c = float(x[n])
 
     scale = 1.0
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         phi_new = state.phi + scale * eta
         phi_new = phi_new - np.mean(phi_new)
         b_new = state.b + scale * c
@@ -455,7 +443,7 @@ def newton_step(problem, state, tol=1e-10, max_halvings=20):
         scale *= 0.5
     raise DampingExhausted(
         "no residual decrease after %d halvings (residual %.3e)"
-        % (max_halvings, res_norm))
+        % (MAX_HALVINGS, res_norm))
 
 
 def solve_at_t(problem, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):

@@ -706,7 +706,7 @@ def test_solve_bordered_adds_no_apply_after_converged_gmres(monkeypatch):
     counted_op = es.spla.LinearOperator(op.shape, matvec=counted, dtype=float)
     precond = shifted_inverse_preconditioner(problem, phi, 0.7)
     rhs = np.concatenate([rng.standard_normal(n), [0.0]])
-    x = es._solve_bordered(problem, counted_op, precond, rhs, 1e-6)
+    x = es._solve_bordered(counted_op, precond, rhs, 1e-6)
     assert infos == [0]
     assert outside[0] == 0
     assert np.linalg.norm(op.matvec(x) - rhs) <= 1e-6 * np.linalg.norm(rhs)
@@ -744,8 +744,8 @@ def test_accepted_step_crossing_zero_b(monkeypatch):
     # force a descent direction whose full step lands at b < 0
     g = TorusGrid((8, 8))
 
-    def fake_solve(problem, op, precond, rhs, rtol):
-        x = np.zeros(problem.grid.size + 1)
+    def fake_solve(op, precond, rhs, rtol):
+        x = np.zeros_like(rhs)
         x[-1] = -3.5
         return x
 
@@ -759,40 +759,49 @@ def test_accepted_step_crossing_zero_b(monkeypatch):
 def test_damping_exhausted_on_ascent_direction(monkeypatch):
     g = TorusGrid((8, 8))
 
-    def fake_solve(problem, op, precond, rhs, rtol):
-        x = np.zeros(problem.grid.size + 1)
+    def fake_solve(op, precond, rhs, rtol):
+        x = np.zeros_like(rhs)
         x[-1] = 1.0  # pushes b away from the solution
         return x
 
     monkeypatch.setattr(es, "_solve_bordered", fake_solve)
     state = SolverState(phi=g.zeros(), b=2.0, t=1.0, residual_norm=1.0,
                         newton_iters=0, res_history=[1.0])
-    with pytest.raises(DampingExhausted):
-        newton_step(Problem(g, g.zeros(), np.zeros((2, 2))), state,
-                    max_halvings=5)
+    halvings = "after %d halvings" % es.MAX_HALVINGS
+    with pytest.raises(DampingExhausted, match=halvings):
+        newton_step(Problem(g, g.zeros(), np.zeros((2, 2))), state)
 
 
-def test_linear_solve_failure_without_dense_fallback(monkeypatch):
-    # stagnating GMRES on a grid too large for the dense path
-    g = TorusGrid((128, 128))
+@pytest.mark.parametrize("dims", [(8, 8), (128, 128)])
+def test_failed_gmres_raises_with_no_apply_after_it(dims, monkeypatch):
+    # a GMRES that does not converge fails the solve at every grid size;
+    # the fake applies the operator once itself, so the count is live
+    g = TorusGrid(dims)
+    inside, applies, calls = [False], {True: 0, False: 0}, [0]
+    build = es.bordered_operator
 
-    def fake_gmres(op, rhs, precond, rtol):
+    def counted_operator(problem, phi, t):
+        op = build(problem, phi, t)
+
+        def counted(x):
+            applies[inside[0]] += 1
+            return op.matvec(x)
+
+        return es.spla.LinearOperator(op.shape, matvec=counted, dtype=float)
+
+    def failed_gmres(op, rhs, precond, rtol):
+        calls[0] += 1
+        inside[0] = True
+        op.matvec(rhs)
+        inside[0] = False
         return np.zeros_like(rhs), 1
 
-    monkeypatch.setattr(es, "_gmres", fake_gmres)
-    with pytest.raises(LinearSolveFailure):
+    monkeypatch.setattr(es, "bordered_operator", counted_operator)
+    monkeypatch.setattr(es, "_gmres", failed_gmres)
+    with pytest.raises(LinearSolveFailure, match=r"info=1, rtol="):
         solve_at_t(Problem(g, bump(g), -np.eye(2)), 1.0)
-
-
-def test_dense_fallback_rescues_small_grids(monkeypatch):
-    g = TorusGrid((8, 8))
-
-    def fake_gmres(op, rhs, precond, rtol):
-        return np.zeros_like(rhs), 1
-
-    monkeypatch.setattr(es, "_gmres", fake_gmres)
-    st = solve_at_t(Problem(g, bump(g), -np.eye(2)), 1.0, tol=1e-10)
-    assert st.converged
+    assert calls[0] == 1
+    assert applies == {True: 1, False: 0}
 
 
 def test_gmres_propagates_operator_errors():
@@ -814,7 +823,7 @@ def test_gmres_propagates_operator_errors():
 def test_gmres_work_is_capped_on_complete_stagnation():
     # a cyclic shift with rhs e_1: every Krylov space of dimension below n
     # misses the solution, so restarted GMRES makes no progress at all
-    n = es.DENSE_FALLBACK_MAX_NODES + 2
+    n = 4098
     calls = [0]
 
     def shift(x):
@@ -826,4 +835,8 @@ def test_gmres_work_is_capped_on_complete_stagnation():
     rhs[0] = 1.0
     _, info = es._gmres(op, rhs, None, 1e-8)
     assert info != 0
+    assert calls[0] <= 4 * 51 + 1
+    calls[0] = 0
+    with pytest.raises(LinearSolveFailure):
+        es._solve_bordered(op, None, rhs, 1e-8)
     assert calls[0] <= 4 * 51 + 1
