@@ -67,6 +67,35 @@ def _converted(label, convert, *args):
         raise ConfigError("%s: %s" % (label, exc)) from exc
 
 
+def _number(label, value, kind):
+    """A JSON number as ``kind`` (int or float), or ConfigError.
+
+    An int takes JSON integers only, by ``gridio.read_field``'s
+    ``type(x) is int`` rule (true and 8.7 are refused); a float also
+    takes floats, but never a bool or a string.
+    """
+    if type(value) is int or (kind is float and type(value) is float):
+        return _converted(label, kind, value)
+    raise ConfigError("%s must be %s, got %r"
+                      % (label, "an integer" if kind is int else "a number", value))
+
+
+def _numbers(label, values, kind):
+    """A JSON list of numbers, each checked by ``_number``."""
+    if not isinstance(values, list):
+        raise ConfigError("%s must be a list, got %r" % (label, values))
+    return [_number(label, v, kind) for v in values]
+
+
+def _write_text(path, text):
+    """Write text to path, with an OSError raised as ConfigError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # verify-su3
 
@@ -143,11 +172,7 @@ def verify_su3(perturb=False, emit_forms=None):
     _ok("perturbed top form is J-real")
 
     if emit_forms:
-        try:
-            with open(emit_forms, "w") as fh:
-                fh.write(canonical_str(perturbed, sep="\n") + "\n")
-        except OSError as exc:
-            raise ConfigError("cannot write %s: %s" % (emit_forms, exc)) from exc
+        _write_text(emit_forms, canonical_str(perturbed, sep="\n") + "\n")
         _say("wrote canonical form to %s" % emit_forms)
     return op
 
@@ -217,13 +242,13 @@ def _build_forcing(spec, grid):
             raise ConfigError("forcing field lengths do not match the grid")
         return arr
     kind = spec.get("type", "zero")
-    amp = _converted("forcing amplitude", float, spec.get("amplitude", 1.0))
+    amp = _number("forcing amplitude", spec.get("amplitude", 1.0), float)
     if kind == "zero":
         return grid.zeros()
     if kind == "sine":
         return sine_product_field(grid, amp)
     if kind == "bump":
-        width = _converted("forcing width", float, spec.get("width", 1.0))
+        width = _number("forcing width", spec.get("width", 1.0), float)
         if width <= 0:
             raise ConfigError("bump width must be positive")
         acc = np.zeros(grid.dims)
@@ -237,21 +262,30 @@ def _load_run_config(path, overrides):
     from .continuity_driver import ContinuityConfig
     from .elliptic_solver import Problem, TorusGrid
 
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     for section in ("grid", "forcing", "continuity"):
         if not isinstance(cfg.get(section, {}), dict):
             raise ConfigError("config section %r must be a JSON object" % section)
+    outputs = cfg.get("outputs", {})
+    if not (isinstance(outputs, dict)
+            and all(isinstance(v, str) and v for v in outputs.values())):
+        raise ConfigError("config 'outputs' must map names to non-empty "
+                          "file names, got %r" % (outputs,))
     for key, val in overrides.items():
         if val is None:
             continue
         section, sub = key
         cfg.setdefault(section, {})[sub] = val
     gspec = cfg.get("grid", {})
-    grid = _converted("grid", TorusGrid, gspec.get("dims", [64, 64]),
-                      gspec.get("lengths"))
+    lengths = gspec.get("lengths")
+    grid = TorusGrid(_numbers("grid.dims", gspec.get("dims", [64, 64]), int),
+                     None if lengths is None else _numbers("grid.lengths", lengths, float))
     F = _build_forcing(cfg.get("forcing", {"type": "zero"}), grid)
     q = _converted("q", gridio.load_qspec,
                    cfg.get("q", {"matrix": np.zeros((grid.ndim, grid.ndim)).tolist()}),
@@ -259,8 +293,7 @@ def _load_run_config(path, overrides):
     problem = Problem(grid, F, q)
     cspec = cfg.get("continuity", {})
     ccfg = ContinuityConfig(**{
-        name: _converted("continuity.%s" % name, type(default),
-                         cspec.get(name, default))
+        name: _number("continuity.%s" % name, cspec.get(name, default), type(default))
         for name, default in dataclasses.asdict(ContinuityConfig()).items()
     }).validate()
     return cfg, problem, ccfg
@@ -273,6 +306,12 @@ def cmd_solve(args):
     overrides = {("continuity", "newton_tol"): args.newton_tol}
     cfg, problem, ccfg = _load_run_config(args.config, overrides)
     grid = problem.grid
+    outputs = cfg.get("outputs", {})
+    outdir = args.out_dir or "."
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("cannot create output directory %s: %s" % (outdir, exc)) from exc
     state, trace = run_continuity(problem, ccfg)
     dens = density(grid, state.phi, problem.q)
     slack = 10.0 * ccfg.newton_tol
@@ -282,18 +321,12 @@ def cmd_solve(args):
     _say("density range: [%.6g, %.6g]" % (float(dens.min()), float(dens.max())))
     _say("b bound (max e^{-tF} + %.1e): %s" % (slack, "ok" if bound_ok else "VIOLATED"))
 
-    outputs = cfg.get("outputs", {})
-    outdir = args.out_dir or "."
-    os.makedirs(outdir, exist_ok=True)
-
     def _path(key, default):
-        return os.path.join(outdir, outputs.get(key) or default)
+        return os.path.join(outdir, outputs.get(key, default))
 
     gridio.write_field(_path("phi", "phi.field"), state.phi, grid.lengths)
-    with open(_path("trace_csv", "trace.csv"), "w") as fh:
-        fh.write(trace.to_csv())
-    with open(_path("trace_json", "trace.json"), "w") as fh:
-        fh.write(trace.to_json())
+    _write_text(_path("trace_csv", "trace.csv"), trace.to_csv())
+    _write_text(_path("trace_json", "trace.json"), trace.to_json())
     summary = {
         "b": state.b,
         "t": state.t,
@@ -326,9 +359,8 @@ def cmd_solve(args):
         summary["uniqueness"] = {"dphi": dphi, "db": db, "agree": bool(agree)}
         if not agree:
             return 1
-    with open(_path("summary", "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(_path("summary", "summary.json"),
+                json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0 if bound_ok else 1
 
 

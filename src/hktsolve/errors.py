@@ -28,10 +28,6 @@ class DimensionMismatch(HktError):
     """Two objects that must share a dimension do not."""
 
 
-class LinearlyDependent(HktError):
-    """The proposed frame vectors do not span the complexified algebra."""
-
-
 class NotUnitary(HktError):
     """The frame is not orthonormal for the given metric."""
 

@@ -1,17 +1,14 @@
 """Exact Gaussian-rational arithmetic.
 
-The complexified side of the symbolic half (the frame vectors, the
-inverse of the frame matrix, the complex bracket table and the
-reduction) is computed over Q(i) so that golden values can be compared
-for literal equality; the real algebra stays over the rationals
-(``Fraction``) in ``lie_frame``.  Floats are
-embedded exactly (``Fraction`` keeps the binary value), which makes round
-trips through this module lossless.
+The complexified side of the symbolic half (the frame vectors, their
+metric adjoint, the complex bracket table and the reduction) is computed
+over Q(i) so that golden values can be compared for literal equality;
+the real algebra stays over the rationals (``Fraction``) in
+``lie_frame``.  Floats are embedded exactly (``Fraction`` keeps the
+binary value), which makes round trips through this module lossless.
 """
 
 from fractions import Fraction
-
-from .errors import LinearSolveFailure
 
 
 def _frac(x):
@@ -152,35 +149,3 @@ def as_qqi(x):
         return QQi(x)
     return NotImplemented
 
-
-# ---------------------------------------------------------------------------
-# small exact linear algebra, enough to invert a frame matrix
-
-def mat_inv(a):
-    """Invert ``a`` exactly by Gauss-Jordan elimination.
-
-    ``a`` is an n x n nested list over QQi (or coercible).  Raises
-    LinearSolveFailure when singular.
-    """
-    n = len(a)
-    aug = [[as_qqi(x) for x in row] + [ONE if i == j else ZERO for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise LinearSolveFailure("matrix is singular at column %d" % (col + 1,))
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if f:
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]

@@ -29,9 +29,13 @@ def write_field(path, arr, lengths):
         raise ShapeMismatch("array rank %d does not fit %d grid axes"
                             % (arr.ndim, nd))
     header = {"dims": list(dims), "lengths": lengths, "channels": channels}
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        fh.write(arr.astype("<f8").tobytes(order="C"))
+    try:
+        with open(path, "wb") as fh:
+            fh.write((json.dumps(header) + "\n").encode("utf-8"))
+            fh.write(arr.astype("<f8").tobytes(order="C"))
+    except OSError as exc:
+        raise ConfigError("cannot write field file %s: %s"
+                          % (path, exc.strerror or exc)) from exc
 
 
 def read_field(path):

@@ -9,8 +9,9 @@ Vectors are sparse, ``{index: coefficient}`` with no zero entries, and a
 linear map is the dict of its sparse columns, ``{j: image of X_j}``.  The
 real side (structure constants, I, J, the Jacobi and Nijenhuis checks)
 is exact over the rationals (``Fraction``); Gaussian rationals (``QQi``)
-enter only with the complexified frame: its vectors, the inverse of the
-frame matrix and the complex bracket table.
+enter only with the complexified frame: its vectors, their metric
+adjoint (the inverse of the frame matrix, since the frame is unitary)
+and the complex bracket table.
 
 Index conventions used throughout the package:
 
@@ -33,14 +34,12 @@ from .errors import (
     DimensionNotMultipleOf4,
     IndexOutOfRange,
     JacobiViolation,
-    LinearlyDependent,
-    LinearSolveFailure,
     NijenhuisViolation,
     NonClosedBracket,
     NotUnitary,
     PairingNotInvolutive,
 )
-from .exact import ONE, QQi, ZERO, as_qqi, mat_inv
+from .exact import ONE, QQi, ZERO, as_qqi
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +68,11 @@ def _apply(m, v):
 def _sparse(v):
     """Sparse form of a dense coefficient sequence, 1-based."""
     return {i: x for i, x in enumerate(v, 1) if x}
+
+
+def _conj(v):
+    """Complex conjugate of a sparse QQi vector."""
+    return {i: x.conjugate() for i, x in v.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +230,6 @@ def check_jacobi(sc, strict=True):
 # frames
 
 
-def conj_vec(v):
-    return [x.conjugate() for x in v]
-
-
 @dataclass
 class FrameSpec:
     """Everything needed to build a complex frame on a real algebra.
@@ -316,7 +316,7 @@ class ComplexFrame:
         if 1 <= k <= self.half:
             return self.vectors[k - 1]
         if self.half < k <= 2 * self.half:
-            return conj_vec(self.vectors[k - self.half - 1])
+            return [x.conjugate() for x in self.vectors[k - self.half - 1]]
         raise IndexOutOfRange("frame index %d outside 1..%d" % (k, 2 * self.half))
 
     def is_active(self, i):
@@ -327,18 +327,15 @@ class ComplexFrame:
         return k + 1 if k % 2 == 1 else k - 1
 
 
-def _frame_inverse(vectors):
-    """Inverse of the matrix whose columns are the frame and its conjugates."""
-    cols = vectors + [conj_vec(v) for v in vectors]
-    return mat_inv([list(row) for row in zip(*cols)])
-
-
 def build_complex_frame(spec):
     """Validate a FrameSpec and produce the ComplexFrame.
 
-    Checks run in a fixed order: dimensions and the split's range,
-    linear independence, the (1,0) condition for I, J pairing (with
-    sign normalization), and unitarity for the given metric.
+    Checks run in a fixed order: dimensions and the split's range, the
+    (1,0) condition for I, J pairing (with sign normalization), and
+    unitarity for the given metric.  With V the matrix of the frame and
+    its conjugates and G the diagonal metric, unitarity reads
+    ``V^H G V = I``: it makes the frame a basis, and its inverse the
+    metric adjoint ``V^H G``.
     """
     sc = spec.sc
     dim = sc.dim
@@ -348,11 +345,11 @@ def build_complex_frame(spec):
     if len(spec.vectors) != half:
         raise DimensionMismatch(
             "expected %d frame vectors, got %d" % (half, len(spec.vectors)))
-    vectors = []
+    sparse = []
     for v in spec.vectors:
         if len(v) != dim:
             raise DimensionMismatch("frame vector length %d, expected %d" % (len(v), dim))
-        vectors.append([as_qqi(x) for x in v])
+        sparse.append(_sparse([as_qqi(x) for x in v]))
     if len(spec.metric_diag) != dim:
         raise DimensionMismatch("metric diagonal must have %d entries" % dim)
     split = tuple(sorted(spec.split))
@@ -372,49 +369,36 @@ def build_complex_frame(spec):
            for j in basis):
         raise ConfigError("I and J do not anticommute")
 
-    # linear independence of the frame and its conjugates
-    try:
-        minv = _frame_inverse(vectors)
-    except LinearSolveFailure:
-        raise LinearlyDependent("frame vectors do not span the complexification")
-
     # type (1,0) for I
-    for a, v in enumerate(map(_sparse, vectors), 1):
+    for a, v in enumerate(sparse, 1):
         if _apply(imap, v) != {i: QQi(0, 1) * x for i, x in v.items()}:
             raise ConfigError("frame vector %d is not of type (1,0) for I" % a)
 
     # J pairing, normalized to J Z_{2k-1} = -conj(Z_{2k})
     flips = []
     for k in range(half // 2):
-        v1, v2 = vectors[2 * k], vectors[2 * k + 1]
-        w = _apply(jmap, _sparse(v1))
-        cv2 = _sparse(conj_vec(v2))
-        if w == {i: -x for i, x in cv2.items()}:
-            pass
-        elif w == cv2:
-            vectors[2 * k + 1] = [-x for x in v2]
+        v1, v2 = sparse[2 * k], sparse[2 * k + 1]
+        w, cv2 = _apply(jmap, v1), _conj(v2)
+        if w == cv2:
+            v2 = sparse[2 * k + 1] = {i: -x for i, x in v2.items()}
             flips.append(2 * k + 2)
-        else:
+        elif w != {i: -x for i, x in cv2.items()}:
             raise PairingNotInvolutive(
                 "J does not pair frame vectors %d and %d" % (2 * k + 1, 2 * k + 2))
-        if _apply(jmap, _sparse(vectors[2 * k + 1])) != _sparse(conj_vec(v1)):
+        if _apply(jmap, v2) != _conj(v1):
             raise PairingNotInvolutive(
                 "J pairing on vectors %d, %d is not involutive" % (2 * k + 1, 2 * k + 2))
 
-    if flips:
-        # the frame matrix changed, recompute its inverse
-        minv = _frame_inverse(vectors)
-
     # unitarity: hermitian Gram matrix is the identity, and the frame is
-    # isotropic for the bilinear extension of the metric
-    g = [Fraction(x) for x in spec.metric_diag]
+    # isotropic for the bilinear extension of the metric; a product
+    # walks only the indices where both supports meet
+    g = {i: Fraction(x) for i, x in enumerate(spec.metric_diag, 1)}
     for a in range(half):
         for b in range(a, half):
-            herm = ZERO
-            bil = ZERO
-            for i in range(dim):
-                herm = herm + vectors[a][i] * vectors[b][i].conjugate() * g[i]
-                bil = bil + vectors[a][i] * vectors[b][i] * g[i]
+            u, w = sparse[a], sparse[b]
+            meet = u.keys() & w.keys()
+            herm = sum((u[i] * w[i].conjugate() * g[i] for i in meet), ZERO)
+            bil = sum((u[i] * w[i] * g[i] for i in meet), ZERO)
             want = ONE if a == b else ZERO
             if herm != want:
                 raise NotUnitary(
@@ -423,10 +407,14 @@ def build_complex_frame(spec):
                 raise NotUnitary(
                     "frame vectors Z_%d and Z_%d are not isotropic" % (a + 1, b + 1))
 
-    # complex bracket table over the full index range; the columns of
-    # minv carry each X_j to its frame coordinates
-    cols = [_sparse(v) for v in vectors + [conj_vec(v) for v in vectors]]
-    coords = {j: _sparse(col) for j, col in enumerate(zip(*minv), 1)}
+    # complex bracket table over the full index range; the inverse of the
+    # frame matrix is its metric adjoint, so X_j has the coordinate
+    # conj(cols[r][j]) * g_j on frame element r
+    cols = sparse + [_conj(v) for v in sparse]
+    coords = {}
+    for r, col in enumerate(cols, 1):
+        for j, x in col.items():
+            coords.setdefault(j, {})[r] = x.conjugate() * g[j]
     entries = {}
     for r in range(dim):
         for s in range(r + 1, dim):
@@ -434,6 +422,7 @@ def build_complex_frame(spec):
             if comps:
                 entries[(r + 1, s + 1)] = comps
     table = BracketTable(half, entries)
+    vectors = [[v.get(i, ZERO) for i in basis] for v in sparse]
     return ComplexFrame(spec, vectors, table, flips)
 
 

@@ -304,11 +304,54 @@ def test_cli_solve_config_errors(tmp_path, capsys):
     {"q": {"matrix": [[-1, 0], [0]]}},
     {"q": {"matrix": [[float("nan"), 0.0], [0.0, -1.0]]}},
     {"continuity": {"newton_tol": float("nan")}},
+    {"outputs": [1]},
+    {"outputs": {"phi": 5}},
 ])
 def test_cli_solve_malformed_values(tmp_path, capsys, extra):
     bad = _write_config(tmp_path / "bad.json", **extra)
     assert cli.main(["solve", "--config", str(bad)]) == 1
     assert "error: ConfigError:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "not-json",
+                                  "too-deep"])
+def test_cli_solve_unreadable_config(tmp_path, capsys, kind):
+    path = tmp_path / "run.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b'{"grid": {"dims": [16, 16]}, "name": "\xff\xfe"}')
+    elif kind == "not-json":
+        path.write_text("{bad")
+    elif kind == "too-deep":
+        path.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: ConfigError:" in err and str(path) in err
+
+
+def test_cli_solve_bad_out_dir_fails_before_solving(tmp_path, capsys, monkeypatch):
+    from hktsolve import continuity_driver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran before the out-dir was made")
+
+    monkeypatch.setattr(continuity_driver, "run_continuity", no_solve)
+    cfgpath = _write_config(tmp_path / "run.json", dims=(16, 16))
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    assert cli.main(["solve", "--config", str(cfgpath), "--out-dir", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert "error: ConfigError:" in err and str(taken) in err
+
+
+def test_cli_solve_unwritable_artifact(tmp_path, capsys):
+    cfgpath = _write_config(tmp_path / "run.json", dims=(16, 16),
+                            outputs={"phi": "nosuch/phi.field"})
+    assert cli.main(["solve", "--config", str(cfgpath),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "error: ConfigError:" in err and "nosuch/phi.field" in err
 
 
 @pytest.mark.parametrize("section", ["forcing", "q"])
@@ -396,9 +439,18 @@ _configs = _optional(
 )
 
 
+def _typed(values):
+    return [(type(x), x) for x in values]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=_configs)
+@example(cfg={"grid": {"dims": [8.7, 8]}})
+@example(cfg={"grid": {"dims": "88"}})
+@example(cfg={"continuity": {"max_newton": True}})
+@example(cfg={"continuity": {"newton_tol": True}})
+@example(cfg={"continuity": {"newton_tol": "1e-3"}})
 def test_run_config_parses_or_raises_config_errors(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("cfg") / "run.json"
     path.write_text(json.dumps(cfg))
@@ -410,6 +462,12 @@ def test_run_config_parses_or_raises_config_errors(tmp_path_factory, cfg):
     assert problem.q.shape[-1] == problem.grid.ndim
     assert np.all(np.isfinite(problem.q))
     assert math.isfinite(ccfg.newton_tol) and ccfg.newton_tol > 0
+    # numbers keep the value and the JSON type they were given
+    given = cfg.get("continuity", {})
+    assert _typed(problem.grid.dims) == _typed(cfg.get("grid", {}).get("dims", [64, 64]))
+    assert _typed([ccfg.max_newton]) == _typed([given.get("max_newton", 30)])
+    tol = given.get("newton_tol", 1e-10)
+    assert type(tol) in (int, float) and ccfg.newton_tol == tol
 
 
 _header_value = st.one_of(_scalars, st.sampled_from([4.7, 4.0, -4, 0, 2 ** 32]),

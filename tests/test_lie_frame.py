@@ -16,12 +16,13 @@ from hktsolve.errors import (
     HktError,
     IndexOutOfRange,
     JacobiViolation,
-    LinearlyDependent,
     NijenhuisViolation,
     NotUnitary,
+    PairingNotInvolutive,
 )
 from hktsolve.exact import QQi
 from hktsolve.lie_frame import (
+    FrameSpec,
     StructureConstants,
     build_complex_frame,
     check_foliation,
@@ -217,17 +218,37 @@ def test_su3_complex_brackets_golden():
         assert frame.table.bracket(r, s) == want, (r, s)
 
 
-ORACLE_BUILDS = {
-    "su3": {},
-    "semidirect8": {"c": 2, "w": 5},
-    "semidirect12": {"c": 1, "w1": 3, "w2": -2},
-    "nilpotent8": {},
+def _su3_rotated():
+    """su3 with its pairs (Z1, Z2) and (Z3, Z4) rotated together by (3/5, 4/5).
+
+    Z1' = 3/5 Z1 + 4/5 Z3, Z2' = 3/5 Z2 + 4/5 Z4, Z3' = -4/5 Z1 + 3/5 Z3,
+    Z4' = -4/5 Z2 + 3/5 Z4: still a unitary frame paired by J, whose
+    vectors now share their supports.
+    """
+    spec = algebras.su3()
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    v = spec.vectors
+
+    def mix(x, y, a, b):
+        return [a * p + b * q for p, q in zip(x, y)]
+
+    rotated = [mix(v[0], v[2], c, s), mix(v[1], v[3], c, s),
+               mix(v[0], v[2], -s, c), mix(v[1], v[3], -s, c)]
+    return dataclasses.replace(spec, name="su3-rotated", vectors=rotated)
+
+
+ORACLE_SPECS = {
+    "su3": algebras.su3,
+    "semidirect8": lambda: algebras.get_algebra("semidirect8", c=2, w=5),
+    "semidirect12": lambda: algebras.get_algebra("semidirect12", c=1, w1=3, w2=-2),
+    "nilpotent8": lambda: algebras.get_algebra("nilpotent8"),
+    "su3-rotated": _su3_rotated,
 }
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_BUILDS))
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
 def test_bracket_table_matches_float_oracle(name):
-    frame = build_complex_frame(algebras.get_algebra(name, **ORACLE_BUILDS[name]))
+    frame = build_complex_frame(ORACLE_SPECS[name]())
     coeffs = oracles.complex_bracket_oracle(frame)
     ext = 2 * frame.half
     for r in range(1, ext + 1):
@@ -237,6 +258,36 @@ def test_bracket_table_matches_float_oracle(name):
             for k in range(1, ext + 1):
                 want = table.get(k, QQi(0)).to_complex()
                 assert abs(got[k - 1] - want) < 1e-12, (r, s, k)
+
+
+def test_frame_build_cost_follows_supports(monkeypatch):
+    # a flat algebra of dim 64 whose frame vectors have two entries each,
+    # in nilpotent8's pattern; a dense inverse or Gram loop costs dim^3
+    dim = 64
+    imap, jmap = algebras._maps(dim, [(o, "a") for o in range(0, dim, 4)])
+    vectors = []
+    for o in range(0, dim, 4):
+        vectors.append(algebras._vec(dim, {o + 1: (-1, 0), o + 2: (0, 1)}))
+        vectors.append(algebras._vec(dim, {o + 3: (1, 0), o + 4: (0, -1)}))
+    spec = FrameSpec(name="flat64", sc=StructureConstants(dim, {}), imap=imap,
+                     jmap=jmap, vectors=vectors,
+                     metric_diag=[Fraction(1, 2)] * dim, split=())
+    bound = 3 * dim ** 2
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(1)
+            if len(calls) > bound:
+                raise AssertionError("more than %d QQi operations" % bound)
+            return fn(*args)
+        return wrapper
+
+    for attr in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+                 "__truediv__"):
+        monkeypatch.setattr(QQi, attr, counted(QQi.__dict__[attr]))
+    frame = build_complex_frame(spec)
+    assert frame.flips == [] and frame.table.entries == {}
 
 
 def test_nijenhuis_float_oracle_then_exact(frames):
@@ -263,10 +314,13 @@ def test_dimension_and_vector_validation():
             spec, sc=small, imap={}, jmap={}))
     with pytest.raises(DimensionMismatch):
         build_complex_frame(dataclasses.replace(spec, vectors=spec.vectors[:3]))
-    with pytest.raises(LinearlyDependent):
-        build_complex_frame(dataclasses.replace(
-            spec, vectors=[spec.vectors[0], spec.vectors[0],
-                           spec.vectors[2], spec.vectors[3]]))
+    v0, v1, v2, v3 = spec.vectors
+    # J cannot pair a vector with itself
+    with pytest.raises(PairingNotInvolutive):
+        build_complex_frame(dataclasses.replace(spec, vectors=[v0, v0, v2, v3]))
+    # dependent, yet (1,0) and paired by J: unitarity refuses it
+    with pytest.raises(NotUnitary, match="Z_1 and Z_3 is 1$"):
+        build_complex_frame(dataclasses.replace(spec, vectors=[v0, v1, v0, v1]))
 
 
 def test_non_holomorphic_vector_rejected():
