@@ -82,8 +82,9 @@ class TorusGrid:
         lengths = tuple(float(x) for x in lengths)
         if len(lengths) != len(dims):
             raise ConfigError("lengths %r do not match dims %r" % (lengths, dims))
-        if any(x <= 0 for x in lengths):
-            raise ConfigError("axis lengths must be positive")
+        if not all(0.0 < x < math.inf for x in lengths):
+            raise ConfigError("axis lengths must be positive and finite, got %r"
+                              % (lengths,))
         self.dims = dims
         self.lengths = lengths
         self.spacings = tuple(x / d for x, d in zip(lengths, dims))

@@ -67,6 +67,9 @@ def read_field(path):
     if len(lengths) != len(dims):
         raise ConfigError("field header has %d lengths for %d dims"
                           % (len(lengths), len(dims)))
+    if not all(0.0 < x < math.inf for x in lengths):
+        raise ConfigError("field header lengths must be positive and finite, "
+                          "got %r" % (lengths,))
     if not (type(channels) is int and channels >= 0):
         raise ConfigError("field header channels must be a non-negative "
                           "integer, got %r" % (channels,))

@@ -123,7 +123,9 @@ class StructureConstants:
         out = {}
         for i, a in u.items():
             for j, b in v.items():
-                _accumulate(out, self.bracket_basis(i, j), a * b)
+                basis = self.bracket_basis(i, j)
+                if basis:   # a product for an empty bracket is thrown away
+                    _accumulate(out, basis, a * b)
         return out
 
     def __eq__(self, other):

@@ -531,7 +531,7 @@ def test_failed_sequenced_start_falls_back_to_the_plain_start(where, monkeypatch
 
 
 def test_sequenced_step_control_keeps_the_plain_schedule(monkeypatch):
-    # the fine solve from the interpolated start takes 2 Newton steps
+    # the fine solve from the extrapolated start takes 1 Newton step
     # where the plain start takes 5; counted as easy, they would double
     # the step a row early.  The coarsest grid's plain start counts instead.
     g = TorusGrid((64, 64))
@@ -551,6 +551,106 @@ def test_sequenced_reruns_are_bit_identical(monkeypatch):
     assert s1.phi.tobytes() == s2.phi.tobytes() and s1.b == s2.b
     strip = lambda tr: [line.rsplit(",", 1)[0] for line in tr.to_csv().splitlines()]
     assert strip(tr1) == strip(tr2)
+
+
+def _fine_starts(monkeypatch, dims):
+    """Record (phi0, b0, state) of every solve_at_t on dims given a phi0."""
+    seen = []
+    solve = cd.solve_at_t
+
+    def recorded(problem, t, phi0=None, b0=1.0, **kw):
+        start = None if phi0 is None else np.array(phi0)
+        state = solve(problem, t, phi0=phi0, b0=b0, **kw)
+        if start is not None and problem.grid.dims == dims:
+            seen.append((start, b0, state))
+        return state
+
+    monkeypatch.setattr(cd, "solve_at_t", recorded)
+    return seen
+
+
+def test_extrapolated_start_saves_a_fine_newton_step(monkeypatch):
+    # levels 256 -> 128 -> 64 -> 32: the 256^2 start extrapolates the
+    # 128^2 and 64^2 solutions
+    g = TorusGrid((256, 256))
+    problem = Problem(g, bump(g), -np.eye(2))
+    tol = 1e-10
+    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", 2 ** 12)
+    fine = _fine_starts(monkeypatch, g.dims)
+    state, trace = run_continuity(problem, ContinuityConfig(newton_tol=tol))
+    assert [r.t for r in trace.rows] == [0.0, 1.0]
+    [(_, _, extrapolated)] = fine
+    # the plain start: the 128^2 solution, interpolated
+    coarse = es.solve_at_t(cd.coarsen(problem, (128, 128)), 1.0, tol=tol)
+    plain = es.solve_at_t(problem, 1.0, phi0=cd.interpolate(coarse.phi, g.dims),
+                          b0=coarse.b, tol=tol)
+    assert 100 * extrapolated.res_history[0] <= plain.res_history[0]
+    assert (extrapolated.newton_iters, plain.newton_iters) == (1, 2)
+    assert abs(state.b - plain.b) <= 100 * tol
+    assert np.max(np.abs(state.phi - plain.phi)) <= 100 * tol
+
+
+@pytest.mark.parametrize("name, floor, levels", [
+    ("bump-256", 2 ** 12, [(128, 128), (64, 64), (32, 32)]),
+    ("pernode-q", 1024, [(8, 8, 4, 4), (4, 4, 4, 4)]),
+])
+def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
+                                                          monkeypatch):
+    # the chain rebuilt here from solve_at_t, coarsen and interpolate only
+    if name == "bump-256":
+        g = TorusGrid((256, 256))
+        problem = Problem(g, bump(g), -np.eye(2))
+    else:
+        problem = SEQUENCED[name]
+    tol, t = 1e-10, 1.0
+    chain = [problem]
+    for dims in levels:
+        chain.append(cd.coarsen(chain[-1], dims))
+    coarsest = es.solve_at_t(chain[-1], t, tol=tol)
+    first = es.solve_at_t(chain[-2], t, b0=coarsest.b, tol=tol,
+                          phi0=cd.interpolate(coarsest.phi, chain[-2].grid.dims))
+    solutions = [coarsest, first]
+    for level in reversed(chain[:-2]):
+        phi_cc, phi_c = solutions[-2].phi, solutions[-1].phi
+        b_cc, b_c = solutions[-2].b, solutions[-1].b
+        phi_e = phi_c + (phi_c - cd.interpolate(phi_cc, phi_c.shape)) / 4.0
+        phi0 = cd.interpolate(phi_e, level.grid.dims)
+        b0 = float(np.exp(np.log(b_c) + (np.log(b_c) - np.log(b_cc)) / 4.0))
+        if level is problem:
+            break
+        solutions.append(es.solve_at_t(level, t, phi0=phi0, b0=b0, tol=tol))
+
+    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", floor)
+    fine = _fine_starts(monkeypatch, problem.grid.dims)
+    run_continuity(problem, ContinuityConfig(newton_tol=tol))
+    [(got_phi0, got_b0, _)] = fine
+    np.testing.assert_allclose(got_phi0, phi0, rtol=1e-13,
+                               atol=1e-13 * float(np.max(np.abs(phi0))))
+    np.testing.assert_allclose(got_b0, b0, rtol=1e-13)
+
+
+def test_single_coarse_level_keeps_the_interpolated_start(monkeypatch):
+    # 64^2 -> 32^2 only, as 20^4 -> 10^4 in the benchmark: nothing to
+    # extrapolate with
+    problem = SEQUENCED["constant-q"]
+    cfg = ContinuityConfig(newton_tol=1e-10)
+    coarse = es.solve_at_t(cd.coarsen(problem, (32, 32)), 1.0,
+                           tol=cfg.newton_tol, max_iters=cfg.max_newton)
+    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", 2 ** 11)
+    fine = _fine_starts(monkeypatch, problem.grid.dims)
+    run_continuity(problem, cfg)
+    [(phi0, b0, _)] = fine
+    assert np.array_equal(phi0, cd.interpolate(coarse.phi, problem.grid.dims))
+    assert b0 == coarse.b
+
+
+@pytest.mark.parametrize("b_c, b_cc", [(1.0, 6.0), (0.3, 1.8), (2.0, 0.5)])
+def test_extrapolated_b_stays_positive(b_c, b_cc):
+    # the linear form b_c + (b_c - b_cc) / 4 is negative once b_cc > 5 b_c
+    b0 = cd.extrapolated_b(b_c, b_cc)
+    assert b0 > 0.0
+    assert b0 == pytest.approx(b_c * np.exp((np.log(b_c) - np.log(b_cc)) / 4.0),
+                               rel=1e-14)
 
 
 # -------------------------------------------------------- theorem ladder

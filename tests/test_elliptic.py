@@ -69,6 +69,9 @@ def test_grid_validation():
         TorusGrid((8, 8), lengths=(1.0,))
     with pytest.raises(ConfigError):
         TorusGrid((8, 8), lengths=(1.0, -2.0))
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="lengths"):
+            TorusGrid((8, 8), lengths=(bad, 1.0))
 
 
 # ------------------------------------------------------------- kernels

@@ -306,6 +306,10 @@ def test_cli_solve_config_errors(tmp_path, capsys):
     {"continuity": {"newton_tol": float("nan")}},
     {"outputs": [1]},
     {"outputs": {"phi": 5}},
+    # zero forcing, so only the grid can refuse the infinite spacing
+    {"grid": {"dims": [16, 16], "lengths": [float("inf"), 1.0]},
+     "forcing": {"type": "zero"}},
+    {"grid": {"dims": [16, 16], "lengths": [float("nan"), 1.0]}},
 ])
 def test_cli_solve_malformed_values(tmp_path, capsys, extra):
     bad = _write_config(tmp_path / "bad.json", **extra)
@@ -518,6 +522,10 @@ def _promised_bytes(header):
          payload=128)
 @example(header={"dims": [4, 4], "lengths": [1.0, 1.0], "channels": True},
          payload=128)
+@example(header={"dims": [4, 4], "lengths": [math.inf, 1.0], "channels": 0},
+         payload=128)
+@example(header={"dims": [4, 4], "lengths": [math.nan, 1.0], "channels": 0},
+         payload=128)
 def test_read_field_keeps_its_header_promise(tmp_path_factory, header, payload):
     # payload None writes exactly what a well-formed header promises
     path = tmp_path_factory.mktemp("field") / "f.field"
@@ -533,6 +541,7 @@ def test_read_field_keeps_its_header_promise(tmp_path_factory, header, payload):
         assert type(channels) is int and channels >= 0
         assert arr.shape == tuple(dims) + ((channels,) if channels else ())
         assert len(lengths) == len(dims)
+        assert all(0.0 < x < math.inf for x in lengths)
     try:
         gridio.load_qspec({"file": str(path)}, TorusGrid((4, 4)))
     except HktError:
