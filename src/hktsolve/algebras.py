@@ -24,39 +24,40 @@ from .lie_frame import FrameSpec, StructureConstants
 F = Fraction
 
 
-def _vec(dim, entries):
-    """Coefficient vector from {real_index: (re, im)}."""
-    v = [QQi(0)] * dim
-    for i, (re, im) in entries.items():
-        v[i - 1] = QQi(F(re), F(im))
-    return v
+# images (target, sign) of the quadruple (e1, e2, e3, e4) of basis vectors
+# in each 4-block under I ("i") and J; J pattern "a" is the partner of
+# left multiplication by the first imaginary unit, pattern "b" carries the
+# opposite signs that the fibers of the su3 fibration use.
+_BLOCKS = {
+    "i": ((2, 1), (1, -1), (4, 1), (3, -1)),
+    "a": ((3, 1), (4, -1), (1, -1), (2, 1)),
+    "b": ((3, -1), (4, 1), (1, 1), (2, -1)),
+}
 
 
-# standard block actions on a quadruple (e1, e2, e3, e4) of basis vectors;
-# pattern A is left multiplication by the first imaginary unit and its
-# J partner, pattern B carries the opposite signs that the fibers of the
-# su3 fibration use.
-def _imap_block(o):
-    return {o + 1: (o + 2, 1), o + 2: (o + 1, -1), o + 3: (o + 4, 1), o + 4: (o + 3, -1)}
+def _spec(name, table, jkinds, leading, split, **params):
+    """The FrameSpec of a registry algebra in its standard frame.
 
-
-def _jmap_block_a(o):
-    return {o + 1: (o + 3, 1), o + 2: (o + 4, -1), o + 3: (o + 1, -1), o + 4: (o + 2, 1)}
-
-
-def _jmap_block_b(o):
-    return {o + 1: (o + 3, -1), o + 2: (o + 4, 1), o + 3: (o + 1, 1), o + 4: (o + 2, -1)}
-
-
-def _maps(dim, jblocks):
-    """I and J as sparse columns {j: {i: c}} from the block actions."""
-    imap = {}
-    jmap = {}
-    for o in range(0, dim, 4):
-        imap.update(_imap_block(o))
-    for o, kind in jblocks:
-        jmap.update(_jmap_block_a(o) if kind == "a" else _jmap_block_b(o))
-    return tuple({j: {i: F(s)} for j, (i, s) in images.items()} for images in (imap, jmap))
+    The real dimension is 4 * len(jkinds); the k-th block of four basis
+    vectors carries I and the J pattern ``jkinds[k]``.  Frame vector r is
+    X_{2r-1} - i X_{2r}, negated when r is in ``leading``, and the metric
+    is 1/2 on every basis vector.
+    """
+    dim = 4 * len(jkinds)
+    imap, jmap = {}, {}
+    for o, kind in zip(range(0, dim, 4), jkinds):
+        for m, key in ((imap, "i"), (jmap, kind)):
+            for e, (t, s) in enumerate(_BLOCKS[key], 1):
+                m[o + e] = {o + t: F(s)}
+    vectors = []
+    for r in range(1, dim // 2 + 1):
+        s = -1 if r in leading else 1
+        v = [QQi(0)] * dim
+        v[2 * r - 2], v[2 * r - 1] = QQi(s), QQi(0, -s)
+        vectors.append(v)
+    return FrameSpec(name=name, sc=StructureConstants(dim, table), imap=imap,
+                     jmap=jmap, vectors=vectors, metric_diag=[F(1, 2)] * dim,
+                     split=split, params=params)
 
 
 SU3_BRACKETS = {
@@ -78,21 +79,7 @@ def su3_bracket_text():
 
 
 def su3():
-    imap, jmap = _maps(8, [(0, "a"), (4, "b")])
-    return FrameSpec(
-        name="su3",
-        sc=StructureConstants(8, SU3_BRACKETS),
-        imap=imap,
-        jmap=jmap,
-        vectors=[
-            _vec(8, {1: (-1, 0), 2: (0, 1)}),
-            _vec(8, {3: (1, 0), 4: (0, -1)}),
-            _vec(8, {5: (1, 0), 6: (0, -1)}),
-            _vec(8, {7: (1, 0), 8: (0, -1)}),
-        ],
-        metric_diag=[F(1, 2)] * 8,
-        split=(1, 2),
-    )
+    return _spec("su3", SU3_BRACKETS, "ab", leading=(1,), split=(1, 2))
 
 
 def semidirect8(c=1, w=1):
@@ -104,22 +91,7 @@ def semidirect8(c=1, w=1):
         (3, 5): {7: -c}, (3, 6): {8: c}, (3, 7): {5: c}, (3, 8): {6: -c},
         (4, 5): {8: -c}, (4, 6): {7: -c}, (4, 7): {6: c}, (4, 8): {5: c},
     }
-    imap, jmap = _maps(8, [(0, "a"), (4, "b")])
-    return FrameSpec(
-        name="semidirect8",
-        sc=StructureConstants(8, table),
-        imap=imap,
-        jmap=jmap,
-        vectors=[
-            _vec(8, {1: (-1, 0), 2: (0, 1)}),
-            _vec(8, {3: (1, 0), 4: (0, -1)}),
-            _vec(8, {5: (1, 0), 6: (0, -1)}),
-            _vec(8, {7: (1, 0), 8: (0, -1)}),
-        ],
-        metric_diag=[F(1, 2)] * 8,
-        split=(1, 2),
-        params={"c": c, "w": w},
-    )
+    return _spec("semidirect8", table, "ab", leading=(1,), split=(1, 2), c=c, w=w)
 
 
 def semidirect12(c=1, w1=1, w2=2):
@@ -135,24 +107,8 @@ def semidirect12(c=1, w1=1, w2=2):
         (3, 9): {11: -c}, (3, 10): {12: c}, (3, 11): {9: c}, (3, 12): {10: -c},
         (4, 9): {12: -c}, (4, 10): {11: -c}, (4, 11): {10: c}, (4, 12): {9: c},
     }
-    imap, jmap = _maps(12, [(0, "a"), (4, "b"), (8, "b")])
-    return FrameSpec(
-        name="semidirect12",
-        sc=StructureConstants(12, table),
-        imap=imap,
-        jmap=jmap,
-        vectors=[
-            _vec(12, {1: (-1, 0), 2: (0, 1)}),
-            _vec(12, {3: (1, 0), 4: (0, -1)}),
-            _vec(12, {5: (1, 0), 6: (0, -1)}),
-            _vec(12, {7: (1, 0), 8: (0, -1)}),
-            _vec(12, {9: (1, 0), 10: (0, -1)}),
-            _vec(12, {11: (1, 0), 12: (0, -1)}),
-        ],
-        metric_diag=[F(1, 2)] * 12,
-        split=(1, 2, 5, 6),
-        params={"c": c, "w1": w1, "w2": w2},
-    )
+    return _spec("semidirect12", table, "abb", leading=(1,), split=(1, 2, 5, 6),
+                 c=c, w1=w1, w2=w2)
 
 
 def nilpotent8(v1=(1, 0, 0, 0), v2=(0, 1, 0, 0), v3=(0, 0, 1, 0)):
@@ -171,22 +127,8 @@ def nilpotent8(v1=(1, 0, 0, 0), v2=(0, 1, 0, 0), v3=(0, 0, 1, 0)):
         (1, 3): central(v2), (2, 4): central(v2),
         (1, 4): central(v3), (2, 3): central(v3, -1),
     }
-    imap, jmap = _maps(8, [(0, "a"), (4, "a")])
-    return FrameSpec(
-        name="nilpotent8",
-        sc=StructureConstants(8, table),
-        imap=imap,
-        jmap=jmap,
-        vectors=[
-            _vec(8, {1: (-1, 0), 2: (0, 1)}),
-            _vec(8, {3: (1, 0), 4: (0, -1)}),
-            _vec(8, {5: (-1, 0), 6: (0, 1)}),
-            _vec(8, {7: (1, 0), 8: (0, -1)}),
-        ],
-        metric_diag=[F(1, 2)] * 8,
-        split=(3, 4),
-        params={"v1": v1, "v2": v2, "v3": v3},
-    )
+    return _spec("nilpotent8", table, "aa", leading=(1, 3), split=(3, 4),
+                 v1=v1, v2=v2, v3=v3)
 
 
 REGISTRY = {

@@ -18,6 +18,7 @@ scipy.sparse.linalg, is imported only by the commands that solve.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -72,12 +73,13 @@ def _number(label, value, kind):
 
     An int takes JSON integers only, by ``gridio.read_field``'s
     ``type(x) is int`` rule (true and 8.7 are refused); a float also
-    takes floats, but never a bool or a string.
+    takes finite floats, but never NaN, an infinity, a bool or a string.
     """
-    if type(value) is int or (kind is float and type(value) is float):
+    if type(value) is int or (kind is float and type(value) is float
+                              and math.isfinite(value)):
         return _converted(label, kind, value)
-    raise ConfigError("%s must be %s, got %r"
-                      % (label, "an integer" if kind is int else "a number", value))
+    want = "an integer" if kind is int else "a finite number"
+    raise ConfigError("%s must be %s, got %r" % (label, want, value))
 
 
 def _numbers(label, values, kind):
@@ -258,7 +260,7 @@ def _build_forcing(spec, grid):
     raise ConfigError("unknown forcing type %r" % kind)
 
 
-def _load_run_config(path, overrides):
+def _load_run_config(path, newton_tol=None):
     from .continuity_driver import ContinuityConfig
     from .elliptic_solver import Problem, TorusGrid
 
@@ -277,11 +279,8 @@ def _load_run_config(path, overrides):
             and all(isinstance(v, str) and v for v in outputs.values())):
         raise ConfigError("config 'outputs' must map names to non-empty "
                           "file names, got %r" % (outputs,))
-    for key, val in overrides.items():
-        if val is None:
-            continue
-        section, sub = key
-        cfg.setdefault(section, {})[sub] = val
+    if newton_tol is not None:
+        cfg.setdefault("continuity", {})["newton_tol"] = newton_tol
     gspec = cfg.get("grid", {})
     lengths = gspec.get("lengths")
     grid = TorusGrid(_numbers("grid.dims", gspec.get("dims", [64, 64]), int),
@@ -303,8 +302,7 @@ def cmd_solve(args):
     from .continuity_driver import basicness_check, run_continuity, sine_product_field
     from .elliptic_solver import check_b_bound, density, solve_at_t
 
-    overrides = {("continuity", "newton_tol"): args.newton_tol}
-    cfg, problem, ccfg = _load_run_config(args.config, overrides)
+    cfg, problem, ccfg = _load_run_config(args.config, args.newton_tol)
     grid = problem.grid
     outputs = cfg.get("outputs", {})
     outdir = args.out_dir or "."

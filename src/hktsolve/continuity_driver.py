@@ -17,7 +17,7 @@ pair.  The coarse phi reaches the finer grid by trigonometric
 interpolation: its real half spectrum, zero-padded through numpy's FFT
 with the Nyquist mode of each even axis split in halves.  Newton's step
 count does not depend on the mesh, so the interpolated start lies in
-the fine grid's quadratic basin: a 512^2 bump takes 2 fine Newton steps
+the fine grid's quadratic basin: a 512^2 bump takes 1 fine Newton step
 instead of 4.  Where two coarse levels lie below a grid, its start is
 first extrapolated on the coarse grid towards the finer discrete
 solution (Richardson, as in nested iteration): the gap between two

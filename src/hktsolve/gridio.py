@@ -103,20 +103,16 @@ def unpack_symmetric(channels, d):
 
 
 def load_qspec(spec, grid):
-    """Quadratic form from a JSON value or a field file path.
+    """Quadratic form from its JSON spec.
 
-    Accepts {"matrix": [[...]]} (or a bare nested list) for a constant
-    form, or {"file": path} pointing at a packed symmetric field whose
-    axis lengths must be the grid's.  Otherwise only parsing happens
-    here; the Problem built from the form checks its shape, that it is
-    finite and that it is negative semi-definite.
+    Accepts {"matrix": [[...]]} for a constant form, or {"file": path}
+    pointing at a packed symmetric field whose axis lengths must be the
+    grid's.  Otherwise only parsing happens here; the Problem built from
+    the form checks its shape, that it is finite and that it is negative
+    semi-definite.
     """
-    if isinstance(spec, str):
-        spec = {"file": spec}
-    if isinstance(spec, (list, tuple)):
-        spec = {"matrix": spec}
     if not isinstance(spec, dict):
-        raise ConfigError("quadratic form spec must be a matrix, dict, or path")
+        raise ConfigError("quadratic form spec must be a JSON object")
     if "matrix" in spec:
         return np.asarray(spec["matrix"], dtype=float)
     if "file" in spec:

@@ -109,6 +109,13 @@ def _bracket_jet(i, j, frame):
     return out
 
 
+def _second(i, j, frame):
+    """Z_i Z_j of the potential: h(i, j), or h(j, i) plus the bracket jet."""
+    if i <= j:
+        return p_sym(("h", i, j))
+    return p_add(p_sym(("h", j, i)), _bracket_jet(i, j, frame))
+
+
 def _deriv_sym(i, sym, frame):
     """Z_i applied to one jet symbol, returned as a polynomial."""
     if sym[0] != "g":
@@ -121,9 +128,7 @@ def _deriv_sym(i, sym, frame):
         # the first derivative of a basic function along the foliation
         # vanishes, only the bracket term survives
         return _bracket_jet(i, j, frame)
-    if i <= j:
-        return p_sym(("h", i, j))
-    return p_add(p_sym(("h", j, i)), _bracket_jet(i, j, frame))
+    return _second(i, j, frame)
 
 
 def p_deriv(i, poly, frame):
@@ -142,11 +147,7 @@ def _conj_sym(sym, frame):
     tog = frame.table.bar
     if sym[0] == "g":
         return p_sym(("g", tog(sym[1])))
-    _, i, j = sym
-    ci, cj = tog(i), tog(j)
-    if ci <= cj:
-        return p_sym(("h", ci, cj))
-    return p_add(p_sym(("h", cj, ci)), _bracket_jet(ci, cj, frame))
+    return _second(tog(sym[1]), tog(sym[2]), frame)
 
 
 def p_conj(poly, frame):
@@ -292,18 +293,13 @@ def del_generator(t, frame):
     half = frame.half
     table = frame.table
     terms = {}
-    if t <= half:
-        for r in range(1, half + 1):
-            for s in range(r + 1, half + 1):
-                c = table.coeff(t, r, s)
-                if c:
-                    terms[(r, s)] = p_const(-c)
-    else:
-        for r in range(1, half + 1):
-            for s in range(half + 1, 2 * half + 1):
-                c = table.coeff(t, r, s)
-                if c:
-                    terms[(r, s)] = p_const(-c)
+    for r in range(1, half + 1):
+        # a barred generator's derivative is (1,1), an unbarred one's (2,0)
+        lo, hi = (half, 2 * half) if t > half else (r, half)
+        for s in range(lo + 1, hi + 1):
+            c = table.coeff(t, r, s)
+            if c:
+                terms[(r, s)] = p_const(-c)
     return Form(half, terms)
 
 

@@ -75,6 +75,15 @@ def _conj(v):
     return {i: x.conjugate() for i, x in v.items()}
 
 
+def _oriented(table, i, j):
+    """Entry (i, j) of a table of brackets listed only for i < j."""
+    if i == j:
+        return {}
+    if i < j:
+        return dict(table.get((i, j), {}))
+    return {k: -c for k, c in table.get((j, i), {}).items()}
+
+
 # ---------------------------------------------------------------------------
 # real structure constants
 
@@ -112,11 +121,7 @@ class StructureConstants:
 
     def bracket_basis(self, i, j):
         """[X_i, X_j] as a dict k -> Fraction."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.table.get((i, j), {}))
-        return {k: -c for k, c in self.table.get((j, i), {}).items()}
+        return _oriented(self.table, i, j)
 
     def bracket(self, u, v):
         """Bracket of two sparse vectors ``{index: coefficient}``."""
@@ -266,11 +271,7 @@ class BracketTable:
 
     def bracket(self, r, s):
         """[Z_r, Z_s] as dict index -> QQi, any orientation, bars as 2n+k."""
-        if r == s:
-            return {}
-        if r < s:
-            return dict(self.entries.get((r, s), {}))
-        return {k: -c for k, c in self.entries.get((s, r), {}).items()}
+        return _oriented(self.entries, r, s)
 
     def coeff(self, k, r, s):
         """Coefficient of frame element k in [Z_r, Z_s]."""

@@ -87,15 +87,13 @@ def test_pack_unpack_symmetric_round_trip():
 
 def test_load_qspec_variants(tmp_path):
     g = TorusGrid((8, 8))
-    q = gridio.load_qspec([[-1.0, 0.0], [0.0, -2.0]], g)
-    assert q.shape == (2, 2)
-    q = gridio.load_qspec({"matrix": [[-1.0, 0.0], [0.0, -1.0]]}, g)
-    assert q[0, 0] == -1.0
+    q = gridio.load_qspec({"matrix": [[-1.0, 0.0], [0.0, -2.0]]}, g)
+    assert q.shape == (2, 2) and q[1, 1] == -2.0
 
     field = np.broadcast_to(np.array([-1.0, 0.2, -1.0]), g.dims + (3,))
     path = tmp_path / "q.field"
     gridio.write_field(path, field, g.lengths)
-    q = gridio.load_qspec(str(path), g)
+    q = gridio.load_qspec({"file": str(path)}, g)
     assert q.shape == g.dims + (2, 2)
     assert q[3, 3, 0, 1] == 0.2
 
@@ -108,11 +106,13 @@ def test_load_qspec_variants(tmp_path):
         Problem(g, g.zeros(), q)
     with pytest.raises(ConfigError):
         gridio.load_qspec({"neither": 1}, g)
-    with pytest.raises(ConfigError):
-        gridio.load_qspec(5, g)
+    # only the two documented forms: a bare path or nested list is refused
+    for bare in (5, str(path), [[-1.0, 0.0], [0.0, -1.0]]):
+        with pytest.raises(ConfigError):
+            gridio.load_qspec(bare, g)
 
     small = TorusGrid((4, 4))
-    q = gridio.load_qspec(str(path), small)
+    q = gridio.load_qspec({"file": str(path)}, small)
     with pytest.raises(ShapeMismatch):
         Problem(small, small.zeros(), q)
 
@@ -310,11 +310,20 @@ def test_cli_solve_config_errors(tmp_path, capsys):
     {"grid": {"dims": [16, 16], "lengths": [float("inf"), 1.0]},
      "forcing": {"type": "zero"}},
     {"grid": {"dims": [16, 16], "lengths": [float("nan"), 1.0]}},
+    {"forcing": {"type": "bump", "amplitude": 1.0, "width": float("inf")}},
+    {"forcing": {"type": "bump", "amplitude": 1.0, "width": float("nan")}},
+    {"forcing": {"type": "zero", "amplitude": float("nan")}},
 ])
 def test_cli_solve_malformed_values(tmp_path, capsys, extra):
     bad = _write_config(tmp_path / "bad.json", **extra)
     assert cli.main(["solve", "--config", str(bad)]) == 1
     assert "error: ConfigError:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_number_refuses_non_finite_floats_by_name(value):
+    with pytest.raises(ConfigError, match="^forcing width must be a finite number"):
+        cli._number("forcing width", value, float)
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "not-json",
@@ -455,11 +464,14 @@ def _typed(values):
 @example(cfg={"continuity": {"max_newton": True}})
 @example(cfg={"continuity": {"newton_tol": True}})
 @example(cfg={"continuity": {"newton_tol": "1e-3"}})
+@example(cfg={"forcing": {"type": "bump", "width": float("inf")}})
+@example(cfg={"forcing": {"type": "bump", "width": float("nan")}})
+@example(cfg={"forcing": {"type": "zero", "amplitude": float("nan")}})
 def test_run_config_parses_or_raises_config_errors(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("cfg") / "run.json"
     path.write_text(json.dumps(cfg))
     try:
-        _cfg, problem, ccfg = cli._load_run_config(str(path), {})
+        _cfg, problem, ccfg = cli._load_run_config(str(path))
     except (ConfigError, ShapeMismatch):
         return
     assert problem.F.shape == problem.grid.dims
@@ -472,6 +484,10 @@ def test_run_config_parses_or_raises_config_errors(tmp_path_factory, cfg):
     assert _typed([ccfg.max_newton]) == _typed([given.get("max_newton", 30)])
     tol = given.get("newton_tol", 1e-10)
     assert type(tol) in (int, float) and ccfg.newton_tol == tol
+    # every forcing number that was read is finite
+    forcing = cfg.get("forcing", {})
+    read = ("amplitude", "width") if forcing.get("type") == "bump" else ("amplitude",)
+    assert all(math.isfinite(forcing.get(key, 1.0)) for key in read)
 
 
 _header_value = st.one_of(_scalars, st.sampled_from([4.7, 4.0, -4, 0, 2 ** 32]),

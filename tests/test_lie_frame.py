@@ -22,7 +22,6 @@ from hktsolve.errors import (
 )
 from hktsolve.exact import QQi
 from hktsolve.lie_frame import (
-    FrameSpec,
     StructureConstants,
     build_complex_frame,
     check_foliation,
@@ -265,14 +264,8 @@ def test_frame_build_cost_follows_supports(monkeypatch):
     # in nilpotent8's pattern; a dense inverse or Gram loop costs dim^3,
     # and a product for every empty bracket dim^2.  The build takes 13 dim.
     dim = 64
-    imap, jmap = algebras._maps(dim, [(o, "a") for o in range(0, dim, 4)])
-    vectors = []
-    for o in range(0, dim, 4):
-        vectors.append(algebras._vec(dim, {o + 1: (-1, 0), o + 2: (0, 1)}))
-        vectors.append(algebras._vec(dim, {o + 3: (1, 0), o + 4: (0, -1)}))
-    spec = FrameSpec(name="flat64", sc=StructureConstants(dim, {}), imap=imap,
-                     jmap=jmap, vectors=vectors,
-                     metric_diag=[Fraction(1, 2)] * dim, split=())
+    spec = algebras._spec("flat64", {}, "a" * (dim // 4),
+                          leading=range(1, dim // 2, 2), split=())
     bound = 16 * dim
     calls = []
 
@@ -299,9 +292,9 @@ def test_nijenhuis_float_oracle_then_exact(frames):
 
 
 def test_broken_j_fails_both_ways():
-    spec = algebras.su3()
-    _, bad_jmap = algebras._maps(8, [(0, "a"), (4, "a")])
-    bad = dataclasses.replace(spec, name="su3-badj", jmap=bad_jmap)
+    # su3 with nilpotent8's J: both blocks carry pattern "a"
+    bad = algebras._spec("su3-badj", algebras.SU3_BRACKETS, "aa", leading=(1,),
+                         split=(1, 2))
     assert oracles.nijenhuis_oracle(bad, "J") > 0.5
     with pytest.raises(NijenhuisViolation):
         check_hypercomplex(bad, strict=True)

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,47 @@ def test_su3_describe_snapshot(operators):
         "Q_1 = (-2)*g3'",
         "Q_2 = (2)*g4",
     ])
+
+
+REGISTRY_DESCRIPTIONS = {
+    # describe() of each registry algebra besides su3, with its build parameters
+    "semidirect8": ({"c": 2, "w": Fraction(1, 2)}, [
+        "transverse pair: (3, 4); annihilated: [1, 2]",
+        "ratio = (1) + h(3,3') + h(4,4') + (-16)*g3*g3' + (-16)*g4*g4'",
+        "P_1 = (4)*g4'",
+        "P_2 = (4)*g3",
+        "Q_1 = (-4)*g3'",
+        "Q_2 = (4)*g4",
+    ]),
+    "semidirect12": ({}, [
+        "transverse pair: (3, 4); annihilated: [1, 2, 5, 6]",
+        "ratio = (1) + h(3,3') + h(4,4') + (-4)*g3*g3' + (-4)*g4*g4'",
+        "P_1 = (2)*g4'",
+        "P_2 = (2)*g3",
+        "P_5 = 0",
+        "P_6 = 0",
+        "Q_1 = (-2)*g3'",
+        "Q_2 = (2)*g4",
+        "Q_5 = 0",
+        "Q_6 = 0",
+    ]),
+    "nilpotent8": ({}, [
+        "transverse pair: (1, 2); annihilated: [3, 4]",
+        "ratio = (1) + h(1,1') + h(2,2')",
+        "P_3 = 0",
+        "P_4 = 0",
+        "Q_3 = 0",
+        "Q_4 = 0",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_DESCRIPTIONS))
+def test_registry_describe_snapshot(name):
+    params, lines = REGISTRY_DESCRIPTIONS[name]
+    frame = build_complex_frame(algebras.get_algebra(name, **params))
+    assert frame.flips == []
+    assert reduce_ratio(frame).describe() == "\n".join(lines)
 
 
 def test_semidirect8_scales_with_c(operators):
