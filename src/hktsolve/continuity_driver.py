@@ -7,35 +7,46 @@ a failed Newton solve, double after two consecutive easy solves.  Also
 home to manufactured problems (choose the solution, derive the
 forcing), the grid convergence study, and the basicness report.
 
-Grid sequencing.  A step that leaves the trivial pair at t = 0 starts
-Newton from the solution of the coarsened problem at the same t, not
-from phi = 0.  The coarse problem halves every even axis that keeps at
-least 4 nodes and takes F, and a per-node Q, by injection (every other
-node; a constant Q as it is); it is solved the same way, down to a grid
-below SEQUENCE_MIN_NODES = 2^16 nodes, which starts from the trivial
-pair.  The coarse phi reaches the finer grid by trigonometric
-interpolation: its real half spectrum, zero-padded through numpy's FFT
-with the Nyquist mode of each even axis split in halves.  Newton's step
-count does not depend on the mesh, so the interpolated start lies in
-the fine grid's quadratic basin: a 512^2 bump takes 1 fine Newton step
-instead of 4.  Where two coarse levels lie below a grid, its start is
-first extrapolated on the coarse grid towards the finer discrete
-solution (Richardson, as in nested iteration): the gap between two
-levels' solutions falls 4x per halving of the second-order stencil, so
-phi_c + (phi_c - phi_cc) / 4 and b_c (b_c / b_cc)^(1/4), the log form
-that keeps b positive, leave the 512^2 bump a start residual of 9e-8
-instead of 9e-5 and one fine Newton step.  The pairs are the coarse
-solutions, not their starts; a grid with one coarse level below starts
-from the plain interpolation.  Both coarse states are dropped before
-the fine Newton runs.  The floor exists because on smaller grids a hard
-coarse solve still takes about nine Newton steps and costs more than it
-saves.  If a coarse solve or the fine Newton from the coarse start
-fails, the step is rerun from the trivial pair, as without sequencing.
-The step control counts the Newton steps of the coarsest grid's plain
-start, which stand for the fine plain start's, so the schedule of t is
-the one the plain start gives.  Trace rows describe the fine grid only,
-and the seconds of the row a sequenced step ends in include its coarse
-solves.
+Grid sequencing.  A step that leaves the trivial pair at t = 0, on a
+grid of at least SEQUENCE_MIN_NODES = 2^16 nodes, starts Newton from
+the solution of the coarsened problem at the same t, not from phi = 0.
+The chain of coarse problems halves the leaf axes first: those along
+which F and Q are both constant (leaf_axes, the test basicness_check
+makes).  Basic data have a solution constant along the leaves, so a
+leaf-halved problem has the fine solution restricted, and its
+interpolation starts the finer grid within the Newton tolerance: on
+20^4 with F varying along two axes, the chain is 20^4 -> 20x20x10x10
+-> 20x20x5x5 and both finer grids take 0 Newton steps.  Every even leaf
+axis of at least 8 nodes is halved, whatever the grid's size; once none
+is, every even varying axis of at least 8 nodes is halved, down to a
+grid below SEQUENCE_MIN_NODES, which starts from the trivial pair.  F,
+and a per-node Q, are taken by injection (every other node; a constant
+Q as it is).  The coarse phi reaches the finer grid by trigonometric
+interpolation along the axes that grow: its real half spectrum,
+zero-padded through numpy's FFT with the Nyquist mode of each even axis
+split in halves.  Newton's step count does not depend on the mesh, so
+the interpolated start lies in the fine grid's quadratic basin: a 512^2
+bump takes 1 fine Newton step instead of 4.  Where the halvings to the
+level below a grid and to the one below that both halved varying axes,
+the start is first extrapolated on the coarse grid towards the finer
+discrete solution (Richardson, as in nested iteration): the gap between
+two levels' solutions falls 4x per halving of h along the axes the
+solution varies on, so phi_c + (phi_c - phi_cc) / 4 and
+b_c (b_c / b_cc)^(1/4), the log form that keeps b positive, leave the
+512^2 bump a start residual of 9e-8 instead of 9e-5 and one fine
+Newton step.  The pairs are the coarse solutions, not their starts.
+Across a leaf halving, where the solutions agree, and above a single
+varying level, the start is the plain interpolation.  Both coarse
+states are dropped before the fine Newton runs.  The floor exists
+because on smaller grids a hard coarse solve still takes about nine
+Newton steps and costs more than it saves; leaf halvings are exempt
+below it, but a fine grid under it is not sequenced at all.  If a
+coarse solve or the fine Newton from the coarse start fails, the step
+is rerun from the trivial pair, as without sequencing.  The step
+control counts the Newton steps of the coarsest grid's plain start,
+which stand for the fine plain start's, so the schedule of t is the one
+the plain start gives.  Trace rows describe the fine grid only, and the
+seconds of the row a sequenced step ends in include its coarse solves.
 """
 
 import csv
@@ -134,16 +145,23 @@ _SOLVER_FAILURES = (DampingExhausted, MaxItersExceeded, LinearSolveFailure,
 SEQUENCE_MIN_NODES = 2 ** 16
 
 
-def coarse_dims(grid):
-    """The grid's dims with every even axis of at least 8 nodes halved.
+def coarse_dims(grid, leaf):
+    """The dims of the next coarser grid, or None when no axis halves.
 
-    None when the grid has fewer than SEQUENCE_MIN_NODES nodes or no
-    axis halves: such a grid is solved from the trivial pair.
+    ``leaf`` lists the axes along which F and Q are constant (see
+    leaf_axes).  Every even leaf axis of at least 8 nodes is halved
+    first, on a grid of any size: the solution is constant along the
+    leaves, so the halved problem has the fine solution.  Once no leaf
+    axis halves, every even varying axis of at least 8 nodes is halved,
+    on a grid of at least SEQUENCE_MIN_NODES nodes.
     """
-    if grid.size < SEQUENCE_MIN_NODES:
+    halvable = [ax for ax, d in enumerate(grid.dims) if d % 2 == 0 and d >= 8]
+    halve = [ax for ax in halvable if ax in leaf]
+    if not halve and grid.size >= SEQUENCE_MIN_NODES:
+        halve = halvable
+    if not halve:
         return None
-    dims = tuple(d // 2 if d % 2 == 0 and d >= 8 else d for d in grid.dims)
-    return None if dims == grid.dims else dims
+    return tuple(d // 2 if ax in halve else d for ax, d in enumerate(grid.dims))
 
 
 def coarsen(problem, dims):
@@ -163,42 +181,46 @@ def interpolate(values, dims):
     """Trigonometric interpolation of periodic grid values onto a finer grid.
 
     Each axis of ``dims`` is as long as the values' or longer, over the
-    same length.  The real half spectrum is zero-padded: every
-    frequency keeps its place counted from its end of the axis, and the
-    Nyquist mode of an even axis that grows is split in halves between
-    +m/2 and -m/2 (on the last axis, the -m/2 half is the Hermitian
-    mirror irfft supplies).  The padded spectrum is the one fine array
-    held besides the result; the inverse transform runs in place in it,
-    in irfftn's order.
+    same length.  The values are transformed along the axes that grow
+    only, and their real half spectrum, taken along the last of those,
+    is zero-padded: every frequency keeps its place counted from its end
+    of the axis, and the Nyquist mode of an even axis that grows is
+    split in halves between +m/2 and -m/2 (on the half-spectrum axis,
+    the -m/2 half is the Hermitian mirror irfft supplies).  The padded
+    spectrum is the one fine array held besides the result; the inverse
+    transform runs in place in it, in irfftn's order.
     """
     values = np.asarray(values, dtype=float)
-    last = values.ndim - 1
+    grown = [ax for ax, (m, n) in enumerate(zip(values.shape, dims))
+             if n != m] or [values.ndim - 1]
+    last = grown[-1]
     src, dst, weights = [], [], []
     for ax, (m, n) in enumerate(zip(values.shape, dims)):
         k = np.arange(m // 2 + 1 if ax == last else m)
         to = k if ax == last else np.where(k < (m + 1) // 2, k, k - m) % n
-        w = np.ones(len(k))
         if n != m and m % 2 == 0:
+            w = np.ones(len(k))
             w[m // 2] = 0.5   # the Nyquist mode, at -m/2 on a full axis
             if ax != last:    # and its other half at +m/2
                 k = np.append(k, m // 2)
                 to = np.append(to, m // 2)
                 w = np.append(w, 0.5)
+            weights.append((ax, w))
         src.append(k)
         dst.append(to)
-        weights.append(w)
-    block = np.fft.rfftn(values)[np.ix_(*src)]
-    for ax, w in enumerate(weights):
+    block = np.fft.rfftn(values, axes=grown)[np.ix_(*src)]
+    for ax, w in weights:
         shape = [1] * values.ndim
         shape[ax] = len(w)
         block *= w.reshape(shape)
     block *= math.prod(dims) / values.size
-    spectrum = np.zeros(tuple(dims[:-1]) + (dims[-1] // 2 + 1,), dtype=complex)
+    half = tuple(n // 2 + 1 if ax == last else n for ax, n in enumerate(dims))
+    spectrum = np.zeros(half, dtype=complex)
     spectrum[np.ix_(*dst)] = block
     del block
-    for ax in range(last):
+    for ax in grown[:-1]:
         np.fft.ifft(spectrum, axis=ax, out=spectrum)
-    return np.fft.irfft(spectrum, n=dims[-1], axis=-1)
+    return np.fft.irfft(spectrum, n=dims[last], axis=last)
 
 
 def extrapolated_b(b_c, b_cc):
@@ -215,28 +237,34 @@ def _sequenced_solve(problem, t, cfg):
 
     The chain of coarse problems runs down to a grid that coarse_dims
     leaves alone, which starts from the trivial pair; each finer grid
-    starts from the solution one level down, extrapolated with the one
-    below it where there is one (see the module docstring), then
-    interpolated.  Returns the state and the Newton iterations of the
-    plain start, which stand for the fine plain start's in the step
-    control: Newton's step count does not depend on the mesh.
+    starts from the solution one level down, interpolated.  Where the
+    halvings to that level and to the one below it both halved varying
+    axes, the solution is first extrapolated with the one below (see
+    the module docstring); across a leaf halving it is taken as it is.
+    Returns the state and the Newton iterations of the plain start,
+    which stand for the fine plain start's in the step control:
+    Newton's step count does not depend on the mesh.
     """
+    leaf = leaf_axes(problem)
     chain = [problem]
-    while (dims := coarse_dims(chain[-1].grid)) is not None:
+    while (dims := coarse_dims(chain[-1].grid, leaf)) is not None:
         chain.append(coarsen(chain[-1], dims))
     state = solve_at_t(chain.pop(), t, tol=cfg.newton_tol,
                        max_iters=cfg.max_newton)
     plain_iters = state.newton_iters
-    below = None   # the solution one level under state's
+    below = None   # the solution one varying halving under state's
     while chain:
+        fine = chain.pop()
+        varying = any(m != n for ax, (m, n)
+                      in enumerate(zip(fine.grid.dims, state.phi.shape))
+                      if ax not in leaf)
         phi, b0 = state.phi, state.b
-        if below is not None:
+        if below is not None and varying:
             phi = phi + (phi - interpolate(below.phi, phi.shape)) / 4
             b0 = extrapolated_b(b0, below.b)
-        fine = chain.pop()
         start = [interpolate(phi, fine.grid.dims)]
         # the top grid's Newton runs without either coarse state
-        below = state if chain else None
+        below = state if chain and varying else None
         del phi, state
         # popped into the call, the start has no reference here:
         # solve_at_t frees it once it has its own zero-mean copy
@@ -249,10 +277,12 @@ def _attempt(problem, state, t, cfg):
     """One continuity step from state to t: (new state, step-control iterations).
 
     A step that leaves the trivial pair at t = 0 starts from the coarse
-    grids' solution when coarse_dims allows; if that fails, it reruns
-    from the trivial pair, as every later step starts from its state.
+    grids' solution when coarse_dims, counting no axis as a leaf, halves
+    the fine grid: only a grid of at least SEQUENCE_MIN_NODES nodes is
+    sequenced, whatever its leaves.  If that fails, the step reruns from
+    the trivial pair, as every later step starts from its state.
     """
-    if state.t == 0.0 and coarse_dims(problem.grid) is not None:
+    if state.t == 0.0 and coarse_dims(problem.grid, ()) is not None:
         try:
             return _sequenced_solve(problem, t, cfg)
         except _SOLVER_FAILURES:
@@ -399,6 +429,13 @@ def _invariant_axes(arr, dims):
     return out
 
 
+def leaf_axes(problem):
+    """Axes along which both F and Q are invariant, ascending."""
+    dims = problem.grid.dims
+    return sorted(set(_invariant_axes(problem.F, dims))
+                  & set(_invariant_axes(problem.q, dims)))
+
+
 def basicness_check(problem, state, tol):
     """Report whether the solution is constant along the axes F ignores.
 
@@ -409,8 +446,7 @@ def basicness_check(problem, state, tol):
     check: the caller reads ``passed`` (the CLI prints the report).
     """
     grid, F, q = problem.grid, problem.F, problem.q
-    axes = sorted(set(_invariant_axes(F, grid.dims))
-                  & set(_invariant_axes(q, grid.dims)))
+    axes = leaf_axes(problem)
     if not axes:
         return {"applicable": False, "invariant_axes": [],
                 "message": "forcing varies along every axis; nothing to check"}

@@ -83,13 +83,6 @@ def read_field(path):
     return arr, lengths
 
 
-def pack_symmetric(q):
-    """Per-node symmetric (d, d) matrices to upper-triangle channels."""
-    q = np.asarray(q, dtype=float)
-    rows, cols = np.triu_indices(q.shape[-1])
-    return q[..., rows, cols]
-
-
 def unpack_symmetric(channels, d):
     channels = np.asarray(channels, dtype=float)
     rows, cols = np.triu_indices(d)

@@ -435,17 +435,6 @@ class ReducedOperator:
         """Value of the ratio polynomial at a jet assignment."""
         return p_eval(self.ratio_poly, assignment)
 
-    def evaluate_normal_form(self, assignment):
-        """1 + trace term - sum |P_k|^2, for conjugation-consistent jets."""
-        a, b = self.active_pair
-        total = 1.0 + 0j
-        total += assignment[("h", a, a + self.half)]
-        total += assignment[("h", b, b + self.half)]
-        for k in self.split:
-            pk = p_eval(self.p_forms[k], assignment)
-            total -= pk * pk.conjugate()
-        return total
-
     def gradient_rows(self):
         """Complex rows r_k with P_k = r_k . (v1, v2, v3, v4).
 

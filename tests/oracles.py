@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from hktsolve.hkt_symbolic import p_eval
+
 
 # ---------------------------------------------------------------------------
 # float bracket oracles, on a dense tensor read straight from sc.table
@@ -111,6 +113,19 @@ def theorem_value_oracle(frame, jets):
             + C(b, k, bb) * g(b) + C(bb, k, bb) * g(bb)
         total -= pk * np.conjugate(pk)
     return complex(total)
+
+
+def normal_form_value(op, assignment):
+    """A ReducedOperator's 1 + trace term - sum |P_k|^2, for
+    conjugation-consistent jets: its ratio in normal form."""
+    a, b = op.active_pair
+    total = 1.0 + 0j
+    total += assignment[("h", a, a + op.half)]
+    total += assignment[("h", b, b + op.half)]
+    for k in op.split:
+        pk = p_eval(op.p_forms[k], assignment)
+        total -= pk * pk.conjugate()
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -217,3 +232,45 @@ def fd_directional_residual(residual_fn, phi, b, eta, c, eps):
     plus = residual_fn(phi + eps * eta, b + eps * c)
     minus = residual_fn(phi - eps * eta, b - eps * c)
     return (plus - minus) / (2.0 * eps)
+
+
+def pack_symmetric(q):
+    """Per-node symmetric (d, d) matrices to upper-triangle channels,
+    the layout gridio.unpack_symmetric reads."""
+    q = np.asarray(q, dtype=float)
+    rows, cols = np.triu_indices(q.shape[-1])
+    return q[..., rows, cols]
+
+
+def hopf_cole_b(F, lengths, a):
+    """The constant b for Q = -aI, from the linear equation of u = exp(-a phi).
+
+    u solves -lap u + a (1 - b e^F) u = 0 and is positive, so b is the
+    root in b of the lowest eigenvalue of that operator, with the
+    periodic second-order Laplacian (5-point on two axes) assembled from
+    sparse Kronecker products.  The lowest eigenvalue falls as b grows; it is
+    positive at b = 1 / max e^F and negative at b = 1 / min e^F.
+    """
+    import scipy.sparse as sp
+    from scipy.optimize import brentq
+    from scipy.sparse.linalg import eigsh
+
+    F = np.asarray(F, dtype=float)
+    lap = sp.csr_matrix((F.size, F.size))
+    for ax, (n, length) in enumerate(zip(F.shape, lengths)):
+        h = length / n
+        second = sp.diags([-2.0, 1.0, 1.0, 1.0, 1.0], [0, 1, -1, n - 1, 1 - n],
+                          shape=(n, n)) / (h * h)
+        before = sp.identity(math.prod(F.shape[:ax]))
+        after = sp.identity(math.prod(F.shape[ax + 1:]))
+        lap = lap + sp.kron(sp.kron(before, second), after)
+    e = np.exp(F).ravel()
+
+    def lowest(b):
+        potential = a * (1.0 - b * e)
+        op = (sp.diags(potential) - lap).tocsc()
+        return float(eigsh(op, k=1, sigma=float(np.min(potential)) - 1.0,
+                           return_eigenvectors=False)[0])
+
+    return brentq(lowest, 1.0 / float(np.max(e)), 1.0 / float(np.min(e)),
+                  xtol=1e-15, rtol=4 * np.finfo(float).eps)

@@ -32,6 +32,8 @@ from hktsolve.errors import (
     StepUnderflow,
 )
 
+import oracles
+
 
 def bump(grid, amplitude=1.0, width=1.0):
     total = np.zeros(grid.dims)
@@ -434,8 +436,13 @@ def _sequenced_cases():
     q4 = np.broadcast_to(-np.eye(4), g4.dims + (4, 4)).copy()
     q4[..., 0, 0] = -1.0 - 0.5 * np.sin(xs[0]) ** 2
     q4[..., 0, 1] = q4[..., 1, 0] = 0.2 * np.sin(xs[0] + xs[2])
+    gl = TorusGrid((16, 16, 8, 8))
+    xl = gl.meshes()
     return {
         "constant-q": Problem(g2, bump(g2, 2.0), -4.0 * np.eye(2)),
+        # basic data: F and Q constant along the leaf axes 2 and 3
+        "leaf-4d": Problem(gl, np.exp(np.cos(xl[0] - 1.0) + np.cos(xl[1]) - 2.0),
+                           -4.0 * np.eye(4)),
         "odd-axis": Problem(godd, np.roll(sine_product_field(godd, 2.0), 3, axis=1),
                             np.array([[-3.0, 1.0], [1.0, -2.0]])),
         "pernode-q": Problem(g4, 0.5 * np.sin(xs[0]) + 0.3 * np.cos(xs[1] - xs[3]), q4),
@@ -479,14 +486,68 @@ def test_sequenced_and_plain_starts_reach_the_same_solution(name, monkeypatch):
     assert seq_trace.rows[-1].newton_iters < plain_trace.rows[-1].newton_iters
 
 
+def _coarse_chain(problem):
+    """The dims coarse_dims gives level by level, from the fine problem's leaves."""
+    leaf = cd.leaf_axes(problem)
+    chain = []
+    while (dims := cd.coarse_dims(problem.grid, leaf)) is not None:
+        chain.append(dims)
+        problem = cd.coarsen(problem, dims)
+        assert cd.leaf_axes(problem) == leaf
+    return chain
+
+
+def _varying_everywhere(dims):
+    rng = np.random.default_rng(41)
+    return Problem(TorusGrid(dims), rng.standard_normal(dims), -np.eye(len(dims)))
+
+
 def test_odd_and_short_axes_are_not_halved(monkeypatch):
+    first = lambda dims: cd.coarse_dims(TorusGrid(dims),
+                                        cd.leaf_axes(_varying_everywhere(dims)))
     monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", 16)
-    assert cd.coarse_dims(TorusGrid((64, 45))) == (32, 45)
-    assert cd.coarse_dims(TorusGrid((8, 6, 7, 9))) == (4, 6, 7, 9)
-    assert cd.coarse_dims(TorusGrid((6, 6, 5, 5))) is None
+    assert first((64, 45)) == (32, 45)
+    assert first((8, 6, 7, 9)) == (4, 6, 7, 9)
+    assert first((6, 6, 5, 5)) is None
+    # F constant along axis 2, which a constant Q makes a leaf, but a
+    # per-node Q varying along it leaves no leaf: every axis halves at once
+    pernode = SEQUENCED["pernode-q"]
+    constant = Problem(pernode.grid, pernode.F, -np.eye(4))
+    assert cd.leaf_axes(constant) == [2]
+    assert _coarse_chain(constant)[0] == (16, 16, 4, 8)
+    assert cd.leaf_axes(pernode) == []
+    assert _coarse_chain(pernode) == [(8, 8, 4, 4), (4, 4, 4, 4)]
     monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", 2 ** 16)
-    assert cd.coarse_dims(TorusGrid((128, 128))) is None
-    assert cd.coarse_dims(TorusGrid((256, 256))) == (128, 128)
+    assert first((128, 128)) is None
+    assert first((256, 256)) == (128, 128)
+    # the benchmark's shape: F varying along axes 0 and 1, Q = -4 I; the
+    # leaf axes halve down to 5 nodes, the varying ones not below 2^16
+    g = TorusGrid((20, 20, 20, 20))
+    xs = g.meshes()
+    basic = Problem(g, np.cos(xs[0]) * np.sin(xs[1]), -4.0 * np.eye(4))
+    assert cd.leaf_axes(basic) == [2, 3]
+    assert _coarse_chain(basic) == [(20, 20, 10, 10), (20, 20, 5, 5)]
+
+
+def test_leaf_halvings_run_below_the_floor_only_under_a_fine_grid_above_it(
+        monkeypatch):
+    problem = SEQUENCED["leaf-4d"]
+    leaf = cd.leaf_axes(problem)
+    assert leaf == [2, 3]
+    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", problem.grid.size)
+    # the leaf halving is taken by a grid under the floor...
+    assert cd.coarse_dims(TorusGrid((16, 16, 4, 4)), leaf) is None
+    assert cd.coarse_dims(TorusGrid((16, 16, 8, 8)), leaf) == (16, 16, 4, 4)
+    assert cd.coarse_dims(TorusGrid((8, 8, 8, 8)), leaf) == (8, 8, 4, 4)
+    cfg = ContinuityConfig(newton_tol=1e-10)
+    seen = _coarse_solves(monkeypatch)
+    run_continuity(problem, cfg)
+    assert seen == [(16, 16, 8, 8), (16, 16, 4, 4), (16, 16, 8, 8)]
+    # ...but a fine grid under the floor starts from the trivial pair
+    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", problem.grid.size + 1)
+    seen.clear()
+    run_continuity(problem, cfg)
+    assert seen == [(16, 16, 8, 8)] * 2
 
 
 def test_coarse_problem_is_injected():
@@ -593,6 +654,7 @@ def test_extrapolated_start_saves_a_fine_newton_step(monkeypatch):
 @pytest.mark.parametrize("name, floor, levels", [
     ("bump-256", 2 ** 12, [(128, 128), (64, 64), (32, 32)]),
     ("pernode-q", 1024, [(8, 8, 4, 4), (4, 4, 4, 4)]),
+    ("leaf-4d", 1024, [(16, 16, 4, 4), (8, 8, 4, 4), (4, 4, 4, 4)]),
 ])
 def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
                                                           monkeypatch):
@@ -602,6 +664,9 @@ def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
         problem = Problem(g, bump(g), -np.eye(2))
     else:
         problem = SEQUENCED[name]
+    # leaf-4d's first halving is of its leaf axes 2 and 3: nothing is
+    # extrapolated across it
+    leaf_halvings = 1 if name == "leaf-4d" else 0
     tol, t = 1e-10, 1.0
     chain = [problem]
     for dims in levels:
@@ -610,12 +675,16 @@ def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
     first = es.solve_at_t(chain[-2], t, b0=coarsest.b, tol=tol,
                           phi0=cd.interpolate(coarsest.phi, chain[-2].grid.dims))
     solutions = [coarsest, first]
-    for level in reversed(chain[:-2]):
+    for i in reversed(range(len(chain) - 2)):
+        level = chain[i]
         phi_cc, phi_c = solutions[-2].phi, solutions[-1].phi
         b_cc, b_c = solutions[-2].b, solutions[-1].b
-        phi_e = phi_c + (phi_c - cd.interpolate(phi_cc, phi_c.shape)) / 4.0
+        if i < leaf_halvings:
+            phi_e, b0 = phi_c, b_c
+        else:
+            phi_e = phi_c + (phi_c - cd.interpolate(phi_cc, phi_c.shape)) / 4.0
+            b0 = float(np.exp(np.log(b_c) + (np.log(b_c) - np.log(b_cc)) / 4.0))
         phi0 = cd.interpolate(phi_e, level.grid.dims)
-        b0 = float(np.exp(np.log(b_c) + (np.log(b_c) - np.log(b_cc)) / 4.0))
         if level is problem:
             break
         solutions.append(es.solve_at_t(level, t, phi0=phi0, b0=b0, tol=tol))
@@ -629,9 +698,40 @@ def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
     np.testing.assert_allclose(got_b0, b0, rtol=1e-13)
 
 
+def test_leaf_halving_reproduces_the_fine_solution(monkeypatch):
+    # 16x16x8x8 -> 16x16x4x4 only: the halved problem has the fine solution
+    problem = SEQUENCED["leaf-4d"]
+    tol = 1e-10
+    leaf_level = es.solve_at_t(cd.coarsen(problem, (16, 16, 4, 4)), 1.0, tol=tol)
+    lifted = cd.interpolate(leaf_level.phi, problem.grid.dims)
+    res = es.residual(problem, lifted, leaf_level.b, 1.0)
+    assert float(np.max(np.abs(res))) <= 100 * tol
+    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", problem.grid.size)
+    fine = _fine_starts(monkeypatch, problem.grid.dims)
+    state, trace = run_continuity(problem, ContinuityConfig(newton_tol=tol))
+    [(phi0, b0, first)] = fine
+    assert np.array_equal(phi0, lifted) and b0 == leaf_level.b
+    assert first.newton_iters == 0 and first.residual_norm <= tol
+    assert [r.newton_iters for r in trace.rows] == [0, 0]
+    assert state.residual_norm <= tol
+
+
+def test_all_axis_bump_keeps_its_four_axis_chain(monkeypatch):
+    # the CLI bump on 20^4 varies along every axis: no leaf, so the chain
+    # is 20^4 -> 10^4 and the fine grid still takes 4-axis Newton steps
+    g = TorusGrid((20, 20, 20, 20))
+    problem = Problem(g, bump(g), -4.0 * np.eye(4))
+    assert cd.leaf_axes(problem) == []
+    seen = _coarse_solves(monkeypatch)
+    state, trace = run_continuity(problem, ContinuityConfig(newton_tol=1e-10))
+    assert seen == [g.dims, (10, 10, 10, 10), g.dims]
+    assert [r.newton_iters for r in trace.rows] == [0, 3]
+    assert state.residual_norm <= 1e-10
+
+
 def test_single_coarse_level_keeps_the_interpolated_start(monkeypatch):
-    # 64^2 -> 32^2 only, as 20^4 -> 10^4 in the benchmark: nothing to
-    # extrapolate with
+    # 64^2 -> 32^2 only, as 20^4 -> 10^4 for a forcing varying along all
+    # four axes: nothing to extrapolate with
     problem = SEQUENCED["constant-q"]
     cfg = ContinuityConfig(newton_tol=1e-10)
     coarse = es.solve_at_t(cd.coarsen(problem, (32, 32)), 1.0,
@@ -677,3 +777,17 @@ def test_theorem_ladder_reaches_t1(a, forcing, amplitude):
         assert float(np.min(1.0 / e)) <= row.b
         assert check_b_bound(row, F, 100 * tol)
         assert row.b * float(np.mean(e)) <= 1.0 + 100 * tol
+
+
+@pytest.mark.parametrize("a", [4.0, 16.0], ids=["su3", "semidirect8"])
+def test_b_converges_to_the_hopf_cole_oracle_at_second_order(a):
+    # both discretizations converge to the continuum b at O(h^2), so
+    # their gap falls 4x per halving of h unless the solver's b is off
+    gaps = []
+    for n in (32, 64):
+        x = np.arange(n) * (2.0 * np.pi / n)
+        F = np.sin(x)[:, None] * np.sin(x)[None, :]
+        state, _ = run_continuity(Problem(TorusGrid((n, n)), F, -a * np.eye(2)),
+                                  ContinuityConfig(newton_tol=1e-12))
+        gaps.append(abs(state.b - oracles.hopf_cole_b(F, (2.0 * np.pi,) * 2, a)))
+    assert 1.8 <= np.log2(gaps[0] / gaps[1]) <= 2.2

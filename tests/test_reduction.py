@@ -155,7 +155,7 @@ def test_ratio_matches_normal_form(operators, rng):
     for name, op in operators.items():
         for _ in range(10):
             jets = random_jets(op, rng)
-            assert abs(op.evaluate(jets) - op.evaluate_normal_form(jets)) < 1e-12
+            assert abs(op.evaluate(jets) - oracles.normal_form_value(op, jets)) < 1e-12
 
 
 def test_top_power_against_bitmask_oracle(frames, operators, rng):
