@@ -3,28 +3,33 @@
 The solved family is  laplacian(phi_t) + <Q grad phi_t, grad phi_t> + 1
 = b_t exp(t F), starting from the exact solution (phi, b) = (0, 1) at
 t = 0 and marching monotonically to t = 1 with adaptive steps: halve on
-a failed Newton solve, double after two consecutive easy solves.  Also
+a failed Newton solve, double after two consecutive easy solves.  The
+t = 0 state is built, not solved for: its residual, density(0) -
+exp(0 F) = 1 - 1, is exactly 0.0 in floating point for every finite F,
+so it is recorded with 0 Newton iterations and residual 0.0.  Also
 home to manufactured problems (choose the solution, derive the
 forcing), the grid convergence study, and the basicness report.
 
 Grid sequencing.  A step that leaves the trivial pair at t = 0, on a
 grid of at least SEQUENCE_MIN_NODES = 2^16 nodes, starts Newton from
 the solution of the coarsened problem at the same t, not from phi = 0.
-The chain of coarse problems halves the leaf axes first: those along
-which F and Q are both constant (leaf_axes, the test basicness_check
-makes).  Basic data have a solution constant along the leaves, so a
-leaf-halved problem has the fine solution restricted, and its
-interpolation starts the finer grid within the Newton tolerance: on
-20^4 with F varying along two axes, the chain is 20^4 -> 20x20x10x10
--> 20x20x5x5 and both finer grids take 0 Newton steps.  Every even leaf
-axis of at least 8 nodes is halved, whatever the grid's size; once none
-is, every even varying axis of at least 8 nodes is halved, down to a
-grid below SEQUENCE_MIN_NODES, which starts from the trivial pair.  F,
-and a per-node Q, are taken by injection (every other node; a constant
-Q as it is).  The coarse phi reaches the finer grid by trigonometric
-interpolation along the axes that grow: its real half spectrum,
-zero-padded through numpy's FFT with the Nyquist mode of each even axis
-split in halves.  Newton's step count does not depend on the mesh, so
+The chain's first level coarsens the leaf axes: those along which F
+and Q are both constant (Problem.leaf_axes, the axes basicness_check
+checks).  Basic data have a solution constant along the leaves, so the
+leaf-coarsened problem has the fine solution restricted, and its
+interpolation starts the finer grid within the Newton tolerance.  In
+that one level, whatever the grid's size, each leaf axis of m nodes
+goes to its smallest divisor k with 4 <= k < m (20 -> 4, 18 -> 6,
+10 -> 5; 4 to 7, 9 and the primes have none and are kept): on 20^4
+with F varying along two axes, the chain is 20^4 -> 20x20x4x4 and the
+fine grid takes 0 Newton steps.  Below it, every even varying axis of
+at least 8 nodes is halved, down to a grid below SEQUENCE_MIN_NODES,
+which starts from the trivial pair.  F, and a per-node Q, are taken by
+injection (every (m/k)-th node of an axis that goes from m to k nodes;
+a constant Q as it is).  The coarse phi reaches the finer grid by
+trigonometric interpolation along the axes that grow: its real half
+spectrum, zero-padded through numpy's FFT with the Nyquist mode of each
+even axis split in halves.  Newton's step count does not depend on the mesh, so
 the interpolated start lies in the fine grid's quadratic basin: a 512^2
 bump takes 1 fine Newton step instead of 4.  Where the halvings to the
 level below a grid and to the one below that both halved varying axes,
@@ -35,12 +40,12 @@ solution varies on, so phi_c + (phi_c - phi_cc) / 4 and
 b_c (b_c / b_cc)^(1/4), the log form that keeps b positive, leave the
 512^2 bump a start residual of 9e-8 instead of 9e-5 and one fine
 Newton step.  The pairs are the coarse solutions, not their starts.
-Across a leaf halving, where the solutions agree, and above a single
+Across the leaf level, where the solutions agree, and above a single
 varying level, the start is the plain interpolation.  Both coarse
 states are dropped before the fine Newton runs.  The floor exists
 because on smaller grids a hard coarse solve still takes about nine
-Newton steps and costs more than it saves; leaf halvings are exempt
-below it, but a fine grid under it is not sequenced at all.  If a
+Newton steps and costs more than it saves; the leaf level is exempt
+from it, but a fine grid under it is not sequenced at all.  If a
 coarse solve or the fine Newton from the coarse start fails, the step
 is rerun from the trivial pair, as without sequencing.  The step
 control counts the Newton steps of the coarsest grid's plain start,
@@ -60,6 +65,7 @@ import numpy as np
 
 from .elliptic_solver import (
     Problem,
+    SolverState,
     TorusGrid,
     density,
     quad_value,
@@ -145,31 +151,41 @@ _SOLVER_FAILURES = (DampingExhausted, MaxItersExceeded, LinearSolveFailure,
 SEQUENCE_MIN_NODES = 2 ** 16
 
 
+def _leaf_floor(m):
+    """The smallest divisor k of m with 4 <= k < m, or m if it has none."""
+    return next((k for k in range(4, m) if m % k == 0), m)
+
+
 def coarse_dims(grid, leaf):
-    """The dims of the next coarser grid, or None when no axis halves.
+    """The dims of the next coarser grid, or None when no axis coarsens.
 
     ``leaf`` lists the axes along which F and Q are constant (see
-    leaf_axes).  Every even leaf axis of at least 8 nodes is halved
-    first, on a grid of any size: the solution is constant along the
-    leaves, so the halved problem has the fine solution.  Once no leaf
-    axis halves, every even varying axis of at least 8 nodes is halved,
-    on a grid of at least SEQUENCE_MIN_NODES nodes.
+    Problem.leaf_axes).  First, on a grid of any size, each leaf axis of
+    m nodes goes in one level to its smallest divisor k with 4 <= k < m:
+    the solution is constant along the leaves, so the coarsened problem
+    has the fine solution, and k dividing m keeps it an injection.  No
+    leaf axis coarsens again after that, since an even k of 8 or more
+    would have k / 2 as a smaller divisor.  Below that level, every even
+    axis of at least 8 nodes is halved, on a grid of at least
+    SEQUENCE_MIN_NODES nodes.
     """
-    halvable = [ax for ax, d in enumerate(grid.dims) if d % 2 == 0 and d >= 8]
-    halve = [ax for ax in halvable if ax in leaf]
-    if not halve and grid.size >= SEQUENCE_MIN_NODES:
-        halve = halvable
-    if not halve:
+    dims = tuple(_leaf_floor(d) if ax in leaf else d
+                 for ax, d in enumerate(grid.dims))
+    if dims != grid.dims:
+        return dims
+    halve = [ax for ax, d in enumerate(dims) if d % 2 == 0 and d >= 8]
+    if not halve or grid.size < SEQUENCE_MIN_NODES:
         return None
-    return tuple(d // 2 if ax in halve else d for ax, d in enumerate(grid.dims))
+    return tuple(d // 2 if ax in halve else d for ax, d in enumerate(dims))
 
 
 def coarsen(problem, dims):
     """The problem injected onto the grid of ``dims`` from coarse_dims.
 
-    F, and a per-node Q, are sampled at every other node of each halved
-    axis; a constant Q is used as it is.  Injection keeps a per-node Q
-    negative semi-definite at every node, whatever built it.
+    F, and a per-node Q, are sampled at every (m/k)-th node of each axis
+    that goes from m to k nodes; a constant Q is used as it is.
+    Injection keeps a per-node Q negative semi-definite at every node,
+    whatever built it.
     """
     grid = problem.grid
     idx = tuple(slice(None, None, m // d) for m, d in zip(grid.dims, dims))
@@ -240,12 +256,12 @@ def _sequenced_solve(problem, t, cfg):
     starts from the solution one level down, interpolated.  Where the
     halvings to that level and to the one below it both halved varying
     axes, the solution is first extrapolated with the one below (see
-    the module docstring); across a leaf halving it is taken as it is.
+    the module docstring); across the leaf level it is taken as it is.
     Returns the state and the Newton iterations of the plain start,
     which stand for the fine plain start's in the step control:
     Newton's step count does not depend on the mesh.
     """
-    leaf = leaf_axes(problem)
+    leaf = problem.leaf_axes
     chain = [problem]
     while (dims := coarse_dims(chain[-1].grid, leaf)) is not None:
         chain.append(coarsen(chain[-1], dims))
@@ -279,8 +295,9 @@ def _attempt(problem, state, t, cfg):
     A step that leaves the trivial pair at t = 0 starts from the coarse
     grids' solution when coarse_dims, counting no axis as a leaf, halves
     the fine grid: only a grid of at least SEQUENCE_MIN_NODES nodes is
-    sequenced, whatever its leaves.  If that fails, the step reruns from
-    the trivial pair, as every later step starts from its state.
+    sequenced, whatever its leaves; its chain then starts with the leaf
+    level.  If that fails, the step reruns from the trivial pair, as
+    every later step starts from its state.
     """
     if state.t == 0.0 and coarse_dims(problem.grid, ()) is not None:
         try:
@@ -297,12 +314,13 @@ def run_continuity(problem, cfg=None):
     cfg = (cfg or ContinuityConfig()).validate()
     trace = PathTrace()
 
-    started = time.perf_counter()
-    state = solve_at_t(problem, 0.0, tol=cfg.newton_tol,
-                       max_iters=cfg.max_newton)
-    trace.append(TraceRow(t=0.0, b=state.b, newton_iters=state.newton_iters,
-                          residual_norm=state.residual_norm,
-                          seconds=time.perf_counter() - started))
+    # the trivial pair solves t = 0 exactly (see the module docstring)
+    state = SolverState(phi=problem.grid.zeros(), b=1.0, t=0.0,
+                        residual_norm=0.0, newton_iters=0, converged=True,
+                        message="converged without iterating",
+                        res_history=[0.0])
+    trace.append(TraceRow(t=0.0, b=1.0, newton_iters=0, residual_norm=0.0,
+                          seconds=0.0))
 
     t = 0.0
     dt = cfg.t_step_init
@@ -413,29 +431,6 @@ def convergence_study(sizes, amplitude=0.1, qdiag=0.0, newton_tol=1e-10):
     return rows
 
 
-def _invariant_axes(arr, dims):
-    """Axes of the grid along which the array does not vary.
-
-    An array without the grid's axes in front, such as a constant Q,
-    is invariant along every axis.
-    """
-    if arr.shape[:len(dims)] != tuple(dims):
-        return list(range(len(dims)))
-    scale = 1.0 + float(np.max(np.abs(arr)))
-    out = []
-    for ax in range(len(dims)):
-        if float(np.max(np.ptp(arr, axis=ax))) <= 1e-14 * scale:
-            out.append(ax)
-    return out
-
-
-def leaf_axes(problem):
-    """Axes along which both F and Q are invariant, ascending."""
-    dims = problem.grid.dims
-    return sorted(set(_invariant_axes(problem.F, dims))
-                  & set(_invariant_axes(problem.q, dims)))
-
-
 def basicness_check(problem, state, tol):
     """Report whether the solution is constant along the axes F ignores.
 
@@ -446,7 +441,7 @@ def basicness_check(problem, state, tol):
     check: the caller reads ``passed`` (the CLI prints the report).
     """
     grid, F, q = problem.grid, problem.F, problem.q
-    axes = leaf_axes(problem)
+    axes = list(problem.leaf_axes)
     if not axes:
         return {"applicable": False, "invariant_axes": [],
                 "message": "forcing varies along every axis; nothing to check"}

@@ -43,6 +43,7 @@ GMRES could not always cut such a residual a hundredfold (a 256^2 sine
 case with Q = -60 I stalled at 1.4e-10 with tol 1e-10).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -97,10 +98,6 @@ class TorusGrid:
     def coords(self, axis):
         return np.arange(self.dims[axis]) * self.spacings[axis]
 
-    def meshes(self):
-        return np.meshgrid(*[self.coords(ax) for ax in range(self.ndim)],
-                           indexing="ij")
-
     def axis_coords(self):
         """Each axis's coordinates as an open mesh that broadcasts over the grid."""
         return np.ix_(*[self.coords(ax) for ax in range(self.ndim)])
@@ -153,13 +150,28 @@ def _check_field(grid, f, name):
     return f
 
 
+def _invariant_axes(arr, dims):
+    """Axes of the grid along which the array does not vary.
+
+    An array without the grid's axes in front, such as a constant Q,
+    is invariant along every axis.
+    """
+    if arr.shape[:len(dims)] != tuple(dims):
+        return set(range(len(dims)))
+    scale = 1.0 + float(np.max(np.abs(arr)))
+    return {ax for ax in range(len(dims))
+            if float(np.max(np.ptp(arr, axis=ax))) <= 1e-14 * scale}
+
+
 class Problem:
     """The fixed data of one reduced equation: the grid, F and Q.
 
     F and Q are checked here, once; every numeric call takes the problem
-    instead of the (grid, F, q) triple.  F is held as a read-only copy,
-    so exp(t F), kept for the last t asked for, cannot go stale.  Two
-    things the preconditioner needs are recorded once: the symbol of the
+    instead of the (grid, F, q) triple.  F and Q are held as read-only
+    copies, so exp(t F), kept for the last t asked for, and the leaf
+    axes, found on first use, cannot go stale, and a caller's later
+    write to its own array cannot slip an unvalidated Q in.  Two things
+    the preconditioner needs are recorded once: the symbol of the
     discrete Laplacian over the real-input FFT's half spectrum, and
     ``gauge = a`` when Q is the constant -aI with a > 0 (else None).
     """
@@ -171,7 +183,8 @@ class Problem:
         self.grid = grid
         self.F = F.copy()
         self.F.flags.writeable = False
-        self.q = validate_q(q, grid)
+        self.q = validate_q(q, grid).copy()
+        self.q.flags.writeable = False
         a = -float(self.q[0, 0]) if self.q.ndim == 2 else 0.0
         scalar = np.array_equal(self.q, -a * np.eye(grid.ndim))
         self.gauge = a if a > 0 and scalar else None
@@ -183,6 +196,17 @@ class Problem:
         self.laplacian_symbol = sum(np.ix_(*mus))
         self._exp_key = None
         self._exp_tF = None
+
+    @functools.cached_property
+    def leaf_axes(self):
+        """Axes along which both F and Q are invariant, as an ascending tuple.
+
+        The leaves of basic data: grid sequencing coarsens along them
+        first, and basicness_check checks the solution along them.
+        """
+        dims = self.grid.dims
+        return tuple(sorted(_invariant_axes(self.F, dims)
+                            & _invariant_axes(self.q, dims)))
 
     def exp_tF(self, t):
         """exp(t F) as a read-only array, recomputed only when t changes."""

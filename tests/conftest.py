@@ -16,6 +16,12 @@ ALGEBRA_BUILDS = {
 }
 
 
+def meshes(grid):
+    """The grid's node coordinates as full arrays, one per axis."""
+    return np.meshgrid(*[grid.coords(ax) for ax in range(grid.ndim)],
+                       indexing="ij")
+
+
 def bordered_field_block(problem, phi, t, eta, c):
     """Field block of the Newton operator applied to (eta, c)."""
     x = np.concatenate([np.ravel(eta), [c]])

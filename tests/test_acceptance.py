@@ -28,12 +28,12 @@ from hktsolve.lie_frame import (
     nijenhuis_pair_identities,
     relabel_spec,
 )
-from conftest import ALGEBRA_BUILDS, bordered_field_block
+from conftest import ALGEBRA_BUILDS, bordered_field_block, meshes
 
 
 def bump(grid, amplitude=1.0, width=1.0):
     total = np.zeros(grid.dims)
-    for ax, mesh in enumerate(grid.meshes()):
+    for ax, mesh in enumerate(meshes(grid)):
         total += np.cos(2.0 * np.pi * mesh / grid.lengths[ax]) - 1.0
     return amplitude * np.exp(total / width)
 
@@ -83,7 +83,7 @@ def test_bracket_pair_identities(criterion):
 def test_poisson_limit_constants(criterion):
     started = time.perf_counter()
     g = TorusGrid((64, 64))
-    xs, ys = g.meshes()
+    xs, ys = meshes(g)
     fields = [
         bump(g),
         0.4 * np.sin(xs) + 0.3 * np.cos(2.0 * ys),
@@ -156,7 +156,7 @@ def test_constant_bound_along_path(criterion):
 def test_basic_solution_descends(criterion, operators):
     started = time.perf_counter()
     g = TorusGrid((16, 16, 16, 16))
-    xs = g.meshes()
+    xs = meshes(g)
     F = 0.5 * np.sin(xs[0]) + 0.25 * np.cos(xs[1])
     q = operators["su3"].real_quadratic_matrix()
     cfg = ContinuityConfig(newton_tol=1e-8)

@@ -33,11 +33,12 @@ from hktsolve.errors import (
 )
 
 import oracles
+from conftest import meshes
 
 
 def bump(grid, amplitude=1.0, width=1.0):
     total = np.zeros(grid.dims)
-    for ax, mesh in enumerate(grid.meshes()):
+    for ax, mesh in enumerate(meshes(grid)):
         total += np.cos(2.0 * np.pi * mesh / grid.lengths[ax]) - 1.0
     return amplitude * np.exp(total / width)
 
@@ -112,6 +113,18 @@ def test_trivial_problem_takes_one_macro_step():
     assert np.max(np.abs(state.phi)) == 0.0
 
 
+def test_first_row_is_the_exact_trivial_pair():
+    # built, not solved for: the row a t = 0 solve would give
+    g = TorusGrid((16, 16))
+    problem = Problem(g, bump(g, 3.0), -4.0 * np.eye(2))
+    _, trace = run_continuity(problem)
+    solved = es.solve_at_t(problem, 0.0)
+    first = trace.rows[0]
+    assert (first.t, first.b, first.newton_iters, first.residual_norm) == \
+        (0.0, 1.0, 0, 0.0) == (solved.t, solved.b, solved.newton_iters,
+                               solved.residual_norm)
+
+
 def test_poisson_path_tracks_mean_compatibility():
     # with Q = 0 the constant is forced by averaging the equation
     g = TorusGrid((16, 16))
@@ -157,7 +170,8 @@ def test_step_halves_on_failure_then_recovers(monkeypatch):
     monkeypatch.setattr(cd, "solve_at_t", gated_solve)
     g = TorusGrid((8, 8))
     _, trace = run_continuity(Problem(g, g.zeros(), np.zeros((2, 2))))
-    assert attempts == [0.0, 1.0, 0.5, 0.25, 0.5, 1.0, 0.75, 1.0]
+    # t = 0 is the trivial pair, recorded without a solve
+    assert attempts == [1.0, 0.5, 0.25, 0.5, 1.0, 0.75, 1.0]
     assert [r.t for r in trace.rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
@@ -202,9 +216,10 @@ def test_failed_gmres_rejects_attempts_down_to_underflow(monkeypatch):
     with pytest.raises(StepUnderflow):
         run_continuity(Problem(g, bump(g), -np.eye(2)),
                        ContinuityConfig(t_step_min=1e-2))
-    # t = 0 converges without iterating; 1, 1/2, ..., 1/64 are rejected
-    assert attempts == [0.0] + [0.5 ** k for k in range(7)]
-    assert calls[0] == len(attempts) - 1
+    # t = 0 is the trivial pair, recorded without a solve; 1, 1/2, ...,
+    # 1/64 are rejected
+    assert attempts == [0.5 ** k for k in range(7)]
+    assert calls[0] == len(attempts)
 
 
 def test_driver_validates_q():
@@ -295,7 +310,7 @@ def test_trace_is_deterministic_up_to_timing():
 
 def test_basicness_on_foliated_forcing():
     g = TorusGrid((8, 8, 8, 8))
-    xs = g.meshes()
+    xs = meshes(g)
     F = 0.5 * np.sin(xs[0]) + 0.25 * np.cos(xs[1])  # constant in axes 2, 3
     cfg = ContinuityConfig(newton_tol=1e-10)
     problem = Problem(g, F, -np.eye(4))
@@ -321,7 +336,7 @@ def test_basicness_constant_forcing_has_no_reduced_solve():
 
 def test_basicness_not_applicable_when_forcing_varies_everywhere():
     g = TorusGrid((4, 4, 4, 4))
-    F = sum(0.1 * np.sin(m) for m in g.meshes())
+    F = sum(0.1 * np.sin(m) for m in meshes(g))
     report = basicness_check(Problem(g, F, -np.eye(4)), SolverState(
         phi=g.zeros(), b=1.0, t=1.0, residual_norm=0.0, newton_iters=0), 1e-10)
     assert not report["applicable"]
@@ -330,7 +345,7 @@ def test_basicness_not_applicable_when_forcing_varies_everywhere():
 
 def test_basicness_reports_a_failed_check():
     g = TorusGrid((4, 4, 4, 4))
-    xs = g.meshes()
+    xs = meshes(g)
     F = 0.1 * np.sin(xs[0]) + 0.1 * np.sin(xs[1])
     bad = SolverState(phi=np.sin(xs[3]), b=1.0, t=1.0, residual_norm=0.0,
                       newton_iters=0)
@@ -343,7 +358,7 @@ def test_basicness_reduces_a_per_node_q():
     # F and Q both vary along axes 0 and 1 only, so the solution must be
     # the lift of the solve on the reduced 8x8 grid with Q's 2x2 block
     g = TorusGrid((8, 8, 4, 4))
-    xs = g.meshes()
+    xs = meshes(g)
     F = 0.3 * np.sin(xs[0]) + 0.2 * np.cos(xs[1])
     q = np.broadcast_to(-np.eye(4), g.dims + (4, 4)).copy()
     q[..., 0, 0] = -1.0 - 0.2 * np.sin(xs[0]) ** 2
@@ -361,7 +376,7 @@ def test_basicness_reduces_a_per_node_q():
 
 def test_basicness_intersects_per_node_q_axes():
     g = TorusGrid((4, 4, 4, 4))
-    xs = g.meshes()
+    xs = meshes(g)
     F = 0.1 * np.sin(xs[0]) + 0.1 * np.sin(xs[1])
     q = np.broadcast_to(-np.eye(4), g.dims + (4, 4)).copy()
     q[..., 2, 2] = -1.0 - 0.1 * np.sin(xs[2]) ** 2  # q varies along axis 2
@@ -410,6 +425,16 @@ def _trig_poly(shape, lengths, waves, nyquist):
     ((8, 7), (16, 7)),                 # odd last axis kept
     ((6, 4, 6, 5), (12, 8, 12, 5)),    # four axes
     ((4, 6, 5, 8), (8, 6, 10, 16)),    # an even axis kept, an odd one grown
+    # the leaf level's growth by any factor, along one leaf axis of a
+    # 4-axis grid and along one varying axis of a 2-axis grid
+    ((5, 4, 4, 6), (5, 4, 20, 6)),
+    ((5, 4, 5, 6), (5, 4, 20, 6)),
+    ((5, 4, 6, 6), (5, 4, 18, 6)),
+    ((5, 4, 5, 6), (5, 4, 15, 6)),
+    ((7, 4), (7, 20)),
+    ((7, 5), (7, 20)),
+    ((7, 6), (7, 18)),
+    ((7, 5), (7, 15)),
 ])
 def test_interpolation_reproduces_band_limited_polynomials(coarse, fine):
     # evaluated analytically on both grids: no FFT and no solver code
@@ -425,19 +450,20 @@ def test_interpolation_reproduces_band_limited_polynomials(coarse, fine):
     got = cd.interpolate(_trig_poly(coarse, lengths, waves, nyquist), fine)
     want = _trig_poly(fine, lengths, waves, nyquist)
     assert got.shape == fine
-    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(got - want)) <= 1e-13
+
 
 
 def _sequenced_cases():
     g2 = TorusGrid((64, 64))
     godd = TorusGrid((64, 45))
     g4 = TorusGrid((16, 16, 8, 8))
-    xs = g4.meshes()
+    xs = meshes(g4)
     q4 = np.broadcast_to(-np.eye(4), g4.dims + (4, 4)).copy()
     q4[..., 0, 0] = -1.0 - 0.5 * np.sin(xs[0]) ** 2
     q4[..., 0, 1] = q4[..., 1, 0] = 0.2 * np.sin(xs[0] + xs[2])
     gl = TorusGrid((16, 16, 8, 8))
-    xl = gl.meshes()
+    xl = meshes(gl)
     return {
         "constant-q": Problem(g2, bump(g2, 2.0), -4.0 * np.eye(2)),
         # basic data: F and Q constant along the leaf axes 2 and 3
@@ -478,7 +504,7 @@ def test_sequenced_and_plain_starts_reach_the_same_solution(name, monkeypatch):
     seen = _coarse_solves(monkeypatch)
     seq, seq_trace = _run(problem, cfg, 1024, monkeypatch)
     # at least one coarse solve ran, and no fallback to the plain start
-    assert len(seen) >= 3 and seen.count(problem.grid.dims) == 2
+    assert len(seen) >= 2 and seen.count(problem.grid.dims) == 1
     assert [r.t for r in seq_trace.rows] == [r.t for r in plain_trace.rows]
     assert seq.residual_norm <= cfg.newton_tol
     assert abs(seq.b - plain.b) <= 100 * cfg.newton_tol
@@ -488,12 +514,12 @@ def test_sequenced_and_plain_starts_reach_the_same_solution(name, monkeypatch):
 
 def _coarse_chain(problem):
     """The dims coarse_dims gives level by level, from the fine problem's leaves."""
-    leaf = cd.leaf_axes(problem)
+    leaf = problem.leaf_axes
     chain = []
     while (dims := cd.coarse_dims(problem.grid, leaf)) is not None:
         chain.append(dims)
         problem = cd.coarsen(problem, dims)
-        assert cd.leaf_axes(problem) == leaf
+        assert problem.leaf_axes == leaf
     return chain
 
 
@@ -504,7 +530,7 @@ def _varying_everywhere(dims):
 
 def test_odd_and_short_axes_are_not_halved(monkeypatch):
     first = lambda dims: cd.coarse_dims(TorusGrid(dims),
-                                        cd.leaf_axes(_varying_everywhere(dims)))
+                                        _varying_everywhere(dims).leaf_axes)
     monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", 16)
     assert first((64, 45)) == (32, 45)
     assert first((8, 6, 7, 9)) == (4, 6, 7, 9)
@@ -513,27 +539,54 @@ def test_odd_and_short_axes_are_not_halved(monkeypatch):
     # per-node Q varying along it leaves no leaf: every axis halves at once
     pernode = SEQUENCED["pernode-q"]
     constant = Problem(pernode.grid, pernode.F, -np.eye(4))
-    assert cd.leaf_axes(constant) == [2]
+    assert constant.leaf_axes == (2,)
     assert _coarse_chain(constant)[0] == (16, 16, 4, 8)
-    assert cd.leaf_axes(pernode) == []
+    assert pernode.leaf_axes == ()
     assert _coarse_chain(pernode) == [(8, 8, 4, 4), (4, 4, 4, 4)]
     monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", 2 ** 16)
     assert first((128, 128)) is None
     assert first((256, 256)) == (128, 128)
     # the benchmark's shape: F varying along axes 0 and 1, Q = -4 I; the
-    # leaf axes halve down to 5 nodes, the varying ones not below 2^16
+    # leaf axes go to 4 nodes in one level, the varying ones not below 2^16
     g = TorusGrid((20, 20, 20, 20))
-    xs = g.meshes()
+    xs = meshes(g)
     basic = Problem(g, np.cos(xs[0]) * np.sin(xs[1]), -4.0 * np.eye(4))
-    assert cd.leaf_axes(basic) == [2, 3]
-    assert _coarse_chain(basic) == [(20, 20, 10, 10), (20, 20, 5, 5)]
+    assert basic.leaf_axes == (2, 3)
+    assert _coarse_chain(basic) == [(20, 20, 4, 4)]
+
+
+@pytest.mark.parametrize("m, k", [(20, 4), (16, 4), (18, 6), (12, 4), (10, 5),
+                                  (9, None), (7, None), (6, None), (4, None)])
+def test_leaf_axes_go_to_their_smallest_divisor_of_four_or_more(m, k):
+    # one level, whatever the grid's size; the varying axes of a grid
+    # under the floor are kept
+    got = cd.coarse_dims(TorusGrid((8, 8, m, m)), (2, 3))
+    assert got == (None if k is None else (8, 8, k, k))
+    assert cd.coarse_dims(TorusGrid((8, m)), (1,)) == \
+        (None if k is None else (8, k))
+
+
+def test_basic_four_axis_data_take_one_leaf_level(monkeypatch):
+    # su3-4d-20's shape: 20^4 -> 20x20x4x4, and the fine grid starts
+    # within the Newton tolerance
+    g = TorusGrid((20, 20, 20, 20))
+    xs = meshes(g)
+    problem = Problem(g, 0.8 * np.cos(xs[0]) * np.sin(xs[1]), -4.0 * np.eye(4))
+    tol = 1e-10
+    seen = _coarse_solves(monkeypatch)
+    state, trace = run_continuity(problem, ContinuityConfig(newton_tol=tol))
+    assert seen == [(20, 20, 4, 4), g.dims]
+    assert [(r.t, r.newton_iters) for r in trace.rows] == [(0.0, 0), (1.0, 0)]
+    assert state.residual_norm <= tol
+    report = basicness_check(problem, state, tol)
+    assert report["passed"] and report["variation"] == 0.0
 
 
 def test_leaf_halvings_run_below_the_floor_only_under_a_fine_grid_above_it(
         monkeypatch):
     problem = SEQUENCED["leaf-4d"]
-    leaf = cd.leaf_axes(problem)
-    assert leaf == [2, 3]
+    leaf = problem.leaf_axes
+    assert leaf == (2, 3)
     monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", problem.grid.size)
     # the leaf halving is taken by a grid under the floor...
     assert cd.coarse_dims(TorusGrid((16, 16, 4, 4)), leaf) is None
@@ -542,12 +595,12 @@ def test_leaf_halvings_run_below_the_floor_only_under_a_fine_grid_above_it(
     cfg = ContinuityConfig(newton_tol=1e-10)
     seen = _coarse_solves(monkeypatch)
     run_continuity(problem, cfg)
-    assert seen == [(16, 16, 8, 8), (16, 16, 4, 4), (16, 16, 8, 8)]
+    assert seen == [(16, 16, 4, 4), (16, 16, 8, 8)]
     # ...but a fine grid under the floor starts from the trivial pair
     monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", problem.grid.size + 1)
     seen.clear()
     run_continuity(problem, cfg)
-    assert seen == [(16, 16, 8, 8)] * 2
+    assert seen == [(16, 16, 8, 8)]
 
 
 def test_coarse_problem_is_injected():
@@ -721,10 +774,10 @@ def test_all_axis_bump_keeps_its_four_axis_chain(monkeypatch):
     # is 20^4 -> 10^4 and the fine grid still takes 4-axis Newton steps
     g = TorusGrid((20, 20, 20, 20))
     problem = Problem(g, bump(g), -4.0 * np.eye(4))
-    assert cd.leaf_axes(problem) == []
+    assert problem.leaf_axes == ()
     seen = _coarse_solves(monkeypatch)
     state, trace = run_continuity(problem, ContinuityConfig(newton_tol=1e-10))
-    assert seen == [g.dims, (10, 10, 10, 10), g.dims]
+    assert seen == [(10, 10, 10, 10), g.dims]
     assert [r.newton_iters for r in trace.rows] == [0, 3]
     assert state.residual_norm <= 1e-10
 

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import hktsolve.elliptic_solver as es
 from hktsolve import kernels
@@ -32,12 +34,12 @@ from hktsolve.errors import (
     ShapeMismatch,
 )
 import oracles
-from conftest import bordered_field_block
+from conftest import bordered_field_block, meshes
 
 
 def bump(grid, amplitude=1.0, width=1.0):
     total = np.zeros(grid.dims)
-    for ax, mesh in enumerate(grid.meshes()):
+    for ax, mesh in enumerate(meshes(grid)):
         total += np.cos(2.0 * np.pi * mesh / grid.lengths[ax]) - 1.0
     return amplitude * np.exp(total / width)
 
@@ -56,7 +58,7 @@ def test_grid_defaults_and_spacings():
 def test_axis_coords_broadcast_to_the_meshes():
     g = TorusGrid((4, 6, 5, 7), lengths=(1.0, 2.0, 3.0, 4.0))
     full = np.broadcast_arrays(*g.axis_coords())
-    for got, mesh in zip(full, g.meshes()):
+    for got, mesh in zip(full, meshes(g)):
         assert np.array_equal(got, mesh)
 
 
@@ -87,7 +89,7 @@ def test_laplacian_eigenfield():
     # a single-axis sine is an exact eigenvector of the 3-point stencil
     g = TorusGrid((32, 32), lengths=(2.0, 2.0))
     n, h = g.dims[0], g.spacings[0]
-    x = g.meshes()[0]
+    x = meshes(g)[0]
     f = np.sin(2.0 * np.pi * x / g.lengths[0])
     lam = -(2.0 - 2.0 * math.cos(2.0 * np.pi / n)) / (h * h)
     assert np.allclose(kernels.laplacian_nd(f, g.spacings), lam * f,
@@ -225,7 +227,7 @@ def test_linearized_apply_matches_finite_differences():
     rng = np.random.default_rng(13)
     F = rng.standard_normal(g.dims)
     q = np.broadcast_to(-np.eye(2), g.dims + (2, 2)).copy()
-    q[..., 0, 1] = q[..., 1, 0] = 0.2 * np.sin(g.meshes()[0])
+    q[..., 0, 1] = q[..., 1, 0] = 0.2 * np.sin(meshes(g)[0])
     problem = Problem(g, F, q)
     phi = 0.3 * rng.standard_normal(g.dims)
     t = 0.8
@@ -317,6 +319,50 @@ def test_problem_holds_f_and_memoizes_exp_tf():
     assert np.array_equal(later, np.exp(0.75 * problem.F))
 
 
+def test_problem_holds_q_and_its_leaf_axes():
+    # the caller's Q is copied: a later write cannot slip an unvalidated,
+    # positive-definite Q past validate_q, nor stale the cached leaf axes
+    g = TorusGrid((8, 8))
+    F = np.sin(g.axis_coords()[0]) + g.zeros()
+    q = -np.eye(2)
+    problem = Problem(g, F, q)
+    assert problem.leaf_axes == (1,)
+    q[0, 0] = 5.0
+    assert np.array_equal(problem.q, -np.eye(2))
+    assert problem.gauge == 1.0 and problem.leaf_axes == (1,)
+    assert not problem.q.flags.writeable
+    pernode = np.broadcast_to(-np.eye(2), g.dims + (2, 2)).copy()
+    held = Problem(g, F, pernode)
+    pernode[3, 0, 1, 1] = 5.0
+    assert np.array_equal(held.q, np.broadcast_to(-np.eye(2), g.dims + (2, 2)))
+    assert held.leaf_axes == (1,)
+    assert not held.q.flags.writeable
+
+
+def _nsd(rng, shape, d):
+    """Random negative semi-definite (d, d) blocks over ``shape``."""
+    a = rng.standard_normal(shape + (d, d)) * rng.uniform(0.0, 3.0)
+    return -(a @ np.swapaxes(a, -1, -2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dims=hst.one_of(hst.tuples(hst.integers(4, 9), hst.integers(4, 9)),
+                       hst.tuples(*[hst.integers(4, 5)] * 4)),
+       pernode=hst.booleans(), seed=hst.integers(0, 2 ** 32 - 1),
+       scale=hst.one_of(hst.floats(0.0, 1e300), hst.floats(690.0, 720.0)),
+       peak=hst.floats(690.0, 720.0))
+def test_trivial_pair_solves_t0_exactly(dims, pernode, seed, scale, peak):
+    # density(0) = 1 and exp(0 F) = 1 for every finite F, with no rounding
+    g = TorusGrid(dims)
+    rng = np.random.default_rng(seed)
+    F = scale * rng.uniform(-1.0, 1.0, dims)
+    F.flat[rng.integers(0, g.size, 3)] = [peak, -peak, 0.0]
+    q = _nsd(rng, dims if pernode else (), g.ndim)
+    res = residual(Problem(g, F, q), g.zeros(), 1.0, 0.0)
+    assert res.shape == dims
+    assert np.all(res == 0.0)
+
+
 # ------------------------------------------------------------ newton
 
 
@@ -382,7 +428,7 @@ def test_poisson_limit_matches_fft_oracle(field):
     if field == "bump":
         F = bump(g)
     else:
-        xs, ys = g.meshes()
+        xs, ys = meshes(g)
         F = 0.4 * np.sin(xs) + 0.3 * np.cos(2.0 * ys)
     st = solve_at_t(Problem(g, F, np.zeros((2, 2))), 1.0, tol=1e-12)
     phi_o, b_o = oracles.fft_poisson_oracle(g, F)
@@ -464,7 +510,7 @@ def _quadratic_form(g, form):
         return -np.diag(np.arange(1.0, d + 1.0))
     # per node, with off-diagonal entries: -(I + 0.4 sin(x0) (E01 + E10))
     q = np.broadcast_to(-np.eye(d), g.dims + (d, d)).copy()
-    q[..., 0, 1] = q[..., 1, 0] = -0.4 * np.sin(2.0 * np.pi * g.meshes()[0] / g.lengths[0])
+    q[..., 0, 1] = q[..., 1, 0] = -0.4 * np.sin(2.0 * np.pi * meshes(g)[0] / g.lengths[0])
     return q
 
 

@@ -15,6 +15,7 @@ from hktsolve.elliptic_solver import Problem, TorusGrid
 from hktsolve.errors import ConfigError, HktError, ShapeMismatch
 
 import oracles
+from conftest import meshes
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -264,7 +265,7 @@ def test_cli_solve_verify_unique(tmp_path, capsys):
 
 def test_cli_solve_forcing_from_file(tmp_path, capsys):
     g = TorusGrid((16, 16))
-    xs, ys = g.meshes()
+    xs, ys = meshes(g)
     F = 0.3 * np.sin(xs) + 0.1 * np.cos(ys)
     fpath = tmp_path / "F.field"
     gridio.write_field(fpath, F, g.lengths)
