@@ -164,7 +164,7 @@ def verify_su3(perturb=False, emit_forms=None):
     _ok("extracted gradient components match the closed-form table")
 
     qmat = op.real_quadratic_matrix()
-    if not np.allclose(qmat, -4.0 * np.eye(4), atol=1e-12):
+    if not np.array_equal(qmat, -4.0 * np.eye(4)):
         raise ConfigError("real quadratic matrix is not -4 I")
     _ok("real quadratic form is -4 times the identity")
 

@@ -316,9 +316,7 @@ def run_continuity(problem, cfg=None):
 
     # the trivial pair solves t = 0 exactly (see the module docstring)
     state = SolverState(phi=problem.grid.zeros(), b=1.0, t=0.0,
-                        residual_norm=0.0, newton_iters=0, converged=True,
-                        message="converged without iterating",
-                        res_history=[0.0])
+                        residual_norm=0.0, newton_iters=0, res_history=[0.0])
     trace.append(TraceRow(t=0.0, b=1.0, newton_iters=0, residual_norm=0.0,
                           seconds=0.0))
 

@@ -113,8 +113,6 @@ class SolverState:
     t: float
     residual_norm: float
     newton_iters: int
-    converged: bool = False
-    message: str = ""
     res_history: list = field(default_factory=list)
 
 
@@ -472,7 +470,10 @@ def newton_step(problem, state, tol=1e-10):
 
 
 def solve_at_t(problem, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
-    """Newton-iterate to a converged SolverState at path time t."""
+    """Newton-iterate at path time t to a state with residual_norm <= tol.
+
+    Raises MaxItersExceeded when max_iters Newton steps do not get there.
+    """
     if not 0.0 < tol < math.inf:
         raise ConfigError("tolerance must be positive and finite")
     if b0 <= 0:
@@ -489,14 +490,10 @@ def solve_at_t(problem, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
                         residual_norm=res_norm, newton_iters=0,
                         res_history=[res_norm])
     if res_norm <= tol:
-        state.converged = True
-        state.message = "converged without iterating"
         return state
     for _ in range(max_iters):
         state = newton_step(problem, state, tol)
         if state.residual_norm <= tol:
-            state.converged = True
-            state.message = "converged in %d iterations" % state.newton_iters
             return state
     raise MaxItersExceeded(
         "residual %.3e after %d Newton iterations (tol %.1e)"

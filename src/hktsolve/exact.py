@@ -25,16 +25,6 @@ class QQi:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        if isinstance(re, QQi):
-            if im != 0:
-                raise TypeError("imaginary part given twice")
-            self.re, self.im = re.re, re.im
-            return
-        if isinstance(re, complex):
-            if im != 0:
-                raise TypeError("imaginary part given twice")
-            self.re, self.im = _frac(re.real), _frac(re.imag)
-            return
         self.re = _frac(re)
         self.im = _frac(im)
 
@@ -66,11 +56,6 @@ class QQi:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -84,20 +69,11 @@ class QQi:
     def __neg__(self):
         return QQi(-self.re, -self.im)
 
-    def __pos__(self):
-        return self
-
     def __sub__(self, other):
         other = as_qqi(other)
         if other is NotImplemented:
             return NotImplemented
         return QQi(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = as_qqi(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         other = as_qqi(other)
@@ -117,13 +93,6 @@ class QQi:
             raise ZeroDivisionError("division by zero in QQi")
         return QQi((self.re * other.re + self.im * other.im) / den,
                    (self.im * other.re - self.re * other.im) / den)
-
-    def __rtruediv__(self, other):
-        other = as_qqi(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     # -- helpers -------------------------------------------------------
 
     def conjugate(self):
@@ -140,12 +109,10 @@ ONE = QQi(1)
 
 
 def as_qqi(x):
-    """Coerce int, Fraction, float, or complex to QQi; NotImplemented otherwise."""
+    """Coerce int, Fraction or float to QQi; NotImplemented otherwise."""
     if isinstance(x, QQi):
         return x
     if isinstance(x, (int, Fraction, float)):
-        return QQi(x)
-    if isinstance(x, complex):
         return QQi(x)
     return NotImplemented
 

@@ -421,9 +421,7 @@ class ReducedOperator:
     the conjugation relations are used, ``- sum |P_k|^2``.
     """
 
-    name: str
     half: int
-    n: int
     active_pair: tuple
     split: tuple
     ratio_poly: dict
@@ -435,33 +433,32 @@ class ReducedOperator:
         """Value of the ratio polynomial at a jet assignment."""
         return p_eval(self.ratio_poly, assignment)
 
-    def gradient_rows(self):
-        """Complex rows r_k with P_k = r_k . (v1, v2, v3, v4).
+    def real_quadratic_matrix(self):
+        """The 4x4 real matrix Q with quadratic part = grad^T Q grad.
 
         The transverse gradient is modeled on flat coordinates through
-        ``g_a = v1 - i v2`` and ``g_b = v3 - i v4``.
+        ``g_a = v1 - i v2`` and ``g_b = v3 - i v4``, their conjugates
+        with ``+ i``.  Substituting into ``quadratic_poly`` and
+        symmetrizing is exact over Q(i); the entries, whose imaginary
+        parts must vanish, become floats only at the end.
         """
-        a, b = self.active_pair
-        half = self.half
-        basis = {
-            ("g", a): np.array([1, -1j, 0, 0]),
-            ("g", a + half): np.array([1, 1j, 0, 0]),
-            ("g", b): np.array([0, 0, 1, -1j]),
-            ("g", b + half): np.array([0, 0, 1, 1j]),
-        }
-        rows = {}
-        for k, form in sorted(self.p_forms.items()):
-            r = np.zeros(4, dtype=complex)
-            for mono, c in form.items():
-                r = r + c.to_complex() * basis[mono[0]]
-            rows[k] = r
-        return rows
-
-    def real_quadratic_matrix(self):
-        """The 4x4 real matrix Q with quadratic part = grad^T Q grad."""
+        rows = {}  # each g symbol's coefficients on (v1, v2, v3, v4)
+        for k, col in zip(self.active_pair, (0, 2)):
+            rows["g", k] = {col: ONE, col + 1: QQi(0, -1)}
+            rows["g", k + self.half] = {col: ONE, col + 1: QQi(0, 1)}
+        twice = {}  # the coefficient matrix plus its transpose
+        for (s, t), c in self.quadratic_poly.items():
+            for i, x in rows[s].items():
+                for j, y in rows[t].items():
+                    v = c * x * y
+                    twice[i, j] = twice.get((i, j), ZERO) + v
+                    twice[j, i] = twice.get((j, i), ZERO) + v
         q = np.zeros((4, 4))
-        for r in self.gradient_rows().values():
-            q -= np.real(np.outer(r, np.conjugate(r)))
+        for (i, j), v in twice.items():
+            if v.im != 0:
+                raise NotPerfectSquareDecomposition(
+                    "quadratic part is not real at (%d, %d)" % (i, j))
+            q[i, j] = float(v.re / 2)
         return q
 
     def describe(self):
@@ -604,9 +601,7 @@ def reduce_ratio(frame):
                 "conjugation relation fails at index %d" % k2)
 
     return ReducedOperator(
-        name=getattr(frame.spec, "name", "?"),
         half=half,
-        n=n,
         active_pair=(a, b),
         split=frame.split,
         ratio_poly=ratio,

@@ -24,7 +24,7 @@ J pairs the frame vectors (2k-1, 2k).  Frames are normalized so that
 on some pair is repaired by flipping the second vector of that pair.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -253,7 +253,6 @@ class FrameSpec:
     vectors: list          # 2n coefficient vectors over QQi, length N each
     metric_diag: list      # N positive Fractions
     split: tuple           # annihilated frame indices, subset of 1..2n
-    params: dict = field(default_factory=dict)
 
 
 class BracketTable:
@@ -303,14 +302,12 @@ class ComplexFrame:
     the transverse unbarred indices.
     """
 
-    def __init__(self, spec, vectors, table, flips):
+    def __init__(self, spec, vectors, table):
         self.spec = spec
         self.vectors = vectors
         self.table = table
-        self.flips = flips
         self.dim = spec.sc.dim
         self.half = len(vectors)
-        self.n = self.dim // 4
         self.split = tuple(sorted(spec.split))
         self.active = tuple(k for k in range(1, self.half + 1) if k not in self.split)
 
@@ -378,13 +375,11 @@ def build_complex_frame(spec):
             raise ConfigError("frame vector %d is not of type (1,0) for I" % a)
 
     # J pairing, normalized to J Z_{2k-1} = -conj(Z_{2k})
-    flips = []
     for k in range(half // 2):
         v1, v2 = sparse[2 * k], sparse[2 * k + 1]
         w, cv2 = _apply(jmap, v1), _conj(v2)
         if w == cv2:
             v2 = sparse[2 * k + 1] = {i: -x for i, x in v2.items()}
-            flips.append(2 * k + 2)
         elif w != {i: -x for i, x in cv2.items()}:
             raise PairingNotInvolutive(
                 "J does not pair frame vectors %d and %d" % (2 * k + 1, 2 * k + 2))
@@ -426,7 +421,7 @@ def build_complex_frame(spec):
                 entries[(r + 1, s + 1)] = comps
     table = BracketTable(half, entries)
     vectors = [[v.get(i, ZERO) for i in basis] for v in sparse]
-    return ComplexFrame(spec, vectors, table, flips)
+    return ComplexFrame(spec, vectors, table)
 
 
 # ---------------------------------------------------------------------------
@@ -537,5 +532,4 @@ def relabel_spec(spec, order):
         vectors=[spec.vectors[o - 1] for o in order],
         metric_diag=list(spec.metric_diag),
         split=tuple(sorted(pos[o] for o in spec.split)),
-        params=dict(spec.params),
     )

@@ -185,9 +185,10 @@ def test_real_verdicts_match_float_oracles(name):
 
 
 def test_su3_frame_builds_without_flips():
-    frame = build_complex_frame(algebras.su3())
-    assert frame.flips == []
-    assert frame.half == 4 and frame.n == 2
+    spec = algebras.su3()
+    frame = build_complex_frame(spec)
+    assert frame.vectors == spec.vectors
+    assert frame.half == 4 and frame.dim == 8
     assert frame.split == (1, 2)
 
 
@@ -281,7 +282,7 @@ def test_frame_build_cost_follows_supports(monkeypatch):
                  "__truediv__"):
         monkeypatch.setattr(QQi, attr, counted(QQi.__dict__[attr]))
     frame = build_complex_frame(spec)
-    assert frame.flips == [] and frame.table.entries == {}
+    assert frame.vectors == spec.vectors and frame.table.entries == {}
 
 
 def test_nijenhuis_float_oracle_then_exact(frames):
@@ -340,7 +341,7 @@ def test_pairing_flip_restores_canonical_frame():
     flipped = [[-x for x in spec.vectors[1]]]
     vectors = [spec.vectors[0]] + flipped + list(spec.vectors[2:])
     frame = build_complex_frame(dataclasses.replace(spec, vectors=vectors))
-    assert frame.flips == [2]
+    assert frame.vec(2) != vectors[1]
     reference = build_complex_frame(spec)
     assert frame.table.entries == reference.table.entries
     assert frame.vec(2) == reference.vec(2)

@@ -83,8 +83,9 @@ REGISTRY_DESCRIPTIONS = {
 @pytest.mark.parametrize("name", sorted(REGISTRY_DESCRIPTIONS))
 def test_registry_describe_snapshot(name):
     params, lines = REGISTRY_DESCRIPTIONS[name]
-    frame = build_complex_frame(algebras.get_algebra(name, **params))
-    assert frame.flips == []
+    spec = algebras.get_algebra(name, **params)
+    frame = build_complex_frame(spec)
+    assert frame.vectors == spec.vectors
     assert reduce_ratio(frame).describe() == "\n".join(lines)
 
 
@@ -105,7 +106,7 @@ def test_semidirect8_w_independent():
 
 def test_semidirect12_extra_pair_silent(operators):
     op = operators["semidirect12"]
-    assert op.n == 3
+    assert op.half == 6
     assert op.split == (1, 2, 5, 6)
     assert op.p_forms[5] == {} and op.p_forms[6] == {}
     assert op.q_forms[5] == {} and op.q_forms[6] == {}
@@ -122,14 +123,30 @@ def test_nilpotent8_is_poisson_limit(operators):
 
 
 def test_quadratic_matrices(operators):
-    assert np.allclose(operators["su3"].real_quadratic_matrix(), -4 * np.eye(4))
-    assert np.allclose(operators["semidirect8"].real_quadratic_matrix(),
-                       -16 * np.eye(4))
-    assert np.allclose(operators["semidirect12"].real_quadratic_matrix(),
-                       -4 * np.eye(4))
+    assert np.array_equal(operators["su3"].real_quadratic_matrix(), -4 * np.eye(4))
+    assert np.array_equal(operators["semidirect8"].real_quadratic_matrix(),
+                          -16 * np.eye(4))
+    assert np.array_equal(operators["semidirect12"].real_quadratic_matrix(),
+                          -4 * np.eye(4))
     for op in operators.values():
         eig = np.linalg.eigvalsh(op.real_quadratic_matrix())
         assert eig.max() <= 1e-12
+    # Q = -4 c^2 I is exact until one final rounding; float arithmetic on
+    # the gradient rows lands one ulp off for these c
+    for build, c in ((algebras.semidirect8, Fraction(10, 3)),
+                     (algebras.semidirect12, Fraction(3, 7))):
+        op = reduce_ratio(build_complex_frame(build(c=c)))
+        assert np.array_equal(op.real_quadratic_matrix(),
+                              float(-4 * c * c) * np.eye(4))
+
+
+def test_quadratic_matrix_refuses_imaginary_part(operators):
+    op = operators["su3"]
+    a = op.active_pair[0]
+    # g_a^2 = (v1 - i v2)^2 carries -2i v1 v2
+    square = dataclasses.replace(op, quadratic_poly={(("g", a), ("g", a)): QQi(1)})
+    with pytest.raises(NotPerfectSquareDecomposition):
+        square.real_quadratic_matrix()
 
 
 def test_closed_form_components_match_extraction(frames, operators):
