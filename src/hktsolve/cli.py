@@ -89,6 +89,15 @@ def _numbers(label, values, kind):
     return [_number(label, v, kind) for v in values]
 
 
+def _matrix(label, rows):
+    """A JSON list of equal-length rows of finite numbers, as floats."""
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)):
+        raise ConfigError("%s must be a list of equal-length rows, got %r"
+                          % (label, rows))
+    return [_numbers(label, r, float) for r in rows]
+
+
 def _write_text(path, text):
     """Write text to path, with an OSError raised as ConfigError."""
     try:
@@ -286,9 +295,10 @@ def _load_run_config(path, newton_tol=None):
     grid = TorusGrid(_numbers("grid.dims", gspec.get("dims", [64, 64]), int),
                      None if lengths is None else _numbers("grid.lengths", lengths, float))
     F = _build_forcing(cfg.get("forcing", {"type": "zero"}), grid)
-    q = _converted("q", gridio.load_qspec,
-                   cfg.get("q", {"matrix": np.zeros((grid.ndim, grid.ndim)).tolist()}),
-                   grid)
+    qspec = cfg.get("q", {"matrix": np.zeros((grid.ndim, grid.ndim)).tolist()})
+    if isinstance(qspec, dict) and "matrix" in qspec:
+        qspec = {"matrix": _matrix("q.matrix", qspec["matrix"])}
+    q = _converted("q", gridio.load_qspec, qspec, grid)
     problem = Problem(grid, F, q)
     cspec = cfg.get("continuity", {})
     ccfg = ContinuityConfig(**{
@@ -338,13 +348,17 @@ def cmd_solve(args):
 
     report = basicness_check(problem, state, ccfg.newton_tol)
     if report.get("applicable"):
-        _say("basicness: variation %.3e along axes %s"
-             % (report["variation"], report["invariant_axes"]))
-        summary["basicness"] = {k: report[k] for k in
-                                ("invariant_axes", "variation", "passed")}
+        gap = report["reduced_match"]
+        _say("basicness: variation %.3e along axes %s, lift gap %s -> %s"
+             % (report["variation"], report["invariant_axes"],
+                "not computed" if gap is None else "%.3e" % gap,
+                "passed" if report["passed"] else "FAILED"))
+        summary["basicness"] = {k: report[k] for k in ("invariant_axes", "variation",
+                                                       "reduced_match", "passed")}
     else:
         _say("basicness: not applicable (forcing varies along every axis)")
 
+    agree = True
     if args.verify_unique:
         seed = 0.01 * sine_product_field(grid, 1.0)
         other = solve_at_t(problem, 1.0, phi0=seed, b0=1.5,
@@ -355,11 +369,9 @@ def cmd_solve(args):
         _say("uniqueness re-run: |dphi|=%.3e |db|=%.3e -> %s"
              % (dphi, db, "agree" if agree else "DISAGREE"))
         summary["uniqueness"] = {"dphi": dphi, "db": db, "agree": bool(agree)}
-        if not agree:
-            return 1
     _write_text(_path("summary", "summary.json"),
                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return 0 if bound_ok else 1
+    return 0 if bound_ok and agree else 1
 
 
 # ---------------------------------------------------------------------------

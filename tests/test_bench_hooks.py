@@ -29,6 +29,10 @@ def test_traced_names_resolve():
     for short, attr, _span in tracing.FUNCTIONS + tracing.OPERATORS:
         module = importlib.import_module("hktsolve." + short)
         assert callable(getattr(module, attr, None)), "hktsolve.%s.%s" % (short, attr)
+    # the tracer wraps these through the class dict, not attribute lookup
+    qqi = importlib.import_module("hktsolve.exact").QQi
+    for attr in tracing.QQI_OPS:
+        assert attr in qqi.__dict__, "QQi.%s" % attr
 
 
 def test_gmres_is_reached_through_spla():

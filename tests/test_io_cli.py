@@ -263,6 +263,49 @@ def test_cli_solve_verify_unique(tmp_path, capsys):
     assert summary["uniqueness"]["agree"] is True
 
 
+def test_cli_solve_disagreeing_rerun_still_writes_summary(tmp_path, capsys, monkeypatch):
+    # the driver binds the real solve_at_t on import; only the re-run is shifted
+    from hktsolve import continuity_driver  # noqa: F401
+    from hktsolve import elliptic_solver as es
+
+    real = es.solve_at_t
+
+    def shifted(*args, **kwargs):
+        state = real(*args, **kwargs)
+        state.b += 1e-3
+        return state
+
+    monkeypatch.setattr(es, "solve_at_t", shifted)
+    cfgpath = _write_config(tmp_path / "run.json", dims=(16, 16))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.json").write_text('{"stale": true}')
+    rc = cli.main(["solve", "--config", str(cfgpath), "--out-dir", str(out),
+                   "--verify-unique"])
+    assert rc == 1
+    assert "DISAGREE" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert "stale" not in summary and summary["uniqueness"]["agree"] is False
+
+
+def test_cli_solve_reports_basicness_verdict(tmp_path, capsys):
+    g = TorusGrid((8, 8, 4, 4))
+    xs = meshes(g)
+    fpath = tmp_path / "F.field"
+    gridio.write_field(fpath, 0.3 * np.sin(xs[0]) + 0.1 * np.cos(xs[1]), g.lengths)
+    cfgpath = _write_config(tmp_path / "run.json", dims=g.dims,
+                            forcing={"file": str(fpath)})
+    rc = cli.main(["solve", "--config", str(cfgpath),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    line = [x for x in capsys.readouterr().out.splitlines()
+            if x.startswith("basicness:")]
+    assert len(line) == 1 and "lift gap" in line[0] and line[0].endswith("passed")
+    report = json.loads((tmp_path / "out" / "summary.json").read_text())["basicness"]
+    assert report["invariant_axes"] == [2, 3] and report["passed"] is True
+    assert report["reduced_match"] <= 100 * 1e-10
+
+
 def test_cli_solve_forcing_from_file(tmp_path, capsys):
     g = TorusGrid((16, 16))
     xs, ys = meshes(g)
@@ -300,11 +343,25 @@ def test_cli_solve_config_errors(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(mism)]) == 1
     assert "ConfigError" in capsys.readouterr().err
 
+    # right shape, wrong lengths
+    stretched = TorusGrid((16, 16), (1.0, 1.0))
+    gridio.write_field(fpath, stretched.zeros(), stretched.lengths)
+    mism.write_text(json.dumps({
+        "grid": {"dims": [16, 16]},
+        "forcing": {"file": str(fpath)},
+    }))
+    assert cli.main(["solve", "--config", str(mism)]) == 1
+    assert "lengths do not match" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("extra", [
     {"grid": {"dims": "abc"}},
     {"continuity": {"newton_tol": "small"}},
     {"q": {"matrix": [[-1, 0], [0]]}},
+    {"q": {"matrix": [[-1.0, 0.0, 0.0], [0.0, -1.0]]}},
+    {"q": {"matrix": [-1.0, -1.0]}},
+    {"q": {"matrix": [["-1", "0"], ["0", "-1"]]}},
+    {"q": {"matrix": [[False, False], [False, False]]}},
     {"q": {"matrix": [[float("nan"), 0.0], [0.0, -1.0]]}},
     {"continuity": {"newton_tol": float("nan")}},
     {"outputs": [1]},
@@ -315,12 +372,15 @@ def test_cli_solve_config_errors(tmp_path, capsys):
     {"grid": {"dims": [16, 16], "lengths": [float("nan"), 1.0]}},
     {"forcing": {"type": "bump", "amplitude": 1.0, "width": float("inf")}},
     {"forcing": {"type": "bump", "amplitude": 1.0, "width": float("nan")}},
+    {"forcing": {"type": "bump", "amplitude": 1.0, "width": 0.0}},
     {"forcing": {"type": "zero", "amplitude": float("nan")}},
 ])
 def test_cli_solve_malformed_values(tmp_path, capsys, extra):
     bad = _write_config(tmp_path / "bad.json", **extra)
     assert cli.main(["solve", "--config", str(bad)]) == 1
-    assert "error: ConfigError:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: ConfigError:" in err
+    assert "q" not in extra or "q.matrix" in err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -470,6 +530,11 @@ def _typed(values):
 @example(cfg={"forcing": {"type": "bump", "width": float("inf")}})
 @example(cfg={"forcing": {"type": "bump", "width": float("nan")}})
 @example(cfg={"forcing": {"type": "zero", "amplitude": float("nan")}})
+@example(cfg={"grid": {"dims": [8, 8]}, "forcing": {"type": "sine", "amplitude": 0.5}})
+@example(cfg={"forcing": {"type": "bump", "width": -1.0}})
+@example(cfg={"q": {"matrix": [["-1", "0"], ["0", "-1"]]}})
+@example(cfg={"q": {"matrix": [[True, False], [False, True]]}})
+@example(cfg=[1, 2])
 def test_run_config_parses_or_raises_config_errors(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("cfg") / "run.json"
     path.write_text(json.dumps(cfg))
@@ -491,6 +556,11 @@ def test_run_config_parses_or_raises_config_errors(tmp_path_factory, cfg):
     forcing = cfg.get("forcing", {})
     read = ("amplitude", "width") if forcing.get("type") == "bump" else ("amplitude",)
     assert all(math.isfinite(forcing.get(key, 1.0)) for key in read)
+    assert forcing.get("type") != "bump" or forcing.get("width", 1.0) > 0
+    # a matrix that was read holds JSON numbers only
+    qspec = cfg.get("q", {})
+    if isinstance(qspec, dict) and "matrix" in qspec:
+        assert all(type(x) in (int, float) for row in qspec["matrix"] for x in row)
 
 
 _header_value = st.one_of(_scalars, st.sampled_from([4.7, 4.0, -4, 0, 2 ** 32]),
