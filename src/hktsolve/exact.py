@@ -93,6 +93,7 @@ class QQi:
             raise ZeroDivisionError("division by zero in QQi")
         return QQi((self.re * other.re + self.im * other.im) / den,
                    (self.im * other.re - self.re * other.im) / den)
+
     # -- helpers -------------------------------------------------------
 
     def conjugate(self):
