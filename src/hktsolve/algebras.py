@@ -35,7 +35,7 @@ _BLOCKS = {
 }
 
 
-def _spec(name, table, jkinds, leading, split):
+def _spec(table, jkinds, leading, split):
     """The FrameSpec of a registry algebra in its standard frame.
 
     The real dimension is 4 * len(jkinds); the k-th block of four basis
@@ -55,9 +55,8 @@ def _spec(name, table, jkinds, leading, split):
         v = [QQi(0)] * dim
         v[2 * r - 2], v[2 * r - 1] = QQi(s), QQi(0, -s)
         vectors.append(v)
-    return FrameSpec(name=name, sc=StructureConstants(dim, table), imap=imap,
-                     jmap=jmap, vectors=vectors, metric_diag=[F(1, 2)] * dim,
-                     split=split)
+    return FrameSpec(sc=StructureConstants(dim, table), imap=imap, jmap=jmap,
+                     vectors=vectors, metric_diag=[F(1, 2)] * dim, split=split)
 
 
 SU3_BRACKETS = {
@@ -79,7 +78,7 @@ def su3_bracket_text():
 
 
 def su3():
-    return _spec("su3", SU3_BRACKETS, "ab", leading=(1,), split=(1, 2))
+    return _spec(SU3_BRACKETS, "ab", leading=(1,), split=(1, 2))
 
 
 def semidirect8(c=1, w=1):
@@ -91,7 +90,7 @@ def semidirect8(c=1, w=1):
         (3, 5): {7: -c}, (3, 6): {8: c}, (3, 7): {5: c}, (3, 8): {6: -c},
         (4, 5): {8: -c}, (4, 6): {7: -c}, (4, 7): {6: c}, (4, 8): {5: c},
     }
-    return _spec("semidirect8", table, "ab", leading=(1,), split=(1, 2))
+    return _spec(table, "ab", leading=(1,), split=(1, 2))
 
 
 def semidirect12(c=1, w1=1, w2=2):
@@ -107,7 +106,7 @@ def semidirect12(c=1, w1=1, w2=2):
         (3, 9): {11: -c}, (3, 10): {12: c}, (3, 11): {9: c}, (3, 12): {10: -c},
         (4, 9): {12: -c}, (4, 10): {11: -c}, (4, 11): {10: c}, (4, 12): {9: c},
     }
-    return _spec("semidirect12", table, "abb", leading=(1,), split=(1, 2, 5, 6))
+    return _spec(table, "abb", leading=(1,), split=(1, 2, 5, 6))
 
 
 def nilpotent8(v1=(1, 0, 0, 0), v2=(0, 1, 0, 0), v3=(0, 0, 1, 0)):
@@ -126,7 +125,7 @@ def nilpotent8(v1=(1, 0, 0, 0), v2=(0, 1, 0, 0), v3=(0, 0, 1, 0)):
         (1, 3): central(v2), (2, 4): central(v2),
         (1, 4): central(v3), (2, 3): central(v3, -1),
     }
-    return _spec("nilpotent8", table, "aa", leading=(1, 3), split=(3, 4))
+    return _spec(table, "aa", leading=(1, 3), split=(3, 4))
 
 
 REGISTRY = {

@@ -98,6 +98,14 @@ def _matrix(label, rows):
     return [_numbers(label, r, float) for r in rows]
 
 
+def _known_keys(label, mapping, known):
+    """Refuse a key of the JSON object ``mapping`` outside ``known``."""
+    unknown = sorted(set(mapping) - set(known))
+    if unknown:
+        raise ConfigError("%s has unknown key %r (known: %s)"
+                          % (label, unknown[0], ", ".join(sorted(known))))
+
+
 def _write_text(path, text):
     """Write text to path, with an OSError raised as ConfigError."""
     try:
@@ -156,7 +164,7 @@ def verify_su3(perturb=False, emit_forms=None):
     _ok("holomorphic coframe derivatives match the golden table")
 
     relabeled = build_complex_frame(relabel_spec(spec, (3, 4, 1, 2)))
-    vals = nijenhuis_pair_identities(relabeled.table, (1, 2))
+    vals = nijenhuis_pair_identities(relabeled, (1, 2))
     if any(v != 0 for v in vals):
         raise ConfigError("pair identities violated: %r" % (vals,))
     _ok("leading-pair bracket identities hold after relabeling (exact)")
@@ -167,7 +175,7 @@ def verify_su3(perturb=False, emit_forms=None):
         raise ConfigError("reduced ratio differs from the golden polynomial")
     _ok("top-power ratio equals the golden reduced polynomial")
 
-    pc, qc = quadratic_forms_closed(frame.table, frame.split)
+    pc, qc = quadratic_forms_closed(frame)
     if pc != op.p_forms or qc != op.q_forms:
         raise ConfigError("closed-form gradient components disagree")
     _ok("extracted gradient components match the closed-form table")
@@ -280,12 +288,26 @@ def _load_run_config(path, newton_tol=None):
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    for section in ("grid", "forcing", "continuity"):
-        if not isinstance(cfg.get(section, {}), dict):
+    # the keys each section reads; any other key is a typo or an unread
+    # setting, and is refused rather than silently ignored
+    sections = {
+        "grid": {"dims", "lengths"},
+        "forcing": {"file", "type", "amplitude", "width"},
+        "q": {"file", "matrix"},
+        "continuity": {f.name for f in dataclasses.fields(ContinuityConfig)},
+        "outputs": {"phi", "trace_csv", "trace_json", "summary"},
+    }
+    _known_keys("config", cfg, sections)
+    for section, known in sections.items():
+        body = cfg.get(section, {})
+        if not isinstance(body, dict):
             raise ConfigError("config section %r must be a JSON object" % section)
+        _known_keys("config section %r" % section, body, known)
+        if "file" in body and len(body) > 1:
+            raise ConfigError("config section %r takes 'file' alone, got keys %s"
+                              % (section, ", ".join(sorted(body))))
     outputs = cfg.get("outputs", {})
-    if not (isinstance(outputs, dict)
-            and all(isinstance(v, str) and v for v in outputs.values())):
+    if not all(isinstance(v, str) and v for v in outputs.values()):
         raise ConfigError("config 'outputs' must map names to non-empty "
                           "file names, got %r" % (outputs,))
     if newton_tol is not None:
@@ -296,7 +318,7 @@ def _load_run_config(path, newton_tol=None):
                      None if lengths is None else _numbers("grid.lengths", lengths, float))
     F = _build_forcing(cfg.get("forcing", {"type": "zero"}), grid)
     qspec = cfg.get("q", {"matrix": np.zeros((grid.ndim, grid.ndim)).tolist()})
-    if isinstance(qspec, dict) and "matrix" in qspec:
+    if "matrix" in qspec:
         qspec = {"matrix": _matrix("q.matrix", qspec["matrix"])}
     q = _converted("q", gridio.load_qspec, qspec, grid)
     problem = Problem(grid, F, q)

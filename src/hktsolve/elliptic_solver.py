@@ -45,6 +45,8 @@ case with Q = -60 I stalled at 1.4e-10 with tol 1e-10).
 
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,14 +75,26 @@ class TorusGrid:
     """Uniform periodic grid with 2 or 4 axes."""
 
     def __init__(self, dims, lengths=None):
-        dims = tuple(int(d) for d in dims)
+        # int() would truncate 8.7 and parse "8"; index() takes integers only
+        try:
+            dims = tuple(operator.index(d) for d in dims)
+        except TypeError:
+            raise ConfigError("grid dims must be integers, got %r" % (dims,)) from None
         if len(dims) not in (2, 4):
             raise ConfigError("grid needs 2 or 4 axes, got %d" % len(dims))
         if any(d < 4 for d in dims):
             raise ConfigError("every axis needs at least 4 nodes: %r" % (dims,))
         if lengths is None:
             lengths = (2.0 * math.pi,) * len(dims)
-        lengths = tuple(float(x) for x in lengths)
+        # a string is a sequence too, and would be read digit by digit
+        if isinstance(lengths, (str, bytes)) or not all(
+                isinstance(x, numbers.Real) and not isinstance(x, bool) for x in lengths):
+            raise ConfigError("axis lengths must be a sequence of numbers, got %r"
+                              % (lengths,))
+        try:
+            lengths = tuple(float(x) for x in lengths)
+        except OverflowError:   # an integer beyond the float range
+            raise ConfigError("axis lengths must be finite, got %r" % (lengths,)) from None
         if len(lengths) != len(dims):
             raise ConfigError("lengths %r do not match dims %r" % (lengths, dims))
         if not all(0.0 < x < math.inf for x in lengths):

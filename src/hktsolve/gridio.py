@@ -9,6 +9,7 @@ channels, upper triangle in row-major order.
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -55,7 +56,7 @@ def read_field(path):
     try:
         header = json.loads(raw[:cut].decode("utf-8"))
         dims = header["dims"]
-        lengths = tuple(float(x) for x in header["lengths"])
+        lengths = header["lengths"]
         channels = header.get("channels", 0)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError("bad field header in %s: %s" % (path, exc))
@@ -64,12 +65,15 @@ def read_field(path):
             and all(type(d) is int and d > 0 for d in dims)):
         raise ConfigError("field header dims must be a non-empty list of "
                           "positive integers, got %r" % (dims,))
+    # a JSON integer beyond the float range is refused, not overflowed
+    if not (isinstance(lengths, list) and all(
+            type(x) in (int, float) and 0 < x <= sys.float_info.max for x in lengths)):
+        raise ConfigError("field header lengths must be a list of positive, "
+                          "finite numbers, got %r" % (lengths,))
+    lengths = tuple(float(x) for x in lengths)
     if len(lengths) != len(dims):
         raise ConfigError("field header has %d lengths for %d dims"
                           % (len(lengths), len(dims)))
-    if not all(0.0 < x < math.inf for x in lengths):
-        raise ConfigError("field header lengths must be positive and finite, "
-                          "got %r" % (lengths,))
     if not (type(channels) is int and channels >= 0):
         raise ConfigError("field header channels must be a non-negative "
                           "integer, got %r" % (channels,))

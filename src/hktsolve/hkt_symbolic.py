@@ -15,8 +15,10 @@ Jet symbols:
 
 Derivatives along annihilated directions are rewritten through the
 bracket before a symbol is ever created, so polynomials only mention
-transverse jets.  The annihilated directions are the ``split`` of the
-``lie_frame.ComplexFrame`` every derivative here takes.
+transverse jets.  What the frame decides is read from one object, the
+``lie_frame.ComplexFrame``: its brackets (``bracket``, ``coeff``), its
+conjugation of indices (``bar``) and its ``split``, the annihilated
+directions every derivative is taken along.
 """
 
 import math
@@ -103,7 +105,7 @@ def jet_symbols(poly):
 def _bracket_jet(i, j, frame):
     """[Z_i, Z_j] applied to the potential, annihilated components dropped."""
     out = {}
-    for k, c in frame.table.bracket(i, j).items():
+    for k, c in frame.bracket(i, j).items():
         if frame.is_active(k):
             out = p_add(out, p_sym(("g", k), c))
     return out
@@ -144,7 +146,7 @@ def p_deriv(i, poly, frame):
 
 
 def _conj_sym(sym, frame):
-    tog = frame.table.bar
+    tog = frame.bar
     if sym[0] == "g":
         return p_sym(("g", tog(sym[1])))
     return _second(tog(sym[1]), tog(sym[2]), frame)
@@ -291,13 +293,12 @@ def standard_hkt_form(half):
 def del_generator(t, frame):
     """The holomorphic exterior derivative of one coframe generator."""
     half = frame.half
-    table = frame.table
     terms = {}
     for r in range(1, half + 1):
         # a barred generator's derivative is (1,1), an unbarred one's (2,0)
         lo, hi = (half, 2 * half) if t > half else (r, half)
         for s in range(lo + 1, hi + 1):
-            c = table.coeff(t, r, s)
+            c = frame.coeff(t, r, s)
             if c:
                 terms[(r, s)] = p_const(-c)
     return Form(half, terms)
@@ -388,7 +389,7 @@ def jmap_form(form):
 def conj_form(form, frame):
     out = Form(form.half)
     for key, poly in form.terms.items():
-        sign, newkey = _signed_sort([frame.table.bar(i) for i in key])
+        sign, newkey = _signed_sort([frame.bar(i) for i in key])
         _accumulate(out.terms, newkey, p_conj(poly, frame), sign)
     return out
 
@@ -475,39 +476,37 @@ class ReducedOperator:
         return "\n".join(lines)
 
 
-def quadratic_forms_closed(table, split):
-    """P_k and Q_k straight from the bracket table (six-term formulas).
+def quadratic_forms_closed(frame):
+    """P_k and Q_k straight from the frame's brackets (six-term formulas).
 
     This bypasses the exterior calculus entirely and serves as the
     independent cross-check for the extracted forms.
     """
-    half = table.half
-    split = tuple(sorted(split))
-    active = [k for k in range(1, half + 1) if k not in split]
-    if len(active) != 2:
+    if len(frame.active) != 2:
         raise BadAnnihilatedSet("need exactly one transverse J-pair")
-    a, b = active
-    ab, bb = a + half, b + half
+    a, b = frame.active
+    ab, bb = frame.bar(a), frame.bar(b)
+    coeff = frame.coeff
 
     def g(i, c):
         return p_sym(("g", i), c) if c else {}
 
     p_forms, q_forms = {}, {}
-    for k in split:
+    for k in frame.split:
         p = {}
-        p = p_add(p, g(bb, table.coeff(a, a, k)))
-        p = p_add(p, g(ab, -table.coeff(b, a, k)))
-        p = p_add(p, g(a, table.coeff(a, k, bb)))
-        p = p_add(p, g(ab, table.coeff(ab, k, bb)))
-        p = p_add(p, g(b, table.coeff(b, k, bb)))
-        p = p_add(p, g(bb, table.coeff(bb, k, bb)))
+        p = p_add(p, g(bb, coeff(a, a, k)))
+        p = p_add(p, g(ab, -coeff(b, a, k)))
+        p = p_add(p, g(a, coeff(a, k, bb)))
+        p = p_add(p, g(ab, coeff(ab, k, bb)))
+        p = p_add(p, g(b, coeff(b, k, bb)))
+        p = p_add(p, g(bb, coeff(bb, k, bb)))
         q = {}
-        q = p_add(q, g(ab, -table.coeff(b, b, k)))
-        q = p_add(q, g(bb, table.coeff(a, b, k)))
-        q = p_add(q, g(a, -table.coeff(a, k, ab)))
-        q = p_add(q, g(ab, -table.coeff(ab, k, ab)))
-        q = p_add(q, g(b, -table.coeff(b, k, ab)))
-        q = p_add(q, g(bb, -table.coeff(bb, k, ab)))
+        q = p_add(q, g(ab, -coeff(b, b, k)))
+        q = p_add(q, g(bb, coeff(a, b, k)))
+        q = p_add(q, g(a, -coeff(a, k, ab)))
+        q = p_add(q, g(ab, -coeff(ab, k, ab)))
+        q = p_add(q, g(b, -coeff(b, k, ab)))
+        q = p_add(q, g(bb, -coeff(bb, k, ab)))
         p_forms[k] = p
         q_forms[k] = q
     return p_forms, q_forms

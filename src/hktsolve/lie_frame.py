@@ -1,4 +1,4 @@
-"""Real Lie algebras, quaternionic frames, and their complex bracket tables.
+"""Real Lie algebras, quaternionic frames, and their complex brackets.
 
 The real algebra is given by structure constants on a basis X_1..X_N.  A
 pair of anticommuting complex structures I, J turns R^N into a
@@ -9,9 +9,10 @@ Vectors are sparse, ``{index: coefficient}`` with no zero entries, and a
 linear map is the dict of its sparse columns, ``{j: image of X_j}``.  The
 real side (structure constants, I, J, the Jacobi and Nijenhuis checks)
 is exact over the rationals (``Fraction``); Gaussian rationals (``QQi``)
-enter only with the complexified frame: its vectors, their metric
-adjoint (the inverse of the frame matrix, since the frame is unitary)
-and the complex bracket table.
+enter only with the complexified frame, one ``ComplexFrame`` that
+carries its vectors, their complex brackets (computed through the
+metric adjoint, the inverse of the frame matrix since the frame is
+unitary) and the split the reduction is taken along.
 
 Index conventions used throughout the package:
 
@@ -246,7 +247,6 @@ class FrameSpec:
     Fraction c; a column left out is zero.
     """
 
-    name: str
     sc: StructureConstants
     imap: dict
     jmap: dict
@@ -255,18 +255,24 @@ class FrameSpec:
     split: tuple           # annihilated frame indices, subset of 1..2n
 
 
-class BracketTable:
-    """Complex structure constants of a frame basis and its conjugates."""
+class ComplexFrame:
+    """A validated frame with its complex brackets and its split.
 
-    def __init__(self, half, entries):
-        self.half = half
-        self.entries = {}
-        for (r, s), comps in entries.items():
-            if not (1 <= r < s <= 2 * half):
-                raise IndexOutOfRange("bad bracket key (%d, %d)" % (r, s))
-            clean = {k: as_qqi(c) for k, c in comps.items() if as_qqi(c)}
-            if clean:
-                self.entries[(r, s)] = clean
+    ``vectors`` holds the 2n frame vectors as sparse QQi dicts, after
+    the pairing repair.  ``entries`` maps (r, s), r < s, over the full
+    index range (bars as 2n + r) to the nonzero frame components of
+    [Z_r, Z_s].  The split (the annihilated frame indices of
+    ``spec.split``) is the foliation every symbolic derivative is taken
+    along; ``active`` holds the transverse unbarred indices.
+    """
+
+    def __init__(self, spec, vectors, entries):
+        self.spec = spec
+        self.vectors = vectors
+        self.entries = entries
+        self.half = len(vectors)
+        self.split = tuple(sorted(spec.split))
+        self.active = tuple(k for k in range(1, self.half + 1) if k not in self.split)
 
     def bracket(self, r, s):
         """[Z_r, Z_s] as dict index -> QQi, any orientation, bars as 2n+k."""
@@ -279,45 +285,6 @@ class BracketTable:
     def bar(self, k):
         """Index of the conjugate of frame element k."""
         return k - self.half if k > self.half else k + self.half
-
-    def holomorphic_closed(self, strict=False):
-        """[Z_r, Z_s] may have no conjugate components for unbarred r, s."""
-        h = self.half
-        for r in range(1, h + 1):
-            for s in range(r + 1, h + 1):
-                for k in self.bracket(r, s):
-                    if k > h:
-                        if strict:
-                            raise NonClosedBracket(
-                                "[Z_%d, Z_%d] has a conjugate component" % (r, s))
-                        return False
-        return True
-
-
-class ComplexFrame:
-    """A validated frame, its complex bracket table, and its split.
-
-    The split (the annihilated frame indices of ``spec.split``) is the
-    foliation every symbolic derivative is taken along; ``active`` holds
-    the transverse unbarred indices.
-    """
-
-    def __init__(self, spec, vectors, table):
-        self.spec = spec
-        self.vectors = vectors
-        self.table = table
-        self.dim = spec.sc.dim
-        self.half = len(vectors)
-        self.split = tuple(sorted(spec.split))
-        self.active = tuple(k for k in range(1, self.half + 1) if k not in self.split)
-
-    def vec(self, k):
-        """Coefficient vector of frame element k (bars as half + r)."""
-        if 1 <= k <= self.half:
-            return self.vectors[k - 1]
-        if self.half < k <= 2 * self.half:
-            return [x.conjugate() for x in self.vectors[k - self.half - 1]]
-        raise IndexOutOfRange("frame index %d outside 1..%d" % (k, 2 * self.half))
 
     def is_active(self, i):
         """Is frame index i (bars as half + r) transverse to the foliation?"""
@@ -419,9 +386,7 @@ def build_complex_frame(spec):
             comps = _apply(coords, sc.bracket(cols[r], cols[s]))
             if comps:
                 entries[(r + 1, s + 1)] = comps
-    table = BracketTable(half, entries)
-    vectors = [[v.get(i, ZERO) for i in basis] for v in sparse]
-    return ComplexFrame(spec, vectors, table)
+    return ComplexFrame(spec, sparse, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +407,8 @@ def check_hypercomplex(frame_or_spec, strict=False):
 
     Verifies that the Nijenhuis tensors of both complex structures vanish
     identically, and (when a built frame is passed) that the holomorphic
-    frame closes under the bracket.
+    frame closes under the bracket: [Z_r, Z_s] may have no conjugate
+    components for unbarred r, s.
     """
     spec = getattr(frame_or_spec, "spec", frame_or_spec)
     sc = spec.sc
@@ -454,14 +420,17 @@ def check_hypercomplex(frame_or_spec, strict=False):
                         raise NijenhuisViolation(
                             "N_%s(X_%d, X_%d) does not vanish" % (name, i, j))
                     return False
-    table = getattr(frame_or_spec, "table", None)
-    if table is not None:
-        if not table.holomorphic_closed(strict=strict):
+    entries = getattr(frame_or_spec, "entries", {})  # a spec has no brackets yet
+    half = len(spec.vectors)
+    for r, s in sorted(entries):
+        if s <= half and any(k > half for k in entries[r, s]):
+            if strict:
+                raise NonClosedBracket("[Z_%d, Z_%d] has a conjugate component" % (r, s))
             return False
     return True
 
 
-def nijenhuis_pair_identities(table, pair):
+def nijenhuis_pair_identities(frame, pair):
     """The four bracket identities attached to the J-pair (a, b) = pair.
 
     Returns the exact values of (B^a_ba, B^b_ba, B^a_aa' + B^a_bb',
@@ -471,12 +440,12 @@ def nijenhuis_pair_identities(table, pair):
     a, b = pair
     if b != a + 1 or a % 2 != 1:
         raise ConfigError("(%d, %d) is not a J-pair" % (a, b))
-    ab, bb = table.bar(a), table.bar(b)
+    ab, bb = frame.bar(a), frame.bar(b)
     return (
-        table.coeff(a, b, a),
-        table.coeff(b, b, a),
-        table.coeff(a, a, ab) + table.coeff(a, b, bb),
-        table.coeff(b, a, ab) + table.coeff(b, b, bb),
+        frame.coeff(a, b, a),
+        frame.coeff(b, b, a),
+        frame.coeff(a, a, ab) + frame.coeff(a, b, bb),
+        frame.coeff(b, a, ab) + frame.coeff(b, b, bb),
     )
 
 
@@ -498,12 +467,12 @@ def check_foliation(frame, strict=False):
         if frame.pair_of(k) not in split:
             return fail("split is not a union of J-pairs (index %d unpaired)" % k)
 
-    mixed = split + tuple(frame.table.bar(k) for k in split)
+    mixed = split + tuple(frame.bar(k) for k in split)
     for r in split:
         for s in mixed:
             if r == s:
                 continue
-            for k in frame.table.bracket(r, s):
+            for k in frame.bracket(r, s):
                 if frame.is_active(k):
                     return fail(
                         "[Z_%d, Z_%d] leaks onto transverse index %d" % (r, s, k))
@@ -525,7 +494,6 @@ def relabel_spec(spec, order):
             raise ConfigError("order does not respect J-pairs at position %d" % (k + 1))
     pos = {old: new for new, old in enumerate(order, 1)}
     return FrameSpec(
-        name=spec.name + "-relabeled",
         sc=spec.sc,
         imap=spec.imap,
         jmap=spec.jmap,

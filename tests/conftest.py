@@ -22,6 +22,11 @@ def meshes(grid):
                        indexing="ij")
 
 
+def sparse_vectors(spec):
+    """The spec's dense frame vectors in the frame's sparse form."""
+    return [{i: x for i, x in enumerate(v, 1) if x} for v in spec.vectors]
+
+
 def bordered_field_block(problem, phi, t, eta, c):
     """Field block of the Newton operator applied to (eta, c)."""
     x = np.concatenate([np.ravel(eta), [c]])

@@ -40,12 +40,12 @@ def jacobi_oracle(sc):
 def frame_columns(frame):
     """Complex matrix whose columns are the frame vectors, then conjugates."""
     half = frame.half
-    dim = frame.dim
+    dim = frame.spec.sc.dim
     cols = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, half + 1):
-        v = np.array([x.to_complex() for x in frame.vec(k)])
-        cols[:, k - 1] = v
-        cols[:, k - 1 + half] = v.conj()
+    for k, vec in enumerate(frame.vectors):
+        for i, x in vec.items():
+            cols[i - 1, k] = x.to_complex()
+    cols[:, half:] = cols[:, :half].conj()
     return cols
 
 

@@ -75,7 +75,7 @@ def test_reduction_matches_independent_oracle(criterion, operators, frames, rng)
 def test_bracket_pair_identities(criterion):
     spec = relabel_spec(algebras.su3(), (3, 4, 1, 2))
     frame = build_complex_frame(spec)
-    vals = nijenhuis_pair_identities(frame.table, (1, 2))
+    vals = nijenhuis_pair_identities(frame, (1, 2))
     criterion(3, "the four bracket coefficient identities vanish exactly",
               all(v == 0 for v in vals), "values %s" % (vals,))
 

@@ -71,9 +71,18 @@ def test_grid_validation():
         TorusGrid((8, 8), lengths=(1.0,))
     with pytest.raises(ConfigError):
         TorusGrid((8, 8), lengths=(1.0, -2.0))
-    for bad in (float("inf"), float("nan")):
+    for bad in (float("inf"), float("nan"), 10 ** 400):
         with pytest.raises(ConfigError, match="lengths"):
             TorusGrid((8, 8), lengths=(bad, 1.0))
+    # dims must be integers: 8.7 is not truncated, "8" is not parsed
+    for dims in ((8.7, 8), ("8", "8")):
+        with pytest.raises(ConfigError, match="dims"):
+            TorusGrid(dims)
+    # a string is not read digit by digit, and no length is a string or a bool
+    for lengths in ("12", ("6.5", "6.5"), (True, True)):
+        with pytest.raises(ConfigError, match="lengths"):
+            TorusGrid((4, 4), lengths)
+    assert TorusGrid((np.int64(8), 8), (np.float64(2.0), 3)).lengths == (2.0, 3.0)
 
 
 # ------------------------------------------------------------- kernels

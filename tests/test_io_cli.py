@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import time
 
 import numpy as np
@@ -383,6 +384,58 @@ def test_cli_solve_malformed_values(tmp_path, capsys, extra):
     assert "q" not in extra or "q.matrix" in err
 
 
+@pytest.mark.parametrize("section,body,named", [
+    (None, {"continuation": {"newton_tol": 1e-3}}, "'continuation'"),
+    ("grid", {"dim": [8, 8]}, "'dim'"),
+    ("continuity", {"newton_tl": 1e-3}, "'newton_tl'"),
+    ("forcing", {"type": "bump", "widht": 3}, "'widht'"),
+    ("outputs", {"phy": "phi.field"}, "'phy'"),
+    ("forcing", {"file": "f.field", "type": "bump"}, "'file' alone"),
+    ("q", {"file": "q.field", "matrix": [[-1.0, 0.0], [0.0, -1.0]]}, "'file' alone"),
+], ids=["top", "grid", "continuity", "forcing", "outputs", "forcing-file",
+        "q-file"])
+def test_config_refuses_keys_it_does_not_read(tmp_path, section, body, named):
+    # readable files, so only the key check can refuse the file cases
+    grid = TorusGrid((8, 8))
+    gridio.write_field(tmp_path / "f.field", grid.zeros(), grid.lengths)
+    gridio.write_field(tmp_path / "q.field", np.zeros(grid.dims + (3,)), grid.lengths)
+    body = {k: str(tmp_path / v) if k == "file" else v for k, v in body.items()}
+    cfg = {"grid": {"dims": [8, 8]}}
+    cfg.update(body if section is None else {section: body})
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    label = "config" if section is None else "config section %r" % section
+    with pytest.raises(ConfigError, match=re.escape(label) + ".*" + re.escape(named)):
+        cli._load_run_config(str(path))
+
+
+def _readme_block(after, fence):
+    """The first fenced block of README.md that follows the line ``after``."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    tail = text[text.index(after):]
+    start = tail.index(fence) + len(fence)
+    return tail[start:tail.index("```", start)].strip()
+
+
+def test_readme_examples_parse(tmp_path):
+    cfg = json.loads(_readme_block("`solve` reads a JSON config", "```json"))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    _cfg, problem, ccfg = cli._load_run_config(str(path))
+    assert problem.grid.dims == tuple(cfg["grid"]["dims"])
+    assert ccfg.newton_tol == cfg["continuity"]["newton_tol"]
+
+    line = _readme_block("A field file is one UTF-8 JSON header line", "```")
+    header = json.loads(line)
+    field = tmp_path / "f.field"
+    field.write_bytes(line.encode() + b"\n"
+                      + bytes(8 * math.prod(header["dims"])))
+    arr, lengths = gridio.read_field(str(field))
+    assert arr.shape == tuple(header["dims"])
+    assert lengths == tuple(header["lengths"])
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_number_refuses_non_finite_floats_by_name(value):
     with pytest.raises(ConfigError, match="^forcing width must be a finite number"):
@@ -515,6 +568,17 @@ _configs = _optional(
 )
 
 
+# the keys `solve` reads from each config section, written out by hand
+_READ_KEYS = {
+    "grid": {"dims", "lengths"},
+    "forcing": {"file", "type", "amplitude", "width"},
+    "q": {"file", "matrix"},
+    "continuity": {"t_step_init", "t_step_min", "t_step_max", "newton_tol",
+                   "max_newton"},
+    "outputs": {"phi", "trace_csv", "trace_json", "summary"},
+}
+
+
 def _typed(values):
     return [(type(x), x) for x in values]
 
@@ -535,6 +599,14 @@ def _typed(values):
 @example(cfg={"q": {"matrix": [["-1", "0"], ["0", "-1"]]}})
 @example(cfg={"q": {"matrix": [[True, False], [False, True]]}})
 @example(cfg=[1, 2])
+@example(cfg={"grid": {"dim": [8, 8]}})
+@example(cfg={"grid": {"dims": [8, 8]}, "continuity": {"newton_tl": 1e-3}})
+@example(cfg={"grid": {"dims": [8, 8]}, "forcing": {"type": "bump", "widht": 3}})
+@example(cfg={"grid": {"dims": [8, 8]}, "continuation": {"newton_tol": 1e-3}})
+@example(cfg={"grid": {"dims": [8, 8]}, "outputs": {"phy": "phi.field"}})
+@example(cfg={"grid": {"dims": [8, 8]}, "forcing": {"file": "f.field", "type": "bump"}})
+@example(cfg={"grid": {"dims": [8, 8]},
+              "q": {"file": "q.field", "matrix": [[-1.0, 0.0], [0.0, -1.0]]}})
 def test_run_config_parses_or_raises_config_errors(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("cfg") / "run.json"
     path.write_text(json.dumps(cfg))
@@ -542,6 +614,11 @@ def test_run_config_parses_or_raises_config_errors(tmp_path_factory, cfg):
         _cfg, problem, ccfg = cli._load_run_config(str(path))
     except (ConfigError, ShapeMismatch):
         return
+    # an accepted config holds only keys the loader reads, and "file" alone
+    assert set(cfg) <= set(_READ_KEYS)
+    for section, body in cfg.items():
+        assert set(body) <= _READ_KEYS[section]
+        assert "file" not in body or len(body) == 1
     assert problem.F.shape == problem.grid.dims
     assert problem.q.shape[-1] == problem.grid.ndim
     assert np.all(np.isfinite(problem.q))
@@ -615,6 +692,13 @@ def _promised_bytes(header):
          payload=128)
 @example(header={"dims": [4, 4], "lengths": [math.nan, 1.0], "channels": 0},
          payload=128)
+@example(header={"dims": [4, 4], "lengths": "12", "channels": 0}, payload=128)
+@example(header={"dims": [4, 4], "lengths": ["6.5", "6.5"], "channels": 0},
+         payload=128)
+@example(header={"dims": [4, 4], "lengths": [True, True], "channels": 0},
+         payload=128)
+@example(header={"dims": [4, 4], "lengths": [10 ** 400, 1.0], "channels": 0},
+         payload=128)
 def test_read_field_keeps_its_header_promise(tmp_path_factory, header, payload):
     # payload None writes exactly what a well-formed header promises
     path = tmp_path_factory.mktemp("field") / "f.field"
@@ -631,6 +715,8 @@ def test_read_field_keeps_its_header_promise(tmp_path_factory, header, payload):
         assert arr.shape == tuple(dims) + ((channels,) if channels else ())
         assert len(lengths) == len(dims)
         assert all(0.0 < x < math.inf for x in lengths)
+        assert isinstance(header["lengths"], list)
+        assert all(type(x) in (int, float) for x in header["lengths"])
     try:
         gridio.load_qspec({"file": str(path)}, TorusGrid((4, 4)))
     except HktError:

@@ -17,6 +17,7 @@ from hktsolve.errors import (
     IndexOutOfRange,
     JacobiViolation,
     NijenhuisViolation,
+    NonClosedBracket,
     NotUnitary,
     PairingNotInvolutive,
 )
@@ -32,6 +33,8 @@ from hktsolve.lie_frame import (
     parse_rational,
     relabel_spec,
 )
+
+from conftest import sparse_vectors
 
 
 def test_parse_roundtrip():
@@ -187,8 +190,8 @@ def test_real_verdicts_match_float_oracles(name):
 def test_su3_frame_builds_without_flips():
     spec = algebras.su3()
     frame = build_complex_frame(spec)
-    assert frame.vectors == spec.vectors
-    assert frame.half == 4 and frame.dim == 8
+    assert frame.vectors == sparse_vectors(spec)
+    assert frame.half == 4
     assert frame.split == (1, 2)
 
 
@@ -215,7 +218,7 @@ SU3_COMPLEX_GOLDEN = [
 def test_su3_complex_brackets_golden():
     frame = build_complex_frame(algebras.su3())
     for r, s, want in SU3_COMPLEX_GOLDEN:
-        assert frame.table.bracket(r, s) == want, (r, s)
+        assert frame.bracket(r, s) == want, (r, s)
 
 
 def _su3_rotated():
@@ -234,7 +237,7 @@ def _su3_rotated():
 
     rotated = [mix(v[0], v[2], c, s), mix(v[1], v[3], c, s),
                mix(v[0], v[2], -s, c), mix(v[1], v[3], -s, c)]
-    return dataclasses.replace(spec, name="su3-rotated", vectors=rotated)
+    return dataclasses.replace(spec, vectors=rotated)
 
 
 ORACLE_SPECS = {
@@ -254,9 +257,9 @@ def test_bracket_table_matches_float_oracle(name):
     for r in range(1, ext + 1):
         for s in range(r + 1, ext + 1):
             got = coeffs(r, s)
-            table = frame.table.bracket(r, s)
+            bracket = frame.bracket(r, s)
             for k in range(1, ext + 1):
-                want = table.get(k, QQi(0)).to_complex()
+                want = bracket.get(k, QQi(0)).to_complex()
                 assert abs(got[k - 1] - want) < 1e-12, (r, s, k)
 
 
@@ -265,8 +268,8 @@ def test_frame_build_cost_follows_supports(monkeypatch):
     # in nilpotent8's pattern; a dense inverse or Gram loop costs dim^3,
     # and a product for every empty bracket dim^2.  The build takes 13 dim.
     dim = 64
-    spec = algebras._spec("flat64", {}, "a" * (dim // 4),
-                          leading=range(1, dim // 2, 2), split=())
+    spec = algebras._spec({}, "a" * (dim // 4), leading=range(1, dim // 2, 2),
+                          split=())
     bound = 16 * dim
     calls = []
 
@@ -282,7 +285,7 @@ def test_frame_build_cost_follows_supports(monkeypatch):
                  "__truediv__"):
         monkeypatch.setattr(QQi, attr, counted(QQi.__dict__[attr]))
     frame = build_complex_frame(spec)
-    assert frame.vectors == spec.vectors and frame.table.entries == {}
+    assert frame.vectors == sparse_vectors(spec) and frame.entries == {}
 
 
 def test_nijenhuis_float_oracle_then_exact(frames):
@@ -292,10 +295,20 @@ def test_nijenhuis_float_oracle_then_exact(frames):
         assert check_hypercomplex(frame, strict=True)
 
 
+def test_conjugate_component_in_a_holomorphic_bracket_is_refused():
+    frame = build_complex_frame(algebras.su3())
+    # [Z_1, Z_3] gains a component along conj(Z_3) = index 7
+    frame.entries[(1, 3)] = {3: QQi(-1, -3), 7: QQi(1)}
+    assert check_hypercomplex(frame) is False
+    with pytest.raises(NonClosedBracket, match=r"^\[Z_1, Z_3\] has a conjugate"):
+        check_hypercomplex(frame, strict=True)
+    # the real structures are still integrable: only the frame check sees it
+    assert check_hypercomplex(frame.spec, strict=True) is True
+
+
 def test_broken_j_fails_both_ways():
     # su3 with nilpotent8's J: both blocks carry pattern "a"
-    bad = algebras._spec("su3-badj", algebras.SU3_BRACKETS, "aa", leading=(1,),
-                         split=(1, 2))
+    bad = algebras._spec(algebras.SU3_BRACKETS, "aa", leading=(1,), split=(1, 2))
     assert oracles.nijenhuis_oracle(bad, "J") > 0.5
     with pytest.raises(NijenhuisViolation):
         check_hypercomplex(bad, strict=True)
@@ -340,19 +353,20 @@ def test_pairing_flip_restores_canonical_frame():
     spec = algebras.su3()
     flipped = [[-x for x in spec.vectors[1]]]
     vectors = [spec.vectors[0]] + flipped + list(spec.vectors[2:])
-    frame = build_complex_frame(dataclasses.replace(spec, vectors=vectors))
-    assert frame.vec(2) != vectors[1]
+    handed = dataclasses.replace(spec, vectors=vectors)
+    frame = build_complex_frame(handed)
+    assert frame.vectors[1] != sparse_vectors(handed)[1]
     reference = build_complex_frame(spec)
-    assert frame.table.entries == reference.table.entries
-    assert frame.vec(2) == reference.vec(2)
+    assert frame.entries == reference.entries
+    assert frame.vectors == reference.vectors
 
 
 def test_pair_identities_are_order_sensitive():
     frame = build_complex_frame(algebras.su3())
-    vals = nijenhuis_pair_identities(frame.table, (1, 2))
+    vals = nijenhuis_pair_identities(frame, (1, 2))
     assert any(v != 0 for v in vals)  # the natural order violates them
     relabeled = build_complex_frame(relabel_spec(algebras.su3(), (3, 4, 1, 2)))
-    assert nijenhuis_pair_identities(relabeled.table, (1, 2)) == (
+    assert nijenhuis_pair_identities(relabeled, (1, 2)) == (
         QQi(0), QQi(0), QQi(0), QQi(0))
 
 
@@ -397,7 +411,6 @@ def test_relabel_validation():
     with pytest.raises(ConfigError):
         relabel_spec(spec, (2, 3, 4, 1))
     out = relabel_spec(spec, (3, 4, 1, 2))
-    assert out.name.endswith("-relabeled")
     assert tuple(sorted(out.split)) == (3, 4)
 
 

@@ -20,6 +20,8 @@ from hktsolve.hkt_symbolic import (
 )
 from hktsolve.lie_frame import build_complex_frame
 
+from conftest import sparse_vectors
+
 
 def test_su3_reduction_golden(operators):
     op = operators["su3"]
@@ -85,7 +87,7 @@ def test_registry_describe_snapshot(name):
     params, lines = REGISTRY_DESCRIPTIONS[name]
     spec = algebras.get_algebra(name, **params)
     frame = build_complex_frame(spec)
-    assert frame.vectors == spec.vectors
+    assert frame.vectors == sparse_vectors(spec)
     assert reduce_ratio(frame).describe() == "\n".join(lines)
 
 
@@ -151,7 +153,7 @@ def test_quadratic_matrix_refuses_imaginary_part(operators):
 
 def test_closed_form_components_match_extraction(frames, operators):
     for name, frame in frames.items():
-        p, q = quadratic_forms_closed(frame.table, frame.split)
+        p, q = quadratic_forms_closed(frame)
         assert p == operators[name].p_forms, name
         assert q == operators[name].q_forms, name
 
@@ -218,7 +220,7 @@ def test_split_override_and_errors():
 
 def test_tampered_table_breaks_conjugation_relations():
     frame = build_complex_frame(algebras.su3())
-    frame.table.entries[(2, 7)] = {4: QQi(-3)}
+    frame.entries[(2, 7)] = {4: QQi(-3)}
     with pytest.raises(NotPerfectSquareDecomposition):
         reduce_ratio(frame)
 
