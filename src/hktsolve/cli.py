@@ -212,6 +212,8 @@ def _parse_params(pairs):
         if "=" not in item:
             raise ConfigError("parameter %r is not key=value" % item)
         key, val = (part.strip() for part in item.split("=", 1))
+        if key in out:
+            raise ConfigError("parameter %r is given twice" % key)
         out[key] = parse_rational(val)
     return out
 
@@ -250,6 +252,14 @@ def cmd_verify_algebra(args):
 # solve
 
 
+# the artifacts `solve` writes, by their `outputs` key, with default names
+OUTPUTS = {"phi": "phi.field", "trace_csv": "trace.csv",
+           "trace_json": "trace.json", "summary": "summary.json"}
+
+# the keys each forcing type reads besides "type"
+FORCING_KEYS = {"zero": (), "sine": ("amplitude",), "bump": ("amplitude", "width")}
+
+
 def _build_forcing(spec, grid):
     from .continuity_driver import sine_product_field
 
@@ -261,20 +271,22 @@ def _build_forcing(spec, grid):
             raise ConfigError("forcing field lengths do not match the grid")
         return arr
     kind = spec.get("type", "zero")
-    amp = _number("forcing amplitude", spec.get("amplitude", 1.0), float)
+    if not (isinstance(kind, str) and kind in FORCING_KEYS):
+        raise ConfigError("unknown forcing type %r" % (kind,))
+    _known_keys("config section 'forcing' of type %r" % kind, spec,
+                ("type",) + FORCING_KEYS[kind])
     if kind == "zero":
         return grid.zeros()
+    amp = _number("forcing amplitude", spec.get("amplitude", 1.0), float)
     if kind == "sine":
         return sine_product_field(grid, amp)
-    if kind == "bump":
-        width = _number("forcing width", spec.get("width", 1.0), float)
-        if width <= 0:
-            raise ConfigError("bump width must be positive")
-        acc = np.zeros(grid.dims)
-        for x, length in zip(grid.axis_coords(), grid.lengths):
-            acc = acc + (np.cos(2.0 * np.pi * x / length) - 1.0)
-        return amp * np.exp(acc / width)
-    raise ConfigError("unknown forcing type %r" % kind)
+    width = _number("forcing width", spec.get("width", 1.0), float)
+    if width <= 0:
+        raise ConfigError("bump width must be positive")
+    acc = np.zeros(grid.dims)
+    for x, length in zip(grid.axis_coords(), grid.lengths):
+        acc = acc + (np.cos(2.0 * np.pi * x / length) - 1.0)
+    return amp * np.exp(acc / width)
 
 
 def _load_run_config(path, newton_tol=None):
@@ -295,7 +307,7 @@ def _load_run_config(path, newton_tol=None):
         "forcing": {"file", "type", "amplitude", "width"},
         "q": {"file", "matrix"},
         "continuity": {f.name for f in dataclasses.fields(ContinuityConfig)},
-        "outputs": {"phi", "trace_csv", "trace_json", "summary"},
+        "outputs": set(OUTPUTS),
     }
     _known_keys("config", cfg, sections)
     for section, known in sections.items():
@@ -338,6 +350,13 @@ def cmd_solve(args):
     grid = problem.grid
     outputs = cfg.get("outputs", {})
     outdir = args.out_dir or "."
+    paths = {key: os.path.join(outdir, outputs.get(key, name)) for key, name in OUTPUTS.items()}
+    first = {}  # each file, defaults included, to the first artifact written there
+    for key, path in paths.items():
+        other = first.setdefault(os.path.normpath(path), key)
+        if other != key:
+            raise ConfigError("config 'outputs' %r and %r both name the file %s"
+                              % (other, key, path))
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
@@ -351,12 +370,9 @@ def cmd_solve(args):
     _say("density range: [%.6g, %.6g]" % (float(dens.min()), float(dens.max())))
     _say("b bound (max e^{-tF} + %.1e): %s" % (slack, "ok" if bound_ok else "VIOLATED"))
 
-    def _path(key, default):
-        return os.path.join(outdir, outputs.get(key, default))
-
-    gridio.write_field(_path("phi", "phi.field"), state.phi, grid.lengths)
-    _write_text(_path("trace_csv", "trace.csv"), trace.to_csv())
-    _write_text(_path("trace_json", "trace.json"), trace.to_json())
+    gridio.write_field(paths["phi"], state.phi, grid.lengths)
+    _write_text(paths["trace_csv"], trace.to_csv())
+    _write_text(paths["trace_json"], trace.to_json())
     summary = {
         "b": state.b,
         "t": state.t,
@@ -391,7 +407,7 @@ def cmd_solve(args):
         _say("uniqueness re-run: |dphi|=%.3e |db|=%.3e -> %s"
              % (dphi, db, "agree" if agree else "DISAGREE"))
         summary["uniqueness"] = {"dphi": dphi, "db": db, "agree": bool(agree)}
-    _write_text(_path("summary", "summary.json"),
+    _write_text(paths["summary"],
                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0 if bound_ok and agree else 1
 

@@ -515,6 +515,8 @@ def solve_at_t(problem, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
 
 
 def check_b_bound(state, F, slack):
-    """Discrete analog of the constant-bound b <= max exp(-t F) + slack."""
-    bound = float(np.max(np.exp(-state.t * np.asarray(F)))) + slack
-    return state.b <= bound
+    """Discrete analog of the constant-bound b <= max exp(-t F) + slack.
+
+    For t >= 0 the maximum is exp(-t min F), compared in log form: no overflow.
+    """
+    return state.b <= slack or math.log(state.b - slack) <= -state.t * float(np.min(F))

@@ -6,6 +6,9 @@ over Q(i) so that golden values can be compared for literal equality;
 the real algebra stays over the rationals (``Fraction``) in
 ``lie_frame``.  Floats are embedded exactly (``Fraction`` keeps the
 binary value), which makes round trips through this module lossless.
+
+Every exact sum, of either half, is a ``{key: exact}`` dict with no zero
+entries, added to in place by ``accumulate``.
 """
 
 from fractions import Fraction
@@ -117,3 +120,20 @@ def as_qqi(x):
         return QQi(x)
     return NotImplemented
 
+
+def accumulate(out, vec, scale=1):
+    """Add ``scale * vec`` into the sparse dict ``out`` in place; return ``out``.
+
+    An entry that cancels is dropped, so ``out`` keeps no zero values,
+    and a unit scale adds ``vec``'s values without multiplying them.
+    """
+    for k, c in vec.items():
+        if scale != 1:
+            c = scale * c
+        if k in out:
+            c = out[k] + c
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
+    return out

@@ -4,7 +4,8 @@ Scalars here are polynomials over Q(i) in jet symbols of one real basic
 potential: first derivatives along the two transverse frame directions
 and their conjugates, plus the two mixed second derivatives.  Forms are
 exterior polynomials in the coframe with such polynomials as
-coefficients.  Everything is exact.
+coefficients.  Everything is exact, and every sum, of polynomials and of
+forms alike, adds in place through ``exact.accumulate``.
 
 Jet symbols:
 
@@ -33,7 +34,7 @@ from .errors import (
     NotPerfectSquareDecomposition,
     OrderOverflow,
 )
-from .exact import ONE, QQi, ZERO, as_qqi
+from .exact import ONE, QQi, ZERO, accumulate, as_qqi
 from .lie_frame import check_foliation
 
 
@@ -52,14 +53,7 @@ def p_sym(sym, c=ONE):
 
 
 def p_add(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, ZERO) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
+    return accumulate(dict(a), b)
 
 
 def p_scale(a, c):
@@ -72,13 +66,8 @@ def p_scale(a, c):
 def p_mul(a, b):
     out = {}
     for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(sorted(ma + mb))
-            s = out.get(m, ZERO) + ca * cb
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+        # distinct monomials of b stay distinct once multiplied by ma
+        accumulate(out, {tuple(sorted(ma + mb)): cb for mb, cb in b.items()}, ca)
     return out
 
 
@@ -95,27 +84,16 @@ def p_eval(poly, assignment):
     return total
 
 
-def jet_symbols(poly):
-    out = set()
-    for mono in poly:
-        out.update(mono)
-    return out
-
-
 def _bracket_jet(i, j, frame):
     """[Z_i, Z_j] applied to the potential, annihilated components dropped."""
-    out = {}
-    for k, c in frame.bracket(i, j).items():
-        if frame.is_active(k):
-            out = p_add(out, p_sym(("g", k), c))
-    return out
+    return {(("g", k),): c for k, c in frame.bracket(i, j).items() if frame.is_active(k)}
 
 
 def _second(i, j, frame):
     """Z_i Z_j of the potential: h(i, j), or h(j, i) plus the bracket jet."""
     if i <= j:
-        return p_sym(("h", i, j))
-    return p_add(p_sym(("h", j, i)), _bracket_jet(i, j, frame))
+        return {(("h", i, j),): ONE}
+    return {(("h", j, i),): ONE, **_bracket_jet(i, j, frame)}
 
 
 def _deriv_sym(i, sym, frame):
@@ -136,19 +114,16 @@ def _deriv_sym(i, sym, frame):
 def p_deriv(i, poly, frame):
     out = {}
     for mono, coef in poly.items():
-        for pos in range(len(mono)):
-            d = _deriv_sym(i, mono[pos], frame)
-            if not d:
-                continue
+        for pos, sym in enumerate(mono):
             rest = mono[:pos] + mono[pos + 1:]
-            out = p_add(out, p_mul({rest: coef}, d))
+            accumulate(out, p_mul({rest: coef}, _deriv_sym(i, sym, frame)))
     return out
 
 
 def _conj_sym(sym, frame):
     tog = frame.bar
     if sym[0] == "g":
-        return p_sym(("g", tog(sym[1])))
+        return {(("g", tog(sym[1])),): ONE}
     return _second(tog(sym[1]), tog(sym[2]), frame)
 
 
@@ -158,7 +133,7 @@ def p_conj(poly, frame):
         term = p_const(coef.conjugate())
         for sym in mono:
             term = p_mul(term, _conj_sym(sym, frame))
-        out = p_add(out, term)
+        accumulate(out, term)
     return out
 
 
@@ -231,19 +206,17 @@ def _signed_sort(indices):
 
 
 def _accumulate(terms, key, poly, sign=1):
-    """Add sign * poly into terms[key], dropping the key when it cancels."""
-    if sign < 0:
-        poly = p_scale(poly, QQi(-1))
-    s = p_add(terms.get(key, {}), poly)
-    if s:
-        terms[key] = s
-    else:
-        terms.pop(key, None)
+    """Add sign * poly into terms[key] in place, dropping the key when it cancels.
+
+    The polynomial at ``key`` is changed in place, so a form must own
+    its coefficient dicts; ``Form`` copies the ones it is built from.
+    """
+    if not accumulate(terms.setdefault(key, {}), poly, sign):
+        del terms[key]
 
 
 def form_add(a, b):
-    out = Form(a.half)
-    out.terms = dict(a.terms)
+    out = Form(a.half, a.terms)
     for key, poly in b.terms.items():
         _accumulate(out.terms, key, poly)
     return out
@@ -400,8 +373,7 @@ def reality_check(form, frame):
     This is the reality condition for (2,0)-forms in the quaternionic
     sense; the comparison is literal.
     """
-    diff = form_add(jmap_form(form), form_scale(conj_form(form, frame), QQi(-1)))
-    return diff.is_zero()
+    return jmap_form(form) == conj_form(form, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +419,12 @@ class ReducedOperator:
         for k, col in zip(self.active_pair, (0, 2)):
             rows["g", k] = {col: ONE, col + 1: QQi(0, -1)}
             rows["g", k + self.half] = {col: ONE, col + 1: QQi(0, 1)}
-        twice = {}  # the coefficient matrix plus its transpose
+        coeffs = {}  # the coefficient of v_i v_j
         for (s, t), c in self.quadratic_poly.items():
             for i, x in rows[s].items():
-                for j, y in rows[t].items():
-                    v = c * x * y
-                    twice[i, j] = twice.get((i, j), ZERO) + v
-                    twice[j, i] = twice.get((j, i), ZERO) + v
+                accumulate(coeffs, {(i, j): y for j, y in rows[t].items()}, c * x)
+        # the coefficient matrix plus its transpose
+        twice = accumulate(dict(coeffs), {(j, i): v for (i, j), v in coeffs.items()})
         q = np.zeros((4, 4))
         for (i, j), v in twice.items():
             if v.im != 0:
@@ -488,33 +459,26 @@ def quadratic_forms_closed(frame):
     ab, bb = frame.bar(a), frame.bar(b)
     coeff = frame.coeff
 
-    def g(i, c):
-        return p_sym(("g", i), c) if c else {}
+    def linear(*terms):
+        out = {}
+        for i, c in terms:
+            accumulate(out, {(("g", i),): c})
+        return out
 
     p_forms, q_forms = {}, {}
     for k in frame.split:
-        p = {}
-        p = p_add(p, g(bb, coeff(a, a, k)))
-        p = p_add(p, g(ab, -coeff(b, a, k)))
-        p = p_add(p, g(a, coeff(a, k, bb)))
-        p = p_add(p, g(ab, coeff(ab, k, bb)))
-        p = p_add(p, g(b, coeff(b, k, bb)))
-        p = p_add(p, g(bb, coeff(bb, k, bb)))
-        q = {}
-        q = p_add(q, g(ab, -coeff(b, b, k)))
-        q = p_add(q, g(bb, coeff(a, b, k)))
-        q = p_add(q, g(a, -coeff(a, k, ab)))
-        q = p_add(q, g(ab, -coeff(ab, k, ab)))
-        q = p_add(q, g(b, -coeff(b, k, ab)))
-        q = p_add(q, g(bb, -coeff(bb, k, ab)))
-        p_forms[k] = p
-        q_forms[k] = q
+        p_forms[k] = linear(
+            (bb, coeff(a, a, k)), (ab, -coeff(b, a, k)), (a, coeff(a, k, bb)),
+            (ab, coeff(ab, k, bb)), (b, coeff(b, k, bb)), (bb, coeff(bb, k, bb)))
+        q_forms[k] = linear(
+            (ab, -coeff(b, b, k)), (bb, coeff(a, b, k)), (a, -coeff(a, k, ab)),
+            (ab, -coeff(ab, k, ab)), (b, -coeff(b, k, ab)), (bb, -coeff(bb, k, ab)))
     return p_forms, q_forms
 
 
 def _require_basic(form, frame):
     for poly in form.terms.values():
-        for sym in jet_symbols(poly):
+        for sym in {sym for mono in poly for sym in mono}:
             for i in sym[1:]:
                 if not frame.is_active(i):
                     raise NonBasicResidue(
@@ -568,8 +532,8 @@ def reduce_ratio(frame):
 
     p_forms, q_forms = {}, {}
     for k in frame.split:
-        p_forms[k] = p_scale(form_component(dd, k, a), QQi(-1))
-        q_forms[k] = p_scale(form_component(dd, k, b), QQi(-1))
+        p_forms[k] = form_component(dd, a, k)
+        q_forms[k] = form_component(dd, b, k)
         for poly in (p_forms[k], q_forms[k]):
             for mono in poly:
                 if len(mono) != 1 or mono[0][0] != "g":
@@ -581,8 +545,8 @@ def reduce_ratio(frame):
         if k % 2 == 0:
             continue
         k2 = k + 1
-        candidate = p_add(candidate, p_mul(q_forms[k], p_forms[k2]))
-        candidate = p_add(candidate, p_scale(p_mul(p_forms[k], q_forms[k2]), QQi(-1)))
+        accumulate(candidate, p_mul(q_forms[k], p_forms[k2]))
+        accumulate(candidate, p_mul(p_forms[k], q_forms[k2]), -1)
     if candidate != quad:
         raise NotPerfectSquareDecomposition(
             "quadratic part does not match the paired gradient forms")

@@ -5,8 +5,9 @@ pair of anticommuting complex structures I, J turns R^N into a
 quaternionic vector space; a frame is a choice of N/2 complex vectors of
 type (1,0) for I that J pairs up two by two.
 
-Vectors are sparse, ``{index: coefficient}`` with no zero entries, and a
-linear map is the dict of its sparse columns, ``{j: image of X_j}``.  The
+Vectors are sparse, ``{index: coefficient}`` with no zero entries, summed
+in place by ``exact.accumulate``, and a linear map is the dict of its
+sparse columns, ``{j: image of X_j}``.  The
 real side (structure constants, I, J, the Jacobi and Nijenhuis checks)
 is exact over the rationals (``Fraction``); Gaussian rationals (``QQi``)
 enter only with the complexified frame, one ``ComplexFrame`` that
@@ -40,29 +41,18 @@ from .errors import (
     NotUnitary,
     PairingNotInvolutive,
 )
-from .exact import ONE, QQi, ZERO, as_qqi
+from .exact import ONE, QQi, ZERO, accumulate, as_qqi
 
 
 # ---------------------------------------------------------------------------
 # sparse vectors and maps
 
 
-def _accumulate(out, vec, scale=1):
-    """Add ``scale * vec`` into ``out`` in place, dropping cancelled entries."""
-    for k, c in vec.items():
-        x = out.get(k, 0) + scale * c
-        if x:
-            out[k] = x
-        else:
-            out.pop(k, None)
-    return out
-
-
 def _apply(m, v):
     """Image of the sparse vector v under the map with sparse columns m."""
     out = {}
     for j, c in v.items():
-        _accumulate(out, m.get(j, {}), c)
+        accumulate(out, m.get(j, {}), c)
     return out
 
 
@@ -131,7 +121,7 @@ class StructureConstants:
             for j, b in v.items():
                 basis = self.bracket_basis(i, j)
                 if basis:   # a product for an empty bracket is thrown away
-                    _accumulate(out, basis, a * b)
+                    accumulate(out, basis, a * b)
         return out
 
     def __eq__(self, other):
@@ -225,7 +215,7 @@ def check_jacobi(sc, strict=True):
     for i, j, k in triples:
         acc = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            _accumulate(acc, sc.bracket(sc.bracket_basis(a, b), {c: 1}))
+            accumulate(acc, sc.bracket(sc.bracket_basis(a, b), {c: 1}))
         if acc:
             if strict:
                 raise JacobiViolation(
@@ -332,7 +322,7 @@ def build_complex_frame(spec):
     for name, m in (("I", imap), ("J", jmap)):
         if any(_apply(m, m.get(j, {})) != {j: -1} for j in basis):
             raise ConfigError("%s squared is not minus the identity" % name)
-    if any(_accumulate(_apply(imap, jmap.get(j, {})), _apply(jmap, imap.get(j, {})))
+    if any(accumulate(_apply(imap, jmap.get(j, {})), _apply(jmap, imap.get(j, {})))
            for j in basis):
         raise ConfigError("I and J do not anticommute")
 
@@ -397,9 +387,9 @@ def nijenhuis_defect(sc, m, i, j):
     """N_M(X_i, X_j) for the real map m, as an exact sparse vector."""
     mi, mj = m.get(i, {}), m.get(j, {})
     out = sc.bracket(mi, mj)
-    _accumulate(out, _apply(m, sc.bracket(mi, {j: 1})), -1)
-    _accumulate(out, _apply(m, sc.bracket({i: 1}, mj)), -1)
-    return _accumulate(out, sc.bracket_basis(i, j), -1)
+    accumulate(out, _apply(m, sc.bracket(mi, {j: 1})), -1)
+    accumulate(out, _apply(m, sc.bracket({i: 1}, mj)), -1)
+    return accumulate(out, sc.bracket_basis(i, j), -1)
 
 
 def check_hypercomplex(frame_or_spec, strict=False):

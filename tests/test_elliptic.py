@@ -490,6 +490,21 @@ def test_b_bound_holds_and_detects_violations():
     assert not check_b_bound(fake, F, 1e-7)
 
 
+def test_b_bound_takes_a_forcing_far_below_zero():
+    # max exp(-tF) = exp(800) overflows a float: the bound must not build it
+    g = TorusGrid((8, 8))
+    F = bump(g, -800.0)
+    assert float(np.min(F)) == -800.0
+
+    def state(b, t):
+        return SolverState(phi=g.zeros(), b=b, t=t, residual_norm=0.0, newton_iters=0)
+
+    assert check_b_bound(state(1e300, 1.0), F, 1e-7)
+    assert not check_b_bound(state(1e300, 0.5), F, 1e-7)  # exp(400) is about 5e173
+    assert check_b_bound(state(1.0, 0.0), F, 0.0)
+    assert not check_b_bound(state(1.5, 0.0), F, 0.1)
+
+
 def test_bordered_system_has_full_rank():
     g = TorusGrid((8, 8))
     rng = np.random.default_rng(14)

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from hktsolve import algebras
 from hktsolve.errors import BadAnnihilatedSet, ConfigError, OrderOverflow
-from hktsolve.exact import QQi
+from hktsolve.exact import QQi, accumulate
 from hktsolve.hkt_symbolic import (
     Form,
     canonical_str,
@@ -194,3 +194,19 @@ def test_p_eval_and_symbols(su3_frame):
     assert p_eval(poly, vals) == 2 * (1 + 2j) + (3j) * (-3j)
     with pytest.raises(ConfigError):
         p_eval(poly, {("g", 3): 1.0})
+
+
+def test_accumulate_sums_in_place(monkeypatch):
+    products = []
+    for attr in ("__mul__", "__rmul__"):
+        def counted(*args, fn=QQi.__dict__[attr]):
+            products.append(1)
+            return fn(*args)
+        monkeypatch.setattr(QQi, attr, counted)
+    out = {"a": QQi(1, 2), "b": QQi(3)}
+    # a unit scale adds without multiplying, and a cancelled key is dropped
+    assert accumulate(out, {"a": QQi(-1, -2), "c": QQi(0, 1)}) is out
+    assert out == {"b": QQi(3), "c": QQi(0, 1)} and products == []
+    assert accumulate(out, {"b": QQi(1), "d": QQi(2)}, -3) is out
+    assert out == {"c": QQi(0, 1), "d": QQi(-6)} and len(products) == 2
+    assert accumulate(out, {"e": QQi(5)}, 0) == {"c": QQi(0, 1), "d": QQi(-6)}

@@ -169,6 +169,10 @@ def test_cli_verify_algebra_errors(capsys):
     assert "ConfigError" in capsys.readouterr().err
     assert cli.main(["verify-algebra", "--param", "c"]) == 1
     assert "key=value" in capsys.readouterr().err
+    # a repeated key is refused by name, not settled by its last value
+    assert cli.main(["verify-algebra", "--name", "semidirect8",
+                     "--param", "c=1", "--param", "c = 2"]) == 1
+    assert "ConfigError: parameter 'c' is given twice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -238,6 +242,29 @@ def test_cli_solve_writes_artifacts(tmp_path, capsys):
     trace = json.loads((outdir / "trace.json").read_text())
     assert trace["rows"][0]["t"] == 0.0
     assert trace["rows"][-1]["t"] == 1.0
+
+
+@pytest.mark.parametrize("outputs", [
+    {"phi": "x", "summary": "x"},
+    {"trace_csv": "trace.json"},
+    {"summary": "./sub/../phi.field"},
+    {"phi": "{out}/summary.json"},
+], ids=["both-named", "a-default", "same-path", "absolute"])
+def test_cli_solve_refuses_two_outputs_in_one_file(tmp_path, capsys, monkeypatch,
+                                                  outputs):
+    # the later artifact would overwrite the earlier one; refused before solving
+    import hktsolve.continuity_driver as cd
+
+    def no_solve(*args):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cd, "run_continuity", no_solve)
+    outdir = tmp_path / "out"
+    outputs = {k: v.replace("{out}", str(outdir)) for k, v in outputs.items()}
+    cfgpath = _write_config(tmp_path / "run.json", outputs=outputs)
+    assert cli.main(["solve", "--config", str(cfgpath), "--out-dir", str(outdir)]) == 1
+    assert "error: ConfigError: config 'outputs'" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_cli_solve_is_deterministic(tmp_path, capsys):
@@ -375,6 +402,7 @@ def test_cli_solve_config_errors(tmp_path, capsys):
     {"forcing": {"type": "bump", "amplitude": 1.0, "width": float("nan")}},
     {"forcing": {"type": "bump", "amplitude": 1.0, "width": 0.0}},
     {"forcing": {"type": "zero", "amplitude": float("nan")}},
+    {"forcing": {"type": "sine", "amplitude": float("nan")}},
 ])
 def test_cli_solve_malformed_values(tmp_path, capsys, extra):
     bad = _write_config(tmp_path / "bad.json", **extra)
@@ -392,8 +420,12 @@ def test_cli_solve_malformed_values(tmp_path, capsys, extra):
     ("outputs", {"phy": "phi.field"}, "'phy'"),
     ("forcing", {"file": "f.field", "type": "bump"}, "'file' alone"),
     ("q", {"file": "q.field", "matrix": [[-1.0, 0.0], [0.0, -1.0]]}, "'file' alone"),
+    ("forcing", {"type": "sine", "width": 2}, "'width'"),
+    ("forcing", {"type": "zero", "width": 2}, "'width'"),
+    ("forcing", {"type": "zero", "amplitude": 1.0}, "'amplitude'"),
+    ("forcing", {"width": 2}, "'width'"),
 ], ids=["top", "grid", "continuity", "forcing", "outputs", "forcing-file",
-        "q-file"])
+        "q-file", "sine-width", "zero-width", "zero-amplitude", "default-width"])
 def test_config_refuses_keys_it_does_not_read(tmp_path, section, body, named):
     # readable files, so only the key check can refuse the file cases
     grid = TorusGrid((8, 8))
@@ -607,6 +639,9 @@ def _typed(values):
 @example(cfg={"grid": {"dims": [8, 8]}, "forcing": {"file": "f.field", "type": "bump"}})
 @example(cfg={"grid": {"dims": [8, 8]},
               "q": {"file": "q.field", "matrix": [[-1.0, 0.0], [0.0, -1.0]]}})
+@example(cfg={"grid": {"dims": [8, 8]}, "forcing": {"type": "sine", "width": 2}})
+@example(cfg={"grid": {"dims": [8, 8]}, "forcing": {"type": "zero", "width": 2}})
+@example(cfg={"grid": {"dims": [8, 8]}, "forcing": {"type": "zero", "amplitude": 1.0}})
 def test_run_config_parses_or_raises_config_errors(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("cfg") / "run.json"
     path.write_text(json.dumps(cfg))
@@ -629,9 +664,11 @@ def test_run_config_parses_or_raises_config_errors(tmp_path_factory, cfg):
     assert _typed([ccfg.max_newton]) == _typed([given.get("max_newton", 30)])
     tol = given.get("newton_tol", 1e-10)
     assert type(tol) in (int, float) and ccfg.newton_tol == tol
-    # every forcing number that was read is finite
+    # the forcing holds only keys its type reads, and each is finite
     forcing = cfg.get("forcing", {})
-    read = ("amplitude", "width") if forcing.get("type") == "bump" else ("amplitude",)
+    read = {"sine": ("amplitude",), "bump": ("amplitude", "width")}.get(
+        forcing.get("type"), ())
+    assert set(forcing) - {"file", "type"} <= set(read)
     assert all(math.isfinite(forcing.get(key, 1.0)) for key in read)
     assert forcing.get("type") != "bump" or forcing.get("width", 1.0) > 0
     # a matrix that was read holds JSON numbers only

@@ -18,7 +18,12 @@ from hktsolve.hkt_symbolic import (
     random_jets,
     reduce_ratio,
 )
-from hktsolve.lie_frame import build_complex_frame
+from hktsolve.lie_frame import (
+    build_complex_frame,
+    check_foliation,
+    check_hypercomplex,
+    check_jacobi,
+)
 
 from conftest import sparse_vectors
 
@@ -230,3 +235,29 @@ def test_scaled_gradient_forms_scale_quadratic(operators):
     op = operators["su3"]
     doubled = {k: p_scale(v, QQi(2)) for k, v in op.p_forms.items()}
     assert doubled[1] == p_sym(("g", 8), QQi(4))
+
+
+def test_su3_certification_cost(monkeypatch):
+    # the benchmark's su3 certification, from the Jacobi check to the real Q.
+    # It takes 465 QQi operations, and took 687 while every sparse sum
+    # copied its running total and multiplied by unit coefficients.
+    bound = 500
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(1)
+            return fn(*args)
+        return wrapper
+
+    for attr in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+                 "__truediv__"):
+        monkeypatch.setattr(QQi, attr, counted(QQi.__dict__[attr]))
+    spec = algebras.su3()
+    check_jacobi(spec.sc, strict=True)
+    frame = build_complex_frame(spec)
+    check_hypercomplex(frame, strict=True)
+    check_foliation(frame, strict=True)
+    q = reduce_ratio(frame).real_quadratic_matrix()
+    assert np.array_equal(q, -4.0 * np.eye(4))
+    assert len(calls) <= bound, "%d QQi operations" % len(calls)
