@@ -11,7 +11,7 @@ home to manufactured problems (choose the solution, derive the
 forcing), the grid convergence study, and the basicness report.
 
 Grid sequencing.  A step that leaves the trivial pair at t = 0, on a
-grid of at least SEQUENCE_MIN_NODES = 2^16 nodes, starts Newton from
+grid of at least SEQUENCE_MIN_NODES = 2^14 nodes, starts Newton from
 the solution of the coarsened problem at the same t, not from phi = 0.
 The chain's first level coarsens the leaf axes: those along which F
 and Q are both constant (Problem.leaf_axes, the axes basicness_check
@@ -24,34 +24,41 @@ goes to its smallest divisor k with 4 <= k < m (20 -> 4, 18 -> 6,
 with F varying along two axes, the chain is 20^4 -> 20x20x4x4 and the
 fine grid takes 0 Newton steps.  Below it, every even varying axis of
 at least 8 nodes is halved, down to a grid below SEQUENCE_MIN_NODES,
-which starts from the trivial pair.  F, and a per-node Q, are taken by
-injection (every (m/k)-th node of an axis that goes from m to k nodes;
-a constant Q as it is).  The coarse phi reaches the finer grid by
-trigonometric interpolation along the axes that grow: its real half
-spectrum, zero-padded through numpy's FFT with the Nyquist mode of each
-even axis split in halves.  Newton's step count does not depend on the mesh, so
-the interpolated start lies in the fine grid's quadratic basin: a 512^2
-bump takes 1 fine Newton step instead of 4.  Where the halvings to the
-level below a grid and to the one below that both halved varying axes,
-the start is first extrapolated on the coarse grid towards the finer
-discrete solution (Richardson, as in nested iteration): the gap between
-two levels' solutions falls 4x per halving of h along the axes the
-solution varies on, so phi_c + (phi_c - phi_cc) / 4 and
-b_c (b_c / b_cc)^(1/4), the log form that keeps b positive, leave the
-512^2 bump a start residual of 9e-8 instead of 9e-5 and one fine
-Newton step.  The pairs are the coarse solutions, not their starts.
-Across the leaf level, where the solutions agree, and above a single
-varying level, the start is the plain interpolation.  Both coarse
-states are dropped before the fine Newton runs.  The floor exists
-because on smaller grids a hard coarse solve still takes about nine
-Newton steps and costs more than it saves; the leaf level is exempt
-from it, but a fine grid under it is not sequenced at all.  If a
-coarse solve or the fine Newton from the coarse start fails, the step
-is rerun from the trivial pair, as without sequencing.  The step
-control counts the Newton steps of the coarsest grid's plain start,
-which stand for the fine plain start's, so the schedule of t is the one
-the plain start gives.  Trace rows describe the fine grid only, and the
-seconds of the row a sequenced step ends in include its coarse solves.
+which starts from the trivial pair: 512^2 -> 256^2 -> 128^2 -> 64^2,
+and 20^4 -> 10^4 for a forcing that varies along all four axes.  F,
+and a per-node Q, are taken by injection (every (m/k)-th node of an
+axis that goes from m to k nodes; a constant Q as it is).  The coarse
+phi reaches the finer grid by trigonometric interpolation along the
+axes that grow: its real half spectrum, zero-padded through numpy's
+FFT with the Nyquist mode of each even axis split in halves.  Newton's
+step count does not depend on the mesh, so the interpolated start lies
+in the fine grid's quadratic basin.  Where the halvings to the level
+below a grid and to the one below that both halved varying axes, the
+start is first extrapolated on the coarse grid towards the finer
+discrete solution (Richardson, as in nested iteration and full
+multigrid): a level's solution differs from their limit by
+c h^2 + d h^4 + ..., h the spacing along the axes the solution varies
+on, so phi_c + (phi_c - phi_cc) / 4 is exact for the h^2 term.  Where
+a third such level lies below,
+phi_c + (5/16)(phi_c - phi_cc) - (1/64)(phi_cc - phi_ccc) is exact for
+both terms (richardson).  b takes the same weights in log form, which
+keeps it positive.  On a 512^2 bump the 256^2 start
+residual falls from 3.5e-4 (plain) to 1.5e-6 (two levels) and the
+512^2 one from 9.2e-8 (two levels) to 6.1e-10 (three levels); each
+grid above 128^2 then takes one Newton step.  The levels are the
+coarse solutions, not their starts.  Across the leaf level, where the
+solutions agree, and above a single varying level, the start is the
+plain interpolation.  Every coarse state is dropped before the top
+grid's Newton runs.  The floor exists because on smaller grids a hard
+coarse solve still takes about nine Newton steps and costs more than
+it saves; the leaf level is exempt from it, but a fine grid under it
+is not sequenced at all.  If a coarse solve or the fine Newton from
+the coarse start fails, the step is rerun from the trivial pair, as
+without sequencing.  The step control counts the Newton steps of the
+coarsest grid's plain start, which stand for the fine plain start's,
+so the schedule of t is the one the plain start gives.  Trace rows
+describe the fine grid only, and the seconds of the row a sequenced
+step ends in include its coarse solves.
 """
 
 import csv
@@ -142,13 +149,23 @@ class PathTrace:
 _SOLVER_FAILURES = (DampingExhausted, MaxItersExceeded, LinearSolveFailure,
                     BPositivityLost)
 
-# Grids with fewer nodes start Newton from the trivial pair.  On smaller
+# Grids with fewer nodes start Newton from the trivial pair.  On small
 # grids a coarse solve, which for a hard case still takes about nine
-# Newton steps, costs more than the fine steps it saves.  Sine amplitude
-# 6 with Q = -60 I, one thread, median of 5: with no floor 44^2 took
-# 0.24 s against 0.14 s plain, and 256^2, coarsened down to 4^2, 1.65 s
-# against 1.63 s; with this floor 256^2 took 0.93 s.
-SEQUENCE_MIN_NODES = 2 ** 16
+# Newton steps, costs about what the fine steps it saves.  Sine amplitude
+# 6 with Q = -60 I, tol 1e-10, one thread, median of 3, in seconds (a
+# floor above the grid's size runs the plain start, the "none" row):
+#
+#   floor    64^2   128^2   256^2   512^2
+#   none     0.13   0.30    1.24
+#   2^10     0.15
+#   2^12     0.12   0.18    0.45    2.07
+#   2^14            0.24    0.69    1.74
+#   2^16                    0.82    3.37
+#
+# 2^12 is faster at 128^2 and 256^2 but slower at 512^2, and it would
+# add a level under 10^4 and under su3's 20x20x4x4 leaf level, which
+# 2^14 leaves as they were at 2^16.
+SEQUENCE_MIN_NODES = 2 ** 14
 
 
 def _leaf_floor(m):
@@ -167,7 +184,8 @@ def coarse_dims(grid, leaf):
     leaf axis coarsens again after that, since an even k of 8 or more
     would have k / 2 as a smaller divisor.  Below that level, every even
     axis of at least 8 nodes is halved, on a grid of at least
-    SEQUENCE_MIN_NODES nodes.
+    SEQUENCE_MIN_NODES nodes: 512^2 goes down to 64^2, and 20^4 with no
+    leaf to 10^4.
     """
     dims = tuple(_leaf_floor(d) if ax in leaf else d
                  for ax, d in enumerate(grid.dims))
@@ -239,13 +257,27 @@ def interpolate(values, dims):
     return np.fft.irfft(spectrum, n=dims[last], axis=last)
 
 
-def extrapolated_b(b_c, b_cc):
-    """b_c (b_c / b_cc)^(1/4): the log form of b_c + (b_c - b_cc) / 4.
+def richardson(c, cc, ccc=None):
+    """The next finer level's solution predicted from the levels below it.
 
-    Positive whenever both constants are, so the start it gives never
+    ``c``, ``cc`` and ``ccc`` are one level's solution and those one and
+    two varying halvings under it, all on c's grid.  With s the spacing of
+    c's grid, c + (c - cc) / 4 is exact for x_s = x + s^2 e, and, where
+    a third level is there, c + (5/16)(c - cc) - (1/64)(cc - ccc) is
+    exact for x_s = x + s^2 e + s^4 f: both give x_{s/2}.
+    """
+    if ccc is None:
+        return c + (c - cc) / 4
+    return c + 5 * (c - cc) / 16 - (cc - ccc) / 64
+
+
+def extrapolated_b(*levels):
+    """richardson on log b: b_c (b_c / b_cc)^(1/4) for two levels.
+
+    Positive whenever the constants are, so the start it gives never
     trips the positivity check.
     """
-    return b_c * (b_c / b_cc) ** 0.25
+    return math.exp(richardson(*(math.log(b) for b in levels)))
 
 
 def _sequenced_solve(problem, t, cfg):
@@ -254,12 +286,12 @@ def _sequenced_solve(problem, t, cfg):
     The chain of coarse problems runs down to a grid that coarse_dims
     leaves alone, which starts from the trivial pair; each finer grid
     starts from the solution one level down, interpolated.  Where the
-    halvings to that level and to the one below it both halved varying
-    axes, the solution is first extrapolated with the one below (see
-    the module docstring); across the leaf level it is taken as it is.
-    Returns the state and the Newton iterations of the plain start,
-    which stand for the fine plain start's in the step control:
-    Newton's step count does not depend on the mesh.
+    halvings to that level and to the one or two below it all halved
+    varying axes, the solution is first extrapolated with those below
+    (richardson; see the module docstring); across the leaf level it is
+    taken as it is.  Returns the state and the Newton iterations of the
+    plain start, which stand for the fine plain start's in the step
+    control: Newton's step count does not depend on the mesh.
     """
     leaf = problem.leaf_axes
     chain = [problem]
@@ -268,19 +300,20 @@ def _sequenced_solve(problem, t, cfg):
     state = solve_at_t(chain.pop(), t, tol=cfg.newton_tol,
                        max_iters=cfg.max_newton)
     plain_iters = state.newton_iters
-    below = None   # the solution one varying halving under state's
+    below = []   # up to two solutions under state's, nearest first
     while chain:
         fine = chain.pop()
         varying = any(m != n for ax, (m, n)
                       in enumerate(zip(fine.grid.dims, state.phi.shape))
                       if ax not in leaf)
         phi, b0 = state.phi, state.b
-        if below is not None and varying:
-            phi = phi + (phi - interpolate(below.phi, phi.shape)) / 4
-            b0 = extrapolated_b(b0, below.b)
+        if below and varying:
+            phi = richardson(phi, *(interpolate(s.phi, phi.shape)
+                                    for s in below))
+            b0 = extrapolated_b(b0, *(s.b for s in below))
         start = [interpolate(phi, fine.grid.dims)]
-        # the top grid's Newton runs without either coarse state
-        below = state if chain and varying else None
+        # the top grid's Newton runs without any coarse state
+        below = [state, *below[:1]] if chain and varying else []
         del phi, state
         # popped into the call, the start has no reference here:
         # solve_at_t frees it once it has its own zero-mean copy
@@ -293,11 +326,12 @@ def _attempt(problem, state, t, cfg):
     """One continuity step from state to t: (new state, step-control iterations).
 
     A step that leaves the trivial pair at t = 0 starts from the coarse
-    grids' solution when coarse_dims, counting no axis as a leaf, halves
-    the fine grid: only a grid of at least SEQUENCE_MIN_NODES nodes is
-    sequenced, whatever its leaves; its chain then starts with the leaf
-    level.  If that fails, the step reruns from the trivial pair, as
-    every later step starts from its state.
+    grids' solutions when coarse_dims, counting no axis as a leaf,
+    halves the fine grid: only a grid of at least SEQUENCE_MIN_NODES
+    nodes (128^2 or more on two axes) is sequenced, whatever its leaves;
+    its chain then starts with the leaf level.  If that fails, the step
+    reruns from the trivial pair, as every later step starts from its
+    state.
     """
     if state.t == 0.0 and coarse_dims(problem.grid, ()) is not None:
         try:
@@ -459,7 +493,7 @@ def basicness_check(problem, state, tol):
                           tuple(grid.lengths[ax] for ax in varying))
         idx = tuple(slice(None) if ax in varying else 0
                     for ax in range(grid.ndim))
-        rq = np.broadcast_to(q, grid.dims + q.shape[-2:])[idx]
+        rq = q if q.ndim == 2 else q[idx]
         reduced = Problem(rgrid, F[idx], rq[..., varying, :][..., varying])
         red = solve_at_t(reduced, state.t, b0=state.b, tol=tol)
         lifted = np.expand_dims(red.phi, tuple(axes))

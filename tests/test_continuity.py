@@ -374,6 +374,30 @@ def test_basicness_reduces_a_per_node_q():
     assert report["passed"]
 
 
+def test_basicness_keeps_a_constant_q_constant(monkeypatch):
+    # a constant -4 I reduces to the constant 2x2 block, so the reduced
+    # solve keeps the Hopf-Cole gauge branch of the preconditioner
+    g = TorusGrid((8, 8, 4, 4))
+    xs = meshes(g)
+    problem = Problem(g, 0.8 * np.cos(xs[0]) * np.sin(xs[1]), -4.0 * np.eye(4))
+    cfg = ContinuityConfig(newton_tol=1e-10)
+    state, _ = run_continuity(problem, cfg)
+    reduced = []
+    solve = cd.solve_at_t
+
+    def recorded(p, t, **kw):
+        reduced.append(p)
+        return solve(p, t, **kw)
+
+    monkeypatch.setattr(cd, "solve_at_t", recorded)
+    report = basicness_check(problem, state, cfg.newton_tol)
+    [p] = reduced
+    assert p.grid.dims == (8, 8)
+    assert p.q.shape == (2, 2) and np.array_equal(p.q, -4.0 * np.eye(2))
+    assert p.gauge == 4.0
+    assert report["passed"]
+
+
 def test_basicness_intersects_per_node_q_axes():
     g = TorusGrid((4, 4, 4, 4))
     xs = meshes(g)
@@ -555,6 +579,19 @@ def test_odd_and_short_axes_are_not_halved(monkeypatch):
     assert _coarse_chain(basic) == [(20, 20, 4, 4)]
 
 
+def test_default_floor_chains():
+    # no solve: the chains the default floor gives the benchmark's shapes
+    assert _coarse_chain(_varying_everywhere((512, 512))) == \
+        [(256, 256), (128, 128), (64, 64)]
+    # the all-axis 20^4 bump stops at 10^4, and su3's datum at its leaf level
+    assert cd.coarse_dims(TorusGrid((20, 20, 20, 20)), ()) == (10, 10, 10, 10)
+    assert cd.coarse_dims(TorusGrid((10, 10, 10, 10)), ()) is None
+    g = TorusGrid((20, 20, 20, 20))
+    xs = meshes(g)
+    su3 = Problem(g, 0.8 * np.cos(xs[0]) * np.sin(xs[1]), -4.0 * np.eye(4))
+    assert _coarse_chain(su3) == [(20, 20, 4, 4)]
+
+
 @pytest.mark.parametrize("m, k", [(20, 4), (16, 4), (18, 6), (12, 4), (10, 5),
                                   (9, None), (7, None), (6, None), (4, None)])
 def test_leaf_axes_go_to_their_smallest_divisor_of_four_or_more(m, k):
@@ -644,6 +681,30 @@ def test_failed_sequenced_start_falls_back_to_the_plain_start(where, monkeypatch
     assert np.array_equal(state.phi, plain.phi)
 
 
+def test_hard_sine_sequenced_at_the_default_floor(monkeypatch):
+    # sine 6 with Q = -60 I: the 128^2 grid is the smallest the floor
+    # sequences, and its start from 64^2 must reach the plain solution's b.
+    # Its phi need not be the plain one to 100 tol: the discrete equation
+    # has two roots here, 5e-5 apart with residual 2.5e-6 at their
+    # midpoint, and the two starts reach one each.  Their gap is about a
+    # twelfth of the 64^2 -> 128^2 gap, the truncation error's size.
+    g = TorusGrid((128, 128))
+    problem = Problem(g, sine_product_field(g, 6.0), -60.0 * np.eye(2))
+    cfg = ContinuityConfig(newton_tol=1e-10)
+    seen = _coarse_solves(monkeypatch)
+    seq, seq_trace = run_continuity(problem, cfg)
+    assert (64, 64) in seen and seen.count(g.dims) == len(seq_trace.rows) - 1
+    plain, plain_trace = _run(problem, cfg, g.size + 1, monkeypatch)
+    assert [r.t for r in seq_trace.rows] == [r.t for r in plain_trace.rows]
+    assert abs(seq.b - plain.b) <= 100 * cfg.newton_tol
+    for state in (seq, plain):
+        res = es.residual(problem, state.phi, state.b, 1.0)
+        assert float(np.max(np.abs(res))) <= cfg.newton_tol
+    coarse = es.solve_at_t(cd.coarsen(problem, (64, 64)), 1.0, tol=cfg.newton_tol)
+    truncation = np.max(np.abs(cd.interpolate(coarse.phi, g.dims) - plain.phi))
+    assert np.max(np.abs(seq.phi - plain.phi)) <= 0.2 * truncation
+
+
 def test_sequenced_step_control_keeps_the_plain_schedule(monkeypatch):
     # the fine solve from the extrapolated start takes 1 Newton step
     # where the plain start takes 5; counted as easy, they would double
@@ -685,7 +746,7 @@ def _fine_starts(monkeypatch, dims):
 
 def test_extrapolated_start_saves_a_fine_newton_step(monkeypatch):
     # levels 256 -> 128 -> 64 -> 32: the 256^2 start extrapolates the
-    # 128^2 and 64^2 solutions
+    # 128^2, 64^2 and 32^2 solutions
     g = TorusGrid((256, 256))
     problem = Problem(g, bump(g), -np.eye(2))
     tol = 1e-10
@@ -717,8 +778,9 @@ def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
         problem = Problem(g, bump(g), -np.eye(2))
     else:
         problem = SEQUENCED[name]
-    # leaf-4d's first halving is of its leaf axes 2 and 3: nothing is
-    # extrapolated across it
+    # bump-256's top grid has three varying levels below it, the others
+    # at most two; leaf-4d's first halving is of its leaf axes 2 and 3:
+    # nothing is extrapolated across it
     leaf_halvings = 1 if name == "leaf-4d" else 0
     tol, t = 1e-10, 1.0
     chain = [problem]
@@ -732,11 +794,21 @@ def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
         level = chain[i]
         phi_cc, phi_c = solutions[-2].phi, solutions[-1].phi
         b_cc, b_c = solutions[-2].b, solutions[-1].b
+        up_cc = cd.interpolate(phi_cc, phi_c.shape)
         if i < leaf_halvings:
             phi_e, b0 = phi_c, b_c
-        else:
-            phi_e = phi_c + (phi_c - cd.interpolate(phi_cc, phi_c.shape)) / 4.0
+        elif len(solutions) == 2:
+            phi_e = phi_c + (phi_c - up_cc) / 4.0
             b0 = float(np.exp(np.log(b_c) + (np.log(b_c) - np.log(b_cc)) / 4.0))
+        else:
+            # three varying levels below: the fourth-order weights, with
+            # the lowest solution brought up one level at a time
+            phi_ccc, b_ccc = solutions[-3].phi, solutions[-3].b
+            up_ccc = cd.interpolate(cd.interpolate(phi_ccc, phi_cc.shape),
+                                    phi_c.shape)
+            phi_e = phi_c + 5.0 / 16.0 * (phi_c - up_cc) - (up_cc - up_ccc) / 64.0
+            b0 = float(np.exp(np.log(b_c) + 5.0 / 16.0 * (np.log(b_c) - np.log(b_cc))
+                              - (np.log(b_cc) - np.log(b_ccc)) / 64.0))
         phi0 = cd.interpolate(phi_e, level.grid.dims)
         if level is problem:
             break
@@ -799,11 +871,36 @@ def test_single_coarse_level_keeps_the_interpolated_start(monkeypatch):
 
 @pytest.mark.parametrize("b_c, b_cc", [(1.0, 6.0), (0.3, 1.8), (2.0, 0.5)])
 def test_extrapolated_b_stays_positive(b_c, b_cc):
-    # the linear form b_c + (b_c - b_cc) / 4 is negative once b_cc > 5 b_c
+    # the linear form b_c + (b_c - b_cc) / 4 is negative once b_cc > 5 b_c,
+    # and in the first two cases so is the three-level form
+    # b_c + (5/16)(b_c - b_cc) - (b_cc - b_ccc) / 64 for b_ccc <= b_cc
     b0 = cd.extrapolated_b(b_c, b_cc)
     assert b0 > 0.0
     assert b0 == pytest.approx(b_c * np.exp((np.log(b_c) - np.log(b_cc)) / 4.0),
                                rel=1e-14)
+    for b_ccc in (0.1 * b_cc, b_cc, 40.0 * b_cc):
+        b0 = cd.extrapolated_b(b_c, b_cc, b_ccc)
+        assert b0 > 0.0
+        assert b0 == pytest.approx(
+            b_c * (b_c / b_cc) ** (5.0 / 16.0) * (b_ccc / b_cc) ** (1.0 / 64.0),
+            rel=1e-14)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_richardson_is_exact_on_the_error_expansion(seed):
+    # x_s = x + s^2 e (+ s^4 f) sampled at s = h, 2h (and 4h) gives x_{h/2}
+    rng = np.random.default_rng(seed)
+    x, e, f = rng.standard_normal((3, 16, 16))
+    h = float(rng.uniform(0.05, 0.5))
+    level = lambda s, quartic: x + s ** 2 * e + s ** 4 * quartic
+    scale = float(np.max(np.abs(level(4 * h, f))))
+    got = cd.richardson(level(h, 0.0), level(2 * h, 0.0))
+    assert np.max(np.abs(got - level(h / 2, 0.0))) <= 1e-14 * scale
+    got = cd.richardson(level(h, f), level(2 * h, f), level(4 * h, f))
+    assert np.max(np.abs(got - level(h / 2, f))) <= 1e-14 * scale
+    # the two-level weights leave the s^4 term
+    two = cd.richardson(level(h, f), level(2 * h, f))
+    assert np.max(np.abs(two - level(h / 2, f))) > 1e-3 * h ** 4
 
 
 # -------------------------------------------------------- theorem ladder
