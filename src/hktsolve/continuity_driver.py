@@ -11,50 +11,51 @@ home to manufactured problems (choose the solution, derive the
 forcing), the grid convergence study, and the basicness report.
 
 Grid sequencing.  A step that leaves the trivial pair at t = 0, on a
-grid of at least SEQUENCE_MIN_NODES = 2^14 nodes, starts Newton from
-the solution of the coarsened problem at the same t, not from phi = 0.
-The chain's first level coarsens the leaf axes: those along which F
-and Q are both constant (Problem.leaf_axes, the axes basicness_check
-checks).  Basic data have a solution constant along the leaves, so the
-leaf-coarsened problem has the fine solution restricted, and its
-interpolation starts the finer grid within the Newton tolerance.  In
-that one level, whatever the grid's size, each leaf axis of m nodes
-goes to its smallest divisor k with 4 <= k < m (20 -> 4, 18 -> 6,
-10 -> 5; 4 to 7, 9 and the primes have none and are kept): on 20^4
-with F varying along two axes, the chain is 20^4 -> 20x20x4x4 and the
-fine grid takes 0 Newton steps.  Below it, every even varying axis of
-at least 8 nodes is halved, down to a grid below SEQUENCE_MIN_NODES,
-which starts from the trivial pair: 512^2 -> 256^2 -> 128^2 -> 64^2,
-and 20^4 -> 10^4 for a forcing that varies along all four axes.  F,
-and a per-node Q, are taken by injection (every (m/k)-th node of an
-axis that goes from m to k nodes; a constant Q as it is).  The coarse
-phi reaches the finer grid by trigonometric interpolation along the
-axes that grow: its real half spectrum, zero-padded through numpy's
-FFT with the Nyquist mode of each even axis split in halves.  Newton's
-step count does not depend on the mesh, so the interpolated start lies
-in the fine grid's quadratic basin.  Where the halvings to the level
-below a grid and to the one below that both halved varying axes, the
+grid that coarse_dims halves, starts Newton from the solution of the
+coarsened problem at the same t, not from phi = 0.  The chain's first
+level coarsens the leaf axes: those along which F and Q are both
+constant (Problem.leaf_axes, the axes basicness_check checks).  Basic
+data have a solution constant along the leaves, so the leaf-coarsened
+problem has the fine solution restricted, and its interpolation starts
+the finer grid within the Newton tolerance.  In that one level,
+whatever the grid's size, each leaf axis of m nodes goes to its
+smallest divisor k with 4 <= k < m (20 -> 4, 18 -> 6, 10 -> 5; 4 to 7,
+9 and the primes have none and are kept): on 20^4 with F varying along
+two axes, the chain is 20^4 -> 20x20x4x4 and the fine grid takes 0
+Newton steps.  Below it, every even varying axis of at least 8 nodes is
+halved while the halved grid keeps at least SEQUENCE_MIN_NODES = 2^10
+nodes along its varying axes; the last grid starts from the trivial
+pair: 512^2 -> 256^2 -> 128^2 -> 64^2 -> 32^2, 64^2 -> 32^2, and
+20^4 -> 10^4 for a forcing that varies along all four axes.  F, and a
+per-node Q, are taken by injection (every (m/k)-th node of an axis that
+goes from m to k nodes; a constant Q as it is).  The coarse phi reaches
+the finer grid by trigonometric interpolation along the axes that
+grow: its real half spectrum, zero-padded through numpy's FFT with the
+Nyquist mode of each even axis split in halves.  Newton's step count
+does not depend on the mesh, so the interpolated start lies in the fine
+grid's quadratic basin.  Where the halving to the level below a grid
+halved varying axes and more varying levels lie under that one, the
 start is first extrapolated on the coarse grid towards the finer
-discrete solution (Richardson, as in nested iteration and full
-multigrid): a level's solution differs from their limit by
-c h^2 + d h^4 + ..., h the spacing along the axes the solution varies
-on, so phi_c + (phi_c - phi_cc) / 4 is exact for the h^2 term.  Where
-a third such level lies below,
-phi_c + (5/16)(phi_c - phi_cc) - (1/64)(phi_cc - phi_ccc) is exact for
-both terms (richardson).  b takes the same weights in log form, which
-keeps it positive.  On a 512^2 bump the 256^2 start
-residual falls from 3.5e-4 (plain) to 1.5e-6 (two levels) and the
-512^2 one from 9.2e-8 (two levels) to 6.1e-10 (three levels); each
-grid above 128^2 then takes one Newton step.  The levels are the
-coarse solutions, not their starts.  Across the leaf level, where the
-solutions agree, and above a single varying level, the start is the
-plain interpolation.  Every coarse state is dropped before the top
-grid's Newton runs.  The floor exists because on smaller grids a hard
-coarse solve still takes about nine Newton steps and costs more than
-it saves; the leaf level is exempt from it, but a fine grid under it
-is not sequenced at all.  If a coarse solve or the fine Newton from
-the coarse start fails, the step is rerun from the trivial pair, as
-without sequencing.  The step control counts the Newton steps of the
+discrete solution (Richardson's deferred approach to the limit, as in
+nested iteration and full multigrid): a level's solution differs from
+their limit by c h^2 + d h^4 + ..., h the spacing along the axes the
+solution varies on, and the Lagrange extrapolation in h^2 of every
+varying level below a grid (richardson) is exact for the first k - 1
+terms from k levels.  b takes the same weights in log form, which keeps
+it positive.  On a 512^2 bump the 512^2 start lands 6.1e-10 from its
+discrete solution from three levels (256^2, 128^2, 64^2) and 3.0e-11
+from four (down to 32^2), under the Newton tolerance 1e-10, so the
+512^2 grid takes no Newton step; the gain is the 32^2 level's, not the
+coarse solves' accuracy.  The levels are the coarse solutions, not their
+starts.  Across the leaf level, where the solutions agree, and above a
+single varying level, the start is the plain interpolation.  Every
+coarse state is dropped before the top grid's Newton runs.  The floor
+exists because on smaller grids a hard coarse solve still takes about
+nine Newton steps and costs more than it saves; the leaf level is
+exempt from it, but a fine grid whose halving along all its axes falls
+under it is not sequenced at all.  If a coarse solve or the fine Newton
+from the coarse start fails, the step is rerun from the trivial pair,
+as without sequencing.  The step control counts the Newton steps of the
 coarsest grid's plain start, which stand for the fine plain start's,
 so the schedule of t is the one the plain start gives.  Trace rows
 describe the fine grid only, and the seconds of the row a sequenced
@@ -149,23 +150,27 @@ class PathTrace:
 _SOLVER_FAILURES = (DampingExhausted, MaxItersExceeded, LinearSolveFailure,
                     BPositivityLost)
 
-# Grids with fewer nodes start Newton from the trivial pair.  On small
-# grids a coarse solve, which for a hard case still takes about nine
-# Newton steps, costs about what the fine steps it saves.  Sine amplitude
-# 6 with Q = -60 I, tol 1e-10, one thread, median of 3, in seconds (a
-# floor above the grid's size runs the plain start, the "none" row):
+# A grid is halved only while the halved grid keeps at least this many
+# nodes along its varying (non-leaf) axes; the last grid starts Newton
+# from the trivial pair.  On smaller grids a coarse solve, which for a
+# hard case still takes about nine Newton steps, costs about what the
+# fine steps it saves.  Sine amplitude 6 with Q = -60 I, tol 1e-10, one
+# thread of a 2-vCPU x86 VM, median of 3, in seconds (the "none" row is
+# the plain start, and a floor that leaves a grid unsequenced is left
+# blank):
 #
 #   floor    64^2   128^2   256^2   512^2
-#   none     0.13   0.30    1.24
-#   2^10     0.15
-#   2^12     0.12   0.18    0.45    2.07
-#   2^14            0.24    0.69    1.74
-#   2^16                    0.82    3.37
+#   none     0.20   0.43    1.67    9.07
+#   2^8      0.25   0.34    0.60    2.13
+#   2^10     0.19   0.31    0.53    2.02
+#   2^12            0.40    0.79    2.49
+#   2^14                    0.89    4.19
 #
-# 2^12 is faster at 128^2 and 256^2 but slower at 512^2, and it would
-# add a level under 10^4 and under su3's 20x20x4x4 leaf level, which
-# 2^14 leaves as they were at 2^16.
-SEQUENCE_MIN_NODES = 2 ** 14
+# 2^8 adds a 16^2 level that the Newton counts above it do not repay.
+# On the 512^2 bump with Q = -I, 2^12 ends the chain at 64^2 and the
+# 512^2 start lands 6.1e-10 from its solution, over the tolerance;
+# 2^10 ends it at 32^2 and the start lands 3.0e-11 from it.
+SEQUENCE_MIN_NODES = 2 ** 10
 
 
 def _leaf_floor(m):
@@ -183,18 +188,20 @@ def coarse_dims(grid, leaf):
     has the fine solution, and k dividing m keeps it an injection.  No
     leaf axis coarsens again after that, since an even k of 8 or more
     would have k / 2 as a smaller divisor.  Below that level, every even
-    axis of at least 8 nodes is halved, on a grid of at least
-    SEQUENCE_MIN_NODES nodes: 512^2 goes down to 64^2, and 20^4 with no
-    leaf to 10^4.
+    axis of at least 8 nodes is halved, as long as the halved grid keeps
+    at least SEQUENCE_MIN_NODES nodes along the axes not in ``leaf``:
+    512^2 goes down to 32^2, 20^4 with no leaf to 10^4, and 64x64x16x16
+    with leaves (2, 3) to 64x64x4x4 and then 32x32x4x4.
     """
     dims = tuple(_leaf_floor(d) if ax in leaf else d
                  for ax, d in enumerate(grid.dims))
     if dims != grid.dims:
         return dims
-    halve = [ax for ax, d in enumerate(dims) if d % 2 == 0 and d >= 8]
-    if not halve or grid.size < SEQUENCE_MIN_NODES:
+    coarse = tuple(d // 2 if d % 2 == 0 and d >= 8 else d for d in dims)
+    varying = math.prod(d for ax, d in enumerate(coarse) if ax not in leaf)
+    if coarse == dims or varying < SEQUENCE_MIN_NODES:
         return None
-    return tuple(d // 2 if ax in halve else d for ax, d in enumerate(dims))
+    return coarse
 
 
 def coarsen(problem, dims):
@@ -257,25 +264,34 @@ def interpolate(values, dims):
     return np.fft.irfft(spectrum, n=dims[last], axis=last)
 
 
-def richardson(c, cc, ccc=None):
+def richardson(*levels):
     """The next finer level's solution predicted from the levels below it.
 
-    ``c``, ``cc`` and ``ccc`` are one level's solution and those one and
-    two varying halvings under it, all on c's grid.  With s the spacing of
-    c's grid, c + (c - cc) / 4 is exact for x_s = x + s^2 e, and, where
-    a third level is there, c + (5/16)(c - cc) - (1/64)(cc - ccc) is
-    exact for x_s = x + s^2 e + s^4 f: both give x_{s/2}.
+    ``levels`` are one level's solution and those 1, 2, ... varying
+    halvings under it, nearest first, all on the first one's grid.  With
+    s that grid's spacing, level i has spacing 2^i s, and the result is
+    sum_i w_i x_i with the Lagrange weights in s^2 that evaluate at
+    (s/2)^2: w_i = prod_{j != i} (1/4 - 4^j) / (4^i - 4^j).  It is exact,
+    giving x_{s/2}, for x_s = x + sum_{m < k} a_m s^(2m) from k levels.
+    The weights are (5/4, -1/4) for two levels, (21/16, -21/64, 1/64)
+    for three and (85/64, -357/1024, 85/4096, -1/4096) for four; the sum
+    of their magnitudes stays under 1.72, so the levels' own errors are
+    barely amplified.  Numerators and denominators are products of
+    small dyadic numbers, exact in floating point up to seven levels, so
+    each weight is the one rounding of a dyadic fraction, there exact.
     """
-    if ccc is None:
-        return c + (c - cc) / 4
-    return c + 5 * (c - cc) / 16 - (cc - ccc) / 64
+    nodes = [4.0 ** i for i in range(len(levels))]
+    weights = [math.prod(0.25 - v for v in nodes if v != u)
+               / math.prod(u - v for v in nodes if v != u) for u in nodes]
+    return sum(w * x for w, x in zip(weights, levels))
 
 
 def extrapolated_b(*levels):
-    """richardson on log b: b_c (b_c / b_cc)^(1/4) for two levels.
+    """richardson on log b, the levels nearest first.
 
-    Positive whenever the constants are, so the start it gives never
-    trips the positivity check.
+    b_c (b_c / b_cc)^(1/4) for two levels.  Positive whenever the
+    constants are, so the start it gives never trips the positivity
+    check.
     """
     return math.exp(richardson(*(math.log(b) for b in levels)))
 
@@ -286,12 +302,12 @@ def _sequenced_solve(problem, t, cfg):
     The chain of coarse problems runs down to a grid that coarse_dims
     leaves alone, which starts from the trivial pair; each finer grid
     starts from the solution one level down, interpolated.  Where the
-    halvings to that level and to the one or two below it all halved
-    varying axes, the solution is first extrapolated with those below
-    (richardson; see the module docstring); across the leaf level it is
-    taken as it is.  Returns the state and the Newton iterations of the
-    plain start, which stand for the fine plain start's in the step
-    control: Newton's step count does not depend on the mesh.
+    halving to that level halved varying axes, the solution is first
+    extrapolated with every varying level below it (richardson; see the
+    module docstring); across the leaf level it is taken as it is.
+    Returns the state and the Newton iterations of the plain start,
+    which stand for the fine plain start's in the step control: Newton's
+    step count does not depend on the mesh.
     """
     leaf = problem.leaf_axes
     chain = [problem]
@@ -300,7 +316,7 @@ def _sequenced_solve(problem, t, cfg):
     state = solve_at_t(chain.pop(), t, tol=cfg.newton_tol,
                        max_iters=cfg.max_newton)
     plain_iters = state.newton_iters
-    below = []   # up to two solutions under state's, nearest first
+    below = []   # the varying solutions under state's, nearest first
     while chain:
         fine = chain.pop()
         varying = any(m != n for ax, (m, n)
@@ -313,7 +329,7 @@ def _sequenced_solve(problem, t, cfg):
             b0 = extrapolated_b(b0, *(s.b for s in below))
         start = [interpolate(phi, fine.grid.dims)]
         # the top grid's Newton runs without any coarse state
-        below = [state, *below[:1]] if chain and varying else []
+        below = [state, *below] if chain and varying else []
         del phi, state
         # popped into the call, the start has no reference here:
         # solve_at_t frees it once it has its own zero-mean copy
@@ -327,11 +343,11 @@ def _attempt(problem, state, t, cfg):
 
     A step that leaves the trivial pair at t = 0 starts from the coarse
     grids' solutions when coarse_dims, counting no axis as a leaf,
-    halves the fine grid: only a grid of at least SEQUENCE_MIN_NODES
-    nodes (128^2 or more on two axes) is sequenced, whatever its leaves;
-    its chain then starts with the leaf level.  If that fails, the step
-    reruns from the trivial pair, as every later step starts from its
-    state.
+    halves the fine grid: only a grid whose halving keeps at least
+    SEQUENCE_MIN_NODES nodes (64^2 or more on two axes) is sequenced,
+    whatever its leaves; its chain then starts with the leaf level.  If
+    that fails, the step reruns from the trivial pair, as every later
+    step starts from its state.
     """
     if state.t == 0.0 and coarse_dims(problem.grid, ()) is not None:
         try:

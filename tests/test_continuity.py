@@ -1,6 +1,7 @@
 """Path-following, manufactured problems, traces, and basicness reports."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -197,14 +198,16 @@ def test_step_underflow_on_hopeless_problem():
 
 
 def test_failed_gmres_rejects_attempts_down_to_underflow(monkeypatch):
-    # every attempt's first Newton step meets a GMRES that does not
-    # converge, which costs that one call; the driver halves the step
+    # every solve's first Newton step meets a GMRES that does not
+    # converge, which costs that one call; the driver halves the step.
+    # 64^2 is sequenced: each attempt leaves the trivial pair, so its
+    # 32^2 solve fails first, then the plain start it falls back to
     g = TorusGrid((64, 64))
     attempts, calls = [], [0]
     solve = cd.solve_at_t
 
     def counted_solve(problem, t, **kw):
-        attempts.append(t)
+        attempts.append((problem.grid.dims, t))
         return solve(problem, t, **kw)
 
     def failed_gmres(op, rhs, precond, rtol):
@@ -218,7 +221,8 @@ def test_failed_gmres_rejects_attempts_down_to_underflow(monkeypatch):
                        ContinuityConfig(t_step_min=1e-2))
     # t = 0 is the trivial pair, recorded without a solve; 1, 1/2, ...,
     # 1/64 are rejected
-    assert attempts == [0.5 ** k for k in range(7)]
+    assert attempts == [(dims, 0.5 ** k) for k in range(7)
+                        for dims in ((32, 32), g.dims)]
     assert calls[0] == len(attempts)
 
 
@@ -567,11 +571,12 @@ def test_odd_and_short_axes_are_not_halved(monkeypatch):
     assert _coarse_chain(constant)[0] == (16, 16, 4, 8)
     assert pernode.leaf_axes == ()
     assert _coarse_chain(pernode) == [(8, 8, 4, 4), (4, 4, 4, 4)]
-    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", 2 ** 16)
+    # a halving is taken only if the halved grid keeps the floor's nodes
+    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", 2 ** 14)
     assert first((128, 128)) is None
     assert first((256, 256)) == (128, 128)
     # the benchmark's shape: F varying along axes 0 and 1, Q = -4 I; the
-    # leaf axes go to 4 nodes in one level, the varying ones not below 2^16
+    # leaf axes go to 4 nodes in one level, the varying ones not below 2^14
     g = TorusGrid((20, 20, 20, 20))
     xs = meshes(g)
     basic = Problem(g, np.cos(xs[0]) * np.sin(xs[1]), -4.0 * np.eye(4))
@@ -581,15 +586,47 @@ def test_odd_and_short_axes_are_not_halved(monkeypatch):
 
 def test_default_floor_chains():
     # no solve: the chains the default floor gives the benchmark's shapes
+    # (the 4-axis shapes are in the table below)
     assert _coarse_chain(_varying_everywhere((512, 512))) == \
-        [(256, 256), (128, 128), (64, 64)]
-    # the all-axis 20^4 bump stops at 10^4, and su3's datum at its leaf level
-    assert cd.coarse_dims(TorusGrid((20, 20, 20, 20)), ()) == (10, 10, 10, 10)
-    assert cd.coarse_dims(TorusGrid((10, 10, 10, 10)), ()) is None
-    g = TorusGrid((20, 20, 20, 20))
-    xs = meshes(g)
-    su3 = Problem(g, 0.8 * np.cos(xs[0]) * np.sin(xs[1]), -4.0 * np.eye(4))
-    assert _coarse_chain(su3) == [(20, 20, 4, 4)]
+        [(256, 256), (128, 128), (64, 64), (32, 32)]
+
+
+def _basic(dims, leaves):
+    """A forcing varying along the axes not in ``leaves``, Q = -I."""
+    g = TorusGrid(dims)
+    F = np.zeros(dims)
+    for ax in range(g.ndim):
+        if ax not in leaves:
+            F += np.cos(g.coords(ax)).reshape(
+                [-1 if k == ax else 1 for k in range(g.ndim)])
+    return Problem(g, F, -np.eye(g.ndim))
+
+
+@pytest.mark.parametrize("dims, leaves, chain", [
+    # all-axis 4-axis chains
+    ((8,) * 4, (), []),
+    ((10,) * 4, (), []),
+    ((12,) * 4, (), [(6,) * 4]),
+    ((16,) * 4, (), [(8,) * 4]),
+    ((20,) * 4, (), [(10,) * 4]),
+    ((24,) * 4, (), [(12,) * 4, (6,) * 4]),
+    ((32,) * 4, (), [(16,) * 4, (8,) * 4]),
+    # su3's datum: the leaf level only, whose halving 10x10x4x4 keeps
+    # 100 varying nodes
+    ((20,) * 4, (2, 3), [(20, 20, 4, 4)]),
+    ((44, 44), (), []),
+    # sequenced since the floor counts the coarse grid's nodes
+    ((64, 64), (), [(32, 32)]),
+    # leaf replicas do not count: 32x32x4x4 keeps 2^10 varying nodes,
+    # 16x16x4x4 does not
+    ((64, 64, 16, 16), (2, 3), [(64, 64, 4, 4), (32, 32, 4, 4)]),
+])
+def test_floor_counts_the_coarse_grids_varying_nodes(dims, leaves, chain):
+    problem = _basic(dims, leaves)
+    assert problem.leaf_axes == leaves
+    assert _coarse_chain(problem) == chain
+    # _attempt's gate: the fine grid halved along every axis
+    assert (cd.coarse_dims(problem.grid, ()) is None) == (chain == [])
 
 
 @pytest.mark.parametrize("m, k", [(20, 4), (16, 4), (18, 6), (12, 4), (10, 5),
@@ -624,7 +661,9 @@ def test_leaf_halvings_run_below_the_floor_only_under_a_fine_grid_above_it(
     problem = SEQUENCED["leaf-4d"]
     leaf = problem.leaf_axes
     assert leaf == (2, 3)
-    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", problem.grid.size)
+    # the floor at the fine grid halved along every axis, 8x8x4x4
+    halved = problem.grid.size // 16
+    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", halved)
     # the leaf halving is taken by a grid under the floor...
     assert cd.coarse_dims(TorusGrid((16, 16, 4, 4)), leaf) is None
     assert cd.coarse_dims(TorusGrid((16, 16, 8, 8)), leaf) == (16, 16, 4, 4)
@@ -633,8 +672,9 @@ def test_leaf_halvings_run_below_the_floor_only_under_a_fine_grid_above_it(
     seen = _coarse_solves(monkeypatch)
     run_continuity(problem, cfg)
     assert seen == [(16, 16, 4, 4), (16, 16, 8, 8)]
-    # ...but a fine grid under the floor starts from the trivial pair
-    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", problem.grid.size + 1)
+    # ...but a fine grid whose halving is under it starts from the
+    # trivial pair
+    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", halved + 1)
     seen.clear()
     run_continuity(problem, cfg)
     assert seen == [(16, 16, 8, 8)]
@@ -682,18 +722,23 @@ def test_failed_sequenced_start_falls_back_to_the_plain_start(where, monkeypatch
 
 
 def test_hard_sine_sequenced_at_the_default_floor(monkeypatch):
-    # sine 6 with Q = -60 I: the 128^2 grid is the smallest the floor
-    # sequences, and its start from 64^2 must reach the plain solution's b.
+    # sine 6 with Q = -60 I: 64^2 is the smallest grid the floor
+    # sequences, and 128^2 runs 128 -> 64 -> 32; its start, extrapolated
+    # from 64^2 and 32^2, must reach the plain solution's b.
     # Its phi need not be the plain one to 100 tol: the discrete equation
-    # has two roots here, 5e-5 apart with residual 2.5e-6 at their
-    # midpoint, and the two starts reach one each.  Their gap is about a
-    # twelfth of the 64^2 -> 128^2 gap, the truncation error's size.
+    # has more than one root here, so the gap is bounded by a fifth of
+    # the 64^2 -> 128^2 gap, the truncation error's size.  With two BLAS
+    # threads the two starts end 1.2e-8 apart.  With one, the plain start
+    # reaches another root, 4.7e-3 from the sequenced one, and this test
+    # fails: GMRES's inner products, and so the root reached, depend on
+    # the thread count.
     g = TorusGrid((128, 128))
     problem = Problem(g, sine_product_field(g, 6.0), -60.0 * np.eye(2))
     cfg = ContinuityConfig(newton_tol=1e-10)
     seen = _coarse_solves(monkeypatch)
     seq, seq_trace = run_continuity(problem, cfg)
-    assert (64, 64) in seen and seen.count(g.dims) == len(seq_trace.rows) - 1
+    assert seen[:3] == [(32, 32), (64, 64), g.dims]
+    assert seen.count(g.dims) == len(seq_trace.rows) - 1
     plain, plain_trace = _run(problem, cfg, g.size + 1, monkeypatch)
     assert [r.t for r in seq_trace.rows] == [r.t for r in plain_trace.rows]
     assert abs(seq.b - plain.b) <= 100 * cfg.newton_tol
@@ -745,12 +790,12 @@ def _fine_starts(monkeypatch, dims):
 
 
 def test_extrapolated_start_saves_a_fine_newton_step(monkeypatch):
-    # levels 256 -> 128 -> 64 -> 32: the 256^2 start extrapolates the
-    # 128^2, 64^2 and 32^2 solutions
+    # levels 256 -> 128 -> 64 -> 32 at the default floor: the 256^2
+    # start extrapolates the 128^2, 64^2 and 32^2 solutions
     g = TorusGrid((256, 256))
     problem = Problem(g, bump(g), -np.eye(2))
     tol = 1e-10
-    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", 2 ** 12)
+    assert _coarse_chain(problem) == [(128, 128), (64, 64), (32, 32)]
     fine = _fine_starts(monkeypatch, g.dims)
     state, trace = run_continuity(problem, ContinuityConfig(newton_tol=tol))
     assert [r.t for r in trace.rows] == [0.0, 1.0]
@@ -765,10 +810,53 @@ def test_extrapolated_start_saves_a_fine_newton_step(monkeypatch):
     assert np.max(np.abs(state.phi - plain.phi)) <= 100 * tol
 
 
+def _roll_residual(problem, phi, b):
+    """The t = 1 residual for Q = -I from np.roll stencils, no kernels."""
+    h = problem.grid.spacings
+    out = 1.0 - b * np.exp(problem.F)
+    for ax, hx in enumerate(h):
+        up, down = np.roll(phi, -1, ax), np.roll(phi, 1, ax)
+        out += (up - 2.0 * phi + down) / (hx * hx)
+        out -= ((up - down) / (2.0 * hx)) ** 2
+    return out
+
+
+def test_top_grid_of_the_512_bump_takes_no_newton_step(monkeypatch):
+    # bump2d-512's problem: 512 -> 256 -> 128 -> 64 -> 32, and the 512^2
+    # start, extrapolated from four levels, is within the Newton tolerance
+    g = TorusGrid((512, 512))
+    problem = Problem(g, bump(g), -np.eye(2))
+    tol = 1e-10
+    fine = _fine_starts(monkeypatch, g.dims)
+    state, trace = run_continuity(problem, ContinuityConfig(newton_tol=tol))
+    [(phi0, b0, first)] = fine
+    assert float(np.max(np.abs(_roll_residual(problem, phi0, b0)))) <= tol
+    assert first.newton_iters == 0
+    assert [(r.t, r.newton_iters) for r in trace.rows] == [(0.0, 0), (1.0, 0)]
+    assert state.residual_norm <= tol
+    plain, _ = _run(problem, ContinuityConfig(newton_tol=tol), 10 ** 9,
+                    monkeypatch)
+    assert abs(state.b - plain.b) <= 100 * tol
+
+
+def _lagrange_weights(k):
+    """Weights of the values at s^2 = 4^i, i < k, for the value at 1/4.
+
+    Each is the Lagrange basis polynomial in s^2, built by np.polynomial
+    from its roots, evaluated at 1/4.
+    """
+    nodes = 4.0 ** np.arange(k)
+    basis = [np.polynomial.Polynomial.fromroots(np.delete(nodes, i))
+             for i in range(k)]
+    return [p(0.25) / p(u) for p, u in zip(basis, nodes)]
+
+
 @pytest.mark.parametrize("name, floor, levels", [
-    ("bump-256", 2 ** 12, [(128, 128), (64, 64), (32, 32)]),
-    ("pernode-q", 1024, [(8, 8, 4, 4), (4, 4, 4, 4)]),
-    ("leaf-4d", 1024, [(16, 16, 4, 4), (8, 8, 4, 4), (4, 4, 4, 4)]),
+    # four varying levels under the top grid, so its start extrapolates
+    # four (128^2 down to 16^2), the 128^2 start three and the 64^2 two
+    ("bump-256", 2 ** 8, [(128, 128), (64, 64), (32, 32), (16, 16)]),
+    ("pernode-q", 2 ** 8, [(8, 8, 4, 4), (4, 4, 4, 4)]),
+    ("leaf-4d", 16, [(16, 16, 4, 4), (8, 8, 4, 4), (4, 4, 4, 4)]),
 ])
 def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
                                                           monkeypatch):
@@ -778,43 +866,36 @@ def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
         problem = Problem(g, bump(g), -np.eye(2))
     else:
         problem = SEQUENCED[name]
-    # bump-256's top grid has three varying levels below it, the others
-    # at most two; leaf-4d's first halving is of its leaf axes 2 and 3:
-    # nothing is extrapolated across it
+    # leaf-4d's first halving is of its leaf axes 2 and 3: nothing is
+    # extrapolated across it
     leaf_halvings = 1 if name == "leaf-4d" else 0
     tol, t = 1e-10, 1.0
     chain = [problem]
     for dims in levels:
         chain.append(cd.coarsen(chain[-1], dims))
-    coarsest = es.solve_at_t(chain[-1], t, tol=tol)
-    first = es.solve_at_t(chain[-2], t, b0=coarsest.b, tol=tol,
-                          phi0=cd.interpolate(coarsest.phi, chain[-2].grid.dims))
-    solutions = [coarsest, first]
-    for i in reversed(range(len(chain) - 2)):
+    # every varying level's solution, raised one interpolation at a time
+    # to the grid of the level most recently solved, nearest first
+    raised = []
+    state = es.solve_at_t(chain[-1], t, tol=tol)
+    for i in reversed(range(len(chain) - 1)):
         level = chain[i]
-        phi_cc, phi_c = solutions[-2].phi, solutions[-1].phi
-        b_cc, b_c = solutions[-2].b, solutions[-1].b
-        up_cc = cd.interpolate(phi_cc, phi_c.shape)
-        if i < leaf_halvings:
-            phi_e, b0 = phi_c, b_c
-        elif len(solutions) == 2:
-            phi_e = phi_c + (phi_c - up_cc) / 4.0
-            b0 = float(np.exp(np.log(b_c) + (np.log(b_c) - np.log(b_cc)) / 4.0))
+        raised = [(cd.interpolate(phi, state.phi.shape), b)
+                  for phi, b in raised]
+        raised.insert(0, (state.phi, state.b))
+        if i < leaf_halvings or len(raised) == 1:
+            phi_e, b0 = state.phi, state.b
         else:
-            # three varying levels below: the fourth-order weights, with
-            # the lowest solution brought up one level at a time
-            phi_ccc, b_ccc = solutions[-3].phi, solutions[-3].b
-            up_ccc = cd.interpolate(cd.interpolate(phi_ccc, phi_cc.shape),
-                                    phi_c.shape)
-            phi_e = phi_c + 5.0 / 16.0 * (phi_c - up_cc) - (up_cc - up_ccc) / 64.0
-            b0 = float(np.exp(np.log(b_c) + 5.0 / 16.0 * (np.log(b_c) - np.log(b_cc))
-                              - (np.log(b_cc) - np.log(b_ccc)) / 64.0))
+            weights = _lagrange_weights(len(raised))
+            phi_e = sum(w * phi for w, (phi, _) in zip(weights, raised))
+            b0 = float(np.exp(sum(w * np.log(b)
+                                  for w, (_, b) in zip(weights, raised))))
         phi0 = cd.interpolate(phi_e, level.grid.dims)
         if level is problem:
             break
-        solutions.append(es.solve_at_t(level, t, phi0=phi0, b0=b0, tol=tol))
+        state = es.solve_at_t(level, t, phi0=phi0, b0=b0, tol=tol)
 
     monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", floor)
+    assert _coarse_chain(problem) == levels
     fine = _fine_starts(monkeypatch, problem.grid.dims)
     run_continuity(problem, ContinuityConfig(newton_tol=tol))
     [(got_phi0, got_b0, _)] = fine
@@ -831,7 +912,9 @@ def test_leaf_halving_reproduces_the_fine_solution(monkeypatch):
     lifted = cd.interpolate(leaf_level.phi, problem.grid.dims)
     res = es.residual(problem, lifted, leaf_level.b, 1.0)
     assert float(np.max(np.abs(res))) <= 100 * tol
-    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", problem.grid.size)
+    # a floor the fine grid's halving 8x8x4x4 meets, but not the leaf
+    # level's halving, which keeps 8x8 varying nodes
+    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", problem.grid.size // 16)
     fine = _fine_starts(monkeypatch, problem.grid.dims)
     state, trace = run_continuity(problem, ContinuityConfig(newton_tol=tol))
     [(phi0, b0, first)] = fine
@@ -855,13 +938,13 @@ def test_all_axis_bump_keeps_its_four_axis_chain(monkeypatch):
 
 
 def test_single_coarse_level_keeps_the_interpolated_start(monkeypatch):
-    # 64^2 -> 32^2 only, as 20^4 -> 10^4 for a forcing varying along all
-    # four axes: nothing to extrapolate with
+    # 64^2 -> 32^2 only at the default floor, as 20^4 -> 10^4 for a
+    # forcing varying along all four axes: nothing to extrapolate with
     problem = SEQUENCED["constant-q"]
     cfg = ContinuityConfig(newton_tol=1e-10)
+    assert _coarse_chain(problem) == [(32, 32)]
     coarse = es.solve_at_t(cd.coarsen(problem, (32, 32)), 1.0,
                            tol=cfg.newton_tol, max_iters=cfg.max_newton)
-    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", 2 ** 11)
     fine = _fine_starts(monkeypatch, problem.grid.dims)
     run_continuity(problem, cfg)
     [(phi0, b0, _)] = fine
@@ -872,8 +955,8 @@ def test_single_coarse_level_keeps_the_interpolated_start(monkeypatch):
 @pytest.mark.parametrize("b_c, b_cc", [(1.0, 6.0), (0.3, 1.8), (2.0, 0.5)])
 def test_extrapolated_b_stays_positive(b_c, b_cc):
     # the linear form b_c + (b_c - b_cc) / 4 is negative once b_cc > 5 b_c,
-    # and in the first two cases so is the three-level form
-    # b_c + (5/16)(b_c - b_cc) - (b_cc - b_ccc) / 64 for b_ccc <= b_cc
+    # and in the first two cases so are the three- and four-level forms
+    # for b_ccc <= b_cc
     b0 = cd.extrapolated_b(b_c, b_cc)
     assert b0 > 0.0
     assert b0 == pytest.approx(b_c * np.exp((np.log(b_c) - np.log(b_cc)) / 4.0),
@@ -884,23 +967,52 @@ def test_extrapolated_b_stays_positive(b_c, b_cc):
         assert b0 == pytest.approx(
             b_c * (b_c / b_cc) ** (5.0 / 16.0) * (b_ccc / b_cc) ** (1.0 / 64.0),
             rel=1e-14)
+        for b_4 in (0.1 * b_ccc, b_ccc, 40.0 * b_ccc):
+            b0 = cd.extrapolated_b(b_c, b_cc, b_ccc, b_4)
+            assert b0 > 0.0
+            assert b0 == pytest.approx(
+                b_c ** (85 / 64) * b_cc ** (-357 / 1024)
+                * b_ccc ** (85 / 4096) * b_4 ** (-1 / 4096), rel=1e-14)
+
+
+def _exact_weights(k):
+    """The weights w with sum_i w_i (4^i)^m = (1/4)^m for m < k, in Fractions.
+
+    Solved by Gaussian elimination on the Vandermonde system: level i has
+    spacing 2^i s, and the value at spacing s/2 is wanted.
+    """
+    rows = [[Fraction(4) ** (i * m) for i in range(k)] + [Fraction(1, 4) ** m]
+            for m in range(k)]
+    for col in range(k):
+        pivot = rows[col][col]
+        rows[col] = [x / pivot for x in rows[col]]
+        for r in range(k):
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[k] for row in rows]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_richardson_is_exact_on_the_error_expansion(seed):
-    # x_s = x + s^2 e (+ s^4 f) sampled at s = h, 2h (and 4h) gives x_{h/2}
+    # x_s = x + sum_{m < k} a_m s^(2m) sampled at s = h, 2h, ..., 2^(k-1) h
+    # gives x_{h/2}, for k = 1 to 5 levels, with the exact weights
     rng = np.random.default_rng(seed)
-    x, e, f = rng.standard_normal((3, 16, 16))
+    x, *terms = rng.standard_normal((6, 16, 16))
     h = float(rng.uniform(0.05, 0.5))
-    level = lambda s, quartic: x + s ** 2 * e + s ** 4 * quartic
-    scale = float(np.max(np.abs(level(4 * h, f))))
-    got = cd.richardson(level(h, 0.0), level(2 * h, 0.0))
-    assert np.max(np.abs(got - level(h / 2, 0.0))) <= 1e-14 * scale
-    got = cd.richardson(level(h, f), level(2 * h, f), level(4 * h, f))
-    assert np.max(np.abs(got - level(h / 2, f))) <= 1e-14 * scale
-    # the two-level weights leave the s^4 term
-    two = cd.richardson(level(h, f), level(2 * h, f))
-    assert np.max(np.abs(two - level(h / 2, f))) > 1e-3 * h ** 4
+    level = lambda s, n: x + sum(a * s ** (2 * m)
+                                 for m, a in enumerate(terms[:n], 1))
+    for k in range(1, 6):
+        unit = np.eye(k)
+        weights = [cd.richardson(*unit[i]) for i in range(k)]
+        assert weights == [float(w) for w in _exact_weights(k)]
+        spacings = [2 ** i * h for i in range(k)]
+        scale = max(float(np.max(np.abs(level(s, k)))) for s in spacings)
+        got = cd.richardson(*(level(s, k - 1) for s in spacings))
+        assert np.max(np.abs(got - level(h / 2, k - 1))) <= 1e-14 * scale
+        # one term more than k levels cancel is left over
+        got = cd.richardson(*(level(s, k) for s in spacings))
+        assert np.max(np.abs(got - level(h / 2, k))) > 1e-3 * h ** (2 * k)
 
 
 # -------------------------------------------------------- theorem ladder
