@@ -53,13 +53,13 @@ coarse state is dropped before the top grid's Newton runs.  The floor
 exists because on smaller grids a hard coarse solve still takes about
 nine Newton steps and costs more than it saves; the leaf level is
 exempt from it, but a fine grid whose halving along all its axes falls
-under it is not sequenced at all.  If a coarse solve or the fine Newton
-from the coarse start fails, the step is rerun from the trivial pair,
-as without sequencing.  The step control counts the Newton steps of the
-coarsest grid's plain start, which stand for the fine plain start's,
-so the schedule of t is the one the plain start gives.  Trace rows
-describe the fine grid only, and the seconds of the row a sequenced
-step ends in include its coarse solves.
+under it is not sequenced at all, nor is one whose chain is empty.  If
+a coarse solve or the fine Newton from the coarse start fails, the step
+is rerun from the trivial pair, as without sequencing.  The step
+control counts the Newton steps of the coarsest grid's plain start,
+which stand for the fine plain start's, so the schedule of t is the one
+the plain start gives.  Trace rows describe the fine grid only, and the
+seconds of the row a sequenced step ends in include its coarse solves.
 """
 
 import csv
@@ -277,8 +277,10 @@ def richardson(*levels):
     for three and (85/64, -357/1024, 85/4096, -1/4096) for four; the sum
     of their magnitudes stays under 1.72, so the levels' own errors are
     barely amplified.  Numerators and denominators are products of
-    small dyadic numbers, exact in floating point up to seven levels, so
-    each weight is the one rounding of a dyadic fraction, there exact.
+    small dyadic numbers, exact in floating point up to six levels (at
+    seven, w_0's numerator holds the odd 15*63*255*1023*4095*16383,
+    about 2^53.9), so up to six each weight is the one rounding of an
+    exact quotient.
     """
     nodes = [4.0 ** i for i in range(len(levels))]
     weights = [math.prod(0.25 - v for v in nodes if v != u)
@@ -345,11 +347,15 @@ def _attempt(problem, state, t, cfg):
     grids' solutions when coarse_dims, counting no axis as a leaf,
     halves the fine grid: only a grid whose halving keeps at least
     SEQUENCE_MIN_NODES nodes (64^2 or more on two axes) is sequenced,
-    whatever its leaves; its chain then starts with the leaf level.  If
-    that fails, the step reruns from the trivial pair, as every later
-    step starts from its state.
+    whatever its leaves; its chain then starts with the leaf level.  A
+    grid whose chain is empty is not sequenced either: 32x32x5x5 with
+    leaves (2, 3) passes the first check, but its halving keeps 16x16
+    varying nodes and its 5-node leaves have no divisor to go to.  If
+    the sequenced solve fails, the step reruns from the trivial pair, as
+    every later step starts from its state.
     """
-    if state.t == 0.0 and coarse_dims(problem.grid, ()) is not None:
+    if (state.t == 0.0 and coarse_dims(problem.grid, ()) is not None
+            and coarse_dims(problem.grid, problem.leaf_axes) is not None):
         try:
             return _sequenced_solve(problem, t, cfg)
         except _SOLVER_FAILURES:

@@ -505,10 +505,28 @@ def _sequenced_cases():
 
 SEQUENCED = _sequenced_cases()
 
+# a floor for each case, and the chain it gives: two or more varying
+# levels under the fine grid (under leaf-4d's leaf level), so that
+# grid's start is extrapolated
+SEQUENCED_CHAINS = {
+    "constant-q": (2 ** 8, [(32, 32), (16, 16)]),
+    "leaf-4d": (16, [(16, 16, 4, 4), (8, 8, 4, 4), (4, 4, 4, 4)]),
+    "odd-axis": (2 ** 9, [(32, 45), (16, 45)]),
+    "pernode-q": (2 ** 8, [(8, 8, 4, 4), (4, 4, 4, 4)]),
+}
+
 
 def _run(problem, cfg, floor, monkeypatch):
     monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", floor)
     return run_continuity(problem, cfg)
+
+
+def _run_sequenced(name, cfg, monkeypatch):
+    """run_continuity on SEQUENCED[name] at its floor, its chain checked."""
+    floor, chain = SEQUENCED_CHAINS[name]
+    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", floor)
+    assert _coarse_chain(SEQUENCED[name]) == chain
+    return run_continuity(SEQUENCED[name], cfg)
 
 
 def _coarse_solves(monkeypatch):
@@ -530,9 +548,9 @@ def test_sequenced_and_plain_starts_reach_the_same_solution(name, monkeypatch):
     cfg = ContinuityConfig(newton_tol=1e-10)
     plain, plain_trace = _run(problem, cfg, 10 ** 9, monkeypatch)
     seen = _coarse_solves(monkeypatch)
-    seq, seq_trace = _run(problem, cfg, 1024, monkeypatch)
-    # at least one coarse solve ran, and no fallback to the plain start
-    assert len(seen) >= 2 and seen.count(problem.grid.dims) == 1
+    seq, seq_trace = _run_sequenced(name, cfg, monkeypatch)
+    # every coarse solve ran, and no fallback to the plain start
+    assert seen == SEQUENCED_CHAINS[name][1][::-1] + [problem.grid.dims]
     assert [r.t for r in seq_trace.rows] == [r.t for r in plain_trace.rows]
     assert seq.residual_norm <= cfg.newton_tol
     assert abs(seq.b - plain.b) <= 100 * cfg.newton_tol
@@ -602,31 +620,57 @@ def _basic(dims, leaves):
     return Problem(g, F, -np.eye(g.ndim))
 
 
-@pytest.mark.parametrize("dims, leaves, chain", [
+class _FirstStep(Exception):
+    """Raised in place of the solve _attempt picks, naming it."""
+
+
+def _first_step(problem, monkeypatch):
+    """The solve _attempt starts a step from t = 0 with; no solve runs."""
+    def sequenced(*args):
+        raise _FirstStep("sequenced")
+
+    def plain(*args, **kw):
+        raise _FirstStep("plain")
+
+    monkeypatch.setattr(cd, "_sequenced_solve", sequenced)
+    monkeypatch.setattr(cd, "solve_at_t", plain)
+    trivial = SolverState(phi=problem.grid.zeros(), b=1.0, t=0.0,
+                          residual_norm=0.0, newton_iters=0, res_history=[0.0])
+    with pytest.raises(_FirstStep) as taken:
+        cd._attempt(problem, trivial, 1.0, ContinuityConfig())
+    return str(taken.value)
+
+
+@pytest.mark.parametrize("dims, leaves, chain, first", [
     # all-axis 4-axis chains
-    ((8,) * 4, (), []),
-    ((10,) * 4, (), []),
-    ((12,) * 4, (), [(6,) * 4]),
-    ((16,) * 4, (), [(8,) * 4]),
-    ((20,) * 4, (), [(10,) * 4]),
-    ((24,) * 4, (), [(12,) * 4, (6,) * 4]),
-    ((32,) * 4, (), [(16,) * 4, (8,) * 4]),
+    ((8,) * 4, (), [], "plain"),
+    ((10,) * 4, (), [], "plain"),
+    ((12,) * 4, (), [(6,) * 4], "sequenced"),
+    ((16,) * 4, (), [(8,) * 4], "sequenced"),
+    ((20,) * 4, (), [(10,) * 4], "sequenced"),
+    ((24,) * 4, (), [(12,) * 4, (6,) * 4], "sequenced"),
+    ((32,) * 4, (), [(16,) * 4, (8,) * 4], "sequenced"),
     # su3's datum: the leaf level only, whose halving 10x10x4x4 keeps
     # 100 varying nodes
-    ((20,) * 4, (2, 3), [(20, 20, 4, 4)]),
-    ((44, 44), (), []),
+    ((20,) * 4, (2, 3), [(20, 20, 4, 4)], "sequenced"),
+    ((44, 44), (), [], "plain"),
     # sequenced since the floor counts the coarse grid's nodes
-    ((64, 64), (), [(32, 32)]),
+    ((64, 64), (), [(32, 32)], "sequenced"),
     # leaf replicas do not count: 32x32x4x4 keeps 2^10 varying nodes,
     # 16x16x4x4 does not
-    ((64, 64, 16, 16), (2, 3), [(64, 64, 4, 4), (32, 32, 4, 4)]),
+    ((64, 64, 16, 16), (2, 3), [(64, 64, 4, 4), (32, 32, 4, 4)], "sequenced"),
+    # the gate counts every node of the halved grid, 16x16x5x5, but the
+    # chain is empty: 5-node leaves have no divisor to go to
+    ((32, 32, 5, 5), (2, 3), [], "plain"),
+    # a leaf level, but the fine grid halved, 6x6x4x4, is under the floor
+    ((6, 6, 8, 8), (2, 3), [(6, 6, 4, 4)], "plain"),
 ])
-def test_floor_counts_the_coarse_grids_varying_nodes(dims, leaves, chain):
+def test_floor_counts_the_coarse_grids_varying_nodes(dims, leaves, chain,
+                                                     first, monkeypatch):
     problem = _basic(dims, leaves)
     assert problem.leaf_axes == leaves
     assert _coarse_chain(problem) == chain
-    # _attempt's gate: the fine grid halved along every axis
-    assert (cd.coarse_dims(problem.grid, ()) is None) == (chain == [])
+    assert _first_step(problem, monkeypatch) == first
 
 
 @pytest.mark.parametrize("m, k", [(20, 4), (16, 4), (18, 6), (12, 4), (10, 5),
@@ -713,7 +757,7 @@ def test_failed_sequenced_start_falls_back_to_the_plain_start(where, monkeypatch
         return solve(p, t, phi0=phi0, b0=b0, **kw)
 
     monkeypatch.setattr(cd, "solve_at_t", failing)
-    state, trace = _run(problem, cfg, 1024, monkeypatch)
+    state, trace = _run_sequenced("constant-q", cfg, monkeypatch)
     assert len(failed) == 1
     assert [r.t for r in trace.rows] == [r.t for r in plain_trace.rows] == [0.0, 1.0]
     # the fallback is the plain path's own call, so b is the same to the bit
@@ -758,16 +802,17 @@ def test_sequenced_step_control_keeps_the_plain_schedule(monkeypatch):
     problem = Problem(g, sine_product_field(g, 2.0), -16.0 * np.eye(2))
     cfg = ContinuityConfig(newton_tol=1e-6, t_step_init=0.25)
     _, plain = _run(problem, cfg, 10 ** 9, monkeypatch)
-    _, seq = _run(problem, cfg, 1024, monkeypatch)
+    monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", 2 ** 8)
+    assert _coarse_chain(problem) == [(32, 32), (16, 16)]
+    _, seq = run_continuity(problem, cfg)
     assert [r.t for r in seq.rows] == [r.t for r in plain.rows]
     assert seq.rows[1].newton_iters < plain.rows[1].newton_iters
 
 
 def test_sequenced_reruns_are_bit_identical(monkeypatch):
-    problem = SEQUENCED["pernode-q"]
     cfg = ContinuityConfig(newton_tol=1e-10)
-    s1, tr1 = _run(problem, cfg, 1024, monkeypatch)
-    s2, tr2 = _run(problem, cfg, 1024, monkeypatch)
+    s1, tr1 = _run_sequenced("pernode-q", cfg, monkeypatch)
+    s2, tr2 = _run_sequenced("pernode-q", cfg, monkeypatch)
     assert s1.phi.tobytes() == s2.phi.tobytes() and s1.b == s2.b
     strip = lambda tr: [line.rsplit(",", 1)[0] for line in tr.to_csv().splitlines()]
     assert strip(tr1) == strip(tr2)
