@@ -18,7 +18,6 @@ scipy.sparse.linalg, is imported only by the commands that solve.
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -58,52 +57,6 @@ def _say(line):
 
 def _ok(label):
     _say("ok: %s" % label)
-
-
-def _converted(label, convert, *args):
-    """convert(*args), with a malformed input value raised as ConfigError."""
-    try:
-        return convert(*args)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise ConfigError("%s: %s" % (label, exc)) from exc
-
-
-def _number(label, value, kind):
-    """A JSON number as ``kind`` (int or float), or ConfigError.
-
-    An int takes JSON integers only, by ``gridio.read_field``'s
-    ``type(x) is int`` rule (true and 8.7 are refused); a float also
-    takes finite floats, but never NaN, an infinity, a bool or a string.
-    """
-    if type(value) is int or (kind is float and type(value) is float
-                              and math.isfinite(value)):
-        return _converted(label, kind, value)
-    want = "an integer" if kind is int else "a finite number"
-    raise ConfigError("%s must be %s, got %r" % (label, want, value))
-
-
-def _numbers(label, values, kind):
-    """A JSON list of numbers, each checked by ``_number``."""
-    if not isinstance(values, list):
-        raise ConfigError("%s must be a list, got %r" % (label, values))
-    return [_number(label, v, kind) for v in values]
-
-
-def _matrix(label, rows):
-    """A JSON list of equal-length rows of finite numbers, as floats."""
-    if not (isinstance(rows, list) and rows
-            and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)):
-        raise ConfigError("%s must be a list of equal-length rows, got %r"
-                          % (label, rows))
-    return [_numbers(label, r, float) for r in rows]
-
-
-def _known_keys(label, mapping, known):
-    """Refuse a key of the JSON object ``mapping`` outside ``known``."""
-    unknown = sorted(set(mapping) - set(known))
-    if unknown:
-        raise ConfigError("%s has unknown key %r (known: %s)"
-                          % (label, unknown[0], ", ".join(sorted(known))))
 
 
 def _write_text(path, text):
@@ -273,14 +226,14 @@ def _build_forcing(spec, grid):
     kind = spec.get("type", "zero")
     if not (isinstance(kind, str) and kind in FORCING_KEYS):
         raise ConfigError("unknown forcing type %r" % (kind,))
-    _known_keys("config section 'forcing' of type %r" % kind, spec,
-                ("type",) + FORCING_KEYS[kind])
+    gridio.known_keys("config section 'forcing' of type %r" % kind, spec,
+                      ("type",) + FORCING_KEYS[kind])
     if kind == "zero":
         return grid.zeros()
-    amp = _number("forcing amplitude", spec.get("amplitude", 1.0), float)
+    amp = gridio.real("forcing amplitude", spec.get("amplitude", 1.0))
     if kind == "sine":
         return sine_product_field(grid, amp)
-    width = _number("forcing width", spec.get("width", 1.0), float)
+    width = gridio.real("forcing width", spec.get("width", 1.0))
     if width <= 0:
         raise ConfigError("bump width must be positive")
     acc = np.zeros(grid.dims)
@@ -309,12 +262,12 @@ def _load_run_config(path, newton_tol=None):
         "continuity": {f.name for f in dataclasses.fields(ContinuityConfig)},
         "outputs": set(OUTPUTS),
     }
-    _known_keys("config", cfg, sections)
+    gridio.known_keys("config", cfg, sections)
     for section, known in sections.items():
         body = cfg.get(section, {})
         if not isinstance(body, dict):
             raise ConfigError("config section %r must be a JSON object" % section)
-        _known_keys("config section %r" % section, body, known)
+        gridio.known_keys("config section %r" % section, body, known)
         if "file" in body and len(body) > 1:
             raise ConfigError("config section %r takes 'file' alone, got keys %s"
                               % (section, ", ".join(sorted(body))))
@@ -325,18 +278,15 @@ def _load_run_config(path, newton_tol=None):
     if newton_tol is not None:
         cfg.setdefault("continuity", {})["newton_tol"] = newton_tol
     gspec = cfg.get("grid", {})
-    lengths = gspec.get("lengths")
-    grid = TorusGrid(_numbers("grid.dims", gspec.get("dims", [64, 64]), int),
-                     None if lengths is None else _numbers("grid.lengths", lengths, float))
+    grid = TorusGrid(gspec.get("dims", [64, 64]), gspec.get("lengths"))
     F = _build_forcing(cfg.get("forcing", {"type": "zero"}), grid)
     qspec = cfg.get("q", {"matrix": np.zeros((grid.ndim, grid.ndim)).tolist()})
-    if "matrix" in qspec:
-        qspec = {"matrix": _matrix("q.matrix", qspec["matrix"])}
-    q = _converted("q", gridio.load_qspec, qspec, grid)
+    q = gridio.load_qspec(qspec, grid)
     problem = Problem(grid, F, q)
     cspec = cfg.get("continuity", {})
     ccfg = ContinuityConfig(**{
-        name: _number("continuity.%s" % name, cspec.get(name, default), type(default))
+        name: (gridio.integer if type(default) is int else gridio.real)(
+            "continuity.%s" % name, cspec.get(name, default))
         for name, default in dataclasses.asdict(ContinuityConfig()).items()
     }).validate()
     return cfg, problem, ccfg
@@ -367,7 +317,10 @@ def cmd_solve(args):
     bound_ok = check_b_bound(state, problem.F, slack)
     _say("converged: b=%.12g residual=%.3e macro_steps=%d"
          % (state.b, state.residual_norm, len(trace.rows)))
-    _say("density range: [%.6g, %.6g]" % (float(dens.min()), float(dens.max())))
+    dmin, dmax = float(dens.min()), float(dens.max())
+    _say("density range: [%.6g, %.6g]" % (dmin, dmax))
+    if dmin <= 0.0:
+        _say("density is not positive: the solution is not admissible")
     _say("b bound (max e^{-tF} + %.1e): %s" % (slack, "ok" if bound_ok else "VIOLATED"))
 
     gridio.write_field(paths["phi"], state.phi, grid.lengths)
@@ -379,8 +332,8 @@ def cmd_solve(args):
         "residual_norm": state.residual_norm,
         "macro_steps": len(trace.rows),
         "b_bound_ok": bool(bound_ok),
-        "density_min": float(dens.min()),
-        "density_max": float(dens.max()),
+        "density_min": dmin,
+        "density_max": dmax,
         "grid": {"dims": list(grid.dims), "lengths": list(grid.lengths)},
     }
 
@@ -409,7 +362,7 @@ def cmd_solve(args):
         summary["uniqueness"] = {"dphi": dphi, "db": db, "agree": bool(agree)}
     _write_text(paths["summary"],
                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return 0 if bound_ok and agree else 1
+    return 0 if dmin > 0.0 and bound_ok and agree else 1
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +400,10 @@ def cmd_manufactured(args):
 def cmd_study(args):
     from .continuity_driver import convergence_study
 
-    sizes = [_converted("sizes", int, s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError as exc:
+        raise ConfigError("sizes: %s" % exc) from exc
     if len(sizes) < 2:
         raise ConfigError("need at least two grid sizes")
     rows = convergence_study(sizes, amplitude=args.amplitude, qdiag=args.qdiag,

@@ -45,8 +45,6 @@ case with Q = -60 I stalled at 1.4e-10 with tol 1e-10).
 
 import functools
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +58,7 @@ from .errors import (
     MaxItersExceeded,
     ShapeMismatch,
 )
+from .gridio import integer, listed, real
 from .kernels import gradient_nd, laplacian_nd, neighbours
 
 MAX_HALVINGS = 20
@@ -75,31 +74,18 @@ class TorusGrid:
     """Uniform periodic grid with 2 or 4 axes."""
 
     def __init__(self, dims, lengths=None):
-        # int() would truncate 8.7 and parse "8"; index() takes integers only
-        try:
-            dims = tuple(operator.index(d) for d in dims)
-        except TypeError:
-            raise ConfigError("grid dims must be integers, got %r" % (dims,)) from None
+        dims = tuple(listed("grid.dims", dims, integer))
         if len(dims) not in (2, 4):
             raise ConfigError("grid needs 2 or 4 axes, got %d" % len(dims))
         if any(d < 4 for d in dims):
             raise ConfigError("every axis needs at least 4 nodes: %r" % (dims,))
         if lengths is None:
             lengths = (2.0 * math.pi,) * len(dims)
-        # a string is a sequence too, and would be read digit by digit
-        if isinstance(lengths, (str, bytes)) or not all(
-                isinstance(x, numbers.Real) and not isinstance(x, bool) for x in lengths):
-            raise ConfigError("axis lengths must be a sequence of numbers, got %r"
-                              % (lengths,))
-        try:
-            lengths = tuple(float(x) for x in lengths)
-        except OverflowError:   # an integer beyond the float range
-            raise ConfigError("axis lengths must be finite, got %r" % (lengths,)) from None
+        lengths = tuple(listed("grid.lengths", lengths, real))
         if len(lengths) != len(dims):
             raise ConfigError("lengths %r do not match dims %r" % (lengths, dims))
-        if not all(0.0 < x < math.inf for x in lengths):
-            raise ConfigError("axis lengths must be positive and finite, got %r"
-                              % (lengths,))
+        if min(lengths) <= 0.0:
+            raise ConfigError("grid.lengths must be positive, got %r" % (lengths,))
         self.dims = dims
         self.lengths = lengths
         self.spacings = tuple(x / d for x, d in zip(lengths, dims))

@@ -1,19 +1,69 @@
-"""Field file formats.
+"""Field file formats, and the checks every input value passes.
 
 A field file is one JSON header line (dims, lengths, channels) followed
 by the raw little-endian float64 payload in C order.  Scalar fields have
 no channel axis; packed symmetric matrix fields carry d*(d+1)/2
 channels, upper triangle in row-major order.
+
+``integer``, ``real``, ``listed``, ``matrix`` and ``known_keys`` check a
+value from a JSON document or a Python caller and raise ConfigError
+naming its field.  The solve config, the field header and ``TorusGrid``
+all go through them: a number is a ``numbers.Integral`` or
+``numbers.Real`` that is not a bool, so JSON's 8.7, "8" and true are
+refused as integers while numpy scalars are taken.
 """
 
 import json
 import math
+import numbers
 import os
-import sys
 
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatch
+
+
+def integer(label, x):
+    """x as an int; 8.7, "8" and True are refused."""
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    raise ConfigError("%s must be an integer, got %r" % (label, x))
+
+
+def real(label, x):
+    """x as a finite float; NaN, an infinity, a bool, a string and an
+    integer beyond the float range are refused."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        try:
+            if math.isfinite(value := float(x)):
+                return value
+        except OverflowError:
+            pass
+    raise ConfigError("%s must be a finite number, got %r" % (label, x))
+
+
+def listed(label, xs, check):
+    """A list (or tuple) of values, each passed through check(label, x)."""
+    if not isinstance(xs, (list, tuple)):
+        raise ConfigError("%s must be a list, got %r" % (label, xs))
+    return [check(label, x) for x in xs]
+
+
+def matrix(label, rows):
+    """A non-empty list of equal-length rows of finite numbers, as floats."""
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)):
+        raise ConfigError("%s must be a list of equal-length rows, got %r"
+                          % (label, rows))
+    return [listed(label, r, real) for r in rows]
+
+
+def known_keys(label, mapping, known):
+    """Refuse a key of the JSON object ``mapping`` outside ``known``."""
+    unknown = sorted(set(mapping) - set(known))
+    if unknown:
+        raise ConfigError("%s has unknown key %r (known: %s)"
+                          % (label, unknown[0], ", ".join(sorted(known))))
 
 
 def write_field(path, arr, lengths):
@@ -60,23 +110,21 @@ def read_field(path):
         channels = header.get("channels", 0)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError("bad field header in %s: %s" % (path, exc))
-    # type() is int refuses true (a bool) and 4.0 alike
-    if not (isinstance(dims, list) and dims
-            and all(type(d) is int and d > 0 for d in dims)):
+    dims = listed("field header dims", dims, integer)
+    if not (dims and min(dims) > 0):
         raise ConfigError("field header dims must be a non-empty list of "
                           "positive integers, got %r" % (dims,))
-    # a JSON integer beyond the float range is refused, not overflowed
-    if not (isinstance(lengths, list) and all(
-            type(x) in (int, float) and 0 < x <= sys.float_info.max for x in lengths)):
-        raise ConfigError("field header lengths must be a list of positive, "
-                          "finite numbers, got %r" % (lengths,))
-    lengths = tuple(float(x) for x in lengths)
+    lengths = tuple(listed("field header lengths", lengths, real))
     if len(lengths) != len(dims):
         raise ConfigError("field header has %d lengths for %d dims"
                           % (len(lengths), len(dims)))
-    if not (type(channels) is int and channels >= 0):
-        raise ConfigError("field header channels must be a non-negative "
-                          "integer, got %r" % (channels,))
+    if min(lengths) <= 0.0:
+        raise ConfigError("field header lengths must be positive, got %r"
+                          % (lengths,))
+    channels = integer("field header channels", channels)
+    if channels < 0:
+        raise ConfigError("field header channels must be non-negative, got %r"
+                          % (channels,))
     shape = tuple(dims) + ((channels,) if channels else ())
     want = math.prod(shape) * 8
     payload = raw[cut + 1:]
@@ -111,7 +159,7 @@ def load_qspec(spec, grid):
     if not isinstance(spec, dict):
         raise ConfigError("quadratic form spec must be a JSON object")
     if "matrix" in spec:
-        return np.asarray(spec["matrix"], dtype=float)
+        return np.asarray(matrix("q.matrix", spec["matrix"]))
     if "file" in spec:
         arr, lengths = read_field(spec["file"])
         if tuple(lengths) != grid.lengths:

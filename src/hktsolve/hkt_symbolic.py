@@ -52,10 +52,6 @@ def p_sym(sym, c=ONE):
     return {(sym,): c} if c else {}
 
 
-def p_add(a, b):
-    return accumulate(dict(a), b)
-
-
 def p_scale(a, c):
     c = as_qqi(c)
     if not c:
@@ -69,19 +65,6 @@ def p_mul(a, b):
         # distinct monomials of b stay distinct once multiplied by ma
         accumulate(out, {tuple(sorted(ma + mb)): cb for mb, cb in b.items()}, ca)
     return out
-
-
-def p_eval(poly, assignment):
-    total = 0j
-    for mono, c in poly.items():
-        val = c.to_complex()
-        for sym in mono:
-            try:
-                val *= assignment[sym]
-            except KeyError:
-                raise ConfigError("assignment is missing jet symbol %r" % (sym,))
-        total += val
-    return total
 
 
 def _bracket_jet(i, j, frame):
@@ -188,9 +171,6 @@ class Form:
         return isinstance(other, Form) and self.half == other.half \
             and self.terms == other.terms
 
-    def is_zero(self):
-        return not self.terms
-
 
 def _signed_sort(indices):
     """Sort the factors of a wedge monomial.
@@ -219,15 +199,6 @@ def form_add(a, b):
     out = Form(a.half, a.terms)
     for key, poly in b.terms.items():
         _accumulate(out.terms, key, poly)
-    return out
-
-
-def form_scale(a, c):
-    out = Form(a.half)
-    for key, poly in a.terms.items():
-        s = p_scale(poly, c)
-        if s:
-            out.terms[key] = s
     return out
 
 
@@ -402,10 +373,6 @@ class ReducedOperator:
     q_forms: dict
     quadratic_poly: dict
 
-    def evaluate(self, assignment):
-        """Value of the ratio polynomial at a jet assignment."""
-        return p_eval(self.ratio_poly, assignment)
-
     def real_quadratic_matrix(self):
         """The 4x4 real matrix Q with quadratic part = grad^T Q grad.
 
@@ -572,31 +539,3 @@ def reduce_ratio(frame):
         q_forms=q_forms,
         quadratic_poly=quad,
     )
-
-
-def random_jets(op, rng, realistic=True):
-    """A random jet assignment for a reduced operator.
-
-    With ``realistic`` the assignment satisfies the conjugation
-    relations a genuine real potential would (conjugate gradients,
-    real mixed traces); otherwise all six symbols are free.
-    """
-    a, b = op.active_pair
-    half = op.half
-
-    def z():
-        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-
-    ga, gb = z(), z()
-    out = {("g", a): ga, ("g", b): gb}
-    if realistic:
-        out[("g", a + half)] = ga.conjugate()
-        out[("g", b + half)] = gb.conjugate()
-        out[("h", a, a + half)] = rng.uniform(-1, 1)
-        out[("h", b, b + half)] = rng.uniform(-1, 1)
-    else:
-        out[("g", a + half)] = z()
-        out[("g", b + half)] = z()
-        out[("h", a, a + half)] = z()
-        out[("h", b, b + half)] = z()
-    return out

@@ -4,14 +4,14 @@ Every function here recomputes a package result through a different
 route: float linear algebra instead of exact rationals, bitmask
 exterior algebra instead of sorted-tuple forms, spectral solves instead
 of Newton iteration, finite differences instead of hand linearization.
-Expected values in the tests were frozen from these oracles.
+Expected values in the tests were frozen from these oracles.  The
+reduction's oracles are fed random jets (``random_jets``) and compare
+against the exact polynomials evaluated in floats (``p_eval``).
 """
 
 import math
 
 import numpy as np
-
-from hktsolve.hkt_symbolic import p_eval
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,45 @@ def theorem_value_oracle(frame, jets):
             + C(b, k, bb) * g(b) + C(bb, k, bb) * g(bb)
         total -= pk * np.conjugate(pk)
     return complex(total)
+
+
+def p_eval(poly, assignment):
+    """A jet polynomial's complex value at an assignment {symbol: number}."""
+    total = 0j
+    for mono, c in poly.items():
+        val = c.to_complex()
+        for sym in mono:
+            val *= assignment[sym]
+        total += val
+    return total
+
+
+def random_jets(op, rng, realistic=True):
+    """A random jet assignment for a reduced operator.
+
+    With ``realistic`` the assignment satisfies the conjugation
+    relations a genuine real potential would (conjugate gradients,
+    real mixed traces); otherwise all six symbols are free.
+    """
+    a, b = op.active_pair
+    half = op.half
+
+    def z():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    ga, gb = z(), z()
+    out = {("g", a): ga, ("g", b): gb}
+    if realistic:
+        out[("g", a + half)] = ga.conjugate()
+        out[("g", b + half)] = gb.conjugate()
+        out[("h", a, a + half)] = rng.uniform(-1, 1)
+        out[("h", b, b + half)] = rng.uniform(-1, 1)
+    else:
+        out[("g", a + half)] = z()
+        out[("g", b + half)] = z()
+        out[("h", a, a + half)] = z()
+        out[("h", b, b + half)] = z()
+    return out
 
 
 def normal_form_value(op, assignment):

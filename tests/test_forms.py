@@ -15,13 +15,11 @@ from hktsolve.hkt_symbolic import (
     del_holo,
     del_j_basic,
     form_add,
-    form_scale,
     jmap_form,
-    p_add,
     p_conj,
     p_deriv,
-    p_eval,
     p_mul,
+    p_scale,
     p_sym,
     poly_str,
     reality_check,
@@ -34,6 +32,14 @@ from hktsolve.lie_frame import build_complex_frame
 @pytest.fixture(scope="module")
 def su3_frame():
     return build_complex_frame(algebras.su3())
+
+
+def p_add(a, b):
+    return accumulate(dict(a), b)
+
+
+def form_scale(a, c):
+    return Form(a.half, {key: p_scale(poly, c) for key, poly in a.terms.items()})
 
 
 def random_const_form(rng, half, degree, terms=4):
@@ -101,13 +107,13 @@ def test_del_holo_leibniz(su3_frame, rng):
 def test_del_squared_vanishes_on_coframe(su3_frame):
     for k in range(1, 5):
         dd = del_holo(del_generator(k, su3_frame), su3_frame)
-        assert dd.is_zero(), k
+        assert dd.terms == {}, k
 
 
 def test_del_squared_vanishes_dim12():
     frame = build_complex_frame(algebras.get_algebra("semidirect12"))
     for k in range(1, 7):
-        assert del_holo(del_generator(k, frame), frame).is_zero(), k
+        assert del_holo(del_generator(k, frame), frame).terms == {}, k
 
 
 def test_jmap_involution(rng):
@@ -191,9 +197,9 @@ def test_canonical_rendering(su3_frame):
 def test_p_eval_and_symbols(su3_frame):
     poly = p_add(p_sym(("g", 3), QQi(2)), p_mul(p_sym(("g", 4)), p_sym(("g", 8))))
     vals = {("g", 3): 1 + 2j, ("g", 4): 3j, ("g", 8): -3j}
-    assert p_eval(poly, vals) == 2 * (1 + 2j) + (3j) * (-3j)
-    with pytest.raises(ConfigError):
-        p_eval(poly, {("g", 3): 1.0})
+    assert oracles.p_eval(poly, vals) == 2 * (1 + 2j) + (3j) * (-3j)
+    with pytest.raises(KeyError):
+        oracles.p_eval(poly, {("g", 3): 1.0})
 
 
 def test_accumulate_sums_in_place(monkeypatch):

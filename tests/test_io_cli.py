@@ -316,6 +316,20 @@ def test_cli_solve_disagreeing_rerun_still_writes_summary(tmp_path, capsys, monk
     assert "stale" not in summary and summary["uniqueness"]["agree"] is False
 
 
+def test_cli_solve_refuses_a_density_that_is_not_positive(tmp_path, capsys):
+    # b e^F runs from 0 (e^-800 underflows) to about 13.5, and the absolute
+    # tolerance cannot resolve the low end: the density dips below zero
+    cfgpath = _write_config(tmp_path / "run.json", dims=(16, 16),
+                            forcing={"type": "bump", "amplitude": -800.0,
+                                     "width": 1.0})
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(cfgpath), "--out-dir", str(out)]) == 1
+    assert "density is not positive" in capsys.readouterr().out
+    for name in ("phi.field", "trace.csv", "trace.json", "summary.json"):
+        assert (out / name).exists()
+    assert json.loads((out / "summary.json").read_text())["density_min"] <= 0.0
+
+
 def test_cli_solve_reports_basicness_verdict(tmp_path, capsys):
     g = TorusGrid((8, 8, 4, 4))
     xs = meshes(g)
@@ -471,7 +485,36 @@ def test_readme_examples_parse(tmp_path):
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_number_refuses_non_finite_floats_by_name(value):
     with pytest.raises(ConfigError, match="^forcing width must be a finite number"):
-        cli._number("forcing width", value, float)
+        gridio.real("forcing width", value)
+
+
+_BAD_GRID_VALUES = {
+    "dims": [8.7, "8", True, float("nan"), float("inf")],
+    "lengths": ["8", True, float("nan"), float("inf"), 10 ** 400],
+}
+
+
+@pytest.mark.parametrize("door", ["config", "header", "grid"])
+@pytest.mark.parametrize("key,value", [
+    (key, value) for key, values in _BAD_GRID_VALUES.items() for value in values
+] + [("dims", "string"), ("lengths", "string")],
+    ids=lambda v: "1e400" if v == 10 ** 400 else None)
+def test_every_door_refuses_the_same_values_by_name(tmp_path, door, key, value):
+    # one bad entry, or a string in place of the list
+    given = {"dims": [8, 8], "lengths": [1.0, 1.0]}
+    given[key] = "88" if value == "string" else [value, given[key][1]]
+    if door == "config":
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"grid": given}))
+        load, named = lambda: cli._load_run_config(str(path)), "grid." + key
+    elif door == "header":
+        path = tmp_path / "f.field"
+        path.write_bytes(json.dumps(given).encode() + b"\n" + bytes(8 * 64))
+        load, named = lambda: gridio.read_field(str(path)), "field header " + key
+    else:
+        load, named = lambda: TorusGrid(given["dims"], given["lengths"]), "grid." + key
+    with pytest.raises(ConfigError, match="^" + re.escape(named) + " must be"):
+        load()
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "not-json",

@@ -11,11 +11,9 @@ from hktsolve.exact import QQi
 from hktsolve.hkt_symbolic import (
     del_holo,
     del_j_basic,
-    p_eval,
     p_scale,
     p_sym,
     quadratic_forms_closed,
-    random_jets,
     reduce_ratio,
 )
 from hktsolve.lie_frame import (
@@ -167,8 +165,8 @@ def test_ratio_matches_theorem_oracle(frames, operators, rng):
     for name, frame in frames.items():
         op = operators[name]
         for _ in range(20):
-            jets = random_jets(op, rng)
-            got = op.evaluate(jets)
+            jets = oracles.random_jets(op, rng)
+            got = oracles.p_eval(op.ratio_poly, jets)
             want = oracles.theorem_value_oracle(frame, jets)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), name
             # realistic jets make the value real
@@ -178,8 +176,9 @@ def test_ratio_matches_theorem_oracle(frames, operators, rng):
 def test_ratio_matches_normal_form(operators, rng):
     for name, op in operators.items():
         for _ in range(10):
-            jets = random_jets(op, rng)
-            assert abs(op.evaluate(jets) - oracles.normal_form_value(op, jets)) < 1e-12
+            jets = oracles.random_jets(op, rng)
+            got = oracles.p_eval(op.ratio_poly, jets)
+            assert abs(got - oracles.normal_form_value(op, jets)) < 1e-12
 
 
 def test_top_power_against_bitmask_oracle(frames, operators, rng):
@@ -187,11 +186,11 @@ def test_top_power_against_bitmask_oracle(frames, operators, rng):
         op = operators[name]
         dd = del_holo(del_j_basic(frame), frame)
         for _ in range(5):
-            jets = random_jets(op, rng, realistic=False)
-            evaluated = {key: p_eval(poly, jets)
+            jets = oracles.random_jets(op, rng, realistic=False)
+            evaluated = {key: oracles.p_eval(poly, jets)
                          for key, poly in dd.terms.items()}
             want = oracles.top_ratio_oracle(evaluated, frame.half)
-            got = op.evaluate(jets)
+            got = oracles.p_eval(op.ratio_poly, jets)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), name
 
 
@@ -200,18 +199,18 @@ def test_pairing_identity_for_free_jets(operators, rng):
     # pairs as polynomials, so it must hold without conjugation relations
     for op in operators.values():
         for _ in range(5):
-            jets = random_jets(op, rng, realistic=False)
+            jets = oracles.random_jets(op, rng, realistic=False)
             total = 1.0 + jets[("h", op.active_pair[0], op.active_pair[0] + op.half)] \
                 + jets[("h", op.active_pair[1], op.active_pair[1] + op.half)]
             for k in sorted(op.split):
                 if k % 2 == 0:
                     continue
-                pk = p_eval(op.p_forms[k], jets)
-                qk = p_eval(op.q_forms[k], jets)
-                pk2 = p_eval(op.p_forms[k + 1], jets)
-                qk2 = p_eval(op.q_forms[k + 1], jets)
+                pk = oracles.p_eval(op.p_forms[k], jets)
+                qk = oracles.p_eval(op.q_forms[k], jets)
+                pk2 = oracles.p_eval(op.p_forms[k + 1], jets)
+                qk2 = oracles.p_eval(op.q_forms[k + 1], jets)
                 total += qk * pk2 - pk * qk2
-            assert abs(op.evaluate(jets) - total) < 1e-12
+            assert abs(oracles.p_eval(op.ratio_poly, jets) - total) < 1e-12
 
 
 def test_split_override_and_errors():
