@@ -293,7 +293,8 @@ def _load_run_config(path, newton_tol=None):
 
 
 def cmd_solve(args):
-    from .continuity_driver import basicness_check, run_continuity, sine_product_field
+    from .continuity_driver import (SOLVER_FAILURES, basicness_check,
+                                    run_continuity, sine_product_field)
     from .elliptic_solver import check_b_bound, density, solve_at_t
 
     cfg, problem, ccfg = _load_run_config(args.config, args.newton_tol)
@@ -352,14 +353,22 @@ def cmd_solve(args):
     agree = True
     if args.verify_unique:
         seed = 0.01 * sine_product_field(grid, 1.0)
-        other = solve_at_t(problem, 1.0, phi0=seed, b0=1.5,
-                           tol=ccfg.newton_tol, max_iters=ccfg.max_newton)
-        dphi = float(np.max(np.abs(other.phi - state.phi)))
-        db = abs(other.b - state.b)
-        agree = dphi <= 100.0 * ccfg.newton_tol and db <= 100.0 * ccfg.newton_tol
-        _say("uniqueness re-run: |dphi|=%.3e |db|=%.3e -> %s"
-             % (dphi, db, "agree" if agree else "DISAGREE"))
-        summary["uniqueness"] = {"dphi": dphi, "db": db, "agree": bool(agree)}
+        try:
+            other = solve_at_t(problem, 1.0, phi0=seed, b0=1.5,
+                               tol=ccfg.newton_tol, max_iters=ccfg.max_newton)
+        except SOLVER_FAILURES as exc:
+            # a re-run that finds no solution confirms nothing
+            agree = False
+            error = "%s: %s" % (type(exc).__name__, exc)
+            _say("uniqueness re-run: failed (%s) -> DISAGREE" % error)
+            summary["uniqueness"] = {"agree": False, "error": error}
+        else:
+            dphi = float(np.max(np.abs(other.phi - state.phi)))
+            db = abs(other.b - state.b)
+            agree = dphi <= 100.0 * ccfg.newton_tol and db <= 100.0 * ccfg.newton_tol
+            _say("uniqueness re-run: |dphi|=%.3e |db|=%.3e -> %s"
+                 % (dphi, db, "agree" if agree else "DISAGREE"))
+            summary["uniqueness"] = {"dphi": dphi, "db": db, "agree": bool(agree)}
     _write_text(paths["summary"],
                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0 if dmin > 0.0 and bound_ok and agree else 1

@@ -29,9 +29,9 @@ pair: 512^2 -> 256^2 -> 128^2 -> 64^2 -> 32^2, 64^2 -> 32^2, and
 20^4 -> 10^4 for a forcing that varies along all four axes.  F, and a
 per-node Q, are taken by injection (every (m/k)-th node of an axis that
 goes from m to k nodes; a constant Q as it is).  The coarse phi reaches
-the finer grid by trigonometric interpolation along the axes that
-grow: its real half spectrum, zero-padded through numpy's FFT with the
-Nyquist mode of each even axis split in halves.  Newton's step count
+the finer grid by trigonometric interpolation, which is separable: one
+real FFT pair along each axis that grows zero-pads its half spectrum,
+the Nyquist mode of an even axis split in halves.  Newton's step count
 does not depend on the mesh, so the interpolated start lies in the fine
 grid's quadratic basin.  Where the halving to the level below a grid
 halved varying axes and more varying levels lie under that one, the
@@ -147,8 +147,9 @@ class PathTrace:
         }, indent=2)
 
 
-_SOLVER_FAILURES = (DampingExhausted, MaxItersExceeded, LinearSolveFailure,
-                    BPositivityLost)
+# the ways a Newton solve (solve_at_t) fails on valid input
+SOLVER_FAILURES = (DampingExhausted, MaxItersExceeded, LinearSolveFailure,
+                   BPositivityLost)
 
 # A grid is halved only while the halved grid keeps at least this many
 # nodes along its varying (non-leaf) axes; the last grid starts Newton
@@ -222,46 +223,23 @@ def interpolate(values, dims):
     """Trigonometric interpolation of periodic grid values onto a finer grid.
 
     Each axis of ``dims`` is as long as the values' or longer, over the
-    same length.  The values are transformed along the axes that grow
-    only, and their real half spectrum, taken along the last of those,
-    is zero-padded: every frequency keeps its place counted from its end
-    of the axis, and the Nyquist mode of an even axis that grows is
-    split in halves between +m/2 and -m/2 (on the half-spectrum axis,
-    the -m/2 half is the Hermitian mirror irfft supplies).  The padded
-    spectrum is the one fine array held besides the result; the inverse
-    transform runs in place in it, in irfftn's order.
+    same length.  The interpolant is separable, so it is built one axis
+    at a time: along each axis that grows from m to n nodes, the real
+    half spectrum of the values so far is zero-padded to n nodes by
+    irfft, every frequency keeping its place, and scaled by n/m.  On an
+    even axis the Nyquist bin m/2 is halved first: that is its +m/2
+    half, and irfft supplies the -m/2 half as the Hermitian mirror.
     """
     values = np.asarray(values, dtype=float)
-    grown = [ax for ax, (m, n) in enumerate(zip(values.shape, dims))
-             if n != m] or [values.ndim - 1]
-    last = grown[-1]
-    src, dst, weights = [], [], []
     for ax, (m, n) in enumerate(zip(values.shape, dims)):
-        k = np.arange(m // 2 + 1 if ax == last else m)
-        to = k if ax == last else np.where(k < (m + 1) // 2, k, k - m) % n
-        if n != m and m % 2 == 0:
-            w = np.ones(len(k))
-            w[m // 2] = 0.5   # the Nyquist mode, at -m/2 on a full axis
-            if ax != last:    # and its other half at +m/2
-                k = np.append(k, m // 2)
-                to = np.append(to, m // 2)
-                w = np.append(w, 0.5)
-            weights.append((ax, w))
-        src.append(k)
-        dst.append(to)
-    block = np.fft.rfftn(values, axes=grown)[np.ix_(*src)]
-    for ax, w in weights:
-        shape = [1] * values.ndim
-        shape[ax] = len(w)
-        block *= w.reshape(shape)
-    block *= math.prod(dims) / values.size
-    half = tuple(n // 2 + 1 if ax == last else n for ax, n in enumerate(dims))
-    spectrum = np.zeros(half, dtype=complex)
-    spectrum[np.ix_(*dst)] = block
-    del block
-    for ax in grown[:-1]:
-        np.fft.ifft(spectrum, axis=ax, out=spectrum)
-    return np.fft.irfft(spectrum, n=dims[last], axis=last)
+        if n != m:
+            spectrum = np.fft.rfft(values, axis=ax)
+            if m % 2 == 0:
+                spectrum[(slice(None),) * ax + (m // 2,)] *= 0.5
+            values = None   # the axis's input, freed before the inverse
+            values = np.fft.irfft(spectrum, n=n, axis=ax)
+            values *= n / m
+    return values
 
 
 def richardson(*levels):
@@ -358,7 +336,7 @@ def _attempt(problem, state, t, cfg):
             and coarse_dims(problem.grid, problem.leaf_axes) is not None):
         try:
             return _sequenced_solve(problem, t, cfg)
-        except _SOLVER_FAILURES:
+        except SOLVER_FAILURES:
             pass
     nxt = solve_at_t(problem, t, phi0=state.phi, b0=state.b,
                      tol=cfg.newton_tol, max_iters=cfg.max_newton)
@@ -384,7 +362,7 @@ def run_continuity(problem, cfg=None):
         started = time.perf_counter()
         try:
             nxt, iters = _attempt(problem, state, t_try, cfg)
-        except _SOLVER_FAILURES:
+        except SOLVER_FAILURES:
             dt *= 0.5
             if dt < cfg.t_step_min:
                 raise StepUnderflow(

@@ -89,7 +89,11 @@ class TorusGrid:
         self.dims = dims
         self.lengths = lengths
         self.spacings = tuple(x / d for x, d in zip(lengths, dims))
-        self.size = int(np.prod(dims))
+        self.size = math.prod(dims)
+        # numpy's own limit on an array's bytes, for float64 values
+        if 8 * self.size > np.iinfo(np.intp).max:
+            raise ConfigError("grid.dims %r have %d nodes, more than an array "
+                              "can address" % (dims, self.size))
 
     @property
     def ndim(self):

@@ -102,11 +102,6 @@ class QQi:
     def conjugate(self):
         return QQi(self.re, -self.im)
 
-    def to_complex(self):
-        return complex(self.re, self.im)
-
-    __complex__ = to_complex
-
 
 ZERO = QQi(0)
 ONE = QQi(1)

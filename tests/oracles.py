@@ -14,6 +14,11 @@ import math
 import numpy as np
 
 
+def to_complex(x):
+    """An exact Gaussian rational (``exact.QQi``) as a complex float."""
+    return complex(x.re, x.im)
+
+
 # ---------------------------------------------------------------------------
 # float bracket oracles, on a dense tensor read straight from sc.table
 
@@ -44,7 +49,7 @@ def frame_columns(frame):
     cols = np.zeros((dim, dim), dtype=complex)
     for k, vec in enumerate(frame.vectors):
         for i, x in vec.items():
-            cols[i - 1, k] = x.to_complex()
+            cols[i - 1, k] = to_complex(x)
     cols[:, half:] = cols[:, :half].conj()
     return cols
 
@@ -119,7 +124,7 @@ def p_eval(poly, assignment):
     """A jet polynomial's complex value at an assignment {symbol: number}."""
     total = 0j
     for mono, c in poly.items():
-        val = c.to_complex()
+        val = to_complex(c)
         for sym in mono:
             val *= assignment[sym]
         total += val

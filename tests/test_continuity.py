@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hktsolve.continuity_driver as cd
 import hktsolve.elliptic_solver as es
@@ -479,6 +481,33 @@ def test_interpolation_reproduces_band_limited_polynomials(coarse, fine):
     want = _trig_poly(fine, lengths, waves, nyquist)
     assert got.shape == fine
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(shape=st.one_of(st.lists(st.integers(2, 9), min_size=2, max_size=2),
+                       st.lists(st.integers(2, 6), min_size=4, max_size=4)),
+       grow=st.sampled_from(["first", "last", "both"]),
+       factors=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+       scale=st.sampled_from([1e-6, 1.0, 1e8]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_interpolation_passes_through_arbitrary_values(shape, grow, factors,
+                                                       scale, seed):
+    # white noise: content in every mode, the Nyquist modes included.
+    # The interpolant passes through the coarse nodes and keeps the mean;
+    # both are checked by slicing and summing, with no FFT.
+    values = scale * np.random.default_rng(seed).standard_normal(shape)
+    axes = {"first": [0], "last": [len(shape) - 1],
+            "both": [0, len(shape) - 1]}[grow]
+    dims = list(shape)
+    nodes = [slice(None)] * len(shape)
+    for ax, k in zip(axes, factors):
+        dims[ax] *= k
+        nodes[ax] = slice(None, None, k)
+    got = cd.interpolate(values, tuple(dims))
+    top = np.max(np.abs(values))
+    assert got.shape == tuple(dims)
+    assert np.max(np.abs(got[tuple(nodes)] - values)) <= 1e-13 * top
+    assert abs(np.mean(got) - np.mean(values)) <= 1e-14 * top
 
 
 

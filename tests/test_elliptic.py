@@ -85,6 +85,14 @@ def test_grid_validation():
     assert TorusGrid((np.int64(8), 8), (np.float64(2.0), 3)).lengths == (2.0, 3.0)
 
 
+@pytest.mark.parametrize("dims", [(2 ** 32, 2 ** 32), (2 ** 16,) * 4, (10 ** 40, 8)])
+def test_grid_refuses_more_nodes_than_an_array_can_address(dims):
+    # 2^64 nodes wrap to 0 in an int64 product; nothing is allocated
+    with pytest.raises(ConfigError, match=r"^grid\.dims .* nodes"):
+        TorusGrid(dims)
+    assert TorusGrid((2 ** 20, 2 ** 20)).size == 2 ** 40
+
+
 # ------------------------------------------------------------- kernels
 
 

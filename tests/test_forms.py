@@ -52,7 +52,7 @@ def random_const_form(rng, half, degree, terms=4):
 
 
 def form_to_bitmask(f):
-    return {sum(1 << (i - 1) for i in key): poly[()].to_complex()
+    return {sum(1 << (i - 1) for i in key): oracles.to_complex(poly[()])
             for key, poly in f.terms.items()}
 
 

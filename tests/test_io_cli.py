@@ -316,6 +316,40 @@ def test_cli_solve_disagreeing_rerun_still_writes_summary(tmp_path, capsys, monk
     assert "stale" not in summary and summary["uniqueness"]["agree"] is False
 
 
+def test_cli_solve_failed_rerun_still_writes_summary(tmp_path, capsys):
+    # the main solve converges (density minimum about 6e-12); the re-run,
+    # started at t = 1 from a small sine, loses the positivity of b
+    cfgpath = _write_config(tmp_path / "run.json", dims=(64, 64),
+                            forcing={"type": "bump", "amplitude": 30.0,
+                                     "width": 0.2})
+    out = tmp_path / "out"
+    rc = cli.main(["solve", "--config", str(cfgpath), "--out-dir", str(out),
+                   "--verify-unique"])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("uniqueness re-run: failed (BPositivityLost: ")
+               and line.endswith("-> DISAGREE") for line in lines)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["density_min"] > 0.0 and summary["b_bound_ok"] is True
+    assert summary["uniqueness"]["agree"] is False
+    assert summary["uniqueness"]["error"].startswith("BPositivityLost: b dropped to ")
+
+
+@pytest.mark.parametrize("dims", [[2 ** 32, 2 ** 32], [2 ** 16] * 4])
+def test_cli_solve_refuses_a_grid_too_large_to_address(tmp_path, capsys,
+                                                     monkeypatch, dims):
+    def no_zeros(self):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(TorusGrid, "zeros", no_zeros)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"grid": {"dims": dims}}))
+    assert cli.main(["solve", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert "error: ConfigError: grid.dims " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_solve_refuses_a_density_that_is_not_positive(tmp_path, capsys):
     # b e^F runs from 0 (e^-800 underflows) to about 13.5, and the absolute
     # tolerance cannot resolve the low end: the density dips below zero
