@@ -489,6 +489,10 @@ def main(argv=None):
     except HktError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy raises a private subclass; the message names the request
+        print("error: MemoryError: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -370,8 +370,8 @@ def shifted_inverse_preconditioner(problem, phi, t):
         # phi) = 0.  The zero mode of the inverse is 1 / sigma, and the
         # border cancels it: floored at 1e-6 of the lowest other mode, that
         # cancellation costs at most 1e6 eps.
-        lowest = min(4.0 * math.sin(math.pi / m) ** 2 / (h * h)
-                     for m, h in zip(dims, grid.spacings))
+        symbol = problem.laplacian_symbol
+        lowest = -float(np.max(symbol, where=symbol < 0.0, initial=-np.inf))
         sigma = max(float(np.mean(laplacian_nd(u, grid.spacings) * u_inv)),
                     1e-6 * lowest)
     else:

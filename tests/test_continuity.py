@@ -380,6 +380,26 @@ def test_basicness_reduces_a_per_node_q():
     assert report["passed"]
 
 
+def test_basicness_reduces_a_q_that_couples_leaf_and_varying_axes():
+    # a solution constant along the leaves has zero leaf gradient, so the
+    # cross terms q_02 and q_13 drop out and the reduced solve uses Q's
+    # varying block alone
+    g = TorusGrid((8, 8, 4, 4))
+    xs = meshes(g)
+    F = 0.3 * np.sin(xs[0]) + 0.2 * np.cos(xs[1])
+    q = -np.eye(4)
+    q[0, 2] = q[2, 0] = 0.3
+    q[1, 3] = q[3, 1] = 0.2
+    cfg = ContinuityConfig(newton_tol=1e-10)
+    problem = Problem(g, F, q)
+    state, _ = run_continuity(problem, cfg)
+    report = basicness_check(problem, state, cfg.newton_tol)
+    assert report["invariant_axes"] == [2, 3]
+    assert report["reduced_match"] is not None
+    assert report["reduced_match"] <= 100 * cfg.newton_tol
+    assert report["passed"]
+
+
 def test_basicness_keeps_a_constant_q_constant(monkeypatch):
     # a constant -4 I reduces to the constant 2x2 block, so the reduced
     # solve keeps the Hopf-Cole gauge branch of the preconditioner

@@ -350,6 +350,24 @@ def test_cli_solve_refuses_a_grid_too_large_to_address(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_solve_names_a_grid_memory_cannot_hold(tmp_path, capsys, monkeypatch):
+    # numpy can address 2^40 float64 nodes, but a real 8 TiB request fails
+    # at once only where the kernel refuses to overcommit: simulated here
+    message = ("Unable to allocate 8.00 TiB for an array with shape "
+               "(1048576, 1048576) and data type float64")
+
+    def no_memory(self):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(TorusGrid, "zeros", no_memory)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"grid": {"dims": [2 ** 20, 2 ** 20]},
+                                "forcing": {"type": "zero"}}))
+    assert cli.main(["solve", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: MemoryError: %s\n" % message
+
+
 def test_cli_solve_refuses_a_density_that_is_not_positive(tmp_path, capsys):
     # b e^F runs from 0 (e^-800 underflows) to about 13.5, and the absolute
     # tolerance cannot resolve the low end: the density dips below zero
