@@ -13,53 +13,61 @@ forcing), the grid convergence study, and the basicness report.
 Grid sequencing.  A step that leaves the trivial pair at t = 0, on a
 grid that coarse_dims halves, starts Newton from the solution of the
 coarsened problem at the same t, not from phi = 0.  The chain's first
-level coarsens the leaf axes: those along which F and Q are both
+level is taken along the leaf axes: those along which F and Q are both
 constant (Problem.leaf_axes, the axes basicness_check checks).  Basic
-data have a solution constant along the leaves, so the leaf-coarsened
-problem has the fine solution restricted, and its interpolation starts
-the finer grid within the Newton tolerance.  In that one level,
+data have a solution constant along the leaves, so that level's
+problem has the fine solution, and it starts the finer grid within the
+Newton tolerance.  Where exactly two axes vary (two leaf axes on four),
+the level is the leaf space itself, the 2-axis problem leaf_space
+builds and basicness_check solves, and its solution broadcast along
+the leaves is the fine start: on 20^4 with F varying along two axes,
+the chain is 20^4 -> 20x20, every Newton step runs on 20x20, and the
+fine grid takes 0 Newton steps.  Other leaves (one or three on four
+axes, one on two) have no 2-axis leaf space; in that one level,
 whatever the grid's size, each leaf axis of m nodes goes to its
 smallest divisor k with 4 <= k < m (20 -> 4, 18 -> 6, 10 -> 5; 4 to 7,
-9 and the primes have none and are kept): on 20^4 with F varying along
-two axes, the chain is 20^4 -> 20x20x4x4 and the fine grid takes 0
-Newton steps.  Below it, every even varying axis of at least 8 nodes is
+9 and the primes have none and are kept), and the level's solution is
+interpolated.  Below it, every even varying axis of at least 8 nodes is
 halved while the halved grid keeps at least SEQUENCE_MIN_NODES = 2^10
-nodes along its varying axes; the last grid starts from the trivial
-pair: 512^2 -> 256^2 -> 128^2 -> 64^2 -> 32^2, 64^2 -> 32^2, and
-20^4 -> 10^4 for a forcing that varies along all four axes.  F, and a
-per-node Q, are taken by injection (every (m/k)-th node of an axis that
-goes from m to k nodes; a constant Q as it is).  The coarse phi reaches
-the finer grid by trigonometric interpolation, which is separable: one
-real FFT pair along each axis that grows zero-pads its half spectrum,
-the Nyquist mode of an even axis split in halves.  Newton's step count
-does not depend on the mesh, so the interpolated start lies in the fine
-grid's quadratic basin.  Where the halving to the level below a grid
-halved varying axes and more varying levels lie under that one, the
-start is first extrapolated on the coarse grid towards the finer
-discrete solution (Richardson's deferred approach to the limit, as in
-nested iteration and full multigrid): a level's solution differs from
-their limit by c h^2 + d h^4 + ..., h the spacing along the axes the
-solution varies on, and the Lagrange extrapolation in h^2 of every
-varying level below a grid (richardson) is exact for the first k - 1
-terms from k levels.  b takes the same weights in log form, which keeps
-it positive.  On a 512^2 bump the 512^2 start lands 6.1e-10 from its
-discrete solution from three levels (256^2, 128^2, 64^2) and 3.0e-11
-from four (down to 32^2), under the Newton tolerance 1e-10, so the
-512^2 grid takes no Newton step; the gain is the 32^2 level's, not the
-coarse solves' accuracy.  The levels are the coarse solutions, not their
-starts.  Across the leaf level, where the solutions agree, and above a
-single varying level, the start is the plain interpolation.  Every
-coarse state is dropped before the top grid's Newton runs.  The floor
-exists because on smaller grids a hard coarse solve still takes about
-nine Newton steps and costs more than it saves; the leaf level is
-exempt from it, but a fine grid whose halving along all its axes falls
-under it is not sequenced at all, nor is one whose chain is empty.  If
-a coarse solve or the fine Newton from the coarse start fails, the step
-is rerun from the trivial pair, as without sequencing.  The step
-control counts the Newton steps of the coarsest grid's plain start,
-which stand for the fine plain start's, so the schedule of t is the one
-the plain start gives.  Trace rows describe the fine grid only, and the
-seconds of the row a sequenced step ends in include its coarse solves.
+nodes along its varying axes (the leaf space has no leaves); the last
+grid starts from the trivial pair: 512^2 -> 256^2 -> 128^2 -> 64^2 ->
+32^2, 64^2 -> 32^2, 64x64x16x16 with two leaf axes -> 64x64 -> 32x32,
+and 20^4 -> 10^4 for a forcing that varies along all four axes.  F, and
+a per-node Q, are taken by injection (every (m/k)-th node of an axis
+that goes from m to k nodes; a constant Q as it is).  Between grids of
+as many axes, the coarse phi reaches the finer grid by trigonometric
+interpolation, which is separable: one real FFT pair along each axis
+that grows zero-pads its half spectrum, the Nyquist mode of an even
+axis split in halves.  Newton's step count does not depend on the mesh,
+so the interpolated start lies in the fine grid's quadratic basin.
+Where the halving to the level below a grid halved varying axes and
+more varying levels lie under that one, the start is first extrapolated
+on the coarse grid towards the finer discrete solution (Richardson's
+deferred approach to the limit, as in nested iteration and full
+multigrid): a level's solution differs from their limit by c h^2 +
+d h^4 + ..., h the spacing along the axes the solution varies on, and
+the Lagrange extrapolation in h^2 of every varying level below a grid
+(richardson) is exact for the first k - 1 terms from k levels.  b
+takes the same weights in log form, which keeps it positive.  On a
+512^2 bump the 512^2 start lands 6.1e-10 from its discrete solution
+from three levels (256^2, 128^2, 64^2) and 3.0e-11 from four (down to
+32^2), under the Newton tolerance 1e-10, so the 512^2 grid takes no
+Newton step; the gain is the 32^2 level's, not the coarse solves'
+accuracy.  The levels are the coarse solutions, not their starts.
+Across the leaf level, where the solutions agree, the start is
+the broadcast or the plain interpolation, not extrapolated; so is the
+start above a single varying level.  Every coarse state is dropped
+before the top grid's Newton runs.  The floor exists because on smaller
+grids a hard coarse solve still takes about nine Newton steps and costs
+more than it saves; the leaf level is exempt from it, but a fine grid
+whose halving along all its axes falls under it is not sequenced at
+all, nor is one whose chain is empty.  If a coarse solve or the fine
+Newton from the coarse start fails, the step is rerun from the trivial
+pair, as without sequencing.  The step control counts the Newton steps
+of the coarsest grid's plain start, which stand for the fine plain
+start's, so the schedule of t is the one the plain start gives.  Trace
+rows describe the fine grid only, and the seconds of the row a
+sequenced step ends in include its coarse solves.
 """
 
 import csv
@@ -183,17 +191,23 @@ def coarse_dims(grid, leaf):
     """The dims of the next coarser grid, or None when no axis coarsens.
 
     ``leaf`` lists the axes along which F and Q are constant (see
-    Problem.leaf_axes).  First, on a grid of any size, each leaf axis of
-    m nodes goes in one level to its smallest divisor k with 4 <= k < m:
-    the solution is constant along the leaves, so the coarsened problem
-    has the fine solution, and k dividing m keeps it an injection.  No
-    leaf axis coarsens again after that, since an even k of 8 or more
-    would have k / 2 as a smaller divisor.  Below that level, every even
-    axis of at least 8 nodes is halved, as long as the halved grid keeps
-    at least SEQUENCE_MIN_NODES nodes along the axes not in ``leaf``:
-    512^2 goes down to 32^2, 20^4 with no leaf to 10^4, and 64x64x16x16
-    with leaves (2, 3) to 64x64x4x4 and then 32x32x4x4.
+    Problem.leaf_axes).  The first level's problem has the fine solution:
+    basic data have one constant along the leaves.  On a grid with leaves
+    where exactly two axes vary (two leaf axes on four), that level is
+    the leaf space, the varying axes' dims, whose problem leaf_space
+    builds.  On any other grid with leaves, each leaf axis of m nodes
+    goes in one level to its smallest divisor k with 4 <= k < m, k
+    dividing m to keep it an injection; no leaf axis coarsens again,
+    since an even k of 8 or more would have k / 2 as a smaller divisor.
+    Below that level (the leaf space has no leaves), every even axis of
+    at least 8 nodes is halved, as long as the halved grid keeps at least
+    SEQUENCE_MIN_NODES nodes along the axes not in ``leaf``: 512^2 goes
+    down to 32^2, 20^4 with no leaf to 10^4, 64x64x16x16 with leaves
+    (2, 3) to its leaf space 64x64 and then 32x32, and 32x32x32x16 with
+    leaf (3,) to 32x32x32x4 and then 16x16x16x4.
     """
+    if leaf and grid.ndim - len(leaf) == 2:
+        return tuple(d for ax, d in enumerate(grid.dims) if ax not in leaf)
     dims = tuple(_leaf_floor(d) if ax in leaf else d
                  for ax, d in enumerate(grid.dims))
     if dims != grid.dims:
@@ -205,15 +219,41 @@ def coarse_dims(grid, leaf):
     return coarse
 
 
-def coarsen(problem, dims):
-    """The problem injected onto the grid of ``dims`` from coarse_dims.
+def leaf_space(problem):
+    """The problem on the leaf space, or None unless exactly two axes vary.
 
-    F, and a per-node Q, are sampled at every (m/k)-th node of each axis
-    that goes from m to k nodes; a constant Q is used as it is.
+    For a 4-axis problem with two leaf axes: F, and a per-node Q, are
+    indexed at 0 along the leaves, Q keeps its block on the varying axes,
+    and the grid has the varying axes' dims and lengths.  The block is
+    enough even when Q couples varying and leaf axes: a field constant
+    along the leaves has zero leaf gradient components, so the cross
+    terms of <Q grad phi, grad phi> vanish, as do the leaf terms of the
+    Laplacian.  So the leaf space's solution, broadcast along the leaves,
+    is the fine grid's.
+    """
+    grid, leaf = problem.grid, problem.leaf_axes
+    if not (leaf and grid.ndim - len(leaf) == 2):
+        return None
+    varying = [ax for ax in range(grid.ndim) if ax not in leaf]
+    idx = tuple(slice(None) if ax in varying else 0 for ax in range(grid.ndim))
+    q = problem.q if problem.q.ndim == 2 else problem.q[idx]
+    return Problem(TorusGrid(tuple(grid.dims[ax] for ax in varying),
+                             tuple(grid.lengths[ax] for ax in varying)),
+                   problem.F[idx], q[..., varying, :][..., varying])
+
+
+def coarsen(problem, dims):
+    """The problem on the grid of ``dims`` from coarse_dims.
+
+    Dims with fewer axes than the grid's are the leaf space (leaf_space).
+    Otherwise F, and a per-node Q, are sampled at every (m/k)-th node of
+    each axis that goes from m to k nodes; a constant Q is used as it is.
     Injection keeps a per-node Q negative semi-definite at every node,
     whatever built it.
     """
     grid = problem.grid
+    if len(dims) < grid.ndim:
+        return leaf_space(problem)
     idx = tuple(slice(None, None, m // d) for m, d in zip(grid.dims, dims))
     q = problem.q if problem.q.ndim == 2 else problem.q[idx]
     return Problem(TorusGrid(dims, grid.lengths), problem.F[idx], q)
@@ -281,8 +321,9 @@ def _sequenced_solve(problem, t, cfg):
 
     The chain of coarse problems runs down to a grid that coarse_dims
     leaves alone, which starts from the trivial pair; each finer grid
-    starts from the solution one level down, interpolated.  Where the
-    halving to that level halved varying axes, the solution is first
+    starts from the solution one level down, interpolated, or from the
+    leaf space's solution broadcast along the leaves.  Where the halving
+    to that level halved varying axes, the solution is first
     extrapolated with every varying level below it (richardson; see the
     module docstring); across the leaf level it is taken as it is.
     Returns the state and the Newton iterations of the plain start,
@@ -293,21 +334,28 @@ def _sequenced_solve(problem, t, cfg):
     chain = [problem]
     while (dims := coarse_dims(chain[-1].grid, leaf)) is not None:
         chain.append(coarsen(chain[-1], dims))
+        if len(dims) < problem.grid.ndim:
+            leaf = ()   # the leaf space has no leaves
     state = solve_at_t(chain.pop(), t, tol=cfg.newton_tol,
                        max_iters=cfg.max_newton)
     plain_iters = state.newton_iters
     below = []   # the varying solutions under state's, nearest first
     while chain:
         fine = chain.pop()
-        varying = any(m != n for ax, (m, n)
-                      in enumerate(zip(fine.grid.dims, state.phi.shape))
-                      if ax not in leaf)
         phi, b0 = state.phi, state.b
+        # from the leaf space, whose solution is the top grid's: no
+        # interpolation, only the exact lift
+        lift = phi.ndim < fine.grid.ndim
+        varying = not lift and any(
+            m != n for ax, (m, n) in enumerate(zip(fine.grid.dims, phi.shape))
+            if ax not in leaf)
         if below and varying:
             phi = richardson(phi, *(interpolate(s.phi, phi.shape)
                                     for s in below))
             b0 = extrapolated_b(b0, *(s.b for s in below))
-        start = [interpolate(phi, fine.grid.dims)]
+        start = [np.broadcast_to(np.expand_dims(phi, problem.leaf_axes),
+                                 fine.grid.dims) if lift
+                 else interpolate(phi, fine.grid.dims)]
         # the top grid's Newton runs without any coarse state
         below = [state, *below] if chain and varying else []
         del phi, state
@@ -326,10 +374,10 @@ def _attempt(problem, state, t, cfg):
     halves the fine grid: only a grid whose halving keeps at least
     SEQUENCE_MIN_NODES nodes (64^2 or more on two axes) is sequenced,
     whatever its leaves; its chain then starts with the leaf level.  A
-    grid whose chain is empty is not sequenced either: 32x32x5x5 with
-    leaves (2, 3) passes the first check, but its halving keeps 16x16
-    varying nodes and its 5-node leaves have no divisor to go to.  If
-    the sequenced solve fails, the step reruns from the trivial pair, as
+    grid whose chain is empty is not sequenced either: 16x16x16x5 with
+    leaf (3,) passes the first check, but its halving keeps 8x8x8
+    varying nodes and its 5-node leaf has no divisor to go to.  If the
+    sequenced solve fails, the step reruns from the trivial pair, as
     every later step starts from its state.
     """
     if (state.t == 0.0 and coarse_dims(problem.grid, ()) is not None
@@ -461,34 +509,24 @@ def basicness_check(problem, state, tol):
 
     Models the descent of the solution to the leaf space: forcing and
     quadratic form constant along some axes should produce a solution
-    constant along them, and equal to the lift of the reduced-grid
+    constant along them, and equal to the lift of the leaf space's
     solution.  Returns a report dict and raises nothing on a failed
     check: the caller reads ``passed`` (the CLI prints the report).
     ``reduced_match`` is the lift gap, the sup distance from the lifted
-    reduced-grid solution, or None when there is no two-axis reduced
-    problem to solve.  The reduced problem takes Q's block on the
-    varying axes even when Q couples them with the leaf axes: a field
-    constant along the leaves has zero leaf gradient components, so the
-    cross terms of <Q grad phi, grad phi> vanish.
+    solution of the problem leaf_space builds (the one grid sequencing
+    solves as its leaf level), or None when leaf_space has none: unless
+    exactly two axes vary.
     """
-    grid, F, q = problem.grid, problem.F, problem.q
     axes = list(problem.leaf_axes)
     if not axes:
         return {"applicable": False, "invariant_axes": []}
-    varying = [ax for ax in range(grid.ndim) if ax not in axes]
 
     variation = 0.0
     for ax in axes:
         variation = max(variation, float(np.max(np.ptp(state.phi, axis=ax))))
 
     reduced_match = None
-    if len(varying) == 2:
-        rgrid = TorusGrid(tuple(grid.dims[ax] for ax in varying),
-                          tuple(grid.lengths[ax] for ax in varying))
-        idx = tuple(slice(None) if ax in varying else 0
-                    for ax in range(grid.ndim))
-        rq = q if q.ndim == 2 else q[idx]
-        reduced = Problem(rgrid, F[idx], rq[..., varying, :][..., varying])
+    if (reduced := leaf_space(problem)) is not None:
         red = solve_at_t(reduced, state.t, b0=state.b, tol=tol)
         lifted = np.expand_dims(red.phi, tuple(axes))
         reduced_match = float(np.max(np.abs(lifted - state.phi)))

@@ -555,11 +555,11 @@ def _sequenced_cases():
 SEQUENCED = _sequenced_cases()
 
 # a floor for each case, and the chain it gives: two or more varying
-# levels under the fine grid (under leaf-4d's leaf level), so that
-# grid's start is extrapolated
+# levels under the fine grid (under leaf-4d's leaf space, whose start is
+# the broadcast of its solution), so that grid's start is extrapolated
 SEQUENCED_CHAINS = {
     "constant-q": (2 ** 8, [(32, 32), (16, 16)]),
-    "leaf-4d": (16, [(16, 16, 4, 4), (8, 8, 4, 4), (4, 4, 4, 4)]),
+    "leaf-4d": (16, [(16, 16), (8, 8), (4, 4)]),
     "odd-axis": (2 ** 9, [(32, 45), (16, 45)]),
     "pernode-q": (2 ** 8, [(8, 8, 4, 4), (4, 4, 4, 4)]),
 }
@@ -608,11 +608,16 @@ def test_sequenced_and_plain_starts_reach_the_same_solution(name, monkeypatch):
 
 
 def _coarse_chain(problem):
-    """The dims coarse_dims gives level by level, from the fine problem's leaves."""
+    """The dims coarse_dims gives level by level, from the fine problem's leaves.
+
+    The leaf space, a level with fewer axes than the fine grid, has none.
+    """
     leaf = problem.leaf_axes
     chain = []
     while (dims := cd.coarse_dims(problem.grid, leaf)) is not None:
         chain.append(dims)
+        if len(dims) < problem.grid.ndim:
+            leaf = ()
         problem = cd.coarsen(problem, dims)
         assert problem.leaf_axes == leaf
     return chain
@@ -643,12 +648,12 @@ def test_odd_and_short_axes_are_not_halved(monkeypatch):
     assert first((128, 128)) is None
     assert first((256, 256)) == (128, 128)
     # the benchmark's shape: F varying along axes 0 and 1, Q = -4 I; the
-    # leaf axes go to 4 nodes in one level, the varying ones not below 2^14
+    # leaf space is 20x20, and its halving 10x10 is under 2^14
     g = TorusGrid((20, 20, 20, 20))
     xs = meshes(g)
     basic = Problem(g, np.cos(xs[0]) * np.sin(xs[1]), -4.0 * np.eye(4))
     assert basic.leaf_axes == (2, 3)
-    assert _coarse_chain(basic) == [(20, 20, 4, 4)]
+    assert _coarse_chain(basic) == [(20, 20)]
 
 
 def test_default_floor_chains():
@@ -699,20 +704,23 @@ def _first_step(problem, monkeypatch):
     ((20,) * 4, (), [(10,) * 4], "sequenced"),
     ((24,) * 4, (), [(12,) * 4, (6,) * 4], "sequenced"),
     ((32,) * 4, (), [(16,) * 4, (8,) * 4], "sequenced"),
-    # su3's datum: the leaf level only, whose halving 10x10x4x4 keeps
-    # 100 varying nodes
-    ((20,) * 4, (2, 3), [(20, 20, 4, 4)], "sequenced"),
+    # su3's datum: the leaf space only, whose halving 10x10 keeps 100
+    # nodes
+    ((20,) * 4, (2, 3), [(20, 20)], "sequenced"),
     ((44, 44), (), [], "plain"),
     # sequenced since the floor counts the coarse grid's nodes
     ((64, 64), (), [(32, 32)], "sequenced"),
-    # leaf replicas do not count: 32x32x4x4 keeps 2^10 varying nodes,
-    # 16x16x4x4 does not
-    ((64, 64, 16, 16), (2, 3), [(64, 64, 4, 4), (32, 32, 4, 4)], "sequenced"),
-    # the gate counts every node of the halved grid, 16x16x5x5, but the
-    # chain is empty: 5-node leaves have no divisor to go to
-    ((32, 32, 5, 5), (2, 3), [], "plain"),
-    # a leaf level, but the fine grid halved, 6x6x4x4, is under the floor
-    ((6, 6, 8, 8), (2, 3), [(6, 6, 4, 4)], "plain"),
+    # the leaf space 64x64, then 32x32, which keeps 2^10 nodes
+    ((64, 64, 16, 16), (2, 3), [(64, 64), (32, 32)], "sequenced"),
+    # the gate counts every node of the halved grid, 8x8x8x5, but the
+    # chain is empty: a 5-node leaf has no divisor to go to, and leaf
+    # replicas do not count, so 8x8x8x5 keeps 512 varying nodes
+    ((16, 16, 16, 5), (3,), [], "plain"),
+    # a leaf space, but the fine grid halved, 6x6x4x4, is under the floor
+    ((6, 6, 8, 8), (2, 3), [(6, 6)], "plain"),
+    # leaves with no divisor to go to still have their leaf space
+    ((32, 32, 5, 5), (2, 3), [(32, 32)], "sequenced"),
+    ((44, 44, 4, 4), (2, 3), [(44, 44)], "sequenced"),
 ])
 def test_floor_counts_the_coarse_grids_varying_nodes(dims, leaves, chain,
                                                      first, monkeypatch):
@@ -725,28 +733,99 @@ def test_floor_counts_the_coarse_grids_varying_nodes(dims, leaves, chain,
 @pytest.mark.parametrize("m, k", [(20, 4), (16, 4), (18, 6), (12, 4), (10, 5),
                                   (9, None), (7, None), (6, None), (4, None)])
 def test_leaf_axes_go_to_their_smallest_divisor_of_four_or_more(m, k):
-    # one level, whatever the grid's size; the varying axes of a grid
-    # under the floor are kept
-    got = cd.coarse_dims(TorusGrid((8, 8, m, m)), (2, 3))
-    assert got == (None if k is None else (8, 8, k, k))
+    # one level, whatever the grid's size, where the leaf space is not a
+    # 2-axis grid (one or three leaves on four axes, one on two); the
+    # varying axes of a grid under the floor are kept
+    assert cd.coarse_dims(TorusGrid((8, 8, 8, m)), (3,)) == \
+        (None if k is None else (8, 8, 8, k))
+    assert cd.coarse_dims(TorusGrid((8, m, m, m)), (1, 2, 3)) == \
+        (None if k is None else (8, k, k, k))
     assert cd.coarse_dims(TorusGrid((8, m)), (1,)) == \
         (None if k is None else (8, k))
+    # two leaves on four axes go to the leaf space, whatever their length
+    assert cd.coarse_dims(TorusGrid((8, 8, m, m)), (2, 3)) == (8, 8)
+
+
+def _su3_shape():
+    """su3-4d-20's shape: 20^4, F varying along axes 0 and 1, Q = -4 I."""
+    g = TorusGrid((20, 20, 20, 20))
+    xs = meshes(g)
+    return Problem(g, 0.8 * np.cos(xs[0]) * np.sin(xs[1]), -4.0 * np.eye(4))
 
 
 def test_basic_four_axis_data_take_one_leaf_level(monkeypatch):
-    # su3-4d-20's shape: 20^4 -> 20x20x4x4, and the fine grid starts
-    # within the Newton tolerance
-    g = TorusGrid((20, 20, 20, 20))
-    xs = meshes(g)
-    problem = Problem(g, 0.8 * np.cos(xs[0]) * np.sin(xs[1]), -4.0 * np.eye(4))
+    # su3-4d-20's shape: 20^4 -> its leaf space 20x20, which takes 5
+    # Newton steps, and the fine grid starts within the Newton tolerance
+    problem = _su3_shape()
     tol = 1e-10
-    seen = _coarse_solves(monkeypatch)
+    seen = []
+    solve = cd.solve_at_t
+
+    def recorded(p, t, **kw):
+        state = solve(p, t, **kw)
+        seen.append((p.grid.dims, state.newton_iters))
+        return state
+
+    monkeypatch.setattr(cd, "solve_at_t", recorded)
     state, trace = run_continuity(problem, ContinuityConfig(newton_tol=tol))
-    assert seen == [(20, 20, 4, 4), g.dims]
+    assert seen == [((20, 20), 5), (problem.grid.dims, 0)]
     assert [(r.t, r.newton_iters) for r in trace.rows] == [(0.0, 0), (1.0, 0)]
     assert state.residual_norm <= tol
     report = basicness_check(problem, state, tol)
     assert report["passed"] and report["variation"] == 0.0
+
+
+def test_basic_four_axis_data_build_no_four_axis_newton_matrix(monkeypatch):
+    # no timing: every Newton step of su3-4d-20's solve and basicness
+    # report runs on the 2-axis leaf space
+    problem = _su3_shape()
+    built = []
+    operator = es.bordered_operator
+
+    def counted(p, phi, t):
+        built.append(p.grid.ndim)
+        return operator(p, phi, t)
+
+    monkeypatch.setattr(es, "bordered_operator", counted)
+    state, _ = run_continuity(problem, ContinuityConfig(newton_tol=1e-10))
+    assert basicness_check(problem, state, 1e-10)["passed"]
+    assert built and 4 not in built
+
+
+def test_leaf_space_solution_is_broadcast_along_leaves_anywhere(monkeypatch):
+    # leaves (0, 2), not the trailing axes, unequal lengths, and a constant
+    # Q that couples leaf and varying axes: the leaf space is axes 1 and
+    # 3, 8x8 over lengths (2, 4), and its solution, broadcast along axes
+    # 0 and 2, starts the fine grid within the Newton tolerance
+    g = TorusGrid((16, 8, 16, 8), lengths=(1.0, 2.0, 3.0, 4.0))
+    xs = meshes(g)
+    F = 0.5 * np.sin(2.0 * np.pi * xs[1] / 2.0) \
+        + 0.3 * np.cos(2.0 * np.pi * xs[3] / 4.0)
+    q = -np.eye(4)
+    q[0, 1] = q[1, 0] = 0.3
+    q[2, 3] = q[3, 2] = 0.2
+    q[1, 3] = q[3, 1] = 0.1
+    problem = Problem(g, F, q)
+    assert problem.leaf_axes == (0, 2)
+    tol = 1e-10
+    solves = []
+    solve = cd.solve_at_t
+
+    def recorded(p, t, phi0=None, **kw):
+        start = None if phi0 is None else np.array(phi0)
+        state = solve(p, t, phi0=phi0, **kw)
+        solves.append((p.grid.dims, start, state))
+        return state
+
+    monkeypatch.setattr(cd, "solve_at_t", recorded)
+    state, trace = run_continuity(problem, ContinuityConfig(newton_tol=tol))
+    assert [dims for dims, _, _ in solves] == [(8, 8), g.dims]
+    (_, _, leaf_level), (_, start, fine) = solves
+    lifted = np.broadcast_to(leaf_level.phi[None, :, None, :], g.dims)
+    assert np.array_equal(start, lifted)
+    assert fine.newton_iters == 0
+    assert [(r.t, r.newton_iters) for r in trace.rows] == [(0.0, 0), (1.0, 0)]
+    assert state.residual_norm <= tol
 
 
 def test_leaf_halvings_run_below_the_floor_only_under_a_fine_grid_above_it(
@@ -757,14 +836,14 @@ def test_leaf_halvings_run_below_the_floor_only_under_a_fine_grid_above_it(
     # the floor at the fine grid halved along every axis, 8x8x4x4
     halved = problem.grid.size // 16
     monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", halved)
-    # the leaf halving is taken by a grid under the floor...
-    assert cd.coarse_dims(TorusGrid((16, 16, 4, 4)), leaf) is None
-    assert cd.coarse_dims(TorusGrid((16, 16, 8, 8)), leaf) == (16, 16, 4, 4)
-    assert cd.coarse_dims(TorusGrid((8, 8, 8, 8)), leaf) == (8, 8, 4, 4)
+    # the leaf space is taken by a grid under the floor, and not halved...
+    assert cd.coarse_dims(TorusGrid((16, 16, 8, 8)), leaf) == (16, 16)
+    assert cd.coarse_dims(TorusGrid((8, 8, 8, 8)), leaf) == (8, 8)
+    assert cd.coarse_dims(TorusGrid((16, 16)), ()) is None
     cfg = ContinuityConfig(newton_tol=1e-10)
     seen = _coarse_solves(monkeypatch)
     run_continuity(problem, cfg)
-    assert seen == [(16, 16, 4, 4), (16, 16, 8, 8)]
+    assert seen == [(16, 16), (16, 16, 8, 8)]
     # ...but a fine grid whose halving is under it starts from the
     # trivial pair
     monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", halved + 1)
@@ -950,7 +1029,7 @@ def _lagrange_weights(k):
     # four (128^2 down to 16^2), the 128^2 start three and the 64^2 two
     ("bump-256", 2 ** 8, [(128, 128), (64, 64), (32, 32), (16, 16)]),
     ("pernode-q", 2 ** 8, [(8, 8, 4, 4), (4, 4, 4, 4)]),
-    ("leaf-4d", 16, [(16, 16, 4, 4), (8, 8, 4, 4), (4, 4, 4, 4)]),
+    ("leaf-4d", 16, [(16, 16), (8, 8), (4, 4)]),
 ])
 def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
                                                           monkeypatch):
@@ -960,9 +1039,6 @@ def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
         problem = Problem(g, bump(g), -np.eye(2))
     else:
         problem = SEQUENCED[name]
-    # leaf-4d's first halving is of its leaf axes 2 and 3: nothing is
-    # extrapolated across it
-    leaf_halvings = 1 if name == "leaf-4d" else 0
     tol, t = 1e-10, 1.0
     chain = [problem]
     for dims in levels:
@@ -976,14 +1052,20 @@ def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
         raised = [(cd.interpolate(phi, state.phi.shape), b)
                   for phi, b in raised]
         raised.insert(0, (state.phi, state.b))
-        if i < leaf_halvings or len(raised) == 1:
-            phi_e, b0 = state.phi, state.b
+        if level.grid.ndim > state.phi.ndim:
+            # leaf-4d's lift from its leaf space, the trailing axes 2 and
+            # 3 broadcast: nothing is extrapolated across it
+            phi0 = np.broadcast_to(state.phi[:, :, None, None], level.grid.dims)
+            b0 = state.b
         else:
-            weights = _lagrange_weights(len(raised))
-            phi_e = sum(w * phi for w, (phi, _) in zip(weights, raised))
-            b0 = float(np.exp(sum(w * np.log(b)
-                                  for w, (_, b) in zip(weights, raised))))
-        phi0 = cd.interpolate(phi_e, level.grid.dims)
+            if len(raised) == 1:
+                phi_e, b0 = state.phi, state.b
+            else:
+                weights = _lagrange_weights(len(raised))
+                phi_e = sum(w * phi for w, (phi, _) in zip(weights, raised))
+                b0 = float(np.exp(sum(w * np.log(b)
+                                      for w, (_, b) in zip(weights, raised))))
+            phi0 = cd.interpolate(phi_e, level.grid.dims)
         if level is problem:
             break
         state = es.solve_at_t(level, t, phi0=phi0, b0=b0, tol=tol)
@@ -999,15 +1081,18 @@ def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
 
 
 def test_leaf_halving_reproduces_the_fine_solution(monkeypatch):
-    # 16x16x8x8 -> 16x16x4x4 only: the halved problem has the fine solution
+    # 16x16x8x8 -> its leaf space 16x16 only: the leaf space's solution,
+    # broadcast along the leaves, is the fine solution
     problem = SEQUENCED["leaf-4d"]
     tol = 1e-10
-    leaf_level = es.solve_at_t(cd.coarsen(problem, (16, 16, 4, 4)), 1.0, tol=tol)
-    lifted = cd.interpolate(leaf_level.phi, problem.grid.dims)
+    reduced = cd.leaf_space(problem)
+    assert reduced.grid.dims == (16, 16)
+    leaf_level = es.solve_at_t(reduced, 1.0, tol=tol)
+    lifted = np.broadcast_to(leaf_level.phi[:, :, None, None], problem.grid.dims)
     res = es.residual(problem, lifted, leaf_level.b, 1.0)
     assert float(np.max(np.abs(res))) <= 100 * tol
     # a floor the fine grid's halving 8x8x4x4 meets, but not the leaf
-    # level's halving, which keeps 8x8 varying nodes
+    # space's halving 8x8
     monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", problem.grid.size // 16)
     fine = _fine_starts(monkeypatch, problem.grid.dims)
     state, trace = run_continuity(problem, ContinuityConfig(newton_tol=tol))
