@@ -295,7 +295,7 @@ def _load_run_config(path, newton_tol=None):
 def cmd_solve(args):
     from .continuity_driver import (SOLVER_FAILURES, basicness_check,
                                     run_continuity, sine_product_field)
-    from .elliptic_solver import check_b_bound, density, solve_at_t
+    from .elliptic_solver import check_b_bound, solve_at_t
 
     cfg, problem, ccfg = _load_run_config(args.config, args.newton_tol)
     grid = problem.grid
@@ -313,7 +313,8 @@ def cmd_solve(args):
     except OSError as exc:
         raise ConfigError("cannot create output directory %s: %s" % (outdir, exc)) from exc
     state, trace = run_continuity(problem, ccfg)
-    dens = density(grid, state.phi, problem.q)
+    # the solution's density, evaluated once by the solver
+    dens = state.density
     slack = 10.0 * ccfg.newton_tol
     bound_ok = check_b_bound(state, problem.F, slack)
     _say("converged: b=%.12g residual=%.3e macro_steps=%d"

@@ -339,7 +339,9 @@ def _sequenced_solve(problem, t, cfg):
     state = solve_at_t(chain.pop(), t, tol=cfg.newton_tol,
                        max_iters=cfg.max_newton)
     plain_iters = state.newton_iters
-    below = []   # the varying solutions under state's, nearest first
+    # the varying levels' (phi, b) under state's, nearest first: only
+    # what richardson reads, so no coarse density outlives its level
+    below = []
     while chain:
         fine = chain.pop()
         phi, b0 = state.phi, state.b
@@ -350,14 +352,14 @@ def _sequenced_solve(problem, t, cfg):
             m != n for ax, (m, n) in enumerate(zip(fine.grid.dims, phi.shape))
             if ax not in leaf)
         if below and varying:
-            phi = richardson(phi, *(interpolate(s.phi, phi.shape)
-                                    for s in below))
-            b0 = extrapolated_b(b0, *(s.b for s in below))
+            phi = richardson(phi, *(interpolate(x, phi.shape)
+                                    for x, _ in below))
+            b0 = extrapolated_b(b0, *(b for _, b in below))
         start = [np.broadcast_to(np.expand_dims(phi, problem.leaf_axes),
                                  fine.grid.dims) if lift
                  else interpolate(phi, fine.grid.dims)]
         # the top grid's Newton runs without any coarse state
-        below = [state, *below] if chain and varying else []
+        below = [(state.phi, state.b), *below] if chain and varying else []
         del phi, state
         # popped into the call, the start has no reference here:
         # solve_at_t frees it once it has its own zero-mean copy

@@ -41,6 +41,13 @@ Newton tolerance tol.  The 1e-2 cap does not tighten that floor: a step
 that starts within 50 tol has a residual near the round-off floor, and
 GMRES could not always cut such a residual a hundredfold (a 256^2 sine
 case with Q = -60 I stalled at 1.4e-10 with tol 1e-10).
+
+Each iterate's density 1 + laplacian(phi) + <Q grad phi, grad phi> is
+evaluated once.  A SolverState carries the density of its phi:
+solve_at_t evaluates it for the start and newton_step for each
+line-search trial, keeping the accepted trial's.  The next Newton step
+forms its starting residual from it, and the CLI reads the solution's
+density range from it, so neither evaluates it again.
 """
 
 import functools
@@ -112,12 +119,21 @@ class TorusGrid:
 
 @dataclass
 class SolverState:
+    """A Newton iterate (phi, b) at path time t, with its residual record.
+
+    ``density`` is density(grid, phi, q) of this phi, computed once:
+    solve_at_t fills it for its start and newton_step for the trial it
+    accepts, and newton_step's starting residual and the CLI's density
+    range read it instead of evaluating it again.  A state built by hand
+    may leave it None, and newton_step then evaluates it.
+    """
     phi: np.ndarray
     b: float
     t: float
     residual_norm: float
     newton_iters: int
     res_history: list = field(default_factory=list)
+    density: np.ndarray = None
 
 
 def validate_q(q, grid):
@@ -274,9 +290,16 @@ def quad_dir_weights(q, g):
     return w
 
 
-def residual(problem, phi, b, t):
-    """Pointwise defect of the equation at (phi, b) and path time t."""
-    return density(problem.grid, phi, problem.q) - b * problem.exp_tF(t)
+def residual(problem, phi, b, t, dens=None):
+    """Pointwise defect of the equation at (phi, b) and path time t.
+
+    It is dens - b exp(tF), with dens the density of phi: passed in when
+    the caller already has it (a state's ``density``), else evaluated
+    here.  Either way the result is the same to the bit.
+    """
+    if dens is None:
+        dens = density(problem.grid, phi, problem.q)
+    return dens - b * problem.exp_tF(t)
 
 
 def density(grid, phi, q):
@@ -436,11 +459,14 @@ def newton_step(problem, state, tol=1e-10):
     """One damped Newton update of (phi, b); returns the new state.
 
     tol is the residual the solve aims at: the linear solve is not asked
-    for more than the step needs to reach it.
+    for more than the step needs to reach it.  The starting residual is
+    formed from state.density, so the step evaluates the density only
+    of its trials, once each; the accepted trial's density goes into
+    the new state, and the next step starts from it in turn.
     """
     grid = problem.grid
     n = grid.size
-    res = residual(problem, state.phi, state.b, state.t)
+    res = residual(problem, state.phi, state.b, state.t, state.density)
     res_norm = float(np.max(np.abs(res)))
     op = bordered_operator(problem, state.phi, state.t)
     precond = shifted_inverse_preconditioner(problem, state.phi, state.t)
@@ -457,8 +483,9 @@ def newton_step(problem, state, tol=1e-10):
         phi_new = state.phi + scale * eta
         phi_new = phi_new - np.mean(phi_new)
         b_new = state.b + scale * c
-        new_res = residual(problem, phi_new, b_new, state.t)
-        new_norm = float(np.max(np.abs(new_res)))
+        dens = density(grid, phi_new, problem.q)
+        new_norm = float(np.max(np.abs(
+            residual(problem, phi_new, b_new, state.t, dens))))
         if new_norm <= (1.0 - 1e-4) * res_norm:
             if b_new <= 0.0:
                 raise BPositivityLost("b dropped to %.3e" % b_new)
@@ -466,7 +493,7 @@ def newton_step(problem, state, tol=1e-10):
             return SolverState(phi=phi_new, b=b_new, t=state.t,
                                residual_norm=new_norm,
                                newton_iters=state.newton_iters + 1,
-                               res_history=hist)
+                               res_history=hist, density=dens)
         scale *= 0.5
     raise DampingExhausted(
         "no residual decrease after %d halvings (residual %.3e)"
@@ -476,7 +503,10 @@ def newton_step(problem, state, tol=1e-10):
 def solve_at_t(problem, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
     """Newton-iterate at path time t to a state with residual_norm <= tol.
 
-    Raises MaxItersExceeded when max_iters Newton steps do not get there.
+    The start's density is evaluated once, for its residual, and kept in
+    the start state; every state returned carries the density of its phi
+    (see SolverState).  Raises MaxItersExceeded when max_iters Newton
+    steps do not get there.
     """
     if not 0.0 < tol < math.inf:
         raise ConfigError("tolerance must be positive and finite")
@@ -488,11 +518,11 @@ def solve_at_t(problem, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
     phi = grid.zeros() if phi0 is None else _check_field(grid, phi0, "phi0")
     phi = phi - np.mean(phi)
     del phi0
-    res = residual(problem, phi, b0, t)
-    res_norm = float(np.max(np.abs(res)))
+    dens = density(grid, phi, problem.q)
+    res_norm = float(np.max(np.abs(residual(problem, phi, b0, t, dens))))
     state = SolverState(phi=phi, b=float(b0), t=float(t),
                         residual_norm=res_norm, newton_iters=0,
-                        res_history=[res_norm])
+                        res_history=[res_norm], density=dens)
     if res_norm <= tol:
         return state
     for _ in range(max_iters):

@@ -278,6 +278,26 @@ def fd_directional_residual(residual_fn, phi, b, eta, c, eps):
     return (plus - minus) / (2.0 * eps)
 
 
+def roll_density(grid, phi, q):
+    """1 + laplacian(phi) + <Q grad phi, grad phi> from np.roll stencils.
+
+    The periodic central differences are written out with np.roll, not
+    taken from the kernels, and Q, constant (d, d) or per node (dims +
+    (d, d)), is summed entry by entry.
+    """
+    q = np.asarray(q, dtype=float)
+    out = np.ones(grid.dims)
+    grads = []
+    for ax, h in enumerate(grid.spacings):
+        up, down = np.roll(phi, -1, ax), np.roll(phi, 1, ax)
+        out += (up - 2.0 * phi + down) / (h * h)
+        grads.append((up - down) / (2.0 * h))
+    for i, gi in enumerate(grads):
+        for j, gj in enumerate(grads):
+            out += q[..., i, j] * gi * gj
+    return out
+
+
 def pack_symmetric(q):
     """Per-node symmetric (d, d) matrices to upper-triangle channels,
     the layout gridio.unpack_symmetric reads."""

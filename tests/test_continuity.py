@@ -1231,3 +1231,96 @@ def test_b_converges_to_the_hopf_cole_oracle_at_second_order(a):
                                   ContinuityConfig(newton_tol=1e-12))
         gaps.append(abs(state.b - oracles.hopf_cole_b(F, (2.0 * np.pi,) * 2, a)))
     assert 1.8 <= np.log2(gaps[0] / gaps[1]) <= 2.2
+
+
+# ------------------------------------------------- one density per iterate
+
+
+def _per_node_q(g):
+    """-I with a diagonal that varies along every axis, off-diagonal 0.1."""
+    q = np.broadcast_to(-np.eye(g.ndim), g.dims + (g.ndim, g.ndim)).copy()
+    for ax, mesh in enumerate(meshes(g)):
+        q[..., ax, ax] -= 0.5 * np.sin(mesh) ** 2
+    q[..., 0, 1] = q[..., 1, 0] = 0.1
+    return q
+
+
+def _density_case(name):
+    if name == "bump-2d-sequenced":    # 128 -> 64 -> 32, extrapolated
+        g = TorusGrid((128, 128))
+        return Problem(g, bump(g), -np.eye(2))
+    if name == "bump-2d-per-node-q":
+        g = TorusGrid((16, 16))
+        return Problem(g, bump(g), _per_node_q(g))
+    if name == "basic-4d-leaf-space":  # 16x16x4x4 -> its 16x16 leaf space
+        g = TorusGrid((16, 16, 4, 4))
+        xs = meshes(g)
+        return Problem(g, 0.8 * np.cos(xs[0]) * np.sin(xs[1]), -np.eye(4))
+    if name == "bump-4d-per-node-q":
+        g = TorusGrid((8, 8, 8, 8))
+        return Problem(g, bump(g, 0.5), _per_node_q(g))
+    # sine 6 with Q = -60 I on 16^2: its Newton solve takes a halving
+    g = TorusGrid((16, 16))
+    return Problem(g, sine_product_field(g, 6.0), -60.0 * np.eye(2))
+
+
+DENSITY_CASES = ["bump-2d-sequenced", "bump-2d-per-node-q", "basic-4d-leaf-space",
+                 "bump-4d-per-node-q", "sine-16-halving"]
+
+
+def _recorded_solves(monkeypatch):
+    """Per solve_at_t call of the driver: its problem, the phi bytes of
+    every density it evaluated, and the state it returned (None if it
+    raised)."""
+    solves = []
+    real_density, real_solve = es.density, cd.solve_at_t
+
+    def counted_density(grid, phi, q):
+        solves[-1]["phis"].append(np.asarray(phi).tobytes())
+        return real_density(grid, phi, q)
+
+    def recorded_solve(problem, *args, **kwargs):
+        solves.append({"problem": problem, "phis": [], "state": None})
+        solves[-1]["state"] = real_solve(problem, *args, **kwargs)
+        return solves[-1]["state"]
+
+    monkeypatch.setattr(es, "density", counted_density)
+    monkeypatch.setattr(cd, "solve_at_t", recorded_solve)
+    return solves
+
+
+@pytest.mark.parametrize("name", ["bump-2d-per-node-q", "sine-16-halving"])
+def test_each_newton_iterate_has_its_density_evaluated_once(name, monkeypatch):
+    # the start and every line-search trial once each: a Newton step
+    # forms its starting residual from the state's density
+    solves = _recorded_solves(monkeypatch)
+    run_continuity(_density_case(name))
+    assert solves
+    halvings = 0
+    for solve in solves:
+        assert len(set(solve["phis"])) == len(solve["phis"])
+        if solve["state"] is not None:
+            # the start, then one trial per Newton step and per halving
+            halvings += len(solve["phis"]) - 1 - solve["state"].newton_iters
+    if name == "sine-16-halving":
+        assert halvings > 0   # the line search ran, and its trials were counted
+
+
+@pytest.mark.parametrize("name", DENSITY_CASES)
+def test_every_returned_state_carries_the_density_of_its_phi(name, monkeypatch):
+    solves = _recorded_solves(monkeypatch)
+    problem = _density_case(name)
+    state, _ = run_continuity(problem)
+    monkeypatch.undo()
+    returned = [(s["problem"], s["state"]) for s in solves if s["state"] is not None]
+    assert returned[-1][0] is problem and returned[-1][1] is state
+    if name in ("bump-2d-sequenced", "basic-4d-leaf-space"):
+        assert len(returned) > 1   # the coarse levels' states are checked too
+    for prob, st in returned:
+        assert np.array_equal(st.density, density(prob.grid, st.phi, prob.q))
+    # solve_at_t called directly: a plain start, and a converged one that
+    # takes no Newton step
+    for phi0, b0 in ((None, 1.0), (state.phi, state.b)):
+        st = es.solve_at_t(problem, 1.0, phi0=phi0, b0=b0)
+        assert np.array_equal(st.density, density(problem.grid, st.phi, problem.q))
+    assert st.newton_iters == 0

@@ -267,6 +267,66 @@ def test_cli_solve_refuses_two_outputs_in_one_file(tmp_path, capsys, monkeypatch
     assert not outdir.exists()
 
 
+def test_cli_solve_evaluates_no_density_of_its_own(tmp_path, capsys, monkeypatch):
+    # the density range comes from the solver's final state, which
+    # carries the density of its phi
+    import hktsolve.continuity_driver as cd
+    import hktsolve.elliptic_solver as es
+
+    events = []
+    real_density, real_run, real_check = es.density, cd.run_continuity, cd.basicness_check
+
+    def density(*args):
+        events.append("density")
+        return real_density(*args)
+
+    def run(*args, **kwargs):
+        out = real_run(*args, **kwargs)
+        events.append("solved")
+        return out
+
+    def check(*args, **kwargs):
+        events.append("basicness")
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr(es, "density", density)
+    monkeypatch.setattr(cd, "run_continuity", run)
+    monkeypatch.setattr(cd, "basicness_check", check)
+    cfgpath = _write_config(tmp_path / "run.json", dims=(16, 16))
+    assert cli.main(["solve", "--config", str(cfgpath),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert "density" in events[:events.index("solved")]
+    assert events[events.index("solved"):events.index("basicness") + 1] == \
+        ["solved", "basicness"]
+
+
+@pytest.mark.parametrize("dims, per_node", [((32, 32), False), ((8, 8, 4, 4), True)],
+                         ids=["2d-constant-q", "4d-per-node-q"])
+def test_cli_solve_density_range_matches_a_roll_oracle(tmp_path, capsys, dims,
+                                                        per_node):
+    g = TorusGrid(dims)
+    q = -np.eye(g.ndim)
+    q[0, 1] = q[1, 0] = 0.2
+    if per_node:
+        q = np.broadcast_to(q, g.dims + q.shape).copy()
+        q[..., 2, 2] -= 0.5 * np.sin(meshes(g)[2]) ** 2
+        qpath = tmp_path / "q.field"
+        gridio.write_field(qpath, oracles.pack_symmetric(q), g.lengths)
+        qspec = {"file": str(qpath)}
+    else:
+        qspec = {"matrix": q.tolist()}
+    cfgpath = _write_config(tmp_path / "run.json", dims=dims, q=qspec)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(cfgpath), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    phi, _ = gridio.read_field(out / "phi.field")
+    dens = oracles.roll_density(g, phi, q)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["density_min"] == pytest.approx(float(dens.min()), rel=0, abs=1e-12)
+    assert summary["density_max"] == pytest.approx(float(dens.max()), rel=0, abs=1e-12)
+
+
 def test_cli_solve_is_deterministic(tmp_path, capsys):
     cfgpath = _write_config(tmp_path / "run.json", dims=(16, 16))
     out1, out2 = tmp_path / "a", tmp_path / "b"
