@@ -17,6 +17,7 @@ scipy.sparse.linalg, is imported only by the commands that solve.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -433,7 +434,11 @@ def cmd_study(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process: parse_args starts
+    every parse from a fresh namespace, so no parse sees another's
+    values."""
     parser = argparse.ArgumentParser(
         prog="hktsolve",
         description="Frame reduction of the quaternionic Monge-Ampere "

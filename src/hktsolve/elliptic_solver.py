@@ -48,6 +48,14 @@ solve_at_t evaluates it for the start and newton_step for each
 line-search trial, keeping the accepted trial's.  The next Newton step
 forms its starting residual from it, and the CLI reads the solution's
 density range from it, so neither evaluates it again.
+
+A full-grid pass allocates what its result keeps and at most two
+scratch buffers.  grad phi is never stacked: the density and the
+Newton weights (Q + Q^T) grad phi take it one axis at a time from
+kernels.derivative, through quad_value and quad_dir_weights, whose
+terms keep the stacked loops' order, so the results are the same to
+the bit.  residual allocates only its result, and the callers that
+need max |res| take |res| in place over it.
 """
 
 import functools
@@ -66,7 +74,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .gridio import integer, listed, real
-from .kernels import gradient_nd, laplacian_nd, neighbours
+from .kernels import derivative, laplacian_nd, neighbours
 
 MAX_HALVINGS = 20
 PRECOND_SHIFT = 1.0
@@ -176,7 +184,7 @@ def _invariant_axes(arr, dims):
     """
     if arr.shape[:len(dims)] != tuple(dims):
         return set(range(len(dims)))
-    scale = 1.0 + float(np.max(np.abs(arr)))
+    scale = 1.0 + max(float(np.max(arr)), -float(np.min(arr)))
     return {ax for ax in range(len(dims))
             if float(np.max(np.ptp(arr, axis=ax))) <= 1e-14 * scale}
 
@@ -188,10 +196,10 @@ class Problem:
     instead of the (grid, F, q) triple.  F and Q are held as read-only
     copies, so exp(t F), kept for the last t asked for, and the leaf
     axes, found on first use, cannot go stale, and a caller's later
-    write to its own array cannot slip an unvalidated Q in.  Two things
-    the preconditioner needs are recorded once: the symbol of the
-    discrete Laplacian over the real-input FFT's half spectrum, and
-    ``gauge = a`` when Q is the constant -aI with a > 0 (else None).
+    write to its own array cannot slip an unvalidated Q in.  What the
+    preconditioner needs is recorded once: ``gauge = a`` when Q is the
+    constant -aI with a > 0 (else None), and, on its first build, the
+    symbol of the discrete Laplacian and its lowest nonzero mode.
     """
 
     def __init__(self, grid, F, q):
@@ -206,14 +214,26 @@ class Problem:
         a = -float(self.q[0, 0]) if self.q.ndim == 2 else 0.0
         scalar = np.array_equal(self.q, -a * np.eye(grid.ndim))
         self.gauge = a if a > 0 and scalar else None
-        # the last axis keeps its m // 2 + 1 non-negative frequencies
-        dims = grid.dims
-        half = dims[:-1] + (dims[-1] // 2 + 1,)
-        mus = [-4.0 * np.sin(np.pi * np.arange(k) / m) ** 2 / (h * h)
-               for k, m, h in zip(half, dims, grid.spacings)]
-        self.laplacian_symbol = sum(np.ix_(*mus))
         self._exp_key = None
         self._exp_tF = None
+
+    @functools.cached_property
+    def laplacian_symbol(self):
+        """The discrete Laplacian's symbol over the real-input FFT's half
+        spectrum: the last axis keeps its m // 2 + 1 non-negative
+        frequencies.  Built by the first preconditioner, so a grid that
+        takes no Newton step never holds it."""
+        dims = self.grid.dims
+        half = dims[:-1] + (dims[-1] // 2 + 1,)
+        mus = [-4.0 * np.sin(np.pi * np.arange(k) / m) ** 2 / (h * h)
+               for k, m, h in zip(half, dims, self.grid.spacings)]
+        return sum(np.ix_(*mus))
+
+    @functools.cached_property
+    def lowest_mode(self):
+        """-(the symbol's largest negative value): the lowest nonzero mode."""
+        symbol = self.laplacian_symbol
+        return -float(np.max(symbol, where=symbol < 0.0, initial=-np.inf))
 
     @functools.cached_property
     def leaf_axes(self):
@@ -229,65 +249,108 @@ class Problem:
     def exp_tF(self, t):
         """exp(t F) as a read-only array, recomputed only when t changes."""
         if t != self._exp_key:
-            self._exp_tF = np.exp(t * self.F)
+            e = np.multiply(self.F, t)
+            self._exp_tF = np.exp(e, out=e)
             self._exp_tF.flags.writeable = False
             self._exp_key = t
         return self._exp_tF
 
 
-def quad_value(q, g):
-    """<Q v, v> per node for a stacked gradient v.
+def _pair_coefficient(q, i, j):
+    """s_ij of <Q v, v>: q_ii on the diagonal, q_ij + q_ji off it."""
+    return q[..., i, i] if i == j else q[..., i, j] + q[..., j, i]
 
-    The sum of s_ij v_i v_j over i <= j, with s_ii = q_ii and s_ij = q_ij
-    + q_ji, leaving out pairs whose coefficient is zero at every node.
-    s_ij is a scalar for a constant Q and a grid array for a per-node Q;
-    both broadcast alike.  The first term is written, the rest are added
-    through one buffer.
+
+def quad_value(q, component, shape):
+    """<Q v, v> per node, for a vector field v given one component at a time.
+
+    ``component(i, out)`` writes v_i, a grid array of ``shape``, into
+    ``out``.  The value is the sum of s_ij v_i v_j over i <= j in row
+    order, with s_ii = q_ii and s_ij = q_ij + q_ji, leaving out pairs
+    whose coefficient is zero at every node; s_ij is a scalar for a
+    constant Q and a grid array for a per-node Q, and both broadcast
+    alike.  The first term is written and the rest are added.
+
+    Row i keeps v_i in one buffer, and a term with j > i writes v_j
+    into another, so v_j is written again for each pair that needs it.
+    A term is formed in v_j's buffer, or in v_i's for the row's last
+    term, and the first term's buffer becomes the result: beside it, a
+    diagonal Q holds one buffer and any other Q at most two.
     """
     d = q.shape[-1]
-    out = buf = None
-    for i in range(d):
-        for j in range(i, d):
-            s = q[..., i, i] if i == j else q[..., i, j] + q[..., j, i]
-            if not np.any(s):
-                continue
-            if out is None:
-                out = np.multiply(g[i], g[j])
-                out *= s
-                continue
-            if buf is None:
-                buf = np.empty_like(out)
-            np.multiply(g[i], g[j], out=buf)
-            buf *= s
-            out += buf
-    return np.zeros(g.shape[1:]) if out is None else out
+    pairs = [(i, j) for i in range(d) for j in range(i, d)
+             if np.any(_pair_coefficient(q, i, j))]
+    free = []   # buffers whose contents are no longer needed
+
+    def take():
+        return free.pop() if free else np.empty(shape)
+
+    out = None
+    for k, (i, j) in enumerate(pairs):
+        if k == 0 or pairs[k - 1][0] != i:
+            vi = take()
+            component(i, vi)
+        other = vi
+        if j != i:
+            other = take()
+            component(j, other)
+        # the row's last term is formed over v_i, which it no longer
+        # needs; any other over v_j, or for v_i^2 in a third buffer
+        if k + 1 == len(pairs) or pairs[k + 1][0] != i:
+            term = vi
+        elif j != i:
+            term = other
+        else:
+            term = take()
+        np.multiply(vi, other, out=term)
+        if other is not vi and other is not term:
+            free.append(other)
+        term *= _pair_coefficient(q, i, j)
+        if out is None:
+            out = term
+        else:
+            out += term
+            free.append(term)
+    return np.zeros(shape) if out is None else out
 
 
-def quad_dir_weights(q, g):
+def quad_dir_weights(q, component, shape):
     """Weights w with d/ds <Q grad(phi+s eta)...> = sum_j w_j (grad eta)_j.
 
-    w_j = sum_i (q_ij + q_ji) v_i, over the i whose coefficient is not
-    zero at every node; the first term is written into w_j, the rest are
-    added through one buffer.
+    w_j = sum_i (q_ij + q_ji) v_i, in ascending i over the i whose
+    coefficient is not zero at every node, for v = grad phi given one
+    component at a time by ``component(i, out)`` as for quad_value.
+    v_i is written once, into one buffer, and goes into every w_j it
+    feeds: the first term is written into w_j, the rest are added
+    through a second buffer, which a diagonal Q never needs.
     """
     d = q.shape[-1]
-    w = np.zeros(g.shape)
-    buf = None
-    for j in range(d):
-        written = False
-        for i in range(d):
+    w = np.zeros((d,) + tuple(shape))
+    written = [False] * d
+    vi = buf = None
+    for i in range(d):
+        loaded = False
+        for j in range(d):
             s = q[..., i, j] + q[..., j, i]
             if not np.any(s):
                 continue
-            if not written:
-                np.multiply(g[i], s, out=w[j])
-                written = True
+            if not loaded:
+                vi = np.empty(shape) if vi is None else vi
+                component(i, vi)
+                loaded = True
+            if not written[j]:
+                np.multiply(vi, s, out=w[j])
+                written[j] = True
                 continue
-            if buf is None:
-                buf = np.empty(g.shape[1:])
-            np.multiply(g[i], s, out=buf)
+            buf = np.empty(shape) if buf is None else buf
+            np.multiply(vi, s, out=buf)
             w[j] += buf
     return w
+
+
+def _partials(grid, phi):
+    """phi's central differences as a component(i, out) for quad_value."""
+    return lambda i, out: derivative(phi, i, grid.spacings[i], out)
 
 
 def residual(problem, phi, b, t, dens=None):
@@ -295,18 +358,34 @@ def residual(problem, phi, b, t, dens=None):
 
     It is dens - b exp(tF), with dens the density of phi: passed in when
     the caller already has it (a state's ``density``), else evaluated
-    here.  Either way the result is the same to the bit.
+    here.  Either way the result is the same to the bit, and it is the
+    one array allocated here: b exp(tF) is written into it and dens
+    subtracted from it in place.  Callers that only need max |res| take
+    |res| in place too (_sup_in_place).
     """
     if dens is None:
         dens = density(problem.grid, phi, problem.q)
-    return dens - b * problem.exp_tF(t)
+    out = np.multiply(problem.exp_tF(t), b)
+    return np.subtract(dens, out, out=out)
+
+
+def _sup_in_place(res):
+    """max |res|, with |res| written over res, which the caller gives up."""
+    return float(np.max(np.abs(res, out=res)))
 
 
 def density(grid, phi, q):
-    """The positivity monitor 1 + laplacian(phi) + <Q grad phi, grad phi>."""
+    """The positivity monitor 1 + laplacian(phi) + <Q grad phi, grad phi>.
+
+    grad phi is never stacked: quad_value takes it one axis at a time
+    from kernels.derivative.  Beside the result the evaluation holds at
+    most one Laplacian scratch buffer, or quad_value's result and its
+    buffers: two arrays for a diagonal Q, three for one with
+    off-diagonal terms.
+    """
     phi = _check_field(grid, phi, "phi")
     out = laplacian_nd(phi, grid.spacings)
-    out += quad_value(q, gradient_nd(phi, grid.spacings))
+    out += quad_value(q, _partials(grid, phi), grid.dims)
     out += 1.0
     return out
 
@@ -325,14 +404,16 @@ def bordered_operator(problem, phi, t):
     with centre = -2 sum_ax h_ax^-2.  w is divided by 2 h_ax in place,
     once per Newton step, so the operator holds the d arrays it already
     had and no more (separate up and down coefficients h^-2 +- w/(2h)
-    would hold 2d).  An apply writes its output and reuses one scratch
-    buffer for every axis: it builds neither a Laplacian nor a gradient
-    stack of eta.
+    would hold 2d).  w is built from grad phi one axis at a time
+    (quad_dir_weights), so building holds one buffer beside it, two for
+    a Q with off-diagonal terms.  An apply writes its output and reuses
+    one scratch buffer for every axis: it builds neither a Laplacian nor
+    a gradient stack of eta.
     """
     grid = problem.grid
     n, dims = grid.size, grid.dims
     eF = problem.exp_tF(t)
-    w = quad_dir_weights(problem.q, gradient_nd(phi, grid.spacings))
+    w = quad_dir_weights(problem.q, _partials(grid, phi), dims)
     for ax, h in enumerate(grid.spacings):
         w[ax] /= 2.0 * h
     inv_h2 = [1.0 / (h * h) for h in grid.spacings]
@@ -393,10 +474,8 @@ def shifted_inverse_preconditioner(problem, phi, t):
         # phi) = 0.  The zero mode of the inverse is 1 / sigma, and the
         # border cancels it: floored at 1e-6 of the lowest other mode, that
         # cancellation costs at most 1e6 eps.
-        symbol = problem.laplacian_symbol
-        lowest = -float(np.max(symbol, where=symbol < 0.0, initial=-np.inf))
         sigma = max(float(np.mean(laplacian_nd(u, grid.spacings) * u_inv)),
-                    1e-6 * lowest)
+                    1e-6 * problem.lowest_mode)
     else:
         u = u_inv = 1.0
         sigma = PRECOND_SHIFT
@@ -467,11 +546,13 @@ def newton_step(problem, state, tol=1e-10):
     grid = problem.grid
     n = grid.size
     res = residual(problem, state.phi, state.b, state.t, state.density)
-    res_norm = float(np.max(np.abs(res)))
+    rhs = np.empty(n + 1)
+    np.negative(res.reshape(-1), out=rhs[:n])
+    rhs[n] = 0.0
+    res_norm = _sup_in_place(res)
+    del res   # a grid array less while GMRES holds its Krylov basis
     op = bordered_operator(problem, state.phi, state.t)
     precond = shifted_inverse_preconditioner(problem, state.phi, state.t)
-    rhs = np.concatenate([(-res).ravel(), [0.0]])
-    del res   # a grid array less while GMRES holds its Krylov basis
     rtol = min(0.5, max(min(1e-2, res_norm), 0.5 * tol / res_norm)) \
         if res_norm > 0 else 0.0
     x = _solve_bordered(op, precond, rhs, rtol)
@@ -480,12 +561,12 @@ def newton_step(problem, state, tol=1e-10):
 
     scale = 1.0
     for _ in range(MAX_HALVINGS + 1):
-        phi_new = state.phi + scale * eta
-        phi_new = phi_new - np.mean(phi_new)
+        phi_new = np.multiply(eta, scale)
+        phi_new += state.phi
+        phi_new -= np.mean(phi_new)
         b_new = state.b + scale * c
         dens = density(grid, phi_new, problem.q)
-        new_norm = float(np.max(np.abs(
-            residual(problem, phi_new, b_new, state.t, dens))))
+        new_norm = _sup_in_place(residual(problem, phi_new, b_new, state.t, dens))
         if new_norm <= (1.0 - 1e-4) * res_norm:
             if b_new <= 0.0:
                 raise BPositivityLost("b dropped to %.3e" % b_new)
@@ -519,7 +600,7 @@ def solve_at_t(problem, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
     phi = phi - np.mean(phi)
     del phi0
     dens = density(grid, phi, problem.q)
-    res_norm = float(np.max(np.abs(residual(problem, phi, b0, t, dens))))
+    res_norm = _sup_in_place(residual(problem, phi, b0, t, dens))
     state = SolverState(phi=phi, b=float(b0), t=float(t),
                         residual_norm=res_norm, newton_iters=0,
                         res_history=[res_norm], density=dens)

@@ -67,6 +67,10 @@ def known_keys(label, mapping, known):
 
 
 def write_field(path, arr, lengths):
+    """Write a field file; a C-contiguous float64 array is written as it is.
+
+    Any other array is first converted to one, its only copy.
+    """
     arr = np.asarray(arr, dtype=float)
     lengths = [float(x) for x in lengths]
     nd = len(lengths)
@@ -80,31 +84,40 @@ def write_field(path, arr, lengths):
         raise ShapeMismatch("array rank %d does not fit %d grid axes"
                             % (arr.ndim, nd))
     header = {"dims": list(dims), "lengths": lengths, "channels": channels}
+    payload = np.ascontiguousarray(arr, dtype="<f8")
     try:
         with open(path, "wb") as fh:
             fh.write((json.dumps(header) + "\n").encode("utf-8"))
-            fh.write(arr.astype("<f8").tobytes(order="C"))
+            fh.write(payload)
     except OSError as exc:
         raise ConfigError("cannot write field file %s: %s"
                           % (path, exc.strerror or exc)) from exc
 
 
 def read_field(path):
-    """Returns (array, lengths); channel axis kept last when present."""
+    """Returns (array, lengths); channel axis kept last when present.
+
+    The header line is read first; once it is checked and the file
+    holds exactly the payload it promises, the payload is read straight
+    into the returned array, so no other copy of it is made.
+    """
     if not isinstance(path, (str, os.PathLike)):
         # an integer would be opened as a file descriptor
         raise ConfigError("field file path must be a string, got %r" % (path,))
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return _read_field(fh, path)
     except OSError as exc:
         raise ConfigError("cannot read field file %s: %s"
                           % (path, exc.strerror or exc)) from exc
-    cut = raw.find(b"\n")
-    if cut < 0:
+
+
+def _read_field(fh, path):
+    line = fh.readline()
+    if not line.endswith(b"\n"):
         raise ConfigError("field file %s has no header line" % path)
     try:
-        header = json.loads(raw[:cut].decode("utf-8"))
+        header = json.loads(line[:-1].decode("utf-8"))
         dims = header["dims"]
         lengths = header["lengths"]
         channels = header.get("channels", 0)
@@ -127,11 +140,14 @@ def read_field(path):
                           % (channels,))
     shape = tuple(dims) + ((channels,) if channels else ())
     want = math.prod(shape) * 8
-    payload = raw[cut + 1:]
-    if len(payload) != want:
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != want:
         raise ShapeMismatch("field payload is %d bytes, header promises %d"
-                            % (len(payload), want))
-    arr = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+                            % (size, want))
+    arr = np.empty(shape, dtype="<f8")
+    got = fh.readinto(arr)
+    if got != want or fh.read(1):
+        raise ConfigError("field file %s changed while it was read" % path)
     return arr, lengths
 
 

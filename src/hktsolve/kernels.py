@@ -4,9 +4,13 @@ Second-order central differences with periodic wrap, along every axis
 of the field.  With S+- f[i] = f[i +- 1] the periodic shifts along one
 axis, every stencil here is built from the pair S+f + S-f or S+f - S-f,
 which ``neighbours`` writes into a buffer the caller owns.  The kernels
-work in place: the gradient writes straight into its result, and the
-Laplacian into its result and one scratch buffer reused for every
-axis, with no other temporaries.
+work in place: ``derivative`` writes one axis's central difference
+straight into the caller's buffer, the gradient is that derivative per
+axis into the rows of its stack, and the Laplacian writes into its
+result and one scratch buffer reused for every axis, with no other
+temporaries.  The solver takes the gradient one axis at a time through
+``derivative``; ``gradient_nd``'s stack is for callers that want every
+component at once.
 """
 
 import math
@@ -48,10 +52,20 @@ def laplacian_nd(f, spacings):
     return out
 
 
+def derivative(f, axis, h, out):
+    """Write the periodic central difference of f along ``axis`` into ``out``.
+
+    (S+f - S-f) / (2h), with h the axis's spacing; ``out`` must be
+    C-contiguous.
+    """
+    neighbours(f, axis, -1, out)
+    out /= 2.0 * h
+    return out
+
+
 def gradient_nd(f, spacings):
     """Periodic central-difference gradient, stacked along a leading axis."""
     g = np.empty((f.ndim,) + f.shape)
     for ax, h in enumerate(spacings):
-        neighbours(f, ax, -1, g[ax])
-        g[ax] /= 2.0 * h
+        derivative(f, ax, h, g[ax])
     return g

@@ -792,6 +792,27 @@ def test_basic_four_axis_data_build_no_four_axis_newton_matrix(monkeypatch):
     assert built and 4 not in built
 
 
+def test_a_grid_without_newton_steps_builds_no_laplacian_symbol(monkeypatch):
+    # a basic 20x20x4x4 datum: its leaf space takes the Newton steps and
+    # builds the preconditioner's symbol; the fine grid takes none
+    g = TorusGrid((20, 20, 4, 4))
+    xs = meshes(g)
+    problem = Problem(g, 0.8 * np.cos(xs[0]) * np.sin(xs[1]), -4.0 * np.eye(4))
+    levels = []
+    solve = cd.solve_at_t
+
+    def recorded(p, t, **kw):
+        levels.append(p)
+        return solve(p, t, **kw)
+
+    monkeypatch.setattr(cd, "solve_at_t", recorded)
+    state, _ = run_continuity(problem, ContinuityConfig(newton_tol=1e-10))
+    assert levels[-1] is problem and state.newton_iters == 0
+    assert "laplacian_symbol" not in vars(problem)
+    leaf = levels[0]
+    assert leaf.grid.dims == (20, 20) and "laplacian_symbol" in vars(leaf)
+
+
 def test_leaf_space_solution_is_broadcast_along_leaves_anywhere(monkeypatch):
     # leaves (0, 2), not the trailing axes, unequal lengths, and a constant
     # Q that couples leaf and varying axes: the leaf space is axes 1 and

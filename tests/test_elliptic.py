@@ -189,6 +189,11 @@ def test_pernode_q_matches_constant_q():
     assert np.allclose(rc, rn, atol=1e-13)
 
 
+def _stacked(g):
+    """The component(i, out) of quad_value for a stacked field g."""
+    return lambda i, out: np.copyto(out, g[i])
+
+
 @pytest.mark.parametrize("dims", [(6, 5), (4, 3, 5, 4)])
 def test_quadratic_form_matches_double_loop(dims):
     # an asymmetric per-node Q with no sign: the quadratic form reads
@@ -202,16 +207,18 @@ def test_quadratic_form_matches_double_loop(dims):
         for j in range(d):
             value += q[..., i, j] * g[i] * g[j]
             weights[j] += (q[..., i, j] + q[..., j, i]) * g[i]
-    assert np.allclose(es.quad_value(q, g), value, rtol=0, atol=1e-12)
-    assert np.allclose(es.quad_dir_weights(q, g), weights, rtol=0, atol=1e-12)
+    v = _stacked(g)
+    assert np.allclose(es.quad_value(q, v, dims), value, rtol=0, atol=1e-12)
+    assert np.allclose(es.quad_dir_weights(q, v, dims), weights, rtol=0, atol=1e-12)
     # a constant Q reads the same as its per-node broadcast; a zero Q is zero
     qc = q[(0,) * d]
     qn = np.broadcast_to(qc, q.shape)
-    assert np.allclose(es.quad_value(qc, g), es.quad_value(qn, g), rtol=0, atol=1e-12)
-    assert np.allclose(es.quad_dir_weights(qc, g), es.quad_dir_weights(qn, g),
+    assert np.allclose(es.quad_value(qc, v, dims), es.quad_value(qn, v, dims),
                        rtol=0, atol=1e-12)
-    assert not np.any(es.quad_value(np.zeros((d, d)), g))
-    assert not np.any(es.quad_dir_weights(np.zeros((d, d)), g))
+    assert np.allclose(es.quad_dir_weights(qc, v, dims),
+                       es.quad_dir_weights(qn, v, dims), rtol=0, atol=1e-12)
+    assert not np.any(es.quad_value(np.zeros((d, d)), v, dims))
+    assert not np.any(es.quad_dir_weights(np.zeros((d, d)), v, dims))
 
 
 def test_density_monitor():
@@ -483,7 +490,7 @@ def test_converged_state_satisfies_integral_identity():
     F = bump(g)
     st = solve_at_t(Problem(g, F, q), 1.0, tol=1e-10)
     grads = kernels.gradient_nd(st.phi, g.spacings)
-    quad = es.quad_value(np.asarray(q, dtype=float), grads)
+    quad = es.quad_value(np.asarray(q, dtype=float), _stacked(grads), g.dims)
     gap = abs(np.mean(quad + 1.0 - st.b * np.exp(st.t * F)))
     assert gap <= 10 * 1e-10
 
@@ -606,6 +613,118 @@ def test_bordered_operator_memory(dims):
     assert peak <= y.nbytes + 2 * grid_bytes
     print("held %.2f, apply peak %.2f grid arrays beyond the output"
           % (held / grid_bytes, (peak - y.nbytes) / grid_bytes))
+
+
+def _q_of_kind(kind, dims, rng):
+    """A constant diagonal, a per-node full or a constant full NSD Q."""
+    d = len(dims)
+    if kind == "diagonal":
+        return -np.diag(np.arange(1.0, d + 1.0))
+    a = rng.standard_normal((d, d) if kind == "full" else dims + (d, d))
+    return -(a @ np.swapaxes(a, -1, -2))
+
+
+def _stacked_density(g, phi, q):
+    # the gradient stacked first, then the i <= j terms in row order,
+    # the first written and the rest added, then + 1
+    grads = kernels.gradient_nd(phi, g.spacings)
+    quad = np.zeros(g.dims)
+    first = True
+    for i in range(g.ndim):
+        for j in range(i, g.ndim):
+            s = q[..., i, i] if i == j else q[..., i, j] + q[..., j, i]
+            if np.any(s):
+                term = grads[i] * grads[j] * s
+                quad = term if first else quad + term
+                first = False
+    return kernels.laplacian_nd(phi, g.spacings) + quad + 1.0
+
+
+def _stacked_matvec(problem, phi, t, x):
+    # the weights w_j = sum_i (q_ij + q_ji) grad_i phi in ascending i over a
+    # stacked gradient, and the operator's terms in its own order
+    g, q = problem.grid, problem.q
+    grads = kernels.gradient_nd(phi, g.spacings)
+    eta = x[:-1].reshape(g.dims)
+    top = problem.exp_tF(t) * -x[-1]
+    top = top + eta * (-2.0 * sum(1.0 / (h * h) for h in g.spacings))
+    for ax, h in enumerate(g.spacings):
+        w = None
+        for i in range(g.ndim):
+            s = q[..., i, ax] + q[..., ax, i]
+            if np.any(s):
+                w = grads[i] * s if w is None else w + grads[i] * s
+        w = np.zeros(g.dims) if w is None else w / (2.0 * h)
+        up, down = np.roll(eta, -1, ax), np.roll(eta, 1, ax)
+        top = top + (up + down) * (1.0 / (h * h))
+        top = top + (up - down) * w
+    return np.concatenate([top.ravel(), [eta.mean()]])
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "pernode", "full"])
+@pytest.mark.parametrize("dims", [(12, 10), (6, 5, 4, 6)])
+def test_streamed_gradient_matches_the_stacked_one_bit_for_bit(dims, kind):
+    # density and the Newton matrix take grad phi one axis at a time; the
+    # arithmetic is the stacked gradient's, in the same order
+    rng = np.random.default_rng(41)
+    g = TorusGrid(dims, lengths=tuple(1.0 + 0.5 * ax for ax in range(len(dims))))
+    q = _q_of_kind(kind, dims, rng)
+    phi = rng.standard_normal(dims)
+    problem = Problem(g, 0.3 * rng.standard_normal(dims), q)
+    assert np.array_equal(density(g, phi, q), _stacked_density(g, phi, q))
+    op = bordered_operator(problem, phi, 0.7)
+    for _ in range(3):
+        x = rng.standard_normal(g.size + 1)
+        assert np.array_equal(op.matvec(x), _stacked_matvec(problem, phi, 0.7, x))
+
+
+# numpy's ufunc buffers for the strided wrapped planes: 15 kB on 8^4
+UFUNC_BUFFERS = 16 * 1024
+
+
+@pytest.mark.parametrize("kind, arrays", [("diagonal", 3), ("full", 4)])
+@pytest.mark.parametrize("dims", [(128, 128), (8, 8, 8, 8)])
+def test_density_memory(dims, kind, arrays):
+    # the result, and beside it the Laplacian's scratch or quad_value's
+    # result and one buffer, two with off-diagonal terms; no gradient stack
+    rng = np.random.default_rng(43)
+    g = TorusGrid(dims)
+    q = _q_of_kind(kind, dims, rng)
+    phi = rng.standard_normal(dims)
+    density(g, phi, q)   # first-call caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = density(g, phi, q)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    grid_bytes = out.nbytes
+    assert peak <= arrays * grid_bytes + UFUNC_BUFFERS
+    print("density peak %.2f grid arrays" % (peak / grid_bytes))
+
+
+@pytest.mark.parametrize("kind, extra", [("diagonal", 1), ("full", 2)])
+@pytest.mark.parametrize("dims", [(128, 128), (8, 8, 8, 8)])
+def test_bordered_operator_build_memory(dims, kind, extra):
+    # the d weight arrays it keeps, plus one buffer for grad_i phi and, with
+    # off-diagonal terms, one for the terms added to a weight
+    rng = np.random.default_rng(47)
+    g = TorusGrid(dims)
+    problem = Problem(g, rng.standard_normal(dims), _q_of_kind(kind, dims, rng))
+    phi = rng.standard_normal(dims)
+    bordered_operator(problem, phi, 0.5)   # first-call caches, exp(tF) too
+    grid_bytes = g.size * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        op = bordered_operator(problem, phi, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert op.shape == (g.size + 1, g.size + 1)
+    assert peak <= (g.ndim + extra) * grid_bytes + UFUNC_BUFFERS
+    print("build peak %.2f grid arrays" % (peak / grid_bytes))
 
 
 def _bordered_model(g, F, t, u, sigma):

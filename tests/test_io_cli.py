@@ -5,6 +5,7 @@ import math
 import os
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,31 @@ def test_read_field_error_paths(tmp_path):
     truncated.write_bytes(header + b"\x00" * 17)
     with pytest.raises(ShapeMismatch):
         gridio.read_field(truncated)
+
+
+def _traced_peak(call):
+    """call's result and the peak bytes it allocated, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape, axes", [((256, 256), 2), ((16, 16, 16, 16, 3), 4)])
+def test_field_files_make_no_payload_copy(tmp_path, shape, axes):
+    # the written array goes to the file as it is, and the file's payload
+    # straight into the returned array: a copy would cost a whole payload
+    arr = np.random.default_rng(24).standard_normal(shape)
+    path = tmp_path / "f.field"
+    lengths = (1.0,) * axes
+    _, peak = _traced_peak(lambda: gridio.write_field(path, arr, lengths))
+    assert peak <= arr.nbytes // 16
+    (back, _), peak = _traced_peak(lambda: gridio.read_field(path))
+    assert np.array_equal(back, arr)
+    assert peak <= back.nbytes + arr.nbytes // 16
 
 
 def test_pack_unpack_symmetric_round_trip():
@@ -934,6 +960,24 @@ def test_cli_shipped_sample_config(tmp_path, capsys):
     capsys.readouterr()
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert abs(summary["b"] - 0.7326275065261898) < 1e-9
+
+
+def test_cli_parses_each_command_line_afresh():
+    # the parser is built once per process; no flag, default or
+    # subcommand attribute of one parse carries over into the next
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["solve", "--config", "a.json", "--verify-unique",
+                               "--newton-tol", "1e-9"])
+    assert first.verify_unique and first.newton_tol == 1e-9
+    plain = parser.parse_args(["solve", "--config", "b.json"])
+    assert (plain.config, plain.verify_unique, plain.newton_tol, plain.out_dir) \
+        == ("b.json", False, None, None)
+    su3 = parser.parse_args(["verify-su3", "--perturb"])
+    assert su3.perturb and su3.func is cli.cmd_verify_su3
+    after = parser.parse_args(["solve", "--config", "c.json"])
+    assert vars(after) == dict(vars(plain), config="c.json")
+    assert not hasattr(after, "perturb") and after.func is cli.cmd_solve
 
 
 def test_cli_manufactured(capsys):
