@@ -279,7 +279,10 @@ def _load_run_config(path, newton_tol=None):
     if newton_tol is not None:
         cfg.setdefault("continuity", {})["newton_tol"] = newton_tol
     gspec = cfg.get("grid", {})
-    grid = TorusGrid(gspec.get("dims", [64, 64]), gspec.get("lengths"))
+    dims = gridio.listed("grid.dims", gspec.get("dims", [64, 64]), gridio.integer)
+    if len(dims) not in (2, 4):
+        raise ConfigError("grid needs 2 or 4 axes, got %d" % len(dims))
+    grid = TorusGrid(dims, gspec.get("lengths"))
     F = _build_forcing(cfg.get("forcing", {"type": "zero"}), grid)
     qspec = cfg.get("q", {"matrix": np.zeros((grid.ndim, grid.ndim)).tolist()})
     q = gridio.load_qspec(qspec, grid)

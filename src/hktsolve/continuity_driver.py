@@ -12,62 +12,55 @@ forcing), the grid convergence study, and the basicness report.
 
 Grid sequencing.  A step that leaves the trivial pair at t = 0, on a
 grid that coarse_dims halves, starts Newton from the solution of the
-coarsened problem at the same t, not from phi = 0.  The chain's first
-level is taken along the leaf axes: those along which F and Q are both
-constant (Problem.leaf_axes, the axes basicness_check checks).  Basic
-data have a solution constant along the leaves, so that level's
-problem has the fine solution, and it starts the finer grid within the
-Newton tolerance.  Where exactly two axes vary (two leaf axes on four),
-the level is the leaf space itself, the 2-axis problem leaf_space
-builds and basicness_check solves, and its solution broadcast along
-the leaves is the fine start: on 20^4 with F varying along two axes,
-the chain is 20^4 -> 20x20, every Newton step runs on 20x20, and the
-fine grid takes 0 Newton steps.  Other leaves (one or three on four
-axes, one on two) have no 2-axis leaf space; in that one level,
-whatever the grid's size, each leaf axis of m nodes goes to its
-smallest divisor k with 4 <= k < m (20 -> 4, 18 -> 6, 10 -> 5; 4 to 7,
-9 and the primes have none and are kept), and the level's solution is
-interpolated.  Below it, every even varying axis of at least 8 nodes is
-halved while the halved grid keeps at least SEQUENCE_MIN_NODES = 2^10
-nodes along its varying axes (the leaf space has no leaves); the last
-grid starts from the trivial pair: 512^2 -> 256^2 -> 128^2 -> 64^2 ->
-32^2, 64^2 -> 32^2, 64x64x16x16 with two leaf axes -> 64x64 -> 32x32,
-and 20^4 -> 10^4 for a forcing that varies along all four axes.  F, and
-a per-node Q, are taken by injection (every (m/k)-th node of an axis
-that goes from m to k nodes; a constant Q as it is).  Between grids of
-as many axes, the coarse phi reaches the finer grid by trigonometric
-interpolation, which is separable: one real FFT pair along each axis
-that grows zero-pads its half spectrum, the Nyquist mode of an even
-axis split in halves.  Newton's step count does not depend on the mesh,
-so the interpolated start lies in the fine grid's quadratic basin.
-Where the halving to the level below a grid halved varying axes and
-more varying levels lie under that one, the start is first extrapolated
-on the coarse grid towards the finer discrete solution (Richardson's
-deferred approach to the limit, as in nested iteration and full
-multigrid): a level's solution differs from their limit by c h^2 +
-d h^4 + ..., h the spacing along the axes the solution varies on, and
-the Lagrange extrapolation in h^2 of every varying level below a grid
-(richardson) is exact for the first k - 1 terms from k levels.  b
+coarsened problem at the same t, not from phi = 0.  Where the grid has
+leaf axes, those along which F and Q are both constant
+(Problem.leaf_axes, the axes basicness_check checks), the chain's first
+level is the leaf space: the problem leaf_space builds on the 1, 2 or
+3 axes that vary, and basicness_check solves.  Basic data have a
+solution constant along the leaves, so the leaf space's solution,
+broadcast along the leaves, is the fine start, within the Newton
+tolerance: on 20^4 with F varying along two axes, the chain is 20^4 ->
+20x20, every Newton step runs on 20x20, and the fine grid takes 0
+Newton steps.  The leaf space has no leaves, and it, or a grid with no
+leaves, is sequenced by halving: every even axis of at least 8 nodes
+is halved while the halved grid keeps at least SEQUENCE_MIN_NODES =
+2^10 nodes, and the last grid starts from the trivial pair: 512^2 ->
+256^2 -> 128^2 -> 64^2 -> 32^2, 64^2 -> 32^2, 64x64x16x16 with two leaf
+axes -> 64x64 -> 32x32, 32x32x32x16 with one leaf axis -> 32x32x32 ->
+16x16x16, and 20^4 -> 10^4 for a forcing that varies along all four
+axes.  F, and a per-node Q, are taken by injection (every second node
+of a halved axis; a constant Q as it is).  Between halvings, the coarse
+phi reaches the finer grid by trigonometric interpolation, which is
+separable: one real FFT pair along each axis that grows zero-pads its
+half spectrum, the Nyquist mode of an even axis split in halves.
+Newton's step count does not depend on the mesh, so the interpolated
+start lies in the fine grid's quadratic basin.  Where more than one
+halved level lies under a grid, the start is first extrapolated on the
+coarse grid towards the finer discrete solution (Richardson's deferred
+approach to the limit, as in nested iteration and full multigrid): a
+level's solution differs from their limit by c h^2 + d h^4 + ..., h the
+spacing, and the Lagrange extrapolation in h^2 of every level below a
+grid (richardson) is exact for the first k - 1 terms from k levels.  b
 takes the same weights in log form, which keeps it positive.  On a
 512^2 bump the 512^2 start lands 6.1e-10 from its discrete solution
 from three levels (256^2, 128^2, 64^2) and 3.0e-11 from four (down to
 32^2), under the Newton tolerance 1e-10, so the 512^2 grid takes no
 Newton step; the gain is the 32^2 level's, not the coarse solves'
-accuracy.  The levels are the coarse solutions, not their starts.
-Across the leaf level, where the solutions agree, the start is
-the broadcast or the plain interpolation, not extrapolated; so is the
-start above a single varying level.  Every coarse state is dropped
-before the top grid's Newton runs.  The floor exists because on smaller
-grids a hard coarse solve still takes about nine Newton steps and costs
-more than it saves; the leaf level is exempt from it, but a fine grid
-whose halving along all its axes falls under it is not sequenced at
-all, nor is one whose chain is empty.  If a coarse solve or the fine
-Newton from the coarse start fails, the step is rerun from the trivial
-pair, as without sequencing.  The step control counts the Newton steps
-of the coarsest grid's plain start, which stand for the fine plain
-start's, so the schedule of t is the one the plain start gives.  Trace
-rows describe the fine grid only, and the seconds of the row a
-sequenced step ends in include its coarse solves.
+accuracy.  The levels are the coarse solutions, not their starts.  The
+lift from the leaf space, where the solutions agree, is the broadcast,
+not extrapolated; the start above a single halved level is the plain
+interpolation.  Every coarse state is dropped before the top grid's
+Newton runs.  The floor exists because on smaller grids a hard coarse
+solve still takes about nine Newton steps and costs more than it
+saves.  The leaf space is exempt from it, but a fine grid whose halving
+falls under it is not sequenced, nor is one whose every axis is a leaf:
+its chain is empty.  If a coarse solve or the fine Newton from the
+coarse start fails, the step is rerun from the trivial pair, as without
+sequencing.  The step control counts the Newton steps of the coarsest
+grid's plain start, which stand for the fine plain start's, so the
+schedule of t is the one the plain start gives.  Trace rows describe
+the fine grid only, and the seconds of the row a sequenced step ends
+in include its coarse solves.
 """
 
 import csv
@@ -160,13 +153,12 @@ SOLVER_FAILURES = (DampingExhausted, MaxItersExceeded, LinearSolveFailure,
                    BPositivityLost)
 
 # A grid is halved only while the halved grid keeps at least this many
-# nodes along its varying (non-leaf) axes; the last grid starts Newton
-# from the trivial pair.  On smaller grids a coarse solve, which for a
-# hard case still takes about nine Newton steps, costs about what the
-# fine steps it saves.  Sine amplitude 6 with Q = -60 I, tol 1e-10, one
-# thread of a 2-vCPU x86 VM, median of 3, in seconds (the "none" row is
-# the plain start, and a floor that leaves a grid unsequenced is left
-# blank):
+# nodes; the last grid starts Newton from the trivial pair.  On smaller
+# grids a coarse solve, which for a hard case still takes about nine
+# Newton steps, costs about what the fine steps it saves.  Sine
+# amplitude 6 with Q = -60 I, tol 1e-10, one thread of a 2-vCPU x86 VM,
+# median of 3, in seconds (the "none" row is the plain start, and a
+# floor that leaves a grid unsequenced is left blank):
 #
 #   floor    64^2   128^2   256^2   512^2
 #   none     0.20   0.43    1.67    9.07
@@ -182,49 +174,35 @@ SOLVER_FAILURES = (DampingExhausted, MaxItersExceeded, LinearSolveFailure,
 SEQUENCE_MIN_NODES = 2 ** 10
 
 
-def _leaf_floor(m):
-    """The smallest divisor k of m with 4 <= k < m, or m if it has none."""
-    return next((k for k in range(4, m) if m % k == 0), m)
-
-
 def coarse_dims(grid, leaf):
     """The dims of the next coarser grid, or None when no axis coarsens.
 
     ``leaf`` lists the axes along which F and Q are constant (see
-    Problem.leaf_axes).  The first level's problem has the fine solution:
-    basic data have one constant along the leaves.  On a grid with leaves
-    where exactly two axes vary (two leaf axes on four), that level is
-    the leaf space, the varying axes' dims, whose problem leaf_space
-    builds.  On any other grid with leaves, each leaf axis of m nodes
-    goes in one level to its smallest divisor k with 4 <= k < m, k
-    dividing m to keep it an injection; no leaf axis coarsens again,
-    since an even k of 8 or more would have k / 2 as a smaller divisor.
-    Below that level (the leaf space has no leaves), every even axis of
-    at least 8 nodes is halved, as long as the halved grid keeps at least
-    SEQUENCE_MIN_NODES nodes along the axes not in ``leaf``: 512^2 goes
-    down to 32^2, 20^4 with no leaf to 10^4, 64x64x16x16 with leaves
-    (2, 3) to its leaf space 64x64 and then 32x32, and 32x32x32x16 with
-    leaf (3,) to 32x32x32x4 and then 16x16x16x4.
+    Problem.leaf_axes).  On a grid with leaves the next level is the
+    leaf space, the varying axes' dims, whatever its size: basic data
+    have a solution constant along the leaves, and the problem
+    leaf_space builds has it.  A grid whose every axis is a leaf has
+    none.  On a grid with no leaves, the leaf space's included, every
+    even axis of at least 8 nodes is halved, as long as the halved grid
+    keeps at least SEQUENCE_MIN_NODES nodes: 512^2 goes down to 32^2,
+    20^4 with no leaf to 10^4, and 64x64x16x16 with leaves (2, 3) to its
+    leaf space 64x64 and then 32x32.
     """
-    if leaf and grid.ndim - len(leaf) == 2:
-        return tuple(d for ax, d in enumerate(grid.dims) if ax not in leaf)
-    dims = tuple(_leaf_floor(d) if ax in leaf else d
-                 for ax, d in enumerate(grid.dims))
-    if dims != grid.dims:
-        return dims
-    coarse = tuple(d // 2 if d % 2 == 0 and d >= 8 else d for d in dims)
-    varying = math.prod(d for ax, d in enumerate(coarse) if ax not in leaf)
-    if coarse == dims or varying < SEQUENCE_MIN_NODES:
+    if leaf:
+        return tuple(d for ax, d in enumerate(grid.dims) if ax not in leaf) or None
+    coarse = tuple(d // 2 if d % 2 == 0 and d >= 8 else d for d in grid.dims)
+    if coarse == grid.dims or math.prod(coarse) < SEQUENCE_MIN_NODES:
         return None
     return coarse
 
 
 def leaf_space(problem):
-    """The problem on the leaf space, or None unless exactly two axes vary.
+    """The problem on the leaf space, or None unless some but not all axes
+    are leaves.
 
-    For a 4-axis problem with two leaf axes: F, and a per-node Q, are
-    indexed at 0 along the leaves, Q keeps its block on the varying axes,
-    and the grid has the varying axes' dims and lengths.  The block is
+    F, and a per-node Q, are indexed at 0 along the leaves, Q keeps its
+    block on the varying axes, and the grid has the varying axes' dims
+    and lengths: 1, 2 or 3 axes of a 2- or 4-axis grid.  The block is
     enough even when Q couples varying and leaf axes: a field constant
     along the leaves has zero leaf gradient components, so the cross
     terms of <Q grad phi, grad phi> vanish, as do the leaf terms of the
@@ -232,9 +210,9 @@ def leaf_space(problem):
     is the fine grid's.
     """
     grid, leaf = problem.grid, problem.leaf_axes
-    if not (leaf and grid.ndim - len(leaf) == 2):
-        return None
     varying = [ax for ax in range(grid.ndim) if ax not in leaf]
+    if not (leaf and varying):
+        return None
     idx = tuple(slice(None) if ax in varying else 0 for ax in range(grid.ndim))
     q = problem.q if problem.q.ndim == 2 else problem.q[idx]
     return Problem(TorusGrid(tuple(grid.dims[ax] for ax in varying),
@@ -243,17 +221,14 @@ def leaf_space(problem):
 
 
 def coarsen(problem, dims):
-    """The problem on the grid of ``dims`` from coarse_dims.
+    """The problem on the halved grid of ``dims`` from coarse_dims.
 
-    Dims with fewer axes than the grid's are the leaf space (leaf_space).
-    Otherwise F, and a per-node Q, are sampled at every (m/k)-th node of
-    each axis that goes from m to k nodes; a constant Q is used as it is.
-    Injection keeps a per-node Q negative semi-definite at every node,
-    whatever built it.
+    F, and a per-node Q, are sampled at every (m/k)-th node of each axis
+    that goes from m to k nodes, every second node of a halved axis; a
+    constant Q is used as it is.  Injection keeps a per-node Q negative
+    semi-definite at every node, whatever built it.
     """
     grid = problem.grid
-    if len(dims) < grid.ndim:
-        return leaf_space(problem)
     idx = tuple(slice(None, None, m // d) for m, d in zip(grid.dims, dims))
     q = problem.q if problem.q.ndim == 2 else problem.q[idx]
     return Problem(TorusGrid(dims, grid.lengths), problem.F[idx], q)
@@ -317,53 +292,48 @@ def extrapolated_b(*levels):
 
 
 def _sequenced_solve(problem, t, cfg):
-    """Solve at t from the coarsened problems' solutions, interpolated.
+    """Solve at t from the coarsened problems' solutions.
 
-    The chain of coarse problems runs down to a grid that coarse_dims
-    leaves alone, which starts from the trivial pair; each finer grid
-    starts from the solution one level down, interpolated, or from the
-    leaf space's solution broadcast along the leaves.  Where the halving
-    to that level halved varying axes, the solution is first
-    extrapolated with every varying level below it (richardson; see the
-    module docstring); across the leaf level it is taken as it is.
+    The leafless problem, the leaf space or the problem itself when it
+    has no leaves, is halved down to a grid that coarse_dims leaves
+    alone, which starts from the trivial pair; each finer grid starts
+    from the solution one level down, interpolated, and first
+    extrapolated with every level below it when there are two or more
+    (richardson; see the module docstring).  The leaf space's solution,
+    broadcast along the leaves, then starts the fine grid as it is.
     Returns the state and the Newton iterations of the plain start,
-    which stand for the fine plain start's in the step control: Newton's
-    step count does not depend on the mesh.
+    which stand for the fine plain start's in the step control:
+    Newton's step count does not depend on the mesh.
     """
-    leaf = problem.leaf_axes
-    chain = [problem]
-    while (dims := coarse_dims(chain[-1].grid, leaf)) is not None:
+    reduced = leaf_space(problem)
+    chain = [problem if reduced is None else reduced]
+    while (dims := coarse_dims(chain[-1].grid, ())) is not None:
         chain.append(coarsen(chain[-1], dims))
-        if len(dims) < problem.grid.ndim:
-            leaf = ()   # the leaf space has no leaves
     state = solve_at_t(chain.pop(), t, tol=cfg.newton_tol,
                        max_iters=cfg.max_newton)
     plain_iters = state.newton_iters
-    # the varying levels' (phi, b) under state's, nearest first: only
-    # what richardson reads, so no coarse density outlives its level
+    # the levels' (phi, b) under state's, nearest first: only what
+    # richardson reads, so no coarse density outlives its level
     below = []
     while chain:
         fine = chain.pop()
         phi, b0 = state.phi, state.b
-        # from the leaf space, whose solution is the top grid's: no
-        # interpolation, only the exact lift
-        lift = phi.ndim < fine.grid.ndim
-        varying = not lift and any(
-            m != n for ax, (m, n) in enumerate(zip(fine.grid.dims, phi.shape))
-            if ax not in leaf)
-        if below and varying:
+        if below:
             phi = richardson(phi, *(interpolate(x, phi.shape)
                                     for x, _ in below))
             b0 = extrapolated_b(b0, *(b for _, b in below))
-        start = [np.broadcast_to(np.expand_dims(phi, problem.leaf_axes),
-                                 fine.grid.dims) if lift
-                 else interpolate(phi, fine.grid.dims)]
+        start = [interpolate(phi, fine.grid.dims)]
         # the top grid's Newton runs without any coarse state
-        below = [(state.phi, state.b), *below] if chain and varying else []
+        below = [(state.phi, state.b), *below] if chain else []
         del phi, state
         # popped into the call, the start has no reference here:
         # solve_at_t frees it once it has its own zero-mean copy
         state = solve_at_t(fine, t, phi0=start.pop(), b0=b0,
+                           tol=cfg.newton_tol, max_iters=cfg.max_newton)
+    if reduced is not None:
+        lifted = np.broadcast_to(np.expand_dims(state.phi, problem.leaf_axes),
+                                 problem.grid.dims)
+        state = solve_at_t(problem, t, phi0=lifted, b0=state.b,
                            tol=cfg.newton_tol, max_iters=cfg.max_newton)
     return state, plain_iters
 
@@ -375,12 +345,10 @@ def _attempt(problem, state, t, cfg):
     grids' solutions when coarse_dims, counting no axis as a leaf,
     halves the fine grid: only a grid whose halving keeps at least
     SEQUENCE_MIN_NODES nodes (64^2 or more on two axes) is sequenced,
-    whatever its leaves; its chain then starts with the leaf level.  A
-    grid whose chain is empty is not sequenced either: 16x16x16x5 with
-    leaf (3,) passes the first check, but its halving keeps 8x8x8
-    varying nodes and its 5-node leaf has no divisor to go to.  If the
-    sequenced solve fails, the step reruns from the trivial pair, as
-    every later step starts from its state.
+    whatever its leaves, and its chain then starts with the leaf space.
+    A grid whose every axis is a leaf has no chain and is not sequenced.
+    If the sequenced solve fails, the step reruns from the trivial pair,
+    as every later step starts from its state.
     """
     if (state.t == 0.0 and coarse_dims(problem.grid, ()) is not None
             and coarse_dims(problem.grid, problem.leaf_axes) is not None):
@@ -400,7 +368,7 @@ def run_continuity(problem, cfg=None):
 
     # the trivial pair solves t = 0 exactly (see the module docstring)
     state = SolverState(phi=problem.grid.zeros(), b=1.0, t=0.0,
-                        residual_norm=0.0, newton_iters=0, res_history=[0.0])
+                        residual_norm=0.0, newton_iters=0)
     trace.append(TraceRow(t=0.0, b=1.0, newton_iters=0, residual_norm=0.0,
                           seconds=0.0))
 
@@ -516,9 +484,9 @@ def basicness_check(problem, state, tol):
     solution.  Returns a report dict and raises nothing on a failed
     check: the caller reads ``passed`` (the CLI prints the report).
     ``reduced_match`` is the lift gap, the sup distance from the lifted
-    solution of the problem leaf_space builds (the one grid sequencing
-    solves as its leaf level), or None when leaf_space has none: unless
-    exactly two axes vary.
+    solution of the problem leaf_space builds (the level sequencing
+    starts the fine grid from), on however many axes vary; it is None
+    only when every axis is a leaf and there is no leaf space.
     """
     axes = list(problem.leaf_axes)
     if not axes:

@@ -60,7 +60,7 @@ need max |res| take |res| in place over it.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -86,12 +86,16 @@ Q_EIGENVALUE_TOL = 1e-12
 
 
 class TorusGrid:
-    """Uniform periodic grid with 2 or 4 axes."""
+    """Uniform periodic grid with one or more axes.
+
+    A solve config has 2 or 4 (the CLI checks); the leaf spaces of basic
+    data on them have 1, 2 or 3.
+    """
 
     def __init__(self, dims, lengths=None):
         dims = tuple(listed("grid.dims", dims, integer))
-        if len(dims) not in (2, 4):
-            raise ConfigError("grid needs 2 or 4 axes, got %d" % len(dims))
+        if not dims:
+            raise ConfigError("grid needs at least one axis")
         if any(d < 4 for d in dims):
             raise ConfigError("every axis needs at least 4 nodes: %r" % (dims,))
         if lengths is None:
@@ -127,7 +131,7 @@ class TorusGrid:
 
 @dataclass
 class SolverState:
-    """A Newton iterate (phi, b) at path time t, with its residual record.
+    """A Newton iterate (phi, b) at path time t, with its residual norm.
 
     ``density`` is density(grid, phi, q) of this phi, computed once:
     solve_at_t fills it for its start and newton_step for the trial it
@@ -140,7 +144,6 @@ class SolverState:
     t: float
     residual_norm: float
     newton_iters: int
-    res_history: list = field(default_factory=list)
     density: np.ndarray = None
 
 
@@ -570,11 +573,10 @@ def newton_step(problem, state, tol=1e-10):
         if new_norm <= (1.0 - 1e-4) * res_norm:
             if b_new <= 0.0:
                 raise BPositivityLost("b dropped to %.3e" % b_new)
-            hist = list(state.res_history) + [new_norm]
             return SolverState(phi=phi_new, b=b_new, t=state.t,
                                residual_norm=new_norm,
                                newton_iters=state.newton_iters + 1,
-                               res_history=hist, density=dens)
+                               density=dens)
         scale *= 0.5
     raise DampingExhausted(
         "no residual decrease after %d halvings (residual %.3e)"
@@ -603,7 +605,7 @@ def solve_at_t(problem, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
     res_norm = _sup_in_place(residual(problem, phi, b0, t, dens))
     state = SolverState(phi=phi, b=float(b0), t=float(t),
                         residual_norm=res_norm, newton_iters=0,
-                        res_history=[res_norm], density=dens)
+                        density=dens)
     if res_norm <= tol:
         return state
     for _ in range(max_iters):

@@ -41,7 +41,7 @@ def neighbours(f, axis, sign, out):
 
 
 def laplacian_nd(f, spacings):
-    """Periodic central-difference Laplacian of a 2- or 4-axis field."""
+    """Periodic central-difference Laplacian of a field on any number of axes."""
     out = np.multiply(f, -2.0 * sum(1.0 / (h * h) for h in spacings),
                       out=np.empty(f.shape))
     s = np.empty(f.shape)

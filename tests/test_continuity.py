@@ -380,6 +380,22 @@ def test_basicness_reduces_a_per_node_q():
     assert report["passed"]
 
 
+@pytest.mark.parametrize("name, ndim", [("leaf-2d-one", 1), ("leaf-4d-one", 3)])
+def test_basicness_lifts_from_a_leaf_space_of_one_or_three_axes(name, ndim):
+    # one leaf: the leaf space has the other 1 or 3 axes, and the
+    # solution is its solution's lift
+    problem = SEQUENCED[name]
+    assert cd.leaf_space(problem).grid.ndim == ndim
+    cfg = ContinuityConfig(newton_tol=1e-10)
+    state, _ = run_continuity(problem, cfg)
+    report = basicness_check(problem, state, cfg.newton_tol)
+    assert report["invariant_axes"] == list(problem.leaf_axes)
+    assert report["variation"] <= 100 * cfg.newton_tol
+    assert report["reduced_match"] is not None
+    assert report["reduced_match"] <= 100 * cfg.newton_tol
+    assert report["passed"]
+
+
 def test_basicness_reduces_a_q_that_couples_leaf_and_varying_axes():
     # a solution constant along the leaves has zero leaf gradient, so the
     # cross terms q_02 and q_13 drop out and the reduced solve uses Q's
@@ -541,11 +557,24 @@ def _sequenced_cases():
     q4[..., 0, 1] = q4[..., 1, 0] = 0.2 * np.sin(xs[0] + xs[2])
     gl = TorusGrid((16, 16, 8, 8))
     xl = meshes(gl)
+    # one leaf each: axis 0 of a 2-axis grid, and axis 2 of a 4-axis grid
+    # with a per-node Q that couples it to the varying axes
+    g1 = TorusGrid((8, 64), lengths=(1.0, 3.0))
+    x1 = meshes(g1)[1]
+    g3 = TorusGrid((16, 16, 8, 16))
+    x3 = meshes(g3)
+    q3 = np.broadcast_to(-np.eye(4), g3.dims + (4, 4)).copy()
+    q3[..., 0, 0] = -1.0 - 0.5 * np.sin(x3[0]) ** 2
+    q3[..., 0, 2] = q3[..., 2, 0] = 0.2 * np.sin(x3[1])
     return {
         "constant-q": Problem(g2, bump(g2, 2.0), -4.0 * np.eye(2)),
         # basic data: F and Q constant along the leaf axes 2 and 3
         "leaf-4d": Problem(gl, np.exp(np.cos(xl[0] - 1.0) + np.cos(xl[1]) - 2.0),
                            -4.0 * np.eye(4)),
+        "leaf-2d-one": Problem(g1, np.exp(np.sin(2.0 * np.pi * x1 / 3.0)) - 1.0,
+                               np.array([[-3.0, 1.0], [1.0, -2.0]])),
+        "leaf-4d-one": Problem(g3, 0.5 * np.cos(x3[0]) + 0.3 * np.sin(x3[1] - x3[3]),
+                               q3),
         "odd-axis": Problem(godd, np.roll(sine_product_field(godd, 2.0), 3, axis=1),
                             np.array([[-3.0, 1.0], [1.0, -2.0]])),
         "pernode-q": Problem(g4, 0.5 * np.sin(xs[0]) + 0.3 * np.cos(xs[1] - xs[3]), q4),
@@ -554,12 +583,15 @@ def _sequenced_cases():
 
 SEQUENCED = _sequenced_cases()
 
-# a floor for each case, and the chain it gives: two or more varying
-# levels under the fine grid (under leaf-4d's leaf space, whose start is
-# the broadcast of its solution), so that grid's start is extrapolated
+# a floor for each case, and the chain it gives: two or more halved
+# levels under the fine grid (under a leaf space, whose solution,
+# broadcast along the leaves, is the fine start), so that grid's start
+# is extrapolated
 SEQUENCED_CHAINS = {
     "constant-q": (2 ** 8, [(32, 32), (16, 16)]),
+    "leaf-2d-one": (16, [(64,), (32,), (16,)]),
     "leaf-4d": (16, [(16, 16), (8, 8), (4, 4)]),
+    "leaf-4d-one": (2 ** 6, [(16, 16, 16), (8, 8, 8), (4, 4, 4)]),
     "odd-axis": (2 ** 9, [(32, 45), (16, 45)]),
     "pernode-q": (2 ** 8, [(8, 8, 4, 4), (4, 4, 4, 4)]),
 }
@@ -605,21 +637,22 @@ def test_sequenced_and_plain_starts_reach_the_same_solution(name, monkeypatch):
     assert abs(seq.b - plain.b) <= 100 * cfg.newton_tol
     assert np.max(np.abs(seq.phi - plain.phi)) <= 100 * cfg.newton_tol
     assert seq_trace.rows[-1].newton_iters < plain_trace.rows[-1].newton_iters
+    # basic data: the leaf space's solution, lifted, starts the fine grid
+    # within the Newton tolerance
+    if problem.leaf_axes:
+        assert seq_trace.rows[-1].newton_iters == 0
 
 
 def _coarse_chain(problem):
-    """The dims coarse_dims gives level by level, from the fine problem's leaves.
-
-    The leaf space, a level with fewer axes than the fine grid, has none.
-    """
+    """The dims coarse_dims gives level by level: the leaf space first
+    when the fine problem has leaves, then halvings, which have none."""
     leaf = problem.leaf_axes
     chain = []
     while (dims := cd.coarse_dims(problem.grid, leaf)) is not None:
         chain.append(dims)
-        if len(dims) < problem.grid.ndim:
-            leaf = ()
-        problem = cd.coarsen(problem, dims)
-        assert problem.leaf_axes == leaf
+        problem = cd.leaf_space(problem) if leaf else cd.coarsen(problem, dims)
+        leaf = ()
+        assert problem.grid.dims == dims and problem.leaf_axes == ()
     return chain
 
 
@@ -635,12 +668,13 @@ def test_odd_and_short_axes_are_not_halved(monkeypatch):
     assert first((64, 45)) == (32, 45)
     assert first((8, 6, 7, 9)) == (4, 6, 7, 9)
     assert first((6, 6, 5, 5)) is None
-    # F constant along axis 2, which a constant Q makes a leaf, but a
-    # per-node Q varying along it leaves no leaf: every axis halves at once
+    # F constant along axis 2, which a constant Q makes a leaf, whose
+    # leaf space 16x16x8 is then halved; a per-node Q varying along it
+    # leaves no leaf: every axis halves at once
     pernode = SEQUENCED["pernode-q"]
     constant = Problem(pernode.grid, pernode.F, -np.eye(4))
     assert constant.leaf_axes == (2,)
-    assert _coarse_chain(constant)[0] == (16, 16, 4, 8)
+    assert _coarse_chain(constant) == [(16, 16, 8), (8, 8, 4), (4, 4, 4)]
     assert pernode.leaf_axes == ()
     assert _coarse_chain(pernode) == [(8, 8, 4, 4), (4, 4, 4, 4)]
     # a halving is taken only if the halved grid keeps the floor's nodes
@@ -689,7 +723,7 @@ def _first_step(problem, monkeypatch):
     monkeypatch.setattr(cd, "_sequenced_solve", sequenced)
     monkeypatch.setattr(cd, "solve_at_t", plain)
     trivial = SolverState(phi=problem.grid.zeros(), b=1.0, t=0.0,
-                          residual_norm=0.0, newton_iters=0, res_history=[0.0])
+                          residual_norm=0.0, newton_iters=0)
     with pytest.raises(_FirstStep) as taken:
         cd._attempt(problem, trivial, 1.0, ContinuityConfig())
     return str(taken.value)
@@ -712,15 +746,22 @@ def _first_step(problem, monkeypatch):
     ((64, 64), (), [(32, 32)], "sequenced"),
     # the leaf space 64x64, then 32x32, which keeps 2^10 nodes
     ((64, 64, 16, 16), (2, 3), [(64, 64), (32, 32)], "sequenced"),
-    # the gate counts every node of the halved grid, 8x8x8x5, but the
-    # chain is empty: a 5-node leaf has no divisor to go to, and leaf
-    # replicas do not count, so 8x8x8x5 keeps 512 varying nodes
-    ((16, 16, 16, 5), (3,), [], "plain"),
+    # the gate counts every node of the halved grid, 8x8x8x5; the 3-axis
+    # leaf space is taken whatever its size, and its halving 8x8x8 keeps
+    # 512 nodes, under the floor
+    ((16, 16, 16, 5), (3,), [(16, 16, 16)], "sequenced"),
     # a leaf space, but the fine grid halved, 6x6x4x4, is under the floor
     ((6, 6, 8, 8), (2, 3), [(6, 6)], "plain"),
-    # leaves with no divisor to go to still have their leaf space
+    # short leaves go to the leaf space like any other
     ((32, 32, 5, 5), (2, 3), [(32, 32)], "sequenced"),
     ((44, 44, 4, 4), (2, 3), [(44, 44)], "sequenced"),
+    # one leaf on two axes: a 1-axis leaf space, its halving 32 under the
+    # floor
+    ((64, 64), (1,), [(64,)], "sequenced"),
+    # three leaves on four axes: a 1-axis leaf space
+    ((16, 16, 16, 16), (1, 2, 3), [(16,)], "sequenced"),
+    # every axis a leaf: no leaf space, so no chain
+    ((16, 16, 16, 16), (0, 1, 2, 3), [], "plain"),
 ])
 def test_floor_counts_the_coarse_grids_varying_nodes(dims, leaves, chain,
                                                      first, monkeypatch):
@@ -733,17 +774,17 @@ def test_floor_counts_the_coarse_grids_varying_nodes(dims, leaves, chain,
 @pytest.mark.parametrize("m, k", [(20, 4), (16, 4), (18, 6), (12, 4), (10, 5),
                                   (9, None), (7, None), (6, None), (4, None)])
 def test_leaf_axes_go_to_their_smallest_divisor_of_four_or_more(m, k):
-    # one level, whatever the grid's size, where the leaf space is not a
-    # 2-axis grid (one or three leaves on four axes, one on two); the
-    # varying axes of a grid under the floor are kept
-    assert cd.coarse_dims(TorusGrid((8, 8, 8, m)), (3,)) == \
-        (None if k is None else (8, 8, 8, k))
-    assert cd.coarse_dims(TorusGrid((8, m, m, m)), (1, 2, 3)) == \
-        (None if k is None else (8, k, k, k))
-    assert cd.coarse_dims(TorusGrid((8, m)), (1,)) == \
-        (None if k is None else (8, k))
-    # two leaves on four axes go to the leaf space, whatever their length
-    assert cd.coarse_dims(TorusGrid((8, 8, m, m)), (2, 3)) == (8, 8)
+    # k is m's smallest divisor with 4 <= k < m, or None.  No leaf axis
+    # stops at it: on every layout the leaves go at once, to the leaf
+    # space of the varying axes, whatever the leaves' lengths, m or k,
+    # and even for a grid under the floor
+    for n in (m, k or m):
+        assert cd.coarse_dims(TorusGrid((8, 8, 8, n)), (3,)) == (8, 8, 8)
+        assert cd.coarse_dims(TorusGrid((8, n, n, n)), (1, 2, 3)) == (8,)
+        assert cd.coarse_dims(TorusGrid((8, n)), (1,)) == (8,)
+        assert cd.coarse_dims(TorusGrid((8, 8, n, n)), (2, 3)) == (8, 8)
+        # no leaf space when every axis is a leaf
+        assert cd.coarse_dims(TorusGrid((n, n)), (0, 1)) is None
 
 
 def _su3_shape():
@@ -993,12 +1034,15 @@ def test_extrapolated_start_saves_a_fine_newton_step(monkeypatch):
     fine = _fine_starts(monkeypatch, g.dims)
     state, trace = run_continuity(problem, ContinuityConfig(newton_tol=tol))
     assert [r.t for r in trace.rows] == [0.0, 1.0]
-    [(_, _, extrapolated)] = fine
+    [(phi0, b0, extrapolated)] = fine
     # the plain start: the 128^2 solution, interpolated
     coarse = es.solve_at_t(cd.coarsen(problem, (128, 128)), 1.0, tol=tol)
-    plain = es.solve_at_t(problem, 1.0, phi0=cd.interpolate(coarse.phi, g.dims),
-                          b0=coarse.b, tol=tol)
-    assert 100 * extrapolated.res_history[0] <= plain.res_history[0]
+    plain_phi0 = cd.interpolate(coarse.phi, g.dims)
+    plain = es.solve_at_t(problem, 1.0, phi0=plain_phi0, b0=coarse.b, tol=tol)
+    # each start's residual, of its zero-mean phi as solve_at_t forms it
+    start = lambda phi, b: float(np.max(np.abs(
+        es.residual(problem, phi - np.mean(phi), b, 1.0))))
+    assert 100 * start(phi0, b0) <= start(plain_phi0, coarse.b)
     assert (extrapolated.newton_iters, plain.newton_iters) == (1, 2)
     assert abs(state.b - plain.b) <= 100 * tol
     assert np.max(np.abs(state.phi - plain.phi)) <= 100 * tol
@@ -1051,10 +1095,13 @@ def _lagrange_weights(k):
     ("bump-256", 2 ** 8, [(128, 128), (64, 64), (32, 32), (16, 16)]),
     ("pernode-q", 2 ** 8, [(8, 8, 4, 4), (4, 4, 4, 4)]),
     ("leaf-4d", 16, [(16, 16), (8, 8), (4, 4)]),
+    ("leaf-2d-one", 16, [(64,), (32,), (16,)]),
+    ("leaf-4d-one", 2 ** 6, [(16, 16, 16), (8, 8, 8), (4, 4, 4)]),
 ])
 def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
                                                           monkeypatch):
-    # the chain rebuilt here from solve_at_t, coarsen and interpolate only
+    # the chain rebuilt here from solve_at_t, leaf_space, coarsen and
+    # interpolate only
     if name == "bump-256":
         g = TorusGrid((256, 256))
         problem = Problem(g, bump(g), -np.eye(2))
@@ -1063,7 +1110,8 @@ def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
     tol, t = 1e-10, 1.0
     chain = [problem]
     for dims in levels:
-        chain.append(cd.coarsen(chain[-1], dims))
+        chain.append(cd.leaf_space(chain[-1]) if len(dims) < chain[-1].grid.ndim
+                     else cd.coarsen(chain[-1], dims))
     # every varying level's solution, raised one interpolation at a time
     # to the grid of the level most recently solved, nearest first
     raised = []
@@ -1074,9 +1122,11 @@ def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
                   for phi, b in raised]
         raised.insert(0, (state.phi, state.b))
         if level.grid.ndim > state.phi.ndim:
-            # leaf-4d's lift from its leaf space, the trailing axes 2 and
-            # 3 broadcast: nothing is extrapolated across it
-            phi0 = np.broadcast_to(state.phi[:, :, None, None], level.grid.dims)
+            # the lift from the leaf space, broadcast along the leaves:
+            # nothing is extrapolated across it
+            leaves = tuple(None if ax in problem.leaf_axes else slice(None)
+                           for ax in range(level.grid.ndim))
+            phi0 = np.broadcast_to(state.phi[leaves], level.grid.dims)
             b0 = state.b
         else:
             if len(raised) == 1:

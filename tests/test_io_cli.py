@@ -436,6 +436,18 @@ def test_cli_solve_refuses_a_grid_too_large_to_address(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("dims", [[8, 8, 8], [8], []])
+def test_cli_solve_refuses_a_grid_of_other_than_two_or_four_axes(tmp_path, capsys,
+                                                                dims):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"grid": {"dims": dims}}))
+    assert cli.main(["solve", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        "error: ConfigError: grid needs 2 or 4 axes, got %d\n" % len(dims)
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_solve_names_a_grid_memory_cannot_hold(tmp_path, capsys, monkeypatch):
     # numpy can address 2^40 float64 nodes, but a real 8 TiB request fails
     # at once only where the kernel refuses to overcommit: simulated here
