@@ -90,6 +90,7 @@ from .errors import (
     ShapeMismatch,
     StepUnderflow,
 )
+from .kernels import axis_spread
 
 
 @dataclass
@@ -481,7 +482,9 @@ def basicness_check(problem, state, tol):
     Models the descent of the solution to the leaf space: forcing and
     quadratic form constant along some axes should produce a solution
     constant along them, and equal to the lift of the leaf space's
-    solution.  Returns a report dict and raises nothing on a failed
+    solution.  ``variation`` is the largest max - min of the solution
+    over the lines along a leaf axis (``kernels.axis_spread``).  Returns
+    a report dict and raises nothing on a failed
     check: the caller reads ``passed`` (the CLI prints the report).
     ``reduced_match`` is the lift gap, the sup distance from the lifted
     solution of the problem leaf_space builds (the level sequencing
@@ -492,9 +495,7 @@ def basicness_check(problem, state, tol):
     if not axes:
         return {"applicable": False, "invariant_axes": []}
 
-    variation = 0.0
-    for ax in axes:
-        variation = max(variation, float(np.max(np.ptp(state.phi, axis=ax))))
+    variation = max(axis_spread(state.phi, ax) for ax in axes)
 
     reduced_match = None
     if (reduced := leaf_space(problem)) is not None:

@@ -74,7 +74,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .gridio import integer, listed, real
-from .kernels import derivative, laplacian_nd, neighbours
+from .kernels import axis_spread, derivative, laplacian_nd, neighbours
 
 MAX_HALVINGS = 20
 PRECOND_SHIFT = 1.0
@@ -182,14 +182,16 @@ def _check_field(grid, f, name):
 def _invariant_axes(arr, dims):
     """Axes of the grid along which the array does not vary.
 
-    An array without the grid's axes in front, such as a constant Q,
-    is invariant along every axis.
+    An axis is invariant when ``kernels.axis_spread``, the largest
+    max - min over the lines along it, is within 1e-14 of the array's
+    scale.  An array without the grid's axes in front, such as a
+    constant Q, is invariant along every axis.
     """
     if arr.shape[:len(dims)] != tuple(dims):
         return set(range(len(dims)))
     scale = 1.0 + max(float(np.max(arr)), -float(np.min(arr)))
     return {ax for ax in range(len(dims))
-            if float(np.max(np.ptp(arr, axis=ax))) <= 1e-14 * scale}
+            if axis_spread(arr, ax) <= 1e-14 * scale}
 
 
 class Problem:

@@ -163,6 +163,60 @@ def test_kernels_match_roll_reference(dims, layout):
         kernels.neighbours(f, 0, 1, np.empty(dims[::-1]).T)
 
 
+@pytest.mark.parametrize("dims", [(4,), (7,), (4, 7), (5, 4, 7), (5, 4, 6, 7)])
+@pytest.mark.parametrize("layout", ["C", "transposed"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_neighbours_match_roll_bit_for_bit(dims, layout, sign):
+    # one add or subtract per node, of the same operands in the same order
+    # as the roll pair; the NaN fill shows every node of out is written
+    rng = np.random.default_rng(10)
+    f = rng.standard_normal(dims)
+    if layout == "transposed":
+        f = np.ascontiguousarray(f.T).T
+    for ax in range(len(dims)):
+        out = kernels.neighbours(f, ax, sign, np.full(dims, np.nan))
+        up, down = np.roll(f, -1, ax), np.roll(f, 1, ax)
+        assert np.array_equal(out, up + down if sign > 0 else up - down)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dims=hst.lists(hst.integers(4, 9), min_size=1, max_size=4).map(tuple),
+       kind=hst.sampled_from(["field", "ties", "pernode", "constant"]),
+       seed=hst.integers(0, 2 ** 32 - 1))
+def test_axis_spread_is_the_ptp_maximum(dims, kind, seed):
+    # max and min are exact, so every traversal gives numpy's value
+    rng = np.random.default_rng(seed)
+    shape = dims + (len(dims),) * 2 if kind == "pernode" else dims
+    arr = rng.standard_normal(shape)
+    if kind == "ties":
+        arr = rng.integers(-2, 3, shape).astype(float)
+    flat_ax = int(rng.integers(len(dims)))
+    if kind == "constant":
+        arr = np.ascontiguousarray(np.broadcast_to(
+            np.take(arr, [0], axis=flat_ax), shape))
+    for ax in range(len(dims)):
+        assert kernels.axis_spread(arr, ax) == float(np.max(np.ptp(arr, axis=ax)))
+    if kind == "constant":
+        assert kernels.axis_spread(arr, flat_ax) == 0.0
+
+
+def test_axis_spread_allocates_less_than_a_grid_array():
+    # one value per line, for the largest and the smallest: on 20^4 the
+    # outer axes take numpy's reduction, axis 2 the slices, axis 3 reduceat
+    arr = np.random.default_rng(11).standard_normal((20,) * 4)
+    for ax in range(4):
+        kernels.axis_spread(arr, ax)   # first-call caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kernels.axis_spread(arr, ax)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < arr.nbytes
+        print("axis %d spread peak %.2f grid arrays" % (ax, peak / arr.nbytes))
+
+
 # ------------------------------------------------- residual and linearization
 
 
