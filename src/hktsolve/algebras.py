@@ -48,7 +48,7 @@ def _spec(table, jkinds, leading, split):
     for o, kind in zip(range(0, dim, 4), jkinds):
         for m, key in ((imap, "i"), (jmap, kind)):
             for e, (t, s) in enumerate(_BLOCKS[key], 1):
-                m[o + e] = {o + t: F(s)}
+                m[o + e] = {o + t: s}
     vectors = []
     for r in range(1, dim // 2 + 1):
         s = -1 if r in leading else 1

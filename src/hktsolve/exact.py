@@ -1,35 +1,76 @@
-"""Exact Gaussian-rational arithmetic.
+"""Exact Gaussian-rational arithmetic on Python integers.
 
 The complexified side of the symbolic half (the frame vectors, their
 metric adjoint, the complex bracket table and the reduction) is computed
-over Q(i) so that golden values can be compared for literal equality;
-the real algebra stays over the rationals (``Fraction``) in
-``lie_frame``.  Floats are embedded exactly (``Fraction`` keeps the
-binary value), which makes round trips through this module lossless.
+over Q(i) so that golden values can be compared for literal equality.
+A ``QQi`` is one integer triple ``(a, b, d)`` standing for
+``(a + b*i) / d`` in the normal form d > 0, gcd(a, b, d) = 1, so every
+value has one triple and equality compares integers; each operation
+works on ints and normalizes with a single gcd (Knuth, TAOCP Vol. 2,
+4.5.1).  The real algebra in ``lie_frame`` stays exact as Python ints
+and ``Fraction``s.  Finite floats embed exactly (as the dyadic rational
+of their binary value), which makes round trips through this module
+lossless; NaN and the infinities embed nowhere.
 
 Every exact sum, of either half, is a ``{key: exact}`` dict with no zero
 entries, added to in place by ``accumulate``.
 """
 
 from fractions import Fraction
+from math import gcd, isfinite
+
+_new = object.__new__
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, float)):
-        return Fraction(x)
-    raise TypeError("cannot embed %r into the rationals" % (x,))
+def _ratio(x):
+    """``(numerator, denominator)`` of an exactly embeddable real, else None."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    if isinstance(x, float) and isfinite(x):
+        return x.as_integer_ratio()
+    return None
+
+
+def _reduced(a, b, d):
+    """The QQi (a + b*i) / d for d > 0, brought to normal form by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _normal(a, b, d)
+
+
+def _normal(a, b, d):
+    """The QQi of a triple already in normal form."""
+    z = _new(QQi)
+    z.a, z.b, z.d = a, b, d
+    return z
 
 
 class QQi:
-    """A Gaussian rational ``re + im*i`` with exact Fraction parts."""
+    """A Gaussian rational ``(a + b*i) / d``: d > 0 and gcd(a, b, d) = 1."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        p, q = _ratio(re), _ratio(im)
+        if p is None or q is None:
+            raise TypeError("cannot embed %r into the rationals"
+                            % (re if p is None else im,))
+        (n, d), (m, e) = p, q
+        g = gcd(n * e, m * d, d * e)
+        self.a, self.b, self.d = n * e // g, m * d // g, d * e // g
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -37,70 +78,107 @@ class QQi:
         return "QQi(%s, %s)" % (self.re, self.im)
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return "%s*i" % (self.im,)
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return "%s*i" % (im,)
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         istr = "i" if mag == 1 else "%s*i" % (mag,)
-        return "%s%s%s" % (self.re, sign, istr)
+        return "%s%s%s" % (re, sign, istr)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
-        other = as_qqi(other)
-        if other is NotImplemented:
+        if type(other) is QQi:
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        p = _ratio(other)
+        if p is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.b == 0 and self.a == p[0] and self.d == p[1]
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = as_qqi(other)
-        if other is NotImplemented:
+        a, b, d = self.a, self.b, self.d
+        if type(other) is QQi:
+            e = other.d
+            if d == e:
+                return _reduced(a + other.a, b + other.b, d)
+            return _reduced(a * e + other.a * d, b * e + other.b * d, d * e)
+        if type(other) is int:
+            return _normal(a + other * d, b, d)   # gcd(a + nd, b, d) = 1
+        p = _ratio(other)
+        if p is None:
             return NotImplemented
-        return QQi(self.re + other.re, self.im + other.im)
+        n, e = p
+        return _reduced(a * e + n * d, b * e, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _normal(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = as_qqi(other)
-        if other is NotImplemented:
+        a, b, d = self.a, self.b, self.d
+        if type(other) is QQi:
+            e = other.d
+            if d == e:
+                return _reduced(a - other.a, b - other.b, d)
+            return _reduced(a * e - other.a * d, b * e - other.b * d, d * e)
+        if type(other) is int:
+            return _normal(a - other * d, b, d)
+        p = _ratio(other)
+        if p is None:
             return NotImplemented
-        return QQi(self.re - other.re, self.im - other.im)
+        n, e = p
+        return _reduced(a * e - n * d, b * e, d * e)
 
     def __mul__(self, other):
-        other = as_qqi(other)
-        if other is NotImplemented:
+        a, b, d = self.a, self.b, self.d
+        if type(other) is QQi:
+            c, e = other.a, other.b
+            return _reduced(a * c - b * e, a * e + b * c, d * other.d)
+        if type(other) is int:
+            g = gcd(other, d)   # gcd(a, b) is prime to d, so this is all of it
+            n = other // g
+            return _normal(a * n, b * n, d // g)
+        p = _ratio(other)
+        if p is None:
             return NotImplemented
-        return QQi(self.re * other.re - self.im * other.im,
-                   self.re * other.im + self.im * other.re)
+        n, e = p
+        return _reduced(a * n, b * n, d * e)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_qqi(other)
-        if other is NotImplemented:
+        a, b, d = self.a, self.b, self.d
+        if type(other) is QQi:
+            c, e, f = other.a, other.b, other.d
+            norm = c * c + e * e
+            if not norm:
+                raise ZeroDivisionError("division by zero in QQi")
+            return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * norm)
+        p = _ratio(other)
+        if p is None:
             return NotImplemented
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
+        n, e = p
+        if not n:
             raise ZeroDivisionError("division by zero in QQi")
-        return QQi((self.re * other.re + self.im * other.im) / den,
-                   (self.im * other.re - self.re * other.im) / den)
+        if n < 0:
+            n, e = -n, -e
+        return _reduced(a * e, b * e, d * n)
 
     # -- helpers -------------------------------------------------------
 
     def conjugate(self):
-        return QQi(self.re, -self.im)
+        return _normal(self.a, -self.b, self.d)
 
 
 ZERO = QQi(0)
@@ -108,12 +186,8 @@ ONE = QQi(1)
 
 
 def as_qqi(x):
-    """Coerce int, Fraction or float to QQi; NotImplemented otherwise."""
-    if isinstance(x, QQi):
-        return x
-    if isinstance(x, (int, Fraction, float)):
-        return QQi(x)
-    return NotImplemented
+    """``x`` as a QQi: itself, or an int, Fraction or finite float embedded."""
+    return x if type(x) is QQi else QQi(x)
 
 
 def accumulate(out, vec, scale=1):

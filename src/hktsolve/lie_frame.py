@@ -7,9 +7,10 @@ type (1,0) for I that J pairs up two by two.
 
 Vectors are sparse, ``{index: coefficient}`` with no zero entries, summed
 in place by ``exact.accumulate``, and a linear map is the dict of its
-sparse columns, ``{j: image of X_j}``.  The
-real side (structure constants, I, J, the Jacobi and Nijenhuis checks)
-is exact over the rationals (``Fraction``); Gaussian rationals (``QQi``)
+sparse columns, ``{j: image of X_j}``.  The real side (structure
+constants, I, J, the Jacobi and Nijenhuis checks) is exact over the
+rationals, a coefficient held as an ``int`` when it is integral and as
+a ``Fraction`` otherwise; Gaussian rationals (``QQi``, integer triples)
 enter only with the complexified frame, one ``ComplexFrame`` that
 carries its vectors, their complex brackets (computed through the
 metric adjoint, the inverse of the frame matrix since the frame is
@@ -101,6 +102,8 @@ class StructureConstants:
             for k, c in comps.items():
                 self._check_index(k)
                 c = Fraction(c) * sign
+                if c.denominator == 1:
+                    c = c.numerator   # an integral constant is a plain int
                 if c != 0:
                     clean[k] = c
             if clean:
@@ -111,7 +114,7 @@ class StructureConstants:
             raise IndexOutOfRange("index %r outside 1..%d" % (i, self.dim))
 
     def bracket_basis(self, i, j):
-        """[X_i, X_j] as a dict k -> Fraction."""
+        """[X_i, X_j] as a dict k -> int or Fraction."""
         return _oriented(self.table, i, j)
 
     def bracket(self, u, v):
@@ -234,7 +237,7 @@ class FrameSpec:
 
     ``imap`` and ``jmap`` give I and J by their sparse columns
     ``{j: {i: c}}``: the map sends X_j to the sum of c * X_i, with
-    Fraction c; a column left out is zero.
+    exact rational c (an int or a Fraction); a column left out is zero.
     """
 
     sc: StructureConstants

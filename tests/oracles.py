@@ -10,6 +10,7 @@ against the exact polynomials evaluated in floats (``p_eval``).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -17,6 +18,75 @@ import numpy as np
 def to_complex(x):
     """An exact Gaussian rational (``exact.QQi``) as a complex float."""
     return complex(x.re, x.im)
+
+
+# ---------------------------------------------------------------------------
+# reference Gaussian rationals, a pair of Fractions each
+
+
+class GaussianRational:
+    """``re + im*i`` held as two Fractions, the textbook way.
+
+    A reference for ``exact.QQi``: its operators are the schoolbook
+    formulas on Fraction pairs, and ``triple`` derives the integer normal
+    form through a least common denominator instead of a gcd.
+    """
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, GaussianRational) else GaussianRational(x)
+
+    def __add__(self, other):
+        other = self.of(other)
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        other = self.of(other)
+        return GaussianRational(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        other = self.of(other)
+        return GaussianRational(self.re * other.re - self.im * other.im,
+                                self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other):
+        other = self.of(other)
+        norm = other.re ** 2 + other.im ** 2
+        if norm == 0:
+            raise ZeroDivisionError("reference division by zero")
+        return GaussianRational((self.re * other.re + self.im * other.im) / norm,
+                                (self.im * other.re - self.re * other.im) / norm)
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def conjugate(self):
+        return GaussianRational(self.re, -self.im)
+
+    def __eq__(self, other):
+        other = self.of(other)
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def triple(self):
+        """``(a, b, d)`` with re = a/d, im = b/d and d the least common denominator."""
+        d = math.lcm(self.re.denominator, self.im.denominator)
+        return int(self.re * d), int(self.im * d), d
+
+    def text(self):
+        """The printed form: ``3/2``, ``i``, ``-2*i``, ``1-i``, ``1/2+3*i``."""
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        mag = "i" if abs(im) == 1 else "%s*i" % abs(im)
+        if re == 0:
+            return mag if im > 0 else "-" + mag
+        return "%s%s%s" % (re, "+" if im > 0 else "-", mag)
 
 
 # ---------------------------------------------------------------------------

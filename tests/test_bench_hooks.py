@@ -94,6 +94,20 @@ def test_real_checks_do_no_qqi_arithmetic(frames):
     assert tracer.qqi_ops[1] > 0
 
 
+def test_su3_certification_makes_465_qqi_ops(monkeypatch):
+    # exact.qqi_ops of one su3-4d-20 task, counted through QQi.__dict__
+    monkeypatch.syspath_prepend(os.path.join(REPO, "hktbench"))
+    certify = _bench_module("workloads").su3_quadratic_form
+    tracer = _bench_module("tracing").Tracer().install()
+    try:
+        tracer.task = 0
+        certify()
+    finally:
+        tracer.task = None
+        tracer.uninstall()
+    assert tracer.qqi_ops[0] == 465
+
+
 def test_benchmark_certifies_su3_q(monkeypatch):
     # the su3 workload's one library call: check_*, build_complex_frame and
     # reduce_ratio must keep handing the solver exactly -4 I

@@ -1,7 +1,12 @@
 import dataclasses
 import itertools
+import math
+import operator
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hktsolve import algebras
@@ -216,3 +221,64 @@ def test_accumulate_sums_in_place(monkeypatch):
     assert accumulate(out, {"b": QQi(1), "d": QQi(2)}, -3) is out
     assert out == {"c": QQi(0, 1), "d": QQi(-6)} and len(products) == 2
     assert accumulate(out, {"e": QQi(5)}, 0) == {"c": QQi(0, 1), "d": QQi(-6)}
+
+
+# ---------------------------------------------------------- exact.QQi
+
+
+REALS = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20),
+    st.fractions(max_denominator=10 ** 9),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+QQIS = st.tuples(REALS, REALS).map(
+    lambda p: (QQi(*p), oracles.GaussianRational(*p)))
+OPERANDS = st.one_of(QQIS, REALS.map(lambda x: (x, oracles.GaussianRational(x))))
+
+
+def assert_matches(got, ref):
+    """``got`` is the QQi of the reference value, in normal form, printed alike."""
+    assert type(got) is QQi
+    assert (got.re, got.im) == (ref.re, ref.im)
+    assert (got.a, got.b, got.d) == ref.triple()
+    assert got.d > 0 and math.gcd(got.a, got.b, got.d) == 1
+    assert str(got) == ref.text()
+    assert repr(got) == "QQi(%s, %s)" % (ref.re, ref.im)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(QQIS, OPERANDS)
+def test_qqi_matches_a_fraction_pair_reference(x, y):
+    (qx, rx), (qy, ry) = x, y
+    assert_matches(qx, rx)
+    assert_matches(-qx, -rx)
+    assert_matches(qx.conjugate(), rx.conjugate())
+    assert bool(qx) == bool(rx)
+    same = rx == ry
+    assert (qx == qy) is same and (qy == qx) is same and (qx != qy) is not same
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        try:
+            want = op(rx, ry)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                op(qx, qy)
+            continue
+        assert_matches(op(qx, qy), want)
+    for op in (operator.add, operator.mul):
+        assert_matches(op(qy, qx), op(ry, rx))
+    if type(qy) is not QQi:
+        # a real minus or over a QQi has no reflected operator
+        for op in (operator.sub, operator.truediv):
+            with pytest.raises(TypeError):
+                op(qy, qx)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_qqi_against_non_finite_floats(bad):
+    assert (QQi(1) == bad) is False and (bad == QQi(1)) is False
+    assert QQi(1) != bad
+    for args in ((bad,), (0, bad)):
+        with pytest.raises(TypeError, match="cannot embed"):
+            QQi(*args)
+    # a finite float embeds as its exact binary value
+    assert QQi(0.1).re == Fraction(0.1) and QQi(0.1) == 0.1

@@ -184,6 +184,27 @@ def test_cli_verify_algebra_with_params(capsys):
     assert "negative semi-definite" in out
 
 
+def test_cli_verify_algebra_prints_non_integral_coefficients(capsys):
+    # c = 1/3 puts thirds and ninths through QQi's printed form
+    rc = cli.main(["verify-algebra", "--name", "semidirect8",
+                   "--param", "c=1/3", "--param", "w=3/2"])
+    assert rc == 0
+    assert capsys.readouterr().out == "\n".join([
+        "ok: Jacobi identity (exact)",
+        "ok: hypercomplex pair integrable",
+        "ok: annihilated set (1, 2) is foliating",
+        "ok: reduction has the advertised normal form",
+        "transverse pair: (3, 4); annihilated: [1, 2]",
+        "ratio = (1) + h(3,3') + h(4,4') + (-4/9)*g3*g3' + (-4/9)*g4*g4'",
+        "P_1 = (2/3)*g4'",
+        "P_2 = (2/3)*g3",
+        "Q_1 = (-2/3)*g3'",
+        "Q_2 = (2/3)*g4",
+        "real quadratic form eigenvalues: [-0.444444 -0.444444 -0.444444 -0.444444]",
+        "ok: quadratic form negative semi-definite",
+    ]) + "\n"
+
+
 def test_cli_verify_algebra_file_mode(capsys):
     path = os.path.join(REPO, "src", "hktsolve", "data", "su3_brackets.txt")
     assert cli.main(["verify-algebra", "--file", path]) == 0

@@ -122,6 +122,21 @@ def test_jacobi_all_registry():
         assert check_jacobi(spec.sc, strict=True)
 
 
+def test_integral_constants_are_held_as_ints():
+    # su3's Jacobi and Nijenhuis checks run on Python ints; an entry that
+    # is not integral stays a Fraction
+    su3, thirds = algebras.su3(), algebras.semidirect8(c=Fraction(1, 3), w=3)
+    for spec in (su3, thirds):
+        for m in (spec.imap, spec.jmap):
+            assert all(type(x) is int for col in m.values() for x in col.values())
+    assert all(type(x) is int for col in su3.sc.table.values() for x in col.values())
+    kinds = {(x, type(x)) for col in thirds.sc.table.values() for x in col.values()}
+    assert kinds == {(3, int), (-3, int), (Fraction(2, 3), Fraction), (Fraction(-2, 3), Fraction),
+                     (Fraction(1, 3), Fraction), (Fraction(-1, 3), Fraction)}
+    parsed = load_structure_constants("dim 4\n1 2 : 3 4/2, 4 0.5")
+    assert [type(x) for x in parsed.table[1, 2].values()] == [int, Fraction]
+
+
 def test_jacobi_violation():
     sc = load_structure_constants(algebras.su3_bracket_text())
     sc.table[(5, 6)] = {1: Fraction(1), 2: Fraction(2)}
