@@ -145,7 +145,7 @@ def verify_su3(perturb=False, emit_forms=None):
     _ok("perturbed top form is J-real")
 
     if emit_forms:
-        _write_text(emit_forms, canonical_str(perturbed, sep="\n") + "\n")
+        _write_text(emit_forms, canonical_str(perturbed) + "\n")
         _say("wrote canonical form to %s" % emit_forms)
     return op
 

@@ -15,8 +15,9 @@ grid that coarse_dims halves, starts Newton from the solution of the
 coarsened problem at the same t, not from phi = 0.  Where the grid has
 leaf axes, those along which F and Q are both constant
 (Problem.leaf_axes, the axes basicness_check checks), the chain's first
-level is the leaf space: the problem leaf_space builds on the 1, 2 or
-3 axes that vary, and basicness_check solves.  Basic data have a
+level is the leaf space: Problem.leaf_space, the problem on the 1, 2
+or 3 axes that vary, built once per problem and solved again, from its
+own start, by basicness_check.  Basic data have a
 solution constant along the leaves, so the leaf space's solution,
 broadcast along the leaves, is the fine start, within the Newton
 tolerance: on 20^4 with F varying along two axes, the chain is 20^4 ->
@@ -175,50 +176,17 @@ SOLVER_FAILURES = (DampingExhausted, MaxItersExceeded, LinearSolveFailure,
 SEQUENCE_MIN_NODES = 2 ** 10
 
 
-def coarse_dims(grid, leaf):
-    """The dims of the next coarser grid, or None when no axis coarsens.
+def coarse_dims(grid):
+    """The dims of the halved grid, or None when sequencing stops here.
 
-    ``leaf`` lists the axes along which F and Q are constant (see
-    Problem.leaf_axes).  On a grid with leaves the next level is the
-    leaf space, the varying axes' dims, whatever its size: basic data
-    have a solution constant along the leaves, and the problem
-    leaf_space builds has it.  A grid whose every axis is a leaf has
-    none.  On a grid with no leaves, the leaf space's included, every
-    even axis of at least 8 nodes is halved, as long as the halved grid
-    keeps at least SEQUENCE_MIN_NODES nodes: 512^2 goes down to 32^2,
-    20^4 with no leaf to 10^4, and 64x64x16x16 with leaves (2, 3) to its
-    leaf space 64x64 and then 32x32.
+    Every even axis of at least 8 nodes is halved, as long as the halved
+    grid keeps at least SEQUENCE_MIN_NODES nodes: 512^2 goes down to
+    32^2, and 20^4 to 10^4.
     """
-    if leaf:
-        return tuple(d for ax, d in enumerate(grid.dims) if ax not in leaf) or None
     coarse = tuple(d // 2 if d % 2 == 0 and d >= 8 else d for d in grid.dims)
     if coarse == grid.dims or math.prod(coarse) < SEQUENCE_MIN_NODES:
         return None
     return coarse
-
-
-def leaf_space(problem):
-    """The problem on the leaf space, or None unless some but not all axes
-    are leaves.
-
-    F, and a per-node Q, are indexed at 0 along the leaves, Q keeps its
-    block on the varying axes, and the grid has the varying axes' dims
-    and lengths: 1, 2 or 3 axes of a 2- or 4-axis grid.  The block is
-    enough even when Q couples varying and leaf axes: a field constant
-    along the leaves has zero leaf gradient components, so the cross
-    terms of <Q grad phi, grad phi> vanish, as do the leaf terms of the
-    Laplacian.  So the leaf space's solution, broadcast along the leaves,
-    is the fine grid's.
-    """
-    grid, leaf = problem.grid, problem.leaf_axes
-    varying = [ax for ax in range(grid.ndim) if ax not in leaf]
-    if not (leaf and varying):
-        return None
-    idx = tuple(slice(None) if ax in varying else 0 for ax in range(grid.ndim))
-    q = problem.q if problem.q.ndim == 2 else problem.q[idx]
-    return Problem(TorusGrid(tuple(grid.dims[ax] for ax in varying),
-                             tuple(grid.lengths[ax] for ax in varying)),
-                   problem.F[idx], q[..., varying, :][..., varying])
 
 
 def coarsen(problem, dims):
@@ -231,8 +199,12 @@ def coarsen(problem, dims):
     """
     grid = problem.grid
     idx = tuple(slice(None, None, m // d) for m, d in zip(grid.dims, dims))
-    q = problem.q if problem.q.ndim == 2 else problem.q[idx]
-    return Problem(TorusGrid(dims, grid.lengths), problem.F[idx], q)
+    return problem.sample(idx, TorusGrid(dims, grid.lengths))
+
+
+def _lift(problem, phi):
+    """A solution of problem.leaf_space broadcast along the leaves."""
+    return np.broadcast_to(np.expand_dims(phi, problem.leaf_axes), problem.grid.dims)
 
 
 def interpolate(values, dims):
@@ -306,9 +278,9 @@ def _sequenced_solve(problem, t, cfg):
     which stand for the fine plain start's in the step control:
     Newton's step count does not depend on the mesh.
     """
-    reduced = leaf_space(problem)
+    reduced = problem.leaf_space
     chain = [problem if reduced is None else reduced]
-    while (dims := coarse_dims(chain[-1].grid, ())) is not None:
+    while (dims := coarse_dims(chain[-1].grid)) is not None:
         chain.append(coarsen(chain[-1], dims))
     state = solve_at_t(chain.pop(), t, tol=cfg.newton_tol,
                        max_iters=cfg.max_newton)
@@ -332,10 +304,8 @@ def _sequenced_solve(problem, t, cfg):
         state = solve_at_t(fine, t, phi0=start.pop(), b0=b0,
                            tol=cfg.newton_tol, max_iters=cfg.max_newton)
     if reduced is not None:
-        lifted = np.broadcast_to(np.expand_dims(state.phi, problem.leaf_axes),
-                                 problem.grid.dims)
-        state = solve_at_t(problem, t, phi0=lifted, b0=state.b,
-                           tol=cfg.newton_tol, max_iters=cfg.max_newton)
+        state = solve_at_t(problem, t, phi0=_lift(problem, state.phi),
+                           b0=state.b, tol=cfg.newton_tol, max_iters=cfg.max_newton)
     return state, plain_iters
 
 
@@ -343,16 +313,16 @@ def _attempt(problem, state, t, cfg):
     """One continuity step from state to t: (new state, step-control iterations).
 
     A step that leaves the trivial pair at t = 0 starts from the coarse
-    grids' solutions when coarse_dims, counting no axis as a leaf,
-    halves the fine grid: only a grid whose halving keeps at least
-    SEQUENCE_MIN_NODES nodes (64^2 or more on two axes) is sequenced,
-    whatever its leaves, and its chain then starts with the leaf space.
-    A grid whose every axis is a leaf has no chain and is not sequenced.
+    grids' solutions when coarse_dims halves the fine grid: only a grid
+    whose halving keeps at least SEQUENCE_MIN_NODES nodes (64^2 or more
+    on two axes) is sequenced, whatever its leaves, and its chain then
+    starts with the leaf space.  A grid whose every axis is a leaf has
+    no chain and is not sequenced.
     If the sequenced solve fails, the step reruns from the trivial pair,
     as every later step starts from its state.
     """
-    if (state.t == 0.0 and coarse_dims(problem.grid, ()) is not None
-            and coarse_dims(problem.grid, problem.leaf_axes) is not None):
+    if (state.t == 0.0 and coarse_dims(problem.grid) is not None
+            and len(problem.leaf_axes) < problem.grid.ndim):
         try:
             return _sequenced_solve(problem, t, cfg)
         except SOLVER_FAILURES:
@@ -484,12 +454,15 @@ def basicness_check(problem, state, tol):
     constant along them, and equal to the lift of the leaf space's
     solution.  ``variation`` is the largest max - min of the solution
     over the lines along a leaf axis (``kernels.axis_spread``).  Returns
-    a report dict and raises nothing on a failed
-    check: the caller reads ``passed`` (the CLI prints the report).
-    ``reduced_match`` is the lift gap, the sup distance from the lifted
-    solution of the problem leaf_space builds (the level sequencing
-    starts the fine grid from), on however many axes vary; it is None
-    only when every axis is a leaf and there is no leaf space.
+    a report dict and raises nothing on a failed check: the caller
+    reads ``passed`` (the CLI prints the report).  ``reduced_match`` is
+    the lift gap, the sup distance from the lifted solution of
+    problem.leaf_space, on however many axes vary; it is None only when
+    every axis is a leaf and there is no leaf space.  The leaf space is
+    the Problem grid sequencing uses, with its caches, but it is
+    solved again here from its own start, phi = 0 and b = state.b: the
+    sequenced leaf-space solution is what the fine grid started from,
+    so comparing with it would check nothing.
     """
     axes = list(problem.leaf_axes)
     if not axes:
@@ -498,9 +471,9 @@ def basicness_check(problem, state, tol):
     variation = max(axis_spread(state.phi, ax) for ax in axes)
 
     reduced_match = None
-    if (reduced := leaf_space(problem)) is not None:
+    if (reduced := problem.leaf_space) is not None:
         red = solve_at_t(reduced, state.t, b0=state.b, tol=tol)
-        gap = np.expand_dims(red.phi, tuple(axes)) - state.phi
+        gap = _lift(problem, red.phi) - state.phi
         reduced_match = float(np.max(np.abs(gap, out=gap)))
 
     passed = variation <= 100.0 * tol and \

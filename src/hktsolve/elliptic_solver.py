@@ -200,11 +200,12 @@ class Problem:
     F and Q are checked here, once; every numeric call takes the problem
     instead of the (grid, F, q) triple.  F and Q are held as read-only
     copies, so exp(t F), kept for the last t asked for, and the leaf
-    axes, found on first use, cannot go stale, and a caller's later
-    write to its own array cannot slip an unvalidated Q in.  What the
-    preconditioner needs is recorded once: ``gauge = a`` when Q is the
-    constant -aI with a > 0 (else None), and, on its first build, the
-    symbol of the discrete Laplacian and its lowest nonzero mode.
+    axes and the leaf space, found on first use, cannot go stale, and a
+    caller's later write to its own array cannot slip an unvalidated Q
+    in.  What the preconditioner needs is recorded once: ``gauge = a``
+    when Q is the constant -aI with a > 0 (else None), and, on its first
+    build, the symbol of the discrete Laplacian and its lowest nonzero
+    mode.
     """
 
     def __init__(self, grid, F, q):
@@ -244,12 +245,48 @@ class Problem:
     def leaf_axes(self):
         """Axes along which both F and Q are invariant, as an ascending tuple.
 
-        The leaves of basic data: grid sequencing coarsens along them
-        first, and basicness_check checks the solution along them.
+        The leaves of basic data: grid sequencing starts from leaf_space,
+        the problem on the other axes, and basicness_check checks the
+        solution along them.
         """
         dims = self.grid.dims
         return tuple(sorted(_invariant_axes(self.F, dims)
                             & _invariant_axes(self.q, dims)))
+
+    @functools.cached_property
+    def leaf_space(self):
+        """The problem on the varying axes, or None unless some but not
+        all axes are leaves.
+
+        Built once, for the grid sequencing and the basicness report
+        alike.  F, and a per-node Q, are taken at index 0 along the
+        leaves, Q keeps its block on the varying axes, and the grid has
+        the varying axes' dims and lengths: 1, 2 or 3 axes of a 2- or
+        4-axis grid.  The block is enough even when Q couples varying and
+        leaf axes: a field constant along the leaves has zero leaf
+        gradient components, so the cross terms of <Q grad phi, grad phi>
+        vanish, as do the leaf terms of the Laplacian.  So the leaf
+        space's solution, broadcast along the leaves, is this problem's.
+        """
+        grid, leaf = self.grid, self.leaf_axes
+        varying = [ax for ax in range(grid.ndim) if ax not in leaf]
+        if not (leaf and varying):
+            return None
+        idx = tuple(slice(None) if ax in varying else 0 for ax in range(grid.ndim))
+        sub = TorusGrid([grid.dims[ax] for ax in varying],
+                        [grid.lengths[ax] for ax in varying])
+        return self.sample(idx, sub, varying)
+
+    def sample(self, idx, grid, axes=None):
+        """The problem on ``grid`` with F, and a per-node Q, taken at ``idx``.
+
+        ``idx`` indexes this problem's grid; a constant Q is used as it is.
+        With ``axes`` given, Q keeps only its block on them.  The one
+        sampler of the coarse grids and the leaf space.
+        """
+        q = self.q if self.q.ndim == 2 else self.q[idx]
+        q = q if axes is None else q[..., axes, :][..., axes]
+        return Problem(grid, self.F[idx], q)
 
     def exp_tF(self, t):
         """exp(t F) as a read-only array, recomputed only when t changes."""

@@ -218,15 +218,15 @@ def gen_str(i, half):
     return "Z%d'" % (i - half) if i > half else "Z%d" % i
 
 
-def canonical_str(form, sep="; "):
-    """Deterministic plain text rendering of a form."""
+def canonical_str(form):
+    """Deterministic plain text rendering of a form, one term a line."""
     if not form.terms:
         return "0"
     lines = []
     for key in sorted(form.terms):
         gens = "^".join(gen_str(i, form.half) for i in key)
         lines.append("[%s] %s" % (gens, poly_str(form.terms[key], form.half)))
-    return sep.join(lines)
+    return "\n".join(lines)
 
 
 def standard_hkt_form(half):

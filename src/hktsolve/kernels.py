@@ -10,8 +10,9 @@ difference straight into the caller's buffer, the gradient is that
 derivative per axis into the rows of its stack, and the Laplacian
 writes into its result and one scratch buffer reused for every axis,
 with no other temporaries.  The solver takes the gradient one axis at a
-time through ``derivative``; ``gradient_nd``'s stack is for callers
-that want every component at once.
+time through ``derivative``, and nothing in the package calls
+``gradient_nd``: its stack is kept for the tests' checks and for the
+benchmark's ``kernels.gradient_nd`` metric, which traces it.
 
 ``axis_spread`` is the largest max - min over the lines along one axis,
 the measure of how much a field varies along it, taken without

@@ -68,11 +68,13 @@ def _conj(v):
 
 
 def _oriented(table, i, j):
-    """Entry (i, j) of a table of brackets listed only for i < j."""
-    if i == j:
-        return {}
+    """Entry (i, j) of a table of brackets listed only for i < j.
+
+    For i < j it is the table's own dict, not a copy: callers only read it.
+    No (i, i) is listed, so [X_i, X_i] comes out empty.
+    """
     if i < j:
-        return dict(table.get((i, j), {}))
+        return table.get((i, j), {})
     return {k: -c for k, c in table.get((j, i), {}).items()}
 
 
@@ -114,7 +116,7 @@ class StructureConstants:
             raise IndexOutOfRange("index %r outside 1..%d" % (i, self.dim))
 
     def bracket_basis(self, i, j):
-        """[X_i, X_j] as a dict k -> int or Fraction."""
+        """[X_i, X_j] as a dict k -> int or Fraction, to be read only."""
         return _oriented(self.table, i, j)
 
     def bracket(self, u, v):
@@ -268,7 +270,10 @@ class ComplexFrame:
         self.active = tuple(k for k in range(1, self.half + 1) if k not in self.split)
 
     def bracket(self, r, s):
-        """[Z_r, Z_s] as dict index -> QQi, any orientation, bars as 2n+k."""
+        """[Z_r, Z_s] as dict index -> QQi, any orientation, bars as 2n+k.
+
+        Read only: for r < s it is the stored entry itself.
+        """
         return _oriented(self.entries, r, s)
 
     def coeff(self, k, r, s):

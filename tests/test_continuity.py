@@ -385,7 +385,7 @@ def test_basicness_lifts_from_a_leaf_space_of_one_or_three_axes(name, ndim):
     # one leaf: the leaf space has the other 1 or 3 axes, and the
     # solution is its solution's lift
     problem = SEQUENCED[name]
-    assert cd.leaf_space(problem).grid.ndim == ndim
+    assert problem.leaf_space.grid.ndim == ndim
     cfg = ContinuityConfig(newton_tol=1e-10)
     state, _ = run_continuity(problem, cfg)
     report = basicness_check(problem, state, cfg.newton_tol)
@@ -644,14 +644,19 @@ def test_sequenced_and_plain_starts_reach_the_same_solution(name, monkeypatch):
 
 
 def _coarse_chain(problem):
-    """The dims coarse_dims gives level by level: the leaf space first
-    when the fine problem has leaves, then halvings, which have none."""
-    leaf = problem.leaf_axes
+    """The dims of the levels under the fine grid: the leaf space first
+    when the fine problem has leaves, then the halvings coarse_dims
+    gives, which have none; no level when every axis is a leaf."""
+    if len(problem.leaf_axes) == problem.grid.ndim:
+        return []
     chain = []
-    while (dims := cd.coarse_dims(problem.grid, leaf)) is not None:
+    if problem.leaf_space is not None:
+        problem = problem.leaf_space
+        chain.append(problem.grid.dims)
+        assert problem.leaf_axes == ()
+    while (dims := cd.coarse_dims(problem.grid)) is not None:
         chain.append(dims)
-        problem = cd.leaf_space(problem) if leaf else cd.coarsen(problem, dims)
-        leaf = ()
+        problem = cd.coarsen(problem, dims)
         assert problem.grid.dims == dims and problem.leaf_axes == ()
     return chain
 
@@ -662,8 +667,7 @@ def _varying_everywhere(dims):
 
 
 def test_odd_and_short_axes_are_not_halved(monkeypatch):
-    first = lambda dims: cd.coarse_dims(TorusGrid(dims),
-                                        _varying_everywhere(dims).leaf_axes)
+    first = lambda dims: cd.coarse_dims(TorusGrid(dims))
     monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", 16)
     assert first((64, 45)) == (32, 45)
     assert first((8, 6, 7, 9)) == (4, 6, 7, 9)
@@ -778,13 +782,14 @@ def test_leaf_axes_go_to_their_smallest_divisor_of_four_or_more(m, k):
     # stops at it: on every layout the leaves go at once, to the leaf
     # space of the varying axes, whatever the leaves' lengths, m or k,
     # and even for a grid under the floor
+    leaf_dims = lambda dims, leaves: _basic(dims, leaves).leaf_space.grid.dims
     for n in (m, k or m):
-        assert cd.coarse_dims(TorusGrid((8, 8, 8, n)), (3,)) == (8, 8, 8)
-        assert cd.coarse_dims(TorusGrid((8, n, n, n)), (1, 2, 3)) == (8,)
-        assert cd.coarse_dims(TorusGrid((8, n)), (1,)) == (8,)
-        assert cd.coarse_dims(TorusGrid((8, 8, n, n)), (2, 3)) == (8, 8)
+        assert leaf_dims((8, 8, 8, n), (3,)) == (8, 8, 8)
+        assert leaf_dims((8, n, n, n), (1, 2, 3)) == (8,)
+        assert leaf_dims((8, n), (1,)) == (8,)
+        assert leaf_dims((8, 8, n, n), (2, 3)) == (8, 8)
         # no leaf space when every axis is a leaf
-        assert cd.coarse_dims(TorusGrid((n, n)), (0, 1)) is None
+        assert _basic((n, n), (0, 1)).leaf_space is None
 
 
 def _su3_shape():
@@ -831,6 +836,48 @@ def test_basic_four_axis_data_build_no_four_axis_newton_matrix(monkeypatch):
     state, _ = run_continuity(problem, ContinuityConfig(newton_tol=1e-10))
     assert basicness_check(problem, state, 1e-10)["passed"]
     assert built and 4 not in built
+
+
+def test_basic_data_build_their_leaf_space_once(monkeypatch):
+    # su3-4d-20's shape: the solve's leaf level and the basicness report's
+    # re-solve share one 20x20 Problem
+    problem = _su3_shape()
+    built = []
+    init = Problem.__init__
+
+    def counted(self, grid, F, q):
+        built.append(grid.dims)
+        init(self, grid, F, q)
+
+    monkeypatch.setattr(Problem, "__init__", counted)
+    state, _ = run_continuity(problem, ContinuityConfig(newton_tol=1e-10))
+    assert basicness_check(problem, state, 1e-10)["passed"]
+    assert built == [(20, 20)]
+
+
+def test_basicness_resolves_the_leaf_space_from_its_own_start(monkeypatch):
+    # the report solves the shared leaf Problem from phi = 0 and b =
+    # state.b, never from the sequenced solve's leaf-space state
+    problem = _su3_shape()
+    calls = []
+    solve = cd.solve_at_t
+
+    def recorded(p, t, **kw):
+        out = solve(p, t, **kw)
+        calls.append((p, kw, out))
+        return out
+
+    monkeypatch.setattr(cd, "solve_at_t", recorded)
+    state, _ = run_continuity(problem, ContinuityConfig(newton_tol=1e-10))
+    [(leaf, _, sequenced), (fine, _, _)] = calls
+    assert leaf is problem.leaf_space and fine is problem
+    calls.clear()
+    assert basicness_check(problem, state, 1e-10)["passed"]
+    [(p, kw, red)] = calls
+    assert p is problem.leaf_space
+    assert kw.get("phi0") is None and kw["b0"] == state.b
+    assert red is not sequenced and red.newton_iters > 0
+    assert not np.shares_memory(red.phi, sequenced.phi)
 
 
 def test_a_grid_without_newton_steps_builds_no_laplacian_symbol(monkeypatch):
@@ -899,9 +946,9 @@ def test_leaf_halvings_run_below_the_floor_only_under_a_fine_grid_above_it(
     halved = problem.grid.size // 16
     monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", halved)
     # the leaf space is taken by a grid under the floor, and not halved...
-    assert cd.coarse_dims(TorusGrid((16, 16, 8, 8)), leaf) == (16, 16)
-    assert cd.coarse_dims(TorusGrid((8, 8, 8, 8)), leaf) == (8, 8)
-    assert cd.coarse_dims(TorusGrid((16, 16)), ()) is None
+    assert problem.leaf_space.grid.dims == (16, 16)
+    assert cd.coarsen(problem, (8, 8, 8, 8)).leaf_space.grid.dims == (8, 8)
+    assert cd.coarse_dims(TorusGrid((16, 16))) is None
     cfg = ContinuityConfig(newton_tol=1e-10)
     seen = _coarse_solves(monkeypatch)
     run_continuity(problem, cfg)
@@ -1100,8 +1147,8 @@ def _lagrange_weights(k):
 ])
 def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
                                                           monkeypatch):
-    # the chain rebuilt here from solve_at_t, leaf_space, coarsen and
-    # interpolate only
+    # the chain rebuilt here from solve_at_t, Problem.leaf_space, coarsen
+    # and interpolate only
     if name == "bump-256":
         g = TorusGrid((256, 256))
         problem = Problem(g, bump(g), -np.eye(2))
@@ -1110,7 +1157,7 @@ def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
     tol, t = 1e-10, 1.0
     chain = [problem]
     for dims in levels:
-        chain.append(cd.leaf_space(chain[-1]) if len(dims) < chain[-1].grid.ndim
+        chain.append(chain[-1].leaf_space if len(dims) < chain[-1].grid.ndim
                      else cd.coarsen(chain[-1], dims))
     # every varying level's solution, raised one interpolation at a time
     # to the grid of the level most recently solved, nearest first
@@ -1156,7 +1203,7 @@ def test_leaf_halving_reproduces_the_fine_solution(monkeypatch):
     # broadcast along the leaves, is the fine solution
     problem = SEQUENCED["leaf-4d"]
     tol = 1e-10
-    reduced = cd.leaf_space(problem)
+    reduced = problem.leaf_space
     assert reduced.grid.dims == (16, 16)
     leaf_level = es.solve_at_t(reduced, 1.0, tol=tol)
     lifted = np.broadcast_to(leaf_level.phi[:, :, None, None], problem.grid.dims)

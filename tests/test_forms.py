@@ -186,7 +186,7 @@ def test_form_key_validation():
 
 def test_canonical_rendering(su3_frame):
     dd = del_holo(del_j_basic(su3_frame), su3_frame)
-    text = canonical_str(form_add(standard_hkt_form(4), dd), sep="\n")
+    text = canonical_str(form_add(standard_hkt_form(4), dd))
     assert text == "\n".join([
         "[Z1^Z2] (1)",
         "[Z1^Z3] (-2)*g4'",

@@ -22,6 +22,15 @@ from hktsolve.errors import (
     PairingNotInvolutive,
 )
 from hktsolve.exact import QQi
+from hktsolve.hkt_symbolic import (
+    del_holo,
+    del_j_basic,
+    form_add,
+    quadratic_forms_closed,
+    reality_check,
+    reduce_ratio,
+    standard_hkt_form,
+)
 from hktsolve.lie_frame import (
     StructureConstants,
     build_complex_frame,
@@ -135,6 +144,27 @@ def test_integral_constants_are_held_as_ints():
                      (Fraction(1, 3), Fraction), (Fraction(-1, 3), Fraction)}
     parsed = load_structure_constants("dim 4\n1 2 : 3 4/2, 4 0.5")
     assert [type(x) for x in parsed.table[1, 2].values()] == [int, Fraction]
+
+
+@pytest.mark.parametrize("name", ["su3", "semidirect12"])
+def test_certification_leaves_the_bracket_tables_as_they_were(name):
+    # bracket_basis and ComplexFrame.bracket hand out the stored dicts,
+    # so no reader may write them; their values are immutable, so
+    # copying each inner dict copies the table deeply
+    spec = algebras.get_algebra(name)
+    table = {key: dict(col) for key, col in spec.sc.table.items()}
+    check_jacobi(spec.sc, strict=True)
+    frame = build_complex_frame(spec)
+    entries = {key: dict(col) for key, col in frame.entries.items()}
+    check_hypercomplex(frame, strict=True)
+    check_foliation(frame, strict=True)
+    op = reduce_ratio(frame)
+    op.real_quadratic_matrix()
+    quadratic_forms_closed(frame)
+    reality_check(form_add(standard_hkt_form(frame.half),
+                           del_holo(del_j_basic(frame), frame)), frame)
+    assert spec.sc.table == table
+    assert frame.entries == entries
 
 
 def test_jacobi_violation():
