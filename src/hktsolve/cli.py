@@ -215,6 +215,8 @@ FORCING_KEYS = {"zero": (), "sine": ("amplitude",), "bump": ("amplitude", "width
 
 
 def _build_forcing(spec, grid):
+    """F from the config's forcing section, read-only (gridio.frozen), so
+    the Problem built on it holds it without a copy."""
     from .continuity_driver import sine_product_field
 
     if "file" in spec:
@@ -230,17 +232,17 @@ def _build_forcing(spec, grid):
     gridio.known_keys("config section 'forcing' of type %r" % kind, spec,
                       ("type",) + FORCING_KEYS[kind])
     if kind == "zero":
-        return grid.zeros()
+        return gridio.frozen(grid.zeros())
     amp = gridio.real("forcing amplitude", spec.get("amplitude", 1.0))
     if kind == "sine":
-        return sine_product_field(grid, amp)
+        return gridio.frozen(sine_product_field(grid, amp))
     width = gridio.real("forcing width", spec.get("width", 1.0))
     if width <= 0:
         raise ConfigError("bump width must be positive")
     acc = np.zeros(grid.dims)
     for x, length in zip(grid.axis_coords(), grid.lengths):
         acc = acc + (np.cos(2.0 * np.pi * x / length) - 1.0)
-    return amp * np.exp(acc / width)
+    return gridio.frozen(amp * np.exp(acc / width))
 
 
 def _load_run_config(path, newton_tol=None):

@@ -23,15 +23,16 @@ model is the shifted Laplacian: u = 1 and sigma = PRECOND_SHIFT.  One
 apply is one real-input FFT pair over the half spectrum plus a Schur
 complement on the border.  The pair runs in place: from the apply's
 own output, through one half-spectrum array the preconditioner holds,
-back into that output.  scipy's gmres applies the preconditioner twice
-to the same vector before its first cycle; the second apply is answered
-from a copy of the first.  A converged gmres result is returned
-unchecked, since gmres reports convergence only after computing the
-true residual itself; one that did not converge raises
-LinearSolveFailure, which the continuity driver answers with a halved
-step.  The FFTs are numpy's (2.0 or newer, for out=): importing
-scipy.fft would add about 0.07 s, a quarter of the set-up time, to
-every run.
+back into that output, by the 1-D FFT calls that rfftn and irfftn
+make, in their order, so its spectrum is theirs to the bit.  scipy's
+gmres applies the preconditioner twice to the same vector before its
+first cycle; the second apply is answered from a copy of the first.  A
+converged gmres result is returned unchecked, since gmres reports
+convergence only after computing the true residual itself; one that did
+not converge raises LinearSolveFailure, which the continuity driver
+answers with a halved step.  The FFTs are numpy's (2.0 or newer, for
+out=): importing scipy.fft would add about 0.07 s, a quarter of the
+set-up time, to every run.
 
 The linear solve's relative tolerance is the forcing term
 max(min(1e-2, |res|), tol / (2 |res|)), at most 1/2, of Eisenstat and
@@ -56,10 +57,19 @@ kernels.derivative, through quad_value and quad_dir_weights, whose
 terms keep the stacked loops' order, so the results are the same to
 the bit.  residual allocates only its result, and the callers that
 need max |res| take |res| in place over it.
+
+A Newton step on a small grid costs mostly numpy's per-call set-up, so
+its calls are few: every mean is x.sum() / x.size (_mean), np.mean's
+own add-reduce and division without its wrapper, and the Newton weights
+take the pairs of Q whose coefficient is not zero from the Problem
+(Problem.pairs, found once), not from a reduction per pair on every
+step; density(grid, phi, q) still finds them per call.  The outputs are
+the same to the bit as with np.mean, rfftn and per-call pairs.
 """
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +83,7 @@ from .errors import (
     MaxItersExceeded,
     ShapeMismatch,
 )
-from .gridio import integer, listed, real
+from .gridio import frozen, integer, listed, real
 from .kernels import axis_spread, derivative, laplacian_nd, neighbours
 
 MAX_HALVINGS = 20
@@ -83,6 +93,12 @@ PRECOND_SHIFT = 1.0
 # keeps that under 1e-12, below any tolerance GMRES is asked for.
 GAUGE_MAX_SPAN = 8.0
 Q_EIGENVALUE_TOL = 1e-12
+
+
+def _mean(x):
+    """np.mean(x) of a float array, to the bit: the same add-reduce and
+    one division by the count, without np.mean's wrapper."""
+    return x.sum() / x.size
 
 
 class TorusGrid:
@@ -184,28 +200,59 @@ def _invariant_axes(arr, dims):
 
     An axis is invariant when ``kernels.axis_spread``, the largest
     max - min over the lines along it, is within 1e-14 of the array's
-    scale.  An array without the grid's axes in front, such as a
-    constant Q, is invariant along every axis.
+    scale.  An axis whose first step, max |a[k=1] - a[k=0]| over its
+    lines, already exceeds that bound is rejected without the spread:
+    max - min bounds every difference on a line, and rounding is
+    monotone, so its spread exceeds the bound too and the set found is
+    the spread's alone.  An array without the grid's axes in front, such
+    as a constant Q, is invariant along every axis.
     """
     if arr.shape[:len(dims)] != tuple(dims):
         return set(range(len(dims)))
-    scale = 1.0 + max(float(np.max(arr)), -float(np.min(arr)))
-    return {ax for ax in range(len(dims))
-            if axis_spread(arr, ax) <= 1e-14 * scale}
+    bound = 1e-14 * (1.0 + max(float(np.max(arr)), -float(np.min(arr))))
+
+    def invariant(ax):
+        lead = (slice(None),) * ax
+        step = np.subtract(arr[lead + (slice(1, 2),)], arr[lead + (slice(0, 1),)])
+        return (float(np.max(np.abs(step, out=step))) <= bound
+                and axis_spread(arr, ax) <= bound)
+
+    return {ax for ax in range(len(dims)) if invariant(ax)}
+
+
+def _sealed(arr):
+    """Whether nothing can write arr: a read-only view of a read-only
+    array that nothing but arr refers to, as ``gridio.frozen`` leaves it.
+
+    numpy refuses to make such a view writable, and with no other
+    reference to its base no caller holds anything that can write the
+    memory or flip the flag.
+    """
+    base = arr.base
+    if (arr.flags.writeable or type(base) is not np.ndarray
+            or base.base is not None or base.flags.writeable):
+        return False
+    del base
+    # arr's reference and the count's own argument, nothing else
+    return sys.getrefcount(arr.base) == 2
 
 
 class Problem:
     """The fixed data of one reduced equation: the grid, F and Q.
 
     F and Q are checked here, once; every numeric call takes the problem
-    instead of the (grid, F, q) triple.  F and Q are held as read-only
-    copies, so exp(t F), kept for the last t asked for, and the leaf
-    axes and the leaf space, found on first use, cannot go stale, and a
-    caller's later write to its own array cannot slip an unvalidated Q
-    in.  What the preconditioner needs is recorded once: ``gauge = a``
-    when Q is the constant -aI with a > 0 (else None), and, on its first
-    build, the symbol of the discrete Laplacian and its lowest nonzero
-    mode.
+    instead of the (grid, F, q) triple.  F and Q are held read-only, so
+    exp(t F), kept for the last t asked for, and the leaf axes and the
+    leaf space, found on first use, cannot go stale, and a caller's
+    later write to its own array cannot slip an unvalidated Q in.  Q is
+    a copy.  F is a copy too, unless nothing can write the caller's F:
+    a read-only F from ``gridio.frozen``, as ``gridio.read_field``
+    returns it, is held as it is (see _sealed).  What the numeric calls
+    need is recorded once: ``pairs``, the (i, j) with i <= j whose
+    coefficient in <Q v, v> is not zero at every node; ``gauge = a``
+    when Q is the constant -aI with a > 0 (else None); and, on the first
+    preconditioner build, the symbol of the discrete Laplacian and its
+    lowest nonzero mode.
     """
 
     def __init__(self, grid, F, q):
@@ -213,10 +260,10 @@ class Problem:
         if not np.all(np.isfinite(F)):
             raise ConfigError("forcing F has non-finite values")
         self.grid = grid
-        self.F = F.copy()
-        self.F.flags.writeable = False
+        self.F = F if _sealed(F) else frozen(F.copy())
         self.q = validate_q(q, grid).copy()
         self.q.flags.writeable = False
+        self.pairs = nonzero_pairs(self.q)
         a = -float(self.q[0, 0]) if self.q.ndim == 2 else 0.0
         scalar = np.array_equal(self.q, -a * np.eye(grid.ndim))
         self.gauge = a if a > 0 and scalar else None
@@ -303,15 +350,23 @@ def _pair_coefficient(q, i, j):
     return q[..., i, i] if i == j else q[..., i, j] + q[..., j, i]
 
 
+def nonzero_pairs(q):
+    """The (i, j) with i <= j, in row order, whose s_ij is not zero at
+    every node: the terms quad_value and quad_dir_weights form."""
+    d = q.shape[-1]
+    return tuple((i, j) for i in range(d) for j in range(i, d)
+                 if _pair_coefficient(q, i, j).any())
+
+
 def quad_value(q, component, shape):
     """<Q v, v> per node, for a vector field v given one component at a time.
 
     ``component(i, out)`` writes v_i, a grid array of ``shape``, into
     ``out``.  The value is the sum of s_ij v_i v_j over i <= j in row
     order, with s_ii = q_ii and s_ij = q_ij + q_ji, leaving out pairs
-    whose coefficient is zero at every node; s_ij is a scalar for a
-    constant Q and a grid array for a per-node Q, and both broadcast
-    alike.  The first term is written and the rest are added.
+    whose coefficient is zero at every node (nonzero_pairs); s_ij is a
+    scalar for a constant Q and a grid array for a per-node Q, and both
+    broadcast alike.  The first term is written and the rest are added.
 
     Row i keeps v_i in one buffer, and a term with j > i writes v_j
     into another, so v_j is written again for each pair that needs it.
@@ -319,9 +374,7 @@ def quad_value(q, component, shape):
     term, and the first term's buffer becomes the result: beside it, a
     diagonal Q holds one buffer and any other Q at most two.
     """
-    d = q.shape[-1]
-    pairs = [(i, j) for i in range(d) for j in range(i, d)
-             if np.any(_pair_coefficient(q, i, j))]
+    pairs = nonzero_pairs(q)
     free = []   # buffers whose contents are no longer needed
 
     def take():
@@ -356,26 +409,30 @@ def quad_value(q, component, shape):
     return np.zeros(shape) if out is None else out
 
 
-def quad_dir_weights(q, component, shape):
+def quad_dir_weights(q, component, shape, pairs=None):
     """Weights w with d/ds <Q grad(phi+s eta)...> = sum_j w_j (grad eta)_j.
 
     w_j = sum_i (q_ij + q_ji) v_i, in ascending i over the i whose
-    coefficient is not zero at every node, for v = grad phi given one
-    component at a time by ``component(i, out)`` as for quad_value.
+    coefficient is not zero at every node: (i, j) or (j, i) is in
+    ``pairs``, nonzero_pairs of q, which a Newton step takes from its
+    Problem and which is found here when not given.  v = grad phi is
+    given one component at a time by ``component(i, out)`` as for
+    quad_value.
     v_i is written once, into one buffer, and goes into every w_j it
     feeds: the first term is written into w_j, the rest are added
     through a second buffer, which a diagonal Q never needs.
     """
     d = q.shape[-1]
+    pairs = nonzero_pairs(q) if pairs is None else pairs
     w = np.zeros((d,) + tuple(shape))
     written = [False] * d
     vi = buf = None
     for i in range(d):
         loaded = False
         for j in range(d):
-            s = q[..., i, j] + q[..., j, i]
-            if not np.any(s):
+            if (min(i, j), max(i, j)) not in pairs:
                 continue
+            s = q[..., i, j] + q[..., j, i]
             if not loaded:
                 vi = np.empty(shape) if vi is None else vi
                 component(i, vi)
@@ -455,7 +512,7 @@ def bordered_operator(problem, phi, t):
     grid = problem.grid
     n, dims = grid.size, grid.dims
     eF = problem.exp_tF(t)
-    w = quad_dir_weights(problem.q, _partials(grid, phi), dims)
+    w = quad_dir_weights(problem.q, _partials(grid, phi), dims, problem.pairs)
     for ax, h in enumerate(grid.spacings):
         w[ax] /= 2.0 * h
     inv_h2 = [1.0 / (h * h) for h in grid.spacings]
@@ -475,7 +532,7 @@ def bordered_operator(problem, phi, t):
             neighbours(eta, ax, -1, buf)
             buf *= w[ax]
             top += buf
-        out[n] = eta.mean()
+        out[n] = _mean(eta)
         return out
 
     return spla.LinearOperator((n + 1, n + 1), matvec=matvec, dtype=float)
@@ -494,8 +551,13 @@ def shifted_inverse_preconditioner(problem, phi, t):
     The FFT pair runs in place.  The preconditioner holds one complex
     half-spectrum array; an apply writes u r into the field block of its
     fresh output, transforms it into that spectrum, divides by the
-    symbol there, and transforms back into the same field block, in the
-    order irfftn uses, so the result is bit-identical to rfftn/irfftn.
+    symbol there, and transforms back into the same field block.  The
+    transforms are the 1-D calls rfftn and irfftn make, in their order:
+    rfft along the last axis, then fft along the others from the
+    second-last down; ifft along the others from the first up, then
+    irfft along the last.  So the result is bit-identical to
+    rfftn/irfftn, without their per-call set-up.  phi's max and min are
+    read once, for the span and the midpoint of the gauge.
 
     scipy's gmres, started from x0 = 0, applies the preconditioner to b
     for a norm and then to r = b.copy() to start the first cycle.  The
@@ -506,18 +568,26 @@ def shifted_inverse_preconditioner(problem, phi, t):
     """
     grid = problem.grid
     dims, n = grid.dims, grid.size
-    axes = tuple(range(grid.ndim))
+    lead = tuple(range(grid.ndim - 1))   # the axes of the complex FFTs
     a = problem.gauge
-    span = 0.0 if a is None else a * float(np.ptp(phi))
+    span = 0.0
+    if a is not None:
+        hi, lo = phi.max(), phi.min()
+        span = a * float(hi - lo)
     if 0.0 < span <= GAUGE_MAX_SPAN:
-        u = np.exp(-a * (phi - 0.5 * (np.max(phi) + np.min(phi))))
+        # exp(-a (phi - mid)), with mid the midpoint of phi's range
+        u = np.subtract(phi, 0.5 * (hi + lo))
+        u *= -a
+        np.exp(u, out=u)
         u_inv = 1.0 / u
         # mean(laplacian(u) / u) > 0 by convexity of exp, as mean(laplacian
         # phi) = 0.  The zero mode of the inverse is 1 / sigma, and the
         # border cancels it: floored at 1e-6 of the lowest other mode, that
         # cancellation costs at most 1e6 eps.
-        sigma = max(float(np.mean(laplacian_nd(u, grid.spacings) * u_inv)),
-                    1e-6 * problem.lowest_mode)
+        ratio = laplacian_nd(u, grid.spacings)
+        ratio *= u_inv
+        sigma = max(float(_mean(ratio)), 1e-6 * problem.lowest_mode)
+        del ratio
     else:
         u = u_inv = 1.0
         sigma = PRECOND_SHIFT
@@ -527,16 +597,19 @@ def shifted_inverse_preconditioner(problem, phi, t):
     def field_solve(r, out):
         # out is the FFT's input and its output: A^-1 r, written in place
         np.multiply(u, r, out=out)
-        np.fft.rfftn(out, axes=axes, out=spectrum)
+        # rfftn's calls, in its order, and irfftn's
+        np.fft.rfft(out, axis=-1, out=spectrum)
+        for ax in reversed(lead):
+            np.fft.fft(spectrum, axis=ax, out=spectrum)
         np.multiply(spectrum, inv_symbol, out=spectrum)
-        for ax in axes[:-1]:
+        for ax in lead:
             np.fft.ifft(spectrum, axis=ax, out=spectrum)
         np.fft.irfft(spectrum, n=dims[-1], axis=-1, out=out)
         np.multiply(u_inv, out, out=out)
         return out
 
     g = field_solve(problem.exp_tF(t), np.empty(dims))
-    g_mean = float(np.mean(g))
+    g_mean = float(_mean(g))
     first = None   # the first apply's input bytes and answer, until the second
     applies = 0
 
@@ -549,7 +622,7 @@ def shifted_inverse_preconditioner(problem, phi, t):
                 return answer
         out = np.empty(n + 1)
         w = field_solve(x[:n].reshape(dims), out[:n].reshape(dims))
-        c = (x[n] - np.mean(w)) / g_mean
+        c = (x[n] - _mean(w)) / g_mean
         w += c * g
         out[n] = c
         if applies == 1:
@@ -605,7 +678,7 @@ def newton_step(problem, state, tol=1e-10):
     for _ in range(MAX_HALVINGS + 1):
         phi_new = np.multiply(eta, scale)
         phi_new += state.phi
-        phi_new -= np.mean(phi_new)
+        phi_new -= _mean(phi_new)
         b_new = state.b + scale * c
         dens = density(grid, phi_new, problem.q)
         new_norm = _sup_in_place(residual(problem, phi_new, b_new, state.t, dens))
@@ -638,7 +711,7 @@ def solve_at_t(problem, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
     # the subtraction makes phi a new array, so phi0 is never written;
     # dropping phi0 frees a start the caller does not keep
     phi = grid.zeros() if phi0 is None else _check_field(grid, phi0, "phi0")
-    phi = phi - np.mean(phi)
+    phi = phi - _mean(phi)
     del phi0
     dens = density(grid, phi, problem.q)
     res_norm = _sup_in_place(residual(problem, phi, b0, t, dens))

@@ -66,6 +66,17 @@ def known_keys(label, mapping, known):
                           % (label, unknown[0], ", ".join(sorted(known))))
 
 
+def frozen(arr):
+    """arr made read-only, returned as a view that cannot be made writable.
+
+    A caller that keeps no other reference to arr leaves the view the
+    only way to its memory, so nothing can write it: Problem holds such
+    an F as it is, without a copy.
+    """
+    arr.flags.writeable = False
+    return arr.view()
+
+
 def write_field(path, arr, lengths):
     """Write a field file; a C-contiguous float64 array is written as it is.
 
@@ -99,7 +110,9 @@ def read_field(path):
 
     The header line is read first; once it is checked and the file
     holds exactly the payload it promises, the payload is read straight
-    into the returned array, so no other copy of it is made.
+    into the returned array, so no other copy of it is made.  The array
+    is read-only (``frozen``): a Problem takes it as its F without a
+    copy, and a caller that wants to write it copies it.
     """
     if not isinstance(path, (str, os.PathLike)):
         # an integer would be opened as a file descriptor
@@ -148,7 +161,7 @@ def _read_field(fh, path):
     got = fh.readinto(arr)
     if got != want or fh.read(1):
         raise ConfigError("field file %s changed while it was read" % path)
-    return arr, lengths
+    return frozen(arr), lengths
 
 
 def unpack_symmetric(channels, d):

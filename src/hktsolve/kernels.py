@@ -39,14 +39,15 @@ def neighbours(f, axis, sign, out):
     """
     if not out.flags.c_contiguous:
         raise ValueError("neighbours writes into a C-contiguous buffer only")
-    m = f.shape[axis]
-    s = math.prod(f.shape[axis + 1:])
-    f_flat, o_flat = f.reshape(-1), out.reshape(-1)
-    f3, o3 = f_flat.reshape(-1, m, s), o_flat.reshape(-1, m, s)
+    shape = f.shape
+    m = shape[axis]
+    s = math.prod(shape[axis + 1:])
+    f_flat = f.reshape(-1)
+    f3, o3 = f_flat.reshape(-1, m, s), out.reshape(-1, m, s)
     combine = np.add if sign > 0 else np.subtract
-    combine(f_flat[2 * s:], f_flat[:-2 * s], out=o_flat[s:-s])
-    combine(f3[:, 1], f3[:, -1], out=o3[:, 0])
-    combine(f3[:, 0], f3[:, -2], out=o3[:, -1])
+    combine(f_flat[2 * s:], f_flat[:-2 * s], out.reshape(-1)[s:-s])
+    combine(f3[:, 1], f3[:, -1], o3[:, 0])
+    combine(f3[:, 0], f3[:, -2], o3[:, -1])
     return out
 
 

@@ -1,6 +1,7 @@
 """Path-following, manufactured problems, traces, and basicness reports."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -450,6 +451,79 @@ def test_basicness_intersects_per_node_q_axes():
                         newton_iters=0)
     report = basicness_check(Problem(g, F, q), state, 1e-10)
     assert report["invariant_axes"] == [3]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dims=st.lists(st.integers(4, 6), min_size=2, max_size=4).map(tuple),
+       data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       noise=st.sampled_from([0.0, 1e-14, 1e-8, 1.0]))
+def test_lift_gap_is_the_sup_of_the_lifted_difference_bit_for_bit(dims, data, seed,
+                                                                  noise):
+    # 1 to 3 leaf axes; ties, exact zeros and differences at every scale
+    leaf = tuple(sorted(data.draw(st.sets(st.integers(0, len(dims) - 1), min_size=1,
+                                          max_size=len(dims) - 1))))
+    rng = np.random.default_rng(seed)
+    varying = tuple(m for ax, m in enumerate(dims) if ax not in leaf)
+    r = rng.standard_normal(varying) * 10.0 ** rng.integers(-3, 4, varying)
+    lifted = np.broadcast_to(np.expand_dims(r, leaf), dims)
+    phi = lifted + noise * rng.integers(-2, 3, dims) * rng.standard_normal(dims)
+    want = float(np.max(np.abs(lifted - phi)))
+    got = cd._lift_gap(phi, r, leaf)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _su3_shaped_problem(dims=(20, 20, 20, 20)):
+    """Q = -4I and a bump along the first two axes, as su3-4d-20 solves."""
+    g = TorusGrid(dims)
+    xs = g.axis_coords()
+    return Problem(g, np.exp(np.cos(xs[0]) - 1.0 + np.cos(xs[1]) - 1.0) + g.zeros(),
+                   -4.0 * np.eye(4))
+
+
+def test_basicness_check_holds_no_grid_array():
+    # the lift gap reduces phi over the leaves first: beside the 20x20
+    # leaf solve and the spreads it allocates nothing of the grid's size
+    problem = _su3_shaped_problem()
+    state, _ = run_continuity(problem)
+    basicness_check(problem, state, 1e-10)   # first-call caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = basicness_check(problem, state, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report["passed"] and report["invariant_axes"] == [2, 3]
+    assert peak < 0.5 * state.phi.nbytes
+    print("basicness peak %.2f grid arrays" % (peak / state.phi.nbytes))
+
+
+def test_the_trivial_pair_holds_no_grid_array(monkeypatch):
+    # its phi is a read-only broadcast zero: a sequenced step never reads
+    # it, and a plain start takes its own zero-mean copy
+    problem = _su3_shaped_problem((16, 16, 8, 8))
+    seen, attempt = [], cd._attempt
+
+    def first(problem, state, t, cfg):
+        if not seen:
+            seen.append((tracemalloc.get_traced_memory()[0] - base, state.phi))
+        return attempt(problem, state, t, cfg)
+
+    monkeypatch.setattr(cd, "_attempt", first)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_continuity(problem)
+    finally:
+        tracemalloc.stop()
+    held, phi = seen[0]
+    assert held < 0.1 * problem.grid.size * 8
+    assert phi.shape == problem.grid.dims and not np.any(phi)
+    assert not phi.flags.writeable
+    # a plain start from it is the zero start
+    plain = cd.solve_at_t(problem, 0.5, phi0=phi, b0=1.0)
+    assert plain.phi.flags.c_contiguous
+    assert np.array_equal(plain.phi, cd.solve_at_t(problem, 0.5).phi)
 
 
 # ------------------------------------------------------ grid sequencing

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import hktsolve.elliptic_solver as es
-from hktsolve import kernels
+from hktsolve import gridio, kernels
 from hktsolve.continuity_driver import manufactured_problem, sine_product_field
 from hktsolve.elliptic_solver import (
     Problem,
@@ -217,6 +217,50 @@ def test_axis_spread_allocates_less_than_a_grid_array():
         print("axis %d spread peak %.2f grid arrays" % (ax, peak / arr.nbytes))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dims=hst.one_of(hst.tuples(*[hst.integers(4, 7)] * 2),
+                       hst.tuples(*[hst.integers(4, 5)] * 4)),
+       pernode=hst.booleans(), seed=hst.integers(0, 2 ** 32 - 1),
+       factor=hst.sampled_from([0.25, 0.5, 0.99, 0.999, 1.0, 1.001, 1.01, 2.0, 4.0]))
+def test_invariant_axes_are_the_spread_rule(dims, pernode, seed, factor):
+    # the first-step rejection only skips spreads that exceed the bound:
+    # steps planted near 1e-14 * scale, on the first two planes of an
+    # axis or anywhere else, leave the set the spread alone gives
+    rng = np.random.default_rng(seed)
+    shape = dims + (len(dims),) * 2 if pernode else dims
+    arr = rng.standard_normal(shape)
+    for ax in range(len(dims)):
+        if rng.random() < 0.6:
+            arr = np.repeat(np.take(arr, [0], axis=ax), dims[ax], axis=ax)
+    arr = np.ascontiguousarray(arr)
+    scale = 1.0 + max(float(np.max(arr)), -float(np.min(arr)))
+    for _ in range(int(rng.integers(1, 4))):
+        at = tuple(int(rng.integers(m)) for m in shape)
+        arr[at] += rng.choice([-1.0, 1.0]) * factor * 1e-14 * scale
+    bound = 1e-14 * (1.0 + max(float(np.max(arr)), -float(np.min(arr))))
+    spread_rule = {ax for ax in range(len(dims))
+                   if kernels.axis_spread(arr, ax) <= bound}
+    assert es._invariant_axes(arr, dims) == spread_rule
+
+
+def test_leaf_detection_spreads_only_the_leaf_axes(monkeypatch):
+    # su3-4d-20's forcing varies along axes 0 and 1: their first steps
+    # reject them, so only the two leaves take a spread, and a constant Q
+    # takes none
+    g = TorusGrid((20,) * 4)
+    xs = g.axis_coords()
+    F = np.exp(np.cos(xs[0]) - 1.0 + np.cos(xs[1]) - 1.0) + g.zeros()
+    spread, calls = es.axis_spread, []
+
+    def counted(arr, ax):
+        calls.append(ax)
+        return spread(arr, ax)
+
+    monkeypatch.setattr(es, "axis_spread", counted)
+    assert Problem(g, F, -4.0 * np.eye(4)).leaf_axes == (2, 3)
+    assert calls == [2, 3]
+
+
 # ------------------------------------------------- residual and linearization
 
 
@@ -276,6 +320,30 @@ def test_quadratic_form_matches_double_loop(dims):
                        es.quad_dir_weights(qn, v, dims), rtol=0, atol=1e-12)
     assert not np.any(es.quad_value(np.zeros((d, d)), v, dims))
     assert not np.any(es.quad_dir_weights(np.zeros((d, d)), v, dims))
+
+
+def test_problem_finds_the_pairs_of_q_once(monkeypatch):
+    # s_01 = q_01 + q_10 cancels here, so its term is left out; a Newton
+    # step's weights take the problem's pairs and look at Q no more
+    g = TorusGrid((8, 8))
+    rng = np.random.default_rng(32)
+    q = np.array([[-2.0, 0.5], [-0.5, -1.0]])
+    pernode = np.broadcast_to(q, g.dims + (2, 2)).copy()
+    pernode[2, 3] = [[-1.0, 0.25], [0.25, -1.0]]
+    phi = rng.standard_normal(g.dims)
+    v = es._partials(g, phi)
+    for form, pairs in ((q, ((0, 0), (1, 1))),
+                        (pernode, ((0, 0), (0, 1), (1, 1)))):
+        problem = Problem(g, rng.standard_normal(g.dims), form)
+        assert problem.pairs == es.nonzero_pairs(form) == pairs
+        assert (es.quad_dir_weights(form, v, g.dims, pairs).tobytes()
+                == es.quad_dir_weights(form, v, g.dims).tobytes())
+        x = rng.standard_normal(g.size + 1)
+        want = bordered_operator(problem, phi, 0.5).matvec(x)
+        with monkeypatch.context() as m:
+            m.setattr(es, "nonzero_pairs", None)
+            got = bordered_operator(problem, phi, 0.5).matvec(x)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_density_monitor():
@@ -398,6 +466,34 @@ def test_problem_holds_f_and_memoizes_exp_tf():
     later = problem.exp_tF(0.75)
     assert later is not first
     assert np.array_equal(later, np.exp(0.75 * problem.F))
+
+
+def test_problem_holds_a_frozen_f_without_a_copy():
+    # read_field's arrays are frozen: nothing but the view reaches their
+    # memory, so the problem holds the view itself, and nobody can write it
+    g = TorusGrid((8, 8))
+    rng = np.random.default_rng(30)
+    F = gridio.frozen(rng.standard_normal(g.dims))
+    problem = Problem(g, F, -np.eye(2))
+    assert problem.F is F
+    with pytest.raises(ValueError):
+        F.flags.writeable = True
+    # a read-only view whose base the caller still holds is copied: the
+    # caller could make the base writable and write through it
+    owner = rng.standard_normal(g.dims)
+    view = gridio.frozen(owner)
+    held = Problem(g, view, -np.eye(2))
+    assert not np.shares_memory(held.F, owner)
+    owner.flags.writeable = True
+    owner[0, 0] = 99.0
+    assert held.F[0, 0] != 99.0 and not held.F.flags.writeable
+    # as is a second view of a frozen array, and a read-only array that
+    # owns its memory, whose holder can flip its flag back
+    other = F[:, :]
+    assert not np.shares_memory(Problem(g, F, -np.eye(2)).F, other)
+    owned = rng.standard_normal(g.dims)
+    owned.flags.writeable = False
+    assert not np.shares_memory(Problem(g, owned, -np.eye(2)).F, owned)
 
 
 def test_problem_holds_q_and_its_leaf_axes():
@@ -937,6 +1033,77 @@ def test_preconditioner_memory(dims):
     assert peak <= y.nbytes + 1.5 * grid_bytes
     print("held %.2f, apply peak %.2f grid arrays beyond the output"
           % (held / grid_bytes, (peak - y.nbytes) / grid_bytes))
+
+
+def _rfftn_preconditioner(problem, phi, t):
+    """The preconditioner's apply on numpy's n-dimensional calls: ptp,
+    np.mean, rfftn and irfftn, each allocating its result."""
+    g = problem.grid
+    n, dims = g.size, g.dims
+    a = problem.gauge
+    span = 0.0 if a is None else a * float(np.ptp(phi))
+    if 0.0 < span <= es.GAUGE_MAX_SPAN:
+        u = np.exp(-a * (phi - 0.5 * (np.max(phi) + np.min(phi))))
+        u_inv = 1.0 / u
+        sigma = max(float(np.mean(kernels.laplacian_nd(u, g.spacings) * u_inv)),
+                    1e-6 * problem.lowest_mode)
+    else:
+        u = u_inv = 1.0
+        sigma = es.PRECOND_SHIFT
+    inv_symbol = 1.0 / (problem.laplacian_symbol - sigma)
+    axes = tuple(range(g.ndim))
+
+    def field_solve(r):
+        spectrum = np.fft.rfftn(u * r, axes=axes) * inv_symbol
+        return u_inv * np.fft.irfftn(spectrum, s=dims, axes=axes)
+
+    g_field = field_solve(problem.exp_tF(t))
+    g_mean = float(np.mean(g_field))
+
+    def apply(x):
+        w = field_solve(x[:n].reshape(dims))
+        c = (x[n] - np.mean(w)) / g_mean
+        return np.append(w + c * g_field, c)
+
+    return apply
+
+
+@pytest.mark.parametrize("dims, lengths", [
+    ((7,), None), ((8,), (3.0,)), ((6, 7), (2.0, 7.0)), ((8, 8), None),
+    ((5, 4, 7), None), ((4, 6, 5, 6), (1.0, 2.0, 3.0, 5.0)), ((4, 5, 4, 5), None),
+])
+@pytest.mark.parametrize("form", ["gauge", "shifted", "pernode"])
+def test_preconditioner_matches_rfftn_bit_for_bit(dims, lengths, form):
+    # one rfft and in-place ffts in rfftn's order, and sum / size for the
+    # means: the same floating-point operations as the n-dimensional calls
+    problem, phi, rng = _gauge_case(dims, 12.0 if form == "shifted" else 3.0, lengths)
+    if form == "pernode":
+        d = problem.grid.ndim
+        problem = Problem(problem.grid, problem.F,
+                          np.broadcast_to(-2.0 * np.eye(d), dims + (d, d)))
+    precond = shifted_inverse_preconditioner(problem, phi, 0.7)
+    reference = _rfftn_preconditioner(problem, phi, 0.7)
+    for _ in range(3):   # the memo's first and second applies, and a later one
+        x = rng.standard_normal(problem.grid.size + 1)
+        assert precond.matvec(x).tobytes() == reference(x).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(shape=hst.lists(hst.integers(1, 12), min_size=1, max_size=4).map(tuple),
+       layout=hst.sampled_from(["contiguous", "broadcast", "lifted", "zero"]),
+       seed=hst.integers(0, 2 ** 32 - 1))
+def test_mean_is_np_mean_bit_for_bit(shape, layout, seed):
+    # the solver's means, on its C-ordered fields and on the broadcast
+    # starts it is given (the trivial pair's zero, a lifted leaf solution)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    if layout == "broadcast":
+        x = np.broadcast_to(x[..., :1], shape)
+    elif layout == "lifted":
+        x = np.broadcast_to(np.expand_dims(x[0], 0), (3,) + shape[1:])
+    elif layout == "zero":
+        x = np.broadcast_to(0.0, shape)
+    assert es._mean(x).tobytes() == np.mean(x).tobytes()
 
 
 @pytest.mark.parametrize("dims, span, lengths", [

@@ -104,6 +104,35 @@ def test_field_files_make_no_payload_copy(tmp_path, shape, axes):
     assert peak <= back.nbytes + arr.nbytes // 16
 
 
+@pytest.mark.parametrize("forcing", ["file", "bump"])
+def test_load_run_config_holds_one_forcing_array(tmp_path, forcing):
+    # su3-4d-20's config: the Problem holds the F that was read (or built)
+    # as it is, frozen, with no second copy while it loads
+    g = TorusGrid((20,) * 4)
+    xs = g.axis_coords()
+    F = np.exp(np.cos(xs[0]) - 1.0 + np.cos(xs[1]) - 1.0) + g.zeros()
+    gridio.write_field(tmp_path / "forcing.field", F, g.lengths)
+    spec = ({"file": str(tmp_path / "forcing.field")} if forcing == "file"
+            else {"type": "bump", "amplitude": 1.0, "width": 1.0})
+    cfg = {"grid": {"dims": list(g.dims)}, "forcing": spec,
+           "q": {"matrix": (-4.0 * np.eye(4)).tolist()},
+           "continuity": {"newton_tol": 1e-10}}
+    path = tmp_path / "solve.json"
+    path.write_text(json.dumps(cfg))
+    cli._load_run_config(str(path))   # first-call imports and caches
+    (_, problem, _), peak = _traced_peak(lambda: cli._load_run_config(str(path)))
+    # the bump is built through two grid-sized temporaries beside F; the
+    # finiteness check's boolean mask is an eighth of an array
+    arrays = 1.0 if forcing == "file" else 3.0
+    print("load peak %.2f grid arrays" % (peak / F.nbytes))
+    assert peak <= (arrays + 0.2) * F.nbytes
+    if forcing == "file":
+        assert np.array_equal(problem.F, F)
+    assert not problem.F.flags.writeable
+    with pytest.raises(ValueError):
+        problem.F.flags.writeable = True
+
+
 def test_pack_unpack_symmetric_round_trip():
     rng = np.random.default_rng(23)
     raw = rng.standard_normal((4, 4, 4, 4, 4, 4))
