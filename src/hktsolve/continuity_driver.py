@@ -34,31 +34,37 @@ axes -> 64x64 -> 32x32, 32x32x32x16 with one leaf axis -> 32x32x32 ->
 16x16x16, and 20^4 -> 10^4 for a forcing that varies along all four
 axes.  F, and a per-node Q, are taken by injection (every second node
 of a halved axis; a constant Q as it is).  Between halvings, the coarse
-phi reaches the finer grid by trigonometric interpolation, which is
-separable: one real FFT pair along each axis that grows zero-pads its
-half spectrum, the Nyquist mode of an even axis split in halves.
+solutions reach the finer grid by trigonometric interpolation.  Each
+solved level keeps its rfftn half spectrum, not its phi, and a finer
+grid's start is one inverse transform on that grid (prolong): each
+level's spectrum is embedded in the finer half spectrum, every
+frequency in its place and the Nyquist bin of an even axis that grows
+split in halves, scaled by the ratio of node counts and weighted, so
+no level is interpolated onto an intermediate grid and each level is
+transformed once (nested iteration, Brandt, Math. Comp. 31, 1977).
 Newton's step count does not depend on the mesh, so the interpolated
 start lies in the fine grid's quadratic basin.  Where more than one
-halved level lies under a grid, the start is first extrapolated on the
-coarse grid towards the finer discrete solution (Richardson's deferred
-approach to the limit, as in nested iteration and full multigrid): a
-level's solution differs from their limit by c h^2 + d h^4 + ..., h the
-spacing, and the Lagrange extrapolation in h^2 of every level below a
-grid (richardson) is exact for the first k - 1 terms from k levels.  b
-takes the same weights in log form, which keeps it positive.  On a
-512^2 bump the 512^2 start lands 6.1e-10 from its discrete solution
-from three levels (256^2, 128^2, 64^2) and 3.0e-11 from four (down to
-32^2), under the Newton tolerance 1e-10, so the 512^2 grid takes no
-Newton step; the gain is the 32^2 level's, not the coarse solves'
-accuracy.  The levels are the coarse solutions, not their starts.  The
-lift from the leaf space, where the solutions agree, is the broadcast,
-not extrapolated; the start above a single halved level is the plain
-interpolation.  Every coarse state is dropped before the top grid's
-Newton runs.  The floor exists because on smaller grids a hard coarse
-solve still takes about nine Newton steps and costs more than it
-saves.  The leaf space is exempt from it, but a fine grid whose halving
-falls under it is not sequenced, nor is one whose every axis is a leaf:
-its chain is empty.  If a coarse solve or the fine Newton from the
+halved level lies under a grid, the start extrapolates towards the
+finer discrete solution (Richardson's deferred approach to the limit,
+as in nested iteration and full multigrid): a level's solution differs
+from their limit by c h^2 + d h^4 + ..., h the spacing, and the
+Lagrange extrapolation in h^2 of every level below a grid
+(richardson's weights, applied to the spectra) is exact for the first
+k - 1 terms from k levels.  b takes the same weights in log form,
+which keeps it positive.  On a 512^2 bump the 512^2 start lands
+6.1e-10 from its discrete solution from three levels (256^2, 128^2,
+64^2) and 3.0e-11 from four (down to 32^2), under the Newton tolerance
+1e-10, so the 512^2 grid takes no Newton step; the gain is the 32^2
+level's, not the coarse solves' accuracy.  The levels are the coarse
+solutions, not their starts.  The lift from the leaf space, where the
+solutions agree, is the broadcast, not extrapolated; the start above a
+single halved level is the plain interpolation (interpolate, prolong's
+one-level case).  Every coarse state and spectrum is dropped before
+the top grid's Newton runs.  The floor exists because on smaller grids
+a hard coarse solve still takes about nine Newton steps and costs more
+than it saves.  The leaf space is exempt from it, but a fine grid
+whose halving falls under it is not sequenced, nor is one whose every
+axis is a leaf: its chain is empty.  If a coarse solve or the fine Newton from the
 coarse start fails, the step is rerun from the trivial pair, as without
 sequencing.  The step control counts the Newton steps of the coarsest
 grid's plain start, which stand for the fine plain start's, so the
@@ -69,6 +75,7 @@ in include its coarse solves.
 
 import csv
 import io
+import itertools
 import json
 import math
 import time
@@ -81,7 +88,9 @@ from .elliptic_solver import (
     SolverState,
     TorusGrid,
     density,
+    irfftn_into,
     quad_value,
+    rfftn_into,
     solve_at_t,
 )
 from .errors import (
@@ -210,27 +219,86 @@ def _lift(problem, phi):
     return np.broadcast_to(np.expand_dims(phi, problem.leaf_axes), problem.grid.dims)
 
 
+def half_spectrum(values):
+    """The rfftn half spectrum of grid values: what prolong takes of a level."""
+    values = np.asarray(values, dtype=float)
+    half = values.shape[:-1] + (values.shape[-1] // 2 + 1,)
+    return rfftn_into(values, np.empty(half, dtype=complex))
+
+
+def _embedding(m, n, half):
+    """Where the bins of one axis of a half spectrum go when it grows from m
+    to n nodes: a list of (source slice, destination slice), and whether
+    the Nyquist bin is halved.
+
+    Every frequency keeps its place: the non-negative ones at the front,
+    the negative ones of a full axis at the back.  On an even axis that
+    grows, the Nyquist bin m/2 is split in halves: a full axis sends it
+    to both +m/2 and -m/2, in both slices, and along the last, half axis
+    irfftn supplies the -m/2 half as the Hermitian mirror.  An axis that
+    keeps its m nodes keeps its bins and its Nyquist bin whole.
+    """
+    if m == n:
+        return [(slice(None), slice(None))], False
+    front = slice(0, m // 2 + 1)
+    if half:
+        return [(front, front)], m % 2 == 0
+    back = (slice((m + 1) // 2, m), slice(n - m // 2, n))
+    return [(front, front), back], m % 2 == 0
+
+
+def prolong(spectra, dims):
+    """The trigonometric interpolant on ``dims`` of sum_j w_j x_j, from the
+    half spectra of the levels x_j.
+
+    ``spectra`` are (shape, half_spectrum(x_j)) of each level, nearest
+    first, and w_j richardson's weights for that many levels.  Each axis
+    of ``dims`` is as long as the levels' or longer, over the same
+    length, and the interpolant is separable, so the result is one
+    inverse transform of sum_j w_j (N / N_j) embed(H_j), with N and N_j
+    the node counts: embed places each bin as _embedding says, one block
+    per choice of slice along each axis, and N / N_j undoes rfftn's
+    scaling by N_j in favour of irfftn's by 1/N.  The levels' sum, and
+    the extrapolation in it, is taken over the spectra, so no level is
+    interpolated onto an intermediate grid.  The sum's last axis stops
+    at the levels' highest bin: irfft pads the rest with zeros itself,
+    so neither the bins above it nor their ifft along the other axes
+    are ever formed.
+    """
+    weights = _richardson_weights(len(spectra))
+    n = math.prod(dims)
+    top = max(spectrum.shape[-1] for _, spectrum in spectra)
+    total = np.zeros(dims[:-1] + (top,), dtype=complex)
+    last = len(dims) - 1
+    for w, (shape, spectrum) in zip(weights, spectra):
+        term = np.multiply(spectrum, w * (n / math.prod(shape)))
+        pieces = []
+        for ax, (m, k) in enumerate(zip(shape, dims)):
+            axis_pieces, nyquist = _embedding(m, k, ax == last)
+            if nyquist:
+                term[(slice(None),) * ax + (m // 2,)] *= 0.5
+            pieces.append(axis_pieces)
+        for block in itertools.product(*pieces):
+            src, dst = zip(*block)
+            total[dst] += term[src]
+    return irfftn_into(total, np.empty(dims))
+
+
 def interpolate(values, dims):
     """Trigonometric interpolation of periodic grid values onto a finer grid.
 
     Each axis of ``dims`` is as long as the values' or longer, over the
-    same length.  The interpolant is separable, so it is built one axis
-    at a time: along each axis that grows from m to n nodes, the real
-    half spectrum of the values so far is zero-padded to n nodes by
-    irfft, every frequency keeping its place, and scaled by n/m.  On an
-    even axis the Nyquist bin m/2 is halved first: that is its +m/2
-    half, and irfft supplies the -m/2 half as the Hermitian mirror.
+    same length: prolong's one-level case.
     """
     values = np.asarray(values, dtype=float)
-    for ax, (m, n) in enumerate(zip(values.shape, dims)):
-        if n != m:
-            spectrum = np.fft.rfft(values, axis=ax)
-            if m % 2 == 0:
-                spectrum[(slice(None),) * ax + (m // 2,)] *= 0.5
-            values = None   # the axis's input, freed before the inverse
-            values = np.fft.irfft(spectrum, n=n, axis=ax)
-            values *= n / m
-    return values
+    return prolong([(values.shape, half_spectrum(values))], dims)
+
+
+def _richardson_weights(k):
+    """The Lagrange weights in s^2 of k levels (see richardson)."""
+    nodes = [4.0 ** i for i in range(k)]
+    return [math.prod(0.25 - v for v in nodes if v != u)
+            / math.prod(u - v for v in nodes if v != u) for u in nodes]
 
 
 def richardson(*levels):
@@ -251,10 +319,7 @@ def richardson(*levels):
     about 2^53.9), so up to six each weight is the one rounding of an
     exact quotient.
     """
-    nodes = [4.0 ** i for i in range(len(levels))]
-    weights = [math.prod(0.25 - v for v in nodes if v != u)
-               / math.prod(u - v for v in nodes if v != u) for u in nodes]
-    return sum(w * x for w, x in zip(weights, levels))
+    return sum(w * x for w, x in zip(_richardson_weights(len(levels)), levels))
 
 
 def extrapolated_b(*levels):
@@ -273,10 +338,10 @@ def _sequenced_solve(problem, t, cfg):
     The leafless problem, the leaf space or the problem itself when it
     has no leaves, is halved down to a grid that coarse_dims leaves
     alone, which starts from the trivial pair; each finer grid starts
-    from the solution one level down, interpolated, and first
-    extrapolated with every level below it when there are two or more
-    (richardson; see the module docstring).  The leaf space's solution,
-    broadcast along the leaves, then starts the fine grid as it is.
+    from the half spectra of the levels below it, prolonged onto it and
+    extrapolated when there are two or more (prolong; see the module
+    docstring).  The leaf space's solution, broadcast along the
+    leaves, then starts the fine grid as it is.
     Returns the state and the Newton iterations of the plain start,
     which stand for the fine plain start's in the step control:
     Newton's step count does not depend on the mesh.
@@ -288,20 +353,17 @@ def _sequenced_solve(problem, t, cfg):
     state = solve_at_t(chain.pop(), t, tol=cfg.newton_tol,
                        max_iters=cfg.max_newton)
     plain_iters = state.newton_iters
-    # the levels' (phi, b) under state's, nearest first: only what
-    # richardson reads, so no coarse density outlives its level
+    # the solved levels' (half spectrum, b), nearest first: only what
+    # prolong reads, so no coarse phi or density outlives its level
     below = []
     while chain:
         fine = chain.pop()
-        phi, b0 = state.phi, state.b
-        if below:
-            phi = richardson(phi, *(interpolate(x, phi.shape)
-                                    for x, _ in below))
-            b0 = extrapolated_b(b0, *(b for _, b in below))
-        start = [interpolate(phi, fine.grid.dims)]
-        # the top grid's Newton runs without any coarse state
-        below = [(state.phi, state.b), *below] if chain else []
-        del phi, state
+        below.insert(0, ((state.phi.shape, half_spectrum(state.phi)), state.b))
+        b0 = state.b if len(below) == 1 else extrapolated_b(*(b for _, b in below))
+        del state
+        start = [prolong([spectrum for spectrum, _ in below], fine.grid.dims)]
+        if not chain:
+            below = []   # the top grid's Newton runs without any coarse state
         # popped into the call, the start has no reference here:
         # solve_at_t frees it once it has its own zero-mean copy
         state = solve_at_t(fine, t, phi0=start.pop(), b0=b0,

@@ -24,13 +24,14 @@ apply is one real-input FFT pair over the half spectrum plus a Schur
 complement on the border.  The pair runs in place: from the apply's
 own output, through one half-spectrum array the preconditioner holds,
 back into that output, by the 1-D FFT calls that rfftn and irfftn
-make, in their order, so its spectrum is theirs to the bit.  scipy's
-gmres applies the preconditioner twice to the same vector before its
-first cycle; the second apply is answered from a copy of the first.  A
-converged gmres result is returned unchecked, since gmres reports
-convergence only after computing the true residual itself; one that did
-not converge raises LinearSolveFailure, which the continuity driver
-answers with a halved step.  The FFTs are numpy's (2.0 or newer, for
+make, in their order (rfftn_into, irfftn_into, which the grid
+sequencing's prolongation uses too), so its spectrum is theirs to the
+bit.  scipy's gmres applies the preconditioner twice to the same
+vector before its first cycle; the second apply is answered from a
+copy of the first.  A converged gmres result is returned unchecked,
+since gmres reports convergence only after computing the true residual
+itself; one that did not converge raises LinearSolveFailure, which the
+continuity driver answers with a halved step.  The FFTs are numpy's (2.0 or newer, for
 out=): importing scipy.fft would add about 0.07 s, a quarter of the
 set-up time, to every run.
 
@@ -51,20 +52,28 @@ forms its starting residual from it, and the CLI reads the solution's
 density range from it, so neither evaluates it again.
 
 A full-grid pass allocates what its result keeps and at most two
-scratch buffers.  grad phi is never stacked: the density and the
-Newton weights (Q + Q^T) grad phi take it one axis at a time from
-kernels.derivative, through quad_value and quad_dir_weights, whose
-terms keep the stacked loops' order, so the results are the same to
-the bit.  residual allocates only its result, and the callers that
-need max |res| take |res| in place over it.
+scratch buffers, or three slab buffers.  grad phi is never stacked:
+the density and the Newton weights (Q + Q^T) grad phi take it one axis
+at a time from kernels.derivative, through quad_value and
+quad_dir_weights, whose terms keep the stacked loops' order, so the
+results are the same to the bit.  The density and the bordered matvec,
+the passes a solve repeats on its finest grids, run slab by slab over
+kernels.slabs: rows of about kernels.SLAB_NODES nodes along axis 0,
+whose arrays stay in L2 cache through the pass's dozen or so ufunc
+calls.  Each node gets the whole-grid operations in the same order,
+so the results are the same to the bit, and the slab buffers are
+allocated once per call; a grid no bigger than one slab is one slab.
+residual allocates only its result, and the callers that need max
+|res| take |res| in place over it.
 
 A Newton step on a small grid costs mostly numpy's per-call set-up, so
 its calls are few: every mean is x.sum() / x.size (_mean), np.mean's
 own add-reduce and division without its wrapper, and the Newton weights
 take the pairs of Q whose coefficient is not zero from the Problem
 (Problem.pairs, found once), not from a reduction per pair on every
-step; density(grid, phi, q) still finds them per call.  The outputs are
-the same to the bit as with np.mean, rfftn and per-call pairs.
+step; density(grid, phi, q) finds them once per call, for all its
+slabs.  The outputs are the same to the bit as with np.mean, rfftn and
+per-call pairs.
 """
 
 import functools
@@ -84,7 +93,14 @@ from .errors import (
     ShapeMismatch,
 )
 from .gridio import frozen, integer, listed, real
-from .kernels import axis_spread, derivative, laplacian_nd, neighbours
+from .kernels import (
+    axis_spread,
+    derivative,
+    laplacian_nd,
+    laplacian_rows,
+    neighbours,
+    slabs,
+)
 
 MAX_HALVINGS = 20
 PRECOND_SHIFT = 1.0
@@ -252,12 +268,16 @@ class Problem:
     coefficient in <Q v, v> is not zero at every node; ``gauge = a``
     when Q is the constant -aI with a > 0 (else None); and, on the first
     preconditioner build, the symbol of the discrete Laplacian and its
-    lowest nonzero mode.
+    lowest nonzero mode.  exp(t F) is kept only from the first exp_tF
+    call, which solve_at_t makes once a Newton step follows: residual
+    takes b exp(t F) from scaled_exp_tF, which forms it in the
+    residual's own result while nothing is kept.
     """
 
     def __init__(self, grid, F, q):
         F = _check_field(grid, F, "F")
-        if not np.all(np.isfinite(F)):
+        # max propagates NaN, so F is finite exactly when its extrema are
+        if not (math.isfinite(F.max()) and math.isfinite(F.min())):
             raise ConfigError("forcing F has non-finite values")
         self.grid = grid
         self.F = F if _sealed(F) else frozen(F.copy())
@@ -338,11 +358,31 @@ class Problem:
     def exp_tF(self, t):
         """exp(t F) as a read-only array, recomputed only when t changes."""
         if t != self._exp_key:
-            e = np.multiply(self.F, t)
-            self._exp_tF = np.exp(e, out=e)
+            self._exp_tF = _exp_t(self.F, t, np.empty(self.F.shape))
             self._exp_tF.flags.writeable = False
             self._exp_key = t
         return self._exp_tF
+
+    def scaled_exp_tF(self, t, b):
+        """b exp(t F) as a fresh array.
+
+        From exp_tF's array when it holds t; otherwise exp(t F) is formed
+        in the result itself, by exp_tF's operations, and nothing is kept,
+        so the bits are the same either way and a grid that takes no
+        Newton step, such as a sequenced fine grid whose start already
+        solves it, never holds exp(t F) beside its result.
+        """
+        if t == self._exp_key:
+            return np.multiply(self._exp_tF, b)
+        out = _exp_t(self.F, t, np.empty(self.F.shape))
+        out *= b
+        return out
+
+
+def _exp_t(F, t, out):
+    """exp(t F) written into out: F t, then exp in place."""
+    np.multiply(F, t, out=out)
+    return np.exp(out, out=out)
 
 
 def _pair_coefficient(q, i, j):
@@ -358,24 +398,28 @@ def nonzero_pairs(q):
                  if _pair_coefficient(q, i, j).any())
 
 
-def quad_value(q, component, shape):
+def quad_value(q, component, shape, pairs=None, buffers=()):
     """<Q v, v> per node, for a vector field v given one component at a time.
 
-    ``component(i, out)`` writes v_i, a grid array of ``shape``, into
+    ``component(i, out)`` writes v_i, an array of ``shape``, into
     ``out``.  The value is the sum of s_ij v_i v_j over i <= j in row
     order, with s_ii = q_ii and s_ij = q_ij + q_ji, leaving out pairs
-    whose coefficient is zero at every node (nonzero_pairs); s_ij is a
-    scalar for a constant Q and a grid array for a per-node Q, and both
-    broadcast alike.  The first term is written and the rest are added.
+    whose coefficient is zero at every node: ``pairs``, nonzero_pairs of
+    q, found here when not given; s_ij is a scalar for a constant Q and
+    an array of ``shape`` for a per-node Q, and both broadcast alike.
+    The first term is written and the rest are added.
 
     Row i keeps v_i in one buffer, and a term with j > i writes v_j
     into another, so v_j is written again for each pair that needs it.
     A term is formed in v_j's buffer, or in v_i's for the row's last
     term, and the first term's buffer becomes the result: beside it, a
-    diagonal Q holds one buffer and any other Q at most two.
+    diagonal Q holds one buffer and any other Q at most two.  The
+    ``buffers`` given, arrays of ``shape`` whose contents the caller
+    gives up, are used before any is allocated (_quad_buffers says how
+    many can be).
     """
-    pairs = nonzero_pairs(q)
-    free = []   # buffers whose contents are no longer needed
+    pairs = nonzero_pairs(q) if pairs is None else pairs
+    free = list(buffers)   # buffers whose contents are no longer needed
 
     def take():
         return free.pop() if free else np.empty(shape)
@@ -407,6 +451,17 @@ def quad_value(q, component, shape):
             out += term
             free.append(term)
     return np.zeros(shape) if out is None else out
+
+
+def _quad_buffers(pairs):
+    """How many buffers quad_value can take for ``pairs``: one for a
+    single diagonal term, two for a diagonal Q, three with off-diagonal
+    terms, none without terms."""
+    if not pairs:
+        return 0
+    if any(i != j for i, j in pairs):
+        return 3
+    return 1 if len(pairs) == 1 else 2
 
 
 def quad_dir_weights(q, component, shape, pairs=None):
@@ -447,9 +502,10 @@ def quad_dir_weights(q, component, shape, pairs=None):
     return w
 
 
-def _partials(grid, phi):
-    """phi's central differences as a component(i, out) for quad_value."""
-    return lambda i, out: derivative(phi, i, grid.spacings[i], out)
+def _partials(grid, phi, rows=None):
+    """phi's central differences, over ``rows`` as in kernels.neighbours,
+    as a component(i, out) for quad_value."""
+    return lambda i, out: derivative(phi, i, grid.spacings[i], out, rows)
 
 
 def residual(problem, phi, b, t, dens=None):
@@ -458,13 +514,14 @@ def residual(problem, phi, b, t, dens=None):
     It is dens - b exp(tF), with dens the density of phi: passed in when
     the caller already has it (a state's ``density``), else evaluated
     here.  Either way the result is the same to the bit, and it is the
-    one array allocated here: b exp(tF) is written into it and dens
+    one array allocated here: b exp(tF) is written into it
+    (Problem.scaled_exp_tF, which keeps no exp(tF) of its own) and dens
     subtracted from it in place.  Callers that only need max |res| take
     |res| in place too (_sup_in_place).
     """
     if dens is None:
         dens = density(problem.grid, phi, problem.q)
-    out = np.multiply(problem.exp_tF(t), b)
+    out = problem.scaled_exp_tF(t, b)
     return np.subtract(dens, out, out=out)
 
 
@@ -476,16 +533,32 @@ def _sup_in_place(res):
 def density(grid, phi, q):
     """The positivity monitor 1 + laplacian(phi) + <Q grad phi, grad phi>.
 
-    grad phi is never stacked: quad_value takes it one axis at a time
-    from kernels.derivative.  Beside the result the evaluation holds at
-    most one Laplacian scratch buffer, or quad_value's result and its
-    buffers: two arrays for a diagonal Q, three for one with
-    off-diagonal terms.
+    Evaluated slab by slab (kernels.slabs), each slab's Laplacian, then
+    its <Q grad phi, grad phi>, added into the result's rows, then 1,
+    so the slab's arrays stay in cache; every node gets the operations
+    of the whole-grid evaluation in the same order.  grad phi is never
+    stacked: quad_value takes it one axis at a time from
+    kernels.derivative.  Q's nonzero pairs are found once per call.
+    Beside the result, the evaluation holds slab buffers allocated once
+    per call: the Laplacian's scratch, which is also quad_value's first
+    buffer, and quad_value's others, two buffers for a diagonal Q and
+    three for one with off-diagonal terms.
     """
-    phi = _check_field(grid, phi, "phi")
-    out = laplacian_nd(phi, grid.spacings)
-    out += quad_value(q, _partials(grid, phi), grid.dims)
-    out += 1.0
+    phi = np.ascontiguousarray(_check_field(grid, phi, "phi"))
+    pairs = nonzero_pairs(q)
+    out = np.empty(grid.dims)
+    rows = slabs(grid.dims)
+    slab = (rows[0][1],) + grid.dims[1:]
+    buffers = [np.empty(slab) for _ in range(max(1, _quad_buffers(pairs)))]
+    for r0, r1 in rows:
+        top = out[r0:r1]
+        bufs = [buf[:r1 - r0] for buf in buffers]
+        laplacian_rows(phi, grid.spacings, top, bufs[0], (r0, r1))
+        if pairs:
+            q_rows = q if q.ndim == 2 else q[r0:r1]
+            top += quad_value(q_rows, _partials(grid, phi, (r0, r1)),
+                              top.shape, pairs, bufs)
+        top += 1.0
     return out
 
 
@@ -505,9 +578,11 @@ def bordered_operator(problem, phi, t):
     had and no more (separate up and down coefficients h^-2 +- w/(2h)
     would hold 2d).  w is built from grad phi one axis at a time
     (quad_dir_weights), so building holds one buffer beside it, two for
-    a Q with off-diagonal terms.  An apply writes its output and reuses
-    one scratch buffer for every axis: it builds neither a Laplacian nor
-    a gradient stack of eta.
+    a Q with off-diagonal terms.  An apply runs slab by slab
+    (kernels.slabs), writing each slab of its output with one
+    slab-sized scratch buffer, allocated once per apply and reused for
+    every axis and slab: it builds neither a Laplacian nor a gradient
+    stack of eta.
     """
     grid = problem.grid
     n, dims = grid.size, grid.dims
@@ -517,25 +592,52 @@ def bordered_operator(problem, phi, t):
         w[ax] /= 2.0 * h
     inv_h2 = [1.0 / (h * h) for h in grid.spacings]
     centre = -2.0 * sum(inv_h2)
+    rows = slabs(dims)
+    slab = (rows[0][1],) + dims[1:]
 
     def matvec(x):
         eta = x[:n].reshape(dims)
         out = np.empty(n + 1)
         top = out[:n].reshape(dims)
-        np.multiply(eF, -x[n], out=top)
-        buf = np.multiply(eta, centre, out=np.empty(dims))
-        top += buf
-        for ax, k in enumerate(inv_h2):
-            neighbours(eta, ax, 1, buf)
-            buf *= k
-            top += buf
-            neighbours(eta, ax, -1, buf)
-            buf *= w[ax]
-            top += buf
+        c = -x[n]
+        scratch = np.empty(slab)
+        for r0, r1 in rows:
+            o, buf = top[r0:r1], scratch[:r1 - r0]
+            np.multiply(eF[r0:r1], c, out=o)
+            np.multiply(eta[r0:r1], centre, out=buf)
+            o += buf
+            for ax, k in enumerate(inv_h2):
+                neighbours(eta, ax, 1, buf, (r0, r1))
+                buf *= k
+                o += buf
+                neighbours(eta, ax, -1, buf, (r0, r1))
+                buf *= w[ax][r0:r1]
+                o += buf
         out[n] = _mean(eta)
         return out
 
     return spla.LinearOperator((n + 1, n + 1), matvec=matvec, dtype=float)
+
+
+def rfftn_into(x, spectrum):
+    """np.fft.rfftn(x), written into ``spectrum`` by the 1-D calls rfftn
+    makes, in its order: rfft along the last axis, then fft in place
+    along the others from the second-last down.  Bit-identical to
+    rfftn, without its per-call set-up and its temporaries."""
+    np.fft.rfft(x, axis=-1, out=spectrum)
+    for ax in reversed(range(x.ndim - 1)):
+        np.fft.fft(spectrum, axis=ax, out=spectrum)
+    return spectrum
+
+
+def irfftn_into(spectrum, out):
+    """np.fft.irfftn(spectrum, out.shape), written into ``out`` by irfftn's
+    1-D calls: ifft in place along every axis but the last, from the
+    first up, which overwrites ``spectrum``, then irfft along the last,
+    which pads a last axis shorter than out's half spectrum with zeros."""
+    for ax in range(out.ndim - 1):
+        np.fft.ifft(spectrum, axis=ax, out=spectrum)
+    return np.fft.irfft(spectrum, n=out.shape[-1], axis=-1, out=out)
 
 
 def shifted_inverse_preconditioner(problem, phi, t):
@@ -552,10 +654,8 @@ def shifted_inverse_preconditioner(problem, phi, t):
     half-spectrum array; an apply writes u r into the field block of its
     fresh output, transforms it into that spectrum, divides by the
     symbol there, and transforms back into the same field block.  The
-    transforms are the 1-D calls rfftn and irfftn make, in their order:
-    rfft along the last axis, then fft along the others from the
-    second-last down; ifft along the others from the first up, then
-    irfft along the last.  So the result is bit-identical to
+    transforms are rfftn_into and irfftn_into, the 1-D calls rfftn and
+    irfftn make, in their order, so the result is bit-identical to
     rfftn/irfftn, without their per-call set-up.  phi's max and min are
     read once, for the span and the midpoint of the gauge.
 
@@ -568,7 +668,6 @@ def shifted_inverse_preconditioner(problem, phi, t):
     """
     grid = problem.grid
     dims, n = grid.dims, grid.size
-    lead = tuple(range(grid.ndim - 1))   # the axes of the complex FFTs
     a = problem.gauge
     span = 0.0
     if a is not None:
@@ -597,14 +696,9 @@ def shifted_inverse_preconditioner(problem, phi, t):
     def field_solve(r, out):
         # out is the FFT's input and its output: A^-1 r, written in place
         np.multiply(u, r, out=out)
-        # rfftn's calls, in its order, and irfftn's
-        np.fft.rfft(out, axis=-1, out=spectrum)
-        for ax in reversed(lead):
-            np.fft.fft(spectrum, axis=ax, out=spectrum)
+        rfftn_into(out, spectrum)
         np.multiply(spectrum, inv_symbol, out=spectrum)
-        for ax in lead:
-            np.fft.ifft(spectrum, axis=ax, out=spectrum)
-        np.fft.irfft(spectrum, n=dims[-1], axis=-1, out=out)
+        irfftn_into(spectrum, out)
         np.multiply(u_inv, out, out=out)
         return out
 
@@ -720,6 +814,8 @@ def solve_at_t(problem, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
                         density=dens)
     if res_norm <= tol:
         return state
+    # every Newton step reads exp(tF) again: from here on it is kept
+    problem.exp_tF(t)
     for _ in range(max_iters):
         state = newton_step(problem, state, tol)
         if state.residual_norm <= tol:

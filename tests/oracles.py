@@ -311,6 +311,22 @@ def fft_poisson_oracle(grid, F):
     return phi - np.mean(phi), b
 
 
+def per_axis_interpolate(values, dims):
+    """Trigonometric interpolation onto a finer grid, one axis at a time.
+
+    Along each axis that grows from m to n nodes: rfft, the Nyquist bin
+    m/2 of an even axis halved, irfft zero-padded to n, times n/m.
+    """
+    values = np.asarray(values, dtype=float)
+    for ax, (m, n) in enumerate(zip(values.shape, dims)):
+        if n != m:
+            spectrum = np.fft.rfft(values, axis=ax)
+            if m % 2 == 0:
+                spectrum[(slice(None),) * ax + (m // 2,)] *= 0.5
+            values = np.fft.irfft(spectrum, n=n, axis=ax) * (n / m)
+    return values
+
+
 def dense_laplacian(grid):
     """Assembled dense Laplacian matrix; only for small grids."""
     n = grid.size

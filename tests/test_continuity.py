@@ -621,6 +621,29 @@ def test_interpolation_passes_through_arbitrary_values(shape, grow, factors,
 
 
 
+@pytest.mark.parametrize("dims, levels", [
+    ((24, 9), [(12, 9), (6, 9), (3, 9)]),            # odd axis kept, odd last level
+    ((16, 10), [(8, 10), (4, 5)]),                   # last axis kept, then odd grown
+    ((16, 16, 4, 4), [(8, 8, 4, 4), (4, 4, 4, 4)]),  # even axes kept, Nyquist whole
+    ((8, 6, 10, 4), [(4, 6, 5, 4), (2, 3, 5, 4)]),
+    ((14, 7, 8), [(7, 7, 4)]),                       # one level: interpolate
+    ((32,), [(16,), (8,), (4,)]),
+])
+def test_prolongation_matches_the_per_axis_oracle(dims, levels):
+    # the levels raised one axis at a time to the nearest level's grid,
+    # extrapolated there by richardson, and raised again to dims
+    rng = np.random.default_rng(33)
+    xs = [rng.standard_normal(shape) for shape in levels]
+    want = oracles.per_axis_interpolate(
+        cd.richardson(xs[0], *(oracles.per_axis_interpolate(x, levels[0])
+                               for x in xs[1:])), dims)
+    got = cd.prolong([(x.shape, cd.half_spectrum(x)) for x in xs], dims)
+    assert got.shape == dims
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if len(levels) == 1:
+        assert np.array_equal(got, cd.interpolate(xs[0], dims))
+
+
 def _sequenced_cases():
     g2 = TorusGrid((64, 64))
     godd = TorusGrid((64, 45))

@@ -179,6 +179,25 @@ def test_neighbours_match_roll_bit_for_bit(dims, layout, sign):
         assert np.array_equal(out, up + down if sign > 0 else up - down)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dims=hst.lists(hst.integers(2, 7), min_size=1, max_size=4).map(tuple),
+       data=hst.data(), seed=hst.integers(0, 2 ** 32 - 1))
+def test_neighbours_over_a_row_range_match_roll_bit_for_bit(dims, data, seed):
+    # every axis and both signs, over row ranges that start at row 0 or end
+    # at the last row (so take the wrapped rows) or lie inside; the NaN
+    # fill shows every node of the range's out is written
+    f = np.random.default_rng(seed).standard_normal(dims)
+    m = dims[0]
+    r0 = data.draw(hst.sampled_from(sorted({0, 1, m // 2, m - 1})))
+    r1 = data.draw(hst.integers(r0 + 1, m))
+    for ax in range(len(dims)):
+        up, down = np.roll(f, -1, ax)[r0:r1], np.roll(f, 1, ax)[r0:r1]
+        for sign in (1, -1):
+            out = np.full((r1 - r0,) + dims[1:], np.nan)
+            kernels.neighbours(f, ax, sign, out, (r0, r1))
+            assert np.array_equal(out, up + down if sign > 0 else up - down)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(dims=hst.lists(hst.integers(4, 9), min_size=1, max_size=4).map(tuple),
        kind=hst.sampled_from(["field", "ties", "pernode", "constant"]),
@@ -440,10 +459,31 @@ def test_problem_checks_f_and_q_once():
     F[1, 2] = np.inf
     with pytest.raises(ConfigError):
         Problem(g, F, -np.eye(2))
+    F[1, 2] = -np.inf
+    with pytest.raises(ConfigError):
+        Problem(g, F, -np.eye(2))
     with pytest.raises(ConfigError):
         Problem(g, g.zeros(), np.eye(2))
     with pytest.raises(ShapeMismatch):
         Problem(g, g.zeros(), -np.eye(4))
+
+
+def test_problem_checks_a_frozen_f_without_a_temporary():
+    # F's finiteness from its max and min: no mask an eighth of a grid array
+    g = TorusGrid((20, 20, 20, 20))
+    rng = np.random.default_rng(46)
+    q = -4.0 * np.eye(4)
+    Problem(g, gridio.frozen(rng.standard_normal(g.dims)), q)   # first-call caches
+    F = gridio.frozen(rng.standard_normal(g.dims))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        problem = Problem(g, F, q)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert problem.F is F
+    assert peak <= g.size * 8 // 50
 
 
 @pytest.mark.parametrize("q", [-1.0, [-1.0, -1.0]], ids=["0-d", "1-d"])
@@ -466,6 +506,28 @@ def test_problem_holds_f_and_memoizes_exp_tf():
     later = problem.exp_tF(0.75)
     assert later is not first
     assert np.array_equal(later, np.exp(0.75 * problem.F))
+
+
+def test_residual_keeps_no_exp_tf_of_its_own():
+    # b exp(tF) is formed in the residual's own result, by exp_tF's
+    # operations, until a Newton step asks for exp(tF): a start that
+    # already solves its grid leaves the problem holding none
+    g = TorusGrid((16, 12))
+    rng = np.random.default_rng(48)
+    F = 0.3 * rng.standard_normal(g.dims)
+    phi = 0.1 * rng.standard_normal(g.dims)
+    problem = Problem(g, F, -np.eye(2))
+    direct = es.residual(problem, phi, 0.8, 0.6)
+    assert problem._exp_tF is None
+    problem.exp_tF(0.6)
+    assert es.residual(problem, phi, 0.8, 0.6).tobytes() == direct.tobytes()
+    assert problem.scaled_exp_tF(0.6, 0.8).tobytes() == \
+        (np.exp(0.6 * F) * 0.8).tobytes()
+    solved = es.solve_at_t(Problem(g, F, -np.eye(2)), 1.0)
+    assert solved.newton_iters > 0
+    again = Problem(g, F, -np.eye(2))
+    state = es.solve_at_t(again, 1.0, phi0=solved.phi, b0=solved.b)
+    assert state.newton_iters == 0 and again._exp_tF is None
 
 
 def test_problem_holds_a_frozen_f_without_a_copy():
@@ -852,6 +914,62 @@ def test_streamed_gradient_matches_the_stacked_one_bit_for_bit(dims, kind):
         assert np.array_equal(op.matvec(x), _stacked_matvec(problem, phi, 0.7, x))
 
 
+@pytest.mark.parametrize("kind", ["diagonal", "pernode", "full"])
+@pytest.mark.parametrize("dims, slab_nodes", [
+    ((23, 10), 30),        # 3 rows a slab: 8 slabs, the last of 2 rows
+    ((9, 5, 4, 6), 250),   # 2 rows a slab: 5 slabs, the last of 1 row
+    ((7, 5, 4, 6), 1),     # one row a slab
+])
+def test_slabbed_stencils_match_the_stacked_ones_bit_for_bit(dims, slab_nodes,
+                                                             kind, monkeypatch):
+    # many odd-sized slabs: each node gets the whole-grid operations in
+    # the same order, so the results are the stacked ones to the bit
+    monkeypatch.setattr(kernels, "SLAB_NODES", slab_nodes)
+    assert len(kernels.slabs(dims)) > 4
+    rng = np.random.default_rng(42)
+    g = TorusGrid(dims, lengths=tuple(1.0 + 0.5 * ax for ax in range(len(dims))))
+    q = _q_of_kind(kind, dims, rng)
+    phi = rng.standard_normal(dims)
+    problem = Problem(g, 0.3 * rng.standard_normal(dims), q)
+    assert np.array_equal(density(g, phi, q), _stacked_density(g, phi, q))
+    assert np.array_equal(kernels.laplacian_nd(phi, g.spacings),
+                          _roll_laplacian(phi, g.spacings))
+    op = bordered_operator(problem, phi, 0.7)
+    for _ in range(3):
+        x = rng.standard_normal(g.size + 1)
+        assert np.array_equal(op.matvec(x), _stacked_matvec(problem, phi, 0.7, x))
+
+
+def _roll_laplacian(f, spacings):
+    # centre f, then h^-2 (S+f + S-f) added axis by axis
+    out = f * (-2.0 * sum(1.0 / (h * h) for h in spacings))
+    for ax, h in enumerate(spacings):
+        out = out + (np.roll(f, -1, ax) + np.roll(f, 1, ax)) * (1.0 / (h * h))
+    return out
+
+
+def test_density_finds_the_pairs_of_q_once_per_call(monkeypatch):
+    # one nonzero_pairs per call, however many slabs: quad_value is handed
+    # the pairs for each
+    g = TorusGrid((16, 8, 4, 4))
+    monkeypatch.setattr(kernels, "SLAB_NODES", 3 * 128)
+    assert len(kernels.slabs(g.dims)) == 6
+    rng = np.random.default_rng(44)
+    q = _q_of_kind("full", g.dims, rng)
+    phi = rng.standard_normal(g.dims)
+    want = density(g, phi, q)
+    calls = []
+    real = es.nonzero_pairs
+
+    def counted(form):
+        calls.append(form.shape)
+        return real(form)
+
+    monkeypatch.setattr(es, "nonzero_pairs", counted)
+    assert density(g, phi, q).tobytes() == want.tobytes()
+    assert calls == [q.shape]
+
+
 # numpy's ufunc buffers for the strided wrapped planes: 15 kB on 8^4
 UFUNC_BUFFERS = 16 * 1024
 
@@ -876,6 +994,38 @@ def test_density_memory(dims, kind, arrays):
     grid_bytes = out.nbytes
     assert peak <= arrays * grid_bytes + UFUNC_BUFFERS
     print("density peak %.2f grid arrays" % (peak / grid_bytes))
+
+
+def test_stencils_on_a_grid_of_several_slabs_hold_a_fraction_of_an_array():
+    # 20^4 has 10 slabs of 2 rows: beside its result, the density holds two
+    # slab buffers (a fifth of a grid array) and numpy's ufunc buffers for
+    # the slab's wrapped planes (21 kB along axis 2, not 190 kB as for a
+    # whole grid); the matvec one slab buffer
+    g = TorusGrid((20, 20, 20, 20))
+    assert len(kernels.slabs(g.dims)) == 10
+    rng = np.random.default_rng(45)
+    phi = rng.standard_normal(g.dims)
+    q = -4.0 * np.eye(4)
+    op = bordered_operator(Problem(g, rng.standard_normal(g.dims), q), phi, 0.5)
+    x = rng.standard_normal(g.size + 1)
+    density(g, phi, q), op.matvec(x)   # first-call caches
+    grid_bytes = g.size * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = density(g, phi, q)
+        dens_peak = tracemalloc.get_traced_memory()[1] - base
+        del out
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        y = op.matvec(x)
+        matvec_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert dens_peak <= grid_bytes + grid_bytes // 4
+    assert matvec_peak <= y.nbytes + grid_bytes // 8 + UFUNC_BUFFERS
+    print("density %.3f, matvec %.3f grid arrays beyond the result"
+          % (dens_peak / grid_bytes - 1.0, (matvec_peak - y.nbytes) / grid_bytes))
 
 
 @pytest.mark.parametrize("kind, extra", [("diagonal", 1), ("full", 2)])
