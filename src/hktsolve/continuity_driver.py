@@ -11,7 +11,9 @@ is a read-only broadcast zero, which holds no grid array: a sequenced
 step never reads it, and a plain start from it takes its own
 zero-mean copy.  Also
 home to manufactured problems (choose the solution, derive the
-forcing), the grid convergence study, and the basicness report.
+forcing), the grid convergence study, the basicness report, and
+second_solve, the one independent re-solve that both the basicness
+report and the CLI's --verify-unique compare a solution with.
 
 Grid sequencing.  A step that leaves the trivial pair at t = 0, on a
 grid that coarse_dims halves, starts Newton from the solution of the
@@ -20,7 +22,7 @@ leaf axes, those along which F and Q are both constant
 (Problem.leaf_axes, the axes basicness_check checks), the chain's first
 level is the leaf space: Problem.leaf_space, the problem on the 1, 2
 or 3 axes that vary, built once per problem and solved again, from its
-own start, by basicness_check.  Basic data have a
+own start, by second_solve.  Basic data have a
 solution constant along the leaves, so the leaf space's solution,
 broadcast along the leaves, is the fine start, within the Newton
 tolerance: on 20^4 with F varying along two axes, the chain is 20^4 ->
@@ -512,7 +514,8 @@ def convergence_study(sizes, amplitude=0.1, qdiag=0.0, newton_tol=1e-10):
 
 
 def _lift_gap(phi, r, leaf):
-    """max |lift(r) - phi|, r broadcast along the ``leaf`` axes of phi.
+    """max |lift(r) - phi|, r broadcast along the ``leaf`` axes of phi;
+    with no leaf axes, r has phi's shape and this is max |r - phi|.
 
     Taken as max(max(hi - r), max(r - lo)), with hi and lo phi's max and
     min over the leaves: fl(x - r) and fl(r - x) are monotone in x, so
@@ -526,6 +529,35 @@ def _lift_gap(phi, r, leaf):
     return float(np.maximum(np.max(hi), np.max(lo)))
 
 
+def agrees(tol, *gaps):
+    """Whether every gap between two solutions lies within 100 Newton
+    tolerances: the one agreement bound of the basicness report and the
+    CLI's uniqueness re-run."""
+    return all(gap <= 100.0 * tol for gap in gaps)
+
+
+def second_solve(problem, state, tol):
+    """Solve again, independently of the solve that gave ``state``, and
+    measure how far the two solutions lie apart: (the phi gap, |db|).
+
+    The one re-solve behind the basicness report and the CLI's
+    ``--verify-unique``.  It runs at state.t, directly, from phi = 0 and
+    b = state.b, on problem.leaf_space when there is one and on the
+    problem itself otherwise, with the default iteration cap: no path
+    in t and no grid sequencing.  The leaf space is the Problem grid
+    sequencing uses, with its caches, but never the sequenced state:
+    the sequenced leaf-space solution is what the fine grid started
+    from, so comparing with it would check nothing.  The phi gap is
+    _lift_gap, the sup distance of state.phi from the lifted solution,
+    which is max |dphi| when nothing is lifted.  Raises what solve_at_t
+    raises (SOLVER_FAILURES) when the re-solve fails.
+    """
+    reduced = problem.leaf_space
+    target, leaf = (problem, ()) if reduced is None else (reduced, problem.leaf_axes)
+    other = solve_at_t(target, state.t, b0=state.b, tol=tol)
+    return _lift_gap(state.phi, other.phi, leaf), abs(other.b - state.b)
+
+
 def basicness_check(problem, state, tol):
     """Report whether the solution is constant along the axes F ignores.
 
@@ -536,14 +568,10 @@ def basicness_check(problem, state, tol):
     over the lines along a leaf axis (``kernels.axis_spread``).  Returns
     a report dict and raises nothing on a failed check: the caller
     reads ``passed`` (the CLI prints the report).  ``reduced_match`` is
-    the lift gap, the sup distance from the lifted solution of
-    problem.leaf_space, on however many axes vary, taken without a
-    grid-sized temporary (_lift_gap); it is None only when every axis
-    is a leaf and there is no leaf space.  The leaf space is
-    the Problem grid sequencing uses, with its caches, but it is
-    solved again here from its own start, phi = 0 and b = state.b: the
-    sequenced leaf-space solution is what the fine grid started from,
-    so comparing with it would check nothing.
+    the lift gap of second_solve, the sup distance from the lifted
+    solution of problem.leaf_space, re-solved from its own start, on
+    however many axes vary; it is None only when every axis is a leaf
+    and there is no leaf space.  Both must agree (``agrees``).
     """
     axes = list(problem.leaf_axes)
     if not axes:
@@ -551,17 +579,16 @@ def basicness_check(problem, state, tol):
 
     variation = max(axis_spread(state.phi, ax) for ax in axes)
 
+    gaps = [variation]
     reduced_match = None
-    if (reduced := problem.leaf_space) is not None:
-        red = solve_at_t(reduced, state.t, b0=state.b, tol=tol)
-        reduced_match = _lift_gap(state.phi, red.phi, problem.leaf_axes)
+    if problem.leaf_space is not None:
+        reduced_match, _ = second_solve(problem, state, tol)
+        gaps.append(reduced_match)
 
-    passed = variation <= 100.0 * tol and \
-        (reduced_match is None or reduced_match <= 100.0 * tol)
     return {
         "applicable": True,
         "invariant_axes": axes,
         "variation": variation,
         "reduced_match": reduced_match,
-        "passed": bool(passed),
+        "passed": agrees(tol, *gaps),
     }

@@ -92,7 +92,7 @@ from .errors import (
     MaxItersExceeded,
     ShapeMismatch,
 )
-from .gridio import frozen, integer, listed, real
+from .gridio import frozen, integer, listed, negative_semidefinite, real
 from .kernels import (
     axis_spread,
     derivative,
@@ -108,7 +108,6 @@ PRECOND_SHIFT = 1.0
 # exp(span): an apply loses about exp(span) * eps relatively, and 8
 # keeps that under 1e-12, below any tolerance GMRES is asked for.
 GAUGE_MAX_SPAN = 8.0
-Q_EIGENVALUE_TOL = 1e-12
 
 
 def _mean(x):
@@ -196,11 +195,8 @@ def validate_q(q, grid):
     if q.shape[:-2] not in ((), grid.dims) or q.shape[-1] != grid.ndim:
         raise ShapeMismatch("quadratic form shape %r does not match the %r grid"
                             % (q.shape, grid.dims))
-    top = float(np.max(np.linalg.eigvalsh(0.5 * (q + np.swapaxes(q, -1, -2)))))
-    if top > Q_EIGENVALUE_TOL:
-        raise ConfigError(
-            "quadratic form is not negative semi-definite "
-            "(largest eigenvalue %.3e)" % top)
+    negative_semidefinite("quadratic form",
+                          np.linalg.eigvalsh(0.5 * (q + np.swapaxes(q, -1, -2))))
     return q
 
 

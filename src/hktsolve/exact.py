@@ -50,6 +50,25 @@ def _normal(a, b, d):
     return z
 
 
+def _signed_sum(x, other, s):
+    """x + s * other for the QQi x and s = 1 or -1: the one kernel of
+    ``+`` and ``-``, which call it directly, never each other, so each
+    counts as one operation."""
+    a, b, d = x.a, x.b, x.d
+    if type(other) is QQi:
+        e = other.d
+        if d == e:
+            return _reduced(a + s * other.a, b + s * other.b, d)
+        return _reduced(a * e + s * other.a * d, b * e + s * other.b * d, d * e)
+    if type(other) is int:
+        return _normal(a + s * other * d, b, d)   # gcd(a + snd, b, d) = 1
+    p = _ratio(other)
+    if p is None:
+        return NotImplemented
+    n, e = p
+    return _reduced(a * e + s * n * d, b * e, d * e)
+
+
 class QQi:
     """A Gaussian rational ``(a + b*i) / d``: d > 0 and gcd(a, b, d) = 1."""
 
@@ -106,19 +125,7 @@ class QQi:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        a, b, d = self.a, self.b, self.d
-        if type(other) is QQi:
-            e = other.d
-            if d == e:
-                return _reduced(a + other.a, b + other.b, d)
-            return _reduced(a * e + other.a * d, b * e + other.b * d, d * e)
-        if type(other) is int:
-            return _normal(a + other * d, b, d)   # gcd(a + nd, b, d) = 1
-        p = _ratio(other)
-        if p is None:
-            return NotImplemented
-        n, e = p
-        return _reduced(a * e + n * d, b * e, d * e)
+        return _signed_sum(self, other, 1)
 
     __radd__ = __add__
 
@@ -126,19 +133,7 @@ class QQi:
         return _normal(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        a, b, d = self.a, self.b, self.d
-        if type(other) is QQi:
-            e = other.d
-            if d == e:
-                return _reduced(a - other.a, b - other.b, d)
-            return _reduced(a * e - other.a * d, b * e - other.b * d, d * e)
-        if type(other) is int:
-            return _normal(a - other * d, b, d)
-        p = _ratio(other)
-        if p is None:
-            return NotImplemented
-        n, e = p
-        return _reduced(a * e - n * d, b * e, d * e)
+        return _signed_sum(self, other, -1)
 
     def __mul__(self, other):
         a, b, d = self.a, self.b, self.d

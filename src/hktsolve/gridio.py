@@ -11,6 +11,8 @@ naming its field.  The solve config, the field header and ``TorusGrid``
 all go through them: a number is a ``numbers.Integral`` or
 ``numbers.Real`` that is not a bool, so JSON's 8.7, "8" and true are
 refused as integers while numpy scalars are taken.
+``negative_semidefinite`` is the one rule for a quadratic form's
+eigenvalues, read by the solver's Q check and by ``verify-algebra``.
 """
 
 import json
@@ -56,6 +58,20 @@ def matrix(label, rows):
         raise ConfigError("%s must be a list of equal-length rows, got %r"
                           % (label, rows))
     return [listed(label, r, real) for r in rows]
+
+
+# the largest eigenvalue a negative semi-definite quadratic form may
+# show: room for the round-off of an exactly semi-definite one
+Q_EIGENVALUE_TOL = 1e-12
+
+
+def negative_semidefinite(label, eigenvalues):
+    """Refuse a symmetric form whose largest eigenvalue exceeds
+    Q_EIGENVALUE_TOL."""
+    top = float(np.max(eigenvalues))
+    if top > Q_EIGENVALUE_TOL:
+        raise ConfigError("%s is not negative semi-definite (largest eigenvalue %.3e)"
+                          % (label, top))
 
 
 def known_keys(label, mapping, known):

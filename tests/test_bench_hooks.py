@@ -78,7 +78,7 @@ def test_tracer_sees_the_solver_layers(tmp_path, capsys):
 
 def test_real_checks_do_no_qqi_arithmetic(frames):
     # exact.qqi_ops counts the complexified frame's work only: the Jacobi
-    # and Nijenhuis checks run on Fractions
+    # and Nijenhuis checks run on ints and Fractions
     tracer = _bench_module("tracing").Tracer().install()
     try:
         for frame in frames.values():

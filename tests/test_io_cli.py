@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import time
 import tracemalloc
 
@@ -240,6 +241,51 @@ def test_cli_verify_algebra_file_mode(capsys):
     assert "Jacobi identity" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--name", "nilpotent8"], "--name"),
+    (["--name", "su3"], "--name"),
+    (["--param", "c=2"], "--param"),
+    (["--name", "nilpotent8", "--param", "c=2"], "--name"),
+])
+def test_cli_verify_algebra_file_mode_refuses_registry_flags(capsys, flags, named):
+    # the file is checked alone, so a registry flag beside it is refused,
+    # not ignored
+    path = os.path.join(REPO, "src", "hktsolve", "data", "su3_brackets.txt")
+    assert cli.main(["verify-algebra", "--file", path] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ConfigError: verify-algebra --file takes no %s\n" % named
+
+
+@pytest.mark.parametrize("top, accepted", [(1e-12, True), (2e-12, False)])
+def test_verify_algebra_and_the_solver_share_one_semidefinite_rule(monkeypatch, capsys,
+                                                                   top, accepted):
+    # a reduced Q with largest eigenvalue ``top``: verify-algebra and the
+    # solver's Q check accept or refuse it together
+    from hktsolve.elliptic_solver import validate_q
+
+    q = np.diag([-1.0, top])
+
+    class Reduced:
+        def describe(self):
+            return "reduced"
+
+        def real_quadratic_matrix(self):
+            return q
+
+    monkeypatch.setattr(cli, "reduce_ratio", lambda frame: Reduced())
+    rc = cli.main(["verify-algebra", "--name", "su3"])
+    captured = capsys.readouterr()
+    assert rc == (0 if accepted else 1)
+    assert captured.out.endswith("ok: quadratic form negative semi-definite\n") == accepted
+    if accepted:
+        validate_q(q, TorusGrid((4, 4)))
+    else:
+        assert "not negative semi-definite (largest eigenvalue 2.000e-12)" in captured.err
+        with pytest.raises(ConfigError, match="largest eigenvalue 2.000e-12"):
+            validate_q(q, TorusGrid((4, 4)))
+
+
 def test_cli_verify_algebra_errors(capsys):
     assert cli.main(["verify-algebra", "--name", "nosuch"]) == 1
     assert "ConfigError" in capsys.readouterr().err
@@ -428,18 +474,16 @@ def test_cli_solve_verify_unique(tmp_path, capsys):
 
 
 def test_cli_solve_disagreeing_rerun_still_writes_summary(tmp_path, capsys, monkeypatch):
-    # the driver binds the real solve_at_t on import; only the re-run is shifted
-    from hktsolve import continuity_driver  # noqa: F401
-    from hktsolve import elliptic_solver as es
+    # only the re-run's b is shifted, through the one second-solve helper
+    from hktsolve import continuity_driver as cd
 
-    real = es.solve_at_t
+    real = cd.second_solve
 
-    def shifted(*args, **kwargs):
-        state = real(*args, **kwargs)
-        state.b += 1e-3
-        return state
+    def shifted(problem, state, tol):
+        dphi, db = real(problem, state, tol)
+        return dphi, db + 1e-3
 
-    monkeypatch.setattr(es, "solve_at_t", shifted)
+    monkeypatch.setattr(cd, "second_solve", shifted)
     cfgpath = _write_config(tmp_path / "run.json", dims=(16, 16))
     out = tmp_path / "out"
     out.mkdir()
@@ -452,12 +496,16 @@ def test_cli_solve_disagreeing_rerun_still_writes_summary(tmp_path, capsys, monk
     assert "stale" not in summary and summary["uniqueness"]["agree"] is False
 
 
-def test_cli_solve_failed_rerun_still_writes_summary(tmp_path, capsys):
-    # the main solve converges (density minimum about 6e-12); the re-run,
-    # started at t = 1 from a small sine, loses the positivity of b
-    cfgpath = _write_config(tmp_path / "run.json", dims=(64, 64),
-                            forcing={"type": "bump", "amplitude": 30.0,
-                                     "width": 0.2})
+def test_cli_solve_failed_rerun_still_writes_summary(tmp_path, capsys, monkeypatch):
+    # the main solve converges; the re-run fails as a Newton solve can
+    from hktsolve import continuity_driver as cd
+    from hktsolve.errors import BPositivityLost
+
+    def failing(problem, state, tol):
+        raise BPositivityLost("b dropped to -2.986e-05")
+
+    monkeypatch.setattr(cd, "second_solve", failing)
+    cfgpath = _write_config(tmp_path / "run.json", dims=(16, 16))
     out = tmp_path / "out"
     rc = cli.main(["solve", "--config", str(cfgpath), "--out-dir", str(out),
                    "--verify-unique"])
@@ -469,6 +517,53 @@ def test_cli_solve_failed_rerun_still_writes_summary(tmp_path, capsys):
     assert summary["density_min"] > 0.0 and summary["b_bound_ok"] is True
     assert summary["uniqueness"]["agree"] is False
     assert summary["uniqueness"]["error"].startswith("BPositivityLost: b dropped to ")
+
+
+def test_cli_solve_verify_unique_agrees_where_the_path_needs_steps(tmp_path, capsys):
+    # the main solve needs two continuity steps after t = 0 (density
+    # minimum about 6e-12); the re-run at t = 1 from phi = 0 and the
+    # solution's b reaches the same solution
+    cfgpath = _write_config(tmp_path / "run.json", dims=(64, 64),
+                            forcing={"type": "bump", "amplitude": 30.0,
+                                     "width": 0.2})
+    out = tmp_path / "out"
+    rc = cli.main(["solve", "--config", str(cfgpath), "--out-dir", str(out),
+                   "--verify-unique"])
+    assert rc == 0, capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["macro_steps"] > 2 and summary["density_min"] > 0.0
+    assert summary["uniqueness"]["agree"] is True
+    assert summary["uniqueness"]["dphi"] <= 1e-8 and summary["uniqueness"]["db"] <= 1e-8
+
+
+def test_cli_solve_verify_unique_on_basic_data_solves_the_leaf_space(tmp_path, capsys,
+                                                                    monkeypatch):
+    # a forcing constant along axes 2 and 3: the main solve and the
+    # re-run both take their Newton steps on the 2-axis leaf space
+    from hktsolve import elliptic_solver as es
+
+    g = TorusGrid((16, 16, 4, 4))
+    xs = g.axis_coords()
+    forcing = tmp_path / "f.field"
+    gridio.write_field(forcing, np.exp(np.cos(xs[0]) - 1.0 + np.cos(xs[1]) - 1.0)
+                       + g.zeros(), g.lengths)
+    cfgpath = _write_config(tmp_path / "run.json", dims=g.dims,
+                            forcing={"file": str(forcing)})
+    built = []
+    operator = es.bordered_operator
+
+    def counted(p, phi, t):
+        built.append(p.grid.ndim)
+        return operator(p, phi, t)
+
+    monkeypatch.setattr(es, "bordered_operator", counted)
+    rc = cli.main(["solve", "--config", str(cfgpath), "--out-dir", str(tmp_path / "out"),
+                   "--verify-unique"])
+    assert rc == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["basicness"]["passed"] is True
+    assert summary["uniqueness"]["agree"] is True
+    assert built and 4 not in built
 
 
 @pytest.mark.parametrize("dims", [[2 ** 32, 2 ** 32], [2 ** 16] * 4])
@@ -665,6 +760,16 @@ def _readme_block(after, fence):
 
 
 def test_readme_examples_parse(tmp_path):
+    # every command line of the command block parses, so a renamed flag
+    # cannot leave the README stale
+    commands = _readme_block("has five\nsubcommands", "```sh").splitlines()
+    assert len(commands) >= 8
+    for line in commands:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "hktsolve", line
+        args = cli.build_parser().parse_args(argv[1:])
+        assert args.func.__name__ == "cmd_" + argv[1].replace("-", "_")
+
     cfg = json.loads(_readme_block("`solve` reads a JSON config", "```json"))
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
