@@ -364,7 +364,9 @@ def cmd_solve(args):
     agree = True
     if args.verify_unique:
         try:
-            dphi, db = second_solve(problem, state, ccfg.newton_tol)
+            # the basicness report's re-solve, where it ran one, is this one
+            dphi, db = (report.get("second_solve")
+                        or second_solve(problem, state, ccfg.newton_tol))
         except SOLVER_FAILURES as exc:
             # a re-run that finds no solution confirms nothing
             agree = False

@@ -30,7 +30,9 @@ tolerance: on 20^4 with F varying along two axes, the chain is 20^4 ->
 Newton steps.  The leaf space has no leaves, and it, or a grid with no
 leaves, is sequenced by halving: every even axis of at least 8 nodes
 is halved while the halved grid keeps at least SEQUENCE_MIN_NODES =
-2^10 nodes, and the last grid starts from the trivial pair: 512^2 ->
+2^10 nodes, and the last grid, the chain's bottom, starts from the
+Hopf-Cole eigenpair when Q is scalar and from the trivial pair
+otherwise (see below): 512^2 ->
 256^2 -> 128^2 -> 64^2 -> 32^2, 64^2 -> 32^2, 64x64x16x16 with two leaf
 axes -> 64x64 -> 32x32, 32x32x32x16 with one leaf axis -> 32x32x32 ->
 16x16x16, and 20^4 -> 10^4 for a forcing that varies along all four
@@ -63,16 +65,33 @@ solutions agree, is the broadcast, not extrapolated; the start above a
 single halved level is the plain interpolation (interpolate, prolong's
 one-level case).  Every coarse state and spectrum is dropped before
 the top grid's Newton runs.  The floor exists because on smaller grids
-a hard coarse solve still takes about nine Newton steps and costs more
-than it saves.  The leaf space is exempt from it, but a fine grid
-whose halving falls under it is not sequenced, nor is one whose every
-axis is a leaf: its chain is empty.  If a coarse solve or the fine Newton from the
-coarse start fails, the step is rerun from the trivial pair, as without
-sequencing.  The step control counts the Newton steps of the coarsest
-grid's plain start, which stand for the fine plain start's, so the
-schedule of t is the one the plain start gives.  Trace rows describe
-the fine grid only, and the seconds of the row a sequenced step ends
-in include its coarse solves.
+a coarse solve costs about what the fine steps it saves.  The leaf
+space is exempt from it, but a fine grid whose halving falls under it
+is not sequenced, nor is one whose every axis is a leaf: its chain is
+empty.  If a coarse solve or the fine Newton from the coarse start
+fails, the step is rerun from the trivial pair, as without sequencing.
+Trace rows describe the fine grid only, and the seconds of the row a
+sequenced step ends in include its coarse solves.
+
+The chain's bottom.  For Q = -aI (Problem.gauge; every registry
+reduction gives such a Q), u = exp(-a phi) (Hopf 1950, Cole 1951) turns
+the equation into the eigenproblem (-lap + a) u = b a exp(tF) u, whose
+positive eigenpair hopf_cole_start finds by inverse iteration on the
+bottom level, at the step's t, with no path in t.  It is an O(h^2)
+start, not a solution: su3-4d-20's 20x20 leaf space takes 3 Newton
+steps from it, 5 from the trivial pair, and bump2d-512's 32^2 level 2,
+not 4; a 64x64x4x4 bump of amplitude 30 with Q = -I reaches t = 1 in
+one step, where the trivial pair needed two.  Any other Q, and an
+inverse iteration that does not converge, starts the bottom from the
+trivial pair.  Only the bottom: the finer levels start from the ones
+below them, an unsequenced grid from the trivial pair, and
+second_solve from phi = 0 and the solution's b, which for a scalar Q
+is a start the main path does not use.  The step control counts the bottom level's own Newton
+steps.  From the trivial pair they stand for the fine plain start's,
+since Newton's step count does not depend on the mesh, so the schedule
+of t is the one the plain start gives; from the eigenpair they are as
+few as its O(h^2) error leaves, and the path lengthens its step
+sooner.
 """
 
 import csv
@@ -169,25 +188,36 @@ SOLVER_FAILURES = (DampingExhausted, MaxItersExceeded, LinearSolveFailure,
                    BPositivityLost)
 
 # A grid is halved only while the halved grid keeps at least this many
-# nodes; the last grid starts Newton from the trivial pair.  On smaller
-# grids a coarse solve, which for a hard case still takes about nine
-# Newton steps, costs about what the fine steps it saves.  Sine
-# amplitude 6 with Q = -60 I, tol 1e-10, one thread of a 2-vCPU x86 VM,
-# median of 3, in seconds (the "none" row is the plain start, and a
-# floor that leaves a grid unsequenced is left blank):
+# nodes; the last grid is the chain's bottom.  On smaller grids a coarse
+# solve costs about what the fine steps it saves.  Sine amplitude 6 with
+# Q = -60 I, tol 1e-10, one thread of a 2-vCPU x86 VM, median of 3, in
+# seconds, with the bottom started from the Hopf-Cole eigenpair (the
+# "none" row is the plain start, and a floor that leaves a grid
+# unsequenced is left blank):
 #
 #   floor    64^2   128^2   256^2   512^2
-#   none     0.20   0.43    1.67    9.07
-#   2^8      0.25   0.34    0.60    2.13
-#   2^10     0.19   0.31    0.53    2.02
-#   2^12            0.40    0.79    2.49
-#   2^14                    0.89    4.19
+#   none     0.15   0.31    1.55    7.64
+#   2^8      0.13   0.24    0.39    1.59
+#   2^10     0.08   0.17    0.41    1.50
+#   2^12            0.13    0.39    1.69
+#   2^14                    0.47    1.94
 #
-# 2^8 adds a 16^2 level that the Newton counts above it do not repay.
-# On the 512^2 bump with Q = -I, 2^12 ends the chain at 64^2 and the
-# 512^2 start lands 6.1e-10 from its solution, over the tolerance;
-# 2^10 ends it at 32^2 and the start lands 3.0e-11 from it.
+# 2^8 to 2^12 tie within the noise at 128^2 and 256^2, and 2^10 is the
+# fastest at 64^2 and 512^2.  On the 512^2 bump with Q = -I, 2^12 ends
+# the chain at 64^2 and the 512^2 start lands 6.1e-10 from its
+# solution, over the tolerance; 2^10 ends it at 32^2 and the start
+# lands 3.0e-11 from it.
 SEQUENCE_MIN_NODES = 2 ** 10
+
+# hopf_cole_start stops once b changes by at most this, relatively...
+HOPF_COLE_RTOL = 1e-7
+# ...and gives up after this many iterations.  Each costs one FFT pair,
+# and a Newton step some tens of them, so a start that needs more saves
+# nothing.  On 32^2 with F a sine of amplitude 0.01 to 6, Q = -aI, t = 1,
+# the iterations it took were 2-4 for a = 0.1, 4-8 for 1, 7-14 for 4,
+# 9-42 for 16 and 14-94 for 60, the most for the mildest F, whose
+# trivial-pair start Newton finds easy.
+HOPF_COLE_MAX_ITERS = 50
 
 
 def coarse_dims(grid):
@@ -334,27 +364,76 @@ def extrapolated_b(*levels):
     return math.exp(richardson(*(math.log(b) for b in levels)))
 
 
+def hopf_cole_start(problem, t):
+    """The start (phi0, b0) at t of the positive Hopf-Cole eigenpair, for
+    a problem with a gauge a (Q = -aI); (None, 1.0), the trivial pair,
+    when the eigenpair is not found.
+
+    u = exp(-a phi) turns the equation into (-lap + a) u = b a exp(tF) u,
+    whose smallest eigenvalue b has a positive eigenvector u.  Inverse
+    iteration v = (a - laplacian_symbol)^-1 (a exp(tF) u), one FFT pair
+    each, keeps u positive, since -lap + a is an M-matrix; b is the
+    quotient <v, a exp(tF) u> / <v, a exp(tF) v>, which needs no
+    Laplacian.  It stops once b changes by at most HOPF_COLE_RTOL
+    relatively; after HOPF_COLE_MAX_ITERS iterations, or a u that
+    rounding took to 0 or below, it gives up.  The central gradients of
+    the phi equation are not carried exactly by the transform, so the
+    pair is an O(h^2) start, not a solution.
+    """
+    a = problem.gauge
+    weight = problem.scaled_exp_tF(t, a)
+    inv_symbol = 1.0 / (a - problem.laplacian_symbol)
+    spectrum = np.empty(inv_symbol.shape, dtype=complex)
+    # u starts at 1; wu is a exp(tF) u throughout
+    u, wu = np.empty(problem.grid.dims), weight.copy()
+    b = math.inf
+    for _ in range(HOPF_COLE_MAX_ITERS):
+        np.multiply(rfftn_into(wu, spectrum), inv_symbol, out=spectrum)
+        irfftn_into(spectrum, u)
+        if not float(u.min()) > 0.0:
+            return None, 1.0
+        num = float(np.multiply(u, wu, out=wu).sum())
+        np.multiply(u, weight, out=wu)
+        b, last = num / float(np.multiply(u, wu).sum()), b
+        # rescaled to max 1, u neither overflows nor underflows
+        scale = 1.0 / float(u.max())
+        u *= scale
+        wu *= scale
+        if abs(b - last) <= HOPF_COLE_RTOL * b:
+            break
+    else:
+        return None, 1.0
+    phi0 = np.log(u, out=u)
+    phi0 *= -1.0 / a
+    return phi0, b
+
+
 def _sequenced_solve(problem, t, cfg):
     """Solve at t from the coarsened problems' solutions.
 
     The leafless problem, the leaf space or the problem itself when it
     has no leaves, is halved down to a grid that coarse_dims leaves
-    alone, which starts from the trivial pair; each finer grid starts
-    from the half spectra of the levels below it, prolonged onto it and
-    extrapolated when there are two or more (prolong; see the module
-    docstring).  The leaf space's solution, broadcast along the
-    leaves, then starts the fine grid as it is.
-    Returns the state and the Newton iterations of the plain start,
-    which stand for the fine plain start's in the step control:
-    Newton's step count does not depend on the mesh.
+    alone: the chain's bottom level, which starts from hopf_cole_start
+    when Q is scalar (problem.gauge) and from the trivial pair
+    otherwise.  Each finer grid starts from the half spectra of the
+    levels below it, prolonged onto it and extrapolated when there are
+    two or more (prolong; see the module docstring).  The leaf space's
+    solution, broadcast along the leaves, then starts the fine grid as
+    it is.  Returns the state and the bottom level's own Newton
+    iterations, which the step control reads: from the trivial pair
+    they stand for the fine plain start's, since Newton's step count
+    does not depend on the mesh, and from the eigenpair they are as few
+    as the start's O(h^2) error leaves.
     """
     reduced = problem.leaf_space
     chain = [problem if reduced is None else reduced]
     while (dims := coarse_dims(chain[-1].grid)) is not None:
         chain.append(coarsen(chain[-1], dims))
-    state = solve_at_t(chain.pop(), t, tol=cfg.newton_tol,
+    bottom = chain.pop()
+    phi0, b0 = (None, 1.0) if bottom.gauge is None else hopf_cole_start(bottom, t)
+    state = solve_at_t(bottom, t, phi0=phi0, b0=b0, tol=cfg.newton_tol,
                        max_iters=cfg.max_newton)
-    plain_iters = state.newton_iters
+    bottom_iters = state.newton_iters
     # the solved levels' (half spectrum, b), nearest first: only what
     # prolong reads, so no coarse phi or density outlives its level
     below = []
@@ -373,7 +452,7 @@ def _sequenced_solve(problem, t, cfg):
     if reduced is not None:
         state = solve_at_t(problem, t, phi0=_lift(problem, state.phi),
                            b0=state.b, tol=cfg.newton_tol, max_iters=cfg.max_newton)
-    return state, plain_iters
+    return state, bottom_iters
 
 
 def _attempt(problem, state, t, cfg):
@@ -572,6 +651,9 @@ def basicness_check(problem, state, tol):
     solution of problem.leaf_space, re-solved from its own start, on
     however many axes vary; it is None only when every axis is a leaf
     and there is no leaf space.  Both must agree (``agrees``).
+    ``second_solve`` is that re-solve's whole result, (the lift gap,
+    |db|), or None where none ran, for the CLI's ``--verify-unique`` to
+    read instead of solving again.
     """
     axes = list(problem.leaf_axes)
     if not axes:
@@ -580,15 +662,16 @@ def basicness_check(problem, state, tol):
     variation = max(axis_spread(state.phi, ax) for ax in axes)
 
     gaps = [variation]
-    reduced_match = None
+    resolved = None
     if problem.leaf_space is not None:
-        reduced_match, _ = second_solve(problem, state, tol)
-        gaps.append(reduced_match)
+        resolved = second_solve(problem, state, tol)
+        gaps.append(resolved[0])
 
     return {
         "applicable": True,
         "invariant_axes": axes,
         "variation": variation,
-        "reduced_match": reduced_match,
+        "reduced_match": None if resolved is None else resolved[0],
+        "second_solve": resolved,
         "passed": agrees(tol, *gaps),
     }

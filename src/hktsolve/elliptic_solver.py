@@ -263,8 +263,9 @@ class Problem:
     need is recorded once: ``pairs``, the (i, j) with i <= j whose
     coefficient in <Q v, v> is not zero at every node; ``gauge = a``
     when Q is the constant -aI with a > 0 (else None); and, on the first
-    preconditioner build, the symbol of the discrete Laplacian and its
-    lowest nonzero mode.  exp(t F) is kept only from the first exp_tF
+    preconditioner build (or the Hopf-Cole start of a grid chain's
+    bottom), the symbol of the discrete Laplacian and its lowest nonzero
+    mode.  exp(t F) is kept only from the first exp_tF
     call, which solve_at_t makes once a Newton step follows: residual
     takes b exp(t F) from scaled_exp_tF, which forms it in the
     residual's own result while nothing is kept.
@@ -290,8 +291,9 @@ class Problem:
     def laplacian_symbol(self):
         """The discrete Laplacian's symbol over the real-input FFT's half
         spectrum: the last axis keeps its m // 2 + 1 non-negative
-        frequencies.  Built by the first preconditioner, so a grid that
-        takes no Newton step never holds it."""
+        frequencies.  Built by the first preconditioner, or by the
+        Hopf-Cole start of a grid chain's bottom, so no other grid that
+        takes no Newton step holds it."""
         dims = self.grid.dims
         half = dims[:-1] + (dims[-1] // 2 + 1,)
         mus = [-4.0 * np.sin(np.pi * np.arange(k) / m) ** 2 / (h * h)

@@ -30,6 +30,7 @@ from hktsolve.elliptic_solver import (
     density,
 )
 from hktsolve.errors import (
+    BPositivityLost,
     ConfigError,
     NonpositiveDensity,
     ShapeMismatch,
@@ -897,8 +898,9 @@ def _su3_shape():
 
 
 def test_basic_four_axis_data_take_one_leaf_level(monkeypatch):
-    # su3-4d-20's shape: 20^4 -> its leaf space 20x20, which takes 5
-    # Newton steps, and the fine grid starts within the Newton tolerance
+    # su3-4d-20's shape: 20^4 -> its leaf space 20x20, which takes 3
+    # Newton steps from the Hopf-Cole start (5 from the trivial pair),
+    # and the fine grid starts within the Newton tolerance
     problem = _su3_shape()
     tol = 1e-10
     seen = []
@@ -911,7 +913,7 @@ def test_basic_four_axis_data_take_one_leaf_level(monkeypatch):
 
     monkeypatch.setattr(cd, "solve_at_t", recorded)
     state, trace = run_continuity(problem, ContinuityConfig(newton_tol=tol))
-    assert seen == [((20, 20), 5), (problem.grid.dims, 0)]
+    assert seen == [((20, 20), 3), (problem.grid.dims, 0)]
     assert [(r.t, r.newton_iters) for r in trace.rows] == [(0.0, 0), (1.0, 0)]
     assert state.residual_norm <= tol
     report = basicness_check(problem, state, tol)
@@ -1128,19 +1130,52 @@ def test_hard_sine_sequenced_at_the_default_floor(monkeypatch):
     assert np.max(np.abs(seq.phi - plain.phi)) <= 0.2 * truncation
 
 
-def test_sequenced_step_control_keeps_the_plain_schedule(monkeypatch):
-    # the fine solve from the extrapolated start takes 1 Newton step
-    # where the plain start takes 5; counted as easy, they would double
-    # the step a row early.  The coarsest grid's plain start counts instead.
+def _sequenced_schedule(q, monkeypatch):
+    """Sine 2 on 64^2 with ``q``, t_step_init 0.25, run plain and then
+    sequenced 64 -> 32 -> 16: (plain trace, sequenced trace, the dims
+    and Newton count of every sequenced solve_at_t)."""
     g = TorusGrid((64, 64))
-    problem = Problem(g, sine_product_field(g, 2.0), -16.0 * np.eye(2))
+    problem = Problem(g, sine_product_field(g, 2.0), q)
     cfg = ContinuityConfig(newton_tol=1e-6, t_step_init=0.25)
     _, plain = _run(problem, cfg, 10 ** 9, monkeypatch)
     monkeypatch.setattr(cd, "SEQUENCE_MIN_NODES", 2 ** 8)
     assert _coarse_chain(problem) == [(32, 32), (16, 16)]
+    seen = []
+    solve = cd.solve_at_t
+
+    def recorded(p, t, **kw):
+        state = solve(p, t, **kw)
+        seen.append((p.grid.dims, state.newton_iters))
+        return state
+
+    monkeypatch.setattr(cd, "solve_at_t", recorded)
     _, seq = run_continuity(problem, cfg)
-    assert [r.t for r in seq.rows] == [r.t for r in plain.rows]
+    # the fine solve of the first step takes fewer Newton steps than
+    # the plain start's, and the rows record it
+    assert seen[2] == (g.dims, seq.rows[1].newton_iters)
     assert seq.rows[1].newton_iters < plain.rows[1].newton_iters
+    return plain, seq, seen
+
+
+def test_sequenced_step_control_keeps_the_plain_schedule(monkeypatch):
+    # a Q with no gauge: the 16^2 bottom starts from the trivial pair
+    # and takes 5 Newton steps, which stand for the plain start's 5.
+    # The fine solve from the extrapolated start takes 1; counted as
+    # easy, it would double the step a row early
+    plain, seq, seen = _sequenced_schedule(np.diag([-16.0, -12.0]), monkeypatch)
+    assert seen[0] == ((16, 16), 5) and plain.rows[1].newton_iters == 5
+    assert [r.t for r in seq.rows] == [r.t for r in plain.rows]
+
+
+def test_sequenced_step_control_reads_the_bottom_levels_count(monkeypatch):
+    # Q = -16 I: the bottom starts from the Hopf-Cole eigenpair and takes
+    # 3 Newton steps, easy where the plain start's 5 are not, so the
+    # step lengthens a row sooner than on the plain path
+    plain, seq, seen = _sequenced_schedule(-16.0 * np.eye(2), monkeypatch)
+    assert seen[0] == ((16, 16), 3) and plain.rows[1].newton_iters > 3
+    assert [r.newton_iters <= 3 for r in seq.rows[2:]] == [True, True]
+    assert [r.t for r in seq.rows] == [0.0, 0.25, 0.5, 1.0]
+    assert [r.t for r in plain.rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 def test_sequenced_reruns_are_bit_identical(monkeypatch):
@@ -1245,7 +1280,8 @@ def _lagrange_weights(k):
 def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
                                                           monkeypatch):
     # the chain rebuilt here from solve_at_t, Problem.leaf_space, coarsen
-    # and interpolate only
+    # and interpolate only, its bottom started as the solver starts it:
+    # from hopf_cole_start where Q is scalar there
     if name == "bump-256":
         g = TorusGrid((256, 256))
         problem = Problem(g, bump(g), -np.eye(2))
@@ -1259,7 +1295,9 @@ def test_extrapolated_start_matches_an_independent_oracle(name, floor, levels,
     # every varying level's solution, raised one interpolation at a time
     # to the grid of the level most recently solved, nearest first
     raised = []
-    state = es.solve_at_t(chain[-1], t, tol=tol)
+    bottom = chain[-1]
+    phi0, b0 = (None, 1.0) if bottom.gauge is None else cd.hopf_cole_start(bottom, t)
+    state = es.solve_at_t(bottom, t, phi0=phi0, b0=b0, tol=tol)
     for i in reversed(range(len(chain) - 1)):
         level = chain[i]
         raised = [(cd.interpolate(phi, state.phi.shape), b)
@@ -1302,7 +1340,8 @@ def test_leaf_halving_reproduces_the_fine_solution(monkeypatch):
     tol = 1e-10
     reduced = problem.leaf_space
     assert reduced.grid.dims == (16, 16)
-    leaf_level = es.solve_at_t(reduced, 1.0, tol=tol)
+    phi0, b0 = cd.hopf_cole_start(reduced, 1.0)
+    leaf_level = es.solve_at_t(reduced, 1.0, phi0=phi0, b0=b0, tol=tol)
     lifted = np.broadcast_to(leaf_level.phi[:, :, None, None], problem.grid.dims)
     res = es.residual(problem, lifted, leaf_level.b, 1.0)
     assert float(np.max(np.abs(res))) <= 100 * tol
@@ -1337,13 +1376,159 @@ def test_single_coarse_level_keeps_the_interpolated_start(monkeypatch):
     problem = SEQUENCED["constant-q"]
     cfg = ContinuityConfig(newton_tol=1e-10)
     assert _coarse_chain(problem) == [(32, 32)]
-    coarse = es.solve_at_t(cd.coarsen(problem, (32, 32)), 1.0,
+    bottom = cd.coarsen(problem, (32, 32))
+    phi0, b0 = cd.hopf_cole_start(bottom, 1.0)
+    coarse = es.solve_at_t(bottom, 1.0, phi0=phi0, b0=b0,
                            tol=cfg.newton_tol, max_iters=cfg.max_newton)
     fine = _fine_starts(monkeypatch, problem.grid.dims)
     run_continuity(problem, cfg)
     [(phi0, b0, _)] = fine
     assert np.array_equal(phi0, cd.interpolate(coarse.phi, problem.grid.dims))
     assert b0 == coarse.b
+
+
+# ------------------------------------------------------ Hopf-Cole start
+
+
+def test_hopf_cole_start_solves_the_amplitude_30_bump_at_t1():
+    # the 64^2 bump of amplitude 30 and width 0.2 with Q = -I: from the
+    # trivial pair the Newton solve at t = 1 loses b > 0; from the
+    # eigenpair it converges in a few steps.  The eigenpair's b is the
+    # oracle's, the lowest eigenvalue of the same discrete operator, up
+    # to the inverse iteration's stop, and the solution's b lies within
+    # the O(h^2) gap of it: 6.4 h^2 b relatively on 64^2 and 6.0 h^2 b on
+    # 128^2, the same constant
+    g = TorusGrid((64, 64))
+    problem = Problem(g, bump(g, 30.0, 0.2), -np.eye(2))
+    tol = 1e-10
+    with pytest.raises(BPositivityLost):
+        es.solve_at_t(problem, 1.0, tol=tol)
+    phi0, b0 = cd.hopf_cole_start(problem, 1.0)
+    state = es.solve_at_t(problem, 1.0, phi0=phi0, b0=b0, tol=tol)
+    assert state.newton_iters <= 3 and state.residual_norm <= tol
+    assert float(np.min(state.density)) > 0.0
+    b_hc = oracles.hopf_cole_b(problem.F, g.lengths, 1.0)
+    h2 = g.spacings[0] ** 2
+    assert abs(b0 - b_hc) <= 1e-4 * b_hc
+    assert abs(state.b - b_hc) <= 7.0 * h2 * b_hc
+
+
+def test_hopf_cole_start_keeps_its_precision_where_u_spans_e20():
+    # sine 6 with Q = -60 I: u = exp(-60 phi) spans about e^20, and the
+    # start's gap from the Newton solution is still the O(h^2) one,
+    # falling about 4x from 32^2 to 64^2, not a floor of round-off in
+    # log(u)
+    gaps = []
+    for n in (32, 64):
+        g = TorusGrid((n, n))
+        problem = Problem(g, sine_product_field(g, 6.0), -60.0 * np.eye(2))
+        phi0, b0 = cd.hopf_cole_start(problem, 1.0)
+        assert 19.0 <= 60.0 * np.ptp(phi0) <= 22.0
+        state = es.solve_at_t(problem, 1.0, phi0=phi0, b0=b0, tol=1e-10)
+        gaps.append((np.max(np.abs(phi0 - np.mean(phi0) - state.phi)),
+                     abs(b0 - state.b) / state.b))
+    (dphi_c, db_c), (dphi_f, db_f) = gaps
+    assert dphi_f <= 1e-2 and db_f <= 1e-2
+    assert dphi_c >= 3.0 * dphi_f and db_c >= 3.0 * db_f
+
+
+def test_basic_amplitude_30_bump_needs_no_path_in_t():
+    # the 64x64x4x4 bump of amplitude 30, width 0.2, Q = -I, basic along
+    # axes 2 and 3: the 64x64 -> 32x32 chain's bottom starts from the
+    # eigenpair at t = 1, and the run ends in 2 trace rows (3 from the
+    # trivial pair, which needed a step to t = 0.5)
+    g = TorusGrid((64, 64, 4, 4))
+    xs = meshes(g)
+    F = 30.0 * np.exp((np.cos(xs[0]) - 1.0 + np.cos(xs[1]) - 1.0) / 0.2)
+    problem = Problem(g, F, -np.eye(4))
+    tol = 1e-10
+    state, trace = run_continuity(problem, ContinuityConfig(newton_tol=tol))
+    assert [(r.t, r.newton_iters) for r in trace.rows] == [(0.0, 0), (1.0, 0)]
+    assert state.residual_norm <= tol and float(np.min(state.density)) > 0.0
+    assert basicness_check(problem, state, tol)["passed"]
+
+
+def test_capped_inverse_iteration_falls_back_to_the_trivial_pair(monkeypatch):
+    # su3's leaf space takes 19 iterations; capped at 2 the start is the
+    # trivial pair, and the bottom level is solved as from it
+    su3 = _su3_shape()
+    problem = su3.leaf_space
+    phi0, b0 = cd.hopf_cole_start(problem, 1.0)
+    assert phi0 is not None and np.ptp(phi0) > 0.0
+    monkeypatch.setattr(cd, "HOPF_COLE_MAX_ITERS", 2)
+    assert cd.hopf_cole_start(problem, 1.0) == (None, 1.0)
+    plain = es.solve_at_t(problem, 1.0, tol=1e-10)
+    solve = cd.solve_at_t
+    bottom = []
+
+    def recorded(p, t, **kw):
+        state = solve(p, t, **kw)
+        if p is problem:
+            bottom.append((kw.get("phi0"), kw["b0"], state))
+        return state
+
+    monkeypatch.setattr(cd, "solve_at_t", recorded)
+    run_continuity(su3, ContinuityConfig(newton_tol=1e-10))
+    [(start, b_start, state)] = bottom
+    assert start is None and b_start == 1.0
+    assert state.newton_iters == plain.newton_iters == 5
+    assert state.phi.tobytes() == plain.phi.tobytes() and state.b == plain.b
+
+
+def test_hopf_cole_start_gives_up_on_a_nonpositive_eigenvector(monkeypatch):
+    # a u that rounding took to 0 has no logarithm: the trivial pair
+    problem = _su3_shape().leaf_space
+    irfftn = cd.irfftn_into
+
+    def zeroed(spectrum, out):
+        irfftn(spectrum, out)
+        out[0, 0] = 0.0
+        return out
+
+    monkeypatch.setattr(cd, "irfftn_into", zeroed)
+    assert cd.hopf_cole_start(problem, 1.0) == (None, 1.0)
+
+
+def test_main_leaf_solve_and_basicness_resolve_start_apart(monkeypatch):
+    # su3-4d-20's shape: the sequenced leaf level starts from the
+    # Hopf-Cole eigenpair and the basicness report's re-solve from phi = 0
+    # and the solution's b, so the re-solve checks the leaf solution from
+    # a start the main path did not use
+    problem = _su3_shape()
+    starts = []
+    solve = cd.solve_at_t
+
+    def recorded(p, t, phi0=None, b0=1.0, **kw):
+        if p is problem.leaf_space:
+            starts.append((None if phi0 is None else np.array(phi0), b0))
+        return solve(p, t, phi0=phi0, b0=b0, **kw)
+
+    monkeypatch.setattr(cd, "solve_at_t", recorded)
+    state, _ = run_continuity(problem, ContinuityConfig(newton_tol=1e-10))
+    assert basicness_check(problem, state, 1e-10)["passed"]
+    [(main_phi0, main_b0), (re_phi0, re_b0)] = starts
+    assert re_phi0 is None and re_b0 == state.b
+    assert main_phi0 is not None and np.ptp(main_phi0) > 0.0
+    assert main_b0 != state.b
+
+
+def test_non_scalar_q_solve_is_unchanged_by_the_hopf_cole_start(monkeypatch):
+    # Q = diag(-4, -1) has no gauge: the chain 64^2 -> 32^2 starts from the
+    # trivial pair, and the solution is the same to the bit as before the
+    # eigenpair start existed (digest of phi's bytes, then b's)
+    import hashlib
+
+    called = []
+    monkeypatch.setattr(cd, "hopf_cole_start", lambda *a: called.append(a))
+    g = TorusGrid((64, 64))
+    problem = Problem(g, bump(g, 2.0), np.diag([-4.0, -1.0]))
+    assert problem.gauge is None
+    state, trace = run_continuity(problem)
+    assert not called
+    assert [(r.t, r.newton_iters) for r in trace.rows] == [(0.0, 0), (1.0, 3)]
+    digest = hashlib.sha256(state.phi.tobytes() + np.float64(state.b).tobytes())
+    assert digest.hexdigest() == \
+        "99c81567befb11cb4d960e1771753a40eb0cd5adfac7c14f5a73198a24565c21"
 
 
 @pytest.mark.parametrize("b_c, b_cc", [(1.0, 6.0), (0.3, 1.8), (2.0, 0.5)])

@@ -219,6 +219,56 @@ def test_axis_spread_is_the_ptp_maximum(dims, kind, seed):
         assert kernels.axis_spread(arr, flat_ax) == 0.0
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dims=hst.tuples(*[hst.integers(4, 7)] * 4),
+       flat=hst.sets(hst.integers(0, 3), min_size=1, max_size=4),
+       kind=hst.sampled_from(["constant", "ulp", "nan", "inf"]),
+       seed=hst.integers(0, 2 ** 32 - 1))
+def test_axis_spread_of_equal_slices_is_the_ptp_maximum(dims, flat, kind, seed):
+    # 4-axis arrays constant along the ``flat`` axes, whose slices there
+    # equal the first bit for bit: as they are, with one node one ulp
+    # off, with one node NaN, or with one line of infinities along the
+    # flat axes (its ptp is inf - inf, NaN)
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal([1 if ax in flat else d for ax, d in enumerate(dims)])
+    if kind == "inf":
+        base.flat[0] = np.inf
+    arr = np.ascontiguousarray(np.broadcast_to(base, dims))
+    node = tuple(int(rng.integers(d)) for d in dims)
+    if kind == "ulp":
+        arr[node] = np.nextafter(arr[node], np.inf)
+    elif kind == "nan":
+        arr[node] = np.nan
+    with np.errstate(invalid="ignore"):
+        for ax in range(4):
+            got = kernels.axis_spread(arr, ax)
+            want = float(np.max(np.ptp(arr, axis=ax)))
+            assert got == want or (math.isnan(got) and math.isnan(want))
+            if kind == "constant" and ax in flat:
+                assert got == 0.0
+
+
+@pytest.mark.parametrize("ax", range(4))
+def test_axis_spread_of_equal_slices_allocates_a_slice(ax):
+    # the slices are compared into one boolean chunk of whole line
+    # blocks, at most SPREAD_CHUNK_NODES bytes, a twentieth of a 20^4
+    # float array; along axis 0 the one line block is the grid, and its
+    # booleans are an eighth of the array.  The finiteness test of the
+    # first slice adds its own booleans and numpy's iteration buffers
+    arr = np.ascontiguousarray(np.broadcast_to(
+        np.random.default_rng(12).standard_normal((20,) * 4).take([0], axis=ax),
+        (20,) * 4))
+    kernels.axis_spread(arr, ax)   # first-call caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert kernels.axis_spread(arr, ax) == 0.0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * arr.nbytes
+
+
 def test_axis_spread_allocates_less_than_a_grid_array():
     # one value per line, for the largest and the smallest: on 20^4 the
     # outer axes take numpy's reduction, axis 2 the slices, axis 3 reduceat

@@ -520,10 +520,13 @@ def test_cli_solve_failed_rerun_still_writes_summary(tmp_path, capsys, monkeypat
 
 
 def test_cli_solve_verify_unique_agrees_where_the_path_needs_steps(tmp_path, capsys):
-    # the main solve needs two continuity steps after t = 0 (density
-    # minimum about 6e-12); the re-run at t = 1 from phi = 0 and the
-    # solution's b reaches the same solution
-    cfgpath = _write_config(tmp_path / "run.json", dims=(64, 64),
+    # the amplitude-30 bump on 48^2, a grid the floor does not sequence
+    # (its halving 24^2 keeps 576 nodes), so its first step starts from
+    # the trivial pair and the main solve needs three continuity steps
+    # after t = 0 (density minimum about 6e-12); the re-run at t = 1
+    # from phi = 0 and the solution's b reaches the same solution.  On
+    # 64^2 the chain's Hopf-Cole bottom reaches t = 1 in one step
+    cfgpath = _write_config(tmp_path / "run.json", dims=(48, 48),
                             forcing={"type": "bump", "amplitude": 30.0,
                                      "width": 0.2})
     out = tmp_path / "out"
@@ -539,7 +542,10 @@ def test_cli_solve_verify_unique_agrees_where_the_path_needs_steps(tmp_path, cap
 def test_cli_solve_verify_unique_on_basic_data_solves_the_leaf_space(tmp_path, capsys,
                                                                     monkeypatch):
     # a forcing constant along axes 2 and 3: the main solve and the
-    # re-run both take their Newton steps on the 2-axis leaf space
+    # re-run both take their Newton steps on the 2-axis leaf space, and
+    # the basicness report's re-solve is the re-run: one second_solve
+    # per command, whose gap both lines print
+    from hktsolve import continuity_driver as cd
     from hktsolve import elliptic_solver as es
 
     g = TorusGrid((16, 16, 4, 4))
@@ -557,6 +563,14 @@ def test_cli_solve_verify_unique_on_basic_data_solves_the_leaf_space(tmp_path, c
         return operator(p, phi, t)
 
     monkeypatch.setattr(es, "bordered_operator", counted)
+    resolves = []
+    second_solve = cd.second_solve
+
+    def recorded(problem, state, tol):
+        resolves.append(problem)
+        return second_solve(problem, state, tol)
+
+    monkeypatch.setattr(cd, "second_solve", recorded)
     rc = cli.main(["solve", "--config", str(cfgpath), "--out-dir", str(tmp_path / "out"),
                    "--verify-unique"])
     assert rc == 0
@@ -564,6 +578,12 @@ def test_cli_solve_verify_unique_on_basic_data_solves_the_leaf_space(tmp_path, c
     assert summary["basicness"]["passed"] is True
     assert summary["uniqueness"]["agree"] is True
     assert built and 4 not in built
+    assert len(resolves) == 1
+    gap = summary["basicness"]["reduced_match"]
+    assert summary["uniqueness"]["dphi"] == gap
+    out = capsys.readouterr().out
+    assert "lift gap %.3e -> passed" % gap in out
+    assert "uniqueness re-run: |dphi|=%.3e |db|=" % gap in out
 
 
 @pytest.mark.parametrize("dims", [[2 ** 32, 2 ** 32], [2 ** 16] * 4])
