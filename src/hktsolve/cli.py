@@ -303,8 +303,8 @@ def _load_run_config(path, newton_tol=None):
 
 
 def cmd_solve(args):
-    from .continuity_driver import (SOLVER_FAILURES, agrees, basicness_check,
-                                    run_continuity, second_solve)
+    from .continuity_driver import (agrees, basicness_check, checked_second_solve,
+                                    run_continuity)
     from .elliptic_solver import check_b_bound
 
     cfg, problem, ccfg = _load_run_config(args.config, args.newton_tol)
@@ -351,29 +351,32 @@ def cmd_solve(args):
 
     report = basicness_check(problem, state, ccfg.newton_tol)
     if report.get("applicable"):
-        gap = report["reduced_match"]
+        gap, error = report["reduced_match"], report["error"]
         _say("basicness: variation %.3e along axes %s, lift gap %s -> %s"
              % (report["variation"], report["invariant_axes"],
+                "failed (%s)" % error if error else
                 "not computed" if gap is None else "%.3e" % gap,
                 "passed" if report["passed"] else "FAILED"))
         summary["basicness"] = {k: report[k] for k in ("invariant_axes", "variation",
                                                        "reduced_match", "passed")}
+        if error:
+            summary["basicness"]["error"] = error
     else:
         _say("basicness: not applicable (forcing varies along every axis)")
 
     agree = True
     if args.verify_unique:
-        try:
-            # the basicness report's re-solve, where it ran one, is this one
-            dphi, db = (report.get("second_solve")
-                        or second_solve(problem, state, ccfg.newton_tol))
-        except SOLVER_FAILURES as exc:
-            # a re-run that finds no solution confirms nothing
+        # the basicness report's re-solve, where it ran one, is this one,
+        # whether it succeeded or failed
+        resolved, error = report.get("second_solve"), report.get("error")
+        if resolved is None and error is None:
+            resolved, error = checked_second_solve(problem, state, ccfg.newton_tol)
+        if error:
             agree = False
-            error = "%s: %s" % (type(exc).__name__, exc)
             _say("uniqueness re-run: failed (%s) -> DISAGREE" % error)
             summary["uniqueness"] = {"agree": False, "error": error}
         else:
+            dphi, db = resolved
             agree = agrees(ccfg.newton_tol, dphi, db)
             _say("uniqueness re-run: |dphi|=%.3e |db|=%.3e -> %s"
                  % (dphi, db, "agree" if agree else "DISAGREE"))

@@ -77,16 +77,22 @@ The chain's bottom.  For Q = -aI (Problem.gauge; every registry
 reduction gives such a Q), u = exp(-a phi) (Hopf 1950, Cole 1951) turns
 the equation into the eigenproblem (-lap + a) u = b a exp(tF) u, whose
 positive eigenpair hopf_cole_start finds by inverse iteration on the
-bottom level, at the step's t, with no path in t.  It is an O(h^2)
+bottom level, at the step's t, with no path in t.  The iteration starts
+from exp(-a phi_P), phi_P of poisson_pair: the exact discrete solution
+of the equation without its gradient term (Q = 0), one FFT pair on the
+Laplacian's symbol.  It is an O(h^2)
 start, not a solution: su3-4d-20's 20x20 leaf space takes 3 Newton
 steps from it, 5 from the trivial pair, and bump2d-512's 32^2 level 2,
 not 4; a 64x64x4x4 bump of amplitude 30 with Q = -I reaches t = 1 in
 one step, where the trivial pair needed two.  Any other Q, and an
 inverse iteration that does not converge, starts the bottom from the
 trivial pair.  Only the bottom: the finer levels start from the ones
-below them, an unsequenced grid from the trivial pair, and
-second_solve from phi = 0 and the solution's b, which for a scalar Q
-is a start the main path does not use.  The step control counts the bottom level's own Newton
+below them, and an unsequenced grid from the trivial pair.
+second_solve starts from the Q-blind pair (phi_P, b_P) itself, where
+its residual is below that of phi = 0 with the solution's b, and from
+the latter otherwise; either is a start the main path does not use,
+and on su3-4d-20's leaf space the pair saves one of the re-solve's
+five Newton steps.  The step control counts the bottom level's own Newton
 steps.  From the trivial pair they stand for the fine plain start's,
 since Newton's step count does not depend on the mesh, so the schedule
 of t is the one the plain start gives; from the eigenpair they are as
@@ -108,9 +114,12 @@ from .elliptic_solver import (
     Problem,
     SolverState,
     TorusGrid,
+    _mean,
+    _sup_in_place,
     density,
     irfftn_into,
     quad_value,
+    residual,
     rfftn_into,
     solve_at_t,
 )
@@ -213,10 +222,13 @@ SEQUENCE_MIN_NODES = 2 ** 10
 HOPF_COLE_RTOL = 1e-7
 # ...and gives up after this many iterations.  Each costs one FFT pair,
 # and a Newton step some tens of them, so a start that needs more saves
-# nothing.  On 32^2 with F a sine of amplitude 0.01 to 6, Q = -aI, t = 1,
-# the iterations it took were 2-4 for a = 0.1, 4-8 for 1, 7-14 for 4,
-# 9-42 for 16 and 14-94 for 60, the most for the mildest F, whose
-# trivial-pair start Newton finds easy.
+# nothing.  On 32^2 with F a sine of amplitude 0.01, 0.1, 0.3, 1, 2, 4
+# and 6, Q = -aI, t = 1, the iterations it took from the Poisson pair
+# (from u = 1 in brackets) were 2-3 for a = 0.1 (2-4), 2-6 for 1 (4-8),
+# 2-11 for 4 (7-16), 2-25 for 16 (9-42) and 5-60 for 60 (14-94): the
+# most at a = 60 for amplitude 0.1 (80 from u = 1), whose trivial-pair
+# start Newton finds easy, and 2 or 5 for amplitude 0.01, where the
+# pair is nearly the eigenvector.
 HOPF_COLE_MAX_ITERS = 50
 
 
@@ -364,6 +376,28 @@ def extrapolated_b(*levels):
     return math.exp(richardson(*(math.log(b) for b in levels)))
 
 
+def poisson_pair(problem, t):
+    """The Q-blind pair (phi_P, b_P) at t: the exact discrete solution
+    when Q = 0, whatever Q the problem has.
+
+    With Q = 0 the equation is lap phi = b exp(tF) - 1, and the mean of
+    a periodic Laplacian is zero, so b_P = 1 / mean(exp(tF)) and phi_P
+    is lap^-1 (b_P exp(tF) - 1), with zero mean: one FFT pair on
+    Problem.laplacian_symbol, the discrete Laplacian's own symbol, with
+    the zero mode set to 0.  It starts hopf_cole_start's inverse
+    iteration and is one of second_solve's two starts.
+    """
+    rhs = problem.scaled_exp_tF(t, 1.0)
+    b = 1.0 / float(_mean(rhs))
+    rhs *= b
+    rhs -= 1.0
+    symbol = problem.laplacian_symbol
+    spectrum = rfftn_into(rhs, np.empty(symbol.shape, dtype=complex))
+    np.divide(spectrum, symbol, out=spectrum, where=symbol < 0.0)
+    spectrum.flat[0] = 0.0
+    return irfftn_into(spectrum, rhs), b
+
+
 def hopf_cole_start(problem, t):
     """The start (phi0, b0) at t of the positive Hopf-Cole eigenpair, for
     a problem with a gauge a (Q = -aI); (None, 1.0), the trivial pair,
@@ -374,7 +408,11 @@ def hopf_cole_start(problem, t):
     iteration v = (a - laplacian_symbol)^-1 (a exp(tF) u), one FFT pair
     each, keeps u positive, since -lap + a is an M-matrix; b is the
     quotient <v, a exp(tF) u> / <v, a exp(tF) v>, which needs no
-    Laplacian.  It stops once b changes by at most HOPF_COLE_RTOL
+    Laplacian.  u starts as exp(-a phi_P) of poisson_pair, the solution
+    without the gradient term, scaled to max 1: on su3's 20x20 leaf
+    space the iteration takes 14 steps from it and 19 from u = 1, and
+    for a = 60 with a sine of amplitude 0.01 on 32^2, 5 where u = 1
+    needs 94.  It stops once b changes by at most HOPF_COLE_RTOL
     relatively; after HOPF_COLE_MAX_ITERS iterations, or a u that
     rounding took to 0 or below, it gives up.  The central gradients of
     the phi equation are not carried exactly by the transform, so the
@@ -384,8 +422,11 @@ def hopf_cole_start(problem, t):
     weight = problem.scaled_exp_tF(t, a)
     inv_symbol = 1.0 / (a - problem.laplacian_symbol)
     spectrum = np.empty(inv_symbol.shape, dtype=complex)
-    # u starts at 1; wu is a exp(tF) u throughout
-    u, wu = np.empty(problem.grid.dims), weight.copy()
+    # u starts at exp(-a (phi_P - min phi_P)); wu is a exp(tF) u throughout
+    u, _ = poisson_pair(problem, t)
+    u -= float(u.min())
+    u *= -a
+    wu = np.multiply(weight, np.exp(u, out=u))
     b = math.inf
     for _ in range(HOPF_COLE_MAX_ITERS):
         np.multiply(rfftn_into(wu, spectrum), inv_symbol, out=spectrum)
@@ -620,21 +661,47 @@ def second_solve(problem, state, tol):
     measure how far the two solutions lie apart: (the phi gap, |db|).
 
     The one re-solve behind the basicness report and the CLI's
-    ``--verify-unique``.  It runs at state.t, directly, from phi = 0 and
-    b = state.b, on problem.leaf_space when there is one and on the
-    problem itself otherwise, with the default iteration cap: no path
-    in t and no grid sequencing.  The leaf space is the Problem grid
-    sequencing uses, with its caches, but never the sequenced state:
-    the sequenced leaf-space solution is what the fine grid started
-    from, so comparing with it would check nothing.  The phi gap is
-    _lift_gap, the sup distance of state.phi from the lifted solution,
-    which is max |dphi| when nothing is lifted.  Raises what solve_at_t
-    raises (SOLVER_FAILURES) when the re-solve fails.
+    ``--verify-unique``.  It runs at state.t, directly, on
+    problem.leaf_space when there is one and on the problem itself
+    otherwise, with the default iteration cap: no path in t and no
+    grid sequencing.  It starts from poisson_pair's (phi_P, b_P), the
+    exact solution when Q = 0, when that pair's max residual is below
+    the residual max |1 - state.b exp(tF)| of phi = 0 and b = state.b,
+    which needs no density, and from phi = 0 and state.b otherwise: a
+    pair with a non-finite residual is never taken.  A Q = 0 re-solve
+    takes no Newton step, and su3-4d-20's leaf space 4, not 5; on hard
+    data, such as sine 6 with Q = -60 I or a bump of amplitude 30, the
+    pair lies further out and phi = 0 is kept.  For a scalar Q neither
+    is the main path's start, the Hopf-Cole eigenpair.  The leaf space
+    is the Problem grid sequencing uses, with its caches, but never the
+    sequenced state: the sequenced leaf-space solution is what the fine
+    grid started from, so comparing with it would check nothing.  The
+    phi gap is _lift_gap, the sup distance of state.phi from the lifted
+    solution, which is max |dphi| when nothing is lifted.  Raises what
+    solve_at_t raises (SOLVER_FAILURES) when the re-solve fails;
+    checked_second_solve returns that failure instead.
     """
     reduced = problem.leaf_space
     target, leaf = (problem, ()) if reduced is None else (reduced, problem.leaf_axes)
-    other = solve_at_t(target, state.t, b0=state.b, tol=tol)
+    t = state.t
+    # phi = 0 has density 1, so its residual needs no density
+    plain = _sup_in_place(np.subtract(1.0, target.scaled_exp_tF(t, state.b)))
+    phi0, b0 = poisson_pair(target, t)
+    if not _sup_in_place(residual(target, phi0, b0, t)) < plain:
+        phi0, b0 = None, state.b
+    other = solve_at_t(target, t, phi0=phi0, b0=b0, tol=tol)
     return _lift_gap(state.phi, other.phi, leaf), abs(other.b - state.b)
+
+
+def checked_second_solve(problem, state, tol):
+    """(second_solve's result, None), or (None, the error) when the
+    re-solve raises one of SOLVER_FAILURES: a re-solve that finds no
+    solution confirms nothing, and the error, "Type: message", is what
+    the basicness report and the CLI's --verify-unique print."""
+    try:
+        return second_solve(problem, state, tol), None
+    except SOLVER_FAILURES as exc:
+        return None, "%s: %s" % (type(exc).__name__, exc)
 
 
 def basicness_check(problem, state, tol):
@@ -649,11 +716,14 @@ def basicness_check(problem, state, tol):
     reads ``passed`` (the CLI prints the report).  ``reduced_match`` is
     the lift gap of second_solve, the sup distance from the lifted
     solution of problem.leaf_space, re-solved from its own start, on
-    however many axes vary; it is None only when every axis is a leaf
-    and there is no leaf space.  Both must agree (``agrees``).
+    however many axes vary; it is None when every axis is a leaf and
+    there is no leaf space, or when the re-solve failed.  Both must
+    agree (``agrees``), and a failed re-solve fails the report, with
+    its ``error`` (checked_second_solve; None otherwise).
     ``second_solve`` is that re-solve's whole result, (the lift gap,
-    |db|), or None where none ran, for the CLI's ``--verify-unique`` to
-    read instead of solving again.
+    |db|), or None where none ran or it failed, for the CLI's
+    ``--verify-unique`` to read, with ``error``, instead of solving
+    again.
     """
     axes = list(problem.leaf_axes)
     if not axes:
@@ -662,10 +732,11 @@ def basicness_check(problem, state, tol):
     variation = max(axis_spread(state.phi, ax) for ax in axes)
 
     gaps = [variation]
-    resolved = None
+    resolved = error = None
     if problem.leaf_space is not None:
-        resolved = second_solve(problem, state, tol)
-        gaps.append(resolved[0])
+        resolved, error = checked_second_solve(problem, state, tol)
+        if resolved is not None:
+            gaps.append(resolved[0])
 
     return {
         "applicable": True,
@@ -673,5 +744,6 @@ def basicness_check(problem, state, tol):
         "variation": variation,
         "reduced_match": None if resolved is None else resolved[0],
         "second_solve": resolved,
-        "passed": agrees(tol, *gaps),
+        "error": error,
+        "passed": error is None and agrees(tol, *gaps),
     }

@@ -26,8 +26,8 @@ stack is kept for the tests' checks and for the benchmark's
 ``axis_spread`` is the largest max - min over the lines along one axis,
 the measure of how much a field varies along it, taken without
 reducing along short contiguous rows and without a full-grid temporary,
-and 0.0 after one contiguous comparison for a field whose slices along
-the axis are all equal.
+and 0.0 after contiguous comparisons of about SPREAD_CHUNK_NODES nodes
+each for a field whose slices along the axis are all equal.
 """
 
 import math
@@ -184,30 +184,33 @@ def axis_spread(arr, axis):
 
     First, though, every slice along the axis is compared with the next,
     which is the flat array compared with itself shifted by the axis's
-    stride s: one contiguous comparison per chunk of whole line blocks
-    (the m s elements of one index before the axis) of about
-    SPREAD_CHUNK_NODES nodes, into one boolean chunk, with each block's
-    last slice, which meets the next block, left out.  Along axis 0 the
-    one block is the grid, so the chunk is the grid's booleans, an
-    eighth of a float array.  It stops at the first chunk with an
-    unequal pair.  When every pair is equal, every line is constant,
-    and its max - min is x - x: 0.0, or NaN where x is infinite (a NaN
-    never compares equal).
+    stride s: one contiguous comparison per chunk of whole slices (s
+    elements each) of about SPREAD_CHUNK_NODES nodes, one slice where a
+    slice is larger, into one boolean chunk, with the last slice of each
+    line block (the m s elements of one index before the axis), which
+    meets the next block, left out.  It stops at the first chunk with an
+    unequal pair, along axis 0 too, whose one block is the whole grid.
+    When every pair is equal, every line is constant, and its max - min
+    is x - x: 0.0, or NaN where x is infinite (a NaN never compares
+    equal).
     """
     m = arr.shape[axis]
     s = math.prod(arr.shape[axis + 1:])
     flat = arr.reshape(-1)
-    span = max(1, SPREAD_CHUNK_NODES // (m * s)) * m * s
-    same = np.empty(min(span, flat.size), dtype=bool)
-    for c0 in range(0, flat.size, span):
-        c1 = min(c0 + span, flat.size)
-        pairs = same[:c1 - c0]
-        np.equal(flat[c0 + s:c1], flat[c0:c1 - s], out=pairs[:c1 - c0 - s])
-        pairs.reshape(-1, m, s)[:, -1] = True
+    # slice j is compared with slice j + 1, ``chunk`` slices at a time
+    compared = flat.size // s - 1
+    chunk = max(1, SPREAD_CHUNK_NODES // s)
+    same = np.empty(min(chunk, compared) * s, dtype=bool)
+    for j0 in range(0, compared, chunk):
+        j1 = min(j0 + chunk, compared)
+        pairs = same[:(j1 - j0) * s]
+        np.equal(flat[(j0 + 1) * s:(j1 + 1) * s], flat[j0 * s:j1 * s], out=pairs)
+        pairs.reshape(-1, s)[(m - 1 - j0) % m::m] = True
         if not pairs.all():
             break
     else:
         return 0.0 if np.isfinite(flat.reshape(-1, m, s)[:, 0]).all() else math.nan
+    del same, pairs   # the booleans go before the reduction's arrays come
     if s == 1:
         starts = np.arange(0, flat.size, m)
         hi = np.maximum.reduceat(flat, starts)

@@ -955,8 +955,10 @@ def test_basic_data_build_their_leaf_space_once(monkeypatch):
 
 
 def test_basicness_resolves_the_leaf_space_from_its_own_start(monkeypatch):
-    # the report solves the shared leaf Problem from phi = 0 and b =
-    # state.b, never from the sequenced solve's leaf-space state
+    # the report solves the shared leaf Problem from its own start, the
+    # Q-blind Poisson pair, whose residual on su3's shape is below that
+    # of phi = 0 and b = state.b, never from the sequenced solve's
+    # leaf-space state
     problem = _su3_shape()
     calls = []
     solve = cd.solve_at_t
@@ -974,7 +976,8 @@ def test_basicness_resolves_the_leaf_space_from_its_own_start(monkeypatch):
     assert basicness_check(problem, state, 1e-10)["passed"]
     [(p, kw, red)] = calls
     assert p is problem.leaf_space
-    assert kw.get("phi0") is None and kw["b0"] == state.b
+    phi_p, b_p = cd.poisson_pair(leaf, state.t)
+    assert np.array_equal(kw["phi0"], phi_p) and kw["b0"] == b_p
     assert red is not sequenced and red.newton_iters > 0
     assert not np.shares_memory(red.phi, sequenced.phi)
 
@@ -1491,9 +1494,9 @@ def test_hopf_cole_start_gives_up_on_a_nonpositive_eigenvector(monkeypatch):
 
 def test_main_leaf_solve_and_basicness_resolve_start_apart(monkeypatch):
     # su3-4d-20's shape: the sequenced leaf level starts from the
-    # Hopf-Cole eigenpair and the basicness report's re-solve from phi = 0
-    # and the solution's b, so the re-solve checks the leaf solution from
-    # a start the main path did not use
+    # Hopf-Cole eigenpair and the basicness report's re-solve from the
+    # Poisson pair, which ignores Q, so the re-solve checks the leaf
+    # solution from a start the main path did not use
     problem = _su3_shape()
     starts = []
     solve = cd.solve_at_t
@@ -1507,9 +1510,102 @@ def test_main_leaf_solve_and_basicness_resolve_start_apart(monkeypatch):
     state, _ = run_continuity(problem, ContinuityConfig(newton_tol=1e-10))
     assert basicness_check(problem, state, 1e-10)["passed"]
     [(main_phi0, main_b0), (re_phi0, re_b0)] = starts
-    assert re_phi0 is None and re_b0 == state.b
     assert main_phi0 is not None and np.ptp(main_phi0) > 0.0
-    assert main_b0 != state.b
+    assert re_phi0 is not None and np.ptp(re_phi0) > 0.0
+    gap = np.max(np.abs((main_phi0 - np.mean(main_phi0)) - re_phi0))
+    assert gap > 0.01 * np.ptp(main_phi0)
+    assert abs(re_b0 - main_b0) > 0.01 * state.b
+    assert main_b0 != state.b and re_b0 != state.b
+
+
+def _leaf_resolves(monkeypatch):
+    """The (phi0, b0, state) of every solve_at_t call from here on."""
+    solves = []
+    solve = cd.solve_at_t
+
+    def recorded(p, t, phi0=None, b0=1.0, **kw):
+        state = solve(p, t, phi0=phi0, b0=b0, **kw)
+        solves.append((phi0, b0, state))
+        return state
+
+    monkeypatch.setattr(cd, "solve_at_t", recorded)
+    return solves
+
+
+def test_poisson_pair_solves_the_q_zero_equation():
+    # with Q = 0 the pair is the discrete solution itself, to round-off,
+    # with zero mean, on a leaf space's 1 to 3 axes as on 2 and 4
+    for dims in ((64,), (20, 20), (8, 8, 8), (8, 6, 4, 4)):
+        g = TorusGrid(dims)
+        problem = Problem(g, bump(g, 2.0, 0.5), np.zeros((g.ndim, g.ndim)))
+        phi, b = cd.poisson_pair(problem, 0.7)
+        assert abs(float(np.mean(phi))) <= 1e-15
+        res = es.residual(problem, phi, b, 0.7)
+        assert float(np.max(np.abs(res))) <= 1e-12
+        assert b == pytest.approx(1.0 / np.mean(np.exp(0.7 * problem.F)), rel=1e-15)
+
+
+def test_q_zero_basic_resolve_takes_no_newton_step(monkeypatch):
+    # basic data with Q = 0: the re-solve starts from the Poisson pair,
+    # which already solves the leaf space, and takes no Newton step; its
+    # b is the exact 1 / mean(exp F), and the main path's lies within
+    # its own Newton tolerance of that
+    g = TorusGrid((20, 20, 4, 4))
+    xs = meshes(g)
+    problem = Problem(g, 0.8 * np.cos(xs[0]) * np.sin(xs[1]), np.zeros((4, 4)))
+    tol = 1e-10
+    state, _ = run_continuity(problem, ContinuityConfig(newton_tol=tol))
+    solves = _leaf_resolves(monkeypatch)
+    report = basicness_check(problem, state, tol)
+    [(phi0, _, red)] = solves
+    assert phi0 is not None and red.newton_iters == 0
+    assert abs(red.b - 1.0 / np.mean(np.exp(problem.F))) <= 1e-13
+    assert report["passed"] and report["second_solve"][1] <= tol
+
+
+def test_hopf_cole_start_finds_the_pair_of_a_large_gauge_and_a_mild_sine():
+    # a = 60 with a sine of amplitude 0.01 on 32^2: from u = 1 the
+    # inverse iteration needs 94 steps and gives up at the cap; from
+    # the Poisson pair it needs 5, and its b is the oracle's
+    g = TorusGrid((32, 32))
+    problem = Problem(g, sine_product_field(g, 0.01), -60.0 * np.eye(2))
+    phi0, b0 = cd.hopf_cole_start(problem, 1.0)
+    assert phi0 is not None
+    assert abs(b0 - oracles.hopf_cole_b(problem.F, g.lengths, 60.0)) <= 1e-6 * b0
+    state = es.solve_at_t(problem, 1.0, phi0=phi0, b0=b0, tol=1e-10)
+    assert state.residual_norm <= 1e-10
+
+
+def test_hard_leaf_space_keeps_the_zero_start_and_its_verdict(monkeypatch):
+    # sine 6 with Q = -60 I on a basic 44x44x4x4: on its 44x44 leaf
+    # space the Q-blind pair lies further from the root than phi = 0,
+    # so the re-solve keeps phi = 0 and the solution's b, and the report
+    # passes, as before the pair (the CLI's 48^2 amplitude-30 bump is
+    # test_cli_solve_verify_unique_agrees_where_the_path_needs_steps)
+    tol = 1e-10
+    g = TorusGrid((44, 44, 4, 4))
+    F = sine_product_field(TorusGrid((44, 44)), 6.0)[:, :, None, None] + g.zeros()
+    problem = Problem(g, F, -60.0 * np.eye(4))
+    state, _ = run_continuity(problem, ContinuityConfig(newton_tol=tol))
+    solves = _leaf_resolves(monkeypatch)
+    assert basicness_check(problem, state, tol)["passed"]
+    [(phi0, b0, _)] = solves
+    assert phi0 is None and b0 == state.b
+
+
+def test_su3_shaped_solve_counts(monkeypatch):
+    # what su3-4d-20's speed rests on, per solve and its basicness
+    # report: 3 Newton steps on the 20x20 leaf space from the Hopf-Cole
+    # eigenpair, found in at most 14 inverse iterations, 0 on 20^4, and
+    # 4 in the report's re-solve from the Poisson pair
+    problem = _su3_shaped_problem()
+    monkeypatch.setattr(cd, "HOPF_COLE_MAX_ITERS", 14)
+    solves = _leaf_resolves(monkeypatch)
+    state, _ = run_continuity(problem, ContinuityConfig(newton_tol=1e-10))
+    assert basicness_check(problem, state, 1e-10)["passed"]
+    [(main_phi0, _, leaf), (_, _, fine), (re_phi0, _, red)] = solves
+    assert main_phi0 is not None and re_phi0 is not None
+    assert (leaf.newton_iters, fine.newton_iters, red.newton_iters) == (3, 0, 4)
 
 
 def test_non_scalar_q_solve_is_unchanged_by_the_hopf_cole_start(monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -223,12 +224,15 @@ def test_axis_spread_is_the_ptp_maximum(dims, kind, seed):
 @given(dims=hst.tuples(*[hst.integers(4, 7)] * 4),
        flat=hst.sets(hst.integers(0, 3), min_size=1, max_size=4),
        kind=hst.sampled_from(["constant", "ulp", "nan", "inf"]),
-       seed=hst.integers(0, 2 ** 32 - 1))
-def test_axis_spread_of_equal_slices_is_the_ptp_maximum(dims, flat, kind, seed):
+       seed=hst.integers(0, 2 ** 32 - 1),
+       chunk=hst.sampled_from([None, 1, 7, 40, 300]))
+def test_axis_spread_of_equal_slices_is_the_ptp_maximum(dims, flat, kind, seed, chunk):
     # 4-axis arrays constant along the ``flat`` axes, whose slices there
     # equal the first bit for bit: as they are, with one node one ulp
     # off, with one node NaN, or with one line of infinities along the
-    # flat axes (its ptp is inf - inf, NaN)
+    # flat axes (its ptp is inf - inf, NaN).  ``chunk`` shrinks
+    # SPREAD_CHUNK_NODES so that the comparison's chunks split and
+    # straddle line blocks, as on large grids
     rng = np.random.default_rng(seed)
     base = rng.standard_normal([1 if ax in flat else d for ax, d in enumerate(dims)])
     if kind == "inf":
@@ -239,7 +243,9 @@ def test_axis_spread_of_equal_slices_is_the_ptp_maximum(dims, flat, kind, seed):
         arr[node] = np.nextafter(arr[node], np.inf)
     elif kind == "nan":
         arr[node] = np.nan
-    with np.errstate(invalid="ignore"):
+    size = kernels.SPREAD_CHUNK_NODES if chunk is None else chunk
+    with np.errstate(invalid="ignore"), \
+            unittest.mock.patch.object(kernels, "SPREAD_CHUNK_NODES", size):
         for ax in range(4):
             got = kernels.axis_spread(arr, ax)
             want = float(np.max(np.ptp(arr, axis=ax)))
@@ -250,11 +256,10 @@ def test_axis_spread_of_equal_slices_is_the_ptp_maximum(dims, flat, kind, seed):
 
 @pytest.mark.parametrize("ax", range(4))
 def test_axis_spread_of_equal_slices_allocates_a_slice(ax):
-    # the slices are compared into one boolean chunk of whole line
-    # blocks, at most SPREAD_CHUNK_NODES bytes, a twentieth of a 20^4
-    # float array; along axis 0 the one line block is the grid, and its
-    # booleans are an eighth of the array.  The finiteness test of the
-    # first slice adds its own booleans and numpy's iteration buffers
+    # the slices are compared into one boolean chunk of whole slices,
+    # at most SPREAD_CHUNK_NODES bytes, a twentieth of a 20^4 float
+    # array, along axis 0 too.  The finiteness test of the first slice
+    # adds its own booleans and numpy's iteration buffers
     arr = np.ascontiguousarray(np.broadcast_to(
         np.random.default_rng(12).standard_normal((20,) * 4).take([0], axis=ax),
         (20,) * 4))
@@ -267,6 +272,25 @@ def test_axis_spread_of_equal_slices_allocates_a_slice(ax):
     finally:
         tracemalloc.stop()
     assert peak < 0.2 * arr.nbytes
+
+
+def test_axis_spread_of_a_field_varying_along_axis_0_stops_after_a_chunk():
+    # axis 0 has one line block, the grid, but its slices are compared a
+    # chunk of whole slices at a time (8 of 20^4's 8000-node slices), and
+    # a field varying along it stops at the first chunk: beside the two
+    # 20^3 arrays of the reduction it holds no more than that chunk's
+    # booleans, not the grid's
+    arr = np.random.default_rng(13).standard_normal((20,) * 4)
+    kernels.axis_spread(arr, 0)   # first-call caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = kernels.axis_spread(arr, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got == float(np.max(np.ptp(arr, axis=0)))
+    assert peak < 2 * arr[0].nbytes + kernels.SPREAD_CHUNK_NODES
 
 
 def test_axis_spread_allocates_less_than_a_grid_array():

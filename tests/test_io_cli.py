@@ -519,13 +519,25 @@ def test_cli_solve_failed_rerun_still_writes_summary(tmp_path, capsys, monkeypat
     assert summary["uniqueness"]["error"].startswith("BPositivityLost: b dropped to ")
 
 
-def test_cli_solve_verify_unique_agrees_where_the_path_needs_steps(tmp_path, capsys):
+def test_cli_solve_verify_unique_agrees_where_the_path_needs_steps(tmp_path, capsys,
+                                                                    monkeypatch):
     # the amplitude-30 bump on 48^2, a grid the floor does not sequence
     # (its halving 24^2 keeps 576 nodes), so its first step starts from
     # the trivial pair and the main solve needs three continuity steps
     # after t = 0 (density minimum about 6e-12); the re-run at t = 1
-    # from phi = 0 and the solution's b reaches the same solution.  On
-    # 64^2 the chain's Hopf-Cole bottom reaches t = 1 in one step
+    # from phi = 0 and the solution's b, whose residual is below the
+    # Poisson pair's, reaches the same solution.  On 64^2 the chain's
+    # Hopf-Cole bottom reaches t = 1 in one step
+    from hktsolve import continuity_driver as cd
+
+    starts = []
+    solve = cd.solve_at_t
+
+    def recorded(p, t, phi0=None, b0=1.0, **kw):
+        starts.append((phi0, b0))
+        return solve(p, t, phi0=phi0, b0=b0, **kw)
+
+    monkeypatch.setattr(cd, "solve_at_t", recorded)
     cfgpath = _write_config(tmp_path / "run.json", dims=(48, 48),
                             forcing={"type": "bump", "amplitude": 30.0,
                                      "width": 0.2})
@@ -534,6 +546,7 @@ def test_cli_solve_verify_unique_agrees_where_the_path_needs_steps(tmp_path, cap
                    "--verify-unique"])
     assert rc == 0, capsys.readouterr().out
     summary = json.loads((out / "summary.json").read_text())
+    assert starts[-1] == (None, summary["b"])
     assert summary["macro_steps"] > 2 and summary["density_min"] > 0.0
     assert summary["uniqueness"]["agree"] is True
     assert summary["uniqueness"]["dphi"] <= 1e-8 and summary["uniqueness"]["db"] <= 1e-8
@@ -584,6 +597,54 @@ def test_cli_solve_verify_unique_on_basic_data_solves_the_leaf_space(tmp_path, c
     out = capsys.readouterr().out
     assert "lift gap %.3e -> passed" % gap in out
     assert "uniqueness re-run: |dphi|=%.3e |db|=" % gap in out
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_cli_solve_failed_basicness_resolve_still_writes_summary(tmp_path, capsys,
+                                                                monkeypatch, verify):
+    # basic data whose leaf-space re-solve fails as a Newton solve can:
+    # the basicness report fails with the error, the summary replaces a
+    # stale one, and --verify-unique reads the same failure instead of
+    # solving again
+    from hktsolve import continuity_driver as cd
+    from hktsolve.errors import BPositivityLost
+
+    calls = []
+
+    def failing(problem, state, tol):
+        calls.append(problem)
+        raise BPositivityLost("b dropped to -2.986e-05")
+
+    monkeypatch.setattr(cd, "second_solve", failing)
+    g = TorusGrid((16, 16, 4, 4))
+    xs = g.axis_coords()
+    forcing = tmp_path / "f.field"
+    gridio.write_field(forcing, np.exp(np.cos(xs[0]) - 1.0 + np.cos(xs[1]) - 1.0)
+                       + g.zeros(), g.lengths)
+    cfgpath = _write_config(tmp_path / "run.json", dims=g.dims,
+                            forcing={"file": str(forcing)})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.json").write_text('{"stale": true}')
+    rc = cli.main(["solve", "--config", str(cfgpath), "--out-dir", str(out)]
+                  + ["--verify-unique"] * verify)
+    assert rc == (1 if verify else 0)
+    assert len(calls) == 1
+    error = "BPositivityLost: b dropped to -2.986e-05"
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("basicness: ")
+               and line.endswith("lift gap failed (%s) -> FAILED" % error)
+               for line in lines)
+    summary = json.loads((out / "summary.json").read_text())
+    assert "stale" not in summary and summary["density_min"] > 0.0
+    assert summary["basicness"]["passed"] is False
+    assert summary["basicness"]["reduced_match"] is None
+    assert summary["basicness"]["error"] == error
+    if verify:
+        assert "uniqueness re-run: failed (%s) -> DISAGREE" % error in lines
+        assert summary["uniqueness"] == {"agree": False, "error": error}
+    else:
+        assert "uniqueness" not in summary
 
 
 @pytest.mark.parametrize("dims", [[2 ** 32, 2 ** 32], [2 ** 16] * 4])
