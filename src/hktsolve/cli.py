@@ -478,8 +478,9 @@ def build_parser():
     p.add_argument("--newton-tol", type=float, dest="newton_tol",
                    help="override continuity.newton_tol")
     p.add_argument("--verify-unique", action="store_true",
-                   help="solve again at t = 1 from phi = 0 and the solution's b, "
-                        "on the leaf space when the data have one, and compare")
+                   help="solve again at t = 1 from the Q-blind pair or phi = 0, whichever "
+                        "has the smaller residual, on the leaf space if any (on basic data "
+                        "the basicness report's re-solve), and compare")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("manufactured", help="recover a chosen exact solution")

@@ -62,9 +62,9 @@ which keeps it positive.  On a 512^2 bump the 512^2 start lands
 level's, not the coarse solves' accuracy.  The levels are the coarse
 solutions, not their starts.  The lift from the leaf space, where the
 solutions agree, is the broadcast, not extrapolated; the start above a
-single halved level is the plain interpolation (interpolate, prolong's
-one-level case).  Every coarse state and spectrum is dropped before
-the top grid's Newton runs.  The floor exists because on smaller grids
+single halved level is the plain interpolation (prolong of one
+level).  Every coarse state and spectrum is dropped before the top
+grid's Newton runs.  The floor exists because on smaller grids
 a coarse solve costs about what the fine steps it saves.  The leaf
 space is exempt from it, but a fine grid whose halving falls under it
 is not sequenced, nor is one whose every axis is a leaf: its chain is
@@ -326,16 +326,6 @@ def prolong(spectra, dims):
             src, dst = zip(*block)
             total[dst] += term[src]
     return irfftn_into(total, np.empty(dims))
-
-
-def interpolate(values, dims):
-    """Trigonometric interpolation of periodic grid values onto a finer grid.
-
-    Each axis of ``dims`` is as long as the values' or longer, over the
-    same length: prolong's one-level case.
-    """
-    values = np.asarray(values, dtype=float)
-    return prolong([(values.shape, half_spectrum(values))], dims)
 
 
 def _richardson_weights(k):

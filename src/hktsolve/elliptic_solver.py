@@ -408,14 +408,13 @@ def quad_value(q, component, shape, pairs=None, buffers=()):
     an array of ``shape`` for a per-node Q, and both broadcast alike.
     The first term is written and the rest are added.
 
-    Row i keeps v_i in one buffer, and a term with j > i writes v_j
-    into another, so v_j is written again for each pair that needs it.
-    A term is formed in v_j's buffer, or in v_i's for the row's last
-    term, and the first term's buffer becomes the result: beside it, a
-    diagonal Q holds one buffer and any other Q at most two.  The
-    ``buffers`` given, arrays of ``shape`` whose contents the caller
-    gives up, are used before any is allocated (_quad_buffers says how
-    many can be).
+    Each term writes v_i into a buffer, squares it in place or
+    multiplies it by v_j written into a second buffer, and multiplies
+    it by s_ij, so v_i and v_j are written again for each pair that
+    needs them.  The first term's buffer becomes the result: beside it,
+    a diagonal Q holds one buffer and any other Q two.  The ``buffers``
+    given, arrays of ``shape`` whose contents the caller gives up, are
+    used before any is allocated (_quad_buffers says how many can be).
     """
     pairs = nonzero_pairs(q) if pairs is None else pairs
     free = list(buffers)   # buffers whose contents are no longer needed
@@ -424,25 +423,16 @@ def quad_value(q, component, shape, pairs=None, buffers=()):
         return free.pop() if free else np.empty(shape)
 
     out = None
-    for k, (i, j) in enumerate(pairs):
-        if k == 0 or pairs[k - 1][0] != i:
-            vi = take()
-            component(i, vi)
-        other = vi
-        if j != i:
-            other = take()
-            component(j, other)
-        # the row's last term is formed over v_i, which it no longer
-        # needs; any other over v_j, or for v_i^2 in a third buffer
-        if k + 1 == len(pairs) or pairs[k + 1][0] != i:
-            term = vi
-        elif j != i:
-            term = other
+    for i, j in pairs:
+        term = take()
+        component(i, term)
+        if i == j:
+            np.multiply(term, term, out=term)
         else:
-            term = take()
-        np.multiply(vi, other, out=term)
-        if other is not vi and other is not term:
-            free.append(other)
+            vj = take()
+            component(j, vj)
+            term *= vj
+            free.append(vj)
         term *= _pair_coefficient(q, i, j)
         if out is None:
             out = term

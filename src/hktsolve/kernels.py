@@ -24,10 +24,11 @@ stack is kept for the tests' checks and for the benchmark's
 ``kernels.gradient_nd`` metric, which traces it.
 
 ``axis_spread`` is the largest max - min over the lines along one axis,
-the measure of how much a field varies along it, taken without
-reducing along short contiguous rows and without a full-grid temporary,
-and 0.0 after contiguous comparisons of about SPREAD_CHUNK_NODES nodes
-each for a field whose slices along the axis are all equal.
+the measure of how much a field varies along it: 0.0 after contiguous
+comparisons of about SPREAD_CHUNK_NODES nodes each for a field whose
+slices along the axis are all equal, and otherwise numpy's max and min
+along the axis, which hold one value per line and no full-grid
+temporary.
 """
 
 import math
@@ -151,11 +152,6 @@ def gradient_nd(f, spacings):
     return g
 
 
-# Lines along a middle axis whose stride is below this many elements are
-# walked one slice at a time: numpy's own reduction there steps along
-# rows too short to pay for its set-up.
-SHORT_ROW = 64
-
 # axis_spread compares the slices along an axis in chunks of about this
 # many nodes, a 64 kB boolean buffer.  A constant field along one axis,
 # microseconds per call on one thread of a 2-vCPU x86 VM, best of 7:
@@ -174,13 +170,10 @@ def axis_spread(arr, axis):
     """The largest max - min over the lines of ``arr`` along ``axis``.
 
     Exactly ``float(np.max(np.ptp(arr, axis=axis)))``, since max and min
-    are exact and only the traversal differs.  Along the last axis the
-    lines are consecutive runs of the flat array, reduced by
-    ``reduceat``; along a middle axis with a short stride, a running
-    maximum and minimum over the axis's slices; elsewhere numpy's own
-    reduction, which is fastest there.  On a C-ordered ``arr``, as every
-    grid array here is, each way holds a few arrays of one value per
-    line and never a full-grid temporary.
+    are exact: numpy's max and min along the axis, kept with it so that
+    a 1-axis ``arr`` gives arrays, with the difference written over the
+    maxima, hold two arrays of one value per line (np.ptp holds three)
+    and no full-grid temporary.
 
     First, though, every slice along the axis is compared with the next,
     which is the flat array compared with itself shifted by the axis's
@@ -211,16 +204,6 @@ def axis_spread(arr, axis):
     else:
         return 0.0 if np.isfinite(flat.reshape(-1, m, s)[:, 0]).all() else math.nan
     del same, pairs   # the booleans go before the reduction's arrays come
-    if s == 1:
-        starts = np.arange(0, flat.size, m)
-        hi = np.maximum.reduceat(flat, starts)
-        lo = np.minimum.reduceat(flat, starts)
-    elif axis == 0 or s >= SHORT_ROW:
-        hi, lo = np.max(arr, axis=axis), np.min(arr, axis=axis)
-    else:
-        a3 = arr.reshape(-1, m, s)
-        hi, lo = a3[:, 0].copy(), a3[:, 0].copy()
-        for k in range(1, m):
-            np.maximum(hi, a3[:, k], out=hi)
-            np.minimum(lo, a3[:, k], out=lo)
-    return float(np.max(np.subtract(hi, lo, out=hi)))
+    hi = np.max(arr, axis=axis, keepdims=True)
+    return float(np.max(np.subtract(hi, np.min(arr, axis=axis, keepdims=True),
+                                    out=hi)))

@@ -294,8 +294,8 @@ def test_axis_spread_of_a_field_varying_along_axis_0_stops_after_a_chunk():
 
 
 def test_axis_spread_allocates_less_than_a_grid_array():
-    # one value per line, for the largest and the smallest: on 20^4 the
-    # outer axes take numpy's reduction, axis 2 the slices, axis 3 reduceat
+    # one value per line, for the largest and the smallest: numpy's
+    # reductions along the axis, on 20^4 along each of the four
     arr = np.random.default_rng(11).standard_normal((20,) * 4)
     for ax in range(4):
         kernels.axis_spread(arr, ax)   # first-call caches
