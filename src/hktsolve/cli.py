@@ -18,6 +18,7 @@ scipy.sparse.linalg, is imported only by the commands that solve.
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import os
 import sys
@@ -160,7 +161,13 @@ def cmd_verify_su3(args):
 # verify-algebra
 
 
-def _parse_params(pairs):
+def _parse_params(name, pairs):
+    """The --param values for the registry algebra ``name``: one rational
+    each, or as many comma-separated rationals as a tuple default has
+    (nilpotent8's central vectors).  A parameter the algebra lacks is
+    left for algebras.get_algebra to refuse."""
+    builder = algebras.REGISTRY.get(name)
+    known = inspect.signature(builder).parameters if builder else {}
     out = {}
     for item in pairs or []:
         if "=" not in item:
@@ -168,7 +175,13 @@ def _parse_params(pairs):
         key, val = (part.strip() for part in item.split("=", 1))
         if key in out:
             raise ConfigError("parameter %r is given twice" % key)
-        out[key] = parse_rational(val)
+        vals = tuple(parse_rational(v) for v in val.split(","))
+        default = known[key].default if key in known else None
+        width = len(default) if isinstance(default, tuple) else 1
+        if key in known and len(vals) != width:
+            raise ConfigError("parameter %r takes %d rational%s, got %r"
+                              % (key, width, "s" * (width > 1), val))
+        out[key] = vals if isinstance(default, tuple) else vals[0]
     return out
 
 
@@ -189,7 +202,7 @@ def cmd_verify_algebra(args):
             % (args.file, sc.dim))
         return 0
     name = "su3" if args.name is None else args.name
-    spec = algebras.get_algebra(name, **_parse_params(args.param))
+    spec = algebras.get_algebra(name, **_parse_params(name, args.param))
     check_jacobi(spec.sc, strict=True)
     _ok("Jacobi identity (exact)")
     frame = build_complex_frame(spec)
@@ -425,8 +438,8 @@ def cmd_study(args):
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError as exc:
         raise ConfigError("sizes: %s" % exc) from exc
-    if len(sizes) < 2:
-        raise ConfigError("need at least two grid sizes")
+    if len(sizes) < 2 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ConfigError("need two or more increasing grid sizes, got %s" % args.sizes)
     rows = convergence_study(sizes, amplitude=args.amplitude, qdiag=args.qdiag,
                              newton_tol=args.newton_tol)
     _say("size   sup_error      observed_order")
@@ -468,7 +481,8 @@ def build_parser():
                    help="registry name, su3 by default (%s)"
                         % ", ".join(sorted(algebras.REGISTRY)))
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
-                   help="algebra parameter, rationals accepted (repeatable)")
+                   help="algebra parameter, rationals accepted, comma-separated "
+                        "for a vector such as nilpotent8's v1 (repeatable)")
     p.add_argument("--file", help="structure-constant file; Jacobi check only")
     p.set_defaults(func=cmd_verify_algebra)
 

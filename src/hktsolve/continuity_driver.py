@@ -118,6 +118,7 @@ from .elliptic_solver import (
     _sup_in_place,
     density,
     irfftn_into,
+    quad_terms,
     quad_value,
     residual,
     rfftn_into,
@@ -551,7 +552,10 @@ def run_continuity(problem, cfg=None):
 
 
 def manufactured_problem(grid, phi_star, q, b_star=1.0):
-    """Forcing F making (phi_star, b_star) an exact discrete solution at t=1."""
+    """Forcing F making (phi_star, b_star) an exact discrete solution at t=1.
+
+    Q is checked, and its terms found, by a Problem on the grid with F = 0.
+    """
     phi_star = np.asarray(phi_star, dtype=float)
     if phi_star.shape != grid.dims:
         raise ShapeMismatch("phi_star shape %r does not match the grid"
@@ -561,7 +565,7 @@ def manufactured_problem(grid, phi_star, q, b_star=1.0):
     scale = 1.0 + float(np.max(np.abs(phi_star)))
     if abs(float(np.mean(phi_star))) > 1e-10 * scale:
         raise ConfigError("phi_star must have zero mean")
-    dens = density(grid, phi_star, np.asarray(q, dtype=float))
+    dens = density(Problem(grid, grid.zeros(), q), phi_star)
     low = float(np.min(dens))
     if low <= 0.0:
         raise NonpositiveDensity(
@@ -585,7 +589,6 @@ def analytic_manufactured(grid, amplitude, q):
     so the discrete solution differs from phi_star by the truncation
     error; that difference is what a convergence study measures.
     """
-    q = np.asarray(q, dtype=float)
     waves = [2.0 * np.pi / L for L in grid.lengths]
     xs = grid.axis_coords()
     phi = sine_product_field(grid, amplitude)
@@ -594,8 +597,8 @@ def analytic_manufactured(grid, amplitude, q):
                              for i, (w, x) in enumerate(zip(waves, xs))),
                             start=float(amplitude) * waves[ax])
                   for ax in range(grid.ndim)])
-    dens = 1.0 + lap + quad_value(q, lambda i, out: np.copyto(out, g[i]),
-                                  grid.dims)
+    dens = 1.0 + lap + quad_value(quad_terms(np.asarray(q, dtype=float)),
+                                  lambda i, out: np.copyto(out, g[i]), grid.dims)
     low = float(np.min(dens))
     if low <= 0.0:
         raise NonpositiveDensity(

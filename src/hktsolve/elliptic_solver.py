@@ -68,12 +68,11 @@ residual allocates only its result, and the callers that need max
 
 A Newton step on a small grid costs mostly numpy's per-call set-up, so
 its calls are few: every mean is x.sum() / x.size (_mean), np.mean's
-own add-reduce and division without its wrapper, and the Newton weights
-take the pairs of Q whose coefficient is not zero from the Problem
-(Problem.pairs, found once), not from a reduction per pair on every
-step; density(grid, phi, q) finds them once per call, for all its
-slabs.  The outputs are the same to the bit as with np.mean, rfftn and
-per-call pairs.
+own add-reduce and division without its wrapper, and Q is read once:
+the Problem records its terms s_ij (quad_terms, with q_ij + q_ji formed
+once), which density(problem, phi) and the Newton weights take, not a
+scan of Q on every call.  The outputs are the same to the bit as with
+np.mean, rfftn and a per-call scan.
 """
 
 import functools
@@ -164,7 +163,7 @@ class TorusGrid:
 class SolverState:
     """A Newton iterate (phi, b) at path time t, with its residual norm.
 
-    ``density`` is density(grid, phi, q) of this phi, computed once:
+    ``density`` is density(problem, phi) of this phi, computed once:
     solve_at_t fills it for its start and newton_step for the trial it
     accepts, and newton_step's starting residual and the CLI's density
     range read it instead of evaluating it again.  A state built by hand
@@ -259,10 +258,12 @@ class Problem:
     later write to its own array cannot slip an unvalidated Q in.  Q is
     a copy.  F is a copy too, unless nothing can write the caller's F:
     a read-only F from ``gridio.frozen``, as ``gridio.read_field``
-    returns it, is held as it is (see _sealed).  What the numeric calls
-    need is recorded once: ``pairs``, the (i, j) with i <= j whose
-    coefficient in <Q v, v> is not zero at every node; ``gauge = a``
-    when Q is the constant -aI with a > 0 (else None); and, on the first
+    returns it, is held as it is (see _sealed).  A per-node Q equal at
+    every node, exactly, is held as its constant (d, d) block.  What the
+    numeric calls need is recorded once: ``terms``, quad_terms of Q, the
+    terms of <Q v, v> that the density and the Newton weights form;
+    ``gauge = a`` when Q is the constant -aI with a > 0 (else None;
+    array_equal refuses a per-node Q by its shape); and, on the first
     preconditioner build (or the Hopf-Cole start of a grid chain's
     bottom, or a re-solve's Poisson pair), the symbol of the discrete
     Laplacian and its lowest nonzero mode.  exp(t F) is kept only from the first exp_tF
@@ -278,10 +279,14 @@ class Problem:
             raise ConfigError("forcing F has non-finite values")
         self.grid = grid
         self.F = F if _sealed(F) else frozen(F.copy())
-        self.q = validate_q(q, grid).copy()
+        q = validate_q(q, grid)
+        # a per-node Q that repeats one block exactly is that constant block
+        if q.ndim > 2 and np.all(q == q[(0,) * grid.ndim]):
+            q = q[(0,) * grid.ndim]
+        self.q = q.copy()
         self.q.flags.writeable = False
-        self.pairs = nonzero_pairs(self.q)
-        a = -float(self.q[0, 0]) if self.q.ndim == 2 else 0.0
+        self.terms = quad_terms(self.q)
+        a = -float(self.q.flat[0])
         scalar = np.array_equal(self.q, -a * np.eye(grid.ndim))
         self.gauge = a if a > 0 and scalar else None
         self._exp_key = None
@@ -384,46 +389,41 @@ def _exp_t(F, t, out):
     return np.exp(out, out=out)
 
 
-def _pair_coefficient(q, i, j):
-    """s_ij of <Q v, v>: q_ii on the diagonal, q_ij + q_ji off it."""
-    return q[..., i, i] if i == j else q[..., i, j] + q[..., j, i]
-
-
-def nonzero_pairs(q):
-    """The (i, j) with i <= j, in row order, whose s_ij is not zero at
-    every node: the terms quad_value and quad_dir_weights form."""
+def quad_terms(q):
+    """The terms (i, j, s_ij) of <Q v, v> = sum s_ij v_i v_j over i <= j,
+    in row order, with s_ii = q_ii and s_ij = q_ij + q_ji, leaving out
+    every s_ij that is zero at every node.  s_ij is a float for a
+    constant Q and an array of the grid's dims for a per-node Q."""
     d = q.shape[-1]
-    return tuple((i, j) for i in range(d) for j in range(i, d)
-                 if _pair_coefficient(q, i, j).any())
+    sums = ((i, j, q[..., i, i] if i == j else q[..., i, j] + q[..., j, i])
+            for i in range(d) for j in range(i, d))
+    return tuple((i, j, float(s) if s.ndim == 0 else s) for i, j, s in sums if s.any())
 
 
-def quad_value(q, component, shape, pairs=None, buffers=()):
+def quad_value(terms, component, shape, buffers=()):
     """<Q v, v> per node, for a vector field v given one component at a time.
 
     ``component(i, out)`` writes v_i, an array of ``shape``, into
-    ``out``.  The value is the sum of s_ij v_i v_j over i <= j in row
-    order, with s_ii = q_ii and s_ij = q_ij + q_ji, leaving out pairs
-    whose coefficient is zero at every node: ``pairs``, nonzero_pairs of
-    q, found here when not given; s_ij is a scalar for a constant Q and
-    an array of ``shape`` for a per-node Q, and both broadcast alike.
-    The first term is written and the rest are added.
+    ``out``.  The value is the sum of s_ij v_i v_j over ``terms``, the
+    (i, j, s_ij) of quad_terms in row order; a float s_ij and an array
+    of ``shape`` broadcast alike.  The first term is written and the
+    rest are added.
 
     Each term writes v_i into a buffer, squares it in place or
     multiplies it by v_j written into a second buffer, and multiplies
-    it by s_ij, so v_i and v_j are written again for each pair that
+    it by s_ij, so v_i and v_j are written again for each term that
     needs them.  The first term's buffer becomes the result: beside it,
     a diagonal Q holds one buffer and any other Q two.  The ``buffers``
     given, arrays of ``shape`` whose contents the caller gives up, are
     used before any is allocated (_quad_buffers says how many can be).
     """
-    pairs = nonzero_pairs(q) if pairs is None else pairs
     free = list(buffers)   # buffers whose contents are no longer needed
 
     def take():
         return free.pop() if free else np.empty(shape)
 
     out = None
-    for i, j in pairs:
+    for i, j, s in terms:
         term = take()
         component(i, term)
         if i == j:
@@ -433,7 +433,7 @@ def quad_value(q, component, shape, pairs=None, buffers=()):
             component(j, vj)
             term *= vj
             free.append(vj)
-        term *= _pair_coefficient(q, i, j)
+        term *= s
         if out is None:
             out = term
         else:
@@ -442,52 +442,38 @@ def quad_value(q, component, shape, pairs=None, buffers=()):
     return np.zeros(shape) if out is None else out
 
 
-def _quad_buffers(pairs):
-    """How many buffers quad_value can take for ``pairs``: one for a
+def _quad_buffers(terms):
+    """How many buffers quad_value can take for ``terms``: one for a
     single diagonal term, two for a diagonal Q, three with off-diagonal
     terms, none without terms."""
-    if not pairs:
-        return 0
-    if any(i != j for i, j in pairs):
-        return 3
-    return 1 if len(pairs) == 1 else 2
+    return 3 if any(i != j for i, j, _ in terms) else min(len(terms), 2)
 
 
-def quad_dir_weights(q, component, shape, pairs=None):
+def quad_dir_weights(terms, component, shape):
     """Weights w with d/ds <Q grad(phi+s eta)...> = sum_j w_j (grad eta)_j.
 
-    w_j = sum_i (q_ij + q_ji) v_i, in ascending i over the i whose
-    coefficient is not zero at every node: (i, j) or (j, i) is in
-    ``pairs``, nonzero_pairs of q, which a Newton step takes from its
-    Problem and which is found here when not given.  v = grad phi is
+    w_j = sum_i (q_ij + q_ji) v_i, from ``terms``, the (i, j, s_ij) of
+    quad_terms, walked in row order: a term adds s v_i to w_j and, off
+    the diagonal, s v_j to w_i; a diagonal term adds (s + s) v_i to w_i.
+    So each w_j receives its terms in ascending i.  v = grad phi is
     given one component at a time by ``component(i, out)`` as for
-    quad_value.
-    v_i is written once, into one buffer, and goes into every w_j it
-    feeds: the first term is written into w_j, the rest are added
-    through a second buffer, which a diagonal Q never needs.
+    quad_value, written into one buffer for each term that needs it.
+    The first term a w_j receives is written into it and the rest are
+    added through a second buffer, which a diagonal Q never needs.
     """
-    d = q.shape[-1]
-    pairs = nonzero_pairs(q) if pairs is None else pairs
-    w = np.zeros((d,) + tuple(shape))
-    written = [False] * d
-    vi = buf = None
-    for i in range(d):
-        loaded = False
-        for j in range(d):
-            if (min(i, j), max(i, j)) not in pairs:
-                continue
-            s = q[..., i, j] + q[..., j, i]
-            if not loaded:
-                vi = np.empty(shape) if vi is None else vi
-                component(i, vi)
-                loaded = True
-            if not written[j]:
-                np.multiply(vi, s, out=w[j])
-                written[j] = True
-                continue
-            buf = np.empty(shape) if buf is None else buf
-            np.multiply(vi, s, out=buf)
-            w[j] += buf
+    w = np.zeros((len(shape),) + tuple(shape))
+    written = set()
+    v, buf = np.empty(shape), None
+    for i, j, s in terms:
+        # (k, m, c): w_k receives c v_m
+        for k, m, c in ((i, i, s + s),) if i == j else ((j, i, s), (i, j, s)):
+            component(m, v)
+            if k in written:
+                buf = np.empty(shape) if buf is None else buf
+                w[k] += np.multiply(v, c, out=buf)
+            else:
+                np.multiply(v, c, out=w[k])
+                written.add(k)
     return w
 
 
@@ -509,7 +495,7 @@ def residual(problem, phi, b, t, dens=None):
     |res| in place too (_sup_in_place).
     """
     if dens is None:
-        dens = density(problem.grid, phi, problem.q)
+        dens = density(problem, phi)
     out = problem.scaled_exp_tF(t, b)
     return np.subtract(dens, out, out=out)
 
@@ -519,7 +505,7 @@ def _sup_in_place(res):
     return float(np.max(np.abs(res, out=res)))
 
 
-def density(grid, phi, q):
+def density(problem, phi):
     """The positivity monitor 1 + laplacian(phi) + <Q grad phi, grad phi>.
 
     Evaluated slab by slab (kernels.slabs), each slab's Laplacian, then
@@ -527,26 +513,27 @@ def density(grid, phi, q):
     so the slab's arrays stay in cache; every node gets the operations
     of the whole-grid evaluation in the same order.  grad phi is never
     stacked: quad_value takes it one axis at a time from
-    kernels.derivative.  Q's nonzero pairs are found once per call.
+    kernels.derivative.  Q is not looked at: the terms are the
+    problem's (Problem.terms), a per-node s_ij taken at the slab's rows.
     Beside the result, the evaluation holds slab buffers allocated once
     per call: the Laplacian's scratch, which is also quad_value's first
     buffer, and quad_value's others, two buffers for a diagonal Q and
     three for one with off-diagonal terms.
     """
+    grid, terms = problem.grid, problem.terms
     phi = np.ascontiguousarray(_check_field(grid, phi, "phi"))
-    pairs = nonzero_pairs(q)
     out = np.empty(grid.dims)
     rows = slabs(grid.dims)
     slab = (rows[0][1],) + grid.dims[1:]
-    buffers = [np.empty(slab) for _ in range(max(1, _quad_buffers(pairs)))]
+    buffers = [np.empty(slab) for _ in range(max(1, _quad_buffers(terms)))]
     for r0, r1 in rows:
         top = out[r0:r1]
         bufs = [buf[:r1 - r0] for buf in buffers]
         laplacian_rows(phi, grid.spacings, top, bufs[0], (r0, r1))
-        if pairs:
-            q_rows = q if q.ndim == 2 else q[r0:r1]
-            top += quad_value(q_rows, _partials(grid, phi, (r0, r1)),
-                              top.shape, pairs, bufs)
+        if terms:
+            top += quad_value([(i, j, s if np.ndim(s) == 0 else s[r0:r1])
+                               for i, j, s in terms],
+                              _partials(grid, phi, (r0, r1)), top.shape, bufs)
         top += 1.0
     return out
 
@@ -576,7 +563,7 @@ def bordered_operator(problem, phi, t):
     grid = problem.grid
     n, dims = grid.size, grid.dims
     eF = problem.exp_tF(t)
-    w = quad_dir_weights(problem.q, _partials(grid, phi), dims, problem.pairs)
+    w = quad_dir_weights(problem.terms, _partials(grid, phi), dims)
     for ax, h in enumerate(grid.spacings):
         w[ax] /= 2.0 * h
     inv_h2 = [1.0 / (h * h) for h in grid.spacings]
@@ -763,7 +750,7 @@ def newton_step(problem, state, tol=1e-10):
         phi_new += state.phi
         phi_new -= _mean(phi_new)
         b_new = state.b + scale * c
-        dens = density(grid, phi_new, problem.q)
+        dens = density(problem, phi_new)
         new_norm = _sup_in_place(residual(problem, phi_new, b_new, state.t, dens))
         if new_norm <= (1.0 - 1e-4) * res_norm:
             if b_new <= 0.0:
@@ -796,7 +783,7 @@ def solve_at_t(problem, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
     phi = grid.zeros() if phi0 is None else _check_field(grid, phi0, "phi0")
     phi = phi - _mean(phi)
     del phi0
-    dens = density(grid, phi, problem.q)
+    dens = density(problem, phi)
     res_norm = _sup_in_place(residual(problem, phi, b0, t, dens))
     state = SolverState(phi=phi, b=float(b0), t=float(t),
                         residual_norm=res_norm, newton_iters=0,

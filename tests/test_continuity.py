@@ -1708,7 +1708,7 @@ def test_theorem_ladder_reaches_t1(a, forcing, amplitude):
     problem = Problem(g, F, -a * np.eye(2))
     state, trace = run_continuity(problem, ContinuityConfig(newton_tol=tol))
     assert trace.rows[-1].t == 1.0 and state.residual_norm <= tol
-    assert float(np.min(density(g, state.phi, problem.q))) > 0.0
+    assert float(np.min(density(problem, state.phi))) > 0.0
     for row in trace.rows:
         e = np.exp(row.t * F)
         # max principle: min e^{-tF} <= b <= max e^{-tF}; the mean of the
@@ -1774,9 +1774,9 @@ def _recorded_solves(monkeypatch):
     solves = []
     real_density, real_solve = es.density, cd.solve_at_t
 
-    def counted_density(grid, phi, q):
+    def counted_density(problem, phi):
         solves[-1]["phis"].append(np.asarray(phi).tobytes())
-        return real_density(grid, phi, q)
+        return real_density(problem, phi)
 
     def recorded_solve(problem, *args, **kwargs):
         solves.append({"problem": problem, "phis": [], "state": None})
@@ -1816,10 +1816,10 @@ def test_every_returned_state_carries_the_density_of_its_phi(name, monkeypatch):
     if name in ("bump-2d-sequenced", "basic-4d-leaf-space"):
         assert len(returned) > 1   # the coarse levels' states are checked too
     for prob, st in returned:
-        assert np.array_equal(st.density, density(prob.grid, st.phi, prob.q))
+        assert np.array_equal(st.density, density(prob, st.phi))
     # solve_at_t called directly: a plain start, and a converged one that
     # takes no Newton step
     for phi0, b0 in ((None, 1.0), (state.phi, state.b)):
         st = es.solve_at_t(problem, 1.0, phi0=phi0, b0=b0)
-        assert np.array_equal(st.density, density(problem.grid, st.phi, problem.q))
+        assert np.array_equal(st.density, density(problem, st.phi))
     assert st.newton_iters == 0

@@ -402,50 +402,69 @@ def test_quadratic_form_matches_double_loop(dims):
             value += q[..., i, j] * g[i] * g[j]
             weights[j] += (q[..., i, j] + q[..., j, i]) * g[i]
     v = _stacked(g)
-    assert np.allclose(es.quad_value(q, v, dims), value, rtol=0, atol=1e-12)
-    assert np.allclose(es.quad_dir_weights(q, v, dims), weights, rtol=0, atol=1e-12)
+    terms = es.quad_terms(q)
+    assert np.allclose(es.quad_value(terms, v, dims), value, rtol=0, atol=1e-12)
+    assert np.allclose(es.quad_dir_weights(terms, v, dims), weights, rtol=0, atol=1e-12)
     # a constant Q reads the same as its per-node broadcast; a zero Q is zero
-    qc = q[(0,) * d]
-    qn = np.broadcast_to(qc, q.shape)
+    qc = es.quad_terms(q[(0,) * d])
+    qn = es.quad_terms(np.broadcast_to(q[(0,) * d], q.shape))
     assert np.allclose(es.quad_value(qc, v, dims), es.quad_value(qn, v, dims),
                        rtol=0, atol=1e-12)
     assert np.allclose(es.quad_dir_weights(qc, v, dims),
                        es.quad_dir_weights(qn, v, dims), rtol=0, atol=1e-12)
-    assert not np.any(es.quad_value(np.zeros((d, d)), v, dims))
-    assert not np.any(es.quad_dir_weights(np.zeros((d, d)), v, dims))
-
-
-def test_problem_finds_the_pairs_of_q_once(monkeypatch):
-    # s_01 = q_01 + q_10 cancels here, so its term is left out; a Newton
-    # step's weights take the problem's pairs and look at Q no more
-    g = TorusGrid((8, 8))
-    rng = np.random.default_rng(32)
-    q = np.array([[-2.0, 0.5], [-0.5, -1.0]])
-    pernode = np.broadcast_to(q, g.dims + (2, 2)).copy()
-    pernode[2, 3] = [[-1.0, 0.25], [0.25, -1.0]]
-    phi = rng.standard_normal(g.dims)
-    v = es._partials(g, phi)
-    for form, pairs in ((q, ((0, 0), (1, 1))),
-                        (pernode, ((0, 0), (0, 1), (1, 1)))):
-        problem = Problem(g, rng.standard_normal(g.dims), form)
-        assert problem.pairs == es.nonzero_pairs(form) == pairs
-        assert (es.quad_dir_weights(form, v, g.dims, pairs).tobytes()
-                == es.quad_dir_weights(form, v, g.dims).tobytes())
-        x = rng.standard_normal(g.size + 1)
-        want = bordered_operator(problem, phi, 0.5).matvec(x)
-        with monkeypatch.context() as m:
-            m.setattr(es, "nonzero_pairs", None)
-            got = bordered_operator(problem, phi, 0.5).matvec(x)
-        assert got.tobytes() == want.tobytes()
+    assert not np.any(es.quad_value(es.quad_terms(np.zeros((d, d))), v, dims))
+    assert not np.any(es.quad_dir_weights(es.quad_terms(np.zeros((d, d))), v, dims))
 
 
 def test_density_monitor():
     g = TorusGrid((16, 16))
-    assert np.allclose(density(g, g.zeros(), -np.eye(2)), 1.0)
+    problem = Problem(g, g.zeros(), -np.eye(2))
+    assert np.allclose(density(problem, g.zeros()), 1.0)
     phi = sine_product_field(g, 0.05)
-    d = density(g, phi, -np.eye(2))
-    r = residual(Problem(g, g.zeros(), -np.eye(2)), phi, 0.0, 0.0)
+    d = density(problem, phi)
+    r = residual(problem, phi, 0.0, 0.0)
     assert np.allclose(d, r, atol=1e-13)
+
+
+def test_problem_reads_the_terms_of_q_once(monkeypatch):
+    # Q's terms are found by the Problem; the density, over any number of
+    # slabs, the residual, the Newton matrix and a Newton step take them
+    # from it and look at Q no more.  s_01 = q_01 + q_10 cancels in the
+    # off-diagonal Q, so its term is left out
+    g = TorusGrid((16, 8, 4, 4))
+    monkeypatch.setattr(kernels, "SLAB_NODES", 3 * 128)
+    assert len(kernels.slabs(g.dims)) == 6
+    rng = np.random.default_rng(44)
+    skew = np.diag([-2.0, -1.0, -3.0, -1.0])
+    skew[0, 1], skew[1, 0] = 0.5, -0.5
+    skew[2, 3] = skew[3, 2] = 0.4
+    forms = [(-4.0 * np.eye(4), [(0, 0), (1, 1), (2, 2), (3, 3)]),
+             (skew, [(0, 0), (1, 1), (2, 2), (2, 3), (3, 3)]),
+             (_q_of_kind("pernode", g.dims, rng),
+              [(i, j) for i in range(4) for j in range(i, 4)])]
+    for q, pairs in forms:
+        problem = Problem(g, 0.3 * rng.standard_normal(g.dims), q)
+        assert [(i, j) for i, j, _ in problem.terms] == pairs
+        phi = 0.05 * rng.standard_normal(g.dims)
+        x = rng.standard_normal(g.size + 1)
+        state = SolverState(phi=phi, b=1.2, t=0.5, residual_norm=math.inf,
+                            newton_iters=0)
+
+        def outputs():
+            stepped = newton_step(problem, state)
+            return (density(problem, phi).tobytes(),
+                    residual(problem, phi, 1.2, 0.5).tobytes(),
+                    bordered_operator(problem, phi, 0.5).matvec(x).tobytes(),
+                    stepped.phi.tobytes(), stepped.b)
+
+        want = outputs()
+        with monkeypatch.context() as m:
+            m.setattr(es, "quad_terms", _refused)
+            assert outputs() == want
+
+
+def _refused(*args):
+    raise AssertionError("Q's terms are found again")
 
 
 def test_linearized_apply_examples():
@@ -644,12 +663,29 @@ def test_problem_holds_q_and_its_leaf_axes():
     assert np.array_equal(problem.q, -np.eye(2))
     assert problem.gauge == 1.0 and problem.leaf_axes == (1,)
     assert not problem.q.flags.writeable
-    pernode = np.broadcast_to(-np.eye(2), g.dims + (2, 2)).copy()
+    # a Q that varies along axis 0, as F does
+    pernode = -np.eye(2) * (1.5 + F)[..., None, None]
     held = Problem(g, F, pernode)
+    want = pernode.copy()
     pernode[3, 0, 1, 1] = 5.0
-    assert np.array_equal(held.q, np.broadcast_to(-np.eye(2), g.dims + (2, 2)))
+    assert np.array_equal(held.q, want)
     assert held.leaf_axes == (1,)
     assert not held.q.flags.writeable
+
+
+def test_problem_holds_a_q_equal_at_every_node_as_its_block():
+    # compared exactly: the repeated block is held, with its gauge, while a
+    # Q one ulp off at a single node stays per-node, with none
+    g = TorusGrid((8, 8))
+    F = np.sin(g.axis_coords()[0]) + g.zeros()
+    pernode = np.broadcast_to(-2.0 * np.eye(2), g.dims + (2, 2)).copy()
+    held = Problem(g, F, pernode)
+    assert held.q.shape == (2, 2) and np.array_equal(held.q, -2.0 * np.eye(2))
+    assert held.gauge == 2.0 and held.terms == ((0, 0, -2.0), (1, 1, -2.0))
+    assert held.leaf_axes == (1,) and not held.q.flags.writeable
+    pernode[5, 6, 1, 1] = np.nextafter(-2.0, 0.0)
+    kept = Problem(g, F, pernode)
+    assert kept.q.shape == g.dims + (2, 2) and kept.gauge is None
 
 
 def _nsd(rng, shape, d):
@@ -800,7 +836,7 @@ def test_converged_state_satisfies_integral_identity():
     F = bump(g)
     st = solve_at_t(Problem(g, F, q), 1.0, tol=1e-10)
     grads = kernels.gradient_nd(st.phi, g.spacings)
-    quad = es.quad_value(np.asarray(q, dtype=float), _stacked(grads), g.dims)
+    quad = es.quad_value(es.quad_terms(q), _stacked(grads), g.dims)
     gap = abs(np.mean(quad + 1.0 - st.b * np.exp(st.t * F)))
     assert gap <= 10 * 1e-10
 
@@ -981,7 +1017,7 @@ def test_streamed_gradient_matches_the_stacked_one_bit_for_bit(dims, kind):
     q = _q_of_kind(kind, dims, rng)
     phi = rng.standard_normal(dims)
     problem = Problem(g, 0.3 * rng.standard_normal(dims), q)
-    assert np.array_equal(density(g, phi, q), _stacked_density(g, phi, q))
+    assert np.array_equal(density(problem, phi), _stacked_density(g, phi, q))
     op = bordered_operator(problem, phi, 0.7)
     for _ in range(3):
         x = rng.standard_normal(g.size + 1)
@@ -1005,7 +1041,7 @@ def test_slabbed_stencils_match_the_stacked_ones_bit_for_bit(dims, slab_nodes,
     q = _q_of_kind(kind, dims, rng)
     phi = rng.standard_normal(dims)
     problem = Problem(g, 0.3 * rng.standard_normal(dims), q)
-    assert np.array_equal(density(g, phi, q), _stacked_density(g, phi, q))
+    assert np.array_equal(density(problem, phi), _stacked_density(g, phi, q))
     assert np.array_equal(kernels.laplacian_nd(phi, g.spacings),
                           _roll_laplacian(phi, g.spacings))
     op = bordered_operator(problem, phi, 0.7)
@@ -1022,28 +1058,6 @@ def _roll_laplacian(f, spacings):
     return out
 
 
-def test_density_finds_the_pairs_of_q_once_per_call(monkeypatch):
-    # one nonzero_pairs per call, however many slabs: quad_value is handed
-    # the pairs for each
-    g = TorusGrid((16, 8, 4, 4))
-    monkeypatch.setattr(kernels, "SLAB_NODES", 3 * 128)
-    assert len(kernels.slabs(g.dims)) == 6
-    rng = np.random.default_rng(44)
-    q = _q_of_kind("full", g.dims, rng)
-    phi = rng.standard_normal(g.dims)
-    want = density(g, phi, q)
-    calls = []
-    real = es.nonzero_pairs
-
-    def counted(form):
-        calls.append(form.shape)
-        return real(form)
-
-    monkeypatch.setattr(es, "nonzero_pairs", counted)
-    assert density(g, phi, q).tobytes() == want.tobytes()
-    assert calls == [q.shape]
-
-
 # numpy's ufunc buffers for the strided wrapped planes: 15 kB on 8^4
 UFUNC_BUFFERS = 16 * 1024
 
@@ -1057,11 +1071,12 @@ def test_density_memory(dims, kind, arrays):
     g = TorusGrid(dims)
     q = _q_of_kind(kind, dims, rng)
     phi = rng.standard_normal(dims)
-    density(g, phi, q)   # first-call caches
+    problem = Problem(g, g.zeros(), q)
+    density(problem, phi)   # first-call caches
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = density(g, phi, q)
+        out = density(problem, phi)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -1079,15 +1094,15 @@ def test_stencils_on_a_grid_of_several_slabs_hold_a_fraction_of_an_array():
     assert len(kernels.slabs(g.dims)) == 10
     rng = np.random.default_rng(45)
     phi = rng.standard_normal(g.dims)
-    q = -4.0 * np.eye(4)
-    op = bordered_operator(Problem(g, rng.standard_normal(g.dims), q), phi, 0.5)
+    problem = Problem(g, rng.standard_normal(g.dims), -4.0 * np.eye(4))
+    op = bordered_operator(problem, phi, 0.5)
     x = rng.standard_normal(g.size + 1)
-    density(g, phi, q), op.matvec(x)   # first-call caches
+    density(problem, phi), op.matvec(x)   # first-call caches
     grid_bytes = g.size * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = density(g, phi, q)
+        out = density(problem, phi)
         dens_peak = tracemalloc.get_traced_memory()[1] - base
         del out
         tracemalloc.reset_peak()
@@ -1143,7 +1158,7 @@ def _bordered_model(g, F, t, u, sigma):
 @pytest.mark.parametrize("form, span", [
     ("scalar", 3.0),        # gauge branch
     ("scalar", 12.0),       # span beyond GAUGE_MAX_SPAN: shifted branch
-    ("pernode", 3.0),       # a per-node Q has no gauge
+    ("pernode", 3.0),       # a Q that varies by node has no gauge
     ("anisotropic", 3.0),   # nor has a Q that is not a multiple of I
 ])
 def test_preconditioner_inverts_bordered_model(dims, lengths, form, span):
@@ -1155,7 +1170,8 @@ def test_preconditioner_inverts_bordered_model(dims, lengths, form, span):
     if form == "scalar":
         q = -a * np.eye(d)
     elif form == "pernode":
-        q = np.broadcast_to(-a * np.eye(d), g.dims + (d, d))
+        q = np.broadcast_to(-a * np.eye(d), g.dims + (d, d)).copy()
+        q[(0,) * d] *= 2.0
     else:
         q = -np.diag(np.arange(1.0, d + 1.0))
     F = rng.standard_normal(g.dims)

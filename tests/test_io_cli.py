@@ -214,6 +214,22 @@ def test_cli_verify_algebra_with_params(capsys):
     assert "negative semi-definite" in out
 
 
+def test_cli_verify_algebra_takes_a_vector_parameter(capsys):
+    # nilpotent8's central vectors are given as comma-separated rationals
+    rc = cli.main(["verify-algebra", "--name", "nilpotent8",
+                   "--param", "v1=1,1,0,0", "--param", "v3=0, 0, 1/2, 1"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "real quadratic form eigenvalues: [0. 0. 0. 0.]" in out
+    assert out.endswith("ok: quadratic form negative semi-definite\n")
+    # any other count of rationals is refused by the parameter's name
+    for argv, message in (
+            (["nilpotent8", "--param", "v1=1"], "'v1' takes 4 rationals, got '1'"),
+            (["semidirect8", "--param", "c=1,2"], "'c' takes 1 rational, got '1,2'")):
+        assert cli.main(["verify-algebra", "--name"] + argv) == 1
+        assert capsys.readouterr().err == "error: ConfigError: parameter %s\n" % message
+
+
 def test_cli_verify_algebra_prints_non_integral_coefficients(capsys):
     # c = 1/3 puts thirds and ninths through QQi's printed form
     rc = cli.main(["verify-algebra", "--name", "semidirect8",
@@ -305,11 +321,13 @@ def test_cli_verify_algebra_errors(capsys):
     ["verify-algebra", "--name", "semidirect8", "--param", "c=1/0"],
     ["verify-algebra", "--name", "su3", "--param", "x=1"],
     ["verify-algebra", "--name", "nilpotent8", "--param", "v1=1"],
+    ["verify-algebra", "--name", "nilpotent8", "--param", "v1=1,0,0"],
+    ["verify-algebra", "--name", "semidirect8", "--param", "c=1,2"],
     ["verify-su3", "--emit-forms", "{tmp}/nosuch/x.txt"],
     ["study", "--sizes", "32,abc"],
 ], ids=["file-div-zero", "file-missing", "file-not-utf8", "param-junk",
-        "param-div-zero", "param-unknown", "param-not-vector", "emit-unwritable",
-        "study-sizes-junk"])
+        "param-div-zero", "param-unknown", "param-not-vector", "param-short-vector",
+        "param-vector-for-scalar", "emit-unwritable", "study-sizes-junk"])
 def test_cli_symbolic_bad_inputs(tmp_path, capsys, argv):
     (tmp_path / "zero.txt").write_text("dim 4\n1 2 : 3 1/0\n")
     (tmp_path / "latin1.txt").write_bytes(b"dim 4\n# caf\xe9\n1 2 : 3 1\n")
@@ -398,9 +416,9 @@ def test_cli_solve_evaluates_no_density_of_its_own(tmp_path, capsys, monkeypatch
     events = []
     real_density, real_run, real_check = es.density, cd.run_continuity, cd.basicness_check
 
-    def density(*args):
+    def density(problem, phi):
         events.append("density")
-        return real_density(*args)
+        return real_density(problem, phi)
 
     def run(*args, **kwargs):
         out = real_run(*args, **kwargs)
@@ -460,6 +478,26 @@ def test_cli_solve_is_deterministic(tmp_path, capsys):
     strip = lambda p: [line.rsplit(",", 1)[0]
                        for line in p.read_text().splitlines()]
     assert strip(out1 / "trace.csv") == strip(out2 / "trace.csv")
+
+
+@pytest.mark.parametrize("dims, a", [((32, 32), 1.0), ((8, 8, 4, 4), 4.0)])
+def test_cli_solve_reads_a_q_file_of_one_repeated_block_as_the_matrix(tmp_path, capsys,
+                                                                    dims, a):
+    # a per-node Q equal at every node is held as its constant block, so
+    # it solves as the matrix form does, gauge preconditioner included
+    g = TorusGrid(dims)
+    q = -a * np.eye(g.ndim)
+    qpath = tmp_path / "q.field"
+    gridio.write_field(qpath, oracles.pack_symmetric(np.broadcast_to(q, g.dims + q.shape)),
+                       g.lengths)
+    for name, qspec in (("matrix", {"matrix": q.tolist()}), ("file", {"file": str(qpath)})):
+        cfgpath = _write_config(tmp_path / (name + ".json"), dims=dims, q=qspec)
+        assert cli.main(["solve", "--config", str(cfgpath),
+                         "--out-dir", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    for artefact in ("phi.field", "summary.json"):
+        assert ((tmp_path / "matrix" / artefact).read_bytes()
+                == (tmp_path / "file" / artefact).read_bytes())
 
 
 def test_cli_solve_verify_unique(tmp_path, capsys):
@@ -1242,3 +1280,16 @@ def test_cli_study(capsys):
     assert "second-order window" in out
     assert cli.main(["study", "--sizes", "16"]) == 1
     assert "ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", ["8,8", "16,8", "8,16,16"])
+def test_cli_study_refuses_sizes_not_strictly_increasing(capsys, monkeypatch, sizes):
+    # refused before any solve, so no order is printed for a study never run
+    import hktsolve.continuity_driver as cd
+
+    monkeypatch.setattr(cd, "solve_at_t", None)
+    assert cli.main(["study", "--sizes", sizes]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: ConfigError: need two or more increasing grid "
+                            "sizes, got %s\n" % sizes)
