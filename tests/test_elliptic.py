@@ -426,15 +426,13 @@ def test_density_monitor():
     assert np.allclose(d, r, atol=1e-13)
 
 
-def test_problem_reads_the_terms_of_q_once(monkeypatch):
-    # Q's terms are found by the Problem; the density, over any number of
-    # slabs, the residual, the Newton matrix and a Newton step take them
-    # from it and look at Q no more.  s_01 = q_01 + q_10 cancels in the
-    # off-diagonal Q, so its term is left out
-    g = TorusGrid((16, 8, 4, 4))
-    monkeypatch.setattr(kernels, "SLAB_NODES", 3 * 128)
-    assert len(kernels.slabs(g.dims)) == 6
-    rng = np.random.default_rng(44)
+def test_problem_finds_the_pairs_of_q_once(monkeypatch):
+    # Q's terms are found by the Problem; the residual, the Newton matrix
+    # and a Newton step take them from it and look at Q no more.
+    # s_01 = q_01 + q_10 cancels in the off-diagonal Q, so its term is
+    # left out
+    g = TorusGrid((8, 8, 4, 4))
+    rng = np.random.default_rng(32)
     skew = np.diag([-2.0, -1.0, -3.0, -1.0])
     skew[0, 1], skew[1, 0] = 0.5, -0.5
     skew[2, 3] = skew[3, 2] = 0.4
@@ -452,8 +450,7 @@ def test_problem_reads_the_terms_of_q_once(monkeypatch):
 
         def outputs():
             stepped = newton_step(problem, state)
-            return (density(problem, phi).tobytes(),
-                    residual(problem, phi, 1.2, 0.5).tobytes(),
+            return (residual(problem, phi, 1.2, 0.5).tobytes(),
                     bordered_operator(problem, phi, 0.5).matvec(x).tobytes(),
                     stepped.phi.tobytes(), stepped.b)
 
@@ -461,6 +458,33 @@ def test_problem_reads_the_terms_of_q_once(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(es, "quad_terms", _refused)
             assert outputs() == want
+
+
+def test_density_finds_the_pairs_of_q_once_per_call(monkeypatch):
+    # the Problem finds Q's terms once; the density, however many slabs,
+    # takes them from it and finds them no more
+    g = TorusGrid((16, 8, 4, 4))
+    monkeypatch.setattr(kernels, "SLAB_NODES", 3 * 128)
+    assert len(kernels.slabs(g.dims)) == 6
+    rng = np.random.default_rng(44)
+    q = _q_of_kind("full", g.dims, rng)
+    phi = rng.standard_normal(g.dims)
+    calls = []
+    real = es.quad_terms
+
+    def counted(form):
+        calls.append(form.shape)
+        return real(form)
+
+    with monkeypatch.context() as m:
+        m.setattr(es, "quad_terms", counted)
+        problem = Problem(g, g.zeros(), q)
+    assert calls == [q.shape]
+    want = density(problem, phi)
+    assert np.array_equal(want, _stacked_density(g, phi, q))
+    with monkeypatch.context() as m:
+        m.setattr(es, "quad_terms", _refused)
+        assert density(problem, phi).tobytes() == want.tobytes()
 
 
 def _refused(*args):
