@@ -147,4 +147,9 @@ def get_algebra(name, **params):
     if unknown:
         raise ConfigError("algebra %r has no parameter %s (has: %s)"
                           % (name, ", ".join(unknown), ", ".join(known) or "none"))
+    for key, val in params.items():
+        vector = isinstance(known[key].default, tuple)
+        if isinstance(val, (tuple, list)) != vector:
+            raise ConfigError("parameter %r of algebra %r takes %s" % (
+                key, name, "comma-separated rationals" if vector else "one rational"))
     return builder(**params)

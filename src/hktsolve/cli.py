@@ -18,7 +18,6 @@ scipy.sparse.linalg, is imported only by the commands that solve.
 import argparse
 import dataclasses
 import functools
-import inspect
 import json
 import os
 import sys
@@ -161,13 +160,10 @@ def cmd_verify_su3(args):
 # verify-algebra
 
 
-def _parse_params(name, pairs):
-    """The --param values for the registry algebra ``name``: one rational
-    each, or as many comma-separated rationals as a tuple default has
-    (nilpotent8's central vectors).  A parameter the algebra lacks is
-    left for algebras.get_algebra to refuse."""
-    builder = algebras.REGISTRY.get(name)
-    known = inspect.signature(builder).parameters if builder else {}
+def _parse_params(pairs):
+    """The --param values: a rational each, or a tuple of rationals where
+    the value is comma-separated; algebras.get_algebra checks each
+    against its parameter's default."""
     out = {}
     for item in pairs or []:
         if "=" not in item:
@@ -175,13 +171,8 @@ def _parse_params(name, pairs):
         key, val = (part.strip() for part in item.split("=", 1))
         if key in out:
             raise ConfigError("parameter %r is given twice" % key)
-        vals = tuple(parse_rational(v) for v in val.split(","))
-        default = known[key].default if key in known else None
-        width = len(default) if isinstance(default, tuple) else 1
-        if key in known and len(vals) != width:
-            raise ConfigError("parameter %r takes %d rational%s, got %r"
-                              % (key, width, "s" * (width > 1), val))
-        out[key] = vals if isinstance(default, tuple) else vals[0]
+        vals = [parse_rational(v) for v in val.split(",")]
+        out[key] = tuple(vals) if "," in val else vals[0]
     return out
 
 
@@ -202,7 +193,7 @@ def cmd_verify_algebra(args):
             % (args.file, sc.dim))
         return 0
     name = "su3" if args.name is None else args.name
-    spec = algebras.get_algebra(name, **_parse_params(name, args.param))
+    spec = algebras.get_algebra(name, **_parse_params(args.param))
     check_jacobi(spec.sc, strict=True)
     _ok("Jacobi identity (exact)")
     frame = build_complex_frame(spec)
@@ -481,8 +472,7 @@ def build_parser():
                    help="registry name, su3 by default (%s)"
                         % ", ".join(sorted(algebras.REGISTRY)))
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
-                   help="algebra parameter, rationals accepted, comma-separated "
-                        "for a vector such as nilpotent8's v1 (repeatable)")
+                   help="rational algebra parameter, comma-separated for a vector (repeatable)")
     p.add_argument("--file", help="structure-constant file; Jacobi check only")
     p.set_defaults(func=cmd_verify_algebra)
 

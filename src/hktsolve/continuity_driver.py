@@ -118,7 +118,6 @@ from .elliptic_solver import (
     _sup_in_place,
     density,
     irfftn_into,
-    quad_terms,
     quad_value,
     residual,
     rfftn_into,
@@ -587,7 +586,9 @@ def analytic_manufactured(grid, amplitude, q):
     F is the forcing for the constant b = 1.  Unlike manufactured_problem
     this uses the analytic Laplacian and gradient of the continuum field,
     so the discrete solution differs from phi_star by the truncation
-    error; that difference is what a convergence study measures.
+    error; that difference is what a convergence study measures.  Q is
+    checked, and its terms found, by a Problem with F = 0, as in
+    manufactured_problem.
     """
     waves = [2.0 * np.pi / L for L in grid.lengths]
     xs = grid.axis_coords()
@@ -597,7 +598,7 @@ def analytic_manufactured(grid, amplitude, q):
                              for i, (w, x) in enumerate(zip(waves, xs))),
                             start=float(amplitude) * waves[ax])
                   for ax in range(grid.ndim)])
-    dens = 1.0 + lap + quad_value(quad_terms(np.asarray(q, dtype=float)),
+    dens = 1.0 + lap + quad_value(Problem(grid, grid.zeros(), q).terms,
                                   lambda i, out: np.copyto(out, g[i]), grid.dims)
     low = float(np.min(dens))
     if low <= 0.0:

@@ -283,8 +283,7 @@ class Problem:
         # a per-node Q that repeats one block exactly is that constant block
         if q.ndim > 2 and np.all(q == q[(0,) * grid.ndim]):
             q = q[(0,) * grid.ndim]
-        self.q = q.copy()
-        self.q.flags.writeable = False
+        self.q = frozen(q.copy())
         self.terms = quad_terms(self.q)
         a = -float(self.q.flat[0])
         scalar = np.array_equal(self.q, -a * np.eye(grid.ndim))
@@ -393,11 +392,13 @@ def quad_terms(q):
     """The terms (i, j, s_ij) of <Q v, v> = sum s_ij v_i v_j over i <= j,
     in row order, with s_ii = q_ii and s_ij = q_ij + q_ji, leaving out
     every s_ij that is zero at every node.  s_ij is a float for a
-    constant Q and an array of the grid's dims for a per-node Q."""
+    constant Q and an array of the grid's dims for a per-node Q, held
+    read-only (gridio.frozen) as the Problem holds Q."""
     d = q.shape[-1]
     sums = ((i, j, q[..., i, i] if i == j else q[..., i, j] + q[..., j, i])
             for i in range(d) for j in range(i, d))
-    return tuple((i, j, float(s) if s.ndim == 0 else s) for i, j, s in sums if s.any())
+    return tuple((i, j, float(s) if s.ndim == 0 else frozen(s))
+                 for i, j, s in sums if s.any())
 
 
 def quad_value(terms, component, shape, buffers=()):
@@ -446,28 +447,36 @@ def _quad_buffers(terms):
     """How many buffers quad_value can take for ``terms``: one for a
     single diagonal term, two for a diagonal Q, three with off-diagonal
     terms, none without terms."""
-    return 3 if any(i != j for i, j, _ in terms) else min(len(terms), 2)
+    if not terms:
+        return 0
+    if any(i != j for i, j, _ in terms):
+        return 3
+    return 1 if len(terms) == 1 else 2
 
 
 def quad_dir_weights(terms, component, shape):
     """Weights w with d/ds <Q grad(phi+s eta)...> = sum_j w_j (grad eta)_j.
 
     w_j = sum_i (q_ij + q_ji) v_i, from ``terms``, the (i, j, s_ij) of
-    quad_terms, walked in row order: a term adds s v_i to w_j and, off
-    the diagonal, s v_j to w_i; a diagonal term adds (s + s) v_i to w_i.
-    So each w_j receives its terms in ascending i.  v = grad phi is
-    given one component at a time by ``component(i, out)`` as for
-    quad_value, written into one buffer for each term that needs it.
-    The first term a w_j receives is written into it and the rest are
-    added through a second buffer, which a diagonal Q never needs.
+    quad_terms.  v = grad phi is given one component at a time by
+    ``component(m, out)`` as for quad_value, and each v_m that some term
+    needs is written once, into one buffer, in ascending m, and goes
+    into every w_k it feeds: s v_m into the other index k of each term
+    on m, and (s + s) v_m into w_m for the diagonal term.  So each w_k
+    receives its terms in ascending m.  The first term a w_k receives is
+    written into it and the rest are added through a second buffer,
+    which a diagonal Q never needs.
     """
     w = np.zeros((len(shape),) + tuple(shape))
     written = set()
     v, buf = np.empty(shape), None
-    for i, j, s in terms:
-        # (k, m, c): w_k receives c v_m
-        for k, m, c in ((i, i, s + s),) if i == j else ((j, i, s), (i, j, s)):
+    for m in range(len(shape)):
+        # the (k, c) with w_k receiving c v_m
+        feeds = [(j if i == m else i, s + s if i == j else s)
+                 for i, j, s in terms if m in (i, j)]
+        if feeds:
             component(m, v)
+        for k, c in feeds:
             if k in written:
                 buf = np.empty(shape) if buf is None else buf
                 w[k] += np.multiply(v, c, out=buf)

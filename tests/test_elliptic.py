@@ -416,6 +416,34 @@ def test_quadratic_form_matches_double_loop(dims):
     assert not np.any(es.quad_dir_weights(es.quad_terms(np.zeros((d, d))), v, dims))
 
 
+@pytest.mark.parametrize("dims", [(6, 5), (4, 3, 5, 4)])
+def test_newton_weights_read_each_gradient_component_once(dims):
+    # a dense per-node Q: each v_m is written once, in ascending m, and
+    # each w_j gets (q_ij + q_ji) v_i in ascending i, the first written
+    # and the rest added, bit for bit; a component in no term is not read
+    rng = np.random.default_rng(30)
+    d = len(dims)
+    q = rng.standard_normal(dims + (d, d))
+    g = rng.standard_normal((d,) + dims)
+    want = np.zeros((d,) + dims)
+    for j in range(d):
+        for i in range(d):
+            term = (q[..., i, j] + q[..., j, i]) * g[i]
+            want[j] = term if i == 0 else want[j] + term
+    read = []
+
+    def component(m, out):
+        read.append(m)
+        np.copyto(out, g[m])
+
+    got = es.quad_dir_weights(es.quad_terms(q), component, dims)
+    assert read == list(range(d))
+    assert got.tobytes() == want.tobytes()
+    read.clear()
+    es.quad_dir_weights(es.quad_terms(np.diag([-1.0] * (d - 1) + [0.0])), component, dims)
+    assert read == list(range(d - 1))
+
+
 def test_density_monitor():
     g = TorusGrid((16, 16))
     problem = Problem(g, g.zeros(), -np.eye(2))
@@ -427,8 +455,9 @@ def test_density_monitor():
 
 
 def test_problem_finds_the_pairs_of_q_once(monkeypatch):
-    # Q's terms are found by the Problem; the residual, the Newton matrix
-    # and a Newton step take them from it and look at Q no more.
+    # Q's terms are found by the Problem; the density, the residual, the
+    # Newton matrix and a Newton step take them from it and look at Q no
+    # more.
     # s_01 = q_01 + q_10 cancels in the off-diagonal Q, so its term is
     # left out
     g = TorusGrid((8, 8, 4, 4))
@@ -436,13 +465,21 @@ def test_problem_finds_the_pairs_of_q_once(monkeypatch):
     skew = np.diag([-2.0, -1.0, -3.0, -1.0])
     skew[0, 1], skew[1, 0] = 0.5, -0.5
     skew[2, 3] = skew[3, 2] = 0.4
+    # the same cancelling Q per node, but for one node where s_01 = 0.5:
+    # a term zero at every node but one is kept
+    bumped = np.broadcast_to(skew, g.dims + (4, 4)).copy()
+    bumped[2, 3, 1, 0, 0, 1] = bumped[2, 3, 1, 0, 1, 0] = 0.25
     forms = [(-4.0 * np.eye(4), [(0, 0), (1, 1), (2, 2), (3, 3)]),
              (skew, [(0, 0), (1, 1), (2, 2), (2, 3), (3, 3)]),
+             (bumped, [(0, 0), (0, 1), (1, 1), (2, 2), (2, 3), (3, 3)]),
              (_q_of_kind("pernode", g.dims, rng),
               [(i, j) for i in range(4) for j in range(i, 4)])]
     for q, pairs in forms:
         problem = Problem(g, 0.3 * rng.standard_normal(g.dims), q)
         assert [(i, j) for i, j, _ in problem.terms] == pairs
+        # a per-node term is held read-only, as Q is
+        assert not any(isinstance(s, np.ndarray) and s.flags.writeable
+                       for _, _, s in problem.terms)
         phi = 0.05 * rng.standard_normal(g.dims)
         x = rng.standard_normal(g.size + 1)
         state = SolverState(phi=phi, b=1.2, t=0.5, residual_norm=math.inf,
@@ -450,7 +487,8 @@ def test_problem_finds_the_pairs_of_q_once(monkeypatch):
 
         def outputs():
             stepped = newton_step(problem, state)
-            return (residual(problem, phi, 1.2, 0.5).tobytes(),
+            return (density(problem, phi).tobytes(),
+                    residual(problem, phi, 1.2, 0.5).tobytes(),
                     bordered_operator(problem, phi, 0.5).matvec(x).tobytes(),
                     stepped.phi.tobytes(), stepped.b)
 

@@ -222,12 +222,16 @@ def test_cli_verify_algebra_takes_a_vector_parameter(capsys):
     out = capsys.readouterr().out
     assert "real quadratic form eigenvalues: [0. 0. 0. 0.]" in out
     assert out.endswith("ok: quadratic form negative semi-definite\n")
-    # any other count of rationals is refused by the parameter's name
+    # a scalar for a vector, or a vector for a scalar, is refused by the
+    # parameter's name; a vector of the wrong length by the algebra
     for argv, message in (
-            (["nilpotent8", "--param", "v1=1"], "'v1' takes 4 rationals, got '1'"),
-            (["semidirect8", "--param", "c=1,2"], "'c' takes 1 rational, got '1,2'")):
+            (["nilpotent8", "--param", "v1=1"],
+             "parameter 'v1' of algebra 'nilpotent8' takes comma-separated rationals"),
+            (["semidirect8", "--param", "c=1,2"],
+             "parameter 'c' of algebra 'semidirect8' takes one rational"),
+            (["nilpotent8", "--param", "v2=1,0,0"], "central vectors need four components")):
         assert cli.main(["verify-algebra", "--name"] + argv) == 1
-        assert capsys.readouterr().err == "error: ConfigError: parameter %s\n" % message
+        assert capsys.readouterr().err == "error: ConfigError: %s\n" % message
 
 
 def test_cli_verify_algebra_prints_non_integral_coefficients(capsys):
