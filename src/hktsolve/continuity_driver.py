@@ -115,11 +115,10 @@ from .elliptic_solver import (
     SolverState,
     TorusGrid,
     _mean,
-    _sup_in_place,
     density,
     irfftn_into,
     quad_value,
-    residual,
+    residual_sup,
     rfftn_into,
     solve_at_t,
 )
@@ -662,7 +661,8 @@ def second_solve(problem, state, tol):
     exact solution when Q = 0, when that pair's max residual is below
     the residual max |1 - state.b exp(tF)| of phi = 0 and b = state.b,
     which needs no density, and from phi = 0 and state.b otherwise: a
-    pair with a non-finite residual is never taken.  A Q = 0 re-solve
+    pair with a non-finite residual is never taken.  Both maxima are
+    residual_sup's, slab by slab, with no residual array.  A Q = 0 re-solve
     takes no Newton step, and su3-4d-20's leaf space 4, not 5; on hard
     data, such as sine 6 with Q = -60 I or a bump of amplitude 30, the
     pair lies further out and phi = 0 is kept.  For a scalar Q neither
@@ -679,9 +679,9 @@ def second_solve(problem, state, tol):
     target, leaf = (problem, ()) if reduced is None else (reduced, problem.leaf_axes)
     t = state.t
     # phi = 0 has density 1, so its residual needs no density
-    plain = _sup_in_place(np.subtract(1.0, target.scaled_exp_tF(t, state.b)))
+    plain = residual_sup(target, 1.0, state.b, t)
     phi0, b0 = poisson_pair(target, t)
-    if not _sup_in_place(residual(target, phi0, b0, t)) < plain:
+    if not residual_sup(target, density(target, phi0), b0, t) < plain:
         phi0, b0 = None, state.b
     other = solve_at_t(target, t, phi0=phi0, b0=b0, tol=tol)
     return _lift_gap(state.phi, other.phi, leaf), abs(other.b - state.b)

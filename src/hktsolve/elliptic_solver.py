@@ -26,14 +26,17 @@ own output, through one half-spectrum array the preconditioner holds,
 back into that output, by the 1-D FFT calls that rfftn and irfftn
 make, in their order (rfftn_into, irfftn_into, which the grid
 sequencing's prolongation uses too), so its spectrum is theirs to the
-bit.  scipy's gmres applies the preconditioner twice to the same
-vector before its first cycle; the second apply is answered from a
-copy of the first.  A converged gmres result is returned unchecked,
-since gmres reports convergence only after computing the true residual
-itself; one that did not converge raises LinearSolveFailure, which the
-continuity driver answers with a halved step.  The FFTs are numpy's (2.0 or newer, for
-out=): importing scipy.fft would add about 0.07 s, a quarter of the
-set-up time, to every run.
+bit; the border's c g then goes into that array's memory, free once
+the inverse transform is done, so an apply allocates its output and
+no other grid array.  scipy's gmres applies the preconditioner twice
+to the same vector before its first cycle; the second apply is
+answered from a copy of the first.  A converged gmres result is
+returned unchecked, since gmres reports convergence only after
+computing the true residual itself; one that did not converge raises
+LinearSolveFailure, which the continuity driver answers with a halved
+step.  The FFTs are numpy's (2.0 or newer, for out=): importing
+scipy.fft would add about 0.07 s, a quarter of the set-up time, to
+every run.
 
 The linear solve's relative tolerance is the forcing term
 max(min(1e-2, |res|), tol / (2 |res|)), at most 1/2, of Eisenstat and
@@ -63,8 +66,14 @@ whose arrays stay in L2 cache through the pass's dozen or so ufunc
 calls.  Each node gets the whole-grid operations in the same order,
 so the results are the same to the bit, and the slab buffers are
 allocated once per call; a grid no bigger than one slab is one slab.
-residual allocates only its result, and the callers that need max
-|res| take |res| in place over it.
+No residual of the solve is a fresh grid array.  residual writes into
+the memory its caller gives: newton_step's starting residual goes into
+the field block of the GMRES right side, negated there in place, and
+each line-search trial's into the same block once GMRES has returned;
+max |res| is max(max res, -min res), with nothing written.  A start
+check, which needs only max |res|, is residual_sup: slab by slab in one
+slab buffer, so a grid whose start already solves it, such as a
+sequenced fine grid, holds phi, its density and one slab, no residual.
 
 A Newton step on a small grid costs mostly numpy's per-call set-up, so
 its calls are few: every mean is x.sum() / x.size (_mean), np.mean's
@@ -259,17 +268,18 @@ class Problem:
     a copy.  F is a copy too, unless nothing can write the caller's F:
     a read-only F from ``gridio.frozen``, as ``gridio.read_field``
     returns it, is held as it is (see _sealed).  A per-node Q equal at
-    every node, exactly, is held as its constant (d, d) block.  What the
+    every node, exactly, is held as its constant (d, d) block, found
+    before validate_q, which then checks that one block.  What the
     numeric calls need is recorded once: ``terms``, quad_terms of Q, the
     terms of <Q v, v> that the density and the Newton weights form;
     ``gauge = a`` when Q is the constant -aI with a > 0 (else None;
     array_equal refuses a per-node Q by its shape); and, on the first
     preconditioner build (or the Hopf-Cole start of a grid chain's
     bottom, or a re-solve's Poisson pair), the symbol of the discrete
-    Laplacian and its lowest nonzero mode.  exp(t F) is kept only from the first exp_tF
-    call, which solve_at_t makes once a Newton step follows: residual
-    takes b exp(t F) from scaled_exp_tF, which forms it in the
-    residual's own result while nothing is kept.
+    Laplacian and its lowest nonzero mode.  exp(t F) is kept only from
+    the first exp_tF call, which solve_at_t makes once a Newton step
+    follows: before that, residual and residual_sup take b exp(t F)
+    from scaled_exp_tF, which forms it in their own memory.
     """
 
     def __init__(self, grid, F, q):
@@ -279,10 +289,13 @@ class Problem:
             raise ConfigError("forcing F has non-finite values")
         self.grid = grid
         self.F = F if _sealed(F) else frozen(F.copy())
+        q = np.asarray(q, dtype=float)
+        # a per-node Q that repeats one block exactly is that constant
+        # block, and is validated as one
+        first = (0,) * grid.ndim
+        if q.shape == grid.dims + (grid.ndim,) * 2 and np.all(q == q[first]):
+            q = q[first]
         q = validate_q(q, grid)
-        # a per-node Q that repeats one block exactly is that constant block
-        if q.ndim > 2 and np.all(q == q[(0,) * grid.ndim]):
-            q = q[(0,) * grid.ndim]
         self.q = frozen(q.copy())
         self.terms = quad_terms(self.q)
         a = -float(self.q.flat[0])
@@ -366,18 +379,23 @@ class Problem:
             self._exp_key = t
         return self._exp_tF
 
-    def scaled_exp_tF(self, t, b):
-        """b exp(t F) as a fresh array.
+    def scaled_exp_tF(self, t, b, out=None, rows=None):
+        """b exp(t F), written into ``out``, a fresh array by default.
 
-        From exp_tF's array when it holds t; otherwise exp(t F) is formed
-        in the result itself, by exp_tF's operations, and nothing is kept,
-        so the bits are the same either way and a grid that takes no
-        Newton step, such as a sequenced fine grid whose start already
-        solves it, never holds exp(t F) beside its result.
+        With ``rows = (r0, r1)`` only rows r0 to r1 - 1 along axis 0, into
+        an ``out`` of r1 - r0 rows.  From exp_tF's array when it holds t;
+        otherwise exp(t F) is formed in ``out`` itself, by exp_tF's
+        operations, and nothing is kept, so the bits are the same either
+        way and a grid that takes no Newton step, such as a sequenced fine
+        grid whose start already solves it, never holds exp(t F).
         """
+        part = slice(None) if rows is None else slice(*rows)
+        F = self.F[part]
+        if out is None:
+            out = np.empty(F.shape)
         if t == self._exp_key:
-            return np.multiply(self._exp_tF, b)
-        out = _exp_t(self.F, t, np.empty(self.F.shape))
+            return np.multiply(self._exp_tF[part], b, out=out)
+        _exp_t(F, t, out)
         out *= b
         return out
 
@@ -492,26 +510,54 @@ def _partials(grid, phi, rows=None):
     return lambda i, out: derivative(phi, i, grid.spacings[i], out, rows)
 
 
-def residual(problem, phi, b, t, dens=None):
+def residual(problem, phi, b, t, dens=None, out=None):
     """Pointwise defect of the equation at (phi, b) and path time t.
 
     It is dens - b exp(tF), with dens the density of phi: passed in when
     the caller already has it (a state's ``density``), else evaluated
-    here.  Either way the result is the same to the bit, and it is the
-    one array allocated here: b exp(tF) is written into it
-    (Problem.scaled_exp_tF, which keeps no exp(tF) of its own) and dens
-    subtracted from it in place.  Callers that only need max |res| take
-    |res| in place too (_sup_in_place).
+    here.  Either way the result is the same to the bit.  It is written
+    into ``out``, an array of the grid's dims, or a fresh one by
+    default, and nothing else of the grid's size is allocated: b exp(tF)
+    goes into ``out`` (Problem.scaled_exp_tF, which keeps no exp(tF) of
+    its own) and dens is subtracted from it in place.  newton_step
+    passes the field block of its GMRES right side.
     """
     if dens is None:
         dens = density(problem, phi)
-    out = problem.scaled_exp_tF(t, b)
+    out = problem.scaled_exp_tF(t, b, out)
     return np.subtract(dens, out, out=out)
 
 
-def _sup_in_place(res):
-    """max |res|, with |res| written over res, which the caller gives up."""
-    return float(np.max(np.abs(res, out=res)))
+def _sup(x):
+    """max |x| as max(max x, -min x): the same float, NaN if x holds one,
+    without writing |x| anywhere."""
+    return abs(max(float(x.max()), -float(x.min())))
+
+
+def residual_sup(problem, dens, b, t):
+    """max |dens - b exp(tF)|: the sup of residual(problem, phi, b, t,
+    dens), to the bit, with no grid-sized array.
+
+    It runs slab by slab over kernels.slabs, in one slab buffer: b
+    exp(tF) by scaled_exp_tF's operations on the slab's rows, dens's
+    rows subtracted, then the slab's _sup; a NaN ends it.  ``dens`` is
+    the density of phi, or a float when it is constant (1.0 for phi =
+    0).  The starts of solve_at_t and of continuity_driver.second_solve
+    are checked with it, so a grid whose start already solves it holds
+    no residual.
+    """
+    dims = problem.grid.dims
+    rows = slabs(dims)
+    buf = np.empty((rows[0][1],) + dims[1:])
+    sup = 0.0
+    for r0, r1 in rows:
+        part = problem.scaled_exp_tF(t, b, buf[:r1 - r0], (r0, r1))
+        np.subtract(dens if np.ndim(dens) == 0 else dens[r0:r1], part, out=part)
+        s = _sup(part)
+        if math.isnan(s):
+            return s
+        sup = max(sup, s)
+    return sup
 
 
 def density(problem, phi):
@@ -639,6 +685,9 @@ def shifted_inverse_preconditioner(problem, phi, t):
     half-spectrum array; an apply writes u r into the field block of its
     fresh output, transforms it into that spectrum, divides by the
     symbol there, and transforms back into the same field block.  The
+    spectrum is then free until the next apply, and c g is written into
+    its memory, read as n reals, before it is added to w: an apply
+    allocates its output and no other grid array.  The
     transforms are rfftn_into and irfftn_into, the 1-D calls rfftn and
     irfftn make, in their order, so the result is bit-identical to
     rfftn/irfftn, without their per-call set-up.  phi's max and min are
@@ -677,6 +726,9 @@ def shifted_inverse_preconditioner(problem, phi, t):
         sigma = PRECOND_SHIFT
     inv_symbol = 1.0 / (problem.laplacian_symbol - sigma)
     spectrum = np.empty(inv_symbol.shape, dtype=complex)
+    # the spectrum's memory read as n reals (its last axis holds at least
+    # m + 1 of them per line): free once an apply's inverse transform is done
+    spare = spectrum.view(float).reshape(-1)[:n].reshape(dims)
 
     def field_solve(r, out):
         # out is the FFT's input and its output: A^-1 r, written in place
@@ -702,7 +754,7 @@ def shifted_inverse_preconditioner(problem, phi, t):
         out = np.empty(n + 1)
         w = field_solve(x[:n].reshape(dims), out[:n].reshape(dims))
         c = (x[n] - _mean(w)) / g_mean
-        w += c * g
+        w += np.multiply(g, c, out=spare)
         out[n] = c
         if applies == 1:
             first = (x.tobytes(), out.copy())
@@ -736,15 +788,22 @@ def newton_step(problem, state, tol=1e-10):
     formed from state.density, so the step evaluates the density only
     of its trials, once each; the accepted trial's density goes into
     the new state, and the next step starts from it in turn.
+
+    No residual here is an array of its own.  The starting one is
+    written into the field block of GMRES's right side and negated
+    there; once GMRES has returned, that block is free, and each trial's
+    residual is written into it.  Their sups are _sup's max(max, -min).
+    residual is called once at the start and once per trial, the calls
+    the benchmark's tracer counts line-search halvings by.
     """
     grid = problem.grid
     n = grid.size
-    res = residual(problem, state.phi, state.b, state.t, state.density)
     rhs = np.empty(n + 1)
-    np.negative(res.reshape(-1), out=rhs[:n])
+    field = rhs[:n].reshape(grid.dims)
+    residual(problem, state.phi, state.b, state.t, state.density, out=field)
+    np.negative(field, out=field)
     rhs[n] = 0.0
-    res_norm = _sup_in_place(res)
-    del res   # a grid array less while GMRES holds its Krylov basis
+    res_norm = _sup(field)
     op = bordered_operator(problem, state.phi, state.t)
     precond = shifted_inverse_preconditioner(problem, state.phi, state.t)
     rtol = min(0.5, max(min(1e-2, res_norm), 0.5 * tol / res_norm)) \
@@ -760,7 +819,7 @@ def newton_step(problem, state, tol=1e-10):
         phi_new -= _mean(phi_new)
         b_new = state.b + scale * c
         dens = density(problem, phi_new)
-        new_norm = _sup_in_place(residual(problem, phi_new, b_new, state.t, dens))
+        new_norm = _sup(residual(problem, phi_new, b_new, state.t, dens, out=field))
         if new_norm <= (1.0 - 1e-4) * res_norm:
             if b_new <= 0.0:
                 raise BPositivityLost("b dropped to %.3e" % b_new)
@@ -793,7 +852,7 @@ def solve_at_t(problem, t, phi0=None, b0=1.0, tol=1e-10, max_iters=30):
     phi = phi - _mean(phi)
     del phi0
     dens = density(problem, phi)
-    res_norm = _sup_in_place(residual(problem, phi, b0, t, dens))
+    res_norm = residual_sup(problem, dens, b0, t)
     state = SolverState(phi=phi, b=float(b0), t=float(t),
                         residual_norm=res_norm, newton_iters=0,
                         density=dens)

@@ -31,6 +31,7 @@ along the axis, which hold one value per line and no full-grid
 temporary.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -56,13 +57,19 @@ SLAB_NODES = 2 ** 14
 
 
 def slabs(shape):
-    """Row ranges (r0, r1) along axis 0 that cover ``shape`` in order.
+    """Row ranges (r0, r1) along axis 0 that cover ``shape`` in order, as
+    a tuple built once per shape (and SLAB_NODES).
 
     Each holds SLAB_NODES // (nodes per row) rows, at least one, and the
     last what is left; a grid no bigger than one slab is one range.
     """
-    rows = max(1, SLAB_NODES // math.prod(shape[1:]))
-    return [(r, min(r + rows, shape[0])) for r in range(0, shape[0], rows)]
+    return _slab_ranges(tuple(shape), SLAB_NODES)
+
+
+@functools.lru_cache(maxsize=64)
+def _slab_ranges(shape, slab_nodes):
+    rows = max(1, slab_nodes // math.prod(shape[1:]))
+    return tuple((r, min(r + rows, shape[0])) for r in range(0, shape[0], rows))
 
 
 def neighbours(f, axis, sign, out, rows=None):

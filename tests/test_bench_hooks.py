@@ -76,6 +76,91 @@ def test_tracer_sees_the_solver_layers(tmp_path, capsys):
     assert metrics["continuity_driver.attempts"] == 1
 
 
+def _spied_solve(tmp_path, monkeypatch, forcing, a):
+    """The calls, in order, that a 16^2 solve with Q = -aI makes to these
+    elliptic_solver names: each name when called, "end " + name when done."""
+    from hktsolve import cli
+
+    calls = []
+
+    def spy(name):
+        real = getattr(es, name)
+
+        def spied(*args, **kwargs):
+            calls.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                calls.append("end " + name)
+        monkeypatch.setattr(es, name, spied)
+
+    for name in ("newton_step", "residual", "density",
+                 "shifted_inverse_preconditioner", "laplacian_nd"):
+        spy(name)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "grid": {"dims": [16, 16]},
+        "forcing": forcing,
+        "q": {"matrix": [[-a, 0.0], [0.0, -a]]},
+        "continuity": {"newton_tol": 1e-10},
+    }))
+    assert cli.main(["solve", "--config", str(config),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    return calls
+
+
+def test_newton_step_calls_residual_once_per_trial_and_once_more(tmp_path, capsys,
+                                                                 monkeypatch):
+    # The tracer derives elliptic_solver.line_search.halvings from the
+    # residual calls inside each newton_step: one at its start and one per
+    # line-search trial.  The benchmark's smoke check needs halvings on
+    # this 16^2 sine 6 / -60 I solve, and says only "trace counts its
+    # layers" when the count is gone.
+    calls = _spied_solve(tmp_path, monkeypatch,
+                         {"type": "sine", "amplitude": 6.0}, 60.0)
+    capsys.readouterr()
+    steps, step = [], None
+    for call in calls:
+        if call == "newton_step":
+            step = {"residual": 0, "density": 0}
+        elif call == "end newton_step":
+            steps.append(step)
+            step = None
+        elif call in ("residual", "density") and step is not None:
+            step[call] += 1
+    assert steps, "the solve took no Newton step"
+    for k, step in enumerate(steps):
+        # each trial evaluates its density once, outside residual
+        trials = step["density"]
+        assert trials >= 1, "Newton step %d tried no line-search step" % k
+        assert step["residual"] == trials + 1, (
+            "Newton step %d called residual %d times for %d line-search trials: "
+            "the tracer's halvings count needs one call at the step's start "
+            "and one per trial" % (k, step["residual"], trials))
+    assert sum(step["density"] - 1 for step in steps) > 0, \
+        "no line-search halving: the smoke check counts them on this solve"
+
+
+def test_the_gauge_branch_calls_laplacian_nd(tmp_path, capsys, monkeypatch):
+    # kernels.laplacian_nd.calls and kernels.bytes_computed trace the
+    # gauge branch's Laplacian of u, the one laplacian_nd call a solve
+    # makes; the smoke check needs them on a mild bump with Q = -I.  (The
+    # sine 6 / -60 I solve above never gauges: its spans a ptp(phi) run
+    # from 22 to 125, over GAUGE_MAX_SPAN.)
+    calls = _spied_solve(tmp_path, monkeypatch,
+                         {"type": "bump", "amplitude": 1.0, "width": 1.0}, 1.0)
+    capsys.readouterr()
+    in_precond, gauge_laplacians = False, 0
+    for call in calls:
+        if call.endswith("shifted_inverse_preconditioner"):
+            in_precond = not call.startswith("end")
+        elif call == "laplacian_nd" and in_precond:
+            gauge_laplacians += 1
+    assert gauge_laplacians > 0, (
+        "the preconditioner's gauge branch called no laplacian_nd: "
+        "kernels.laplacian_nd.calls and kernels.bytes_computed would read 0")
+
+
 def test_real_checks_do_no_qqi_arithmetic(frames):
     # exact.qqi_ops counts the complexified frame's work only: the Jacobi
     # and Nijenhuis checks run on ints and Fractions

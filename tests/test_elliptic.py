@@ -608,6 +608,44 @@ def test_problem_checks_f_and_q_once():
         Problem(g, g.zeros(), -np.eye(4))
 
 
+def test_a_repeating_per_node_q_is_validated_as_one_block(monkeypatch):
+    # the repeat is found first, so eigvalsh sees one (d, d) block, not one
+    # per node; a per-node Q that does not repeat has every block checked
+    g = TorusGrid((6, 5, 4, 4))
+    block = -4.0 * np.eye(4)
+    seen = []
+    real = np.linalg.eigvalsh
+
+    def spied(a):
+        seen.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spied)
+    problem = Problem(g, g.zeros(), np.broadcast_to(block, g.dims + (4, 4)))
+    assert seen == [(4, 4)]
+    assert problem.q.shape == (4, 4) and problem.gauge == 4.0
+    varying = np.broadcast_to(block, g.dims + (4, 4)).copy()
+    varying[1, 2, 3, 0] *= 2.0
+    seen.clear()
+    assert Problem(g, g.zeros(), varying).q.shape == g.dims + (4, 4)
+    assert seen == [g.dims + (4, 4)]
+    # the refusals stand: a repeated block that is not NSD, a repeated
+    # non-finite block, NaN at one node, and per-node blocks of a wrong shape
+    with pytest.raises(ConfigError):
+        Problem(g, g.zeros(), np.broadcast_to(np.eye(4), g.dims + (4, 4)))
+    for value in (np.nan, -np.inf):
+        with pytest.raises(ConfigError):
+            Problem(g, g.zeros(), np.full(g.dims + (4, 4), value))
+        bad = np.broadcast_to(block, g.dims + (4, 4)).copy()
+        bad[2, 1, 0, 3, 1, 1] = value
+        with pytest.raises(ConfigError):
+            Problem(g, g.zeros(), bad)
+    with pytest.raises(ShapeMismatch):
+        Problem(g, g.zeros(), np.broadcast_to(-np.eye(2), g.dims + (2, 2)))
+    with pytest.raises(ShapeMismatch):
+        Problem(g, g.zeros(), np.broadcast_to(block, (6, 5, 4, 1, 4, 4)))
+
+
 def test_problem_checks_a_frozen_f_without_a_temporary():
     # F's finiteness from its max and min: no mask an eighth of a grid array
     g = TorusGrid((20, 20, 20, 20))
@@ -668,6 +706,116 @@ def test_residual_keeps_no_exp_tf_of_its_own():
     again = Problem(g, F, -np.eye(2))
     state = es.solve_at_t(again, 1.0, phi0=solved.phi, b0=solved.b)
     assert state.newton_iters == 0 and again._exp_tF is None
+
+
+def _abs_max(res):
+    return float(np.max(np.abs(res)))
+
+
+@pytest.mark.parametrize("dims", [(37,), (23, 10), (7, 4, 6, 4)])
+@pytest.mark.parametrize("cached", [False, True])
+def test_residual_sup_is_the_residual_max_bit_for_bit(dims, cached, monkeypatch):
+    # slab by slab into one slab buffer, over several slabs with a short
+    # last one, whether b exp(tF) comes from the kept exp(tF) or is formed
+    # in the slab, and with a density constant (phi = 0), NaN or infinite
+    monkeypatch.setattr(kernels, "SLAB_NODES", 3 * math.prod(dims[1:]))
+    assert len(kernels.slabs(dims)) > 2 and dims[0] % 3
+    rng = np.random.default_rng(49)
+    g = TorusGrid(dims)
+    problem = Problem(g, 0.4 * rng.standard_normal(dims), -np.eye(len(dims)))
+    if cached:
+        problem.exp_tF(0.7)
+    phi = 0.2 * rng.standard_normal(dims)
+    dens = density(problem, phi)
+    flat = dens.reshape(-1)
+    cases = [dens, dens + 1e3 * (np.arange(g.size) == g.size - 1).reshape(dims)]
+    for values in ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf],
+                   [np.inf, np.nan], [np.nan, -np.inf]):
+        bad = flat.copy()
+        for k, v in enumerate(values):
+            bad[(k + 1) * g.size // (len(values) + 1)] = v
+        cases.append(bad.reshape(dims))
+    for case in cases:
+        want = _abs_max(residual(problem, phi, 1.3, 0.7, case))
+        got = es.residual_sup(problem, case, 1.3, 0.7)
+        assert type(got) is float
+        assert np.array_equal(got, want, equal_nan=True)
+    assert es.residual_sup(problem, 1.0, 0.9, 0.7) == \
+        _abs_max(1.0 - problem.scaled_exp_tF(0.7, 0.9))
+    assert (problem._exp_tF is not None) == cached
+
+
+def test_residual_writes_into_the_memory_it_is_given():
+    g = TorusGrid((12, 8))
+    rng = np.random.default_rng(50)
+    problem = Problem(g, 0.3 * rng.standard_normal(g.dims), -np.eye(2))
+    phi = 0.1 * rng.standard_normal(g.dims)
+    fresh = residual(problem, phi, 0.8, 0.5)
+    block = np.full(g.size + 1, 7.0)
+    got = residual(problem, phi, 0.8, 0.5, out=block[:-1].reshape(g.dims))
+    assert np.shares_memory(got, block) and block[-1] == 7.0
+    assert got.tobytes() == fresh.tobytes()
+    rows = np.empty((5, 8))
+    assert problem.scaled_exp_tF(0.5, 0.8, rows, (3, 8)).tobytes() == \
+        problem.scaled_exp_tF(0.5, 0.8)[3:8].tobytes()
+
+
+def test_a_start_that_solves_its_grid_holds_no_residual():
+    # the exact Q = 0 pair solves its grid at once: the start check holds
+    # phi, its density and slab buffers (the density's one, then
+    # residual_sup's one), no residual array and no exp(tF)
+    from hktsolve.continuity_driver import poisson_pair
+    g = TorusGrid((256, 256))
+    assert len(kernels.slabs(g.dims)) == 4
+    F = sine_product_field(g, 0.5)
+    phi0, b0 = poisson_pair(Problem(g, F, np.zeros((2, 2))), 1.0)
+    solve_at_t(Problem(g, F, np.zeros((2, 2))), 1.0, phi0, b0)   # first-call caches
+    problem = Problem(g, F, np.zeros((2, 2)))
+    grid_bytes = g.size * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        state = solve_at_t(problem, 1.0, phi0, b0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert state.newton_iters == 0 and problem._exp_tF is None
+    assert peak <= 2 * grid_bytes + 2 * grid_bytes // 4 + UFUNC_BUFFERS
+    print("start check peak %.2f grid arrays" % (peak / grid_bytes))
+
+
+def test_newton_step_forms_no_grid_sized_residual(monkeypatch):
+    # the starting residual goes into the GMRES right side and each
+    # trial's into the same block once GMRES is done: no residual call
+    # allocates a grid array
+    g = TorusGrid((128, 128))
+    problem = Problem(g, bump(g, 2.0, 0.5), -np.eye(2))
+    state = solve_at_t(problem, 0.3)
+    start = SolverState(phi=0.5 * state.phi, b=state.b, t=1.0,
+                        residual_norm=math.inf, newton_iters=0,
+                        density=density(problem, 0.5 * state.phi))
+    want = newton_step(Problem(g, problem.F, -np.eye(2)), start)
+    grid_bytes = g.size * 8
+    peaks = []
+    real = es.residual
+
+    def measured(*args, **kwargs):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        res = real(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return res
+
+    monkeypatch.setattr(es, "residual", measured)
+    tracemalloc.start()
+    try:
+        got = newton_step(problem, start)
+    finally:
+        tracemalloc.stop()
+    assert got.phi.tobytes() == want.phi.tobytes() and got.b == want.b
+    assert got.residual_norm == want.residual_norm
+    assert len(peaks) >= 2
+    assert max(peaks) < grid_bytes // 4, peaks
 
 
 def test_problem_holds_a_frozen_f_without_a_copy():
@@ -1097,6 +1245,20 @@ def test_slabbed_stencils_match_the_stacked_ones_bit_for_bit(dims, slab_nodes,
         assert np.array_equal(op.matvec(x), _stacked_matvec(problem, phi, 0.7, x))
 
 
+@pytest.mark.parametrize("slab_nodes", [1, 30, 250, 2 ** 14])
+def test_slabs_are_built_once_per_shape(slab_nodes, monkeypatch):
+    # the ranges the per-call list gave, as a tuple kept per shape and
+    # SLAB_NODES, so a changed SLAB_NODES gets its own ranges
+    monkeypatch.setattr(kernels, "SLAB_NODES", slab_nodes)
+    for dims in [(37,), (23, 10), (512, 512), (9, 5, 4), (20, 20, 20, 20),
+                 (7, 5, 4, 6)]:
+        rows = max(1, slab_nodes // math.prod(dims[1:]))
+        want = [(r, min(r + rows, dims[0])) for r in range(0, dims[0], rows)]
+        got = kernels.slabs(dims)
+        assert type(got) is tuple and list(got) == want
+        assert kernels.slabs(list(dims)) is got
+
+
 def _roll_laplacian(f, spacings):
     # centre f, then h^-2 (S+f + S-f) added axis by axis
     out = f * (-2.0 * sum(1.0 / (h * h) for h in spacings))
@@ -1293,7 +1455,7 @@ def test_preconditioner_answers_are_fresh_and_unaliased(dims, span):
 def test_preconditioner_memory(dims):
     # Gauge branch: building holds g, u, u^-1, the real symbol and the
     # complex half spectrum the FFT pair runs in.  A steady apply writes
-    # into its n + 1 output and allocates only c g for the border.
+    # into its n + 1 output, and c g into the spectrum's memory.
     problem, phi, rng = _gauge_case(dims, 3.0, seed=22)
     g = problem.grid
     x = rng.standard_normal(g.size + 1)
@@ -1316,10 +1478,36 @@ def test_preconditioner_memory(dims):
     # 3 grid arrays and 3 half-spectrum ones (the complex spectrum counts
     # twice), plus the closure and numpy's small objects (2 kB)
     assert held <= (3.0 + 3.0 * half + 0.1) * grid_bytes
-    # c g, plus pocketfft's line buffers for the strided axes (10 kB on 8^4)
+    # numpy's casting buffer for the real symbol (see the test below),
+    # plus pocketfft's line buffers for the strided axes (10 kB on 8^4)
     assert peak <= y.nbytes + 1.5 * grid_bytes
     print("held %.2f, apply peak %.2f grid arrays beyond the output"
           % (held / grid_bytes, (peak - y.nbytes) / grid_bytes))
+
+
+@pytest.mark.parametrize("dims", [(512, 512), (20, 20, 20, 20)])
+@pytest.mark.parametrize("span", [3.0, 12.0])     # gauge and shifted branch
+def test_preconditioner_apply_holds_no_grid_array_beside_its_output(dims, span):
+    # c g goes into the spectrum's memory, free after the inverse
+    # transform; what is left is a fixed 128 kB, numpy's buffer of 8192
+    # complex values for casting the real symbol onto the spectrum, under
+    # a quarter of the grid arrays of 512^2 and 20^4
+    problem, phi, rng = _gauge_case(dims, span, seed=51)
+    g = problem.grid
+    x = rng.standard_normal(g.size + 1)
+    want = _rfftn_preconditioner(problem, phi, 0.5)(x)
+    precond = shifted_inverse_preconditioner(problem, phi, 0.5)
+    precond.matvec(x)
+    precond.matvec(x)       # answered from the first apply, memo dropped
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        y = precond.matvec(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert y.tobytes() == want.tobytes()
+    assert peak < y.nbytes + g.size * 8 // 4
 
 
 def _rfftn_preconditioner(problem, phi, t):
